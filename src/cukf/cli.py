@@ -127,7 +127,7 @@ def _cmd_filter(args):
     init = _init_estimate(model, args)
     sidecar = None
     if isinstance(model, ContinuousDiscreteModel):
-        cfg = (IntegratorConfig(step=args.step) if args.step
+        cfg = (IntegratorConfig(step=args.step) if args.step is not None
                else default_config(model))
         trace = cd_run(model, data.measurements, init, cfg)
         sidecar = os.path.join(outdir, "trace_summary.csv")
@@ -275,7 +275,8 @@ def build_parser():
                    help="process noise gain for the fixed-beta variant")
     p.add_argument("--init-sigma", type=float, default=0.0, dest="init_sigma")
     p.add_argument("--step", type=float, default=None,
-                   help="integrator step for continuous models")
+                   help="clamp-detection grid and RK4 fallback step for "
+                   "continuous models")
     p.set_defaults(func=_cmd_filter)
 
     p = sub.add_parser("compare",
@@ -316,9 +317,13 @@ def parse_and_dispatch(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
-    except FilterError as exc:
+    except (FilterError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        # ModelError, StepTooLargeError and other invalid inputs.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def main():

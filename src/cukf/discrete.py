@@ -35,7 +35,9 @@ class FilterTrace:
     """Per-step record of a filter run.
 
     All arrays share the leading dimension N (number of measurements).
-    `times` and the integration diagnostics are populated only by the
+    `clamp_count` counts time updates in which any g^2 was floored.  `times`,
+    `step_count` (RK4 fallback steps) and `fallback_intervals` (intervals
+    integrated by that fallback) are populated only by the
     continuous-discrete driver.
     """
 
@@ -50,6 +52,7 @@ class FilterTrace:
     times: Optional[np.ndarray] = None
     clamp_count: int = 0
     step_count: int = 0
+    fallback_intervals: int = 0
 
     def __len__(self):
         return self.xhat_post.shape[0]
@@ -91,6 +94,7 @@ class FilterTrace:
                 w.writerow(["key", "value"])
                 w.writerow(["clamp_count", self.clamp_count])
                 w.writerow(["step_count", self.step_count])
+                w.writerow(["fallback_intervals", self.fallback_intervals])
 
 
 def _blue_update(xhat, Sigma, y, C, Sigma_w, step=None):

@@ -9,7 +9,7 @@ import numpy as np
 
 from .discrete import FilterTrace, StateEstimate, run_filter
 from .errors import LengthMismatchError, NonFiniteStateError
-from .models import (ContinuousDiscreteModel, DiscreteLinearModel,
+from .models import (EPS_G, ContinuousDiscreteModel, DiscreteLinearModel,
                      FixedNoiseModel, NonlinearModel, eval_G, with_fixed_noise)
 from .nonlinear import nl_run
 
@@ -127,6 +127,7 @@ def simulate_cd(model: ContinuousDiscreteModel, x0, seed, em_step: float,
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     sv = np.sqrt(np.diag(dyn.Sigma_v))
     Lw = _meas_noise_chol(dyn.Sigma_w)
+    A0, A1, c0, C1 = dyn.A0, dyn.A1, dyn.gsq[:, 0], dyn.gsq[:, 1:]
     states = np.empty((times.size, n))
     ys = np.empty((times.size, m))
     clamped = False
@@ -141,11 +142,14 @@ def simulate_cd(model: ContinuousDiscreteModel, x0, seed, em_step: float,
                     f"em_step {em_step} does not divide the gap {gap}")
             h = gap / nsteps
             sqh = np.sqrt(h)
-            for _ in range(nsteps):
-                G, cl = eval_G(dyn.gsq, x)
-                clamped = clamped or cl
-                xi = sv * _unit_noise(rng, n, distribution)
-                x = x + h * (dyn.A0 + dyn.A1 @ x) + sqh * (G @ xi)
+            # One block per gap draws the same values as one draw per step;
+            # the diagonal gain acts elementwise.
+            xi = sv * _unit_noise(rng, (nsteps, n), distribution)
+            for xi_j in xi:
+                g2 = c0 + C1 @ x
+                clamped = clamped or bool((g2 < EPS_G).any())
+                gain = np.sqrt(np.maximum(g2, EPS_G))
+                x = x + h * (A0 + A1 @ x) + sqh * (gain * xi_j)
             if not np.all(np.isfinite(x)):
                 raise NonFiniteStateError("simulated path became non-finite",
                                           step=k + 1)

@@ -123,3 +123,19 @@ def test_model_file_path_accepted(tmp_path, monkeypatch):
     code = parse_and_dispatch(["simulate", "--model", str(path), "--N", "5",
                                "--out", str(tmp_path / "out")])
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["filter", "--model", "birth_death_cle", "--step", "100"],
+    ["filter", "--model", "birth_death_cle", "--step", "0"],
+    ["limit-check", "--model", "birth_death_cle", "--dt0", "0.3"],
+    ["simulate", "--model", "example_sec3", "--N", "0"],
+    ["compare", "--model", "example_sec3", "--beta", "0.1",
+     "--replicates", "0"],
+    ["oracle-check", "--model", "example_sec3", "--horizon", "0"],
+])
+def test_invalid_input_exits_1_without_traceback(argv, tmp_path, monkeypatch,
+                                                 capsys):
+    assert run(argv, tmp_path, monkeypatch) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

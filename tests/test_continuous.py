@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from cukf.builtin import birth_death_cle, example_sec3
-from cukf.continuous import (IntegratorConfig, cd_run, cd_time_update,
+from cukf.continuous import (IntegratorConfig, _rk4, cd_run, cd_time_update,
                              default_config, euler_limit_check)
 from cukf.discrete import StateEstimate, time_update
-from cukf.errors import StepTooLargeError
+from cukf.errors import ModelError, StepTooLargeError
 from cukf.models import ContinuousDiscreteModel, DiscreteLinearModel
 from cukf.simulate import simulate_cd
 
@@ -52,6 +52,16 @@ def test_step_too_large():
     post = StateEstimate([0.0], [[1.0]], 0.0)
     with pytest.raises(StepTooLargeError):
         cd_time_update(post, scalar_model(), 0.0, 0.5, IntegratorConfig(step=1.0))
+
+
+def test_non_diagonal_sigma_v_rejected():
+    model = DiscreteLinearModel(A0=[0, 0], A1=-np.eye(2), C=np.eye(2),
+                                gsq=[[1.0, 0, 0], [1.0, 0, 0]],
+                                Sigma_v=[[1.0, 0.5], [0.5, 1.0]],
+                                Sigma_w=np.eye(2))
+    post = StateEstimate([1.0, 1.0], np.eye(2), 0.0)
+    with pytest.raises(ModelError):
+        cd_time_update(post, model, 0.0, 0.1, CFG)
 
 
 def test_covariance_ode_preserves_symmetry():
@@ -148,10 +158,87 @@ def test_cd_trace_csv_has_time_column_and_sidecar(tmp_path):
     assert header.split(",")[1] == "t"
     body = sidecar.read_text()
     assert "clamp_count" in body and "step_count" in body
+    assert "fallback_intervals" in body
 
 
 def test_default_config_uses_hundredth_of_gap():
     model = birth_death_cle(t_end=5.0, n_samples=51)
     cfg = default_config(model)
     assert np.isclose(cfg.step, 0.1 / 100.0)
-    assert cfg.scheme == "rk4"
+
+
+def rk4_reference(model, post, span, step=1e-4):
+    return _rk4(model, post.xhat, post.Sigma, span, int(round(span / step)))
+
+
+def test_exact_matches_rk4_on_random_affine_models():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3):
+        for _ in range(3):
+            p = random_constant_noise_model(rng, n=n)
+            model = DiscreteLinearModel(
+                A0=p["A0"], A1=p["A1"], C=p["C"],
+                gsq=np.column_stack([p["g2"] + 5.0,
+                                     rng.uniform(-0.2, 0.2, (n, n))]),
+                Sigma_v=np.diag(p["sv"]), Sigma_w=p["Sigma_w"])
+            B = rng.standard_normal((n, n))
+            post = StateEstimate(rng.standard_normal(n), B @ B.T, 0.0)
+            out = cd_time_update(post, model, 0.0, 0.1, CFG)
+            x, S = rk4_reference(model, post, 0.1)
+            assert np.all(model.gsq[:, 0] + model.gsq[:, 1:] @ x > 0)
+            assert rel_err(out.xhat, x) <= 1e-9
+            assert rel_err(out.Sigma, S) <= 1e-9
+
+
+def pure_death_run(x0, gap=0.1, A0=0.0, c0=0.0):
+    """cd_run over one interval of dx = (A0 - 2x)dt, g^2 = c0 + 2x, from the
+    prior x0 and a first measurement equal to it (so the posterior is x0)."""
+    dyn = DiscreteLinearModel(A0=[A0], A1=[[-2.0]], C=[[1.0]],
+                              gsq=[[c0, 2.0]], Sigma_v=[[1.0]],
+                              Sigma_w=[[1.0]])
+    model = ContinuousDiscreteModel(inner=dyn, sample_times=[0.0, gap])
+    post = StateEstimate([x0], [[0.5]], 0.0)
+    trace = cd_run(model, [[x0], [0.0]], post)
+    return dyn, trace
+
+
+@pytest.mark.parametrize("c0", [0.0, 1.0])
+def test_interval_clamped_throughout_matches_rk4(c0):
+    # A negative estimate stays below -1, so g^2 = c0 + 2x is floored all
+    # along and the noise intensity is the floor, whatever c0 is.
+    dyn, trace = pure_death_run(-3.0, c0=c0)
+    assert trace.clamp_count == 1
+    assert trace.fallback_intervals == 0 and trace.step_count == 0
+    post = StateEstimate(trace.xhat_post[0], trace.Sigma_post[0], 0.0)
+    x, S = rk4_reference(dyn, post, 0.1)
+    assert rel_err(trace.xhat_prior[1], x) <= 1e-9
+    assert rel_err(trace.Sigma_prior[1], S) <= 1e-9
+
+
+def test_clamp_set_change_takes_counted_fallback():
+    # dx = (-10 - 2x)dt from x = 0.5 crosses g^2 = 2x = 0 mid-interval.
+    dyn, trace = pure_death_run(0.5, A0=-10.0)
+    assert trace.clamp_count == 1
+    assert trace.fallback_intervals == 1
+    assert trace.step_count == 100
+    post = StateEstimate(trace.xhat_post[0], trace.Sigma_post[0], 0.0)
+    x, S = _rk4(dyn, post.xhat, post.Sigma, 0.1, 100)
+    assert np.array_equal(trace.xhat_prior[1], x)
+    assert np.allclose(trace.Sigma_prior[1], S, rtol=1e-15, atol=0)
+
+
+def test_models_built_in_a_loop_each_get_their_own_exponential():
+    # Back-to-back models may reuse a freed object's id(); each run must
+    # still propagate with its own model's values.
+    times = np.arange(6) * 0.1
+    ys = np.linspace(1.0, 2.0, times.size)[:, None]
+    for a1 in (-0.5, -1.0, -2.0):
+        dyn = DiscreteLinearModel(A0=[1.0], A1=[[a1]], C=[[1.0]],
+                                  gsq=[[2.0, 0.0]], Sigma_v=[[1.0]],
+                                  Sigma_w=[[1.0]])
+        model = ContinuousDiscreteModel(inner=dyn, sample_times=times)
+        trace = cd_run(model, ys, StateEstimate([0.0], [[1.0]], 0.0))
+        xs, Ps = classical_cd_kf([1.0], [[a1]], [[2.0]], [[1.0]], [[1.0]],
+                                 times, ys, [0.0], [[1.0]])
+        assert rel_err(trace.xhat_post, xs) < 1e-12
+        assert rel_err(trace.Sigma_post, Ps) < 1e-12

@@ -92,6 +92,59 @@ def test_simulate_cd_weak_convergence_in_step():
     assert abs(var[0.005] - var[0.01]) / var[0.01] < 0.05
 
 
+def simulate_cd_per_step(model, x0, seed, em_step, distribution):
+    """Euler-Maruyama with one noise draw per step and the gain applied as
+    the diagonal matrix diag(sqrt(max(g^2, 1e-12)))."""
+    rng = np.random.default_rng(seed)
+
+    def draw(size):
+        if distribution == "gaussian":
+            return rng.standard_normal(size)
+        return rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size)
+
+    dyn = model.inner
+    times = model.sample_times
+    Lw = np.linalg.cholesky(dyn.Sigma_w)
+    sv = np.sqrt(np.diag(dyn.Sigma_v))
+    x = np.array(x0, dtype=float)
+    xs, ys = [], []
+    for k in range(times.size):
+        xs.append(x)
+        ys.append(dyn.C @ x + Lw @ draw(dyn.m))
+        if k + 1 < times.size:
+            nsteps = int(round((times[k + 1] - times[k]) / em_step))
+            h = (times[k + 1] - times[k]) / nsteps
+            for _ in range(nsteps):
+                g2 = dyn.gsq[:, 0] + dyn.gsq[:, 1:] @ x
+                G = np.diag(np.sqrt(np.maximum(g2, 1e-12)))
+                x = (x + h * (dyn.A0 + dyn.A1 @ x)
+                     + np.sqrt(h) * (G @ (sv * draw(dyn.n))))
+    return np.array(xs), np.array(ys)
+
+
+@pytest.mark.parametrize("distribution", ["gaussian", "uniform"])
+def test_simulate_cd_matches_per_step_loop_bit_for_bit(distribution):
+    two_species = DiscreteLinearModel(
+        A0=[20.0, 5.0], A1=[[-0.1, 0.0], [0.5, -0.05]], C=np.eye(2),
+        gsq=[[20.0, 0.1, 0.0], [5.0, 0.5, 0.05]], Sigma_v=np.eye(2),
+        Sigma_w=np.eye(2))
+    pure_death = DiscreteLinearModel(A0=[0.0], A1=[[-2.0]], C=[[1.0]],
+                                     gsq=[[0.0, 2.0]], Sigma_v=[[1.0]],
+                                     Sigma_w=[[1.0]])
+    times = np.linspace(0.0, 3.0, 31)
+    models = [birth_death_cle(t_end=3.0, n_samples=31),
+              ContinuousDiscreteModel(inner=two_species, sample_times=times),
+              ContinuousDiscreteModel(inner=pure_death, sample_times=times)]
+    for model in models:
+        for seed in range(3):
+            x0 = np.full(model.n, 2.0)
+            data = simulate_cd(model, x0, seed, em_step=0.01,
+                               distribution=distribution)
+            xs, ys = simulate_cd_per_step(model, x0, seed, 0.01, distribution)
+            assert np.array_equal(data.states, xs)
+            assert np.array_equal(data.measurements, ys)
+
+
 def test_mse_trivials():
     model = example_sec3()
     data = simulate_discrete(model, 1.0, 10, 55)
