@@ -12,7 +12,8 @@ __version__ = "0.1.0"
 from .builtin import builtin_models, get_builtin
 from .continuous import IntegratorConfig, cd_run, cd_time_update, euler_limit_check
 from .discrete import (FilterTrace, StateEstimate, kf_fixed_time_update,
-                       measurement_update, run_filter, time_update)
+                       measurement_update, run_filter, run_filter_batch,
+                       time_update)
 from .errors import (FilterError, IndefiniteHessianError, LengthMismatchError,
                      ModelError, NonAffineError, NonDiagonalizableError,
                      NonFiniteStateError, SingularGError,
@@ -24,7 +25,7 @@ from .models import (ContinuousDiscreteModel, DiscreteLinearModel,
 from .nonlinear import nl_run, nl_time_update
 from .simulate import (ComparisonReport, FilterSpec, TrajectoryData,
                        innovation_whiteness, monte_carlo_compare, mse,
-                       simulate_cd, simulate_discrete)
+                       simulate_batch, simulate_cd, simulate_discrete)
 from .wls import (OracleSolution, QuadraticCost, StackedTrajectory,
                   build_measurement_cost, build_time_cost, newton_solve,
                   oracle_filter)

@@ -177,21 +177,18 @@ def cd_run(model: ContinuousDiscreteModel, measurements, init: StateEstimate,
             f"{ms.shape[0]} measurements for {times.size} sample times")
     dyn = _inner(model)
     prop = _Propagator(dyn, cfg)
-    cursor = {"k": 0}
 
-    def step_fn(post):
-        k = cursor["k"]
+    def predict(k, X, P):
         try:
-            x, S, clamped = prop.propagate(post.xhat, post.Sigma,
-                                           times[k], times[k + 1])
+            x, S, clamped = prop.propagate(X[0], P[0], times[k], times[k + 1])
         except NonFiniteStateError as exc:
             raise NonFiniteStateError(
                 f"propagation failed between t={times[k]} and t={times[k + 1]}"
             ) from exc
-        cursor["k"] = k + 1
-        return StateEstimate(x, symmetrize(S), index=times[k + 1]), clamped
+        return x[None], symmetrize(S)[None], np.array([clamped])
 
-    trace = _run_loop(ms, init, step_fn, dyn.C, dyn.Sigma_w)
+    trace = _run_loop(ms[None], init.xhat[None], init.Sigma[None], predict,
+                      dyn.C, dyn.Sigma_w).replicate(0)
     trace.times = times.copy()
     trace.indices = np.arange(1, times.size + 1)
     trace.step_count = prop.rk4_steps

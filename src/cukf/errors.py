@@ -15,13 +15,20 @@ class NonDiagonalizableError(ModelError):
 
 
 class FilterError(RuntimeError):
-    """Base class for numerical failures during a filter run."""
+    """Base class for numerical failures during a filter run.
 
-    def __init__(self, message, step=None):
+    `step` and, for a batch of replicates, `replicate` say where it failed.
+    """
+
+    def __init__(self, message, step=None, replicate=None):
+        where = [f"replicate {replicate}"] if replicate is not None else []
         if step is not None:
-            message = f"{message} (at step {step})"
+            where.append(f"at step {step}")
+        if where:
+            message = f"{message} ({', '.join(where)})"
         super().__init__(message)
         self.step = step
+        self.replicate = replicate
 
 
 class SingularInnovationError(FilterError):

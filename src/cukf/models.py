@@ -35,6 +35,30 @@ def _as_vector(a, n, name):
     return out
 
 
+def _set_noise_covariances(model, n, m):
+    """Shape `model`'s Sigma_v (n, n) and Sigma_w (m, m), where a scalar or
+    vector gives the diagonal, and reject what no filter can use: non-finite
+    entries, a negative Sigma_v diagonal, or a Sigma_w that is not symmetric
+    positive semidefinite.  A non-diagonal Sigma_v and a zero Sigma_w are
+    accepted."""
+    for name, size in (("Sigma_v", n), ("Sigma_w", m)):
+        a = np.asarray(getattr(model, name), dtype=float)
+        if a.ndim <= 1:
+            a = np.diag(np.atleast_1d(a) * np.ones(size))
+        a = _as_matrix(a, size, size, name)
+        if not np.all(np.isfinite(a)):
+            raise ModelError(f"{name} has non-finite entries")
+        object.__setattr__(model, name, a)
+    if np.any(np.diag(model.Sigma_v) < 0):
+        raise ModelError("Sigma_v has negative diagonal entries")
+    Sw = model.Sigma_w
+    tol = 1e-12 * (1.0 + np.abs(Sw).max())
+    if np.abs(Sw - Sw.T).max() > tol:
+        raise ModelError("Sigma_w is not symmetric")
+    if np.linalg.eigvalsh(Sw).min() < -tol:
+        raise ModelError("Sigma_w has a negative eigenvalue")
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of hypothesis validation: ok iff no violations."""
@@ -75,14 +99,10 @@ class DiscreteLinearModel:
         m = C.shape[0]
         object.__setattr__(self, "C", _as_matrix(C, m, n, "C"))
         object.__setattr__(self, "gsq", _as_matrix(self.gsq, n, n + 1, "gsq"))
-        Sigma_v = np.asarray(self.Sigma_v, dtype=float)
-        if Sigma_v.ndim <= 1:
-            Sigma_v = np.diag(np.atleast_1d(Sigma_v) * np.ones(n))
-        object.__setattr__(self, "Sigma_v", _as_matrix(Sigma_v, n, n, "Sigma_v"))
-        Sigma_w = np.asarray(self.Sigma_w, dtype=float)
-        if Sigma_w.ndim <= 1:
-            Sigma_w = np.diag(np.atleast_1d(Sigma_w) * np.ones(m))
-        object.__setattr__(self, "Sigma_w", _as_matrix(Sigma_w, m, m, "Sigma_w"))
+        for name in ("A0", "A1", "C", "gsq"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ModelError(f"{name} has non-finite entries")
+        _set_noise_covariances(self, n, m)
         for arr in (self.A0, self.A1, self.C, self.gsq, self.Sigma_v, self.Sigma_w):
             arr.setflags(write=False)
 
@@ -111,8 +131,8 @@ class FixedNoiseModel:
     Sigma_w: np.ndarray
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ModelError("beta must be nonnegative")
+        if not 0 <= self.beta < np.inf:
+            raise ModelError("beta must be finite and nonnegative")
         base = DiscreteLinearModel(
             A0=self.A0, A1=self.A1, C=self.C,
             gsq=np.zeros((np.atleast_2d(np.asarray(self.A1)).shape[0],
@@ -158,14 +178,7 @@ class NonlinearModel:
         C = np.atleast_2d(np.asarray(self.C, dtype=float))
         m = C.shape[0]
         object.__setattr__(self, "C", _as_matrix(C, m, n, "C"))
-        Sigma_v = np.asarray(self.Sigma_v, dtype=float)
-        if Sigma_v.ndim <= 1:
-            Sigma_v = np.diag(np.atleast_1d(Sigma_v) * np.ones(n))
-        object.__setattr__(self, "Sigma_v", _as_matrix(Sigma_v, n, n, "Sigma_v"))
-        Sigma_w = np.asarray(self.Sigma_w, dtype=float)
-        if Sigma_w.ndim <= 1:
-            Sigma_w = np.diag(np.atleast_1d(Sigma_w) * np.ones(m))
-        object.__setattr__(self, "Sigma_w", _as_matrix(Sigma_w, m, m, "Sigma_w"))
+        _set_noise_covariances(self, n, m)
 
     @property
     def m(self) -> int:

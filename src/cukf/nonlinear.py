@@ -24,6 +24,12 @@ def nl_time_update(post: StateEstimate, model: NonlinearModel) -> StateEstimate:
 
 
 def nl_run(model: NonlinearModel, measurements, init: StateEstimate) -> FilterTrace:
-    """Measurement-first loop composing nl_time_update with the BLUE update."""
-    step_fn = lambda post: (nl_time_update(post, model), False)
-    return _run_loop(measurements, init, step_fn, model.C, model.Sigma_w)
+    """The shared filter loop, for one replicate, with nl_time_update as its
+    time update."""
+    def predict(k, X, P):
+        est = nl_time_update(StateEstimate(X[0], P[0]), model)
+        return est.xhat[None], est.Sigma[None], np.zeros(1, dtype=bool)
+
+    ms = np.atleast_2d(np.asarray(measurements, dtype=float))
+    return _run_loop(ms[None], init.xhat[None], init.Sigma[None], predict,
+                     model.C, model.Sigma_w).replicate(0)

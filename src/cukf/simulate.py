@@ -2,16 +2,19 @@
 statistics (mean squared error, innovation whiteness) used to judge them."""
 
 import csv
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .discrete import FilterTrace, StateEstimate, run_filter
+from .discrete import (FilterTrace, _first_failure, _matvec, run_filter,
+                       run_filter_batch)
 from .errors import LengthMismatchError, NonFiniteStateError
 from .models import (EPS_G, ContinuousDiscreteModel, DiscreteLinearModel,
-                     FixedNoiseModel, NonlinearModel, eval_G, with_fixed_noise)
-from .nonlinear import nl_run
+                     eval_G, with_fixed_noise)
+
+# run_filter and eval_G are not called here; bench/spans.py wraps them as
+# attributes of this module, so they stay importable from it.
 
 SQRT3 = np.sqrt(3.0)
 
@@ -35,7 +38,9 @@ def replicate_seed(master_seed: int, replicate: int) -> np.random.SeedSequence:
 class TrajectoryData:
     """True states and measurements with seed provenance.
 
-    Regenerating with the same (model, seed) is bit-identical.
+    Regenerating with the same (model, seed) is bit-identical.  A batch
+    (`simulate_batch`) holds R replicates: states and measurements gain a
+    leading axis R, `seed` is the list of seeds and `clamped` an (R,) array.
     """
 
     states: np.ndarray        # (N, n)
@@ -46,7 +51,13 @@ class TrajectoryData:
     times: Optional[np.ndarray] = None
 
     def __len__(self):
-        return self.states.shape[0]
+        return self.states.shape[-2]
+
+    def replicate(self, r: int) -> "TrajectoryData":
+        """Replicate r of a batch, as a single trajectory."""
+        return replace(self, states=self.states[r],
+                       measurements=self.measurements[r], seed=self.seed[r],
+                       clamped=bool(self.clamped[r]))
 
     def to_csv(self, path):
         n = self.states.shape[1]
@@ -76,10 +87,56 @@ def _meas_noise_chol(Sigma_w):
         return V * np.sqrt(np.clip(w, 0.0, None))
 
 
+def simulate_batch(model: DiscreteLinearModel, x0, N: int, seeds,
+                   distribution: str = "gaussian",
+                   model_id: str = "") -> TrajectoryData:
+    """Simulate R = len(seeds) replicates of N steps of the linear model at
+    once, replicate r from its own Generator `default_rng(seeds[r])`; x0 is
+    shared or (R, n).  Each replicate draws its noise as one block in the
+    per-step order y_1 v_1 y_2 v_2 ... y_N, so every row is bit-identical to
+    a one-replicate run with the same seed."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    R = len(seeds)
+    n = model.n
+    m = model.m
+    sv = np.sqrt(np.diag(model.Sigma_v))
+    Lw = _meas_noise_chol(model.Sigma_w)
+    c0, C1 = model.gsq[:, 0], model.gsq[:, 1:]
+    # Pad each block by n so that row k holds the draws of step k.
+    noise = np.zeros((R, N * (m + n)))
+    for r, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        noise[r, :-n] = _unit_noise(rng, N * (m + n) - n, distribution)
+    noise = noise.reshape(R, N, m + n)
+    v = sv * noise[:, :-1, m:]
+    states = np.empty((R, N, n))
+    x = np.broadcast_to(np.asarray(x0, dtype=float), (R, n))
+    clamped = np.zeros(R, dtype=bool)
+    for k in range(N):
+        states[:, k] = x
+        if k + 1 < N:
+            g2 = c0 + _matvec(C1, x)
+            clamped |= (g2 < EPS_G).any(axis=-1)
+            x = (model.A0 + _matvec(model.A1, x)
+                 + np.sqrt(np.maximum(g2, EPS_G)) * v[:, k])
+            if not np.isfinite(x).all():
+                raise NonFiniteStateError(
+                    "simulated state became non-finite", step=k + 1,
+                    replicate=_first_failure(np.isfinite(x).all(axis=-1)))
+    ys = _matvec(model.C, states) + _matvec(Lw, noise[..., :m])
+    return TrajectoryData(states=states, measurements=ys, seed=list(seeds),
+                          model_id=model_id, clamped=clamped)
+
+
 def simulate_discrete(model, x0, N: int, seed, distribution: str = "gaussian",
                       model_id: str = "") -> TrajectoryData:
     """Simulate N steps of the discrete model with the gain evaluated at the
-    TRUE state; the first recorded state is x0 itself (the x_1 convention)."""
+    TRUE state; the first recorded state is x0 itself (the x_1 convention).
+    A linear model is the one-replicate case of `simulate_batch`."""
+    if isinstance(model, DiscreteLinearModel):
+        return simulate_batch(model, x0, N, [seed],
+                              distribution, model_id).replicate(0)
     if N < 1:
         raise ValueError("N must be >= 1")
     rng = np.random.default_rng(seed)
@@ -88,28 +145,19 @@ def simulate_discrete(model, x0, N: int, seed, distribution: str = "gaussian",
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     sv = np.sqrt(np.diag(model.Sigma_v))
     Lw = _meas_noise_chol(model.Sigma_w)
-    linear = isinstance(model, DiscreteLinearModel)
     states = np.empty((N, n))
     ys = np.empty((N, m))
-    clamped = False
     for k in range(N):
         states[k] = x
         ys[k] = model.C @ x + Lw @ _unit_noise(rng, m, distribution)
         if k + 1 < N:
             v = sv * _unit_noise(rng, n, distribution)
-            if linear:
-                G, cl = eval_G(model.gsq, x)
-                x = model.A0 + model.A1 @ x + G @ v
-            else:
-                G = model.gain(x)
-                cl = False
-                x = model.drift(x) + G @ v
-            clamped = clamped or cl
+            x = model.drift(x) + model.gain(x) @ v
             if not np.all(np.isfinite(x)):
                 raise NonFiniteStateError("simulated state became non-finite",
                                           step=k + 1)
     return TrajectoryData(states=states, measurements=ys, seed=seed,
-                          model_id=model_id, clamped=clamped)
+                          model_id=model_id)
 
 
 def simulate_cd(model: ContinuousDiscreteModel, x0, seed, em_step: float,
@@ -158,32 +206,31 @@ def simulate_cd(model: ContinuousDiscreteModel, x0, seed, em_step: float,
                           times=times.copy())
 
 
-def mse(trace: FilterTrace, truth: TrajectoryData, burn_in: int = 0) -> float:
-    """Mean of ||xhat_post - x_true||^2 over steps after burn_in."""
+def mse(trace: FilterTrace, truth: TrajectoryData, burn_in: int = 0):
+    """Mean of ||xhat_post - x_true||^2 over steps after burn_in; an (R,)
+    array for a batch trace and batch truth."""
     if len(trace) != len(truth):
         raise LengthMismatchError(
             f"trace has {len(trace)} steps, truth has {len(truth)}")
-    err = trace.xhat_post[burn_in:] - truth.states[burn_in:]
-    return float(np.mean(np.sum(err ** 2, axis=1)))
+    err = trace.xhat_post[..., burn_in:, :] - truth.states[..., burn_in:, :]
+    out = np.mean(np.sum(err ** 2, axis=-1), axis=-1)
+    return float(out) if out.ndim == 0 else out
+
+
+def _dot(a, b):
+    """Dot products over the last axis, rounded like the 1-D `a @ b`."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 @dataclass
 class WhitenessResult:
+    """For a batch trace, rho, pass_fraction and degenerate gain a leading
+    replicate axis."""
+
     rho: np.ndarray          # autocorrelations, lags 0..max_lag
     pass_fraction: float
     threshold: float
     degenerate: bool = False
-
-
-def _autocorr(z, max_lag):
-    z = z - z.mean()
-    denom = float(z @ z)
-    if denom <= 0:
-        return None
-    rho = np.empty(max_lag + 1)
-    for lag in range(max_lag + 1):
-        rho[lag] = float(z[:len(z) - lag] @ z[lag:]) / denom
-    return rho
 
 
 def innovation_whiteness(trace: FilterTrace, max_lag: int = 20) -> WhitenessResult:
@@ -192,29 +239,36 @@ def innovation_whiteness(trace: FilterTrace, max_lag: int = 20) -> WhitenessResu
     Innovations are whitened per step by the Cholesky factor of the
     innovation covariance; for multi-output models the autocorrelations are
     averaged over components.  The pass fraction counts lags 1..max_lag with
-    |rho| <= 1.96/sqrt(N).
+    |rho| <= 1.96/sqrt(N).  A replicate with a constant component is
+    degenerate: its rho and pass fraction are NaN.
     """
     N = len(trace)
     if N <= max_lag:
         raise ValueError(f"need more than max_lag={max_lag} steps, got {N}")
-    m = trace.innovation.shape[1]
-    z = np.empty((N, m))
-    for k in range(N):
-        Lk = np.linalg.cholesky(trace.S[k])
-        z[k] = np.linalg.solve(Lk, trace.innovation[k])
+    m = trace.innovation.shape[-1]
+    E = trace.innovation.reshape(-1, N, m, 1)
+    S = trace.S.reshape(-1, N, m, m)
+    z = np.linalg.solve(np.linalg.cholesky(S), E)[..., 0]
+    # (R, m, N): each component's series contiguous, as in a 1-D reduction.
+    z = np.ascontiguousarray(z.swapaxes(-1, -2))
+    z = z - z.mean(axis=-1, keepdims=True)
+    denom = _dot(z, z)
+    degenerate = (denom <= 0).any(axis=-1)
+    rho = np.empty(z.shape[:2] + (max_lag + 1,))
+    for lag in range(max_lag + 1):
+        rho[..., lag] = _dot(z[..., :N - lag], z[..., lag:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.mean(rho / denom[..., None], axis=1)
     threshold = 1.96 / np.sqrt(N)
-    rhos = []
-    for c in range(m):
-        r = _autocorr(z[:, c], max_lag)
-        if r is None:
-            return WhitenessResult(rho=np.full(max_lag + 1, np.nan),
-                                   pass_fraction=float("nan"),
-                                   threshold=threshold, degenerate=True)
-        rhos.append(r)
-    rho = np.mean(rhos, axis=0)
-    passed = np.abs(rho[1:]) <= threshold
-    return WhitenessResult(rho=rho, pass_fraction=float(np.mean(passed)),
-                           threshold=threshold)
+    pass_fraction = np.mean(np.abs(rho[:, 1:]) <= threshold, axis=-1)
+    rho[degenerate] = np.nan
+    pass_fraction[degenerate] = np.nan
+    if trace.innovation.ndim == 2:
+        return WhitenessResult(rho=rho[0], pass_fraction=float(pass_fraction[0]),
+                               threshold=threshold,
+                               degenerate=bool(degenerate[0]))
+    return WhitenessResult(rho=rho, pass_fraction=pass_fraction,
+                           threshold=threshold, degenerate=degenerate)
 
 
 @dataclass(frozen=True)
@@ -290,35 +344,27 @@ def monte_carlo_compare(model: DiscreteLinearModel, filters: Sequence[FilterSpec
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
+    data_seeds = []
+    xinit = np.empty((replicates, model.n))
+    for r in range(replicates):
+        data_seed, init_seed = replicate_seed(master_seed, r).spawn(2)
+        data_seeds.append(data_seed)
+        xinit[r] = np.random.default_rng(init_seed).standard_normal(model.n)
+    data = simulate_batch(model, x0, N, data_seeds, distribution=distribution)
+    Sigma0 = init_sigma * np.eye(model.n)
     F = len(filters)
-    run_models = []
-    for spec in filters:
-        if spec.variant == "fixed-beta":
-            run_models.append(with_fixed_noise(model, spec.beta))
-        else:
-            run_models.append(model)
     mses = np.empty((replicates, F))
     passes = np.empty((replicates, F))
-    rhos = np.zeros((F, max_lag + 1))
-    clamped = 0
-    for r in range(replicates):
-        ss = replicate_seed(master_seed, r)
-        data_seed, init_seed = ss.spawn(2)
-        data = simulate_discrete(model, x0, N, data_seed,
-                                 distribution=distribution)
-        clamped += int(data.clamped)
-        init_rng = np.random.default_rng(init_seed)
-        xinit = init_rng.standard_normal(model.n)
-        init = StateEstimate(xhat=xinit, Sigma=init_sigma * np.eye(model.n),
-                             index=1)
-        for i, spec in enumerate(filters):
-            trace = run_filter(run_models[i], data.measurements, init,
-                               variant=spec.variant)
-            mses[r, i] = mse(trace, data, burn_in=burn_in)
-            wh = innovation_whiteness(trace, max_lag=max_lag)
-            passes[r, i] = wh.pass_fraction
-            rhos[i] += wh.rho
-    rhos /= replicates
+    rhos = np.empty((F, max_lag + 1))
+    for i, spec in enumerate(filters):
+        run_model = (with_fixed_noise(model, spec.beta)
+                     if spec.variant == "fixed-beta" else model)
+        trace = run_filter_batch(run_model, data.measurements, xinit, Sigma0,
+                                 variant=spec.variant)
+        mses[:, i] = mse(trace, data, burn_in=burn_in)
+        wh = innovation_whiteness(trace, max_lag=max_lag)
+        passes[:, i] = wh.pass_fraction
+        rhos[i] = wh.rho.sum(axis=0) / replicates
     se = mses.std(axis=0, ddof=1) / np.sqrt(replicates) if replicates > 1 \
         else np.zeros(F)
     return ComparisonReport(
@@ -326,4 +372,4 @@ def monte_carlo_compare(model: DiscreteLinearModel, filters: Sequence[FilterSpec
         master_seed=master_seed, mse_mean=mses.mean(axis=0), mse_se=se,
         mse_halfwidth=1.96 * se,
         whiteness_pass_fraction=passes.mean(axis=0), autocorr_mean=rhos,
-        clamped_replicates=clamped, mse_samples=mses)
+        clamped_replicates=int(data.clamped.sum()), mse_samples=mses)

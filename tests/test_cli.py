@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -139,3 +140,19 @@ def test_invalid_input_exits_1_without_traceback(argv, tmp_path, monkeypatch,
     assert run(argv, tmp_path, monkeypatch) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+
+def test_invalid_model_file_exits_1_with_one_error_line(tmp_path, monkeypatch,
+                                                       capsys):
+    path = tmp_path / "bad.model"
+    path.write_text("kind = discrete\nn = 1\nm = 1\nA0 = nan\nA1 = 0.99\n"
+                    "C = 1.0\ngsq = 100.0 1.0\nSigma_v = -1\nSigma_w = -1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["filter", "--model", str(path)], tmp_path / "out",
+                   monkeypatch)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1

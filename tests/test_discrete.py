@@ -3,8 +3,9 @@ import pytest
 
 from cukf.builtin import example_sec3
 from cukf.discrete import (FilterTrace, StateEstimate, kf_fixed_time_update,
-                           measurement_update, run_filter, time_update)
-from cukf.errors import SingularInnovationError
+                           measurement_update, run_filter, run_filter_batch,
+                           time_update)
+from cukf.errors import NonFiniteStateError, SingularInnovationError
 from cukf.models import DiscreteLinearModel, with_fixed_noise
 from cukf.simulate import simulate_discrete
 
@@ -162,3 +163,22 @@ def test_run_filter_error_carries_step_index():
     with pytest.raises(SingularInnovationError) as exc:
         run_filter(model, [[1.0], [2.0]], init)
     assert exc.value.step == 1
+
+
+def test_batch_errors_name_the_first_failing_replicate():
+    model = DiscreteLinearModel(A0=[0.0], A1=[[1.0]], C=[[1.0]],
+                                gsq=[[1.0, 0.0]], Sigma_v=[[1.0]],
+                                Sigma_w=[[0.0]])
+    ys = np.ones((4, 5, 1))
+    Sigma0 = np.ones((4, 1, 1))
+    Sigma0[2] = 0.0  # S = C Sigma C' + 0 is singular for replicate 2 only
+    with pytest.raises(SingularInnovationError) as exc:
+        run_filter_batch(model, ys, np.zeros((4, 1)), Sigma0)
+    assert (exc.value.replicate, exc.value.step) == (2, 1)
+    assert "(replicate 2, at step 1)" in str(exc.value)
+    ys[1, 3] = np.nan
+    ys[3, 2] = np.inf
+    with pytest.raises(NonFiniteStateError) as exc:
+        run_filter_batch(model, ys, np.zeros((4, 1)), np.eye(1))
+    assert (exc.value.replicate, exc.value.step) == (3, 3)
+    assert "(replicate 3, at step 3)" in str(exc.value)

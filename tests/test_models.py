@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from cukf.builtin import example_sec3
-from cukf.errors import NonAffineError, NonDiagonalizableError
+from cukf.errors import ModelError, NonAffineError, NonDiagonalizableError
 from cukf.models import (ContinuousDiscreteModel, DiscreteLinearModel,
                          EPS_G, NonlinearModel, ReactionNetwork, eval_G,
                          eval_gsq, finite_difference_jacobian, from_cle,
-                         gain_from_affine, validate_model)
+                         gain_from_affine, validate_model, with_fixed_noise)
 from cukf import modelio
 
 
@@ -169,3 +169,48 @@ def test_modelio_rejects_unknown_key():
     text = modelio.dumps(example_sec3()) + "bogus = 1\n"
     with pytest.raises(ValueError):
         modelio.loads(text)
+
+
+def sec3_fields(**changes):
+    fields = dict(A0=[1.0], A1=[[0.99]], C=[[1.0]], gsq=[[100.0, 1.0]],
+                  Sigma_v=[[1.0]], Sigma_w=[[1.0]])
+    fields.update(changes)
+    return fields
+
+
+@pytest.mark.parametrize("field,value", [
+    ("A0", [np.nan]), ("A1", [[np.inf]]), ("C", [[np.nan]]),
+    ("gsq", [[100.0, np.nan]]), ("Sigma_v", [[np.nan]]),
+    ("Sigma_w", [[np.inf]]),
+])
+def test_model_rejects_non_finite_entries(field, value):
+    with pytest.raises(ModelError, match=field):
+        DiscreteLinearModel(**sec3_fields(**{field: value}))
+
+
+def test_model_rejects_negative_sigma_v_diagonal():
+    with pytest.raises(ModelError, match="Sigma_v"):
+        DiscreteLinearModel(**sec3_fields(Sigma_v=[[-1.0]]))
+
+
+def test_model_rejects_nonsymmetric_sigma_w():
+    with pytest.raises(ModelError, match="symmetric"):
+        DiscreteLinearModel(A0=[0, 0], A1=np.eye(2), C=np.eye(2),
+                            gsq=np.zeros((2, 3)), Sigma_v=np.eye(2),
+                            Sigma_w=[[1.0, 0.5], [0.0, 1.0]])
+
+
+def test_model_rejects_sigma_w_with_negative_eigenvalue():
+    # Symmetric with a positive diagonal, eigenvalues -1 and 3.
+    with pytest.raises(ModelError, match="eigenvalue"):
+        DiscreteLinearModel(A0=[0, 0], A1=np.eye(2), C=np.eye(2),
+                            gsq=np.zeros((2, 3)), Sigma_v=np.eye(2),
+                            Sigma_w=[[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(ModelError, match="eigenvalue"):
+        DiscreteLinearModel(**sec3_fields(Sigma_w=[[-1.0]]))
+
+
+def test_fixed_noise_rejects_non_finite_beta():
+    for beta in (np.nan, np.inf, -1.0):
+        with pytest.raises(ModelError, match="beta"):
+            with_fixed_noise(example_sec3(), beta)

@@ -4,11 +4,11 @@ import pytest
 from cukf.builtin import birth_death_cle, example_sec3
 from cukf.continuous import IntegratorConfig, cd_time_update
 from cukf.discrete import StateEstimate, run_filter
-from cukf.errors import LengthMismatchError
+from cukf.errors import LengthMismatchError, NonFiniteStateError
 from cukf.models import ContinuousDiscreteModel, DiscreteLinearModel
 from cukf.simulate import (FilterSpec, innovation_whiteness,
                            monte_carlo_compare, mse, replicate_seed,
-                           simulate_cd, simulate_discrete)
+                           simulate_batch, simulate_cd, simulate_discrete)
 
 
 def noiseless_sec3():
@@ -143,6 +143,72 @@ def test_simulate_cd_matches_per_step_loop_bit_for_bit(distribution):
             xs, ys = simulate_cd_per_step(model, x0, seed, 0.01, distribution)
             assert np.array_equal(data.states, xs)
             assert np.array_equal(data.measurements, ys)
+
+
+def simulate_discrete_per_step(model, x0, N, seed, distribution):
+    """One noise draw per measurement and per transition, the gain applied
+    as the diagonal matrix diag(sqrt(max(g^2, 1e-12)))."""
+    rng = np.random.default_rng(seed)
+
+    def draw(size):
+        if distribution == "gaussian":
+            return rng.standard_normal(size)
+        return rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size)
+
+    Lw = np.linalg.cholesky(model.Sigma_w)
+    sv = np.sqrt(np.diag(model.Sigma_v))
+    x = np.array(x0, dtype=float)
+    xs, ys = [], []
+    clamped = False
+    for k in range(N):
+        xs.append(x)
+        ys.append(model.C @ x + Lw @ draw(model.m))
+        if k + 1 < N:
+            v = sv * draw(model.n)
+            g2 = model.gsq[:, 0] + model.gsq[:, 1:] @ x
+            clamped = clamped or bool((g2 < 1e-12).any())
+            G = np.diag(np.sqrt(np.maximum(g2, 1e-12)))
+            x = model.A0 + model.A1 @ x + G @ v
+    return np.array(xs), np.array(ys), clamped
+
+
+@pytest.mark.parametrize("distribution", ["gaussian", "uniform"])
+def test_simulate_batch_matches_per_step_loop_bit_for_bit(distribution):
+    two_state = DiscreteLinearModel(
+        A0=[1.0, 0.5], A1=[[0.9, 0.05], [0.1, 0.8]], C=[[1.0, 0.5]],
+        gsq=[[4.0, 0.1, 0.0], [2.0, 0.0, 0.2]], Sigma_v=[[1.0, 0.0], [0.0, 2.0]],
+        Sigma_w=[[0.5]])
+    # g^2_1 = 1 - x_1 is negative from x0 on, so this model clamps.
+    clamping = DiscreteLinearModel(
+        A0=[0.5, 0.2, -0.1], A1=[[0.9, 0.1, 0.0], [0.0, 0.7, 0.2], [0.1, 0.0, 0.8]],
+        C=[[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]],
+        gsq=[[1.0, -1.0, 0.0, 0.0], [2.0, 0.0, 0.5, 0.0], [0.5, 0.1, 0.1, -0.3]],
+        Sigma_v=np.diag([1.0, 0.5, 2.0]), Sigma_w=[[1.0, 0.3], [0.3, 2.0]])
+    seeds = [0, 1, 2]
+    for model, N in ((example_sec3(), 60), (two_state, 40), (clamping, 40)):
+        x0 = np.full(model.n, 2.0)
+        batch = simulate_batch(model, x0, N, seeds, distribution=distribution)
+        for r, seed in enumerate(seeds):
+            xs, ys, clamped = simulate_discrete_per_step(model, x0, N, seed,
+                                                         distribution)
+            assert np.array_equal(batch.states[r], xs)
+            assert np.array_equal(batch.measurements[r], ys)
+            assert batch.clamped[r] == clamped
+            single = simulate_discrete(model, x0, N, seed,
+                                       distribution=distribution)
+            assert np.array_equal(single.states, xs)
+            assert np.array_equal(single.measurements, ys)
+        assert batch.clamped.all() == (model is clamping)
+
+
+def test_simulate_batch_names_the_failing_replicate():
+    x0 = np.ones((4, 1))
+    x0[2] = np.inf
+    with pytest.raises(NonFiniteStateError) as exc, \
+            np.errstate(invalid="ignore"):
+        simulate_batch(example_sec3(), x0, 5, [0, 1, 2, 3])
+    assert (exc.value.replicate, exc.value.step) == (2, 1)
+    assert "(replicate 2, at step 1)" in str(exc.value)
 
 
 def test_mse_trivials():
