@@ -219,6 +219,8 @@ def euler_limit_check(model, post: StateEstimate, t0: float, t1: float,
     if span <= 0:
         raise ValueError("need t1 > t0")
     steps = sorted(float(dt) for dt in steps)
+    if not steps:
+        raise ValueError("need at least one step")
     for dt in steps:
         ratio = span / dt
         if abs(ratio - round(ratio)) > 1e-9 * ratio:

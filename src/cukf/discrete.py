@@ -1,6 +1,8 @@
-"""Discrete-time filter: BLUE measurement update and the time update that
-recomputes the process noise covariance from the current estimate, plus the
-fixed-gain baseline used for comparisons."""
+"""Discrete-time filter: BLUE measurement update, and the time update that
+recomputes the process noise covariance G(xhat) Sigma_v G(xhat) from the
+current estimate.  One time update serves every discrete model: a linear
+model, its fixed-gain baseline (`with_fixed_noise`) and a nonlinear model
+all answer drift, jacobian and gain (see `cukf.models`)."""
 
 import csv
 from dataclasses import dataclass, replace
@@ -9,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SingularInnovationError, NonFiniteStateError
-from .models import EPS_G, DiscreteLinearModel, FixedNoiseModel, eval_G
+from .models import _matvec, eval_G
 
 # eval_G is not called here; bench/spans.py wraps it as an attribute of this
 # module, so it stays importable from it.
@@ -18,12 +20,6 @@ from .models import EPS_G, DiscreteLinearModel, FixedNoiseModel, eval_G
 def symmetrize(S: np.ndarray) -> np.ndarray:
     """Symmetric part of a matrix, or of each matrix in a stack."""
     return 0.5 * (S + S.swapaxes(-1, -2))
-
-
-def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A @ x for one vector or a stack of vectors (..., n).  The stacked
-    product rounds like the single one, which `x @ A.T` does not."""
-    return (A @ x[..., None])[..., 0]
 
 
 def _first_failure(ok: np.ndarray):
@@ -161,51 +157,30 @@ def measurement_update(prior: StateEstimate, y, C, Sigma_w) -> StateEstimate:
     return StateEstimate(xhat=X[0], Sigma=P[0], index=prior.index)
 
 
-def _predictor(model, variant: str = "covariance-update"):
-    """Discrete time update over a batch: predict(k, X, P) -> (X, P, clamped)
-    with X (R, n), P (R, n, n) and clamped (R,) flagging the replicates whose
-    g^2 was floored.  "covariance-update" recomputes G(xhat) Sigma_v G(xhat)
-    at each posterior estimate and needs a DiscreteLinearModel; "fixed-beta"
-    adds the constant beta^2 Sigma_v of a FixedNoiseModel."""
-    A0, A1 = model.A0, model.A1
-    if variant == "covariance-update":
-        if not isinstance(model, DiscreteLinearModel):
-            raise TypeError("covariance-update variant needs a DiscreteLinearModel")
-        c0, C1, Sigma_v = model.gsq[:, 0], model.gsq[:, 1:], model.Sigma_v
+def _predictor(model):
+    """Time update over a batch: predict(k, X, P) -> (X, P, clamped) with
+    X (R, n), P (R, n, n) and clamped (R,) flagging the replicates whose g^2
+    was floored.  xhat -> f(xhat) and Sigma -> Df Sigma Df' + G Sigma_v G,
+    with Df and G evaluated at each posterior estimate."""
+    drift, jacobian, gain = model.drift, model.jacobian, model.gain
+    Sigma_v = model.Sigma_v
 
-        def predict(k, X, P):
-            g2 = c0 + _matvec(C1, X)
-            g = np.sqrt(np.maximum(g2, EPS_G))
-            Q = g[..., :, None] * Sigma_v * g[..., None, :]
-            return (A0 + _matvec(A1, X), symmetrize(A1 @ P @ A1.T + Q),
-                    (g2 < EPS_G).any(axis=-1))
-    elif variant == "fixed-beta":
-        if not isinstance(model, FixedNoiseModel):
-            raise TypeError("fixed-beta variant needs a FixedNoiseModel")
-        Q = model.beta ** 2 * model.Sigma_v
+    def predict(k, X, P):
+        Xpred = drift(X)
+        J = jacobian(X)
+        g, floored = gain(X)
+        Q = g[..., :, None] * Sigma_v * g[..., None, :]
+        return (Xpred, symmetrize(J @ P @ J.swapaxes(-1, -2) + Q),
+                floored.any(axis=-1))
 
-        def predict(k, X, P):
-            return (A0 + _matvec(A1, X), symmetrize(A1 @ P @ A1.T + Q),
-                    np.zeros(len(X), dtype=bool))
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
     return predict
 
 
-def _time_update(post: StateEstimate, model, variant):
-    X, P, _ = _predictor(model, variant)(0, post.xhat[None], post.Sigma[None])
-    return StateEstimate(xhat=X[0], Sigma=P[0], index=post.index + 1)
-
-
-def time_update(post: StateEstimate, model: DiscreteLinearModel) -> StateEstimate:
+def time_update(post: StateEstimate, model) -> StateEstimate:
     """Propagate one step, recomputing the process noise covariance
     G(xhat) Sigma_v G(xhat) at the posterior estimate."""
-    return _time_update(post, model, "covariance-update")
-
-
-def kf_fixed_time_update(post: StateEstimate, model: FixedNoiseModel) -> StateEstimate:
-    """Baseline propagation with the constant beta^2 Sigma_v process noise."""
-    return _time_update(post, model, "fixed-beta")
+    X, P, _ = _predictor(model)(0, post.xhat[None], post.Sigma[None])
+    return StateEstimate(xhat=X[0], Sigma=P[0], index=post.index + 1)
 
 
 def _run_loop(measurements, xhat, Sigma, predict, C, Sigma_w, start_index=1):
@@ -254,27 +229,21 @@ def _run_loop(measurements, xhat, Sigma, predict, C, Sigma_w, start_index=1):
     return tr
 
 
-def run_filter_batch(model, measurements, xhat, Sigma,
-                     variant: str = "covariance-update") -> FilterTrace:
+def run_filter_batch(model, measurements, xhat, Sigma) -> FilterTrace:
     """Filter R replicates at once: measurements (R, N, m), initial priors
     xhat (R, n) and Sigma (R, n, n) or one shared (n, n).  Returns a batch
-    trace; see `run_filter` for the variants."""
+    trace."""
     ms = np.asarray(measurements, dtype=float)
     X = np.asarray(xhat, dtype=float)
     P = np.broadcast_to(np.asarray(Sigma, dtype=float), X.shape + X.shape[-1:])
-    return _run_loop(ms, X, P, _predictor(model, variant), model.C,
-                     model.Sigma_w)
+    return _run_loop(ms, X, P, _predictor(model), model.C, model.Sigma_w)
 
 
-def run_filter(model, measurements, init: StateEstimate,
-               variant: str = "covariance-update") -> FilterTrace:
+def run_filter(model, measurements, init: StateEstimate) -> FilterTrace:
     """Alternate measurement and time updates starting from the prior `init`
     at the first measured step (the x_{1|0} convention); the one-replicate
-    case of `run_filter_batch`.
-
-    variant "covariance-update" requires a DiscreteLinearModel; "fixed-beta"
-    requires a FixedNoiseModel.
-    """
+    case of `run_filter_batch`.  `model` is any discrete model: linear,
+    fixed-gain or nonlinear."""
     ms = np.atleast_2d(np.asarray(measurements, dtype=float))
-    return run_filter_batch(model, ms[None], init.xhat[None], init.Sigma,
-                            variant).replicate(0)
+    return run_filter_batch(model, ms[None], init.xhat[None],
+                            init.Sigma).replicate(0)

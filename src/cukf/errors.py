@@ -43,10 +43,6 @@ class StepTooLargeError(ValueError):
     """The integration step exceeds the propagation interval."""
 
 
-class SingularGError(FilterError):
-    """A noise gain entry is (numerically) zero and clamping is disabled."""
-
-
 class IndefiniteHessianError(FilterError):
     """The trajectory-cost Hessian is not positive definite."""
 

@@ -53,8 +53,15 @@ def loads(text: str) -> Union[DiscreteLinearModel, ContinuousDiscreteModel]:
     kind = take("kind")
     if kind not in ("discrete", "continuous"):
         raise ModelError(f"kind must be discrete or continuous, got {kind!r}")
-    n = int(numbers("n", 1)[0])
-    m = int(numbers("m", 1)[0])
+
+    def dimension(key):
+        v = float(numbers(key, 1)[0])
+        if not (v >= 1 and v.is_integer()):
+            raise ModelError(f"{key} must be a positive integer, got {v!r}")
+        return int(v)
+
+    n = dimension("n")
+    m = dimension("m")
     model = DiscreteLinearModel(
         A0=numbers("A0", n),
         A1=numbers("A1", n * n).reshape(n, n),
@@ -75,6 +82,8 @@ def loads(text: str) -> Union[DiscreteLinearModel, ContinuousDiscreteModel]:
 def dumps(model) -> str:
     cd = isinstance(model, ContinuousDiscreteModel)
     inner = model.inner if cd else model
+    if np.any(inner.Sigma_v != np.diag(np.diag(inner.Sigma_v))):
+        raise ModelError("a model file holds only a diagonal Sigma_v")
     lines = [
         f"kind = {'continuous' if cd else 'discrete'}",
         f"n = {inner.n}",

@@ -1,24 +1,37 @@
-"""System model definitions and hypothesis validation.
+"""System model definitions, validated at construction.
 
 A model is "linear with square-root state-dependent noise" when the dynamics
 are x_{k+1} = A0 + A1 x_k + G(x_k) v_k with G = diag(g_1, ..., g_n) and every
 g_i^2 an affine function of the state.  The affine coefficients are stored
 explicitly (one row [c_i0, c_i1, ..., c_in] per state) so the hypothesis is
-checkable by construction.  Nonlinear and continuous-discrete wrappers reuse
-the same noise machinery.
+checkable by construction.  A fixed-gain baseline is the linear model with
+constant g^2 (`with_fixed_noise`); continuous-discrete models wrap a linear
+one.
+
+Every discrete model answers the same three questions about a stack of
+states X (..., n), which is all the filter, the simulator and the oracle ask:
+`drift(X)`, `jacobian(X)` and `gain(X) -> (g, floored)`, the diagonal noise
+gains and the mask of components whose g^2 was floored.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ModelError, NonAffineError, NonDiagonalizableError
+from .errors import (ModelError, NonAffineError, NonDiagonalizableError,
+                     NonFiniteStateError)
 
 # Floor applied to g_i^2 before taking the square root.  Keeps covariances
 # PSD when an estimate wanders into the region where the affine form goes
 # negative; every clamp is flagged to the caller.
 EPS_G = 1e-12
+
+
+def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x for one vector or a stack of vectors (..., n).  The stacked
+    product rounds like the single one, which `x @ A.T` does not."""
+    return (A @ x[..., None])[..., 0]
 
 
 def _as_matrix(a, rows, cols, name):
@@ -57,17 +70,6 @@ def _set_noise_covariances(model, n, m):
         raise ModelError("Sigma_w is not symmetric")
     if np.linalg.eigvalsh(Sw).min() < -tol:
         raise ModelError("Sigma_w has a negative eigenvalue")
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of hypothesis validation: ok iff no violations."""
-
-    violations: Tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 @dataclass(frozen=True)
@@ -114,46 +116,30 @@ class DiscreteLinearModel:
     def m(self) -> int:
         return self.C.shape[0]
 
+    def drift(self, X: np.ndarray) -> np.ndarray:
+        """A0 + A1 x for each state of the stack X (..., n)."""
+        return self.A0 + _matvec(self.A1, X)
 
-@dataclass(frozen=True)
-class FixedNoiseModel:
-    """DiscreteLinearModel shape with a constant scalar process noise gain.
+    def jacobian(self, X: np.ndarray) -> np.ndarray:
+        """A1, which broadcasts over any stack of states."""
+        return self.A1
 
-    The time update uses beta^2 * Sigma_v in place of G Sigma_v G; this is
-    the fixed-covariance baseline the variant is compared against.
-    """
-
-    A0: np.ndarray
-    A1: np.ndarray
-    C: np.ndarray
-    beta: float
-    Sigma_v: np.ndarray
-    Sigma_w: np.ndarray
-
-    def __post_init__(self):
-        if not 0 <= self.beta < np.inf:
-            raise ModelError("beta must be finite and nonnegative")
-        base = DiscreteLinearModel(
-            A0=self.A0, A1=self.A1, C=self.C,
-            gsq=np.zeros((np.atleast_2d(np.asarray(self.A1)).shape[0],
-                          np.atleast_2d(np.asarray(self.A1)).shape[0] + 1)),
-            Sigma_v=self.Sigma_v, Sigma_w=self.Sigma_w)
-        for name in ("A0", "A1", "C", "Sigma_v", "Sigma_w"):
-            object.__setattr__(self, name, getattr(base, name))
-
-    @property
-    def n(self) -> int:
-        return self.A1.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.C.shape[0]
+    def gain(self, X: np.ndarray):
+        """Diagonal gains sqrt(max(g^2(x), EPS_G)) for each state of the
+        stack X (..., n), and the mask of components where g^2 < EPS_G."""
+        g2 = self.gsq[:, 0] + _matvec(self.gsq[:, 1:], X)
+        return np.sqrt(np.maximum(g2, EPS_G)), g2 < EPS_G
 
 
-def with_fixed_noise(model: DiscreteLinearModel, beta: float) -> FixedNoiseModel:
-    """Baseline companion of `model` with the gain frozen at `beta`."""
-    return FixedNoiseModel(A0=model.A0, A1=model.A1, C=model.C, beta=beta,
-                           Sigma_v=model.Sigma_v, Sigma_w=model.Sigma_w)
+def with_fixed_noise(model: DiscreteLinearModel, beta: float) -> DiscreteLinearModel:
+    """Baseline companion of `model` with the gain frozen at `beta`: every
+    g^2 is the constant 1 and Sigma_v becomes beta^2 Sigma_v, so the process
+    noise is exactly beta^2 Sigma_v (zero for beta = 0) and never floored."""
+    if not 0 <= beta < np.inf:
+        raise ModelError("beta must be finite and nonnegative")
+    gsq = np.zeros_like(model.gsq)
+    gsq[:, 0] = 1.0
+    return replace(model, gsq=gsq, Sigma_v=beta ** 2 * model.Sigma_v)
 
 
 @dataclass(frozen=True)
@@ -184,23 +170,39 @@ class NonlinearModel:
     def m(self) -> int:
         return self.C.shape[0]
 
-    def drift(self, x: np.ndarray) -> np.ndarray:
-        return np.atleast_1d(np.asarray(self.f(np.asarray(x, dtype=float)), dtype=float))
+    def _rows(self, fn, X, shape, what):
+        """fn applied to each state of the stack X (..., n), stacked to
+        X.shape[:-1] + shape; a non-finite value raises."""
+        X = np.asarray(X, dtype=float)
+        out = np.array([fn(x) for x in X.reshape(-1, self.n)], dtype=float)
+        out = out.reshape(X.shape[:-1] + shape)
+        if not np.all(np.isfinite(out)):
+            raise NonFiniteStateError(f"{what} non-finite")
+        return out
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        if self.Df is not None:
-            return np.atleast_2d(np.asarray(self.Df(np.asarray(x, dtype=float)), dtype=float))
-        return finite_difference_jacobian(self.drift, np.asarray(x, dtype=float))
+    def drift(self, X: np.ndarray) -> np.ndarray:
+        """f(x) for each state of the stack X (..., n)."""
+        return self._rows(self.f, X, (self.n,), "drift")
 
-    def gain(self, x: np.ndarray) -> np.ndarray:
-        """Diagonal gain matrix at x; rejects non-diagonal evaluations."""
-        raw = np.asarray(self.G(np.asarray(x, dtype=float)), dtype=float)
-        if raw.ndim == 1:
-            return np.diag(raw)
-        off = raw - np.diag(np.diag(raw))
-        if np.any(off != 0.0):
+    def jacobian(self, X: np.ndarray) -> np.ndarray:
+        """Df(x), or its central-difference estimate, for each state of the
+        stack X (..., n)."""
+        Df = self.Df or (lambda x: finite_difference_jacobian(self.f, x))
+        return self._rows(Df, X, (self.n, self.n), "Jacobian")
+
+    def _gain_row(self, x):
+        raw = np.asarray(self.G(x), dtype=float)
+        if raw.ndim < 2:
+            return raw
+        if np.any(raw - np.diag(np.diag(raw)) != 0.0):
             raise ModelError("G(x) evaluated to a non-diagonal matrix")
-        return raw
+        return np.diag(raw)
+
+    def gain(self, X: np.ndarray):
+        """Diagonal gains G(x) for each state of the stack X (..., n), and
+        an all-False mask: a user-supplied gain is never floored here."""
+        g = self._rows(self._gain_row, X, (self.n,), "gain")
+        return g, np.zeros(g.shape, dtype=bool)
 
 
 def finite_difference_jacobian(f, x, rel_step=1e-5):
@@ -235,6 +237,8 @@ class ContinuousDiscreteModel:
         t = np.atleast_1d(np.asarray(self.sample_times, dtype=float))
         if t.size < 1:
             raise ModelError("sample_times must be nonempty")
+        if not np.all(np.isfinite(t)):
+            raise ModelError("sample_times has non-finite entries")
         if np.any(np.diff(t) <= 0):
             raise ModelError("sample_times must be strictly increasing")
         t.setflags(write=False)
@@ -247,31 +251,6 @@ class ContinuousDiscreteModel:
     @property
     def m(self) -> int:
         return self.inner.m
-
-
-def validate_model(model: DiscreteLinearModel) -> ValidationReport:
-    """Check the model hypotheses; violations are reported, never raised."""
-    violations = []
-    Sv = model.Sigma_v
-    if np.any(Sv - np.diag(np.diag(Sv)) != 0.0):
-        violations.append("Sigma_v not diagonal")
-    if np.any(np.diag(Sv) < 0):
-        violations.append("Sigma_v has negative entries")
-    Sw = model.Sigma_w
-    if not np.allclose(Sw, Sw.T, rtol=0, atol=1e-12 * (1.0 + np.abs(Sw).max())):
-        violations.append("Sigma_w not symmetric")
-    else:
-        try:
-            np.linalg.cholesky(Sw)
-        except np.linalg.LinAlgError:
-            violations.append("Sigma_w not positive definite")
-    # Dimension consistency is enforced at construction; re-check defensively.
-    n, m = model.n, model.m
-    if model.gsq.shape != (n, n + 1):
-        violations.append("gsq shape inconsistent")
-    if model.C.shape != (m, n):
-        violations.append("C shape inconsistent")
-    return ValidationReport(tuple(violations))
 
 
 def eval_gsq(gsq: np.ndarray, x: np.ndarray) -> np.ndarray:

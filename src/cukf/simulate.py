@@ -7,11 +7,11 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .discrete import (FilterTrace, _first_failure, _matvec, run_filter,
+from .discrete import (FilterTrace, _first_failure, run_filter,
                        run_filter_batch)
 from .errors import LengthMismatchError, NonFiniteStateError
 from .models import (EPS_G, ContinuousDiscreteModel, DiscreteLinearModel,
-                     eval_G, with_fixed_noise)
+                     _matvec, eval_G, with_fixed_noise)
 
 # run_filter and eval_G are not called here; bench/spans.py wraps them as
 # attributes of this module, so they stay importable from it.
@@ -87,10 +87,9 @@ def _meas_noise_chol(Sigma_w):
         return V * np.sqrt(np.clip(w, 0.0, None))
 
 
-def simulate_batch(model: DiscreteLinearModel, x0, N: int, seeds,
-                   distribution: str = "gaussian",
+def simulate_batch(model, x0, N: int, seeds, distribution: str = "gaussian",
                    model_id: str = "") -> TrajectoryData:
-    """Simulate R = len(seeds) replicates of N steps of the linear model at
+    """Simulate R = len(seeds) replicates of N steps of a discrete model at
     once, replicate r from its own Generator `default_rng(seeds[r])`; x0 is
     shared or (R, n).  Each replicate draws its noise as one block in the
     per-step order y_1 v_1 y_2 v_2 ... y_N, so every row is bit-identical to
@@ -102,7 +101,6 @@ def simulate_batch(model: DiscreteLinearModel, x0, N: int, seeds,
     m = model.m
     sv = np.sqrt(np.diag(model.Sigma_v))
     Lw = _meas_noise_chol(model.Sigma_w)
-    c0, C1 = model.gsq[:, 0], model.gsq[:, 1:]
     # Pad each block by n so that row k holds the draws of step k.
     noise = np.zeros((R, N * (m + n)))
     for r, seed in enumerate(seeds):
@@ -116,10 +114,9 @@ def simulate_batch(model: DiscreteLinearModel, x0, N: int, seeds,
     for k in range(N):
         states[:, k] = x
         if k + 1 < N:
-            g2 = c0 + _matvec(C1, x)
-            clamped |= (g2 < EPS_G).any(axis=-1)
-            x = (model.A0 + _matvec(model.A1, x)
-                 + np.sqrt(np.maximum(g2, EPS_G)) * v[:, k])
+            g, floored = model.gain(x)
+            clamped |= floored.any(axis=-1)
+            x = model.drift(x) + g * v[:, k]
             if not np.isfinite(x).all():
                 raise NonFiniteStateError(
                     "simulated state became non-finite", step=k + 1,
@@ -131,33 +128,11 @@ def simulate_batch(model: DiscreteLinearModel, x0, N: int, seeds,
 
 def simulate_discrete(model, x0, N: int, seed, distribution: str = "gaussian",
                       model_id: str = "") -> TrajectoryData:
-    """Simulate N steps of the discrete model with the gain evaluated at the
+    """Simulate N steps of a discrete model with the gain evaluated at the
     TRUE state; the first recorded state is x0 itself (the x_1 convention).
-    A linear model is the one-replicate case of `simulate_batch`."""
-    if isinstance(model, DiscreteLinearModel):
-        return simulate_batch(model, x0, N, [seed],
-                              distribution, model_id).replicate(0)
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    rng = np.random.default_rng(seed)
-    n = model.n
-    m = model.m
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    sv = np.sqrt(np.diag(model.Sigma_v))
-    Lw = _meas_noise_chol(model.Sigma_w)
-    states = np.empty((N, n))
-    ys = np.empty((N, m))
-    for k in range(N):
-        states[k] = x
-        ys[k] = model.C @ x + Lw @ _unit_noise(rng, m, distribution)
-        if k + 1 < N:
-            v = sv * _unit_noise(rng, n, distribution)
-            x = model.drift(x) + model.gain(x) @ v
-            if not np.all(np.isfinite(x)):
-                raise NonFiniteStateError("simulated state became non-finite",
-                                          step=k + 1)
-    return TrajectoryData(states=states, measurements=ys, seed=seed,
-                          model_id=model_id)
+    The one-replicate case of `simulate_batch`."""
+    return simulate_batch(model, x0, N, [seed], distribution,
+                          model_id).replicate(0)
 
 
 def simulate_cd(model: ContinuousDiscreteModel, x0, seed, em_step: float,
@@ -273,7 +248,9 @@ def innovation_whiteness(trace: FilterTrace, max_lag: int = 20) -> WhitenessResu
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """A filter entry for the comparison: covariance-update or fixed-beta."""
+    """A filter entry for the comparison: covariance-update or fixed-beta.
+    The variant only picks the model that is filtered: the model itself, or
+    its `with_fixed_noise(model, beta)` baseline."""
 
     name: str
     variant: str = "covariance-update"
@@ -359,8 +336,7 @@ def monte_carlo_compare(model: DiscreteLinearModel, filters: Sequence[FilterSpec
     for i, spec in enumerate(filters):
         run_model = (with_fixed_noise(model, spec.beta)
                      if spec.variant == "fixed-beta" else model)
-        trace = run_filter_batch(run_model, data.measurements, xinit, Sigma0,
-                                 variant=spec.variant)
+        trace = run_filter_batch(run_model, data.measurements, xinit, Sigma0)
         mses[:, i] = mse(trace, data, burn_in=burn_in)
         wh = innovation_whiteness(trace, max_lag=max_lag)
         passes[:, i] = wh.pass_fraction

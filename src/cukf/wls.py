@@ -8,8 +8,10 @@ The quadratic time-step term is the second-order expansion of
 0.5 * r' Sigma_v^{-1} r with r(x_k, x_{k-1}) = G^{-1}(x_{k-1})(x_k - f(x_{k-1}))
 around (f(xhat_{k-1}), xhat_{k-1}).  The derivative of G^{-1} with respect to
 the previous state multiplies the predicted residual, which vanishes at the
-expansion point, so it contributes nothing to the gradient or Hessian there;
-its magnitude is still recorded per term for inspection.
+expansion point, so it contributes nothing to the gradient or Hessian there.
+The expansion reads f, Df and G from the model's drift, jacobian and gain,
+for a linear and a nonlinear model alike; the costs themselves are built
+here in information form and share no code with the covariance-form filter.
 """
 
 import csv
@@ -19,9 +21,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import IndefiniteHessianError, ModelError, SingularGError
-from .models import (DiscreteLinearModel, NonlinearModel, EPS_G, eval_gsq,
-                     finite_difference_jacobian)
+from .errors import IndefiniteHessianError, ModelError
+from .models import EPS_G
 from .discrete import StateEstimate, symmetrize
 
 
@@ -36,10 +37,6 @@ class StackedTrajectory:
         self.z = np.asarray(self.z, dtype=float).ravel()
         if self.z.size % self.n != 0:
             raise ValueError("stacked length must be a multiple of n")
-
-    @property
-    def horizon(self) -> int:
-        return self.z.size // self.n - 1
 
     def blocks(self) -> np.ndarray:
         return self.z.reshape(-1, self.n)
@@ -60,8 +57,7 @@ class QuadraticCost:
     variables and `head` holds its fixed value.
 
     `terms` keeps each cost term in residual form so the quadratic can be
-    re-evaluated independently of the assembled (H, b); `tensor_norms`
-    records the magnitude of the G^{-1}-derivative coefficient per time term.
+    re-evaluated independently of the assembled (H, b).
     """
 
     n: int
@@ -70,7 +66,6 @@ class QuadraticCost:
     L: List[np.ndarray] = field(default_factory=list)
     b: List[np.ndarray] = field(default_factory=list)
     terms: List[tuple] = field(default_factory=list)
-    tensor_norms: List[float] = field(default_factory=list)
 
     @property
     def pinned(self) -> bool:
@@ -89,8 +84,7 @@ class QuadraticCost:
             n=self.n,
             head=None if self.head is None else self.head.copy(),
             D=[d.copy() for d in self.D], L=[l.copy() for l in self.L],
-            b=[v.copy() for v in self.b], terms=list(self.terms),
-            tensor_norms=list(self.tensor_norms))
+            b=[v.copy() for v in self.b], terms=list(self.terms))
 
     def value(self, traj: StackedTrajectory) -> float:
         """Evaluate the quadratic from its term list (full trajectory,
@@ -171,41 +165,20 @@ def initial_cost(init: StateEstimate) -> QuadraticCost:
     return cost
 
 
-def _linearize(model, xhat, allow_clamp=True):
-    """(prediction, Jacobian, squared gains, d(G^{-1})/dx) at xhat."""
+def _linearize(model, xhat):
+    """(prediction, Jacobian, squared gains floored at EPS_G) at xhat."""
     xhat = np.atleast_1d(np.asarray(xhat, dtype=float))
-    if isinstance(model, DiscreteLinearModel):
-        pred = model.A0 + model.A1 @ xhat
-        A = model.A1
-        g2 = eval_gsq(model.gsq, xhat)
-        if np.any(g2 <= EPS_G) and not allow_clamp:
-            raise SingularGError("squared gain at or below the clamp floor")
-        g2c = np.maximum(g2, EPS_G)
-        # d(1/g_i)/dx_j = -0.5 * c_ij * (g_i^2)^(-3/2) for affine g^2
-        Tmat = -0.5 * model.gsq[:, 1:] * (g2c ** -1.5)[:, None]
-    elif isinstance(model, NonlinearModel):
-        pred = model.drift(xhat)
-        A = model.jacobian(xhat)
-        g = np.diag(model.gain(xhat))
-        g2 = g ** 2
-        if np.any(g2 <= EPS_G) and not allow_clamp:
-            raise SingularGError("squared gain at or below the clamp floor")
-        g2c = np.maximum(g2, EPS_G)
-        Tmat = finite_difference_jacobian(
-            lambda x: 1.0 / np.maximum(np.diag(model.gain(x)), np.sqrt(EPS_G)),
-            xhat)
-    else:
-        raise TypeError(f"unsupported model type {type(model).__name__}")
-    return pred, np.atleast_2d(A), g2c, Tmat
+    g, _ = model.gain(xhat)
+    return (model.drift(xhat), np.atleast_2d(model.jacobian(xhat)),
+            np.maximum(g ** 2, EPS_G))
 
 
-def build_time_cost(prev: QuadraticCost, model, xhat_prev,
-                    allow_clamp: bool = True) -> QuadraticCost:
+def build_time_cost(prev: QuadraticCost, model, xhat_prev) -> QuadraticCost:
     """Append one time-step term, expanding the weighted residual around the
     running estimate xhat_prev; the Hessian grows by one block row/column."""
     cost = prev.copy()
     n = cost.n
-    pred, A, g2, Tmat = _linearize(model, xhat_prev, allow_clamp=allow_clamp)
+    pred, A, g2 = _linearize(model, xhat_prev)
     sigma_v = np.diag(model.Sigma_v)
     Q = np.diag(1.0 / (g2 * sigma_v))
     j = cost.n_blocks - 1  # full-trajectory index of the previous block
@@ -227,7 +200,6 @@ def build_time_cost(prev: QuadraticCost, model, xhat_prev,
         cost.D.append(Q.copy())
         cost.b.append(-Q @ d)
     cost.terms.append(("time", Q, A.copy(), d, j))
-    cost.tensor_norms.append(float(np.linalg.norm(Tmat)))
     return cost
 
 
@@ -350,15 +322,11 @@ def oracle_filter(model, measurements, init: StateEstimate,
         raise ValueError(
             f"horizon {ms.shape[0]} exceeds cap {max_horizon}; the stacked "
             "solve grows linearly in the horizon")
-    if isinstance(model, (DiscreteLinearModel, NonlinearModel)):
-        C, Sigma_w = model.C, model.Sigma_w
-    else:
-        raise TypeError(f"unsupported model type {type(model).__name__}")
     cost = initial_cost(init)
     traj_blocks = [init.xhat.copy()]
     solutions = []
     for k in range(ms.shape[0]):
-        cost_m = build_measurement_cost(cost, ms[k], C, Sigma_w)
+        cost_m = build_measurement_cost(cost, ms[k], model.C, model.Sigma_w)
         z0 = StackedTrajectory.from_blocks(traj_blocks, cost.n)
         sol = newton_solve(cost_m, z0)
         sol.index = k
@@ -367,8 +335,7 @@ def oracle_filter(model, measurements, init: StateEstimate,
         traj_blocks = [blk.copy() for blk in sol.trajectory.blocks()]
         if k + 1 < ms.shape[0]:
             cost = build_time_cost(cost, model, sol.xhat)
-            pred, _, _, _ = _linearize(model, sol.xhat)
-            traj_blocks.append(pred)
+            traj_blocks.append(model.drift(sol.xhat))
     return solutions
 
 

@@ -6,12 +6,11 @@ import pytest
 
 from cukf.builtin import example_sec3, logistic
 from cukf.continuous import cd_run, euler_limit_check
-from cukf.discrete import StateEstimate, run_filter
+from cukf.discrete import StateEstimate, run_filter, run_filter_batch
 from cukf.models import ContinuousDiscreteModel, DiscreteLinearModel
-from cukf.nonlinear import nl_run
 from cukf.simulate import (FilterSpec, innovation_whiteness,
                            monte_carlo_compare, replicate_seed,
-                           simulate_cd, simulate_discrete)
+                           simulate_batch, simulate_cd, simulate_discrete)
 from cukf.wls import StackedTrajectory, initial_cost, build_measurement_cost, \
     build_time_cost, newton_solve, oracle_filter
 
@@ -42,7 +41,7 @@ def test_A1_oracle_equivalence():
     nl = logistic()
     data_nl = simulate_discrete(nl, 50.0, 20, 102)
     init = StateEstimate([40.0], [[4.0]], 1)
-    trace = nl_run(nl, data_nl.measurements, init)
+    trace = run_filter(nl, data_nl.measurements, init)
     sols = oracle_filter(nl, data_nl.measurements, init)
     for k in range(20):
         worst = max(worst, rel_err(sols[k].xhat, trace.xhat_post[k]),
@@ -201,16 +200,17 @@ def test_A7_unbiasedness(distribution):
     standard errors of zero, for Gaussian and rescaled-uniform noise."""
     model = example_sec3()
     reps = 2000
-    errors = np.empty(reps)
+    data_seeds = []
+    xinit = np.empty((reps, 1))
     for r in range(reps):
         ss = replicate_seed(700 if distribution == "gaussian" else 701, r)
         data_seed, init_seed = ss.spawn(2)
-        data = simulate_discrete(model, 1.0, 50, data_seed,
-                                 distribution=distribution)
-        rng = np.random.default_rng(init_seed)
-        init = StateEstimate(rng.standard_normal(1), [[0.0]], 1)
-        trace = run_filter(model, data.measurements, init)
-        errors[r] = trace.xhat_post[-1, 0] - data.states[-1, 0]
+        data_seeds.append(data_seed)
+        xinit[r] = np.random.default_rng(init_seed).standard_normal(1)
+    data = simulate_batch(model, 1.0, 50, data_seeds,
+                          distribution=distribution)
+    trace = run_filter_batch(model, data.measurements, xinit, [[0.0]])
+    errors = trace.xhat_post[:, -1, 0] - data.states[:, -1, 0]
     se = errors.std(ddof=1) / np.sqrt(reps)
     print(f"\nA7 PASS ({distribution}): mean error {errors.mean():+.4f}, "
           f"|mean| <= 3*SE = {3 * se:.4f}")

@@ -134,6 +134,9 @@ def test_model_file_path_accepted(tmp_path, monkeypatch):
     ["compare", "--model", "example_sec3", "--beta", "0.1",
      "--replicates", "0"],
     ["oracle-check", "--model", "example_sec3", "--horizon", "0"],
+    ["limit-check", "--model", "example_sec3", "--levels", "-1"],
+    ["filter", "--model", "example_sec3", "--init-sigma", "-1"],
+    ["oracle-check", "--model", "example_sec3", "--init-sigma", "-1"],
 ])
 def test_invalid_input_exits_1_without_traceback(argv, tmp_path, monkeypatch,
                                                  capsys):

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from cukf.builtin import example_sec3
-from cukf.discrete import (FilterTrace, StateEstimate, kf_fixed_time_update,
-                           measurement_update, run_filter, run_filter_batch,
-                           time_update)
+from cukf.discrete import (FilterTrace, StateEstimate, measurement_update,
+                           run_filter, run_filter_batch, time_update)
 from cukf.errors import NonFiniteStateError, SingularInnovationError
 from cukf.models import DiscreteLinearModel, with_fixed_noise
 from cukf.simulate import simulate_discrete
@@ -68,19 +67,19 @@ def test_time_update_sec3_arithmetic():
 
 def test_fixed_time_update_beta_point_one():
     model = with_fixed_noise(example_sec3(), 0.1)
-    pred = kf_fixed_time_update(StateEstimate([0.0], [[1.0]]), model)
+    pred = time_update(StateEstimate([0.0], [[1.0]]), model)
     assert np.allclose(pred.Sigma, [[0.9901]])
 
 
 def test_fixed_time_update_beta_zero():
     model = with_fixed_noise(example_sec3(), 0.0)
-    pred = kf_fixed_time_update(StateEstimate([2.0], [[3.0]]), model)
+    pred = time_update(StateEstimate([2.0], [[3.0]]), model)
     assert np.allclose(pred.Sigma, [[0.99 ** 2 * 3.0]])
 
 
 def test_fixed_time_update_zero_covariance():
     model = with_fixed_noise(example_sec3(), 10.0)
-    pred = kf_fixed_time_update(StateEstimate([0.0], [[0.0]]), model)
+    pred = time_update(StateEstimate([0.0], [[0.0]]), model)
     assert np.allclose(pred.Sigma, [[100.0]])
 
 
@@ -94,7 +93,11 @@ def test_run_filter_degenerate_horizon():
 
 
 def test_run_filter_constant_gain_matches_textbook_kf():
+    # Two constant-gain inputs per draw: a constant g^2, and the fixed-beta
+    # baseline of the state-dependent model, whose process noise is
+    # beta^2 Sigma_v whatever the affine g^2 was.
     rng = np.random.default_rng(10)
+    beta_rng = np.random.default_rng(11)
     for _ in range(20):
         p = random_constant_noise_model(rng)
         model = DiscreteLinearModel(
@@ -105,12 +108,21 @@ def test_run_filter_constant_gain_matches_textbook_kf():
                                  rng.integers(1 << 31))
         x0 = rng.standard_normal(p["n"])
         P0 = np.eye(p["n"])
-        trace = run_filter(model, data.measurements, StateEstimate(x0, P0))
-        Q = np.diag(p["g2"] * p["sv"])
-        xs, Ps = textbook_kf(p["A0"], p["A1"], p["C"], Q, p["Sigma_w"],
-                             data.measurements, x0, P0)
-        assert rel_err(trace.xhat_post, xs) < 1e-12
-        assert rel_err(trace.Sigma_post, Ps) < 1e-12
+        beta = beta_rng.uniform(0.0, 2.0)
+        affine = DiscreteLinearModel(
+            A0=p["A0"], A1=p["A1"], C=p["C"],
+            gsq=np.column_stack([p["g2"],
+                                 beta_rng.uniform(-1, 1, (p["n"], p["n"]))]),
+            Sigma_v=np.diag(p["sv"]), Sigma_w=p["Sigma_w"])
+        for run_model, Q in ((model, np.diag(p["g2"] * p["sv"])),
+                             (with_fixed_noise(affine, beta),
+                              beta ** 2 * np.diag(p["sv"]))):
+            trace = run_filter(run_model, data.measurements,
+                               StateEstimate(x0, P0))
+            xs, Ps = textbook_kf(p["A0"], p["A1"], p["C"], Q, p["Sigma_w"],
+                                 data.measurements, x0, P0)
+            assert rel_err(trace.xhat_post, xs) < 1e-12
+            assert rel_err(trace.Sigma_post, Ps) < 1e-12
 
 
 def test_gain_identity():

@@ -6,36 +6,8 @@ from cukf.errors import ModelError, NonAffineError, NonDiagonalizableError
 from cukf.models import (ContinuousDiscreteModel, DiscreteLinearModel,
                          EPS_G, NonlinearModel, ReactionNetwork, eval_G,
                          eval_gsq, finite_difference_jacobian, from_cle,
-                         gain_from_affine, validate_model, with_fixed_noise)
+                         gain_from_affine, with_fixed_noise)
 from cukf import modelio
-
-
-def test_validate_sec3_model_ok():
-    report = validate_model(example_sec3())
-    assert report.ok
-    assert report.violations == ()
-
-
-def test_validate_nondiagonal_sigma_v():
-    m = DiscreteLinearModel(A0=[0, 0], A1=np.eye(2), C=np.eye(2),
-                            gsq=np.zeros((2, 3)),
-                            Sigma_v=[[1, 0.5], [0.5, 1]], Sigma_w=np.eye(2))
-    report = validate_model(m)
-    assert not report.ok
-    assert "Sigma_v not diagonal" in report.violations
-
-
-def test_validate_sigma_w_not_pd():
-    m = DiscreteLinearModel(A0=[1], A1=[[0.99]], C=[[1]], gsq=[[100, 1]],
-                            Sigma_v=[[1]], Sigma_w=[[0.0]])
-    report = validate_model(m)
-    assert not report.ok
-    assert "Sigma_w not positive definite" in report.violations
-
-
-def test_validate_is_pure():
-    m = example_sec3()
-    assert validate_model(m) == validate_model(m)
 
 
 def test_eval_G_sec3_at_zero():
@@ -118,6 +90,12 @@ def test_sample_times_must_increase():
         ContinuousDiscreteModel(inner=example_sec3(), sample_times=[0.0, 0.0])
 
 
+def test_sample_times_must_be_finite():
+    with pytest.raises(ModelError, match="non-finite"):
+        ContinuousDiscreteModel(inner=example_sec3(),
+                                sample_times=[0.0, np.nan, 1.0])
+
+
 def test_nonlinear_gain_rejects_offdiagonal():
     model = NonlinearModel(f=lambda x: x, G=lambda x: np.ones((2, 2)),
                            C=np.eye(2), Sigma_v=np.eye(2), Sigma_w=np.eye(2),
@@ -169,6 +147,23 @@ def test_modelio_rejects_unknown_key():
     text = modelio.dumps(example_sec3()) + "bogus = 1\n"
     with pytest.raises(ValueError):
         modelio.loads(text)
+
+
+@pytest.mark.parametrize("line", ["n = 1.7", "n = 0", "n = -1", "n = nan",
+                                  "m = 1.5", "m = inf"])
+def test_modelio_rejects_dimension_that_is_not_a_positive_integer(line):
+    key = line.split()[0]
+    text = modelio.dumps(example_sec3()).replace(f"{key} = 1", line)
+    with pytest.raises(ModelError, match=f"{key} must be a positive integer"):
+        modelio.loads(text)
+
+
+def test_modelio_refuses_to_drop_off_diagonal_sigma_v():
+    m = DiscreteLinearModel(A0=[0, 0], A1=np.eye(2), C=np.eye(2),
+                            gsq=np.zeros((2, 3)),
+                            Sigma_v=[[1, 0.5], [0.5, 1]], Sigma_w=np.eye(2))
+    with pytest.raises(ModelError, match="diagonal Sigma_v"):
+        modelio.dumps(m)
 
 
 def sec3_fields(**changes):

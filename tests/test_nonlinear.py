@@ -6,7 +6,6 @@ from cukf.discrete import StateEstimate, run_filter, time_update
 from cukf.errors import NonFiniteStateError
 from cukf.models import (DiscreteLinearModel, NonlinearModel,
                          gain_from_affine)
-from cukf.nonlinear import nl_run, nl_time_update
 from cukf.simulate import simulate_discrete
 
 from reference_impl import rel_err
@@ -25,7 +24,7 @@ def test_linear_reduction_single_step():
     nlm = linear_as_nonlinear(model)
     post = StateEstimate([21.0], [[2.0]])
     a = time_update(post, model)
-    b = nl_time_update(post, nlm)
+    b = time_update(post, nlm)
     assert np.allclose(a.xhat, b.xhat, rtol=1e-15)
     assert np.allclose(a.Sigma, b.Sigma, rtol=1e-15)
 
@@ -34,7 +33,7 @@ def test_square_drift_no_noise():
     model = NonlinearModel(f=lambda x: x ** 2, Df=lambda x: np.array([[2 * x[0]]]),
                            G=lambda x: np.zeros((1, 1)), C=[[1.0]],
                            Sigma_v=[[1.0]], Sigma_w=[[1.0]], n=1)
-    out = nl_time_update(StateEstimate([3.0], [[1.0]]), model)
+    out = time_update(StateEstimate([3.0], [[1.0]]), model)
     assert np.allclose(out.xhat, [9.0])
     assert np.allclose(out.Sigma, [[36.0]])
 
@@ -42,7 +41,7 @@ def test_square_drift_no_noise():
 def test_logistic_frozen_formula_oracle():
     # Direct hand evaluation: f(50) = 52.5, Df(50) = 1.1 - 0.002*50 = 1.0,
     # g^2(50) = 50, so Sigma = 1*4*1 + 50 = 54.
-    out = nl_time_update(StateEstimate([50.0], [[4.0]]), logistic())
+    out = time_update(StateEstimate([50.0], [[4.0]]), logistic())
     assert np.allclose(out.xhat, [52.5], rtol=1e-14)
     assert np.allclose(out.Sigma, [[54.0]], rtol=1e-14)
 
@@ -71,8 +70,8 @@ def test_propagated_covariance_dominates_noise_term():
         B = rng.standard_normal((1, 1))
         Sigma = B @ B.T
         xhat = rng.uniform(1.0, 90.0, 1)
-        out = nl_time_update(StateEstimate(xhat, Sigma), model)
-        G = model.gain(xhat)
+        out = time_update(StateEstimate(xhat, Sigma), model)
+        G = np.diag(model.gain(xhat)[0])
         resid = out.Sigma - G @ model.Sigma_v @ G
         assert np.min(np.linalg.eigvalsh(resid)) >= -1e-10
 
@@ -90,14 +89,14 @@ def test_nl_run_linear_reduction_random_models():
         data = simulate_discrete(model, np.ones(n), 15, rng.integers(1 << 31))
         init = StateEstimate(np.zeros(n), np.eye(n))
         a = run_filter(model, data.measurements, init)
-        b = nl_run(linear_as_nonlinear(model), data.measurements, init)
+        b = run_filter(linear_as_nonlinear(model), data.measurements, init)
         assert rel_err(a.xhat_post, b.xhat_post) < 1e-12
         assert rel_err(a.Sigma_post, b.Sigma_post) < 1e-12
 
 
 def test_nl_run_degenerate_horizon():
     init = StateEstimate([30.0], [[0.0]], index=1)
-    trace = nl_run(logistic(), [[28.0]], init)
+    trace = run_filter(logistic(), [[28.0]], init)
     assert np.allclose(trace.xhat_post[0], [30.0])
     assert np.allclose(trace.Sigma_post[0], [[0.0]])
 
@@ -105,7 +104,7 @@ def test_nl_run_degenerate_horizon():
 def test_nl_run_logistic_long_run_invariants():
     model = logistic()
     data = simulate_discrete(model, 50.0, 100, 23)
-    trace = nl_run(model, data.measurements, StateEstimate([40.0], [[4.0]], 1))
+    trace = run_filter(model, data.measurements, StateEstimate([40.0], [[4.0]], 1))
     assert np.all(np.isfinite(trace.xhat_post))
     for k in range(len(trace)):
         S = trace.Sigma_post[k]
@@ -118,4 +117,4 @@ def test_nonfinite_drift_raises():
     model = NonlinearModel(f=lambda x: x * np.inf, G=lambda x: np.eye(1),
                            C=[[1.0]], Sigma_v=[[1.0]], Sigma_w=[[1.0]], n=1)
     with pytest.raises(NonFiniteStateError):
-        nl_time_update(StateEstimate([1.0], [[1.0]]), model)
+        time_update(StateEstimate([1.0], [[1.0]]), model)
