@@ -123,6 +123,10 @@ def _cmd_filter(args):
         print("error: --beta is required with --variant fixed-beta",
               file=sys.stderr)
         return 1
+    if args.variant == "fixed-beta" and not isinstance(model, DiscreteLinearModel):
+        print("error: --variant fixed-beta needs a discrete linear model",
+              file=sys.stderr)
+        return 1
     init = _init_estimate(model, args)
     outdir = _resolve_outdir(args)
     data = _simulate_any(model, args)
@@ -133,9 +137,7 @@ def _cmd_filter(args):
         trace = cd_run(model, data.measurements, init, cfg)
         sidecar = os.path.join(outdir, "trace_summary.csv")
     else:
-        # The fixed-beta baseline exists for linear models; any other
-        # discrete model is filtered as it is.
-        if args.variant == "fixed-beta" and isinstance(model, DiscreteLinearModel):
+        if args.variant == "fixed-beta":
             model = with_fixed_noise(model, args.beta)
         trace = run_filter(model, data.measurements, init)
     path = os.path.join(outdir, "trace.csv")

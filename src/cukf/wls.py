@@ -4,6 +4,15 @@ minimizes it with a single Newton step, and extracts the marginal covariance
 from the inverse Hessian.  Used as an independent check of the recursive
 filters.
 
+`oracle_filter` is linear in the horizon in its factorizations (Bell, "The
+iterated Kalman smoother as a Gauss-Newton method", SIAM J. Optim. 4(3),
+1994): a measurement or time term changes only the last diagonal block of
+the block-tridiagonal Hessian, so each Schur complement is factored once
+for the step that ends at it and once more, frozen, with the next time
+term.  The per-step Newton checks of all N prefix costs then run together
+in batched block sweeps over those factors: O(N) Python iterations and
+O(N^2 n) memory.
+
 The quadratic time-step term is the second-order expansion of
 0.5 * r' Sigma_v^{-1} r with r(x_k, x_{k-1}) = G^{-1}(x_{k-1})(x_k - f(x_{k-1}))
 around (f(xhat_{k-1}), xhat_{k-1}).  The derivative of G^{-1} with respect to
@@ -80,11 +89,11 @@ class QuadraticCost:
         return len(self.D) + (1 if self.pinned else 0)
 
     def copy(self) -> "QuadraticCost":
-        return QuadraticCost(
-            n=self.n,
-            head=None if self.head is None else self.head.copy(),
-            D=[d.copy() for d in self.D], L=[l.copy() for l in self.L],
-            b=[v.copy() for v in self.b], terms=list(self.terms))
+        """New block lists sharing the blocks: the builders rebind the
+        blocks they change and never modify one in place."""
+        return QuadraticCost(n=self.n, head=self.head, D=list(self.D),
+                             L=list(self.L), b=list(self.b),
+                             terms=list(self.terms))
 
     def value(self, traj: StackedTrajectory) -> float:
         """Evaluate the quadratic from its term list (full trajectory,
@@ -223,42 +232,77 @@ def build_measurement_cost(cost: QuadraticCost, y, C, Sigma_w) -> QuadraticCost:
 class BlockTridiagFactor:
     """Forward block elimination of a symmetric block-tridiagonal matrix.
 
-    Factors once; solves and the bottom-right block of the inverse reuse the
-    Cholesky factors of the Schur complements.
+    Block i is factored through the Cholesky factor of its Schur complement
+    S_i = D_i - L_{i-1} S_{i-1}^{-1} L_{i-1}'.  Blocks can be appended one at
+    a time, and the last block refactored with a new diagonal block, without
+    touching the factors before it.  `terminal[i]` keeps the factor block i
+    had when it was appended, so every leading block system, ending at its
+    terminal block, can be solved from the one factorization.
     """
 
     def __init__(self, D, L):
-        self.L = L
+        self.L = []
         self.chos = []
-        S = None
+        self.terminal = []
+        self._coupling = None
         for i, Di in enumerate(D):
-            if i == 0:
-                S = Di
-            else:
-                Li = L[i - 1]
-                S = Di - Li @ cho_solve(self.chos[i - 1], Li.T)
-            S = symmetrize(S)
-            try:
-                self.chos.append(cho_factor(S, lower=True))
-            except np.linalg.LinAlgError as exc:
-                raise IndefiniteHessianError(
-                    f"Hessian Schur complement {i} not positive definite") from exc
+            self.append(Di, L[i - 1] if i else None)
+
+    def append(self, D, L=None):
+        """Factor a new last block with diagonal D, coupled to the current
+        last block by L (the new-by-last block)."""
+        if self.chos:
+            self.L.append(L)
+            self._coupling = L @ cho_solve(self.chos[-1], L.T)
+        self.chos.append(None)
+        self.refactor_last(D)
+        self.terminal.append(self.chos[-1])
+
+    def refactor_last(self, D):
+        """Replace the diagonal block of the last block by D and refactor its
+        Schur complement; the factors of the blocks before it stay."""
+        S = D if self._coupling is None else D - self._coupling
+        try:
+            self.chos[-1] = cho_factor(symmetrize(S), lower=True)
+        except np.linalg.LinAlgError as exc:
+            raise IndefiniteHessianError(
+                f"Hessian Schur complement {len(self.chos) - 1} "
+                "not positive definite") from exc
+
+    def _sweep(self, R: np.ndarray, ends, last) -> np.ndarray:
+        """Solve, for each column c of R (blocks, n, K), the leading block
+        system that ends at block ends[c] (ascending).  A block is factored
+        by `last[i]` where a system ends and by `chos[i]` elsewhere.
+        Entries below a column's end are ignored and returned as zeros."""
+        nb, _, K = R.shape
+        # first[i]: the first column whose system reaches block i.
+        first = np.searchsorted(ends, np.arange(nb + 1))
+        Y = np.zeros_like(R)
+        Y[0] = R[0]
+        for i in range(1, nb):
+            c = first[i]
+            Y[i, :, c:] = R[i, :, c:] - self.L[i - 1] @ cho_solve(
+                self.chos[i - 1], Y[i - 1, :, c:])
+        X = np.zeros_like(R)
+        for i in range(nb - 1, -1, -1):
+            a, c = first[i], first[i + 1]
+            if a < c:
+                X[i, :, a:c] = cho_solve(last[i], Y[i, :, a:c])
+            if c < K:
+                X[i, :, c:] = cho_solve(
+                    self.chos[i], Y[i, :, c:] - self.L[i].T @ X[i + 1, :, c:])
+        return X
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        n = self.chos[0][0].shape[0]
-        rb = r.reshape(-1, n)
+        """Solve the whole system for one right-hand side."""
         nb = len(self.chos)
-        y = [None] * nb
-        for i in range(nb):
-            yi = rb[i].copy()
-            if i > 0:
-                yi -= self.L[i - 1] @ cho_solve(self.chos[i - 1], y[i - 1])
-            y[i] = yi
-        x = [None] * nb
-        x[nb - 1] = cho_solve(self.chos[nb - 1], y[nb - 1])
-        for i in range(nb - 2, -1, -1):
-            x[i] = cho_solve(self.chos[i], y[i] - self.L[i].T @ x[i + 1])
-        return np.concatenate(x)
+        return self._sweep(r.reshape(nb, -1, 1), [nb - 1], self.chos).ravel()
+
+    def solve_prefixes(self, R: np.ndarray) -> np.ndarray:
+        """Solve every leading system at once: column j of R (blocks, n,
+        blocks) is the right-hand side of the system of blocks 0..j whose
+        last block is factored by `terminal[j]`."""
+        return self._sweep(R, np.arange(R.shape[0]), self.terminal)
 
     def last_inverse_block(self) -> np.ndarray:
         n = self.chos[0][0].shape[0]
@@ -267,7 +311,10 @@ class BlockTridiagFactor:
 
 @dataclass
 class OracleSolution:
-    """Minimizing trajectory with the covariance of its final block."""
+    """Minimizing trajectory with the estimate and covariance of its final
+    block.  `oracle_filter` reads xhat and Sigma from the terminal Schur
+    factor and the trajectory from the Newton step, which agree to
+    rounding."""
 
     trajectory: StackedTrajectory
     xhat: np.ndarray
@@ -311,31 +358,120 @@ def newton_solve(cost: QuadraticCost, z0: StackedTrajectory) -> OracleSolution:
         second_step_norm=float(np.linalg.norm(step2)))
 
 
+def _newton_checks(cost, factor, Dt, bt, starts):
+    """One Newton step on every prefix cost at once, each from the previous
+    prefix's minimizer extended by starts[j], as the per-step solve started.
+    Prefix j holds the final blocks of `cost` up to block j, whose terminal
+    diagonal and linear blocks are Dt[j] and bt[j].  Returns the stepped
+    trajectories (blocks, n, prefixes) and, per prefix, the norms of the
+    gradient before and after the step and of a second step; raises if a
+    second step would move by more than 1e-10 relative."""
+    nb, n = cost.n_variable_blocks, cost.n
+    D, b, Dt, bt = (np.array(a) for a in (cost.D, cost.b, Dt, bt))
+    L = np.array(cost.L).reshape(-1, n, n)
+    j = np.arange(nb)
+    upper = np.triu(np.ones((nb, nb)))[:, None, :]
+
+    def gradients(Z):
+        # Column j of Z holds blocks 0..j of a point of prefix j.
+        G = D @ Z + b[..., None]
+        G[j, :, j] = (Dt @ Z[j, :, j, None])[..., 0] + bt
+        G[1:] += L @ Z[:-1]
+        G[:-1] += L.swapaxes(-1, -2) @ Z[1:]
+        return G * upper
+
+    def norms(Z):
+        return np.sqrt(np.einsum("ijk,ijk->k", Z, Z))
+
+    z_min = -factor.solve_prefixes(gradients(np.zeros((nb, n, nb))))
+    z0 = np.zeros_like(z_min)
+    z0[:, :, 1:] = z_min[:, :, :-1]
+    z0[j, :, j] = starts
+    g0 = gradients(z0)
+    z_star = z0 - factor.solve_prefixes(g0)
+    g1 = gradients(z_star)
+    step2 = factor.solve_prefixes(g1)
+    rel = norms(step2) / (1.0 + norms(z_star))
+    bad = np.flatnonzero(rel > 1e-10)
+    if bad.size:
+        raise IndefiniteHessianError(
+            "Newton step failed to converge in one iteration "
+            f"(residual {rel[bad[0]]:.2e})")
+    return z_star, norms(g0), norms(g1), norms(step2)
+
+
 def oracle_filter(model, measurements, init: StateEstimate,
                   max_horizon: int = 500) -> List[OracleSolution]:
     """Recursive cost construction mirroring the filter: at each step the
     measurement term is added and the cost minimized; the time term appended
-    afterwards is expanded at the running posterior estimate and never
-    revisited."""
+    afterwards is expanded at the running estimate and never revisited.
+
+    A term only changes the last diagonal block, so the forward pass factors
+    each Schur complement twice: once as the terminal block of step k's cost
+    (measurement in, next time term out), which gives xhat_k and Sigma_k,
+    and once with the time term, frozen for every later step.  The prefix
+    costs then differ only in their terminal block, and batched block
+    sweeps solve all of them at once.  All factors are made before any
+    Newton check runs, so a Hessian that is not positive definite is
+    reported before a failed check of an earlier step.  Step k's Newton
+    check starts, as the per-step solve did, from the previous minimizer
+    extended by f(xhat_{k-1}); it takes one Newton step and requires a
+    second step to move by < 1e-10 relative.
+    """
     ms = np.atleast_2d(np.asarray(measurements, dtype=float))
-    if ms.shape[0] > max_horizon:
+    N = ms.shape[0]
+    if N > max_horizon:
         raise ValueError(
-            f"horizon {ms.shape[0]} exceeds cap {max_horizon}; the stacked "
-            "solve grows linearly in the horizon")
+            f"horizon {N} exceeds cap {max_horizon}; the cap bounds the "
+            "O(N^2 n) memory of the batched per-step Newton checks and of "
+            "the per-step trajectories returned")
     cost = initial_cost(init)
-    traj_blocks = [init.xhat.copy()]
+    n = cost.n
+    factor = BlockTridiagFactor([], [])
+    Dt, bt, xhats, Sigmas = [], [], [], []
+    starts = [init.xhat]  # last block of step k's Newton starting point
+    y = None  # forward-eliminated right-hand side of the last final block
+    for k in range(N):
+        cost = build_measurement_cost(cost, ms[k], model.C, model.Sigma_w)
+        i = cost.n_variable_blocks - 1
+        if i < 0:  # the pinned x_0 is the whole trajectory
+            xhats.append(cost.head.copy())
+            Sigmas.append(np.zeros((n, n)))
+        else:
+            coupled = (cost.L[i - 1] @ cho_solve(factor.chos[i - 1], y)
+                       if i else 0.0)
+            factor.append(cost.D[i], cost.L[i - 1] if i else None)
+            xhats.append(cho_solve(factor.chos[i], -cost.b[i] - coupled))
+            Sigmas.append(factor.last_inverse_block())
+            Dt.append(cost.D[i])
+            bt.append(cost.b[i])
+        if k + 1 == N:
+            break
+        cost = build_time_cost(cost, model, xhats[k])
+        starts.append(model.drift(xhats[k]))
+        if i >= 0:
+            factor.refactor_last(cost.D[i])
+            y = -cost.b[i] - coupled
+
+    pinned = int(cost.pinned)
     solutions = []
-    for k in range(ms.shape[0]):
-        cost_m = build_measurement_cost(cost, ms[k], model.C, model.Sigma_w)
-        z0 = StackedTrajectory.from_blocks(traj_blocks, cost.n)
-        sol = newton_solve(cost_m, z0)
-        sol.index = k
-        solutions.append(sol)
-        cost = cost_m
-        traj_blocks = [blk.copy() for blk in sol.trajectory.blocks()]
-        if k + 1 < ms.shape[0]:
-            cost = build_time_cost(cost, model, sol.xhat)
-            traj_blocks.append(model.drift(sol.xhat))
+    if pinned:
+        solutions.append(OracleSolution(
+            trajectory=StackedTrajectory(cost.head.copy(), n), xhat=xhats[0],
+            Sigma=Sigmas[0], grad_norm_before=0.0, grad_norm_after=0.0,
+            second_step_norm=0.0))
+    if cost.n_variable_blocks == 0:
+        return solutions
+    z_star, before, after, step2 = _newton_checks(cost, factor, Dt, bt,
+                                                  starts[pinned:])
+    head = [cost.head] if pinned else []
+    for j in range(cost.n_variable_blocks):
+        solutions.append(OracleSolution(
+            trajectory=StackedTrajectory.from_blocks(
+                head + list(z_star[:j + 1, :, j]), n),
+            xhat=xhats[j + pinned], Sigma=Sigmas[j + pinned],
+            grad_norm_before=float(before[j]), grad_norm_after=float(after[j]),
+            second_step_norm=float(step2[j]), index=j + pinned))
     return solutions
 
 

@@ -105,6 +105,18 @@ def test_rerun_is_byte_identical(tmp_path, monkeypatch):
     assert (d1 / "comparison.txt").read_bytes() == (d2 / "comparison.txt").read_bytes()
 
 
+def test_oracle_check_rerun_is_byte_identical(tmp_path, monkeypatch):
+    # One output directory for both runs: the manifest records it.
+    outputs = []
+    for _ in range(2):
+        code = run(["oracle-check", "--model", "example_sec3", "--horizon",
+                    "30", "--init-sigma", "1"], tmp_path, monkeypatch)
+        assert code == 0
+        outputs.append([(tmp_path / name).read_bytes()
+                        for name in ("oracle_deltas.csv", "manifest.json")])
+    assert outputs[0] == outputs[1]
+
+
 def test_output_dir_env_override(tmp_path, monkeypatch):
     target = tmp_path / "env_out"
     monkeypatch.setenv("CUKF_OUTPUT_DIR", str(target))
@@ -137,6 +149,10 @@ def test_model_file_path_accepted(tmp_path, monkeypatch):
     ["limit-check", "--model", "example_sec3", "--levels", "-1"],
     ["filter", "--model", "example_sec3", "--init-sigma", "-1"],
     ["oracle-check", "--model", "example_sec3", "--init-sigma", "-1"],
+    ["filter", "--model", "logistic", "--variant", "fixed-beta",
+     "--beta", "0.1"],
+    ["filter", "--model", "birth_death_cle", "--variant", "fixed-beta",
+     "--beta", "0.1"],
 ])
 def test_invalid_input_exits_1_without_traceback(argv, tmp_path, monkeypatch,
                                                  capsys):

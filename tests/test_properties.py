@@ -1,22 +1,44 @@
 """Property tests over random small models, some of which clamp g^2: a batch
 of replicates equals the same replicates run one at a time, the covariances
-keep their structure, and model files round-trip."""
+keep their structure, the batched oracle equals its per-step Newton loop,
+and model files round-trip."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cukf.discrete import StateEstimate, run_filter, run_filter_batch
 from cukf import modelio
+from cukf.errors import IndefiniteHessianError
 from cukf.models import (ContinuousDiscreteModel, DiscreteLinearModel,
                          with_fixed_noise)
 from cukf.simulate import innovation_whiteness, simulate_batch
+from cukf.wls import (StackedTrajectory, build_measurement_cost,
+                      build_time_cost, initial_cost, newton_solve,
+                      oracle_filter)
 
 from reference_impl import rel_err
 
 N = 25
+ORACLE_N = 12
 MAX_LAG = 5
 TRACE_FIELDS = ("xhat_prior", "Sigma_prior", "xhat_post", "Sigma_post",
                 "innovation", "S", "gain")
+
+
+def random_model(rng, n, m, clamp=False, slope=0.5):
+    """A stable linear model whose g^2 has entries of C1 up to `slope`."""
+    A1 = rng.standard_normal((n, n))
+    A1 *= 0.95 / max(np.abs(np.linalg.eigvals(A1)).max(), 1e-6)
+    gsq = np.column_stack([rng.uniform(0.5, 5.0, n),
+                           rng.uniform(-slope, slope, (n, n))])
+    if clamp:
+        gsq[0, 0] = -1.0  # g^2_1 < 0 near the origin: the floor is hit
+    B = rng.standard_normal((m, m))
+    return DiscreteLinearModel(
+        A0=rng.standard_normal(n), A1=A1, C=rng.standard_normal((m, n)),
+        gsq=gsq, Sigma_v=np.diag(rng.uniform(0.1, 2.0, n)),
+        Sigma_w=B @ B.T + 0.1 * np.eye(m))
 
 
 @st.composite
@@ -29,17 +51,7 @@ def batches(draw):
     clamp = draw(st.booleans())
     fixed_beta = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    A1 = rng.standard_normal((n, n))
-    A1 *= 0.95 / max(np.abs(np.linalg.eigvals(A1)).max(), 1e-6)
-    gsq = np.column_stack([rng.uniform(0.5, 5.0, n),
-                           rng.uniform(-0.5, 0.5, (n, n))])
-    if clamp:
-        gsq[0, 0] = -1.0  # g^2_1 < 0 near the origin: the floor is hit
-    B = rng.standard_normal((m, m))
-    model = DiscreteLinearModel(
-        A0=rng.standard_normal(n), A1=A1, C=rng.standard_normal((m, n)),
-        gsq=gsq, Sigma_v=np.diag(rng.uniform(0.1, 2.0, n)),
-        Sigma_w=B @ B.T + 0.1 * np.eye(m))
+    model = random_model(rng, n, m, clamp)
     seeds = rng.integers(1 << 31, size=R)
     data = simulate_batch(model, rng.standard_normal((R, n)), N, seeds)
     xinit = rng.standard_normal((R, n))
@@ -87,6 +99,74 @@ def test_covariances_symmetric_psd_and_posterior_below_prior(case):
     prior_norm = np.linalg.norm(trace.Sigma_prior, 2, axis=(-2, -1))
     gap = np.linalg.eigvalsh(trace.Sigma_prior - trace.Sigma_post)[..., 0]
     assert np.all(gap >= -1e-10 * np.maximum(prior_norm, 1.0))
+
+
+def reference_oracle(model, ys, init):
+    """The oracle as a per-step loop: build step k's cost, then take one
+    Newton step from the previous minimizer extended by f(xhat_{k-1})."""
+    cost = initial_cost(init)
+    blocks = [init.xhat.copy()]
+    solutions = []
+    for k in range(len(ys)):
+        cost = build_measurement_cost(cost, ys[k], model.C, model.Sigma_w)
+        sol = newton_solve(cost, StackedTrajectory.from_blocks(blocks, cost.n))
+        sol.index = k
+        solutions.append(sol)
+        blocks = list(sol.trajectory.blocks())
+        if k + 1 < len(ys):
+            cost = build_time_cost(cost, model, sol.xhat)
+            blocks.append(model.drift(sol.xhat))
+    return solutions
+
+
+@st.composite
+def oracle_cases(draw):
+    """(model, measurements (N, m), init) on linear models with a gentle
+    g^2 slope or on fixed-beta models, under a zero or a symmetric positive
+    definite prior."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 2))
+    zero_prior = draw(st.booleans())
+    fixed_beta = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    model = random_model(rng, n, m, slope=0.05)
+    data = simulate_batch(model, rng.standard_normal((1, n)), ORACLE_N,
+                          rng.integers(1 << 31, size=1))
+    C0 = rng.standard_normal((n, n))
+    Sigma0 = np.zeros((n, n)) if zero_prior else C0 @ C0.T + 0.1 * np.eye(n)
+    if fixed_beta:
+        model = with_fixed_noise(model, rng.uniform(0.1, 2.0))
+    return model, data.measurements[0], StateEstimate(rng.standard_normal(n),
+                                                      Sigma0)
+
+
+def close(a, ref, tol=1e-10):
+    a, ref = np.asarray(a), np.asarray(ref)
+    return np.all(np.abs(a - ref) <= tol * np.maximum(1.0, np.abs(ref)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(oracle_cases())
+def test_oracle_matches_per_step_newton_loop(case):
+    model, ys, init = case
+    try:
+        ref = reference_oracle(model, ys, init)
+    except IndefiniteHessianError:
+        # Ill-conditioned (g^2 at its floor): the oracle must reject it too.
+        with pytest.raises(IndefiniteHessianError):
+            oracle_filter(model, ys, init)
+        return
+    sols = oracle_filter(model, ys, init)
+    assert len(sols) == len(ref)
+    for sol, want in zip(sols, ref):
+        assert sol.index == want.index
+        assert close(sol.xhat, want.xhat)
+        assert close(sol.Sigma, want.Sigma)
+        assert close(sol.grad_norm_before, want.grad_norm_before)
+        assert sol.trajectory.z.shape == want.trajectory.z.shape
+        assert sol.grad_norm_after <= 1e-9 * (1.0 + sol.grad_norm_before)
+        assert sol.second_step_norm <= 1e-10 * (
+            1.0 + np.linalg.norm(sol.trajectory.z))
 
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor
 
 from cukf.builtin import example_sec3, logistic
 from cukf.discrete import StateEstimate, run_filter
@@ -220,6 +221,23 @@ def test_oracle_filter_matches_nonlinear_filter_logistic():
     for k in range(20):
         assert rel_err(sols[k].xhat, trace.xhat_post[k]) < 1e-9
         assert rel_err(sols[k].Sigma, trace.Sigma_post[k]) < 1e-9
+
+
+def test_oracle_factors_each_schur_block_at_most_twice(monkeypatch):
+    import cukf.wls as wls
+
+    calls = []
+
+    def counting_cho_factor(*args, **kwargs):
+        calls.append(1)
+        return cho_factor(*args, **kwargs)
+
+    monkeypatch.setattr(wls, "cho_factor", counting_cho_factor)
+    model = example_sec3()
+    N = 60
+    data = simulate_discrete(model, 1.0, N, 36)
+    oracle_filter(model, data.measurements, StateEstimate([0.0], [[1.0]], 1))
+    assert len(calls) <= 2 * N + 1
 
 
 def test_partially_singular_prior_rejected():
