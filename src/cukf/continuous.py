@@ -1,12 +1,16 @@
 """Continuous-discrete filter: propagation of the estimate and its
 covariance between measurement instants, with the noise gain re-evaluated
-along the evolving estimate, plus the Euler-refinement consistency check."""
+along the evolving estimate, plus the Euler-refinement consistency check.
+
+The matrix exponentials of the exact propagation come from `_expm`, a numpy
+Padé scaling-and-squaring method (Higham, "The scaling and squaring method
+for the matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26(4),
+2005, Algorithm 2.3)."""
 
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .discrete import FilterTrace, StateEstimate, _run_loop, symmetrize
 from .errors import (LengthMismatchError, ModelError, NonFiniteStateError,
@@ -30,6 +34,49 @@ def default_config(model: ContinuousDiscreteModel) -> IntegratorConfig:
     gaps = np.diff(model.sample_times)
     gap = gaps.min() if gaps.size else 1.0
     return IntegratorConfig(step=gap / 100.0)
+
+
+# Higham (2005), Table 2.3: the largest 1-norm at which the degree-m
+# diagonal Padé approximant of exp is accurate to double precision, and
+# the approximant's coefficients b_0..b_m.
+_PADE = (
+    (1.495585217958292e-2, (120., 60., 12., 1.)),
+    (2.539398330063230e-1, (30240., 15120., 3360., 420., 30., 1.)),
+    (9.504178996162932e-1, (17297280., 8648640., 1995840., 277200., 25200.,
+                            1512., 56., 1.)),
+    (2.097847961257068, (17643225600., 8821612800., 2075673600., 302702400.,
+                         30270240., 2162160., 110880., 3960., 90., 1.)),
+    (5.371920351148152, (64764752532480000., 32382376266240000.,
+                         7771770303897600., 1187353796428800.,
+                         129060195264000., 10559470521600., 670442572800.,
+                         33522128640., 1323241920., 40840800., 960960.,
+                         16380., 182., 1.)),
+)
+
+
+def _expm(A: np.ndarray) -> np.ndarray:
+    """exp(A) from the lowest Padé degree m in {3, 5, 7, 9, 13} whose bound
+    covers the 1-norm of A; at degree 13, A is first scaled by 2^-s into the
+    bound and the result squared s times."""
+    norm = np.linalg.norm(A, 1)
+    s = 0
+    for theta, b in _PADE:
+        if norm <= theta:
+            break
+    else:
+        s = int(np.ceil(np.log2(norm / theta)))
+        A = A / 2.0 ** s
+    # r_m(A) = (V - U)^{-1} (V + U), U = odd part and V = even part of the
+    # numerator, both sums over the even powers I, A^2, ..., A^(m-1).
+    powers = [np.eye(len(A)), A @ A]
+    while len(powers) < len(b) // 2:
+        powers.append(powers[-1] @ powers[1])
+    U = A @ sum(c * P for c, P in zip(b[1::2], powers))
+    V = sum(c * P for c, P in zip(b[::2], powers))
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
 def _inner(model) -> DiscreteLinearModel:
@@ -96,7 +143,7 @@ class _Propagator:
             Mx[1:, 1:] = dyn.A1
             # Powers 0..2*nsteps of the half-step propagator, by doubling.
             P = np.eye(n + 1)[None]
-            power = expm(Mx * (span / (2 * nsteps)))
+            power = _expm(Mx * (span / (2 * nsteps)))
             while P.shape[0] <= 2 * nsteps:
                 P = np.concatenate((P, power @ P))
                 power = power @ power
@@ -119,7 +166,7 @@ class _Propagator:
             M[diag, :n] = np.where(floored[:, None], 0.0,
                                    self.sv[:, None] * dyn.gsq[:, 1:])
             M[diag, -1] = self.sv * np.where(floored, EPS_G, dyn.gsq[:, 0])
-            E = expm(M * span)
+            E = _expm(M * span)
             self._exps[key] = E
         return E
 

@@ -98,19 +98,18 @@ class FilterTrace:
         header += [f"innovation_{i}" for i in range(m)]
         header += [f"S_diag_{i}" for i in range(m)]
         header += [f"Sigma_post_{i}{j}" for i, j in zip(*iu)]
+        cols = [self.xhat_prior, self.xhat_post, self.innovation,
+                np.diagonal(self.S, axis1=1, axis2=2),
+                self.Sigma_post[:, iu[0], iu[1]]]
+        if self.times is not None:
+            cols.insert(0, self.times[:, None])
+        table = np.hstack(cols)
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(header)
-            for k in range(len(self)):
-                row = [self.indices[k]]
-                if self.times is not None:
-                    row.append(repr(float(self.times[k])))
-                row += [repr(float(v)) for v in self.xhat_prior[k]]
-                row += [repr(float(v)) for v in self.xhat_post[k]]
-                row += [repr(float(v)) for v in self.innovation[k]]
-                row += [repr(float(v)) for v in np.diag(self.S[k])]
-                row += [repr(float(v)) for v in self.Sigma_post[k][iu]]
-                w.writerow(row)
+            # .tolist() gives Python floats, which csv writes by their repr.
+            w.writerows([k] + row.tolist() for k, row in
+                        zip(self.indices.tolist(), table))
         if sidecar is not None:
             with open(sidecar, "w", newline="") as fh:
                 w = csv.writer(fh)

@@ -66,16 +66,15 @@ class TrajectoryData:
         if self.times is not None:
             header.append("t")
         header += [f"x_true_{i}" for i in range(n)] + [f"y_{i}" for i in range(m)]
+        cols = [self.states, self.measurements]
+        if self.times is not None:
+            cols.insert(0, self.times[:, None])
+        table = np.hstack(cols)
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(header)
-            for k in range(len(self)):
-                row = [k + 1]
-                if self.times is not None:
-                    row.append(repr(float(self.times[k])))
-                row += [repr(float(v)) for v in self.states[k]]
-                row += [repr(float(v)) for v in self.measurements[k]]
-                w.writerow(row)
+            # .tolist() gives Python floats, which csv writes by their repr.
+            w.writerows([k] + row.tolist() for k, row in enumerate(table, 1))
 
 
 def _meas_noise_chol(Sigma_w):

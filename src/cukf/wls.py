@@ -11,7 +11,9 @@ the block-tridiagonal Hessian, so each Schur complement is factored once
 for the step that ends at it and once more, frozen, with the next time
 term.  The per-step Newton checks of all N prefix costs then run together
 in batched block sweeps over those factors: O(N) Python iterations and
-O(N^2 n) memory.
+O(N^2 n) memory.  Each Schur complement S is stored as the inverse of its
+lower Cholesky factor, Li = L^{-1}, so a solve S^{-1} B is the two products
+Li' (Li B), as in the filter's BLUE step.
 
 The quadratic time-step term is the second-order expansion of
 0.5 * r' Sigma_v^{-1} r with r(x_k, x_{k-1}) = G^{-1}(x_{k-1})(x_k - f(x_{k-1}))
@@ -28,7 +30,6 @@ from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import IndefiniteHessianError, ModelError
 from .models import EPS_G
@@ -148,6 +149,21 @@ class QuadraticCost:
         return H
 
 
+def _inverse_cholesky(S) -> np.ndarray:
+    """Inverse of the lower Cholesky factor of symmetrize(S); raises
+    ValueError if S is not finite (np.linalg.cholesky would return NaN
+    factors) and np.linalg.LinAlgError if it is not positive definite."""
+    S = symmetrize(S)
+    if not np.isfinite(S).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return np.linalg.inv(np.linalg.cholesky(S))
+
+
+def _factor_solve(Li, B) -> np.ndarray:
+    """S^{-1} B from Li = _inverse_cholesky(S)."""
+    return Li.T @ (Li @ B)
+
+
 def initial_cost(init: StateEstimate) -> QuadraticCost:
     """Prior term on x_0.
 
@@ -160,13 +176,12 @@ def initial_cost(init: StateEstimate) -> QuadraticCost:
     if np.all(Sigma == 0.0):
         return QuadraticCost(n=n, head=init.xhat.copy())
     try:
-        cho = cho_factor(symmetrize(Sigma), lower=True)
+        Li = _inverse_cholesky(Sigma)
     except np.linalg.LinAlgError as exc:
         raise ModelError(
             "initial prior covariance must be symmetric positive definite "
             "or exactly zero") from exc
-    W = cho_solve(cho, np.eye(n))
-    W = symmetrize(W)
+    W = symmetrize(Li.T @ Li)
     cost = QuadraticCost(n=n)
     cost.D.append(W.copy())
     cost.b.append(-W @ init.xhat)
@@ -232,17 +247,18 @@ def build_measurement_cost(cost: QuadraticCost, y, C, Sigma_w) -> QuadraticCost:
 class BlockTridiagFactor:
     """Forward block elimination of a symmetric block-tridiagonal matrix.
 
-    Block i is factored through the Cholesky factor of its Schur complement
-    S_i = D_i - L_{i-1} S_{i-1}^{-1} L_{i-1}'.  Blocks can be appended one at
-    a time, and the last block refactored with a new diagonal block, without
-    touching the factors before it.  `terminal[i]` keeps the factor block i
-    had when it was appended, so every leading block system, ending at its
-    terminal block, can be solved from the one factorization.
+    Block i is factored through the inverse lower Cholesky factor of its
+    Schur complement S_i = D_i - L_{i-1} S_{i-1}^{-1} L_{i-1}'.  Blocks can
+    be appended one at a time, and the last block refactored with a new
+    diagonal block, without touching the factors before it.  `terminal[i]`
+    keeps the factor block i had when it was appended, so every leading
+    block system, ending at its terminal block, can be solved from the one
+    factorization.
     """
 
     def __init__(self, D, L):
         self.L = []
-        self.chos = []
+        self.factors = []
         self.terminal = []
         self._coupling = None
         for i, Di in enumerate(D):
@@ -251,28 +267,28 @@ class BlockTridiagFactor:
     def append(self, D, L=None):
         """Factor a new last block with diagonal D, coupled to the current
         last block by L (the new-by-last block)."""
-        if self.chos:
+        if self.factors:
             self.L.append(L)
-            self._coupling = L @ cho_solve(self.chos[-1], L.T)
-        self.chos.append(None)
+            self._coupling = L @ _factor_solve(self.factors[-1], L.T)
+        self.factors.append(None)
         self.refactor_last(D)
-        self.terminal.append(self.chos[-1])
+        self.terminal.append(self.factors[-1])
 
     def refactor_last(self, D):
         """Replace the diagonal block of the last block by D and refactor its
         Schur complement; the factors of the blocks before it stay."""
         S = D if self._coupling is None else D - self._coupling
         try:
-            self.chos[-1] = cho_factor(symmetrize(S), lower=True)
+            self.factors[-1] = _inverse_cholesky(S)
         except np.linalg.LinAlgError as exc:
             raise IndefiniteHessianError(
-                f"Hessian Schur complement {len(self.chos) - 1} "
+                f"Hessian Schur complement {len(self.factors) - 1} "
                 "not positive definite") from exc
 
     def _sweep(self, R: np.ndarray, ends, last) -> np.ndarray:
         """Solve, for each column c of R (blocks, n, K), the leading block
         system that ends at block ends[c] (ascending).  A block is factored
-        by `last[i]` where a system ends and by `chos[i]` elsewhere.
+        by `last[i]` where a system ends and by `factors[i]` elsewhere.
         Entries below a column's end are ignored and returned as zeros."""
         nb, _, K = R.shape
         # first[i]: the first column whose system reaches block i.
@@ -281,22 +297,24 @@ class BlockTridiagFactor:
         Y[0] = R[0]
         for i in range(1, nb):
             c = first[i]
-            Y[i, :, c:] = R[i, :, c:] - self.L[i - 1] @ cho_solve(
-                self.chos[i - 1], Y[i - 1, :, c:])
+            Y[i, :, c:] = R[i, :, c:] - self.L[i - 1] @ _factor_solve(
+                self.factors[i - 1], Y[i - 1, :, c:])
         X = np.zeros_like(R)
         for i in range(nb - 1, -1, -1):
             a, c = first[i], first[i + 1]
             if a < c:
-                X[i, :, a:c] = cho_solve(last[i], Y[i, :, a:c])
+                X[i, :, a:c] = _factor_solve(last[i], Y[i, :, a:c])
             if c < K:
-                X[i, :, c:] = cho_solve(
-                    self.chos[i], Y[i, :, c:] - self.L[i].T @ X[i + 1, :, c:])
+                X[i, :, c:] = _factor_solve(
+                    self.factors[i],
+                    Y[i, :, c:] - self.L[i].T @ X[i + 1, :, c:])
         return X
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """Solve the whole system for one right-hand side."""
-        nb = len(self.chos)
-        return self._sweep(r.reshape(nb, -1, 1), [nb - 1], self.chos).ravel()
+        nb = len(self.factors)
+        return self._sweep(r.reshape(nb, -1, 1), [nb - 1],
+                           self.factors).ravel()
 
     def solve_prefixes(self, R: np.ndarray) -> np.ndarray:
         """Solve every leading system at once: column j of R (blocks, n,
@@ -305,8 +323,8 @@ class BlockTridiagFactor:
         return self._sweep(R, np.arange(R.shape[0]), self.terminal)
 
     def last_inverse_block(self) -> np.ndarray:
-        n = self.chos[0][0].shape[0]
-        return symmetrize(cho_solve(self.chos[-1], np.eye(n)))
+        Li = self.factors[-1]
+        return symmetrize(Li.T @ Li)
 
 
 @dataclass
@@ -438,10 +456,11 @@ def oracle_filter(model, measurements, init: StateEstimate,
             xhats.append(cost.head.copy())
             Sigmas.append(np.zeros((n, n)))
         else:
-            coupled = (cost.L[i - 1] @ cho_solve(factor.chos[i - 1], y)
+            coupled = (cost.L[i - 1] @ _factor_solve(factor.factors[i - 1], y)
                        if i else 0.0)
             factor.append(cost.D[i], cost.L[i - 1] if i else None)
-            xhats.append(cho_solve(factor.chos[i], -cost.b[i] - coupled))
+            xhats.append(
+                _factor_solve(factor.factors[i], -cost.b[i] - coupled))
             Sigmas.append(factor.last_inverse_block())
             Dt.append(cost.D[i])
             bt.append(cost.b[i])

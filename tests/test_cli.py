@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,3 +178,44 @@ def test_invalid_model_file_exits_1_with_one_error_line(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+NO_SCIPY = """
+import sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError("scipy import blocked")
+
+
+sys.meta_path.insert(0, NoScipy())
+import cukf
+
+assert "scipy" not in sys.modules
+from cukf.cli import parse_and_dispatch
+
+code = parse_and_dispatch(sys.argv[1:])
+assert "scipy" not in sys.modules
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["filter", "--model", "birth_death_cle", "--x0", "100"],
+    ["oracle-check", "--model", "example_sec3", "--horizon", "20"],
+    ["limit-check", "--model", "birth_death_cle", "--x0", "100"],
+], ids=["filter", "oracle-check", "limit-check"])
+def test_package_runs_without_scipy(argv, tmp_path):
+    import cukf
+    env = dict(os.environ)
+    src = str(Path(cukf.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("CUKF_OUTPUT_DIR", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY] + argv + ["--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,11 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.linalg import expm as scipy_expm
 
 from cukf.builtin import birth_death_cle, example_sec3
-from cukf.continuous import (IntegratorConfig, _rk4, cd_run, cd_time_update,
-                             default_config, euler_limit_check)
+from cukf.continuous import (_PADE, IntegratorConfig, _expm, _rk4, cd_run,
+                             cd_time_update, default_config,
+                             euler_limit_check)
 from cukf.discrete import StateEstimate, time_update
 from cukf.errors import ModelError, StepTooLargeError
+from cukf.modelio import load_model
 from cukf.models import ContinuousDiscreteModel, DiscreteLinearModel
 from cukf.simulate import simulate_cd
 
@@ -242,3 +247,56 @@ def test_models_built_in_a_loop_each_get_their_own_exponential():
                                  times, ys, [0.0], [[1.0]])
         assert rel_err(trace.xhat_post, xs) < 1e-12
         assert rel_err(trace.Sigma_post, Ps) < 1e-12
+
+
+def expm_rel_err(A):
+    ref = scipy_expm(A)
+    return np.abs(_expm(A) - ref).max() / np.abs(ref).max()
+
+
+def test_expm_matches_scipy_on_random_matrices():
+    rng = np.random.default_rng(2005)
+    for _ in range(200):
+        n = int(rng.integers(2, 22))
+        A = rng.uniform(0.01, 5.0) * rng.standard_normal((n, n))
+        assert expm_rel_err(A) <= 1e-12
+
+
+def test_expm_matches_scipy_at_every_pade_degree_and_with_squaring():
+    # One input just inside each degree's 1-norm bound, one at twice the
+    # degree-13 bound (one squaring) and one far beyond it.
+    rng = np.random.default_rng(13)
+    B = rng.standard_normal((7, 7))
+    B /= np.linalg.norm(B, 1)
+    thetas = [theta for theta, _ in _PADE]
+    for norm in [0.99 * t for t in thetas] + [2 * thetas[-1], 60.0]:
+        assert expm_rel_err(norm * B) <= 1e-12
+
+
+def test_expm_matches_scipy_on_cle_moment_generators(monkeypatch):
+    # Every exponential the propagator takes while filtering the three CLE
+    # models: the moment generators M*gap and the mean generators of the
+    # clamp-detection grid.
+    import cukf.continuous as continuous
+    args = []
+
+    def recording_expm(A):
+        args.append(A)
+        return _expm(A)
+
+    monkeypatch.setattr(continuous, "_expm", recording_expm)
+    models = Path(__file__).resolve().parents[1] / "bench" / "models"
+    for model in (birth_death_cle(),
+                  load_model(models / "two_species_cle.txt"),
+                  load_model(models / "pure_death_cle.txt")):
+        data = simulate_cd(model, np.full(model.n, 100.0), 0, 0.01)
+        cd_run(model, data.measurements,
+               StateEstimate(np.full(model.n, 100.0), np.eye(model.n)))
+    assert len(args) >= 6
+    for A in args:
+        assert expm_rel_err(A) <= 1e-12
+
+
+def test_expm_of_zero_is_identity():
+    for n in (1, 2, 7):
+        assert np.array_equal(_expm(np.zeros((n, n))), np.eye(n))

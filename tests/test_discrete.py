@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -194,3 +196,55 @@ def test_batch_errors_name_the_first_failing_replicate():
         run_filter_batch(model, ys, np.zeros((4, 1)), np.eye(1))
     assert (exc.value.replicate, exc.value.step) == (3, 3)
     assert "(replicate 3, at step 3)" in str(exc.value)
+
+
+SPECIAL_VALUES = np.array([-0.0, 5e-324, 1e300, 0.1, -2.5, 1 / 3, 1e-7, 42.0])
+
+
+def per_value_repr_trace_csv(trace, path):
+    # The writer as it was before rows came from .tolist().
+    n = trace.xhat_post.shape[1]
+    m = trace.innovation.shape[1]
+    iu = np.triu_indices(n)
+    header = ["k"]
+    if trace.times is not None:
+        header.append("t")
+    header += [f"xhat_prior_{i}" for i in range(n)]
+    header += [f"xhat_post_{i}" for i in range(n)]
+    header += [f"innovation_{i}" for i in range(m)]
+    header += [f"S_diag_{i}" for i in range(m)]
+    header += [f"Sigma_post_{i}{j}" for i, j in zip(*iu)]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for k in range(len(trace)):
+            row = [trace.indices[k]]
+            if trace.times is not None:
+                row.append(repr(float(trace.times[k])))
+            row += [repr(float(v)) for v in trace.xhat_prior[k]]
+            row += [repr(float(v)) for v in trace.xhat_post[k]]
+            row += [repr(float(v)) for v in trace.innovation[k]]
+            row += [repr(float(v)) for v in np.diag(trace.S[k])]
+            row += [repr(float(v)) for v in trace.Sigma_post[k][iu]]
+            w.writerow(row)
+
+
+@pytest.mark.parametrize("timed", [False, True])
+def test_trace_csv_bytes_match_per_value_repr_writer(tmp_path, timed):
+    rng = np.random.default_rng(7)
+    N, n, m = 9, 2, 2
+
+    def draw(*shape):
+        return rng.choice(SPECIAL_VALUES, size=shape)
+
+    trace = FilterTrace(
+        indices=np.arange(3, 3 + N), xhat_prior=draw(N, n),
+        Sigma_prior=draw(N, n, n), xhat_post=draw(N, n),
+        Sigma_post=draw(N, n, n), innovation=draw(N, m), S=draw(N, m, m),
+        gain=draw(N, n, m), times=draw(N) if timed else None)
+    trace.to_csv(tmp_path / "new.csv")
+    per_value_repr_trace_csv(trace, tmp_path / "old.csv")
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    for text in (b"-0.0", b"5e-324", b"1e+300"):
+        assert text in new

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from cukf.continuous import IntegratorConfig, cd_time_update
 from cukf.discrete import StateEstimate, run_filter
 from cukf.errors import LengthMismatchError, NonFiniteStateError
 from cukf.models import ContinuousDiscreteModel, DiscreteLinearModel
-from cukf.simulate import (FilterSpec, innovation_whiteness,
+from cukf.simulate import (FilterSpec, TrajectoryData, innovation_whiteness,
                            monte_carlo_compare, mse, replicate_seed,
                            simulate_batch, simulate_cd, simulate_discrete)
 
@@ -303,3 +305,40 @@ def test_trajectory_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "k,x_true_0,y_0"
     assert len(lines) == 5
+
+
+def per_value_repr_trajectory_csv(data, path):
+    # The writer as it was before rows came from .tolist().
+    n = data.states.shape[1]
+    m = data.measurements.shape[1]
+    header = ["k"]
+    if data.times is not None:
+        header.append("t")
+    header += [f"x_true_{i}" for i in range(n)] + [f"y_{i}" for i in range(m)]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for k in range(len(data)):
+            row = [k + 1]
+            if data.times is not None:
+                row.append(repr(float(data.times[k])))
+            row += [repr(float(v)) for v in data.states[k]]
+            row += [repr(float(v)) for v in data.measurements[k]]
+            w.writerow(row)
+
+
+@pytest.mark.parametrize("timed", [False, True])
+def test_trajectory_csv_bytes_match_per_value_repr_writer(tmp_path, timed):
+    values = np.array([-0.0, 5e-324, 1e300, 0.1, -2.5, 1 / 3, 1e-7, 42.0])
+    rng = np.random.default_rng(8)
+    N = 12
+    data = TrajectoryData(
+        states=rng.choice(values, size=(N, 2)),
+        measurements=rng.choice(values, size=(N, 1)), seed=0,
+        times=rng.choice(values, size=N) if timed else None)
+    data.to_csv(tmp_path / "new.csv")
+    per_value_repr_trajectory_csv(data, tmp_path / "old.csv")
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    for text in (b"-0.0", b"5e-324", b"1e+300"):
+        assert text in new

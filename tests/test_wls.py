@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor
 
 from cukf.builtin import example_sec3, logistic
 from cukf.discrete import StateEstimate, run_filter
 from cukf.errors import IndefiniteHessianError, ModelError
 from cukf.models import DiscreteLinearModel
 from cukf.simulate import simulate_discrete
-from cukf.wls import (StackedTrajectory, build_measurement_cost,
-                      build_time_cost, initial_cost, newton_solve,
-                      oracle_filter)
+from cukf.wls import (BlockTridiagFactor, StackedTrajectory,
+                      build_measurement_cost, build_time_cost, initial_cost,
+                      newton_solve, oracle_filter)
 
 from reference_impl import random_constant_noise_model, rel_err, textbook_kf
 
@@ -227,12 +226,13 @@ def test_oracle_factors_each_schur_block_at_most_twice(monkeypatch):
     import cukf.wls as wls
 
     calls = []
+    inverse_cholesky = wls._inverse_cholesky
 
-    def counting_cho_factor(*args, **kwargs):
+    def counting_inverse_cholesky(S):
         calls.append(1)
-        return cho_factor(*args, **kwargs)
+        return inverse_cholesky(S)
 
-    monkeypatch.setattr(wls, "cho_factor", counting_cho_factor)
+    monkeypatch.setattr(wls, "_inverse_cholesky", counting_inverse_cholesky)
     model = example_sec3()
     N = 60
     data = simulate_discrete(model, 1.0, N, 36)
@@ -244,6 +244,14 @@ def test_partially_singular_prior_rejected():
     init = StateEstimate([0.0, 0.0], np.diag([1.0, 0.0]))
     with pytest.raises(ModelError):
         initial_cost(init)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_blocks_rejected(bad):
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        initial_cost(StateEstimate([0.0], [[bad]]))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        BlockTridiagFactor([np.eye(2), np.diag([1.0, bad])], [np.eye(2)])
 
 
 def test_horizon_cap_enforced():
