@@ -22,7 +22,8 @@ from .models import (ContinuousDiscreteModel, DiscreteLinearModel,
                      gain_from_affine, with_fixed_noise)
 from .simulate import (ComparisonReport, FilterSpec, TrajectoryData,
                        innovation_whiteness, monte_carlo_compare, mse,
-                       simulate_batch, simulate_cd, simulate_discrete)
+                       simulate_batch, simulate_cd, simulate_cd_batch,
+                       simulate_discrete)
 from .wls import (OracleSolution, QuadraticCost, StackedTrajectory,
                   build_measurement_cost, build_time_cost, newton_solve,
                   oracle_filter)

@@ -108,8 +108,8 @@ def _cmd_simulate(args):
 
 
 def _init_estimate(model, args):
-    if not args.init_sigma >= 0:
-        raise ValueError("--init-sigma must be nonnegative")
+    if not 0 <= args.init_sigma < np.inf:
+        raise ValueError("--init-sigma must be finite and nonnegative")
     n = model.n
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=args.seed, spawn_key=(0xF117,)))

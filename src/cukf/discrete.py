@@ -119,14 +119,19 @@ class FilterTrace:
                 w.writerow(["fallback_intervals", self.fallback_intervals])
 
 
-def _blue_update(X, P, Y, C, Sigma_w, step=None):
-    """BLUE measurement update of R estimates X (R, n), P (R, n, n) with
-    measurements Y (R, m); returns the posterior pieces plus diagnostics."""
-    E = Y - _matvec(C, X)
-    CP = C @ P
-    S = symmetrize(CP @ C.T + Sigma_w)
+def _inverse_factor(S, step=None):
+    """Inverse lower Cholesky factor of each innovation covariance in the
+    stack S (R, m, m).  For a scalar output it is 1 / sqrt(S), which rounds
+    exactly like inv(cholesky(S)); the test S > 0 also fails on NaN."""
+    if S.shape[-1] == 1:
+        ok = S[:, 0, 0] > 0
+        if not ok.all():
+            raise SingularInnovationError(
+                "innovation covariance not positive definite", step=step,
+                replicate=_first_failure(ok))
+        return 1.0 / np.sqrt(S)
     try:
-        L = np.linalg.cholesky(S)
+        return np.linalg.inv(np.linalg.cholesky(S))
     except np.linalg.LinAlgError as exc:
         ok = np.ones(len(S), dtype=bool)
         for r, Sr in enumerate(S):
@@ -137,12 +142,20 @@ def _blue_update(X, P, Y, C, Sigma_w, step=None):
         raise SingularInnovationError(
             "innovation covariance not positive definite", step=step,
             replicate=_first_failure(ok)) from exc
+
+
+def _blue_update(X, P, Y, C, Sigma_w, step=None):
+    """BLUE measurement update of R estimates X (R, n), P (R, n, n) with
+    measurements Y (R, m); returns the posterior pieces plus diagnostics."""
+    E = Y - _matvec(C, X)
+    CP = C @ P
+    S = symmetrize(CP @ C.T + Sigma_w)
     # K = Sigma C' S^{-1} through the inverse Cholesky factor, which for a
     # scalar output rounds exactly like a Cholesky solve.
-    Li = np.linalg.inv(L)
+    Li = _inverse_factor(S, step)
     K = (Li.swapaxes(-1, -2) @ (Li @ CP)).swapaxes(-1, -2)
     Xpost = X + _matvec(K, E)
-    Ppost = symmetrize(P - K @ C @ P)
+    Ppost = symmetrize(P - K @ CP)
     return Xpost, Ppost, E, S, K
 
 
@@ -157,9 +170,9 @@ def measurement_update(prior: StateEstimate, y, C, Sigma_w) -> StateEstimate:
 
 
 def _predictor(model):
-    """Time update over a batch: predict(k, X, P) -> (X, P, clamped) with
-    X (R, n), P (R, n, n) and clamped (R,) flagging the replicates whose g^2
-    was floored.  xhat -> f(xhat) and Sigma -> Df Sigma Df' + G Sigma_v G,
+    """Time update over a batch: predict(k, X, P) -> (X, P, floored) with
+    X (R, n), P (R, n, n) and floored (R, n) flagging the components whose
+    g^2 was floored.  xhat -> f(xhat) and Sigma -> Df Sigma Df' + G Sigma_v G,
     with Df and G evaluated at each posterior estimate."""
     drift, jacobian, gain = model.drift, model.jacobian, model.gain
     Sigma_v = model.Sigma_v
@@ -169,8 +182,7 @@ def _predictor(model):
         J = jacobian(X)
         g, floored = gain(X)
         Q = g[..., :, None] * Sigma_v * g[..., None, :]
-        return (Xpred, symmetrize(J @ P @ J.swapaxes(-1, -2) + Q),
-                floored.any(axis=-1))
+        return Xpred, symmetrize(J @ P @ J.swapaxes(-1, -2) + Q), floored
 
     return predict
 
@@ -182,15 +194,35 @@ def time_update(post: StateEstimate, model) -> StateEstimate:
     return StateEstimate(xhat=X[0], Sigma=P[0], index=post.index + 1)
 
 
+def _check_finite(what, first_step, *stacks):
+    """Raise NonFiniteStateError at the first step, and the first replicate
+    at it, where one of `stacks` (R, K, ...) is non-finite; column k of them
+    belongs to step first_step + k."""
+    ok = np.logical_and.reduce([
+        np.isfinite(a).all(axis=tuple(range(2, a.ndim))) for a in stacks])
+    if not ok.all():
+        k = int(np.argmin(ok.all(axis=0)))
+        raise NonFiniteStateError(f"{what} became non-finite",
+                                  step=first_step + k,
+                                  replicate=_first_failure(ok[:, k]))
+
+
 def _run_loop(measurements, xhat, Sigma, predict, C, Sigma_w, start_index=1):
     """The measurement-first filter loop shared by every filter, over a batch
     of R replicates: measurements (R, N, m), initial priors xhat (R, n) and
     Sigma (R, n, n).  Returns a batch FilterTrace.
 
-    predict(k, X, P) -> (X, P, clamped (R,)) maps the posteriors of step k
-    (0-based) to the priors of step k + 1; it is not called after the final
+    predict(k, X, P) -> (X, P, floored) maps the posteriors of step k
+    (0-based) to the priors of step k + 1, with a mask broadcastable to
+    (R, n) of the g^2 it floored; it is not called after the final
     measurement.  Errors name the step and, when R > 1, the first failing
     replicate.
+
+    The loop runs with numpy's floating-point warnings off and does not test
+    each step: one scan after it, and before any error raised inside it
+    propagates, finds the first non-finite posterior.  A non-finite estimate
+    therefore fails at its own step, even when it first makes the time
+    update or a later measurement update fail.
     """
     ms = np.asarray(measurements, dtype=float)
     R, N, m = ms.shape
@@ -205,26 +237,31 @@ def _run_loop(measurements, xhat, Sigma, predict, C, Sigma_w, start_index=1):
         xhat_post=np.empty((R, N, n)), Sigma_post=np.empty((R, N, n, n)),
         innovation=np.empty((R, N, m)), S=np.empty((R, N, m, m)),
         gain=np.empty((R, N, n, m)))
-    clamps = np.zeros(R, dtype=int)
-    for k in range(N):
-        step = start_index + k
-        tr.xhat_prior[:, k] = X
-        tr.Sigma_prior[:, k] = P
-        X, P, E, S, K = _blue_update(X, P, ms[:, k], C, Sigma_w, step=step)
-        if not (np.isfinite(X).all() and np.isfinite(P).all()):
-            ok = (np.isfinite(X).all(axis=-1)
-                  & np.isfinite(P).all(axis=(-2, -1)))
-            raise NonFiniteStateError("estimate became non-finite", step=step,
-                                      replicate=_first_failure(ok))
-        tr.xhat_post[:, k] = X
-        tr.Sigma_post[:, k] = P
-        tr.innovation[:, k] = E
-        tr.S[:, k] = S
-        tr.gain[:, k] = K
-        if k + 1 < N:
-            X, P, clamped = predict(k, X, P)
-            clamps += clamped
-    tr.clamp_count = clamps
+    floored = np.zeros((N, R, n), dtype=bool)
+    written = 0
+    try:
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            for k in range(N):
+                tr.xhat_prior[:, k] = X
+                tr.Sigma_prior[:, k] = P
+                X, P, E, S, K = _blue_update(X, P, ms[:, k], C, Sigma_w,
+                                             step=start_index + k)
+                tr.xhat_post[:, k] = X
+                tr.Sigma_post[:, k] = P
+                written = k + 1
+                tr.innovation[:, k] = E
+                tr.S[:, k] = S
+                tr.gain[:, k] = K
+                if written < N:
+                    X, P, floored[k] = predict(k, X, P)
+    except Exception:
+        # Whatever predict raised on a non-finite posterior (a user's f may
+        # raise anything), the non-finite posterior is the first failure.
+        _check_finite("estimate", start_index, tr.xhat_post[:, :written],
+                      tr.Sigma_post[:, :written])
+        raise
+    _check_finite("estimate", start_index, tr.xhat_post, tr.Sigma_post)
+    tr.clamp_count = floored.any(axis=-1).sum(axis=0)
     return tr
 
 

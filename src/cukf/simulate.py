@@ -7,9 +7,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .discrete import (FilterTrace, _first_failure, run_filter,
+from .discrete import (FilterTrace, _check_finite, run_filter,
                        run_filter_batch)
-from .errors import LengthMismatchError, NonFiniteStateError
+from .errors import LengthMismatchError
 from .models import (EPS_G, ContinuousDiscreteModel, DiscreteLinearModel,
                      _matvec, eval_G, with_fixed_noise)
 
@@ -27,6 +27,16 @@ def _unit_noise(rng, size, distribution):
     if distribution == "uniform":
         return rng.uniform(-SQRT3, SQRT3, size)
     raise ValueError(f"unknown noise distribution {distribution!r}")
+
+
+def _noise_blocks(seeds, size, distribution, pad=0):
+    """(R, size + pad) array whose row r holds `size` unit draws from
+    `default_rng(seeds[r])`, then `pad` zeros."""
+    noise = np.zeros((len(seeds), size + pad))
+    for r, seed in enumerate(seeds):
+        noise[r, :size] = _unit_noise(np.random.default_rng(seed), size,
+                                      distribution)
+    return noise
 
 
 def replicate_seed(master_seed: int, replicate: int) -> np.random.SeedSequence:
@@ -101,28 +111,24 @@ def simulate_batch(model, x0, N: int, seeds, distribution: str = "gaussian",
     sv = np.sqrt(np.diag(model.Sigma_v))
     Lw = _meas_noise_chol(model.Sigma_w)
     # Pad each block by n so that row k holds the draws of step k.
-    noise = np.zeros((R, N * (m + n)))
-    for r, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        noise[r, :-n] = _unit_noise(rng, N * (m + n) - n, distribution)
-    noise = noise.reshape(R, N, m + n)
+    noise = _noise_blocks(seeds, N * (m + n) - n, distribution,
+                          pad=n).reshape(R, N, m + n)
     v = sv * noise[:, :-1, m:]
     states = np.empty((R, N, n))
     x = np.broadcast_to(np.asarray(x0, dtype=float), (R, n))
-    clamped = np.zeros(R, dtype=bool)
-    for k in range(N):
-        states[:, k] = x
-        if k + 1 < N:
-            g, floored = model.gain(x)
-            clamped |= floored.any(axis=-1)
-            x = model.drift(x) + g * v[:, k]
-            if not np.isfinite(x).all():
-                raise NonFiniteStateError(
-                    "simulated state became non-finite", step=k + 1,
-                    replicate=_first_failure(np.isfinite(x).all(axis=-1)))
+    floored = np.zeros((R, n), dtype=bool)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for k in range(N):
+            states[:, k] = x
+            if k + 1 < N:
+                g, fl = model.gain(x)
+                floored |= fl
+                x = model.drift(x) + g * v[:, k]
+    # Row 0 holds x0; row k is the state of step k.
+    _check_finite("simulated state", 1, states[:, 1:])
     ys = _matvec(model.C, states) + _matvec(Lw, noise[..., :m])
     return TrajectoryData(states=states, measurements=ys, seed=list(seeds),
-                          model_id=model_id, clamped=clamped)
+                          model_id=model_id, clamped=floored.any(axis=-1))
 
 
 def simulate_discrete(model, x0, N: int, seed, distribution: str = "gaussian",
@@ -134,50 +140,69 @@ def simulate_discrete(model, x0, N: int, seed, distribution: str = "gaussian",
                           model_id).replicate(0)
 
 
+def simulate_cd_batch(model: ContinuousDiscreteModel, x0, seeds,
+                      em_step: float, distribution: str = "gaussian",
+                      model_id: str = "") -> TrajectoryData:
+    """Euler-Maruyama paths of the continuous dynamics, measured at the
+    model's sample times (the first sample time carries x0), for
+    R = len(seeds) paths at once; x0 is shared or (R, n).  Path r draws its
+    noise as one block from `default_rng(seeds[r])` in the per-step order
+    y_1, the steps of gap 1, y_2, ..., so every row is bit-identical to a
+    one-path run with the same seed."""
+    if em_step <= 0:
+        raise ValueError("em_step must be positive")
+    dyn = model.inner
+    times = model.sample_times
+    R = len(seeds)
+    n = dyn.n
+    m = dyn.m
+    gaps = np.diff(times)
+    nsteps = np.rint(gaps / em_step).astype(int)
+    for gap, ns in zip(gaps, nsteps):
+        if ns < 1 or abs(ns * em_step - gap) > 1e-9 * max(gap, 1.0):
+            raise ValueError(f"em_step {em_step} does not divide the gap {gap}")
+    # Sample k's draws start at starts[k]: m for y_k, then n per step.
+    sizes = m + n * np.append(nsteps, 0)
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    noise = _noise_blocks(seeds, starts[-1], distribution)
+    sv = np.sqrt(np.diag(dyn.Sigma_v))
+    Lw = _meas_noise_chol(dyn.Sigma_w)
+    # Column states (R, n, 1), so that A @ x rounds like the 1-D product.
+    A0, A1, c0, C1 = dyn.A0[:, None], dyn.A1, dyn.gsq[:, :1], dyn.gsq[:, 1:]
+    x = np.broadcast_to(np.asarray(x0, dtype=float), (R, n))[..., None]
+    states = np.empty((R, times.size, n))
+    floored = np.zeros(R, dtype=bool)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for k in range(times.size):
+            states[:, k] = x[..., 0]
+            if k + 1 < times.size:
+                h = gaps[k] / nsteps[k]
+                sqh = np.sqrt(h)
+                xi = (sv * noise[:, starts[k] + m:starts[k + 1]].reshape(
+                    R, nsteps[k], n))[..., None]
+                # g^2 of every step of the gap, tested for the floor once.
+                g2 = np.empty_like(xi)
+                for j in range(nsteps[k]):
+                    gain = np.sqrt(np.maximum(
+                        np.add(c0, C1 @ x, out=g2[:, j]), EPS_G))
+                    x = x + h * (A0 + A1 @ x) + sqh * (gain * xi[:, j])
+                floored |= (g2 < EPS_G).any(axis=(1, 2, 3))
+    _check_finite("simulated path", 1, states[:, 1:])
+    ys = _matvec(dyn.C, states) + _matvec(
+        Lw, noise[:, starts[:-1, None] + np.arange(m)])
+    return TrajectoryData(states=states, measurements=ys, seed=list(seeds),
+                          model_id=model_id, clamped=floored,
+                          times=times.copy())
+
+
 def simulate_cd(model: ContinuousDiscreteModel, x0, seed, em_step: float,
                 distribution: str = "gaussian",
                 model_id: str = "") -> TrajectoryData:
     """Euler-Maruyama path of the continuous dynamics, measured at the
-    model's sample times (the first sample time carries x0)."""
-    if em_step <= 0:
-        raise ValueError("em_step must be positive")
-    rng = np.random.default_rng(seed)
-    dyn = model.inner
-    times = model.sample_times
-    n = dyn.n
-    m = dyn.m
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    sv = np.sqrt(np.diag(dyn.Sigma_v))
-    Lw = _meas_noise_chol(dyn.Sigma_w)
-    A0, A1, c0, C1 = dyn.A0, dyn.A1, dyn.gsq[:, 0], dyn.gsq[:, 1:]
-    states = np.empty((times.size, n))
-    ys = np.empty((times.size, m))
-    clamped = False
-    for k in range(times.size):
-        states[k] = x
-        ys[k] = dyn.C @ x + Lw @ _unit_noise(rng, m, distribution)
-        if k + 1 < times.size:
-            gap = times[k + 1] - times[k]
-            nsteps = int(round(gap / em_step))
-            if nsteps < 1 or abs(nsteps * em_step - gap) > 1e-9 * max(gap, 1.0):
-                raise ValueError(
-                    f"em_step {em_step} does not divide the gap {gap}")
-            h = gap / nsteps
-            sqh = np.sqrt(h)
-            # One block per gap draws the same values as one draw per step;
-            # the diagonal gain acts elementwise.
-            xi = sv * _unit_noise(rng, (nsteps, n), distribution)
-            for xi_j in xi:
-                g2 = c0 + C1 @ x
-                clamped = clamped or bool((g2 < EPS_G).any())
-                gain = np.sqrt(np.maximum(g2, EPS_G))
-                x = x + h * (A0 + A1 @ x) + sqh * (gain * xi_j)
-            if not np.all(np.isfinite(x)):
-                raise NonFiniteStateError("simulated path became non-finite",
-                                          step=k + 1)
-    return TrajectoryData(states=states, measurements=ys, seed=seed,
-                          model_id=model_id, clamped=clamped,
-                          times=times.copy())
+    model's sample times (the first sample time carries x0).  The one-path
+    case of `simulate_cd_batch`."""
+    return simulate_cd_batch(model, x0, [seed], em_step, distribution,
+                             model_id).replicate(0)
 
 
 def mse(trace: FilterTrace, truth: TrajectoryData, burn_in: int = 0):

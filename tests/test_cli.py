@@ -165,6 +165,16 @@ def test_invalid_input_exits_1_without_traceback(argv, tmp_path, monkeypatch,
 
 
 
+@pytest.mark.parametrize("command", ["filter", "oracle-check"])
+def test_infinite_init_sigma_exits_1_with_one_error_line(command, tmp_path,
+                                                         monkeypatch, capsys):
+    code = run([command, "--model", "example_sec3", "--init-sigma", "inf"],
+               tmp_path, monkeypatch)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: --init-sigma must be finite and nonnegative\n"
+
+
 def test_invalid_model_file_exits_1_with_one_error_line(tmp_path, monkeypatch,
                                                        capsys):
     path = tmp_path / "bad.model"

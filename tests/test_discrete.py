@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -196,6 +197,28 @@ def test_batch_errors_name_the_first_failing_replicate():
         run_filter_batch(model, ys, np.zeros((4, 1)), np.eye(1))
     assert (exc.value.replicate, exc.value.step) == (3, 3)
     assert "(replicate 3, at step 3)" in str(exc.value)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("bad, Sigma_w, Sigma0, error", [
+    (np.inf, 1.0, 0.0, NonFiniteStateError),
+    (np.nan, 1.0, 0.0, NonFiniteStateError),
+    (None, 0.0, 0.0, SingularInnovationError),
+    (None, 0.0, -1.0, SingularInnovationError),
+])
+def test_failing_runs_emit_no_runtime_warning(m, bad, Sigma_w, Sigma0, error):
+    # m = 1 takes the closed-form factor, m = 2 the LAPACK one.
+    model = DiscreteLinearModel(
+        A0=np.zeros(m), A1=np.eye(m), C=np.eye(m),
+        gsq=np.column_stack([np.ones(m), np.zeros((m, m))]),
+        Sigma_v=np.eye(m), Sigma_w=Sigma_w * np.eye(m))
+    ys = np.ones((3, 6, m))
+    if bad is not None:
+        ys[1, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            run_filter_batch(model, ys, np.zeros((3, m)), Sigma0 * np.eye(m))
 
 
 SPECIAL_VALUES = np.array([-0.0, 5e-324, 1e300, 0.1, -2.5, 1 / 3, 1e-7, 42.0])

@@ -118,3 +118,15 @@ def test_nonfinite_drift_raises():
                            C=[[1.0]], Sigma_v=[[1.0]], Sigma_w=[[1.0]], n=1)
     with pytest.raises(NonFiniteStateError):
         time_update(StateEstimate([1.0], [[1.0]]), model)
+
+
+def test_nonfinite_posterior_fails_at_its_own_step():
+    # The NaN measurement makes the step-2 posterior NaN; the time update
+    # that follows would fail on it as "drift non-finite".
+    model = NonlinearModel(f=lambda x: 0.9 * x + 1.0, G=lambda x: np.ones(1),
+                           C=[[1.0]], Sigma_v=[[1.0]], Sigma_w=[[1.0]], n=1)
+    ys = [[1.0], [np.nan], [1.0], [1.0]]
+    with pytest.raises(NonFiniteStateError) as exc:
+        run_filter(model, ys, StateEstimate([0.0], [[1.0]], 1))
+    assert exc.value.step == 2
+    assert str(exc.value) == "estimate became non-finite (at step 2)"

@@ -1,13 +1,15 @@
 """Property tests over random small models, some of which clamp g^2: a batch
 of replicates equals the same replicates run one at a time, the covariances
 keep their structure, the batched oracle equals its per-step Newton loop,
-and model files round-trip."""
+and model files round-trip.  The closed-form scalar innovation factor
+equals its LAPACK form bit for bit."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cukf.discrete import StateEstimate, run_filter, run_filter_batch
+from cukf.discrete import (StateEstimate, _inverse_factor, run_filter,
+                           run_filter_batch)
 from cukf import modelio
 from cukf.errors import IndefiniteHessianError
 from cukf.models import (ContinuousDiscreteModel, DiscreteLinearModel,
@@ -64,6 +66,15 @@ def batches(draw):
 
 def run_batch(case):
     return run_filter_batch(*case)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
+                min_size=1, max_size=50))
+def test_scalar_inverse_factor_is_bitwise_inv_cholesky(values):
+    S = np.array(values).reshape(-1, 1, 1)
+    ref = np.linalg.inv(np.linalg.cholesky(S))
+    assert _inverse_factor(S).tobytes() == ref.tobytes()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from cukf.errors import LengthMismatchError, NonFiniteStateError
 from cukf.models import ContinuousDiscreteModel, DiscreteLinearModel
 from cukf.simulate import (FilterSpec, TrajectoryData, innovation_whiteness,
                            monte_carlo_compare, mse, replicate_seed,
-                           simulate_batch, simulate_cd, simulate_discrete)
+                           simulate_batch, simulate_cd, simulate_cd_batch,
+                           simulate_discrete)
 
 
 def noiseless_sec3():
@@ -72,10 +74,9 @@ def test_simulate_cd_noiseless_solves_ode():
 def test_simulate_cd_ensemble_mean_follows_ode():
     model = birth_death_cle(t_end=0.5, n_samples=2)
     paths = 10 ** 4
-    finals = np.array([
-        simulate_cd(model, [100.0], replicate_seed(53, r),
-                    em_step=0.01).states[-1, 0]
-        for r in range(paths)])
+    finals = simulate_cd_batch(
+        model, [100.0], [replicate_seed(53, r) for r in range(paths)],
+        em_step=0.01).states[:, -1, 0]
     exact = 100.0 + (100.0 - 100.0) * np.exp(-0.05)  # equilibrium at 100
     se = finals.std(ddof=1) / np.sqrt(paths)
     assert abs(finals.mean() - exact) < 3 * se
@@ -86,10 +87,9 @@ def test_simulate_cd_weak_convergence_in_step():
     paths = 8000
     var = {}
     for step in (0.01, 0.005):
-        finals = np.array([
-            simulate_cd(model, [100.0], replicate_seed(54, r),
-                        em_step=step).states[-1, 0]
-            for r in range(paths)])
+        finals = simulate_cd_batch(
+            model, [100.0], [replicate_seed(54, r) for r in range(paths)],
+            em_step=step).states[:, -1, 0]
         var[step] = finals.var(ddof=1)
     assert abs(var[0.005] - var[0.01]) / var[0.01] < 0.05
 
@@ -211,6 +211,45 @@ def test_simulate_batch_names_the_failing_replicate():
         simulate_batch(example_sec3(), x0, 5, [0, 1, 2, 3])
     assert (exc.value.replicate, exc.value.step) == (2, 1)
     assert "(replicate 2, at step 1)" in str(exc.value)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_nonfinite_simulations_emit_no_runtime_warning(bad):
+    x0 = np.ones((4, 1))
+    x0[1] = bad
+    model = birth_death_cle(t_end=0.5, n_samples=6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteStateError) as exc:
+            simulate_batch(example_sec3(), x0, 5, [0, 1, 2, 3])
+        assert (exc.value.replicate, exc.value.step) == (1, 1)
+        with pytest.raises(NonFiniteStateError) as exc:
+            simulate_cd_batch(model, x0, [0, 1, 2, 3], em_step=0.01)
+        assert (exc.value.replicate, exc.value.step) == (1, 1)
+    assert str(exc.value) == ("simulated path became non-finite "
+                              "(replicate 1, at step 1)")
+
+
+def test_simulate_cd_batch_rows_match_one_path_runs():
+    # Uneven gaps, and a pure-death model whose g^2 = 2x is floored once
+    # the path crosses 0.
+    pure_death = DiscreteLinearModel(A0=[0.0], A1=[[-2.0]], C=[[1.0]],
+                                     gsq=[[0.0, 2.0]], Sigma_v=[[1.0]],
+                                     Sigma_w=[[1.0]])
+    times = np.array([0.0, 0.05, 0.25, 0.3, 1.0])
+    models = [birth_death_cle(t_end=1.0, n_samples=5),
+              ContinuousDiscreteModel(inner=pure_death, sample_times=times)]
+    seeds = [replicate_seed(5, r) for r in range(6)]
+    for model in models:
+        x0 = np.full(model.n, 1.0)
+        batch = simulate_cd_batch(model, x0, seeds, em_step=0.01)
+        for r, seed in enumerate(seeds):
+            one = simulate_cd(model, x0, seed, em_step=0.01)
+            assert np.array_equal(batch.states[r], one.states)
+            assert np.array_equal(batch.measurements[r], one.measurements)
+            assert batch.clamped[r] == one.clamped
+            assert np.array_equal(batch.times, one.times)
+    assert batch.clamped.any()
 
 
 def test_mse_trivials():
