@@ -271,8 +271,8 @@ def build_parser():
                    help="process noise gain for the fixed-beta variant")
     p.add_argument("--init-sigma", type=float, default=0.0, dest="init_sigma")
     p.add_argument("--step", type=float, default=None,
-                   help="clamp-detection grid and RK4 fallback step for "
-                   "continuous models")
+                   help="clamp-detection grid step for continuous models: "
+                   "where the floored set changes, intervals are cut there")
     p.set_defaults(func=_cmd_filter)
 
     p = sub.add_parser("compare",

@@ -7,26 +7,30 @@ Padé scaling-and-squaring method (Higham, "The scaling and squaring method
 for the matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26(4),
 2005, Algorithm 2.3)."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .discrete import FilterTrace, StateEstimate, _run_loop, symmetrize
+from .discrete import (FilterTrace, StateEstimate, _run_loop, symmetrize,
+                       time_update)
 from .errors import (LengthMismatchError, ModelError, NonFiniteStateError,
                      StepTooLargeError)
 from .models import EPS_G, ContinuousDiscreteModel, DiscreteLinearModel, eval_G
 
+# eval_G is not called here; bench/spans.py wraps it as an attribute of this
+# module, so it stays importable from it.
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Step of the clamp-detection grid and of the RK4 fallback."""
+    """Step of the clamp-detection grid, which tests g2 every half step."""
 
     step: float
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        if not 0 < self.step < np.inf:
+            raise ValueError("step must be finite and positive")
 
 
 def default_config(model: ContinuousDiscreteModel) -> IntegratorConfig:
@@ -83,27 +87,6 @@ def _inner(model) -> DiscreteLinearModel:
     return model.inner if isinstance(model, ContinuousDiscreteModel) else model
 
 
-def _rhs(dyn, x, S):
-    """Coupled mean/covariance right-hand side."""
-    G, _ = eval_G(dyn.gsq, x)
-    dx = dyn.A0 + dyn.A1 @ x
-    dS = dyn.A1 @ S + S @ dyn.A1.T + G @ dyn.Sigma_v @ G
-    return dx, dS
-
-
-def _rk4(dyn, x, S, span, nsteps):
-    """`nsteps` classical RK4 steps of the moment ODEs over `span`."""
-    h = span / nsteps
-    for _ in range(nsteps):
-        k1x, k1S = _rhs(dyn, x, S)
-        k2x, k2S = _rhs(dyn, x + 0.5 * h * k1x, S + 0.5 * h * k1S)
-        k3x, k3S = _rhs(dyn, x + 0.5 * h * k2x, S + 0.5 * h * k2S)
-        k4x, k4S = _rhs(dyn, x + h * k3x, S + h * k3S)
-        x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        S = S + (h / 6.0) * (k1S + 2 * k2S + 2 * k3S + k4S)
-    return x, S
-
-
 class _Propagator:
     """Moment propagation for one model over one run.
 
@@ -112,10 +95,11 @@ class _Propagator:
     set of floored g2 components stays fixed, this is a linear ODE in
     z = [x; vec Sigma; 1], so z(t1) = expm(M (t1 - t0)) z(t0) exactly
     (Van Loan, IEEE TAC 23(3), 1978).  The mean path does not depend on
-    Sigma, so the floored set is read off g2(x(t)) at the RK4 grid nodes
-    (steps and midpoints); only an interval where that set changes is
-    integrated by RK4, and counted.  Exponentials are cached per exact gap
-    and floored set; the cache lives as long as the object.
+    Sigma, so the floored set is read off g2(x(t)) at nodes half a step
+    apart.  An interval where that set changes is cut at each crossing of
+    EPS_G, and each piece is propagated by its own exponential; such
+    intervals and their cuts are counted.  Whole-gap exponentials are cached
+    per exact gap and floored set, as long as the object lives.
     """
 
     def __init__(self, dyn: DiscreteLinearModel, cfg: IntegratorConfig):
@@ -126,8 +110,8 @@ class _Propagator:
         self.dyn = dyn
         self.cfg = cfg
         self.sv = sv
-        self.rk4_steps = 0
-        self.fallback_intervals = 0
+        self.cut_intervals = 0
+        self.cuts = 0
         # Keyed on the exact gap; the node count follows from gap and step.
         self._node_maps = {}   # gap -> (K*n, n+1): [1; x(t0)] -> g2(nodes)
         self._exps = {}        # (gap, floored set) -> expm(M gap)
@@ -151,24 +135,35 @@ class _Propagator:
             self._node_maps[span] = W
         return (W[:, 0] + W[:, 1:] @ x).reshape(-1, n)
 
-    def _exp(self, span, floored):
-        key = (span, floored.tobytes())
-        E = self._exps.get(key)
-        if E is None:
-            dyn = self.dyn
-            n = dyn.n
-            M = np.zeros((n + n * n + 1, n + n * n + 1))
-            M[:n, :n] = dyn.A1
-            M[:n, -1] = dyn.A0
-            eye = np.eye(n)
-            M[n:-1, n:-1] = np.kron(dyn.A1, eye) + np.kron(eye, dyn.A1)
-            diag = n + np.arange(n) * (n + 1)   # rows of Sigma_ii in vec Sigma
-            M[diag, :n] = np.where(floored[:, None], 0.0,
-                                   self.sv[:, None] * dyn.gsq[:, 1:])
-            M[diag, -1] = self.sv * np.where(floored, EPS_G, dyn.gsq[:, 0])
-            E = _expm(M * span)
-            self._exps[key] = E
-        return E
+    def _generator(self, floored):
+        """M of z' = M z, with the g2 components in `floored` at EPS_G."""
+        dyn = self.dyn
+        n = dyn.n
+        M = np.zeros((n + n * n + 1, n + n * n + 1))
+        M[:n, :n] = dyn.A1
+        M[:n, -1] = dyn.A0
+        eye = np.eye(n)
+        M[n:-1, n:-1] = np.kron(dyn.A1, eye) + np.kron(eye, dyn.A1)
+        diag = n + np.arange(n) * (n + 1)   # rows of Sigma_ii in vec Sigma
+        M[diag, :n] = np.where(floored[:, None], 0.0,
+                               self.sv[:, None] * dyn.gsq[:, 1:])
+        M[diag, -1] = self.sv * np.where(floored, EPS_G, dyn.gsq[:, 0])
+        return M
+
+    def _cut(self, z, g2, floored, span):
+        """z propagated piece by piece, cut where a g2_i crosses EPS_G between
+        two nodes; the crossing is placed by linear interpolation."""
+        j, i = np.nonzero(floored[1:] != floored[:-1])
+        cuts = (j + (EPS_G - g2[j, i]) / (g2[j + 1, i] - g2[j, i])) * (
+            span / (len(g2) - 1))
+        order = np.argsort(cuts)
+        flags = floored[0].copy()
+        for length, toggle in zip(np.diff(cuts[order], prepend=0.0), i[order]):
+            z = _expm(self._generator(flags) * length) @ z
+            flags[toggle] ^= True
+        self.cut_intervals += 1
+        self.cuts += len(cuts)
+        return _expm(self._generator(flags) * (span - cuts.max())) @ z
 
     def propagate(self, x, S, t0, t1):
         """(x, S) at t1 from (x, S) at t0, and whether any g2 was floored."""
@@ -179,16 +174,18 @@ class _Propagator:
             raise StepTooLargeError(
                 f"step {self.cfg.step} exceeds interval {span}")
         nsteps = max(1, int(round(span / self.cfg.step)))
-        floored = self._node_g2(x, span, nsteps) < EPS_G
+        g2 = self._node_g2(x, span, nsteps)
+        floored = g2 < EPS_G
+        n = x.size
+        z = np.concatenate((x, S.ravel(), [1.0]))
         if (floored == floored[0]).all():
-            n = x.size
-            z = self._exp(span, floored[0]) @ np.concatenate(
-                (x, S.ravel(), [1.0]))
-            x, S = z[:n], z[n:-1].reshape(n, n)
+            key = (span, floored[0].tobytes())
+            if key not in self._exps:
+                self._exps[key] = _expm(self._generator(floored[0]) * span)
+            z = self._exps[key] @ z
         else:
-            x, S = _rk4(self.dyn, x, S, span, nsteps)
-            self.rk4_steps += nsteps
-            self.fallback_intervals += 1
+            z = self._cut(z, g2, floored, span)
+        x, S = z[:n], z[n:-1].reshape(n, n)
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(S))):
             raise NonFiniteStateError(f"integration diverged on [{t0}, {t1}]")
         return x, S, bool(floored.any())
@@ -200,8 +197,8 @@ def cd_time_update(post: StateEstimate, model, t0: float, t1: float,
     ODEs, evaluating the noise gain along the evolving estimate.  Each call
     builds its own matrix exponentials; `cd_run` reuses them across
     intervals."""
-    if t1 < t0:
-        raise ValueError("t1 must be >= t0")
+    if not -np.inf < t0 <= t1 < np.inf:
+        raise ValueError("need finite t0 <= t1")
     x, S, _ = _Propagator(_inner(model), cfg).propagate(
         post.xhat, post.Sigma, t0, t1)
     return StateEstimate(xhat=x, Sigma=symmetrize(S), index=t1)
@@ -213,8 +210,8 @@ def cd_run(model: ContinuousDiscreteModel, measurements, init: StateEstimate,
     between.  `init` is the prior at the first sample time.
 
     The trace counts intervals in which any g2 was floored (`clamp_count`),
-    intervals integrated by the RK4 fallback (`fallback_intervals`) and the
-    RK4 steps they took (`step_count`)."""
+    intervals cut where the floored set changes (`fallback_intervals`) and
+    the cuts made in them (`step_count`)."""
     if cfg is None:
         cfg = default_config(model)
     ms = np.atleast_2d(np.asarray(measurements, dtype=float))
@@ -226,20 +223,15 @@ def cd_run(model: ContinuousDiscreteModel, measurements, init: StateEstimate,
     prop = _Propagator(dyn, cfg)
 
     def predict(k, X, P):
-        try:
-            x, S, clamped = prop.propagate(X[0], P[0], times[k], times[k + 1])
-        except NonFiniteStateError as exc:
-            raise NonFiniteStateError(
-                f"propagation failed between t={times[k]} and t={times[k + 1]}"
-            ) from exc
+        x, S, clamped = prop.propagate(X[0], P[0], times[k], times[k + 1])
         return x[None], symmetrize(S)[None], np.array([clamped])
 
     trace = _run_loop(ms[None], init.xhat[None], init.Sigma[None], predict,
                       dyn.C, dyn.Sigma_w).replicate(0)
     trace.times = times.copy()
     trace.indices = np.arange(1, times.size + 1)
-    trace.step_count = prop.rk4_steps
-    trace.fallback_intervals = prop.fallback_intervals
+    trace.step_count = prop.cuts
+    trace.fallback_intervals = prop.cut_intervals
     return trace
 
 
@@ -252,40 +244,38 @@ class LimitCheckRow:
 
 def euler_limit_check(model, post: StateEstimate, t0: float, t1: float,
                       steps: Sequence[float]) -> List[LimitCheckRow]:
-    """Compare the discretized one-step-covariance recursion against the
-    exact ODE propagation for each step size in `steps`.
+    """Compare the Euler discretization against the exact ODE propagation
+    for each step size in `steps`.
 
-    The discretization propagates xhat <- A0*dt + (I + dt*A1)*xhat and
-    Sigma <- (I + dt*A1) Sigma (I + dt*A1)' + dt * G(xhat) Sigma_v G(xhat),
-    i.e. the discrete time update applied to the Euler model whose noise has
-    covariance Sigma_v/dt.  Errors must shrink roughly linearly in dt.  The
-    finest step sets the reference's clamp-detection grid.
+    The discretization is the discrete time update of the Euler model
+    (A0*dt, I + dt*A1, Sigma_v*dt), which propagates
+    Sigma <- (I + dt*A1) Sigma (I + dt*A1)' + dt * G(xhat) Sigma_v G(xhat).
+    Errors must shrink roughly linearly in dt.  The finest step sets the
+    reference's clamp-detection grid.
     """
     dyn = _inner(model)
+    if not -np.inf < t0 < t1 < np.inf:
+        raise ValueError("need finite t0 < t1")
     span = t1 - t0
-    if span <= 0:
-        raise ValueError("need t1 > t0")
     steps = sorted(float(dt) for dt in steps)
     if not steps:
         raise ValueError("need at least one step")
     for dt in steps:
+        if not 0 < dt < np.inf:
+            raise ValueError(f"dt={dt} must be finite and positive")
         ratio = span / dt
         if abs(ratio - round(ratio)) > 1e-9 * ratio:
             raise ValueError(f"dt={dt} does not divide the interval {span}")
     ref = cd_time_update(post, dyn, t0, t1, IntegratorConfig(step=steps[0]))
-    eye = np.eye(dyn.n)
     rows = []
     for dt in steps:
-        nsteps = int(round(span / dt))
-        x = post.xhat.copy()
-        S = post.Sigma.copy()
-        Phi = eye + dt * dyn.A1
-        for _ in range(nsteps):
-            G, _ = eval_G(dyn.gsq, x)
-            S = Phi @ S @ Phi.T + dt * (G @ dyn.Sigma_v @ G)
-            x = dyn.A0 * dt + Phi @ x
+        euler = replace(dyn, A0=dt * dyn.A0, A1=np.eye(dyn.n) + dt * dyn.A1,
+                        Sigma_v=dt * dyn.Sigma_v)
+        est = post
+        for _ in range(int(round(span / dt))):
+            est = time_update(est, euler)
         rows.append(LimitCheckRow(
             dt=dt,
-            mean_err=float(np.linalg.norm(x - ref.xhat)),
-            cov_err=float(np.linalg.norm(S - ref.Sigma))))
+            mean_err=float(np.linalg.norm(est.xhat - ref.xhat)),
+            cov_err=float(np.linalg.norm(est.Sigma - ref.Sigma))))
     return rows

@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import SingularInnovationError, NonFiniteStateError
+from .errors import FilterError, NonFiniteStateError, SingularInnovationError
 from .models import _matvec, eval_G
 
 # eval_G is not called here; bench/spans.py wraps it as an attribute of this
@@ -47,9 +47,9 @@ class FilterTrace:
 
     All arrays share the leading dimension N (number of measurements).
     `clamp_count` counts time updates in which any g^2 was floored.  `times`,
-    `step_count` (RK4 fallback steps) and `fallback_intervals` (intervals
-    integrated by that fallback) are populated only by the
-    continuous-discrete driver.
+    `fallback_intervals` (intervals cut where the set of floored g^2
+    changes) and `step_count` (the cuts made in them) are populated only by
+    the continuous-discrete driver.
 
     A batch trace (`run_filter_batch`) holds R replicates: every per-step
     array gains a leading axis R, and `clamp_count` is an (R,) array;
@@ -216,7 +216,8 @@ def _run_loop(measurements, xhat, Sigma, predict, C, Sigma_w, start_index=1):
     (0-based) to the priors of step k + 1, with a mask broadcastable to
     (R, n) of the g^2 it floored; it is not called after the final
     measurement.  Errors name the step and, when R > 1, the first failing
-    replicate.
+    replicate; a FilterError that predict raises without a step is raised
+    again naming the step whose prior it was making.
 
     The loop runs with numpy's floating-point warnings off and does not test
     each step: one scan after it, and before any error raised inside it
@@ -254,11 +255,14 @@ def _run_loop(measurements, xhat, Sigma, predict, C, Sigma_w, start_index=1):
                 tr.gain[:, k] = K
                 if written < N:
                     X, P, floored[k] = predict(k, X, P)
-    except Exception:
+    except Exception as exc:
         # Whatever predict raised on a non-finite posterior (a user's f may
         # raise anything), the non-finite posterior is the first failure.
         _check_finite("estimate", start_index, tr.xhat_post[:, :written],
                       tr.Sigma_post[:, :written])
+        if isinstance(exc, FilterError) and exc.step is None:
+            # predict failed making the prior of this step.
+            raise type(exc)(str(exc), step=start_index + written) from exc
         raise
     _check_finite("estimate", start_index, tr.xhat_post, tr.Sigma_post)
     tr.clamp_count = floored.any(axis=-1).sum(axis=0)

@@ -253,33 +253,22 @@ class ContinuousDiscreteModel:
         return self.inner.m
 
 
-def eval_gsq(gsq: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate the affine squared gains g_i^2(x)."""
-    gsq = np.atleast_2d(np.asarray(gsq, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return gsq[:, 0] + gsq[:, 1:] @ x
-
-
 def eval_G(gsq: np.ndarray, x: np.ndarray, eps: float = EPS_G):
     """Diagonal gain matrix diag(sqrt(max(g_i^2(x), eps))).
 
     Returns (G, clamped) where clamped is True when any squared gain had to
     be floored at eps.
     """
-    vals = eval_gsq(gsq, x)
-    clamped = bool(np.any(vals < eps))
-    return np.diag(np.sqrt(np.maximum(vals, eps))), clamped
+    gsq = np.atleast_2d(np.asarray(gsq, dtype=float))
+    vals = gsq[:, 0] + gsq[:, 1:] @ np.atleast_1d(np.asarray(x, dtype=float))
+    return np.diag(np.sqrt(np.maximum(vals, eps))), bool(np.any(vals < eps))
 
 
 def gain_from_affine(gsq) -> Callable[[np.ndarray], np.ndarray]:
-    """Gain map for NonlinearModel backed by affine squared-gain coefficients."""
+    """Gain map for NonlinearModel backed by affine squared-gain
+    coefficients: the diagonal gains sqrt(max(c0 + C1 x, EPS_G))."""
     gsq = np.atleast_2d(np.asarray(gsq, dtype=float))
-
-    def gain(x):
-        G, _ = eval_G(gsq, x)
-        return G
-
-    return gain
+    return lambda x: np.sqrt(np.maximum(gsq[:, 0] + gsq[:, 1:] @ x, EPS_G))
 
 
 @dataclass(frozen=True)

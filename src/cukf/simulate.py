@@ -149,8 +149,8 @@ def simulate_cd_batch(model: ContinuousDiscreteModel, x0, seeds,
     noise as one block from `default_rng(seeds[r])` in the per-step order
     y_1, the steps of gap 1, y_2, ..., so every row is bit-identical to a
     one-path run with the same seed."""
-    if em_step <= 0:
-        raise ValueError("em_step must be positive")
+    if not 0 < em_step < np.inf:
+        raise ValueError("em_step must be finite and positive")
     dyn = model.inner
     times = model.sample_times
     R = len(seeds)

@@ -2,8 +2,9 @@
 
 These are deliberately written as straight-line textbook code, sharing no
 code path with the package: explicit inverses for the discrete Kalman
-filter, and matrix-exponential (Van Loan) discretization for the
-continuous-discrete one.
+filter, matrix-exponential (Van Loan) discretization for the
+continuous-discrete one, and classical RK4 for the moment ODEs of a
+state-dependent noise gain.
 """
 
 import numpy as np
@@ -117,3 +118,63 @@ def rel_err(a, b):
     a = np.asarray(a, float)
     b = np.asarray(b, float)
     return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
+
+
+EPS_G = 1e-12  # the floor on g^2, as in cukf.models
+
+
+def _rhs(dyn, x, S):
+    """Coupled mean/covariance right-hand side, with each g_i^2 floored at
+    EPS_G."""
+    g = np.sqrt(np.maximum(dyn.gsq[:, 0] + dyn.gsq[:, 1:] @ x, EPS_G))
+    dx = dyn.A0 + dyn.A1 @ x
+    dS = dyn.A1 @ S + S @ dyn.A1.T + np.outer(g, g) * dyn.Sigma_v  # G Sv G
+    return dx, dS
+
+
+def _rk4(dyn, x, S, span, nsteps):
+    """`nsteps` classical RK4 steps of the moment ODEs over `span`."""
+    h = span / nsteps
+    for _ in range(nsteps):
+        k1x, k1S = _rhs(dyn, x, S)
+        k2x, k2S = _rhs(dyn, x + 0.5 * h * k1x, S + 0.5 * h * k1S)
+        k3x, k3S = _rhs(dyn, x + 0.5 * h * k2x, S + 0.5 * h * k2S)
+        k4x, k4S = _rhs(dyn, x + h * k3x, S + h * k3S)
+        x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+        S = S + (h / 6.0) * (k1S + 2 * k2S + 2 * k3S + k4S)
+    return x, S
+
+
+def floor_crossings(dyn, x0, span, grid=101):
+    """Sorted times in (0, span) at which some g_i^2 crosses EPS_G on the
+    exact mean path from x0: bracketed on a uniform grid of `grid` points,
+    then bisected to the last bit."""
+    zero = np.zeros((dyn.n, dyn.n))
+
+    def floored(t):
+        Phi, offset, _ = vanloan_discretize(dyn.A0, dyn.A1, zero, t)
+        return dyn.gsq[:, 0] + dyn.gsq[:, 1:] @ (Phi @ x0 + offset) < EPS_G
+
+    ts = np.linspace(0.0, span, grid)
+    flags = np.array([floored(t) for t in ts])
+    crossings = []
+    for j, i in zip(*np.nonzero(flags[1:] != flags[:-1])):
+        lo, hi = ts[j], ts[j + 1]
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if floored(mid)[i] == flags[j, i]:
+                lo = mid
+            else:
+                hi = mid
+        crossings.append(lo)
+    return sorted(crossings)
+
+
+def split_rk4(dyn, x, S, span, step=1e-4):
+    """Moments at the end of `span`, integrated by RK4 of step at most
+    `step` on each piece between the floor crossings of the mean path, so
+    that no RK4 step straddles the kink of max(g^2, EPS_G)."""
+    bounds = [0.0] + floor_crossings(dyn, x, span) + [span]
+    for length in np.diff(bounds):
+        if length > 0:
+            x, S = _rk4(dyn, x, S, length, max(1, int(np.ceil(length / step))))
+    return x, S

@@ -156,12 +156,19 @@ def test_model_file_path_accepted(tmp_path, monkeypatch):
      "--beta", "0.1"],
     ["filter", "--model", "birth_death_cle", "--variant", "fixed-beta",
      "--beta", "0.1"],
+    ["limit-check", "--model", "birth_death_cle", "--dt0", "0"],
+    ["limit-check", "--model", "birth_death_cle", "--dt0", "-0.08"],
+    ["limit-check", "--model", "birth_death_cle", "--t1", "nan"],
+    ["filter", "--model", "birth_death_cle", "--step", "nan"],
+    ["simulate", "--model", "birth_death_cle", "--em-step", "nan"],
 ])
+@pytest.mark.filterwarnings("error")
 def test_invalid_input_exits_1_without_traceback(argv, tmp_path, monkeypatch,
                                                  capsys):
     assert run(argv, tmp_path, monkeypatch) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert err.count("\n") == 1 and "NaN" not in err
 
 
 

@@ -2,19 +2,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm as scipy_expm
 
 from cukf.builtin import birth_death_cle, example_sec3
-from cukf.continuous import (_PADE, IntegratorConfig, _expm, _rk4, cd_run,
-                             cd_time_update, default_config,
+from cukf.continuous import (_PADE, IntegratorConfig, _Propagator, _expm,
+                             cd_run, cd_time_update, default_config,
                              euler_limit_check)
 from cukf.discrete import StateEstimate, time_update
-from cukf.errors import ModelError, StepTooLargeError
+from cukf.errors import ModelError, NonFiniteStateError, StepTooLargeError
 from cukf.modelio import load_model
 from cukf.models import ContinuousDiscreteModel, DiscreteLinearModel
 from cukf.simulate import simulate_cd
 
-from reference_impl import classical_cd_kf, random_constant_noise_model, rel_err
+from reference_impl import (EPS_G, _rk4, classical_cd_kf, floor_crossings,
+                            random_constant_noise_model, rel_err, split_rk4,
+                            vanloan_discretize)
 
 CFG = IntegratorConfig(step=0.001)
 
@@ -57,6 +60,14 @@ def test_step_too_large():
     post = StateEstimate([0.0], [[1.0]], 0.0)
     with pytest.raises(StepTooLargeError):
         cd_time_update(post, scalar_model(), 0.0, 0.5, IntegratorConfig(step=1.0))
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, np.nan), (0.0, np.inf),
+                                    (np.nan, 1.0), (1.0, 0.5)])
+def test_bad_interval_rejected(t0, t1):
+    post = StateEstimate([0.0], [[1.0]], 0.0)
+    with pytest.raises(ValueError, match="need finite t0 <= t1"):
+        cd_time_update(post, scalar_model(), t0, t1, CFG)
 
 
 def test_non_diagonal_sigma_v_rejected():
@@ -152,6 +163,17 @@ def test_cd_run_constant_gain_matches_classical(subtests=None):
         assert rel_err(trace.Sigma_post, Ps) < 1e-8
 
 
+def test_diverging_propagation_names_its_interval_and_step():
+    dyn = DiscreteLinearModel(A0=[1.0], A1=[[800.0]], C=[[1.0]],
+                              gsq=[[1.0, 0.0]], Sigma_v=[[1.0]],
+                              Sigma_w=[[1.0]])
+    model = ContinuousDiscreteModel(inner=dyn, sample_times=[0.0, 0.5, 1.0])
+    with pytest.raises(NonFiniteStateError) as exc:
+        cd_run(model, np.zeros((3, 1)), StateEstimate([1.0], [[1.0]], 0.0))
+    assert exc.value.step == 2
+    assert str(exc.value) == "integration diverged on [0.0, 0.5] (at step 2)"
+
+
 def test_cd_trace_csv_has_time_column_and_sidecar(tmp_path):
     model = birth_death_cle(t_end=1.0, n_samples=6)
     data = simulate_cd(model, np.array([100.0]), 12, em_step=0.01)
@@ -221,15 +243,66 @@ def test_interval_clamped_throughout_matches_rk4(c0):
 
 
 def test_clamp_set_change_takes_counted_fallback():
-    # dx = (-10 - 2x)dt from x = 0.5 crosses g^2 = 2x = 0 mid-interval.
+    # dx = (-10 - 2x)dt from x = 0.5 crosses g^2 = 2x = 0 mid-interval: the
+    # interval is cut once there, and both pieces are propagated exactly.
     dyn, trace = pure_death_run(0.5, A0=-10.0)
     assert trace.clamp_count == 1
     assert trace.fallback_intervals == 1
-    assert trace.step_count == 100
+    assert trace.step_count == 1
     post = StateEstimate(trace.xhat_post[0], trace.Sigma_post[0], 0.0)
-    x, S = _rk4(dyn, post.xhat, post.Sigma, 0.1, 100)
-    assert np.array_equal(trace.xhat_prior[1], x)
-    assert np.allclose(trace.Sigma_prior[1], S, rtol=1e-15, atol=0)
+    assert len(floor_crossings(dyn, post.xhat, 0.1)) == 1
+    x, S = split_rk4(dyn, post.xhat, post.Sigma, 0.1)
+    assert rel_err(trace.xhat_prior[1], x) <= 1e-12
+    assert rel_err(trace.Sigma_prior[1], S) <= 1e-12
+
+
+@st.composite
+def crossing_cases(draw, span=0.1):
+    """(model, posterior) whose mean path over `span` takes at least one
+    g2_i across EPS_G, each at a chosen time with a slope well away from 0;
+    every other g2_i stays above the floor or below it throughout."""
+    n = draw(st.integers(1, 3))
+    kinds = draw(st.lists(st.sampled_from(["cross", "above", "below"]),
+                          min_size=n, max_size=n))
+    kinds[0] = "cross"
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A1 = rng.standard_normal((n, n))
+    A1 *= rng.uniform(0.1, 2.0) / max(np.abs(np.linalg.eigvals(A1)).max(), 1e-6)
+    A0 = 5.0 * rng.standard_normal(n)
+    x0 = rng.standard_normal(n)
+    C1 = rng.standard_normal((n, n))
+    c0 = np.empty(n)
+    for i, kind in enumerate(kinds):
+        tau = rng.uniform(0.1, 0.9) * span
+        Phi, offset, _ = vanloan_discretize(A0, A1, np.zeros((n, n)), tau)
+        x_tau = Phi @ x0 + offset
+        d = A0 + A1 @ x_tau
+        d /= np.linalg.norm(d)
+        # Tilt row i toward the path's direction at tau: the crossing is
+        # then transversal, and the path crosses no second time.
+        C1[i] += (rng.choice([-1.0, 1.0]) * np.linalg.norm(C1[i])
+                  - C1[i] @ d) * d
+        c0[i] = EPS_G - C1[i] @ x_tau
+        if kind != "cross":
+            c0[i] += 1e3 if kind == "above" else -1e3
+    B = rng.standard_normal((n, n))
+    model = DiscreteLinearModel(
+        A0=A0, A1=A1, C=np.eye(n), gsq=np.column_stack([c0, C1]),
+        Sigma_v=np.diag(rng.uniform(0.5, 2.0, n)), Sigma_w=np.eye(n))
+    return model, StateEstimate(x0, B @ B.T, 0.0)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(crossing_cases())
+def test_cut_propagation_matches_split_reference(case):
+    model, post = case
+    out = cd_time_update(post, model, 0.0, 0.1, CFG)
+    prop = _Propagator(model, CFG)
+    prop.propagate(post.xhat, post.Sigma, 0.0, 0.1)
+    assert prop.cuts == len(floor_crossings(model, post.xhat, 0.1)) >= 1
+    x, S = split_rk4(model, post.xhat, post.Sigma, 0.1)
+    assert rel_err(out.xhat, x) <= 1e-9
+    assert rel_err(out.Sigma, S) <= 1e-9
 
 
 def test_models_built_in_a_loop_each_get_their_own_exponential():

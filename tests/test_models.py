@@ -5,7 +5,7 @@ from cukf.builtin import example_sec3
 from cukf.errors import ModelError, NonAffineError, NonDiagonalizableError
 from cukf.models import (ContinuousDiscreteModel, DiscreteLinearModel,
                          EPS_G, NonlinearModel, ReactionNetwork, eval_G,
-                         eval_gsq, finite_difference_jacobian, from_cle,
+                         finite_difference_jacobian, from_cle,
                          gain_from_affine, with_fixed_noise)
 from cukf import modelio
 
@@ -37,7 +37,7 @@ def test_eval_G_squares_back_to_gsq():
         gsq = rng.uniform(-1, 1, (n, n + 1))
         gsq[:, 0] += 5.0  # keep well above the clamp floor
         x = rng.uniform(-2, 2, n)
-        vals = eval_gsq(gsq, x)
+        vals = gsq[:, 0] + gsq[:, 1:] @ x
         if np.all(vals >= EPS_G):
             G, clamped = eval_G(gsq, x)
             assert not clamped
@@ -76,7 +76,8 @@ def test_from_cle_variance_matches_channel_sum():
         a = b[:, 0] + b[:, 1:] @ x
         assert np.all(a >= 0)
         expected = (nu.astype(float) ** 2) @ a
-        assert np.allclose(eval_gsq(dyn.gsq, x), expected, rtol=1e-15)
+        assert np.allclose(dyn.gsq[:, 0] + dyn.gsq[:, 1:] @ x, expected,
+                           rtol=1e-15)
 
 
 def test_models_immutable():

@@ -130,3 +130,16 @@ def test_nonfinite_posterior_fails_at_its_own_step():
         run_filter(model, ys, StateEstimate([0.0], [[1.0]], 1))
     assert exc.value.step == 2
     assert str(exc.value) == "estimate became non-finite (at step 2)"
+
+
+def test_time_update_failure_names_the_step_of_its_prior():
+    # The posterior of step 3 is 20, where the finite-difference Jacobian
+    # steps into f = inf: making the prior of step 4 fails.
+    model = NonlinearModel(f=lambda x: np.where(x > 20, np.inf, x + 10.0),
+                           G=lambda x: np.ones(1), C=[[1.0]], Sigma_v=[[1.0]],
+                           Sigma_w=[[1.0]], n=1)
+    ys = np.arange(0.0, 100.0, 10.0)[:, None]
+    with pytest.raises(NonFiniteStateError) as exc:
+        run_filter(model, ys, StateEstimate([0.0], [[1.0]], 1))
+    assert exc.value.step == 4
+    assert str(exc.value) == "Jacobian non-finite (at step 4)"
