@@ -310,6 +310,8 @@ def parse_and_dispatch(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
+        if not np.isfinite(getattr(args, "x0", 0.0)):
+            raise ValueError("--x0 must be finite")
         return args.func(args)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0

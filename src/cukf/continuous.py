@@ -174,6 +174,9 @@ class _Propagator:
             raise StepTooLargeError(
                 f"step {self.cfg.step} exceeds interval {span}")
         nsteps = max(1, int(round(span / self.cfg.step)))
+        if nsteps > 10 ** 5:  # a grid of 2 * nsteps + 1 nodes
+            raise ValueError(f"step {self.cfg.step} puts {nsteps} grid steps "
+                             f"on [{t0}, {t1}]; at most 100000 are allowed")
         g2 = self._node_g2(x, span, nsteps)
         floored = g2 < EPS_G
         n = x.size
@@ -222,14 +225,15 @@ def cd_run(model: ContinuousDiscreteModel, measurements, init: StateEstimate,
     dyn = _inner(model)
     prop = _Propagator(dyn, cfg)
 
-    def predict(k, X, P):
-        x, S, clamped = prop.propagate(X[0], P[0], times[k], times[k + 1])
-        return x[None], symmetrize(S)[None], np.array([clamped])
+    def predict(k, Z, out):
+        out[0, :, 0], S, clamped = prop.propagate(
+            Z[0, :, 0], Z[0, :, 1:], times[k], times[k + 1])
+        out[0, :, 1:] = symmetrize(S)
+        return clamped
 
     trace = _run_loop(ms[None], init.xhat[None], init.Sigma[None], predict,
                       dyn.C, dyn.Sigma_w).replicate(0)
     trace.times = times.copy()
-    trace.indices = np.arange(1, times.size + 1)
     trace.step_count = prop.cuts
     trace.fallback_intervals = prop.cut_intervals
     return trace
@@ -251,7 +255,7 @@ def euler_limit_check(model, post: StateEstimate, t0: float, t1: float,
     (A0*dt, I + dt*A1, Sigma_v*dt), which propagates
     Sigma <- (I + dt*A1) Sigma (I + dt*A1)' + dt * G(xhat) Sigma_v G(xhat).
     Errors must shrink roughly linearly in dt.  The finest step sets the
-    reference's clamp-detection grid.
+    reference's clamp-detection grid, so it may take 10^5 steps.
     """
     dyn = _inner(model)
     if not -np.inf < t0 < t1 < np.inf:

@@ -2,7 +2,7 @@
 recomputes the process noise covariance G(xhat) Sigma_v G(xhat) from the
 current estimate.  One time update serves every discrete model: a linear
 model, its fixed-gain baseline (`with_fixed_noise`) and a nonlinear model
-all answer drift, jacobian and gain (see `cukf.models`)."""
+all answer `linearize` (see `cukf.models`), on joint arrays [xhat | Sigma]."""
 
 import csv
 from dataclasses import dataclass, replace
@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FilterError, NonFiniteStateError, SingularInnovationError
-from .models import _matvec, eval_G
+from .models import EPS_G, _first_failure, eval_G
 
 # eval_G is not called here; bench/spans.py wraps it as an attribute of this
 # module, so it stays importable from it.
@@ -22,10 +22,10 @@ def symmetrize(S: np.ndarray) -> np.ndarray:
     return 0.5 * (S + S.swapaxes(-1, -2))
 
 
-def _first_failure(ok: np.ndarray):
-    """Index of the first False entry of the per-replicate mask `ok`, or
-    None for a single run, whose errors name only the step."""
-    return int(np.argmin(ok)) if len(ok) > 1 else None
+def _symmetrize_in_place(S: np.ndarray):
+    """Symmetrize each matrix of the stack S in place (1 x 1 ones are)."""
+    if S.shape[-1] > 1:
+        S[...] = symmetrize(S)
 
 
 @dataclass
@@ -45,8 +45,9 @@ class StateEstimate:
 class FilterTrace:
     """Per-step record of a filter run.
 
-    All arrays share the leading dimension N (number of measurements).
-    `clamp_count` counts time updates in which any g^2 was floored.  `times`,
+    All arrays share the leading dimension N (number of measurements), and
+    are views of the filter loop's buffers (see `_run_loop`).  `clamp_count`
+    counts time updates in which any g^2 was floored.  `times`,
     `fallback_intervals` (intervals cut where the set of floored g^2
     changes) and `step_count` (the cuts made in them) are populated only by
     the continuous-discrete driver.
@@ -122,13 +123,8 @@ class FilterTrace:
 def _inverse_factor(S, step=None):
     """Inverse lower Cholesky factor of each innovation covariance in the
     stack S (R, m, m).  For a scalar output it is 1 / sqrt(S), which rounds
-    exactly like inv(cholesky(S)); the test S > 0 also fails on NaN."""
+    exactly like inv(cholesky(S)) and is not tested (see `_check_finite`)."""
     if S.shape[-1] == 1:
-        ok = S[:, 0, 0] > 0
-        if not ok.all():
-            raise SingularInnovationError(
-                "innovation covariance not positive definite", step=step,
-                replicate=_first_failure(ok))
         return 1.0 / np.sqrt(S)
     try:
         return np.linalg.inv(np.linalg.cholesky(S))
@@ -144,45 +140,44 @@ def _inverse_factor(S, step=None):
             replicate=_first_failure(ok)) from exc
 
 
-def _blue_update(X, P, Y, C, Sigma_w, step=None):
-    """BLUE measurement update of R estimates X (R, n), P (R, n, n) with
-    measurements Y (R, m); returns the posterior pieces plus diagnostics."""
-    E = Y - _matvec(C, X)
-    CP = C @ P
-    S = symmetrize(CP @ C.T + Sigma_w)
-    # K = Sigma C' S^{-1} through the inverse Cholesky factor, which for a
-    # scalar output rounds exactly like a Cholesky solve.
+def _blue_step(Z, W, C, Sigma_w, S, Kt, out, step=None):
+    """BLUE measurement update of R joint estimates Z = [xhat | Sigma]: W
+    holds [y | 0] and becomes [E | -C Sigma]; S receives the innovation
+    covariance, Kt the gain as -K' = -S^-1 C Sigma, and `out` the posterior
+    Z - Kt' W = [xhat + K E | Sigma - K C Sigma]."""
+    np.subtract(W, C @ Z, out=W)
+    CS = W[..., 1:]
+    np.subtract(Sigma_w, CS @ C.T, out=S)
+    _symmetrize_in_place(S)
     Li = _inverse_factor(S, step)
-    K = (Li.swapaxes(-1, -2) @ (Li @ CP)).swapaxes(-1, -2)
-    Xpost = X + _matvec(K, E)
-    Ppost = symmetrize(P - K @ CP)
-    return Xpost, Ppost, E, S, K
+    np.matmul(Li.swapaxes(-1, -2), Li @ CS, out=Kt)
+    np.subtract(Z, Kt.swapaxes(-1, -2) @ W, out=out)
+    _symmetrize_in_place(out[..., 1:])
 
 
 def measurement_update(prior: StateEstimate, y, C, Sigma_w) -> StateEstimate:
     """Incorporate measurement y via the best linear unbiased update."""
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    Sigma_w = np.atleast_2d(np.asarray(Sigma_w, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    X, P, _, _, _ = _blue_update(prior.xhat[None], prior.Sigma[None], y[None],
-                                 C, Sigma_w)
-    return StateEstimate(xhat=X[0], Sigma=P[0], index=prior.index)
+    C, Sigma_w = (np.atleast_2d(np.asarray(a, float)) for a in (C, Sigma_w))
+    tr = _run_loop(np.reshape(y, (1, 1, -1)), prior.xhat[None],
+                   prior.Sigma[None], None, C, Sigma_w, prior.index)
+    return StateEstimate(tr.xhat_post[0, 0], tr.Sigma_post[0, 0], prior.index)
 
 
 def _predictor(model):
-    """Time update over a batch: predict(k, X, P) -> (X, P, floored) with
-    X (R, n), P (R, n, n) and floored (R, n) flagging the components whose
-    g^2 was floored.  xhat -> f(xhat) and Sigma -> Df Sigma Df' + G Sigma_v G,
-    with Df and G evaluated at each posterior estimate."""
-    drift, jacobian, gain = model.drift, model.jacobian, model.gain
-    Sigma_v = model.Sigma_v
+    """Time update over a batch: predict(k, Z, out) -> floored writes into
+    `out` (which may be Z) the priors made from the joint posteriors Z:
+    xhat -> f(xhat) and Sigma -> Df Sigma Df' + G Sigma_v G, with Df and G
+    evaluated at each posterior, and flags the floored g^2 (R, n, 1)."""
+    linearize, Sigma_v = model.linearize, model.Sigma_v
 
-    def predict(k, X, P):
-        Xpred = drift(X)
-        J = jacobian(X)
-        g, floored = gain(X)
-        Q = g[..., :, None] * Sigma_v * g[..., None, :]
-        return Xpred, symmetrize(J @ P @ J.swapaxes(-1, -2) + Q), floored
+    def predict(k, Z, out):
+        FZ, J, g, g2 = linearize(Z)
+        out[..., 0] = FZ[..., 0]
+        P = out[..., 1:]
+        np.add(FZ[..., 1:] @ J.swapaxes(-1, -2),
+               g * Sigma_v * g.swapaxes(-1, -2), out=P)
+        _symmetrize_in_place(P)
+        return g2 < EPS_G
 
     return predict
 
@@ -190,18 +185,23 @@ def _predictor(model):
 def time_update(post: StateEstimate, model) -> StateEstimate:
     """Propagate one step, recomputing the process noise covariance
     G(xhat) Sigma_v G(xhat) at the posterior estimate."""
-    X, P, _ = _predictor(model)(0, post.xhat[None], post.Sigma[None])
-    return StateEstimate(xhat=X[0], Sigma=P[0], index=post.index + 1)
+    Z = np.concatenate((post.xhat[:, None], post.Sigma), axis=1)[None]
+    _predictor(model)(0, Z, Z)
+    return StateEstimate(Z[0, :, 0], Z[0, :, 1:], post.index + 1)
 
 
-def _check_finite(what, first_step, *stacks):
-    """Raise NonFiniteStateError at the first step, and the first replicate
-    at it, where one of `stacks` (R, K, ...) is non-finite; column k of them
-    belongs to step first_step + k."""
+def _check_finite(what, first_step, *stacks, S=None):
+    """Raise NonFiniteStateError at the first step, first_step + k, where one
+    of `stacks` (R, K, ...) is non-finite, naming its first failing
+    replicate; SingularInnovationError if S[:, k, 0, 0] is not > 0."""
     ok = np.logical_and.reduce([
         np.isfinite(a).all(axis=tuple(range(2, a.ndim))) for a in stacks])
     if not ok.all():
         k = int(np.argmin(ok.all(axis=0)))
+        if S is not None and not (S_ok := S[:, k, 0, 0] > 0).all():
+            raise SingularInnovationError(
+                "innovation covariance not positive definite",
+                step=first_step + k, replicate=_first_failure(S_ok))
         raise NonFiniteStateError(f"{what} became non-finite",
                                   step=first_step + k,
                                   replicate=_first_failure(ok[:, k]))
@@ -212,60 +212,56 @@ def _run_loop(measurements, xhat, Sigma, predict, C, Sigma_w, start_index=1):
     of R replicates: measurements (R, N, m), initial priors xhat (R, n) and
     Sigma (R, n, n).  Returns a batch FilterTrace.
 
-    predict(k, X, P) -> (X, P, floored) maps the posteriors of step k
-    (0-based) to the priors of step k + 1, with a mask broadcastable to
-    (R, n) of the g^2 it floored; it is not called after the final
-    measurement.  Errors name the step and, when R > 1, the first failing
-    replicate; a FilterError that predict raises without a step is raised
-    again naming the step whose prior it was making.
+    The joint priors and posteriors [xhat | Sigma], [E | -C Sigma], S and
+    the gains of all steps live in time-major buffers (N, R, ...) that the
+    updates write in place; the trace's fields are views of them.
 
-    The loop runs with numpy's floating-point warnings off and does not test
-    each step: one scan after it, and before any error raised inside it
-    propagates, finds the first non-finite posterior.  A non-finite estimate
-    therefore fails at its own step, even when it first makes the time
-    update or a later measurement update fail.
+    predict(k, Z, out) -> floored writes the priors of step k + 1 (0-based),
+    made from the posteriors Z of step k, into `out`, with a mask
+    broadcastable to (R, n, 1) of the g^2 it floored.  Errors name the step
+    and, when R > 1, the first failing replicate; a FilterError that predict
+    raises without a step is raised again naming the step of its prior.
+
+    The loop runs with numpy's floating-point warnings off and tests nothing
+    per step: one scan after it, and before any error inside it propagates,
+    finds the first failed step (`_check_finite`).
     """
     ms = np.asarray(measurements, dtype=float)
     R, N, m = ms.shape
     if N < 1:
         raise ValueError("need at least one measurement")
-    X = np.asarray(xhat, dtype=float)
-    P = np.asarray(Sigma, dtype=float)
-    n = X.shape[-1]
-    tr = FilterTrace(
-        indices=np.arange(start_index, start_index + N),
-        xhat_prior=np.empty((R, N, n)), Sigma_prior=np.empty((R, N, n, n)),
-        xhat_post=np.empty((R, N, n)), Sigma_post=np.empty((R, N, n, n)),
-        innovation=np.empty((R, N, m)), S=np.empty((R, N, m, m)),
-        gain=np.empty((R, N, n, m)))
-    floored = np.zeros((N, R, n), dtype=bool)
+    n = np.shape(xhat)[-1]
+    prior, post = np.empty((2, N, R, n, 1 + n))
+    prior[0, ..., 0], prior[0, ..., 1:] = xhat, Sigma
+    W = np.zeros((N, R, m, 1 + n))
+    W[..., 0] = ms.swapaxes(0, 1)
+    S, Kt = np.empty((N, R, m, m)), np.empty((N, R, m, n))
+    floored = np.zeros((N, R, n, 1), dtype=bool)
+    tr = FilterTrace(np.arange(start_index, start_index + N), *(
+        a.swapaxes(0, 1) for a in (prior[..., 0], prior[..., 1:], post[..., 0],
+                                   post[..., 1:], W[..., 0], S,
+                                   Kt.swapaxes(-1, -2))))
     written = 0
     try:
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             for k in range(N):
-                tr.xhat_prior[:, k] = X
-                tr.Sigma_prior[:, k] = P
-                X, P, E, S, K = _blue_update(X, P, ms[:, k], C, Sigma_w,
-                                             step=start_index + k)
-                tr.xhat_post[:, k] = X
-                tr.Sigma_post[:, k] = P
+                _blue_step(prior[k], W[k], C, Sigma_w, S[k], Kt[k], post[k],
+                           step=start_index + k)
                 written = k + 1
-                tr.innovation[:, k] = E
-                tr.S[:, k] = S
-                tr.gain[:, k] = K
                 if written < N:
-                    X, P, floored[k] = predict(k, X, P)
+                    floored[k] = predict(k, post[k], prior[k + 1])
     except Exception as exc:
-        # Whatever predict raised on a non-finite posterior (a user's f may
-        # raise anything), the non-finite posterior is the first failure.
+        # Whatever the loop raised (a user's f may raise anything), a failed
+        # step before it is the first failure.
         _check_finite("estimate", start_index, tr.xhat_post[:, :written],
-                      tr.Sigma_post[:, :written])
+                      tr.Sigma_post[:, :written], S=tr.S)
         if isinstance(exc, FilterError) and exc.step is None:
-            # predict failed making the prior of this step.
-            raise type(exc)(str(exc), step=start_index + written) from exc
+            exc.step = start_index + written  # predict made this step's prior
         raise
-    _check_finite("estimate", start_index, tr.xhat_post, tr.Sigma_post)
-    tr.clamp_count = floored.any(axis=-1).sum(axis=0)
+    _check_finite("estimate", start_index, tr.xhat_post, tr.Sigma_post,
+                  S=tr.S)
+    np.negative(Kt, out=Kt)  # the trace's gains K = -Kt'
+    tr.clamp_count = floored.any(axis=(2, 3)).sum(axis=0)
     return tr
 
 
@@ -273,10 +269,8 @@ def run_filter_batch(model, measurements, xhat, Sigma) -> FilterTrace:
     """Filter R replicates at once: measurements (R, N, m), initial priors
     xhat (R, n) and Sigma (R, n, n) or one shared (n, n).  Returns a batch
     trace."""
-    ms = np.asarray(measurements, dtype=float)
-    X = np.asarray(xhat, dtype=float)
-    P = np.broadcast_to(np.asarray(Sigma, dtype=float), X.shape + X.shape[-1:])
-    return _run_loop(ms, X, P, _predictor(model), model.C, model.Sigma_w)
+    return _run_loop(measurements, xhat, Sigma, _predictor(model), model.C,
+                     model.Sigma_w)
 
 
 def run_filter(model, measurements, init: StateEstimate) -> FilterTrace:

@@ -17,18 +17,20 @@ class NonDiagonalizableError(ModelError):
 class FilterError(RuntimeError):
     """Base class for numerical failures during a filter run.
 
-    `step` and, for a batch of replicates, `replicate` say where it failed.
+    `step` and, for a batch of replicates, `replicate` say where it failed;
+    the message names them, also when a caller sets them later.
     """
 
     def __init__(self, message, step=None, replicate=None):
-        where = [f"replicate {replicate}"] if replicate is not None else []
-        if step is not None:
-            where.append(f"at step {step}")
-        if where:
-            message = f"{message} ({', '.join(where)})"
         super().__init__(message)
         self.step = step
         self.replicate = replicate
+
+    def __str__(self):
+        where = [f"{name} {v}" for name, v in (("replicate", self.replicate),
+                                               ("at step", self.step))
+                 if v is not None]
+        return self.args[0] + (f" ({', '.join(where)})" if where else "")
 
 
 class SingularInnovationError(FilterError):

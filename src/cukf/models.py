@@ -8,10 +8,10 @@ checkable by construction.  A fixed-gain baseline is the linear model with
 constant g^2 (`with_fixed_noise`); continuous-discrete models wrap a linear
 one.
 
-Every discrete model answers the same three questions about a stack of
-states X (..., n), which is all the filter, the simulator and the oracle ask:
-`drift(X)`, `jacobian(X)` and `gain(X) -> (g, floored)`, the diagonal noise
-gains and the mask of components whose g^2 was floored.
+Every discrete model answers the same questions about a stack of states
+X (..., n): `drift(X)`, `jacobian(X)` and `gain(X) -> (g, floored)`, the
+diagonal noise gains and the mask of floored g^2 components.  The filter loop
+and the simulators ask all three at once through `linearize`.
 """
 
 from dataclasses import dataclass, replace
@@ -26,6 +26,12 @@ from .errors import (ModelError, NonAffineError, NonDiagonalizableError,
 # PSD when an estimate wanders into the region where the affine form goes
 # negative; every clamp is flagged to the caller.
 EPS_G = 1e-12
+
+
+def _first_failure(ok: np.ndarray):
+    """Index of the first False entry of the per-replicate mask `ok`, or
+    None for a single run, whose errors name only the step."""
+    return int(np.argmin(ok)) if len(ok) > 1 else None
 
 
 def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -105,7 +111,10 @@ class DiscreteLinearModel:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ModelError(f"{name} has non-finite entries")
         _set_noise_covariances(self, n, m)
-        for arr in (self.A0, self.A1, self.C, self.gsq, self.Sigma_v, self.Sigma_w):
+        object.__setattr__(self, "_A1C1", np.vstack((A1, self.gsq[:, 1:])))
+        object.__setattr__(self, "_a0c0", np.append(self.A0, self.gsq[:, 0]))
+        for arr in (self.A0, self.A1, self.C, self.gsq, self.Sigma_v,
+                    self.Sigma_w, self._A1C1, self._a0c0):
             arr.setflags(write=False)
 
     @property
@@ -116,9 +125,17 @@ class DiscreteLinearModel:
     def m(self) -> int:
         return self.C.shape[0]
 
+    def linearize(self, Z: np.ndarray):
+        """[f(x) | Df(x) M], Df(x), g = sqrt(max(g^2, EPS_G)) and g^2 for each
+        block [x | M] of the stack Z: [A0; c0] + one product [A1; C1] Z."""
+        AZ = self._A1C1 @ Z
+        AZ[..., 0] += self._a0c0
+        g2 = AZ[..., self.n:, :1]
+        return AZ[..., :self.n, :], self.A1, np.sqrt(np.maximum(g2, EPS_G)), g2
+
     def drift(self, X: np.ndarray) -> np.ndarray:
         """A0 + A1 x for each state of the stack X (..., n)."""
-        return self.A0 + _matvec(self.A1, X)
+        return self.linearize(X[..., None])[0][..., 0]
 
     def jacobian(self, X: np.ndarray) -> np.ndarray:
         """A1, which broadcasts over any stack of states."""
@@ -127,8 +144,8 @@ class DiscreteLinearModel:
     def gain(self, X: np.ndarray):
         """Diagonal gains sqrt(max(g^2(x), EPS_G)) for each state of the
         stack X (..., n), and the mask of components where g^2 < EPS_G."""
-        g2 = self.gsq[:, 0] + _matvec(self.gsq[:, 1:], X)
-        return np.sqrt(np.maximum(g2, EPS_G)), g2 < EPS_G
+        _, _, g, g2 = self.linearize(X[..., None])
+        return g[..., 0], g2[..., 0] < EPS_G
 
 
 def with_fixed_noise(model: DiscreteLinearModel, beta: float) -> DiscreteLinearModel:
@@ -175,10 +192,11 @@ class NonlinearModel:
         X.shape[:-1] + shape; a non-finite value raises."""
         X = np.asarray(X, dtype=float)
         out = np.array([fn(x) for x in X.reshape(-1, self.n)], dtype=float)
-        out = out.reshape(X.shape[:-1] + shape)
-        if not np.all(np.isfinite(out)):
-            raise NonFiniteStateError(f"{what} non-finite")
-        return out
+        if not np.isfinite(out).all():
+            ok = np.isfinite(out.reshape(len(out), -1)).all(axis=-1)
+            raise NonFiniteStateError(f"{what} non-finite",
+                                      replicate=_first_failure(ok))
+        return out.reshape(X.shape[:-1] + shape)
 
     def drift(self, X: np.ndarray) -> np.ndarray:
         """f(x) for each state of the stack X (..., n)."""
@@ -189,6 +207,15 @@ class NonlinearModel:
         stack X (..., n)."""
         Df = self.Df or (lambda x: finite_difference_jacobian(self.f, x))
         return self._rows(Df, X, (self.n, self.n), "Jacobian")
+
+    def linearize(self, Z: np.ndarray):
+        """As `DiscreteLinearModel.linearize`; Df is None if Z has only x,
+        and g^2 is inf: a user-supplied gain is never floored."""
+        X = Z[..., 0]
+        f = self.drift(X)[..., None]
+        J = self.jacobian(X) if Z.shape[-1] > 1 else None
+        FZ = f if J is None else np.concatenate((f, J @ Z[..., 1:]), axis=-1)
+        return FZ, J, self.gain(X)[0][..., None], np.inf
 
     def _gain_row(self, x):
         raw = np.asarray(self.G(x), dtype=float)

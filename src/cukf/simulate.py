@@ -9,7 +9,7 @@ import numpy as np
 
 from .discrete import (FilterTrace, _check_finite, run_filter,
                        run_filter_batch)
-from .errors import LengthMismatchError
+from .errors import FilterError, LengthMismatchError
 from .models import (EPS_G, ContinuousDiscreteModel, DiscreteLinearModel,
                      _matvec, eval_G, with_fixed_noise)
 
@@ -113,22 +113,25 @@ def simulate_batch(model, x0, N: int, seeds, distribution: str = "gaussian",
     # Pad each block by n so that row k holds the draws of step k.
     noise = _noise_blocks(seeds, N * (m + n) - n, distribution,
                           pad=n).reshape(R, N, m + n)
-    v = sv * noise[:, :-1, m:]
-    states = np.empty((R, N, n))
-    x = np.broadcast_to(np.asarray(x0, dtype=float), (R, n))
-    floored = np.zeros((R, n), dtype=bool)
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        for k in range(N):
-            states[:, k] = x
-            if k + 1 < N:
-                g, fl = model.gain(x)
-                floored |= fl
-                x = model.drift(x) + g * v[:, k]
-    # Row 0 holds x0; row k is the state of step k.
+    # Column states (R, n, 1); row 0 holds x0, row k the state of step k.
+    v = (sv * noise[:, :-1, m:])[..., None]
+    states, g2 = np.empty((R, N, n, 1)), np.empty((R, N - 1, n, 1))
+    states[:, 0, :, 0] = x0
+    try:
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            for k in range(N - 1):
+                fx, _, g, g2[:, k] = model.linearize(states[:, k])
+                states[:, k + 1] = fx + g * v[:, k]
+    except FilterError as exc:  # f or G non-finite making step k + 1
+        _check_finite("simulated state", 1, states[:, 1:k + 1])
+        exc.step = k + 1
+        raise
+    states = states[..., 0]
     _check_finite("simulated state", 1, states[:, 1:])
     ys = _matvec(model.C, states) + _matvec(Lw, noise[..., :m])
     return TrajectoryData(states=states, measurements=ys, seed=list(seeds),
-                          model_id=model_id, clamped=floored.any(axis=-1))
+                          model_id=model_id,
+                          clamped=(g2 < EPS_G).any(axis=(1, 2, 3)))
 
 
 def simulate_discrete(model, x0, N: int, seed, distribution: str = "gaussian",
@@ -168,7 +171,6 @@ def simulate_cd_batch(model: ContinuousDiscreteModel, x0, seeds,
     sv = np.sqrt(np.diag(dyn.Sigma_v))
     Lw = _meas_noise_chol(dyn.Sigma_w)
     # Column states (R, n, 1), so that A @ x rounds like the 1-D product.
-    A0, A1, c0, C1 = dyn.A0[:, None], dyn.A1, dyn.gsq[:, :1], dyn.gsq[:, 1:]
     x = np.broadcast_to(np.asarray(x0, dtype=float), (R, n))[..., None]
     states = np.empty((R, times.size, n))
     floored = np.zeros(R, dtype=bool)
@@ -183,9 +185,8 @@ def simulate_cd_batch(model: ContinuousDiscreteModel, x0, seeds,
                 # g^2 of every step of the gap, tested for the floor once.
                 g2 = np.empty_like(xi)
                 for j in range(nsteps[k]):
-                    gain = np.sqrt(np.maximum(
-                        np.add(c0, C1 @ x, out=g2[:, j]), EPS_G))
-                    x = x + h * (A0 + A1 @ x) + sqh * (gain * xi[:, j])
+                    fx, _, gain, g2[:, j] = dyn.linearize(x)
+                    x = x + h * fx + sqh * (gain * xi[:, j])
                 floored |= (g2 < EPS_G).any(axis=(1, 2, 3))
     _check_finite("simulated path", 1, states[:, 1:])
     ys = _matvec(dyn.C, states) + _matvec(

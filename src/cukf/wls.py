@@ -192,9 +192,9 @@ def initial_cost(init: StateEstimate) -> QuadraticCost:
 def _linearize(model, xhat):
     """(prediction, Jacobian, squared gains floored at EPS_G) at xhat."""
     xhat = np.atleast_1d(np.asarray(xhat, dtype=float))
-    g, _ = model.gain(xhat)
-    return (model.drift(xhat), np.atleast_2d(model.jacobian(xhat)),
-            np.maximum(g ** 2, EPS_G))
+    fx, _, g, _ = model.linearize(xhat[:, None])
+    return (fx[:, 0], np.atleast_2d(model.jacobian(xhat)),
+            np.maximum(g[:, 0] ** 2, EPS_G))
 
 
 def build_time_cost(prev: QuadraticCost, model, xhat_prev) -> QuadraticCost:

@@ -161,6 +161,15 @@ def test_model_file_path_accepted(tmp_path, monkeypatch):
     ["limit-check", "--model", "birth_death_cle", "--t1", "nan"],
     ["filter", "--model", "birth_death_cle", "--step", "nan"],
     ["simulate", "--model", "birth_death_cle", "--em-step", "nan"],
+    ["simulate", "--model", "example_sec3", "--x0", "nan"],
+    ["filter", "--model", "example_sec3", "--x0", "nan"],
+    ["compare", "--model", "example_sec3", "--beta", "0.1", "--x0", "nan"],
+    ["oracle-check", "--model", "example_sec3", "--x0", "nan"],
+    ["limit-check", "--model", "birth_death_cle", "--x0", "nan"],
+    # Clamp-detection grids of 2.2e13 and 2e8 nodes, refused before they
+    # are allocated.
+    ["limit-check", "--model", "birth_death_cle", "--levels", "40"],
+    ["filter", "--model", "birth_death_cle", "--step", "1e-9"],
 ])
 @pytest.mark.filterwarnings("error")
 def test_invalid_input_exits_1_without_traceback(argv, tmp_path, monkeypatch,
@@ -170,6 +179,15 @@ def test_invalid_input_exits_1_without_traceback(argv, tmp_path, monkeypatch,
     assert err.startswith("error: ") and "Traceback" not in err
     assert err.count("\n") == 1 and "NaN" not in err
 
+
+
+def test_nonfinite_nonlinear_simulation_names_its_step(tmp_path, monkeypatch,
+                                                      capsys):
+    code = run(["filter", "--model", "logistic", "--x0", "-5"], tmp_path,
+               monkeypatch)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: drift non-finite (at step 44)\n")
 
 
 @pytest.mark.parametrize("command", ["filter", "oracle-check"])

@@ -1,0 +1,222 @@
+"""The filter loop against a copy of its earlier per-step form, which held
+xhat and Sigma as separate arrays, tested S > 0 at every step and copied
+each step into the trace.  The joint [xhat | Sigma] loop must match it bit
+for bit at n = 1 (linear, fixed-beta and nonlinear models), within 1e-12
+relative up to n = 3 and m = 2, with the same clamp counts, and fail with
+the same error class, step and replicate on a non-positive innovation
+covariance or a non-finite measurement."""
+
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from cukf.discrete import run_filter_batch
+from cukf.errors import FilterError, NonFiniteStateError, SingularInnovationError
+from cukf.models import (EPS_G, DiscreteLinearModel, NonlinearModel,
+                         with_fixed_noise)
+from cukf.simulate import simulate_batch
+
+from reference_impl import rel_err
+
+N = 25
+FIELDS = ("xhat_prior", "Sigma_prior", "xhat_post", "Sigma_post",
+          "innovation", "S", "gain")
+
+
+def matvec(A, X):
+    return (A @ X[..., None])[..., 0]
+
+
+def sym(S):
+    return 0.5 * (S + S.swapaxes(-1, -2))
+
+
+def first(ok):
+    return int(np.argmin(ok)) if len(ok) > 1 else None
+
+
+def earlier_parts(model, X):
+    """f(x), Df(x), the gains and the floored mask at each state of X."""
+    if isinstance(model, DiscreteLinearModel):
+        g2 = model.gsq[:, 0] + matvec(model.gsq[:, 1:], X)
+        return (model.A0 + matvec(model.A1, X), model.A1,
+                np.sqrt(np.maximum(g2, EPS_G)), g2 < EPS_G)
+    f, J = model.drift(X), model.jacobian(X)
+    g, floored = model.gain(X)
+    return f, J, g, floored
+
+
+def earlier_blue(X, P, Y, C, Sigma_w, step):
+    E = Y - matvec(C, X)
+    CP = C @ P
+    S = sym(CP @ C.T + Sigma_w)
+    if S.shape[-1] == 1:
+        ok = S[:, 0, 0] > 0
+        if not ok.all():
+            raise SingularInnovationError("singular", step=step,
+                                          replicate=first(ok))
+        Li = 1.0 / np.sqrt(S)
+    else:
+        try:
+            Li = np.linalg.inv(np.linalg.cholesky(S))
+        except np.linalg.LinAlgError:
+            ok = np.ones(len(S), bool)
+            for r, Sr in enumerate(S):
+                try:
+                    np.linalg.cholesky(Sr)
+                except np.linalg.LinAlgError:
+                    ok[r] = False
+            raise SingularInnovationError("singular", step=step,
+                                          replicate=first(ok)) from None
+    K = (Li.swapaxes(-1, -2) @ (Li @ CP)).swapaxes(-1, -2)
+    return X + matvec(K, E), sym(P - K @ CP), E, S, K
+
+
+def earlier_check(first_step, xs, Ps):
+    ok = (np.isfinite(xs).all(axis=2) & np.isfinite(Ps).all(axis=(2, 3)))
+    if not ok.all():
+        k = int(np.argmin(ok.all(axis=0)))
+        raise NonFiniteStateError("non-finite", step=first_step + k,
+                                  replicate=first(ok[:, k]))
+
+
+def earlier_loop(model, ms, xhat, Sigma):
+    """The earlier loop: returns the trace fields (R, N, ...) and the clamp
+    counts, or raises."""
+    R, N, m = ms.shape
+    X = np.asarray(xhat, float)
+    P = np.broadcast_to(Sigma, X.shape + X.shape[-1:])
+    rows = {name: [] for name in FIELDS}
+    floored = np.zeros((N, R, X.shape[-1]), bool)
+    written = 0
+    try:
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            for k in range(N):
+                rows["xhat_prior"].append(X)
+                rows["Sigma_prior"].append(P)
+                X, P, E, S, K = earlier_blue(X, P, ms[:, k], model.C,
+                                            model.Sigma_w, step=1 + k)
+                for name, v in zip(FIELDS[2:], (X, P, E, S, K)):
+                    rows[name].append(v)
+                written = k + 1
+                if written < N:
+                    f, J, g, floored[k] = earlier_parts(model, X)
+                    Q = g[..., :, None] * model.Sigma_v * g[..., None, :]
+                    X, P = f, sym(J @ P @ J.swapaxes(-1, -2) + Q)
+    except Exception as exc:
+        if written:
+            earlier_check(1, np.stack(rows["xhat_post"], 1),
+                         np.stack(rows["Sigma_post"], 1))
+        if isinstance(exc, FilterError) and exc.step is None:
+            raise type(exc)(str(exc), step=1 + written) from exc
+        raise
+    trace = {name: np.stack(v, 1) for name, v in rows.items()}
+    earlier_check(1, trace["xhat_post"], trace["Sigma_post"])
+    return trace, floored.any(axis=-1).sum(axis=0)
+
+
+def random_linear(rng, n, m, clamp, fixed_beta):
+    A1 = rng.standard_normal((n, n))
+    A1 *= 0.95 / max(np.abs(np.linalg.eigvals(A1)).max(), 1e-6)
+    gsq = np.column_stack([rng.uniform(0.5, 5.0, n),
+                           rng.uniform(-0.5, 0.5, (n, n))])
+    if clamp:
+        gsq[0, 0] = -1.0
+    B = rng.standard_normal((m, m))
+    model = DiscreteLinearModel(
+        A0=rng.standard_normal(n), A1=A1, C=rng.standard_normal((m, n)),
+        gsq=gsq, Sigma_v=np.diag(rng.uniform(0.1, 2.0, n)),
+        Sigma_w=B @ B.T + 0.1 * np.eye(m))
+    return with_fixed_noise(model, rng.uniform(0, 2)) if fixed_beta else model
+
+
+def random_nonlinear(rng):
+    a, b, c = rng.uniform(0.5, 0.95), rng.uniform(-1, 1), rng.uniform(0.5, 3)
+    return NonlinearModel(
+        f=lambda x: a * x + b * np.sin(x),
+        Df=lambda x: np.atleast_2d(a + b * np.cos(x)),
+        G=lambda x: np.sqrt(c + 0.1 * x ** 2), C=[[rng.uniform(0.5, 2)]],
+        Sigma_v=[[rng.uniform(0.1, 2)]], Sigma_w=[[rng.uniform(0.1, 2)]], n=1)
+
+
+def data_for(rng, model, R):
+    n = model.C.shape[1]
+    ms = simulate_batch(model, rng.standard_normal((R, n)), N,
+                        rng.integers(1 << 31, size=R)).measurements
+    C0 = rng.standard_normal((n, n))
+    return ms, rng.standard_normal((R, n)), C0 @ C0.T
+
+
+def assert_same_run(model, ms, xinit, Sigma0, bitwise):
+    trace = run_filter_batch(model, ms, xinit, Sigma0)
+    ref, clamps = earlier_loop(model, ms, xinit, Sigma0)
+    for name in FIELDS:
+        got = np.ascontiguousarray(getattr(trace, name))
+        if bitwise:
+            assert got.tobytes() == ref[name].tobytes(), name
+        else:
+            assert rel_err(got, ref[name]) <= 1e-12, name
+    assert np.array_equal(trace.clamp_count, clamps)
+    for P in (trace.Sigma_prior, trace.Sigma_post):
+        assert np.array_equal(P, P.swapaxes(-1, -2))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(["linear", "clamping", "fixed-beta", "nonlinear"]),
+       st.sampled_from([1, 50]), st.integers(0, 2 ** 32 - 1))
+def test_scalar_loop_matches_the_earlier_loop_bit_for_bit(kind, R, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "nonlinear":
+        model = random_nonlinear(rng)
+    else:
+        model = random_linear(rng, 1, 1, kind == "clamping",
+                              kind == "fixed-beta")
+    assert_same_run(model, *data_for(rng, model, R), bitwise=True)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(1, 2), st.integers(1, 8),
+       st.booleans(), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_loop_matches_the_earlier_loop(n, m, R, clamp, fixed_beta, seed):
+    rng = np.random.default_rng(seed)
+    model = random_linear(rng, n, m, clamp, fixed_beta)
+    assert_same_run(model, *data_for(rng, model, R), bitwise=False)
+
+
+def outcome(fn):
+    try:
+        fn()
+    except FilterError as exc:
+        return type(exc), exc.step, exc.replicate
+    return None
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 6),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_failures_match_the_earlier_loop(n, m, R, exact, seed):
+    # Priors that are zero or indefinite for some replicates, so that S <= 0
+    # with exact (zero-noise) measurements or later on, and NaN or inf
+    # measurements for others.
+    rng = np.random.default_rng(seed)
+    model = random_linear(rng, n, m, rng.random() < 0.5, rng.random() < 0.5)
+    if exact:
+        model = replace(with_fixed_noise(model, rng.choice([0.0, 1.0])),
+                        Sigma_w=np.zeros((m, m)))
+    ms, xinit, Sigma0 = data_for(rng, model, R)
+    Sigma0 = np.broadcast_to(Sigma0, (R, n, n)).copy()
+    for r in range(R):
+        pick = rng.integers(5)
+        if pick == 1:
+            Sigma0[r] = 0.0
+        elif pick == 2:
+            Sigma0[r] = -4.0 * np.eye(n)
+        elif pick == 3:
+            ms[r, rng.integers(N), rng.integers(m)] = rng.choice([np.nan,
+                                                                  np.inf])
+    got = outcome(lambda: run_filter_batch(model, ms, xinit, Sigma0))
+    want = outcome(lambda: earlier_loop(model, ms, xinit, Sigma0))
+    assert got == want
+    if want is not None:
+        assert want[0] in (SingularInnovationError, NonFiniteStateError)

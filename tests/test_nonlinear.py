@@ -6,7 +6,7 @@ from cukf.discrete import StateEstimate, run_filter, time_update
 from cukf.errors import NonFiniteStateError
 from cukf.models import (DiscreteLinearModel, NonlinearModel,
                          gain_from_affine)
-from cukf.simulate import simulate_discrete
+from cukf.simulate import simulate_batch, simulate_discrete
 
 from reference_impl import rel_err
 
@@ -143,3 +143,18 @@ def test_time_update_failure_names_the_step_of_its_prior():
         run_filter(model, ys, StateEstimate([0.0], [[1.0]], 1))
     assert exc.value.step == 4
     assert str(exc.value) == "Jacobian non-finite (at step 4)"
+
+
+def test_simulated_nonfinite_drift_names_its_step_and_replicate():
+    # Below 0 the logistic drift runs off to -inf; f(x) overflows making
+    # the state of step 44, whichever the noise (g^2 is floored there).
+    with pytest.raises(NonFiniteStateError) as exc:
+        simulate_discrete(logistic(), [-5.0], 50, 0)
+    assert (exc.value.replicate, exc.value.step) == (None, 44)
+    assert str(exc.value) == "drift non-finite (at step 44)"
+    x0 = np.full((3, 1), 50.0)
+    x0[1] = -5.0
+    with pytest.raises(NonFiniteStateError) as exc:
+        simulate_batch(logistic(), x0, 50, [0, 1, 2])
+    assert (exc.value.replicate, exc.value.step) == (1, 44)
+    assert str(exc.value) == "drift non-finite (replicate 1, at step 44)"
