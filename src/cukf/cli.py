@@ -216,8 +216,10 @@ def _cmd_oracle_check(args):
 
 def _cmd_limit_check(args):
     model = _load(args.model)
-    outdir = _resolve_outdir(args)
     dyn = model.inner if isinstance(model, ContinuousDiscreteModel) else model
+    if not isinstance(dyn, DiscreteLinearModel):
+        raise ValueError("limit-check needs a linear model")
+    outdir = _resolve_outdir(args)
     n = dyn.n
     post = StateEstimate(xhat=np.full(n, args.x0),
                          Sigma=np.eye(n), index=args.t0)

@@ -5,13 +5,14 @@ model, its fixed-gain baseline (`with_fixed_noise`) and a nonlinear model
 all answer `linearize` (see `cukf.models`), on joint arrays [xhat | Sigma]."""
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import FilterError, NonFiniteStateError, SingularInnovationError
-from .models import EPS_G, _first_failure, eval_G
+from .models import EPS_G, DiscreteLinearModel, _first_failure, eval_G
 
 # eval_G is not called here; bench/spans.py wraps it as an attribute of this
 # module, so it stays importable from it.
@@ -46,7 +47,7 @@ class FilterTrace:
     """Per-step record of a filter run.
 
     All arrays share the leading dimension N (number of measurements), and
-    are views of the filter loop's buffers (see `_run_loop`).  `clamp_count`
+    are views of the filter loop's buffers (see `_filtered`).  `clamp_count`
     counts time updates in which any g^2 was floored.  `times`,
     `fallback_intervals` (intervals cut where the set of floored g^2
     changes) and `step_count` (the cuts made in them) are populated only by
@@ -207,25 +208,12 @@ def _check_finite(what, first_step, *stacks, S=None):
                                   replicate=_first_failure(ok[:, k]))
 
 
-def _run_loop(measurements, xhat, Sigma, predict, C, Sigma_w, start_index=1):
-    """The measurement-first filter loop shared by every filter, over a batch
-    of R replicates: measurements (R, N, m), initial priors xhat (R, n) and
-    Sigma (R, n, n).  Returns a batch FilterTrace.
-
-    The joint priors and posteriors [xhat | Sigma], [E | -C Sigma], S and
-    the gains of all steps live in time-major buffers (N, R, ...) that the
-    updates write in place; the trace's fields are views of them.
-
-    predict(k, Z, out) -> floored writes the priors of step k + 1 (0-based),
-    made from the posteriors Z of step k, into `out`, with a mask
-    broadcastable to (R, n, 1) of the g^2 it floored.  Errors name the step
-    and, when R > 1, the first failing replicate; a FilterError that predict
-    raises without a step is raised again naming the step of its prior.
-
-    The loop runs with numpy's floating-point warnings off and tests nothing
-    per step: one scan after it, and before any error inside it propagates,
-    finds the first failed step (`_check_finite`).
-    """
+def _filtered(measurements, xhat, Sigma, start_index, steps):
+    """A filter run over measurements (R, N, m) of R replicates from priors
+    xhat (R, n) and Sigma (R, n, n): steps(prior, post, W, S, Kt, tr) fills
+    the time-major buffers (N, R, ...) of [xhat | Sigma], W = [y | 0] ->
+    [E | -C Sigma], S and -K', returning the clamp counts, and one scan finds
+    the first failed step (`_check_finite`).  tr's fields view the buffers."""
     ms = np.asarray(measurements, dtype=float)
     R, N, m = ms.shape
     if N < 1:
@@ -236,39 +224,97 @@ def _run_loop(measurements, xhat, Sigma, predict, C, Sigma_w, start_index=1):
     W = np.zeros((N, R, m, 1 + n))
     W[..., 0] = ms.swapaxes(0, 1)
     S, Kt = np.empty((N, R, m, m)), np.empty((N, R, m, n))
-    floored = np.zeros((N, R, n, 1), dtype=bool)
     tr = FilterTrace(np.arange(start_index, start_index + N), *(
         a.swapaxes(0, 1) for a in (prior[..., 0], prior[..., 1:], post[..., 0],
                                    post[..., 1:], W[..., 0], S,
                                    Kt.swapaxes(-1, -2))))
-    written = 0
-    try:
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            for k in range(N):
-                _blue_step(prior[k], W[k], C, Sigma_w, S[k], Kt[k], post[k],
-                           step=start_index + k)
-                written = k + 1
-                if written < N:
-                    floored[k] = predict(k, post[k], prior[k + 1])
-    except Exception as exc:
-        # Whatever the loop raised (a user's f may raise anything), a failed
-        # step before it is the first failure.
-        _check_finite("estimate", start_index, tr.xhat_post[:, :written],
-                      tr.Sigma_post[:, :written], S=tr.S)
-        if isinstance(exc, FilterError) and exc.step is None:
-            exc.step = start_index + written  # predict made this step's prior
-        raise
+    clamp_count = steps(prior, post, W, S, Kt, tr)
     _check_finite("estimate", start_index, tr.xhat_post, tr.Sigma_post,
                   S=tr.S)
     np.negative(Kt, out=Kt)  # the trace's gains K = -Kt'
-    tr.clamp_count = floored.any(axis=(2, 3)).sum(axis=0)
+    tr.clamp_count = clamp_count
     return tr
+
+
+def _run_loop(measurements, xhat, Sigma, predict, C, Sigma_w, start_index=1):
+    """The measurement-first filter loop shared by every filter, in numpy
+    over the batch (see `_filtered`).
+
+    predict(k, Z, out) -> floored writes the priors of step k + 1 (0-based),
+    made from the posteriors Z of step k, into `out`, with a mask
+    broadcastable to (R, n, 1) of the g^2 it floored.  Errors name the step
+    and, when R > 1, the first failing replicate; a FilterError that predict
+    raises without a step is raised again naming the step of its prior.
+
+    The loop runs with numpy's floating-point warnings off and tests nothing
+    per step; the scan also runs before an error inside it propagates.
+    """
+
+    def steps(prior, post, W, S, Kt, tr):
+        N, R, n = prior.shape[:3]
+        floored = np.zeros((N, R, n, 1), dtype=bool)
+        written = 0
+        try:
+            with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+                for k in range(N):
+                    _blue_step(prior[k], W[k], C, Sigma_w, S[k], Kt[k],
+                               post[k], step=start_index + k)
+                    written = k + 1
+                    if written < N:
+                        floored[k] = predict(k, post[k], prior[k + 1])
+        except Exception as exc:
+            # Whatever the loop raised (a user's f may raise anything), a
+            # failed step before it is the first failure.
+            _check_finite("estimate", start_index, tr.xhat_post[:, :written],
+                          tr.Sigma_post[:, :written], S=tr.S)
+            if isinstance(exc, FilterError) and exc.step is None:
+                exc.step = start_index + written  # predict made its prior
+            raise
+        return floored.any(axis=(2, 3)).sum(axis=0)
+
+    return _filtered(measurements, xhat, Sigma, start_index, steps)
+
+
+def _scalar_steps(model, prior, post, W, S, Kt, tr):
+    """`_run_loop`'s steps for one replicate of a linear model with n = m = 1
+    in Python floats, bit-identical: the same IEEE operations in the same
+    order.  A matmul of one product adds it to +0.0 (-0.0 becomes +0.0); so
+    does this code where the sign can reach the trace."""
+    xp, Pp, xq, Pq, E, Ss, Ks = (memoryview(a[:, 0, 0, j]) for a, j in zip(
+        (prior, prior, post, post, W, S, Kt), (0, 1, 0, 1, 0, 0, 0)))
+    c, sw, a1 = (a.item() for a in (model.C, model.Sigma_w, model.A1))
+    a0, sv = model.A0.item() + 0.0, model.Sigma_v.item() + 0.0
+    c0, c1 = model.gsq[0].tolist()
+    x, P, N, clamps = xp[0], Pp[0], len(Ss), 0
+    for k in range(N):
+        mcp = 0.0 - c * P  # -C Sigma
+        Ss[k] = s = sw - mcp * c
+        # S not > 0 makes the posteriors non-finite, for the scan to report.
+        li = 1.0 / math.sqrt(s) if s > 0 else math.nan
+        E[k] = e = E[k] - (c * x + 0.0)
+        Ks[k] = kt = li * (li * mcp) + 0.0
+        xq[k] = x = x - (kt * e + 0.0)
+        Pq[k] = P = P - kt * mcp
+        if k + 1 < N:
+            g2 = c1 * x + c0
+            if g2 < EPS_G:  # not for NaN, which reaches the gain
+                g2, clamps = EPS_G, clamps + 1
+            g = math.sqrt(g2)
+            xp[k + 1] = x = a1 * x + a0
+            Pp[k + 1] = P = a1 * P * a1 + g * sv * g
+    return np.array([clamps])
 
 
 def run_filter_batch(model, measurements, xhat, Sigma) -> FilterTrace:
     """Filter R replicates at once: measurements (R, N, m), initial priors
     xhat (R, n) and Sigma (R, n, n) or one shared (n, n).  Returns a batch
-    trace."""
+    trace.  One replicate of a linear model with n = m = 1 takes the
+    Python-float kernel `_scalar_steps`, bit-identical to the numpy loop
+    `_run_loop`, which runs every other case."""
+    if (isinstance(model, DiscreteLinearModel) and model.n == model.m == 1
+            and np.shape(measurements)[0] == 1):
+        return _filtered(measurements, xhat, Sigma, 1,
+                         lambda *bufs: _scalar_steps(model, *bufs))
     return _run_loop(measurements, xhat, Sigma, _predictor(model), model.C,
                      model.Sigma_w)
 

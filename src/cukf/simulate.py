@@ -2,6 +2,7 @@
 statistics (mean squared error, innovation whiteness) used to judge them."""
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
@@ -102,7 +103,9 @@ def simulate_batch(model, x0, N: int, seeds, distribution: str = "gaussian",
     once, replicate r from its own Generator `default_rng(seeds[r])`; x0 is
     shared or (R, n).  Each replicate draws its noise as one block in the
     per-step order y_1 v_1 y_2 v_2 ... y_N, so every row is bit-identical to
-    a one-replicate run with the same seed."""
+    a one-replicate run with the same seed.  One replicate of a linear model
+    with n = 1 takes the Python-float kernel `_scalar_states`, bit-identical
+    to the numpy loop, which runs every other case."""
     if N < 1:
         raise ValueError("N must be >= 1")
     R = len(seeds)
@@ -117,21 +120,40 @@ def simulate_batch(model, x0, N: int, seeds, distribution: str = "gaussian",
     v = (sv * noise[:, :-1, m:])[..., None]
     states, g2 = np.empty((R, N, n, 1)), np.empty((R, N - 1, n, 1))
     states[:, 0, :, 0] = x0
-    try:
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            for k in range(N - 1):
-                fx, _, g, g2[:, k] = model.linearize(states[:, k])
-                states[:, k + 1] = fx + g * v[:, k]
-    except FilterError as exc:  # f or G non-finite making step k + 1
-        _check_finite("simulated state", 1, states[:, 1:k + 1])
-        exc.step = k + 1
-        raise
+    if R == n == 1 and isinstance(model, DiscreteLinearModel):
+        clamped = _scalar_states(model, states.reshape(-1), v.reshape(-1))
+    else:
+        try:
+            with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+                for k in range(N - 1):
+                    fx, _, g, g2[:, k] = model.linearize(states[:, k])
+                    states[:, k + 1] = fx + g * v[:, k]
+        except FilterError as exc:  # f or G non-finite making step k + 1
+            _check_finite("simulated state", 1, states[:, 1:k + 1])
+            exc.step = k + 1
+            raise
+        clamped = (g2 < EPS_G).any(axis=(1, 2, 3))
     states = states[..., 0]
     _check_finite("simulated state", 1, states[:, 1:])
     ys = _matvec(model.C, states) + _matvec(Lw, noise[..., :m])
     return TrajectoryData(states=states, measurements=ys, seed=list(seeds),
-                          model_id=model_id,
-                          clamped=(g2 < EPS_G).any(axis=(1, 2, 3)))
+                          model_id=model_id, clamped=clamped)
+
+
+def _scalar_states(model, x, v):
+    """`simulate_batch`'s state loop for one replicate of a linear model with
+    n = 1 in Python floats, bit-identical (see `discrete._scalar_steps`): x
+    (N,) holds x0 and gets the states, v the N - 1 scaled noises."""
+    a1, a0 = model.A1.item(), model.A0.item() + 0.0
+    c0, c1 = model.gsq[0].tolist()
+    xs, clamped = memoryview(x), False
+    xk = xs[0]
+    for k, vk in enumerate(memoryview(v), 1):
+        g2 = c1 * xk + c0
+        if g2 < EPS_G:  # not for NaN, which reaches the gain
+            g2, clamped = EPS_G, True
+        xs[k] = xk = a1 * xk + a0 + math.sqrt(g2) * vk
+    return np.array([clamped])
 
 
 def simulate_discrete(model, x0, N: int, seed, distribution: str = "gaussian",

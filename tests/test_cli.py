@@ -170,6 +170,8 @@ def test_model_file_path_accepted(tmp_path, monkeypatch):
     # are allocated.
     ["limit-check", "--model", "birth_death_cle", "--levels", "40"],
     ["filter", "--model", "birth_death_cle", "--step", "1e-9"],
+    # The Euler limit is of the linear moment equations.
+    ["limit-check", "--model", "logistic"],
 ])
 @pytest.mark.filterwarnings("error")
 def test_invalid_input_exits_1_without_traceback(argv, tmp_path, monkeypatch,

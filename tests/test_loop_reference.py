@@ -4,18 +4,26 @@ each step into the trace.  The joint [xhat | Sigma] loop must match it bit
 for bit at n = 1 (linear, fixed-beta and nonlinear models), within 1e-12
 relative up to n = 3 and m = 2, with the same clamp counts, and fail with
 the same error class, step and replicate on a non-positive innovation
-covariance or a non-finite measurement."""
+covariance or a non-finite measurement.
 
+One replicate of a linear model with n = m = 1 runs through the scalar
+kernel `_scalar_steps` instead; it must match the numpy loop `_run_loop` bit
+for bit, signed zeros included, or fail the same way."""
+
+import itertools
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from cukf.discrete import run_filter_batch
+from cukf.builtin import example_sec3
+from cukf.discrete import (StateEstimate, _predictor, _run_loop, run_filter,
+                           run_filter_batch)
 from cukf.errors import FilterError, NonFiniteStateError, SingularInnovationError
 from cukf.models import (EPS_G, DiscreteLinearModel, NonlinearModel,
                          with_fixed_noise)
-from cukf.simulate import simulate_batch
+from cukf.simulate import simulate_batch, simulate_discrete
 
 from reference_impl import rel_err
 
@@ -192,13 +200,33 @@ def outcome(fn):
     return None
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+def assert_kernel_matches_numpy_loop(model, ms, xinit, Sigma0):
+    """run_filter_batch, which takes the scalar kernel here, against the
+    numpy loop: the same trace bytes and clamp counts, or the same error."""
+    results = []
+    for run in (lambda: run_filter_batch(model, ms, xinit, Sigma0),
+                lambda: _run_loop(ms, xinit, Sigma0, _predictor(model),
+                                  model.C, model.Sigma_w)):
+        try:
+            trace = run()
+        except FilterError as exc:
+            results.append((type(exc), exc.step, exc.replicate))
+        else:
+            results.append([np.ascontiguousarray(getattr(trace, name)).tobytes()
+                            for name in FIELDS] + [trace.clamp_count.tolist()])
+    assert results[0] == results[1]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
 @given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 6),
        st.booleans(), st.integers(0, 2 ** 32 - 1))
 def test_failures_match_the_earlier_loop(n, m, R, exact, seed):
     # Priors that are zero or indefinite for some replicates, so that S <= 0
     # with exact (zero-noise) measurements or later on, and NaN or inf
-    # measurements for others.
+    # measurements for others.  Every third example is one scalar replicate,
+    # which the scalar kernel runs.
+    if seed % 3 == 0:
+        n = m = R = 1
     rng = np.random.default_rng(seed)
     model = random_linear(rng, n, m, rng.random() < 0.5, rng.random() < 0.5)
     if exact:
@@ -220,3 +248,39 @@ def test_failures_match_the_earlier_loop(n, m, R, exact, seed):
     assert got == want
     if want is not None:
         assert want[0] in (SingularInnovationError, NonFiniteStateError)
+    if R == n == m == 1:
+        assert_kernel_matches_numpy_loop(model, ms, xinit, Sigma0)
+
+
+def test_scalar_kernels_keep_the_signed_zeros_of_the_numpy_loops():
+    # Zero states and priors, -0.0 inputs and a denormal prior, whose
+    # products round to -0.0 where a one-product matmul gives +0.0.
+    for x0, P0, y0, c, A0, Sigma_v, Sigma_w in itertools.product(
+            [0.0, -0.0], [0.0, -0.0, 5e-324], [-0.0, 1.0], [1.0, -1.0],
+            [-0.0, 1.0], [-0.0, 1.0], [0.0, 4.0]):
+        model = DiscreteLinearModel(A0=[A0], A1=[[0.5]], C=[[c]],
+                                    gsq=[[1.0, 0.5]], Sigma_v=[[Sigma_v]],
+                                    Sigma_w=[[Sigma_w]])
+        assert_kernel_matches_numpy_loop(model, [[[y0], [1.0], [-0.0]]],
+                                         [[x0]], [[P0]])
+        batch = simulate_batch(model, [x0], 3, [0, 1, 2])  # the numpy loop
+        for r in range(3):
+            one = simulate_discrete(model, [x0], 3, r)
+            assert one.states.tobytes() == batch.states[r].tobytes()
+
+
+def test_one_scalar_replicate_takes_the_kernels(monkeypatch):
+    # Without this, a silent fall-back to the numpy loop would pass every
+    # bit-identity test.
+    def numpy_path(*args, **kwargs):
+        raise AssertionError("numpy path taken")
+
+    monkeypatch.setattr("cukf.discrete._run_loop", numpy_path)
+    monkeypatch.setattr(DiscreteLinearModel, "linearize", numpy_path)
+    init = StateEstimate(xhat=[0.5], Sigma=[[1.0]], index=1)
+    for model in (example_sec3(), with_fixed_noise(example_sec3(), 0.1)):
+        data = simulate_discrete(model, [1.0], 30, 0)
+        assert len(run_filter(model, data.measurements, init)) == 30
+    with pytest.raises(AssertionError, match="numpy path taken"):
+        run_filter_batch(example_sec3(), np.ones((2, 5, 1)), np.zeros((2, 1)),
+                         np.eye(1))

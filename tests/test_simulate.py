@@ -186,8 +186,14 @@ def test_simulate_batch_matches_per_step_loop_bit_for_bit(distribution):
         C=[[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]],
         gsq=[[1.0, -1.0, 0.0, 0.0], [2.0, 0.0, 0.5, 0.0], [0.5, 0.1, 0.1, -0.3]],
         Sigma_v=np.diag([1.0, 0.5, 2.0]), Sigma_w=[[1.0, 0.3], [0.3, 2.0]])
+    # g^2 = -1 + 0.5 x is floored from x0 = 2 on; two outputs.
+    scalar_clamping = DiscreteLinearModel(
+        A0=[0.5], A1=[[0.9]], C=[[1.0], [0.5]], gsq=[[-1.0, 0.5]],
+        Sigma_v=[[1.5]], Sigma_w=[[1.0, 0.3], [0.3, 2.0]])
     seeds = [0, 1, 2]
-    for model, N in ((example_sec3(), 60), (two_state, 40), (clamping, 40)):
+    for model, N, clamps in ((example_sec3(), 60, False),
+                             (two_state, 40, False), (clamping, 40, True),
+                             (scalar_clamping, 40, True)):
         x0 = np.full(model.n, 2.0)
         batch = simulate_batch(model, x0, N, seeds, distribution=distribution)
         for r, seed in enumerate(seeds):
@@ -200,7 +206,8 @@ def test_simulate_batch_matches_per_step_loop_bit_for_bit(distribution):
                                        distribution=distribution)
             assert np.array_equal(single.states, xs)
             assert np.array_equal(single.measurements, ys)
-        assert batch.clamped.all() == (model is clamping)
+            assert single.clamped == clamped
+        assert batch.clamped.all() == clamps
 
 
 def test_simulate_batch_names_the_failing_replicate():
@@ -223,6 +230,9 @@ def test_nonfinite_simulations_emit_no_runtime_warning(bad):
         with pytest.raises(NonFiniteStateError) as exc:
             simulate_batch(example_sec3(), x0, 5, [0, 1, 2, 3])
         assert (exc.value.replicate, exc.value.step) == (1, 1)
+        with pytest.raises(NonFiniteStateError) as exc:
+            simulate_discrete(example_sec3(), [bad], 5, 0)
+        assert (exc.value.replicate, exc.value.step) == (None, 1)
         with pytest.raises(NonFiniteStateError) as exc:
             simulate_cd_batch(model, x0, [0, 1, 2, 3], em_step=0.01)
         assert (exc.value.replicate, exc.value.step) == (1, 1)
