@@ -117,16 +117,20 @@ def _init_estimate(model, args):
     return StateEstimate(xhat=xinit, Sigma=args.init_sigma * np.eye(n), index=1)
 
 
+def _check_fixed_beta(model, beta, what, beta_for):
+    """Refuse a fixed-beta baseline of a model that is not discrete linear,
+    then one without --beta."""
+    if not isinstance(model, DiscreteLinearModel):
+        raise ValueError(f"{what} needs a discrete linear model")
+    if beta is None:
+        raise ValueError(f"--beta is required {beta_for}")
+
+
 def _cmd_filter(args):
     model = _load(args.model)
-    if args.variant == "fixed-beta" and args.beta is None:
-        print("error: --beta is required with --variant fixed-beta",
-              file=sys.stderr)
-        return 1
-    if args.variant == "fixed-beta" and not isinstance(model, DiscreteLinearModel):
-        print("error: --variant fixed-beta needs a discrete linear model",
-              file=sys.stderr)
-        return 1
+    if args.variant == "fixed-beta":
+        _check_fixed_beta(model, args.beta, "--variant fixed-beta",
+                          "with --variant fixed-beta")
     init = _init_estimate(model, args)
     outdir = _resolve_outdir(args)
     data = _simulate_any(model, args)
@@ -154,13 +158,7 @@ def _cmd_filter(args):
 
 def _cmd_compare(args):
     model = _load(args.model)
-    if not isinstance(model, DiscreteLinearModel):
-        print("error: compare needs a discrete linear model", file=sys.stderr)
-        return 1
-    if args.beta is None:
-        print("error: --beta is required for the fixed-beta baseline",
-              file=sys.stderr)
-        return 1
+    _check_fixed_beta(model, args.beta, "compare", "for the fixed-beta baseline")
     outdir = _resolve_outdir(args)
     filters = [
         FilterSpec(name="covariance-update", variant="covariance-update"),
@@ -189,9 +187,7 @@ def _rel_delta(a, b):
 def _cmd_oracle_check(args):
     model = _load(args.model)
     if isinstance(model, ContinuousDiscreteModel):
-        print("error: oracle-check supports discrete models only",
-              file=sys.stderr)
-        return 1
+        raise ValueError("oracle-check supports discrete models only")
     init = _init_estimate(model, args)
     outdir = _resolve_outdir(args)
     args.N = args.horizon

@@ -12,8 +12,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .discrete import (FilterTrace, StateEstimate, _run_loop, symmetrize,
-                       time_update)
+from .discrete import (FilterTrace, StateEstimate, _run_loop,
+                       _symmetrize_in_place, symmetrize, time_update)
 from .errors import (LengthMismatchError, ModelError, NonFiniteStateError,
                      StepTooLargeError)
 from .models import EPS_G, ContinuousDiscreteModel, DiscreteLinearModel, eval_G
@@ -98,8 +98,10 @@ class _Propagator:
     Sigma, so the floored set is read off g2(x(t)) at nodes half a step
     apart.  An interval where that set changes is cut at each crossing of
     EPS_G, and each piece is propagated by its own exponential; such
-    intervals and their cuts are counted.  Whole-gap exponentials are cached
-    per exact gap and floored set, as long as the object lives.
+    intervals and their cuts are counted.  For as long as the object lives,
+    the grid checks, the node map and the whole-interval exponentials (one
+    per floored set) are built once per exact interval length, on its first
+    interval, and the generator M once per floored set.
     """
 
     def __init__(self, dyn: DiscreteLinearModel, cfg: IntegratorConfig):
@@ -112,31 +114,44 @@ class _Propagator:
         self.sv = sv
         self.cut_intervals = 0
         self.cuts = 0
-        # Keyed on the exact gap; the node count follows from gap and step.
-        self._node_maps = {}   # gap -> (K*n, n+1): [1; x(t0)] -> g2(nodes)
-        self._exps = {}        # (gap, floored set) -> expm(M gap)
+        self._spans = {}       # span -> (w0, W1, {floored set: expm})
+        self._generators = {}  # floored set -> M
 
-    def _node_g2(self, x, span, nsteps):
-        """g2(x(t)) at the 2*nsteps + 1 nodes, shape (K, n)."""
-        W = self._node_maps.get(span)
+    def _new_span(self, span, t0, t1):
+        """The entry of an interval of length `span`, built on its first
+        interval [t0, t1]: W = [w0 W1] maps [1; x(t0)] to g2 at the
+        2*nsteps + 1 nodes, stacked (K*n, n+1)."""
+        if self.cfg.step > span * (1 + 1e-12):
+            raise StepTooLargeError(
+                f"step {self.cfg.step} exceeds interval {span}")
+        # In Python floats, so that a ratio that overflows is inf, unwarned.
+        nsteps = max(1.0, round(float(span) / float(self.cfg.step), 0))
+        if nsteps > 10 ** 5:  # a grid of 2 * nsteps + 1 nodes
+            raise ValueError(f"step {self.cfg.step} puts {nsteps:.0f} grid "
+                             f"steps on [{t0}, {t1}]; at most 100000 are "
+                             "allowed")
+        nsteps = int(nsteps)
         dyn = self.dyn
         n = dyn.n
-        if W is None:
-            Mx = np.zeros((n + 1, n + 1))  # mean generator acting on [1; x]
-            Mx[1:, 0] = dyn.A0
-            Mx[1:, 1:] = dyn.A1
-            # Powers 0..2*nsteps of the half-step propagator, by doubling.
-            P = np.eye(n + 1)[None]
-            power = _expm(Mx * (span / (2 * nsteps)))
-            while P.shape[0] <= 2 * nsteps:
-                P = np.concatenate((P, power @ P))
-                power = power @ power
-            W = (dyn.gsq @ P[:2 * nsteps + 1]).reshape(-1, n + 1)
-            self._node_maps[span] = W
-        return (W[:, 0] + W[:, 1:] @ x).reshape(-1, n)
+        Mx = np.zeros((n + 1, n + 1))  # mean generator acting on [1; x]
+        Mx[1:, 0] = dyn.A0
+        Mx[1:, 1:] = dyn.A1
+        # Powers 0..2*nsteps of the half-step propagator, by doubling.
+        P = np.eye(n + 1)[None]
+        power = _expm(Mx * (span / (2 * nsteps)))
+        while P.shape[0] <= 2 * nsteps:
+            P = np.concatenate((P, power @ P))
+            power = power @ power
+        W = (dyn.gsq @ P[:2 * nsteps + 1]).reshape(-1, n + 1)
+        entry = self._spans[span] = (W[:, 0], W[:, 1:], {})
+        return entry
 
     def _generator(self, floored):
         """M of z' = M z, with the g2 components in `floored` at EPS_G."""
+        key = floored.tobytes()
+        M = self._generators.get(key)
+        if M is not None:
+            return M
         dyn = self.dyn
         n = dyn.n
         M = np.zeros((n + n * n + 1, n + n * n + 1))
@@ -148,6 +163,7 @@ class _Propagator:
         M[diag, :n] = np.where(floored[:, None], 0.0,
                                self.sv[:, None] * dyn.gsq[:, 1:])
         M[diag, -1] = self.sv * np.where(floored, EPS_G, dyn.gsq[:, 0])
+        self._generators[key] = M
         return M
 
     def _cut(self, z, g2, floored, span):
@@ -170,28 +186,23 @@ class _Propagator:
         span = t1 - t0
         if span == 0:
             return x.copy(), S.copy(), False
-        if self.cfg.step > span * (1 + 1e-12):
-            raise StepTooLargeError(
-                f"step {self.cfg.step} exceeds interval {span}")
-        nsteps = max(1, int(round(span / self.cfg.step)))
-        if nsteps > 10 ** 5:  # a grid of 2 * nsteps + 1 nodes
-            raise ValueError(f"step {self.cfg.step} puts {nsteps} grid steps "
-                             f"on [{t0}, {t1}]; at most 100000 are allowed")
-        g2 = self._node_g2(x, span, nsteps)
-        floored = g2 < EPS_G
+        w0, W1, exps = (self._spans.get(span)
+                        or self._new_span(span, t0, t1))
         n = x.size
+        g2 = (w0 + W1 @ x).reshape(-1, n)
+        floored = g2 < EPS_G
         z = np.concatenate((x, S.ravel(), [1.0]))
         if (floored == floored[0]).all():
-            key = (span, floored[0].tobytes())
-            if key not in self._exps:
-                self._exps[key] = _expm(self._generator(floored[0]) * span)
-            z = self._exps[key] @ z
+            key = floored[0].tobytes()
+            E = exps.get(key)
+            if E is None:
+                E = exps[key] = _expm(self._generator(floored[0]) * span)
+            z = E @ z
         else:
             z = self._cut(z, g2, floored, span)
-        x, S = z[:n], z[n:-1].reshape(n, n)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(S))):
+        if not np.isfinite(z[:-1]).all():
             raise NonFiniteStateError(f"integration diverged on [{t0}, {t1}]")
-        return x, S, bool(floored.any())
+        return z[:n], z[n:-1].reshape(n, n), bool(floored.any())
 
 
 def cd_time_update(post: StateEstimate, model, t0: float, t1: float,
@@ -226,9 +237,9 @@ def cd_run(model: ContinuousDiscreteModel, measurements, init: StateEstimate,
     prop = _Propagator(dyn, cfg)
 
     def predict(k, Z, out):
-        out[0, :, 0], S, clamped = prop.propagate(
+        out[0, :, 0], out[0, :, 1:], clamped = prop.propagate(
             Z[0, :, 0], Z[0, :, 1:], times[k], times[k + 1])
-        out[0, :, 1:] = symmetrize(S)
+        _symmetrize_in_place(out[0, :, 1:])
         return clamped
 
     trace = _run_loop(ms[None], init.xhat[None], init.Sigma[None], predict,

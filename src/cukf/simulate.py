@@ -173,7 +173,10 @@ def simulate_cd_batch(model: ContinuousDiscreteModel, x0, seeds,
     R = len(seeds) paths at once; x0 is shared or (R, n).  Path r draws its
     noise as one block from `default_rng(seeds[r])` in the per-step order
     y_1, the steps of gap 1, y_2, ..., so every row is bit-identical to a
-    one-path run with the same seed."""
+    one-path run with the same seed.  A gap of more than 10^5 steps is
+    refused before any noise is drawn.  One path of a model with n = 1 takes
+    the Python-float kernel `_one_path_states`, bit-identical to the numpy
+    loop, which runs every other case."""
     if not 0 < em_step < np.inf:
         raise ValueError("em_step must be finite and positive")
     dyn = model.inner
@@ -182,10 +185,16 @@ def simulate_cd_batch(model: ContinuousDiscreteModel, x0, seeds,
     n = dyn.n
     m = dyn.m
     gaps = np.diff(times)
-    nsteps = np.rint(gaps / em_step).astype(int)
-    for gap, ns in zip(gaps, nsteps):
+    with np.errstate(over="ignore"):
+        nsteps = np.rint(gaps / em_step)
+    for t0, t1, gap, ns in zip(times, times[1:], gaps, nsteps):
+        if not ns <= 10 ** 5:
+            raise ValueError(f"em_step {em_step} puts {ns:.0f} steps on "
+                             f"[{t0}, {t1}]; at most 100000 are allowed")
         if ns < 1 or abs(ns * em_step - gap) > 1e-9 * max(gap, 1.0):
             raise ValueError(f"em_step {em_step} does not divide the gap {gap}")
+    nsteps = nsteps.astype(int)
+    hs = gaps / nsteps
     # Sample k's draws start at starts[k]: m for y_k, then n per step.
     sizes = m + n * np.append(nsteps, 0)
     starts = np.concatenate(([0], np.cumsum(sizes)))
@@ -195,12 +204,14 @@ def simulate_cd_batch(model: ContinuousDiscreteModel, x0, seeds,
     # Column states (R, n, 1), so that A @ x rounds like the 1-D product.
     x = np.broadcast_to(np.asarray(x0, dtype=float), (R, n))[..., None]
     states = np.empty((R, times.size, n))
-    floored = np.zeros(R, dtype=bool)
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        for k in range(times.size):
-            states[:, k] = x[..., 0]
-            if k + 1 < times.size:
-                h = gaps[k] / nsteps[k]
+    states[:, 0] = x[..., 0]
+    if R == n == 1:
+        floored = _one_path_states(dyn, states.reshape(-1), sv * noise[0],
+                                   hs, nsteps, starts[:-1] + m)
+    else:
+        floored = np.zeros(R, dtype=bool)
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            for k, h in enumerate(hs):
                 sqh = np.sqrt(h)
                 xi = (sv * noise[:, starts[k] + m:starts[k + 1]].reshape(
                     R, nsteps[k], n))[..., None]
@@ -210,12 +221,34 @@ def simulate_cd_batch(model: ContinuousDiscreteModel, x0, seeds,
                     fx, _, gain, g2[:, j] = dyn.linearize(x)
                     x = x + h * fx + sqh * (gain * xi[:, j])
                 floored |= (g2 < EPS_G).any(axis=(1, 2, 3))
+                states[:, k + 1] = x[..., 0]
     _check_finite("simulated path", 1, states[:, 1:])
     ys = _matvec(dyn.C, states) + _matvec(
         Lw, noise[:, starts[:-1, None] + np.arange(m)])
     return TrajectoryData(states=states, measurements=ys, seed=list(seeds),
                           model_id=model_id, clamped=floored,
                           times=times.copy())
+
+
+def _one_path_states(dyn, x, xi, hs, nsteps, starts):
+    """`simulate_cd_batch`'s Euler-Maruyama loop for one path of a model with
+    n = 1 in Python floats, bit-identical (see `discrete._scalar_steps`): x
+    (K,) holds x0 and gets the states at the sample times, xi the scaled
+    noise row, whose steps of gap k start at starts[k]."""
+    a1, a0 = dyn.A1.item(), dyn.A0.item() + 0.0
+    c0, c1 = dyn.gsq[0].tolist()
+    xs, xi, floored = memoryview(x), memoryview(xi), False
+    xk = xs[0]
+    for k, (h, ns, s) in enumerate(zip(hs.tolist(), nsteps.tolist(),
+                                       starts.tolist()), 1):
+        sqh = math.sqrt(h)
+        for v in xi[s:s + ns]:
+            g2 = c1 * xk + c0
+            if g2 < EPS_G:  # not for NaN, which reaches the gain
+                g2, floored = EPS_G, True
+            xk = xk + h * (a1 * xk + a0) + sqh * (math.sqrt(g2) * v)
+        xs[k] = xk
+    return np.array([floored])
 
 
 def simulate_cd(model: ContinuousDiscreteModel, x0, seed, em_step: float,

@@ -172,6 +172,15 @@ def test_model_file_path_accepted(tmp_path, monkeypatch):
     ["filter", "--model", "birth_death_cle", "--step", "1e-9"],
     # The Euler limit is of the linear moment equations.
     ["limit-check", "--model", "logistic"],
+    # 10^8 Euler-Maruyama steps per gap (40 GB of noise), refused before
+    # the noise is drawn.
+    ["filter", "--model", "birth_death_cle", "--em-step", "1e-9"],
+    ["compare", "--model", "example_sec3"],
+    ["compare", "--model", "birth_death_cle", "--beta", "0.1"],
+    ["oracle-check", "--model", "birth_death_cle"],
+    # Steps whose count overflows to inf.
+    ["filter", "--model", "birth_death_cle", "--step", "5e-324"],
+    ["simulate", "--model", "birth_death_cle", "--em-step", "5e-324"],
 ])
 @pytest.mark.filterwarnings("error")
 def test_invalid_input_exits_1_without_traceback(argv, tmp_path, monkeypatch,

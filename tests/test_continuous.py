@@ -322,6 +322,25 @@ def test_models_built_in_a_loop_each_get_their_own_exponential():
         assert rel_err(trace.Sigma_post, Ps) < 1e-12
 
 
+def test_generator_is_built_once_per_floored_set(monkeypatch):
+    # linspace gives gaps that differ by ulps; each exact gap has its own
+    # exponential, but the generator M is built once per floored set.
+    kron, kron_calls = np.kron, []
+
+    def counting_kron(*args):
+        kron_calls.append(args)
+        return kron(*args)
+
+    model = birth_death_cle()
+    assert np.unique(np.diff(model.sample_times)).size >= 5
+    data = simulate_cd(model, [100.0], 0, 0.01)
+    monkeypatch.setattr(np, "kron", counting_kron)
+    trace = cd_run(model, data.measurements,
+                   StateEstimate([100.0], [[1.0]], 0.0))
+    assert trace.clamp_count == 0
+    assert len(kron_calls) == 2  # the two products of the Kronecker sum
+
+
 def expm_rel_err(A):
     ref = scipy_expm(A)
     return np.abs(_expm(A) - ref).max() / np.abs(ref).max()

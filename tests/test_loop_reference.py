@@ -21,9 +21,10 @@ from cukf.builtin import example_sec3
 from cukf.discrete import (StateEstimate, _predictor, _run_loop, run_filter,
                            run_filter_batch)
 from cukf.errors import FilterError, NonFiniteStateError, SingularInnovationError
-from cukf.models import (EPS_G, DiscreteLinearModel, NonlinearModel,
-                         with_fixed_noise)
-from cukf.simulate import simulate_batch, simulate_discrete
+from cukf.models import (EPS_G, ContinuousDiscreteModel, DiscreteLinearModel,
+                         NonlinearModel, with_fixed_noise)
+from cukf.simulate import (simulate_batch, simulate_cd, simulate_cd_batch,
+                           simulate_discrete)
 
 from reference_impl import rel_err
 
@@ -266,6 +267,11 @@ def test_scalar_kernels_keep_the_signed_zeros_of_the_numpy_loops():
         batch = simulate_batch(model, [x0], 3, [0, 1, 2])  # the numpy loop
         for r in range(3):
             one = simulate_discrete(model, [x0], 3, r)
+            assert one.states.tobytes() == batch.states[r].tobytes()
+        cd = ContinuousDiscreteModel(inner=model, sample_times=[0.0, 0.02])
+        batch = simulate_cd_batch(cd, [x0], [0, 1, 2], em_step=0.01)
+        for r in range(3):
+            one = simulate_cd(cd, [x0], r, em_step=0.01)
             assert one.states.tobytes() == batch.states[r].tobytes()
 
 

@@ -1,5 +1,6 @@
 import csv
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from cukf.builtin import birth_death_cle, example_sec3
 from cukf.continuous import IntegratorConfig, cd_time_update
 from cukf.discrete import StateEstimate, run_filter
 from cukf.errors import LengthMismatchError, NonFiniteStateError
+from cukf.modelio import load_model
 from cukf.models import ContinuousDiscreteModel, DiscreteLinearModel
 from cukf.simulate import (FilterSpec, TrajectoryData, innovation_whiteness,
                            monte_carlo_compare, mse, replicate_seed,
@@ -234,6 +236,9 @@ def test_nonfinite_simulations_emit_no_runtime_warning(bad):
             simulate_discrete(example_sec3(), [bad], 5, 0)
         assert (exc.value.replicate, exc.value.step) == (None, 1)
         with pytest.raises(NonFiniteStateError) as exc:
+            simulate_cd(model, [bad], 0, em_step=0.01)
+        assert (exc.value.replicate, exc.value.step) == (None, 1)
+        with pytest.raises(NonFiniteStateError) as exc:
             simulate_cd_batch(model, x0, [0, 1, 2, 3], em_step=0.01)
         assert (exc.value.replicate, exc.value.step) == (1, 1)
     assert str(exc.value) == ("simulated path became non-finite "
@@ -242,24 +247,57 @@ def test_nonfinite_simulations_emit_no_runtime_warning(bad):
 
 def test_simulate_cd_batch_rows_match_one_path_runs():
     # Uneven gaps, and a pure-death model whose g^2 = 2x is floored once
-    # the path crosses 0.
-    pure_death = DiscreteLinearModel(A0=[0.0], A1=[[-2.0]], C=[[1.0]],
-                                     gsq=[[0.0, 2.0]], Sigma_v=[[1.0]],
-                                     Sigma_w=[[1.0]])
+    # the path crosses 0.  A batch runs the numpy loop and one path the
+    # Python-float kernel, so the rows must match byte for byte, signed
+    # zeros included.
+    death = DiscreteLinearModel(A0=[0.0], A1=[[-2.0]], C=[[1.0]],
+                                gsq=[[0.0, 2.0]], Sigma_v=[[1.0]],
+                                Sigma_w=[[1.0]])
     times = np.array([0.0, 0.05, 0.25, 0.3, 1.0])
-    models = [birth_death_cle(t_end=1.0, n_samples=5),
-              ContinuousDiscreteModel(inner=pure_death, sample_times=times)]
+    pure_death = ContinuousDiscreteModel(inner=death, sample_times=times)
     seeds = [replicate_seed(5, r) for r in range(6)]
-    for model in models:
-        x0 = np.full(model.n, 1.0)
-        batch = simulate_cd_batch(model, x0, seeds, em_step=0.01)
+    for model, x0 in ((birth_death_cle(t_end=1.0, n_samples=5), 1.0),
+                      (pure_death, 1.0), (pure_death, 0.0),
+                      (pure_death, -0.0)):
+        batch = simulate_cd_batch(model, [x0], seeds, em_step=0.01)
         for r, seed in enumerate(seeds):
-            one = simulate_cd(model, x0, seed, em_step=0.01)
-            assert np.array_equal(batch.states[r], one.states)
-            assert np.array_equal(batch.measurements[r], one.measurements)
+            one = simulate_cd(model, [x0], seed, em_step=0.01)
+            assert batch.states[r].tobytes() == one.states.tobytes()
+            assert (batch.measurements[r].tobytes()
+                    == one.measurements.tobytes())
             assert batch.clamped[r] == one.clamped
             assert np.array_equal(batch.times, one.times)
-    assert batch.clamped.any()
+        assert batch.clamped.any() == (model is pure_death)
+
+
+def test_one_path_of_a_scalar_model_takes_the_kernel(monkeypatch):
+    # Without this, a silent fall-back to the numpy loop would pass every
+    # bit-identity test.
+    def numpy_path(*args, **kwargs):
+        raise AssertionError("numpy path taken")
+
+    models = Path(__file__).resolve().parents[1] / "bench" / "models"
+    pure_death = load_model(models / "pure_death_cle.txt")
+    two_species = load_model(models / "two_species_cle.txt")
+    monkeypatch.setattr(DiscreteLinearModel, "linearize", numpy_path)
+    for model in (birth_death_cle(), pure_death):
+        assert simulate_cd(model, [100.0], 0, em_step=0.01).clamped == (
+            model is pure_death)
+    for model, seeds in ((birth_death_cle(), [0, 1]), (two_species, [0])):
+        with pytest.raises(AssertionError, match="numpy path taken"):
+            simulate_cd_batch(model, np.full(model.n, 100.0), seeds,
+                              em_step=0.01)
+
+
+def test_em_step_cap_is_checked_before_the_noise_is_drawn(monkeypatch):
+    def no_noise(*args, **kwargs):
+        raise AssertionError("noise drawn")
+
+    monkeypatch.setattr("cukf.simulate._noise_blocks", no_noise)
+    with pytest.raises(ValueError) as exc:
+        simulate_cd(birth_death_cle(), [100.0], 0, em_step=1e-9)
+    assert str(exc.value) == ("em_step 1e-09 puts 100000000 steps on "
+                              "[0.0, 0.1]; at most 100000 are allowed")
 
 
 def test_mse_trivials():
