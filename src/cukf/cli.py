@@ -180,8 +180,10 @@ def _cmd_compare(args):
     return 0
 
 
-def _rel_delta(a, b):
-    return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
+def _step_rel_deltas(a, b):
+    """Per step (leading axis), the largest |a - b| / max(1, |b|)."""
+    r = np.abs(a - b) / np.maximum(1.0, np.abs(b))
+    return r.reshape(len(r), -1).max(axis=1).tolist()
 
 
 def _cmd_oracle_check(args):
@@ -195,9 +197,9 @@ def _cmd_oracle_check(args):
     trace = run_filter(model, data.measurements, init)
     sols = oracle_filter(model, data.measurements, init,
                          max_horizon=args.horizon)
-    deltas = [(_rel_delta(s.xhat, trace.xhat_post[k]),
-               _rel_delta(s.Sigma, trace.Sigma_post[k]))
-              for k, s in enumerate(sols)]
+    deltas = list(zip(
+        _step_rel_deltas(np.array([s.xhat for s in sols]), trace.xhat_post),
+        _step_rel_deltas(np.array([s.Sigma for s in sols]), trace.Sigma_post)))
     path = os.path.join(outdir, "oracle_deltas.csv")
     with _atomic(path) as tmp:
         dump_diagnostics(sols, tmp, deltas=deltas)

@@ -268,7 +268,8 @@ def mse(trace: FilterTrace, truth: TrajectoryData, burn_in: int = 0):
         raise LengthMismatchError(
             f"trace has {len(trace)} steps, truth has {len(truth)}")
     err = trace.xhat_post[..., burn_in:, :] - truth.states[..., burn_in:, :]
-    out = np.mean(np.sum(err ** 2, axis=-1), axis=-1)
+    with np.errstate(over="ignore"):  # a diverged run's mse is inf
+        out = np.mean(np.sum(err ** 2, axis=-1), axis=-1)
     return float(out) if out.ndim == 0 else out
 
 

@@ -9,11 +9,13 @@ iterated Kalman smoother as a Gauss-Newton method", SIAM J. Optim. 4(3),
 1994): a measurement or time term changes only the last diagonal block of
 the block-tridiagonal Hessian, so each Schur complement is factored once
 for the step that ends at it and once more, frozen, with the next time
-term.  The per-step Newton checks of all N prefix costs then run together
-in batched block sweeps over those factors: O(N) Python iterations and
-O(N^2 n) memory.  Each Schur complement S is stored as the inverse of its
-lower Cholesky factor, Li = L^{-1}, so a solve S^{-1} B is the two products
-Li' (Li B), as in the filter's BLUE step.
+term.  The forward pass adds the terms' blocks in place, in arrays allocated
+once, with the measurement blocks made once per run and no copies of the
+cost.  The per-step Newton checks of all N prefix costs then run together in
+batched block sweeps over those factors: O(N) Python iterations and O(N^2 n)
+memory.  Each Schur complement S is stored as the inverse of its lower
+Cholesky factor, Li = L^{-1} (1 / sqrt(S) if 1 x 1), so a solve S^{-1} B is
+the two products Li' (Li B), as in the filter's BLUE step.
 
 The quadratic time-step term is the second-order expansion of
 0.5 * r' Sigma_v^{-1} r with r(x_k, x_{k-1}) = G^{-1}(x_{k-1})(x_k - f(x_{k-1}))
@@ -152,11 +154,25 @@ class QuadraticCost:
 def _inverse_cholesky(S) -> np.ndarray:
     """Inverse of the lower Cholesky factor of symmetrize(S); raises
     ValueError if S is not finite (np.linalg.cholesky would return NaN
-    factors) and np.linalg.LinAlgError if it is not positive definite."""
+    factors) and np.linalg.LinAlgError if it is not positive definite.  A
+    1 x 1 factor is 1 / sqrt(S), which rounds like inv(cholesky(S))."""
     S = symmetrize(S)
     if not np.isfinite(S).all():
         raise ValueError("array must not contain infs or NaNs")
+    if S.shape[-1] == 1:
+        if not S[0, 0] > 0:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return 1.0 / np.sqrt(S)
     return np.linalg.inv(np.linalg.cholesky(S))
+
+
+def _schur_factor(S, i) -> np.ndarray:
+    """_inverse_cholesky of the Schur complement S of Hessian block i."""
+    try:
+        return _inverse_cholesky(S)
+    except np.linalg.LinAlgError as exc:
+        raise IndefiniteHessianError(
+            f"Hessian Schur complement {i} not positive definite") from exc
 
 
 def _factor_solve(Li, B) -> np.ndarray:
@@ -189,59 +205,91 @@ def initial_cost(init: StateEstimate) -> QuadraticCost:
     return cost
 
 
-def _linearize(model, xhat):
-    """(prediction, Jacobian, squared gains floored at EPS_G) at xhat."""
-    xhat = np.atleast_1d(np.asarray(xhat, dtype=float))
-    fx, _, g, _ = model.linearize(xhat[:, None])
-    return (fx[:, 0], np.atleast_2d(model.jacobian(xhat)),
-            np.maximum(g[:, 0] ** 2, EPS_G))
+def _time_blocks(model, sigma_v, xprev, head):
+    """The time term at xprev (n,): f(xprev), A = Df(xprev), Q, d = f(xprev)
+    - A xprev, and its blocks: A'QA and A'Qd on the previous block, the
+    coupling -QA, and -Qd, or -Q f(xprev) after the pinned head (`head`)."""
+    fx, _, g, _ = model.linearize(xprev[:, None])
+    pred = fx[:, 0]
+    A = np.atleast_2d(model.jacobian(xprev))
+    Q = np.diag(1.0 / (np.maximum(g[:, 0] ** 2, EPS_G) * sigma_v))
+    d = pred - A @ xprev
+    AtQ = A.T @ Q
+    return pred, A, Q, d, AtQ @ A, AtQ @ d, -Q @ A, -Q @ (pred if head else d)
 
 
 def build_time_cost(prev: QuadraticCost, model, xhat_prev) -> QuadraticCost:
     """Append one time-step term, expanding the weighted residual around the
     running estimate xhat_prev; the Hessian grows by one block row/column."""
     cost = prev.copy()
-    n = cost.n
-    pred, A, g2 = _linearize(model, xhat_prev)
-    sigma_v = np.diag(model.Sigma_v)
-    Q = np.diag(1.0 / (g2 * sigma_v))
+    xprev = np.atleast_1d(np.asarray(xhat_prev, dtype=float))
+    head = cost.pinned and cost.n_variable_blocks == 0
+    _, A, Q, d, AtQA, AtQd, L, b = _time_blocks(
+        model, np.diag(model.Sigma_v), xprev, head)
     j = cost.n_blocks - 1  # full-trajectory index of the previous block
     if j < 0:
         raise ValueError("cost has no blocks to extend from")
-    xprev = np.atleast_1d(np.asarray(xhat_prev, dtype=float))
-    d = pred - A @ xprev  # residual offset: x_k - A x_{k-1} - d
-    if cost.pinned and cost.n_variable_blocks == 0:
+    if head:
         # Previous state is the pinned head: only the new block is free.
         if not np.allclose(xprev, cost.head):
             raise ValueError("expansion point must equal the pinned head")
-        cost.D.append(Q.copy())
-        cost.b.append(-Q @ pred)
     else:
         i = cost.n_variable_blocks - 1
-        cost.D[i] = cost.D[i] + A.T @ Q @ A
-        cost.b[i] = cost.b[i] + A.T @ Q @ d
-        cost.L.append(-Q @ A)
-        cost.D.append(Q.copy())
-        cost.b.append(-Q @ d)
+        cost.D[i] = cost.D[i] + AtQA
+        cost.b[i] = cost.b[i] + AtQd
+        cost.L.append(L)
+    cost.D.append(Q.copy())
+    cost.b.append(b)
     cost.terms.append(("time", Q, A.copy(), d, j))
     return cost
+
+
+def _measurement_blocks(C, Sigma_w):
+    """(C, Wm = Sigma_w^{-1}, C'Wm, C'Wm C) of the measurement term."""
+    C = np.atleast_2d(np.asarray(C, dtype=float))
+    Wm = symmetrize(np.linalg.inv(
+        np.atleast_2d(np.asarray(Sigma_w, dtype=float))))
+    CtW = C.T @ Wm
+    return C, Wm, CtW, CtW @ C
 
 
 def build_measurement_cost(cost: QuadraticCost, y, C, Sigma_w) -> QuadraticCost:
     """Add the (already quadratic) measurement term on the last block."""
     out = cost.copy()
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    Sigma_w = np.atleast_2d(np.asarray(Sigma_w, dtype=float))
+    C, Wm, CtW, CtWC = _measurement_blocks(C, Sigma_w)
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    Wm = np.linalg.inv(Sigma_w)
-    Wm = symmetrize(Wm)
     j = out.n_blocks - 1
     out.terms.append(("meas", C.copy(), Wm, y.copy(), j))
     if out.n_variable_blocks > 0:
         i = out.n_variable_blocks - 1
-        out.D[i] = out.D[i] + C.T @ Wm @ C
-        out.b[i] = out.b[i] - C.T @ Wm @ y
+        out.D[i] = out.D[i] + CtWC
+        out.b[i] = out.b[i] - CtW @ y
     return out
+
+
+def _sweep(L, factors, last, R, ends) -> np.ndarray:
+    """Solve, for each column c of R (blocks, n, K), the leading system with
+    couplings L that ends at block ends[c] (ascending).  A block is factored
+    by `last[i]` where a system ends and by `factors[i]` elsewhere.  Entries
+    below a column's end are ignored and returned as zeros."""
+    nb, _, K = R.shape
+    # first[i]: the first column whose system reaches block i.
+    first = np.searchsorted(ends, np.arange(nb + 1))
+    Y = np.zeros_like(R)
+    Y[0] = R[0]
+    for i in range(1, nb):
+        c = first[i]
+        Y[i, :, c:] = R[i, :, c:] - L[i - 1] @ _factor_solve(
+            factors[i - 1], Y[i - 1, :, c:])
+    X = np.zeros_like(R)
+    for i in range(nb - 1, -1, -1):
+        a, c = first[i], first[i + 1]
+        if a < c:
+            X[i, :, a:c] = _factor_solve(last[i], Y[i, :, a:c])
+        if c < K:
+            X[i, :, c:] = _factor_solve(
+                factors[i], Y[i, :, c:] - L[i].T @ X[i + 1, :, c:])
+    return X
 
 
 class BlockTridiagFactor:
@@ -250,16 +298,12 @@ class BlockTridiagFactor:
     Block i is factored through the inverse lower Cholesky factor of its
     Schur complement S_i = D_i - L_{i-1} S_{i-1}^{-1} L_{i-1}'.  Blocks can
     be appended one at a time, and the last block refactored with a new
-    diagonal block, without touching the factors before it.  `terminal[i]`
-    keeps the factor block i had when it was appended, so every leading
-    block system, ending at its terminal block, can be solved from the one
-    factorization.
+    diagonal block, without touching the factors before it.
     """
 
     def __init__(self, D, L):
         self.L = []
         self.factors = []
-        self.terminal = []
         self._coupling = None
         for i, Di in enumerate(D):
             self.append(Di, L[i - 1] if i else None)
@@ -272,55 +316,18 @@ class BlockTridiagFactor:
             self._coupling = L @ _factor_solve(self.factors[-1], L.T)
         self.factors.append(None)
         self.refactor_last(D)
-        self.terminal.append(self.factors[-1])
 
     def refactor_last(self, D):
         """Replace the diagonal block of the last block by D and refactor its
         Schur complement; the factors of the blocks before it stay."""
         S = D if self._coupling is None else D - self._coupling
-        try:
-            self.factors[-1] = _inverse_cholesky(S)
-        except np.linalg.LinAlgError as exc:
-            raise IndefiniteHessianError(
-                f"Hessian Schur complement {len(self.factors) - 1} "
-                "not positive definite") from exc
-
-    def _sweep(self, R: np.ndarray, ends, last) -> np.ndarray:
-        """Solve, for each column c of R (blocks, n, K), the leading block
-        system that ends at block ends[c] (ascending).  A block is factored
-        by `last[i]` where a system ends and by `factors[i]` elsewhere.
-        Entries below a column's end are ignored and returned as zeros."""
-        nb, _, K = R.shape
-        # first[i]: the first column whose system reaches block i.
-        first = np.searchsorted(ends, np.arange(nb + 1))
-        Y = np.zeros_like(R)
-        Y[0] = R[0]
-        for i in range(1, nb):
-            c = first[i]
-            Y[i, :, c:] = R[i, :, c:] - self.L[i - 1] @ _factor_solve(
-                self.factors[i - 1], Y[i - 1, :, c:])
-        X = np.zeros_like(R)
-        for i in range(nb - 1, -1, -1):
-            a, c = first[i], first[i + 1]
-            if a < c:
-                X[i, :, a:c] = _factor_solve(last[i], Y[i, :, a:c])
-            if c < K:
-                X[i, :, c:] = _factor_solve(
-                    self.factors[i],
-                    Y[i, :, c:] - self.L[i].T @ X[i + 1, :, c:])
-        return X
+        self.factors[-1] = _schur_factor(S, len(self.factors) - 1)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """Solve the whole system for one right-hand side."""
         nb = len(self.factors)
-        return self._sweep(r.reshape(nb, -1, 1), [nb - 1],
-                           self.factors).ravel()
-
-    def solve_prefixes(self, R: np.ndarray) -> np.ndarray:
-        """Solve every leading system at once: column j of R (blocks, n,
-        blocks) is the right-hand side of the system of blocks 0..j whose
-        last block is factored by `terminal[j]`."""
-        return self._sweep(R, np.arange(R.shape[0]), self.terminal)
+        return _sweep(self.L, self.factors, self.factors,
+                      r.reshape(nb, -1, 1), [nb - 1]).ravel()
 
     def last_inverse_block(self) -> np.ndarray:
         Li = self.factors[-1]
@@ -358,9 +365,8 @@ def newton_solve(cost: QuadraticCost, z0: StackedTrajectory) -> OracleSolution:
     factor = BlockTridiagFactor(cost.D, cost.L)
     zv = cost.variable_part(z0)
     z_star_v = zv - factor.solve(g0)
-    blocks = ([cost.head] if cost.pinned else []) + [
-        z_star_v.reshape(-1, n)[i] for i in range(cost.n_variable_blocks)]
-    z_star = StackedTrajectory.from_blocks(blocks, n)
+    z_star = StackedTrajectory.from_blocks(
+        ([cost.head] if cost.pinned else []) + [z_star_v], n)
     g1 = cost.gradient(z_star)
     step2 = factor.solve(g1)
     rel = np.linalg.norm(step2) / (1.0 + np.linalg.norm(z_star_v))
@@ -376,17 +382,16 @@ def newton_solve(cost: QuadraticCost, z0: StackedTrajectory) -> OracleSolution:
         second_step_norm=float(np.linalg.norm(step2)))
 
 
-def _newton_checks(cost, factor, Dt, bt, starts):
+def _newton_checks(D, b, L, Dt, bt, factors, terminal, starts):
     """One Newton step on every prefix cost at once, each from the previous
     prefix's minimizer extended by starts[j], as the per-step solve started.
-    Prefix j holds the final blocks of `cost` up to block j, whose terminal
-    diagonal and linear blocks are Dt[j] and bt[j].  Returns the stepped
-    trajectories (blocks, n, prefixes) and, per prefix, the norms of the
-    gradient before and after the step and of a second step; raises if a
-    second step would move by more than 1e-10 relative."""
-    nb, n = cost.n_variable_blocks, cost.n
-    D, b, Dt, bt = (np.array(a) for a in (cost.D, cost.b, Dt, bt))
-    L = np.array(cost.L).reshape(-1, n, n)
+    Prefix j holds the final blocks D, b, L (factored by `factors`) up to
+    block j, whose terminal blocks are Dt[j] and bt[j], factored by
+    terminal[j].  Returns the stepped trajectories (blocks, n, prefixes)
+    and, per prefix, the norms of the gradient before and after the step
+    and of a second step; raises if a second step would move by more than
+    1e-10 relative."""
+    nb, n = b.shape
     j = np.arange(nb)
     upper = np.triu(np.ones((nb, nb)))[:, None, :]
 
@@ -401,14 +406,14 @@ def _newton_checks(cost, factor, Dt, bt, starts):
     def norms(Z):
         return np.sqrt(np.einsum("ijk,ijk->k", Z, Z))
 
-    z_min = -factor.solve_prefixes(gradients(np.zeros((nb, n, nb))))
+    z_min = -_sweep(L, factors, terminal, gradients(np.zeros((nb, n, nb))), j)
     z0 = np.zeros_like(z_min)
     z0[:, :, 1:] = z_min[:, :, :-1]
     z0[j, :, j] = starts
     g0 = gradients(z0)
-    z_star = z0 - factor.solve_prefixes(g0)
+    z_star = z0 - _sweep(L, factors, terminal, g0, j)
     g1 = gradients(z_star)
-    step2 = factor.solve_prefixes(g1)
+    step2 = _sweep(L, factors, terminal, g1, j)
     rel = norms(step2) / (1.0 + norms(z_star))
     bad = np.flatnonzero(rel > 1e-10)
     if bad.size:
@@ -427,9 +432,10 @@ def oracle_filter(model, measurements, init: StateEstimate,
     A term only changes the last diagonal block, so the forward pass factors
     each Schur complement twice: once as the terminal block of step k's cost
     (measurement in, next time term out), which gives xhat_k and Sigma_k,
-    and once with the time term, frozen for every later step.  The prefix
-    costs then differ only in their terminal block, and batched block
-    sweeps solve all of them at once.  All factors are made before any
+    and once with the time term, frozen for every later step: a step does
+    one linearization and these two factorizations, in arrays allocated
+    once.  The prefix costs differ only in their terminal block, and batched
+    block sweeps solve all of them at once.  All factors are made before any
     Newton check runs, so a Hessian that is not positive definite is
     reported before a failed check of an earlier step.  Step k's Newton
     check starts, as the per-step solve did, from the previous minimizer
@@ -443,51 +449,57 @@ def oracle_filter(model, measurements, init: StateEstimate,
             f"horizon {N} exceeds cap {max_horizon}; the cap bounds the "
             "O(N^2 n) memory of the batched per-step Newton checks and of "
             "the per-step trajectories returned")
-    cost = initial_cost(init)
-    n = cost.n
-    factor = BlockTridiagFactor([], [])
-    Dt, bt, xhats, Sigmas = [], [], [], []
-    starts = [init.xhat]  # last block of step k's Newton starting point
-    y = None  # forward-eliminated right-hand side of the last final block
+    prior = initial_cost(init)
+    n, pinned = prior.n, int(prior.pinned)
+    nb = N - pinned  # variable blocks; step k ends at block k - pinned
+    _, _, CtW, CtWC = _measurement_blocks(model.C, model.Sigma_w)
+    CtWy = (CtW @ ms[pinned:, :, None])[..., 0]
+    sigma_v = np.diag(model.Sigma_v)
+    D, Dt, L, factors, terminal = np.zeros((5, nb, n, n))
+    b, bt = np.zeros((2, nb, n))
+    xhats, starts = np.empty((2, N, n))
+    Sigmas = np.zeros((N, n, n))
+    xhats[0] = starts[0] = init.xhat
+    if not pinned:
+        D[0], b[0] = prior.D[0], prior.b[0]
+    coupled = coupling = 0.0  # what eliminating blocks < i adds to block i
     for k in range(N):
-        cost = build_measurement_cost(cost, ms[k], model.C, model.Sigma_w)
-        i = cost.n_variable_blocks - 1
-        if i < 0:  # the pinned x_0 is the whole trajectory
-            xhats.append(cost.head.copy())
-            Sigmas.append(np.zeros((n, n)))
-        else:
-            coupled = (cost.L[i - 1] @ _factor_solve(factor.factors[i - 1], y)
-                       if i else 0.0)
-            factor.append(cost.D[i], cost.L[i - 1] if i else None)
-            xhats.append(
-                _factor_solve(factor.factors[i], -cost.b[i] - coupled))
-            Sigmas.append(factor.last_inverse_block())
-            Dt.append(cost.D[i])
-            bt.append(cost.b[i])
+        i = k - pinned
+        if i >= 0:
+            D[i] += CtWC
+            b[i] -= CtWy[i]
+            Dt[i], bt[i] = D[i], b[i]
+            terminal[i] = factors[i] = _schur_factor(D[i] - coupling, i)
+            xhats[k] = _factor_solve(terminal[i], -b[i] - coupled)
+            Sigmas[k] = symmetrize(terminal[i].T @ terminal[i])
         if k + 1 == N:
             break
-        cost = build_time_cost(cost, model, xhats[k])
-        starts.append(model.drift(xhats[k]))
+        starts[k + 1], _, D[i + 1], _, AtQA, AtQd, Lq, b[i + 1] = (
+            _time_blocks(model, sigma_v, xhats[k], i < 0))
         if i >= 0:
-            factor.refactor_last(cost.D[i])
-            y = -cost.b[i] - coupled
+            D[i] += AtQA
+            b[i] += AtQd
+            L[i] = Lq
+            factors[i] = _schur_factor(D[i] - coupling, i)
+            coupled = Lq @ _factor_solve(factors[i], -b[i] - coupled)
+            coupling = Lq @ _factor_solve(factors[i], Lq.T)
 
-    pinned = int(cost.pinned)
     solutions = []
     if pinned:
         solutions.append(OracleSolution(
-            trajectory=StackedTrajectory(cost.head.copy(), n), xhat=xhats[0],
+            trajectory=StackedTrajectory(init.xhat.copy(), n), xhat=xhats[0],
             Sigma=Sigmas[0], grad_norm_before=0.0, grad_norm_after=0.0,
             second_step_norm=0.0))
-    if cost.n_variable_blocks == 0:
+    if nb == 0:
         return solutions
-    z_star, before, after, step2 = _newton_checks(cost, factor, Dt, bt,
-                                                  starts[pinned:])
-    head = [cost.head] if pinned else []
-    for j in range(cost.n_variable_blocks):
+    z_star, before, after, step2 = _newton_checks(
+        D, b, L[:-1], Dt, bt, factors, terminal, starts[pinned:])
+    # Row j: prefix j's trajectory, pinned head first, blocks past j unused.
+    Z = np.concatenate((np.broadcast_to(init.xhat, (nb, pinned, n)),
+                        z_star.transpose(2, 0, 1)), axis=1)
+    for j in range(nb):
         solutions.append(OracleSolution(
-            trajectory=StackedTrajectory.from_blocks(
-                head + list(z_star[:j + 1, :, j]), n),
+            trajectory=StackedTrajectory(Z[j, :j + 1 + pinned], n),
             xhat=xhats[j + pinned], Sigma=Sigmas[j + pinned],
             grad_norm_before=float(before[j]), grad_norm_after=float(after[j]),
             second_step_norm=float(step2[j]), index=j + pinned))

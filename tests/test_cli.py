@@ -201,6 +201,18 @@ def test_nonfinite_nonlinear_simulation_names_its_step(tmp_path, monkeypatch,
         "numerical failure: drift non-finite (at step 44)\n")
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_mse_exits_0_without_a_warning(tmp_path, monkeypatch,
+                                                   capsys):
+    # The estimate errors are finite, but their squares overflow.
+    code = run(["filter", "--model", "birth_death_cle", "--x0", "1e307",
+                "--init-sigma", "1e307"], tmp_path, monkeypatch)
+    assert code == 0
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["mse"] == np.inf
+
+
 @pytest.mark.parametrize("command", ["filter", "oracle-check"])
 def test_infinite_init_sigma_exits_1_with_one_error_line(command, tmp_path,
                                                          monkeypatch, capsys):

@@ -8,7 +8,12 @@ covariance or a non-finite measurement.
 
 One replicate of a linear model with n = m = 1 runs through the scalar
 kernel `_scalar_steps` instead; it must match the numpy loop `_run_loop` bit
-for bit, signed zeros included, or fail the same way."""
+for bit, signed zeros included, or fail the same way.
+
+The oracle's forward pass, which keeps its blocks and factors in arrays,
+must match a copy of its earlier form, which copied the running cost
+through the builders at every step and grew one `BlockTridiagFactor`, bit
+for bit in every output, or fail with the same error and message."""
 
 import itertools
 from dataclasses import replace
@@ -17,14 +22,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cukf.builtin import example_sec3
+from cukf.builtin import example_sec3, logistic
 from cukf.discrete import (StateEstimate, _predictor, _run_loop, run_filter,
                            run_filter_batch)
-from cukf.errors import FilterError, NonFiniteStateError, SingularInnovationError
+from cukf.errors import (FilterError, IndefiniteHessianError,
+                         NonFiniteStateError, SingularInnovationError)
 from cukf.models import (EPS_G, ContinuousDiscreteModel, DiscreteLinearModel,
                          NonlinearModel, with_fixed_noise)
 from cukf.simulate import (simulate_batch, simulate_cd, simulate_cd_batch,
                            simulate_discrete)
+from cukf.wls import (BlockTridiagFactor, build_measurement_cost,
+                      build_time_cost, initial_cost, oracle_filter)
 
 from reference_impl import rel_err
 
@@ -290,3 +298,186 @@ def test_one_scalar_replicate_takes_the_kernels(monkeypatch):
     with pytest.raises(AssertionError, match="numpy path taken"):
         run_filter_batch(example_sec3(), np.ones((2, 5, 1)), np.zeros((2, 1)),
                          np.eye(1))
+
+
+def factor_solve(Li, B):
+    return Li.T @ (Li @ B)
+
+
+def earlier_sweep(L, factors, last, R, ends):
+    """Solve, for each column c of R (blocks, n, K), the leading block
+    system that ends at block ends[c], factored by `last` there."""
+    nb, _, K = R.shape
+    first = np.searchsorted(ends, np.arange(nb + 1))
+    Y = np.zeros_like(R)
+    Y[0] = R[0]
+    for i in range(1, nb):
+        c = first[i]
+        Y[i, :, c:] = R[i, :, c:] - L[i - 1] @ factor_solve(
+            factors[i - 1], Y[i - 1, :, c:])
+    X = np.zeros_like(R)
+    for i in range(nb - 1, -1, -1):
+        a, c = first[i], first[i + 1]
+        if a < c:
+            X[i, :, a:c] = factor_solve(last[i], Y[i, :, a:c])
+        if c < K:
+            X[i, :, c:] = factor_solve(
+                factors[i], Y[i, :, c:] - L[i].T @ X[i + 1, :, c:])
+    return X
+
+
+def earlier_newton_checks(cost, factor, terminal, Dt, bt, starts):
+    nb, n = cost.n_variable_blocks, cost.n
+    D, b, Dt, bt = (np.array(a) for a in (cost.D, cost.b, Dt, bt))
+    L = np.array(cost.L).reshape(-1, n, n)
+    j = np.arange(nb)
+    upper = np.triu(np.ones((nb, nb)))[:, None, :]
+
+    def gradients(Z):
+        G = D @ Z + b[..., None]
+        G[j, :, j] = (Dt @ Z[j, :, j, None])[..., 0] + bt
+        G[1:] += L @ Z[:-1]
+        G[:-1] += L.swapaxes(-1, -2) @ Z[1:]
+        return G * upper
+
+    def solve(R):
+        return earlier_sweep(factor.L, factor.factors, terminal, R, j)
+
+    def norms(Z):
+        return np.sqrt(np.einsum("ijk,ijk->k", Z, Z))
+
+    z_min = -solve(gradients(np.zeros((nb, n, nb))))
+    z0 = np.zeros_like(z_min)
+    z0[:, :, 1:] = z_min[:, :, :-1]
+    z0[j, :, j] = starts
+    g0 = gradients(z0)
+    z_star = z0 - solve(g0)
+    g1 = gradients(z_star)
+    step2 = solve(g1)
+    rel = norms(step2) / (1.0 + norms(z_star))
+    bad = np.flatnonzero(rel > 1e-10)
+    if bad.size:
+        raise IndefiniteHessianError(
+            "Newton step failed to converge in one iteration "
+            f"(residual {rel[bad[0]]:.2e})")
+    return z_star, norms(g0), norms(g1), norms(step2)
+
+
+def earlier_oracle(model, ms, init):
+    """The earlier forward pass: per step, the builders copy the running
+    cost and the factor grows by one block; returns per step (index,
+    trajectory, xhat, Sigma, three norms) as bytes and floats."""
+    ms = np.atleast_2d(np.asarray(ms, dtype=float))
+    N = ms.shape[0]
+    cost = initial_cost(init)
+    n = cost.n
+    factor = BlockTridiagFactor([], [])
+    terminal, Dt, bt, xhats, Sigmas = [], [], [], [], []
+    starts = [init.xhat]
+    y = None
+    for k in range(N):
+        cost = build_measurement_cost(cost, ms[k], model.C, model.Sigma_w)
+        i = cost.n_variable_blocks - 1
+        if i < 0:
+            xhats.append(cost.head.copy())
+            Sigmas.append(np.zeros((n, n)))
+        else:
+            coupled = (cost.L[i - 1] @ factor_solve(factor.factors[i - 1], y)
+                       if i else 0.0)
+            factor.append(cost.D[i], cost.L[i - 1] if i else None)
+            terminal.append(factor.factors[-1])
+            xhats.append(factor_solve(factor.factors[i], -cost.b[i] - coupled))
+            Sigmas.append(factor.last_inverse_block())
+            Dt.append(cost.D[i])
+            bt.append(cost.b[i])
+        if k + 1 == N:
+            break
+        cost = build_time_cost(cost, model, xhats[k])
+        starts.append(model.drift(xhats[k]))
+        if i >= 0:
+            factor.refactor_last(cost.D[i])
+            y = -cost.b[i] - coupled
+    pinned = int(cost.pinned)
+    out = [(0, cost.head.tobytes(), xhats[0].tobytes(), Sigmas[0].tobytes(),
+            0.0, 0.0, 0.0)] if pinned else []
+    if cost.n_variable_blocks == 0:
+        return out
+    z_star, before, after, step2 = earlier_newton_checks(
+        cost, factor, terminal, Dt, bt, starts[pinned:])
+    head = [cost.head] if pinned else []
+    for j in range(cost.n_variable_blocks):
+        z = np.concatenate(head + list(z_star[:j + 1, :, j]))
+        out.append((j + pinned, z.tobytes(), xhats[j + pinned].tobytes(),
+                    Sigmas[j + pinned].tobytes(), float(before[j]),
+                    float(after[j]), float(step2[j])))
+    return out
+
+
+def solution_rows(sols):
+    return [(s.index, s.trajectory.z.tobytes(), s.xhat.tobytes(),
+             s.Sigma.tobytes(), s.grad_norm_before, s.grad_norm_after,
+             s.second_step_norm) for s in sols]
+
+
+def oracle_outcome(run):
+    """The rows run() returns, with the norms as bit patterns so that -0.0
+    differs from 0.0, or the class and message of the error it raises."""
+    try:
+        rows = run()
+    except (FilterError, ValueError) as exc:
+        return type(exc), str(exc)
+    return [row[:4] + tuple(float(v).hex() for v in row[4:]) for row in rows]
+
+
+def assert_oracle_matches_earlier(model, ms, init):
+    got = oracle_outcome(lambda: solution_rows(oracle_filter(model, ms, init)))
+    assert got == oracle_outcome(lambda: earlier_oracle(model, ms, init))
+    return got
+
+
+@pytest.mark.parametrize("sigma0", [0.0, 1.0])
+def test_oracle_matches_its_earlier_forward_pass_on_builtins(sigma0):
+    for model, x0, xinit in ((example_sec3(), 1.0, 0.3),
+                             (logistic(), 50.0, 48.0)):
+        ms = simulate_discrete(model, x0, 40, 39).measurements
+        init = StateEstimate([xinit], [[sigma0]], 1)
+        assert len(assert_oracle_matches_earlier(model, ms, init)) == 40
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(1, 2), st.booleans(), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_oracle_matches_its_earlier_forward_pass(n, m, zero_prior,
+                                                 fixed_beta, seed):
+    rng = np.random.default_rng(seed)
+    model = random_linear(rng, n, m, False, False)
+    if fixed_beta:
+        model = with_fixed_noise(model, rng.uniform(0.1, 2.0))
+    ms = simulate_batch(model, rng.standard_normal((1, n)), 12,
+                        rng.integers(1 << 31, size=1)).measurements[0]
+    C0 = rng.standard_normal((n, n))
+    Sigma0 = np.zeros((n, n)) if zero_prior else C0 @ C0.T + 0.1 * np.eye(n)
+    assert_oracle_matches_earlier(model, ms,
+                                  StateEstimate(rng.standard_normal(n), Sigma0))
+
+
+def test_oracle_fails_like_its_earlier_forward_pass_when_g2_is_floored():
+    # n = 2 models whose g^2 = c0 + c1 x is floored where a state falls
+    # below -c0/c1: the floored term weighs 1e12 and the one-step Newton
+    # check rejects about half of the runs.
+    failed = 0
+    for seed in range(0, 60, 5):
+        rng = np.random.default_rng(seed)
+        model = DiscreteLinearModel(
+            A0=rng.standard_normal(2),
+            A1=np.diag(rng.uniform(0.5, 0.95, 2))
+            + 0.05 * rng.standard_normal((2, 2)),
+            C=np.eye(2), gsq=np.column_stack([rng.uniform(1, 20, 2),
+                                              rng.uniform(0, 1, (2, 2))]),
+            Sigma_v=np.eye(2), Sigma_w=np.eye(2))
+        ms = simulate_discrete(model, np.ones(2), 60,
+                               int(rng.integers(1 << 31))).measurements
+        got = assert_oracle_matches_earlier(
+            model, ms, StateEstimate(rng.standard_normal(2), np.eye(2)))
+        failed += got[0] is IndefiniteHessianError
+    assert 0 < failed < 12

@@ -1,8 +1,9 @@
 """Property tests over random small models, some of which clamp g^2: a batch
 of replicates equals the same replicates run one at a time, the covariances
 keep their structure, the batched oracle equals its per-step Newton loop,
-and model files round-trip.  The closed-form scalar innovation factor
-equals its LAPACK form bit for bit."""
+and model files round-trip.  The closed-form scalar innovation factor and
+the oracle's closed-form 1 x 1 Schur factor equal their LAPACK form bit for
+bit."""
 
 import numpy as np
 import pytest
@@ -15,9 +16,9 @@ from cukf.errors import IndefiniteHessianError
 from cukf.models import (ContinuousDiscreteModel, DiscreteLinearModel,
                          with_fixed_noise)
 from cukf.simulate import innovation_whiteness, simulate_batch
-from cukf.wls import (StackedTrajectory, build_measurement_cost,
-                      build_time_cost, initial_cost, newton_solve,
-                      oracle_filter)
+from cukf.wls import (StackedTrajectory, _inverse_cholesky,
+                      build_measurement_cost, build_time_cost, initial_cost,
+                      newton_solve, oracle_filter)
 
 from reference_impl import rel_err
 
@@ -75,6 +76,8 @@ def test_scalar_inverse_factor_is_bitwise_inv_cholesky(values):
     S = np.array(values).reshape(-1, 1, 1)
     ref = np.linalg.inv(np.linalg.cholesky(S))
     assert _inverse_factor(S).tobytes() == ref.tobytes()
+    for Sk, want in zip(S, ref):  # the oracle's 1 x 1 Schur factors
+        assert _inverse_cholesky(Sk).tobytes() == want.tobytes()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

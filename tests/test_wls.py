@@ -6,9 +6,10 @@ from cukf.discrete import StateEstimate, run_filter
 from cukf.errors import IndefiniteHessianError, ModelError
 from cukf.models import DiscreteLinearModel
 from cukf.simulate import simulate_discrete
-from cukf.wls import (BlockTridiagFactor, StackedTrajectory,
-                      build_measurement_cost, build_time_cost, initial_cost,
-                      newton_solve, oracle_filter)
+from cukf.wls import (BlockTridiagFactor, QuadraticCost, StackedTrajectory,
+                      _inverse_cholesky, build_measurement_cost,
+                      build_time_cost, initial_cost, newton_solve,
+                      oracle_filter)
 
 from reference_impl import random_constant_noise_model, rel_err, textbook_kf
 
@@ -240,6 +241,18 @@ def test_oracle_factors_each_schur_block_at_most_twice(monkeypatch):
     assert len(calls) <= 2 * N + 1
 
 
+def test_oracle_filter_makes_no_cost_copies(monkeypatch):
+    def copy(self):
+        raise AssertionError("QuadraticCost.copy called")
+
+    monkeypatch.setattr(QuadraticCost, "copy", copy)
+    model = example_sec3()
+    data = simulate_discrete(model, 1.0, 20, 37)
+    for sigma0 in (0.0, 1.0):
+        init = StateEstimate([0.0], [[sigma0]], 1)
+        assert len(oracle_filter(model, data.measurements, init)) == 20
+
+
 def test_partially_singular_prior_rejected():
     init = StateEstimate([0.0, 0.0], np.diag([1.0, 0.0]))
     with pytest.raises(ModelError):
@@ -252,6 +265,21 @@ def test_non_finite_blocks_rejected(bad):
         initial_cost(StateEstimate([0.0], [[bad]]))
     with pytest.raises(ValueError, match="infs or NaNs"):
         BlockTridiagFactor([np.eye(2), np.diag([1.0, bad])], [np.eye(2)])
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, np.nan, np.inf, 1e308])
+def test_scalar_factor_fails_like_the_matrix_path(bad):
+    # 1e308 is finite, but symmetrizing it overflows to inf.
+    def failure(S):
+        with np.errstate(over="ignore"):
+            try:
+                _inverse_cholesky(S)
+            except ValueError as exc:  # np.linalg.LinAlgError included
+                return type(exc), str(exc)
+
+    got = failure(np.array([[bad]]))
+    assert got is not None
+    assert got == failure(np.diag([bad, 1.0])) == failure(np.diag([1.0, bad]))
 
 
 def test_horizon_cap_enforced():
