@@ -10,7 +10,7 @@ seedable Monte Carlo harness, and a CLI.
 __version__ = "0.1.0"
 
 from .builtin import builtin_models, get_builtin
-from .continuous import IntegratorConfig, cd_run, cd_time_update, euler_limit_check
+from .continuous import cd_run, cd_time_update, euler_limit_check
 from .discrete import (FilterTrace, StateEstimate, measurement_update,
                        run_filter, run_filter_batch, time_update)
 from .errors import (FilterError, IndefiniteHessianError, LengthMismatchError,

@@ -19,14 +19,14 @@ import numpy as np
 
 from . import __version__
 from .builtin import builtin_models, get_builtin
-from .continuous import IntegratorConfig, cd_run, default_config, euler_limit_check
+from .continuous import cd_run, default_config, euler_limit_check
 from .discrete import StateEstimate, run_filter
 from .errors import FilterError
 from .models import ContinuousDiscreteModel, DiscreteLinearModel, with_fixed_noise
 from .modelio import load_model
-from .simulate import (FilterSpec, innovation_whiteness, monte_carlo_compare,
-                       mse, simulate_cd, simulate_discrete)
-from .wls import dump_diagnostics, oracle_filter
+from .simulate import (FilterSpec, monte_carlo_compare, mse, simulate_cd,
+                       simulate_discrete)
+from .wls import MAX_HORIZON, dump_diagnostics, oracle_filter
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,9 +84,9 @@ def _write_manifest(outdir, args, extra=None):
 def _simulate_any(model, args):
     if isinstance(model, ContinuousDiscreteModel):
         return simulate_cd(model, x0=np.full(model.n, args.x0), seed=args.seed,
-                           em_step=args.em_step, model_id=args.model)
+                           em_step=args.em_step)
     return simulate_discrete(model, x0=np.full(model.n, args.x0), N=args.N,
-                             seed=args.seed, model_id=args.model)
+                             seed=args.seed)
 
 
 def _cmd_models(args):
@@ -136,9 +136,8 @@ def _cmd_filter(args):
     data = _simulate_any(model, args)
     sidecar = None
     if isinstance(model, ContinuousDiscreteModel):
-        cfg = (IntegratorConfig(step=args.step) if args.step is not None
-               else default_config(model))
-        trace = cd_run(model, data.measurements, init, cfg)
+        step = args.step if args.step is not None else default_config(model)
+        trace = cd_run(model, data.measurements, init, step)
         sidecar = os.path.join(outdir, "trace_summary.csv")
     else:
         if args.variant == "fixed-beta":
@@ -187,6 +186,8 @@ def _step_rel_deltas(a, b):
 
 
 def _cmd_oracle_check(args):
+    if args.horizon > MAX_HORIZON:
+        raise ValueError(f"--horizon must be at most {MAX_HORIZON}")
     model = _load(args.model)
     if isinstance(model, ContinuousDiscreteModel):
         raise ValueError("oracle-check supports discrete models only")
@@ -195,8 +196,7 @@ def _cmd_oracle_check(args):
     args.N = args.horizon
     data = _simulate_any(model, args)
     trace = run_filter(model, data.measurements, init)
-    sols = oracle_filter(model, data.measurements, init,
-                         max_horizon=args.horizon)
+    sols = oracle_filter(model, data.measurements, init)
     deltas = list(zip(
         _step_rel_deltas(np.array([s.xhat for s in sols]), trace.xhat_post),
         _step_rel_deltas(np.array([s.Sigma for s in sols]), trace.Sigma_post)))

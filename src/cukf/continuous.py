@@ -22,22 +22,11 @@ from .models import EPS_G, ContinuousDiscreteModel, DiscreteLinearModel, eval_G
 # module, so it stays importable from it.
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Step of the clamp-detection grid, which tests g2 every half step."""
-
-    step: float
-
-    def __post_init__(self):
-        if not 0 < self.step < np.inf:
-            raise ValueError("step must be finite and positive")
-
-
-def default_config(model: ContinuousDiscreteModel) -> IntegratorConfig:
-    """Step = (smallest inter-sample gap)/100."""
+def default_config(model: ContinuousDiscreteModel) -> float:
+    """Step of the clamp-detection grid: (smallest inter-sample gap)/100."""
     gaps = np.diff(model.sample_times)
     gap = gaps.min() if gaps.size else 1.0
-    return IntegratorConfig(step=gap / 100.0)
+    return gap / 100.0
 
 
 # Higham (2005), Table 2.3: the largest 1-norm at which the degree-m
@@ -104,13 +93,15 @@ class _Propagator:
     interval, and the generator M once per floored set.
     """
 
-    def __init__(self, dyn: DiscreteLinearModel, cfg: IntegratorConfig):
+    def __init__(self, dyn: DiscreteLinearModel, step: float):
+        if not 0 < step < np.inf:
+            raise ValueError("step must be finite and positive")
         sv = np.diag(dyn.Sigma_v)
         if np.any(dyn.Sigma_v != np.diag(sv)):
             raise ModelError(
                 "continuous-discrete propagation needs a diagonal Sigma_v")
         self.dyn = dyn
-        self.cfg = cfg
+        self.step = step
         self.sv = sv
         self.cut_intervals = 0
         self.cuts = 0
@@ -121,13 +112,13 @@ class _Propagator:
         """The entry of an interval of length `span`, built on its first
         interval [t0, t1]: W = [w0 W1] maps [1; x(t0)] to g2 at the
         2*nsteps + 1 nodes, stacked (K*n, n+1)."""
-        if self.cfg.step > span * (1 + 1e-12):
+        if self.step > span * (1 + 1e-12):
             raise StepTooLargeError(
-                f"step {self.cfg.step} exceeds interval {span}")
+                f"step {self.step} exceeds interval {span}")
         # In Python floats, so that a ratio that overflows is inf, unwarned.
-        nsteps = max(1.0, round(float(span) / float(self.cfg.step), 0))
+        nsteps = max(1.0, round(float(span) / float(self.step), 0))
         if nsteps > 10 ** 5:  # a grid of 2 * nsteps + 1 nodes
-            raise ValueError(f"step {self.cfg.step} puts {nsteps:.0f} grid "
+            raise ValueError(f"step {self.step} puts {nsteps:.0f} grid "
                              f"steps on [{t0}, {t1}]; at most 100000 are "
                              "allowed")
         nsteps = int(nsteps)
@@ -206,35 +197,35 @@ class _Propagator:
 
 
 def cd_time_update(post: StateEstimate, model, t0: float, t1: float,
-                   cfg: IntegratorConfig) -> StateEstimate:
+                   step: float) -> StateEstimate:
     """Propagate estimate and covariance from t0 to t1 through the coupled
     ODEs, evaluating the noise gain along the evolving estimate.  Each call
     builds its own matrix exponentials; `cd_run` reuses them across
     intervals."""
     if not -np.inf < t0 <= t1 < np.inf:
         raise ValueError("need finite t0 <= t1")
-    x, S, _ = _Propagator(_inner(model), cfg).propagate(
+    x, S, _ = _Propagator(_inner(model), step).propagate(
         post.xhat, post.Sigma, t0, t1)
     return StateEstimate(xhat=x, Sigma=symmetrize(S), index=t1)
 
 
 def cd_run(model: ContinuousDiscreteModel, measurements, init: StateEstimate,
-           cfg: Optional[IntegratorConfig] = None) -> FilterTrace:
+           step: Optional[float] = None) -> FilterTrace:
     """Discrete measurement update at each sample time, exact propagation in
     between.  `init` is the prior at the first sample time.
 
     The trace counts intervals in which any g2 was floored (`clamp_count`),
     intervals cut where the floored set changes (`fallback_intervals`) and
     the cuts made in them (`step_count`)."""
-    if cfg is None:
-        cfg = default_config(model)
+    if step is None:
+        step = default_config(model)
     ms = np.atleast_2d(np.asarray(measurements, dtype=float))
     times = model.sample_times
     if ms.shape[0] != times.size:
         raise LengthMismatchError(
             f"{ms.shape[0]} measurements for {times.size} sample times")
     dyn = _inner(model)
-    prop = _Propagator(dyn, cfg)
+    prop = _Propagator(dyn, step)
 
     def predict(k, Z, out):
         out[0, :, 0], out[0, :, 1:], clamped = prop.propagate(
@@ -281,7 +272,7 @@ def euler_limit_check(model, post: StateEstimate, t0: float, t1: float,
         ratio = span / dt
         if abs(ratio - round(ratio)) > 1e-9 * ratio:
             raise ValueError(f"dt={dt} does not divide the interval {span}")
-    ref = cd_time_update(post, dyn, t0, t1, IntegratorConfig(step=steps[0]))
+    ref = cd_time_update(post, dyn, t0, t1, steps[0])
     rows = []
     for dt in steps:
         euler = replace(dyn, A0=dt * dyn.A0, A1=np.eye(dyn.n) + dt * dyn.A1,

@@ -45,7 +45,11 @@ def loads(text: str) -> Union[DiscreteLinearModel, ContinuousDiscreteModel]:
         return fields.pop(key)
 
     def numbers(key, count=None):
-        vals = np.array([float(v) for v in take(key).split()])
+        words = take(key).split()
+        try:
+            vals = np.array([float(v) for v in words])
+        except ValueError as exc:
+            raise ModelError(f"{key}: {exc}") from None
         if count is not None and vals.size != count:
             raise ModelError(f"{key} needs {count} values, got {vals.size}")
         return vals

@@ -9,13 +9,14 @@ constant g^2 (`with_fixed_noise`); continuous-discrete models wrap a linear
 one.
 
 Every discrete model answers the same questions about a stack of states
-X (..., n): `drift(X)`, `jacobian(X)` and `gain(X) -> (g, floored)`, the
-diagonal noise gains and the mask of floored g^2 components.  The filter loop
-and the simulators ask all three at once through `linearize`.
+X (..., n): `drift(X)` and `jacobian(X)`.  The filter loop, the simulators
+and the oracle ask for f, Df and the diagonal noise gains at once through
+`linearize`.  A nonlinear model also gives its gains alone, through
+`gain(X) -> (g, floored)` with the mask of floored components.
 """
 
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -55,16 +56,12 @@ def _as_vector(a, n, name):
 
 
 def _set_noise_covariances(model, n, m):
-    """Shape `model`'s Sigma_v (n, n) and Sigma_w (m, m), where a scalar or
-    vector gives the diagonal, and reject what no filter can use: non-finite
-    entries, a negative Sigma_v diagonal, or a Sigma_w that is not symmetric
-    positive semidefinite.  A non-diagonal Sigma_v and a zero Sigma_w are
-    accepted."""
+    """Check `model`'s Sigma_v (n, n) and Sigma_w (m, m), and reject what no
+    filter can use: non-finite entries, a negative Sigma_v diagonal, or a
+    Sigma_w that is not symmetric positive semidefinite.  A non-diagonal
+    Sigma_v and a zero Sigma_w are accepted."""
     for name, size in (("Sigma_v", n), ("Sigma_w", m)):
-        a = np.asarray(getattr(model, name), dtype=float)
-        if a.ndim <= 1:
-            a = np.diag(np.atleast_1d(a) * np.ones(size))
-        a = _as_matrix(a, size, size, name)
+        a = _as_matrix(getattr(model, name), size, size, name)
         if not np.all(np.isfinite(a)):
             raise ModelError(f"{name} has non-finite entries")
         object.__setattr__(model, name, a)
@@ -140,12 +137,6 @@ class DiscreteLinearModel:
     def jacobian(self, X: np.ndarray) -> np.ndarray:
         """A1, which broadcasts over any stack of states."""
         return self.A1
-
-    def gain(self, X: np.ndarray):
-        """Diagonal gains sqrt(max(g^2(x), EPS_G)) for each state of the
-        stack X (..., n), and the mask of components where g^2 < EPS_G."""
-        _, _, g, g2 = self.linearize(X[..., None])
-        return g[..., 0], g2[..., 0] < EPS_G
 
 
 def with_fixed_noise(model: DiscreteLinearModel, beta: float) -> DiscreteLinearModel:
@@ -232,14 +223,14 @@ class NonlinearModel:
         return g, np.zeros(g.shape, dtype=bool)
 
 
-def finite_difference_jacobian(f, x, rel_step=1e-5):
-    """Central-difference Jacobian with per-coordinate step rel_step*(1+|x_i|)."""
+def finite_difference_jacobian(f, x):
+    """Central-difference Jacobian with per-coordinate step 1e-5*(1+|x_i|)."""
     x = np.asarray(x, dtype=float)
     n = x.size
     fx = np.atleast_1d(np.asarray(f(x), dtype=float))
     J = np.empty((fx.size, n))
     for i in range(n):
-        h = rel_step * (1.0 + abs(x[i]))
+        h = 1e-5 * (1.0 + abs(x[i]))
         xp = x.copy()
         xm = x.copy()
         xp[i] += h
@@ -274,10 +265,6 @@ class ContinuousDiscreteModel:
     @property
     def n(self) -> int:
         return self.inner.n
-
-    @property
-    def m(self) -> int:
-        return self.inner.m
 
 
 def eval_G(gsq: np.ndarray, x: np.ndarray, eps: float = EPS_G):
@@ -346,17 +333,14 @@ class ReactionNetwork:
     def n_species(self) -> int:
         return self.nu.shape[0]
 
-    @property
-    def n_reactions(self) -> int:
-        return self.nu.shape[1]
-
     def propensity_coeffs(self) -> np.ndarray:
         """Affine coefficients (M, n+1): a_j(x) = b_j0 + b_j. @ x."""
         return self._coeffs
 
 
-def from_cle(net: ReactionNetwork, C=None, Sigma_w=None) -> DiscreteLinearModel:
-    """Chemical-Langevin continuous dynamics with per-species diagonal noise.
+def from_cle(net: ReactionNetwork) -> DiscreteLinearModel:
+    """Chemical-Langevin continuous dynamics with per-species diagonal noise,
+    every species measured (C = I) with unit noise (Sigma_w = I).
 
     Drift: A0_i = sum_j nu_ij b_j0, A1_ik = sum_j nu_ij b_jk.  The independent
     reaction channels are summed in variance per species, giving
@@ -375,9 +359,5 @@ def from_cle(net: ReactionNetwork, C=None, Sigma_w=None) -> DiscreteLinearModel:
     A0 = nu @ b[:, 0]
     A1 = nu @ b[:, 1:]
     gsq = (nu.astype(float) ** 2) @ b  # rows: [c_i0, c_i1, ..., c_in]
-    if C is None:
-        C = np.eye(n)
-    if Sigma_w is None:
-        Sigma_w = np.eye(np.atleast_2d(np.asarray(C)).shape[0])
-    return DiscreteLinearModel(A0=A0, A1=A1, C=C, gsq=gsq,
-                               Sigma_v=np.eye(n), Sigma_w=Sigma_w)
+    return DiscreteLinearModel(A0=A0, A1=A1, C=np.eye(n), gsq=gsq,
+                               Sigma_v=np.eye(n), Sigma_w=np.eye(n))

@@ -19,6 +19,9 @@ from .models import (EPS_G, ContinuousDiscreteModel, DiscreteLinearModel,
 
 SQRT3 = np.sqrt(3.0)
 
+# Largest autocorrelation lag of the whiteness statistic.
+MAX_LAG = 20
+
 
 def _unit_noise(rng, size, distribution):
     """Zero-mean unit-variance draws; BLUE only needs second moments, so a
@@ -47,17 +50,15 @@ def replicate_seed(master_seed: int, replicate: int) -> np.random.SeedSequence:
 
 @dataclass
 class TrajectoryData:
-    """True states and measurements with seed provenance.
+    """True states and measurements.
 
     Regenerating with the same (model, seed) is bit-identical.  A batch
     (`simulate_batch`) holds R replicates: states and measurements gain a
-    leading axis R, `seed` is the list of seeds and `clamped` an (R,) array.
+    leading axis R and `clamped` is an (R,) array.
     """
 
     states: np.ndarray        # (N, n)
     measurements: np.ndarray  # (N, m)
-    seed: object
-    model_id: str = ""
     clamped: bool = False
     times: Optional[np.ndarray] = None
 
@@ -67,7 +68,7 @@ class TrajectoryData:
     def replicate(self, r: int) -> "TrajectoryData":
         """Replicate r of a batch, as a single trajectory."""
         return replace(self, states=self.states[r],
-                       measurements=self.measurements[r], seed=self.seed[r],
+                       measurements=self.measurements[r],
                        clamped=bool(self.clamped[r]))
 
     def to_csv(self, path):
@@ -97,8 +98,8 @@ def _meas_noise_chol(Sigma_w):
         return V * np.sqrt(np.clip(w, 0.0, None))
 
 
-def simulate_batch(model, x0, N: int, seeds, distribution: str = "gaussian",
-                   model_id: str = "") -> TrajectoryData:
+def simulate_batch(model, x0, N: int, seeds,
+                   distribution: str = "gaussian") -> TrajectoryData:
     """Simulate R = len(seeds) replicates of N steps of a discrete model at
     once, replicate r from its own Generator `default_rng(seeds[r])`; x0 is
     shared or (R, n).  Each replicate draws its noise as one block in the
@@ -136,8 +137,7 @@ def simulate_batch(model, x0, N: int, seeds, distribution: str = "gaussian",
     states = states[..., 0]
     _check_finite("simulated state", 1, states[:, 1:])
     ys = _matvec(model.C, states) + _matvec(Lw, noise[..., :m])
-    return TrajectoryData(states=states, measurements=ys, seed=list(seeds),
-                          model_id=model_id, clamped=clamped)
+    return TrajectoryData(states=states, measurements=ys, clamped=clamped)
 
 
 def _scalar_states(model, x, v):
@@ -156,18 +156,17 @@ def _scalar_states(model, x, v):
     return np.array([clamped])
 
 
-def simulate_discrete(model, x0, N: int, seed, distribution: str = "gaussian",
-                      model_id: str = "") -> TrajectoryData:
+def simulate_discrete(model, x0, N: int, seed,
+                      distribution: str = "gaussian") -> TrajectoryData:
     """Simulate N steps of a discrete model with the gain evaluated at the
     TRUE state; the first recorded state is x0 itself (the x_1 convention).
     The one-replicate case of `simulate_batch`."""
-    return simulate_batch(model, x0, N, [seed], distribution,
-                          model_id).replicate(0)
+    return simulate_batch(model, x0, N, [seed], distribution).replicate(0)
 
 
 def simulate_cd_batch(model: ContinuousDiscreteModel, x0, seeds,
-                      em_step: float, distribution: str = "gaussian",
-                      model_id: str = "") -> TrajectoryData:
+                      em_step: float,
+                      distribution: str = "gaussian") -> TrajectoryData:
     """Euler-Maruyama paths of the continuous dynamics, measured at the
     model's sample times (the first sample time carries x0), for
     R = len(seeds) paths at once; x0 is shared or (R, n).  Path r draws its
@@ -225,8 +224,7 @@ def simulate_cd_batch(model: ContinuousDiscreteModel, x0, seeds,
     _check_finite("simulated path", 1, states[:, 1:])
     ys = _matvec(dyn.C, states) + _matvec(
         Lw, noise[:, starts[:-1, None] + np.arange(m)])
-    return TrajectoryData(states=states, measurements=ys, seed=list(seeds),
-                          model_id=model_id, clamped=floored,
+    return TrajectoryData(states=states, measurements=ys, clamped=floored,
                           times=times.copy())
 
 
@@ -252,22 +250,21 @@ def _one_path_states(dyn, x, xi, hs, nsteps, starts):
 
 
 def simulate_cd(model: ContinuousDiscreteModel, x0, seed, em_step: float,
-                distribution: str = "gaussian",
-                model_id: str = "") -> TrajectoryData:
+                distribution: str = "gaussian") -> TrajectoryData:
     """Euler-Maruyama path of the continuous dynamics, measured at the
     model's sample times (the first sample time carries x0).  The one-path
     case of `simulate_cd_batch`."""
-    return simulate_cd_batch(model, x0, [seed], em_step, distribution,
-                             model_id).replicate(0)
+    return simulate_cd_batch(model, x0, [seed], em_step,
+                             distribution).replicate(0)
 
 
-def mse(trace: FilterTrace, truth: TrajectoryData, burn_in: int = 0):
-    """Mean of ||xhat_post - x_true||^2 over steps after burn_in; an (R,)
-    array for a batch trace and batch truth."""
+def mse(trace: FilterTrace, truth: TrajectoryData):
+    """Mean of ||xhat_post - x_true||^2 over the steps; an (R,) array for a
+    batch trace and batch truth."""
     if len(trace) != len(truth):
         raise LengthMismatchError(
             f"trace has {len(trace)} steps, truth has {len(truth)}")
-    err = trace.xhat_post[..., burn_in:, :] - truth.states[..., burn_in:, :]
+    err = trace.xhat_post - truth.states
     with np.errstate(over="ignore"):  # a diverged run's mse is inf
         out = np.mean(np.sum(err ** 2, axis=-1), axis=-1)
     return float(out) if out.ndim == 0 else out
@@ -285,11 +282,11 @@ class WhitenessResult:
 
     rho: np.ndarray          # autocorrelations, lags 0..max_lag
     pass_fraction: float
-    threshold: float
     degenerate: bool = False
 
 
-def innovation_whiteness(trace: FilterTrace, max_lag: int = 20) -> WhitenessResult:
+def innovation_whiteness(trace: FilterTrace,
+                         max_lag: int = MAX_LAG) -> WhitenessResult:
     """Sample autocorrelations of the normalized innovations.
 
     Innovations are whitened per step by the Cholesky factor of the
@@ -321,10 +318,9 @@ def innovation_whiteness(trace: FilterTrace, max_lag: int = 20) -> WhitenessResu
     pass_fraction[degenerate] = np.nan
     if trace.innovation.ndim == 2:
         return WhitenessResult(rho=rho[0], pass_fraction=float(pass_fraction[0]),
-                               threshold=threshold,
                                degenerate=bool(degenerate[0]))
     return WhitenessResult(rho=rho, pass_fraction=pass_fraction,
-                           threshold=threshold, degenerate=degenerate)
+                           degenerate=degenerate)
 
 
 @dataclass(frozen=True)
@@ -391,8 +387,7 @@ class ComparisonReport:
 def monte_carlo_compare(model: DiscreteLinearModel, filters: Sequence[FilterSpec],
                         replicates: int, N: int, master_seed: int,
                         x0=1.0, init_sigma: float = 0.0,
-                        distribution: str = "gaussian",
-                        max_lag: int = 20, burn_in: int = 0) -> ComparisonReport:
+                        distribution: str = "gaussian") -> ComparisonReport:
     """Run every filter on the same seeded replicates and aggregate.
 
     Per replicate, data are simulated from the model and the filter initial
@@ -413,13 +408,13 @@ def monte_carlo_compare(model: DiscreteLinearModel, filters: Sequence[FilterSpec
     F = len(filters)
     mses = np.empty((replicates, F))
     passes = np.empty((replicates, F))
-    rhos = np.empty((F, max_lag + 1))
+    rhos = np.empty((F, MAX_LAG + 1))
     for i, spec in enumerate(filters):
         run_model = (with_fixed_noise(model, spec.beta)
                      if spec.variant == "fixed-beta" else model)
         trace = run_filter_batch(run_model, data.measurements, xinit, Sigma0)
-        mses[:, i] = mse(trace, data, burn_in=burn_in)
-        wh = innovation_whiteness(trace, max_lag=max_lag)
+        mses[:, i] = mse(trace, data)
+        wh = innovation_whiteness(trace)
         passes[:, i] = wh.pass_fraction
         rhos[i] = wh.rho.sum(axis=0) / replicates
     se = mses.std(axis=0, ddof=1) / np.sqrt(replicates) if replicates > 1 \

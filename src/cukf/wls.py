@@ -28,7 +28,7 @@ here in information form and share no code with the covariance-form filter.
 """
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,6 +36,9 @@ import numpy as np
 from .errors import IndefiniteHessianError, ModelError
 from .models import EPS_G
 from .discrete import StateEstimate, symmetrize
+
+# Longest horizon `oracle_filter` accepts; its memory grows as O(N^2 n).
+MAX_HORIZON = 500
 
 
 @dataclass
@@ -423,8 +426,8 @@ def _newton_checks(D, b, L, Dt, bt, factors, terminal, starts):
     return z_star, norms(g0), norms(g1), norms(step2)
 
 
-def oracle_filter(model, measurements, init: StateEstimate,
-                  max_horizon: int = 500) -> List[OracleSolution]:
+def oracle_filter(model, measurements,
+                  init: StateEstimate) -> List[OracleSolution]:
     """Recursive cost construction mirroring the filter: at each step the
     measurement term is added and the cost minimized; the time term appended
     afterwards is expanded at the running estimate and never revisited.
@@ -444,9 +447,9 @@ def oracle_filter(model, measurements, init: StateEstimate,
     """
     ms = np.atleast_2d(np.asarray(measurements, dtype=float))
     N = ms.shape[0]
-    if N > max_horizon:
+    if N > MAX_HORIZON:
         raise ValueError(
-            f"horizon {N} exceeds cap {max_horizon}; the cap bounds the "
+            f"horizon {N} exceeds cap {MAX_HORIZON}; the cap bounds the "
             "O(N^2 n) memory of the batched per-step Newton checks and of "
             "the per-step trajectories returned")
     prior = initial_cost(init)
@@ -507,18 +510,14 @@ def oracle_filter(model, measurements, init: StateEstimate,
 
 
 def dump_diagnostics(solutions: Sequence[OracleSolution], path,
-                     deltas: Optional[Sequence[Tuple[float, float]]] = None):
-    """Per-step gradient norms (and optional estimate/covariance deltas
-    against a filter trace) as CSV."""
+                     deltas: Sequence[Tuple[float, float]]):
+    """Per-step gradient norms and estimate/covariance deltas against a
+    filter trace, as CSV."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        header = ["k", "grad_norm_before", "grad_norm_after", "second_step_norm"]
-        if deltas is not None:
-            header += ["xhat_delta", "Sigma_delta"]
-        w.writerow(header)
-        for i, sol in enumerate(solutions):
-            row = [sol.index, repr(sol.grad_norm_before),
-                   repr(sol.grad_norm_after), repr(sol.second_step_norm)]
-            if deltas is not None:
-                row += [repr(float(deltas[i][0])), repr(float(deltas[i][1]))]
-            w.writerow(row)
+        w.writerow(["k", "grad_norm_before", "grad_norm_after",
+                    "second_step_norm", "xhat_delta", "Sigma_delta"])
+        for sol, (dx, dS) in zip(solutions, deltas):
+            w.writerow([sol.index, repr(sol.grad_norm_before),
+                        repr(sol.grad_norm_after), repr(sol.second_step_norm),
+                        repr(float(dx)), repr(float(dS))])

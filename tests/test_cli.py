@@ -181,6 +181,8 @@ def test_model_file_path_accepted(tmp_path, monkeypatch):
     # Steps whose count overflows to inf.
     ["filter", "--model", "birth_death_cle", "--step", "5e-324"],
     ["simulate", "--model", "birth_death_cle", "--em-step", "5e-324"],
+    # One step past the oracle's horizon cap, refused before simulating.
+    ["oracle-check", "--model", "example_sec3", "--horizon", "501"],
 ])
 @pytest.mark.filterwarnings("error")
 def test_invalid_input_exits_1_without_traceback(argv, tmp_path, monkeypatch,
@@ -223,11 +225,31 @@ def test_infinite_init_sigma_exits_1_with_one_error_line(command, tmp_path,
     assert err == "error: --init-sigma must be finite and nonnegative\n"
 
 
-def test_invalid_model_file_exits_1_with_one_error_line(tmp_path, monkeypatch,
+GOOD_MODEL_FILE = ("kind = discrete\nn = 1\nm = 1\nA0 = 1.0\nA1 = 0.99\n"
+                   "C = 1.0\ngsq = 100.0 1.0\nSigma_v = 1.0\nSigma_w = 1.0\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("kind = discrete\nn = 1\nm = 1\nA0 = nan\nA1 = 0.99\n"
+     "C = 1.0\ngsq = 100.0 1.0\nSigma_v = -1\nSigma_w = -1\n",
+     "non-finite"),
+    (GOOD_MODEL_FILE + "A1 0.99\n", "line 10: expected 'key = values'"),
+    (GOOD_MODEL_FILE + "n = 1\n", "line 10: duplicate key 'n'"),
+    (GOOD_MODEL_FILE.replace("Sigma_w = 1.0\n", ""), "missing key 'Sigma_w'"),
+    (GOOD_MODEL_FILE.replace("A0 = 1.0", "A0 = 1.0 2.0"),
+     "A0 needs 1 values, got 2"),
+    (GOOD_MODEL_FILE.replace("discrete", "hybrid"),
+     "kind must be discrete or continuous, got 'hybrid'"),
+    (GOOD_MODEL_FILE + "sample_times = 0 1\n",
+     "sample_times is only valid for kind = continuous"),
+    (GOOD_MODEL_FILE.replace("A0 = 1.0", "A0 = abc"), "A0: "),
+], ids=["nonfinite", "no-equals", "duplicate", "missing", "count", "kind",
+        "sample-times", "not-a-number"])
+def test_invalid_model_file_exits_1_with_one_error_line(text, message,
+                                                       tmp_path, monkeypatch,
                                                        capsys):
     path = tmp_path / "bad.model"
-    path.write_text("kind = discrete\nn = 1\nm = 1\nA0 = nan\nA1 = 0.99\n"
-                    "C = 1.0\ngsq = 100.0 1.0\nSigma_v = -1\nSigma_w = -1\n")
+    path.write_text(text)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = run(["filter", "--model", str(path)], tmp_path / "out",
@@ -236,6 +258,32 @@ def test_invalid_model_file_exits_1_with_one_error_line(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+    assert message in err
+
+
+def test_usage_error_exits_1(tmp_path, monkeypatch, capsys):
+    assert run(["filter"], tmp_path, monkeypatch) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert "error: the following arguments are required: --model" in err
+
+
+def test_oracle_disagreement_exits_2(tmp_path, monkeypatch, capsys):
+    import cukf.cli
+    original = cukf.cli.oracle_filter
+
+    def shifted(*args, **kwargs):
+        sols = original(*args, **kwargs)
+        sols[-1].xhat = sols[-1].xhat + 1e-6
+        return sols
+
+    monkeypatch.setattr(cukf.cli, "oracle_filter", shifted)
+    code = run(["oracle-check", "--model", "example_sec3"], tmp_path,
+               monkeypatch)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("max relative delta: ")
+    assert captured.err == "oracle-check FAILED (tolerance 1e-9)\n"
 
 
 NO_SCIPY = """

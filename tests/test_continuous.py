@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm as scipy_expm
 
 from cukf.builtin import birth_death_cle, example_sec3
-from cukf.continuous import (_PADE, IntegratorConfig, _Propagator, _expm,
+from cukf.continuous import (_PADE, _Propagator, _expm,
                              cd_run, cd_time_update, default_config,
                              euler_limit_check)
 from cukf.discrete import StateEstimate, time_update
@@ -19,7 +19,7 @@ from reference_impl import (EPS_G, _rk4, classical_cd_kf, floor_crossings,
                             random_constant_noise_model, rel_err, split_rk4,
                             vanloan_discretize)
 
-CFG = IntegratorConfig(step=0.001)
+STEP = 0.001
 
 
 def scalar_model(A0=10.0, A1=-0.1, g2=(10.0, 0.1)):
@@ -30,7 +30,7 @@ def scalar_model(A0=10.0, A1=-0.1, g2=(10.0, 0.1)):
 
 def test_zero_length_interval_is_identity():
     post = StateEstimate([50.0], [[1.0]], 0.0)
-    out = cd_time_update(post, scalar_model(), 2.0, 2.0, CFG)
+    out = cd_time_update(post, scalar_model(), 2.0, 2.0, STEP)
     assert np.array_equal(out.xhat, post.xhat)
     assert np.array_equal(out.Sigma, post.Sigma)
 
@@ -41,7 +41,7 @@ def test_constant_integrand_closed_form():
                                 gsq=[[3.0, 0, 0], [3.0, 0, 0]],
                                 Sigma_v=np.diag([2.0, 2.0]), Sigma_w=np.eye(2))
     post = StateEstimate([1.0, -1.0], np.eye(2) * 0.5, 0.0)
-    out = cd_time_update(post, model, 0.0, 0.7, CFG)
+    out = cd_time_update(post, model, 0.0, 0.7, STEP)
     assert np.allclose(out.xhat, post.xhat)
     assert np.allclose(out.Sigma, 0.5 * np.eye(2) + 3.0 * 2.0 * 0.7 * np.eye(2),
                        rtol=1e-12)
@@ -51,7 +51,7 @@ def test_affine_gain_frozen_reference():
     # Frozen from an independent forward-Euler integration at h = 1e-6:
     # xhat(1) = 54.75812932441148, Sigma(1) = 14.64032322594648.
     post = StateEstimate([50.0], [[1.0]], 0.0)
-    out = cd_time_update(post, scalar_model(), 0.0, 1.0, CFG)
+    out = cd_time_update(post, scalar_model(), 0.0, 1.0, STEP)
     assert np.allclose(out.xhat, [54.75812932441148], rtol=1e-5)
     assert np.allclose(out.Sigma, [[14.64032322594648]], rtol=1e-5)
 
@@ -59,7 +59,7 @@ def test_affine_gain_frozen_reference():
 def test_step_too_large():
     post = StateEstimate([0.0], [[1.0]], 0.0)
     with pytest.raises(StepTooLargeError):
-        cd_time_update(post, scalar_model(), 0.0, 0.5, IntegratorConfig(step=1.0))
+        cd_time_update(post, scalar_model(), 0.0, 0.5, 1.0)
 
 
 @pytest.mark.parametrize("t0, t1", [(0.0, np.nan), (0.0, np.inf),
@@ -67,7 +67,7 @@ def test_step_too_large():
 def test_bad_interval_rejected(t0, t1):
     post = StateEstimate([0.0], [[1.0]], 0.0)
     with pytest.raises(ValueError, match="need finite t0 <= t1"):
-        cd_time_update(post, scalar_model(), t0, t1, CFG)
+        cd_time_update(post, scalar_model(), t0, t1, STEP)
 
 
 def test_non_diagonal_sigma_v_rejected():
@@ -77,7 +77,7 @@ def test_non_diagonal_sigma_v_rejected():
                                 Sigma_w=np.eye(2))
     post = StateEstimate([1.0, 1.0], np.eye(2), 0.0)
     with pytest.raises(ModelError):
-        cd_time_update(post, model, 0.0, 0.1, CFG)
+        cd_time_update(post, model, 0.0, 0.1, STEP)
 
 
 def test_covariance_ode_preserves_symmetry():
@@ -91,7 +91,7 @@ def test_covariance_ode_preserves_symmetry():
         B = rng.standard_normal((2, 2))
         S0 = B @ B.T + np.eye(2)
         out = cd_time_update(StateEstimate(rng.standard_normal(2) + 10, S0, 0.0),
-                             model, 0.0, 0.5, IntegratorConfig(step=0.005))
+                             model, 0.0, 0.5, 0.005)
         assert np.abs(out.Sigma - out.Sigma.T).max() <= 1e-10
 
 
@@ -105,7 +105,7 @@ def test_euler_single_step_equals_discrete_update():
         A0=model.A0 * dt, A1=np.eye(1) + dt * model.A1, C=model.C,
         gsq=dt * model.gsq, Sigma_v=model.Sigma_v, Sigma_w=model.Sigma_w)
     one = time_update(StateEstimate(post.xhat, post.Sigma, 0), scaled)
-    ref = cd_time_update(post, model, 0.0, dt, IntegratorConfig(step=dt / 400))
+    ref = cd_time_update(post, model, 0.0, dt, dt / 400)
     assert np.isclose(rows[0].mean_err, abs(one.xhat[0] - ref.xhat[0]),
                       rtol=1e-6, atol=1e-12)
     assert np.isclose(rows[0].cov_err, abs(one.Sigma[0, 0] - ref.Sigma[0, 0]),
@@ -190,8 +190,7 @@ def test_cd_trace_csv_has_time_column_and_sidecar(tmp_path):
 
 def test_default_config_uses_hundredth_of_gap():
     model = birth_death_cle(t_end=5.0, n_samples=51)
-    cfg = default_config(model)
-    assert np.isclose(cfg.step, 0.1 / 100.0)
+    assert np.isclose(default_config(model), 0.1 / 100.0)
 
 
 def rk4_reference(model, post, span, step=1e-4):
@@ -210,7 +209,7 @@ def test_exact_matches_rk4_on_random_affine_models():
                 Sigma_v=np.diag(p["sv"]), Sigma_w=p["Sigma_w"])
             B = rng.standard_normal((n, n))
             post = StateEstimate(rng.standard_normal(n), B @ B.T, 0.0)
-            out = cd_time_update(post, model, 0.0, 0.1, CFG)
+            out = cd_time_update(post, model, 0.0, 0.1, STEP)
             x, S = rk4_reference(model, post, 0.1)
             assert np.all(model.gsq[:, 0] + model.gsq[:, 1:] @ x > 0)
             assert rel_err(out.xhat, x) <= 1e-9
@@ -296,8 +295,8 @@ def crossing_cases(draw, span=0.1):
 @given(crossing_cases())
 def test_cut_propagation_matches_split_reference(case):
     model, post = case
-    out = cd_time_update(post, model, 0.0, 0.1, CFG)
-    prop = _Propagator(model, CFG)
+    out = cd_time_update(post, model, 0.0, 0.1, STEP)
+    prop = _Propagator(model, STEP)
     prop.propagate(post.xhat, post.Sigma, 0.0, 0.1)
     assert prop.cuts == len(floor_crossings(model, post.xhat, 0.1)) >= 1
     x, S = split_rk4(model, post.xhat, post.Sigma, 0.1)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from cukf.builtin import birth_death_cle, example_sec3
-from cukf.continuous import IntegratorConfig, cd_time_update
 from cukf.discrete import StateEstimate, run_filter
 from cukf.errors import LengthMismatchError, NonFiniteStateError
 from cukf.modelio import load_model
@@ -421,7 +420,7 @@ def test_trajectory_csv_bytes_match_per_value_repr_writer(tmp_path, timed):
     N = 12
     data = TrajectoryData(
         states=rng.choice(values, size=(N, 2)),
-        measurements=rng.choice(values, size=(N, 1)), seed=0,
+        measurements=rng.choice(values, size=(N, 1)),
         times=rng.choice(values, size=N) if timed else None)
     data.to_csv(tmp_path / "new.csv")
     per_value_repr_trajectory_csv(data, tmp_path / "old.csv")

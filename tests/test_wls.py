@@ -6,10 +6,10 @@ from cukf.discrete import StateEstimate, run_filter
 from cukf.errors import IndefiniteHessianError, ModelError
 from cukf.models import DiscreteLinearModel
 from cukf.simulate import simulate_discrete
-from cukf.wls import (BlockTridiagFactor, QuadraticCost, StackedTrajectory,
-                      _inverse_cholesky, build_measurement_cost,
-                      build_time_cost, initial_cost, newton_solve,
-                      oracle_filter)
+from cukf.wls import (MAX_HORIZON, BlockTridiagFactor, QuadraticCost,
+                      StackedTrajectory, _inverse_cholesky,
+                      build_measurement_cost, build_time_cost, initial_cost,
+                      newton_solve, oracle_filter)
 
 from reference_impl import random_constant_noise_model, rel_err, textbook_kf
 
@@ -284,9 +284,9 @@ def test_scalar_factor_fails_like_the_matrix_path(bad):
 
 def test_horizon_cap_enforced():
     model = example_sec3()
-    with pytest.raises(ValueError):
-        oracle_filter(model, np.zeros((11, 1)),
-                      StateEstimate([0.0], [[1.0]]), max_horizon=10)
+    with pytest.raises(ValueError, match=f"exceeds cap {MAX_HORIZON}"):
+        oracle_filter(model, np.zeros((MAX_HORIZON + 1, 1)),
+                      StateEstimate([0.0], [[1.0]]))
 
 
 def test_indefinite_hessian_detected():
