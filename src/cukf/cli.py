@@ -53,6 +53,13 @@ def _atomic(path):
             os.unlink(tmp)
 
 
+def _write_text(path, text):
+    """Write `text` to `path` atomically, with no newline translation."""
+    with _atomic(path) as tmp:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+
+
 def _resolve_outdir(args):
     out = os.environ.get("CUKF_OUTPUT_DIR") or args.out
     os.makedirs(out, exist_ok=True)
@@ -74,11 +81,8 @@ def _write_manifest(outdir, args, extra=None):
     cfg["version"] = __version__
     if extra:
         cfg.update(extra)
-    path = os.path.join(outdir, "manifest.json")
-    with _atomic(path) as tmp:
-        with open(tmp, "w") as fh:
-            json.dump(cfg, fh, indent=2, sort_keys=True, default=str)
-            fh.write("\n")
+    _write_text(os.path.join(outdir, "manifest.json"),
+                json.dumps(cfg, indent=2, sort_keys=True, default=str) + "\n")
 
 
 def _simulate_any(model, args):
@@ -134,22 +138,24 @@ def _cmd_filter(args):
     init = _init_estimate(model, args)
     outdir = _resolve_outdir(args)
     data = _simulate_any(model, args)
-    sidecar = None
-    if isinstance(model, ContinuousDiscreteModel):
-        step = args.step if args.step is not None else default_config(model)
+    cd = isinstance(model, ContinuousDiscreteModel)
+    if cd:
+        step = default_config(model) if args.step is None else args.step
+        if not 0 < step < np.inf:
+            raise ValueError("--step must be finite and positive")
         trace = cd_run(model, data.measurements, init, step)
-        sidecar = os.path.join(outdir, "trace_summary.csv")
     else:
         if args.variant == "fixed-beta":
             model = with_fixed_noise(model, args.beta)
         trace = run_filter(model, data.measurements, init)
     path = os.path.join(outdir, "trace.csv")
-    if sidecar is not None:
-        with _atomic(path) as tmp, _atomic(sidecar) as tmp2:
-            trace.to_csv(tmp, sidecar=tmp2)
-    else:
-        with _atomic(path) as tmp:
-            trace.to_csv(tmp)
+    with _atomic(path) as tmp:
+        trace.to_csv(tmp)
+    if cd:
+        _write_text(os.path.join(outdir, "trace_summary.csv"),
+                    f"key,value\r\nclamp_count,{trace.clamp_count}\r\n"
+                    f"step_count,{trace.step_count}\r\n"
+                    f"fallback_intervals,{trace.fallback_intervals}\r\n")
     _write_manifest(outdir, args, {"mse": mse(trace, data)})
     print(f"wrote {path}")
     return 0
@@ -168,12 +174,9 @@ def _cmd_compare(args):
                                  N=args.N, master_seed=args.seed, x0=args.x0,
                                  distribution=args.distribution)
     csv_path = os.path.join(outdir, "comparison.csv")
-    txt_path = os.path.join(outdir, "comparison.txt")
     with _atomic(csv_path) as tmp:
         report.to_csv(tmp)
-    with _atomic(txt_path) as tmp:
-        with open(tmp, "w") as fh:
-            fh.write(report.to_table() + "\n")
+    _write_text(os.path.join(outdir, "comparison.txt"), report.to_table() + "\n")
     _write_manifest(outdir, args)
     print(report.to_table())
     return 0
@@ -186,6 +189,8 @@ def _step_rel_deltas(a, b):
 
 
 def _cmd_oracle_check(args):
+    if args.horizon < 1:
+        raise ValueError("--horizon must be at least 1")
     if args.horizon > MAX_HORIZON:
         raise ValueError(f"--horizon must be at most {MAX_HORIZON}")
     model = _load(args.model)
@@ -224,11 +229,8 @@ def _cmd_limit_check(args):
     dts = [args.dt0 / 2 ** i for i in range(args.levels + 1)]
     rows = euler_limit_check(dyn, post, args.t0, args.t1, dts)
     path = os.path.join(outdir, "limit_check.csv")
-    with _atomic(path) as tmp:
-        with open(tmp, "w") as fh:
-            fh.write("dt,mean_err,cov_err\n")
-            for row in rows:
-                fh.write(f"{row.dt!r},{row.mean_err!r},{row.cov_err!r}\n")
+    _write_text(path, "dt,mean_err,cov_err\n" + "".join(
+        f"{row.dt!r},{row.mean_err!r},{row.cov_err!r}\n" for row in rows))
     _write_manifest(outdir, args)
     for a, b in zip(rows[1:], rows[:-1]):
         # rows sorted ascending in dt: ratio of coarse to fine error
@@ -238,18 +240,26 @@ def _cmd_limit_check(args):
     return 0
 
 
-def _add_common(p, need_N=True):
+_OPTIONS = {
+    "--seed": dict(type=int, default=0),
+    "--N": dict(type=int, default=100,
+                help="number of measurements (discrete models)"),
+    "--em-step": dict(type=float, default=0.01,
+                      help="Euler-Maruyama step for continuous simulation"),
+    "--init-sigma": dict(type=float, default=0.0, dest="init_sigma"),
+}
+
+
+def _add_common(p, *options):
+    """--model, --x0 and --out, then the named `options` of _OPTIONS: a
+    subcommand declares those it reads and no other."""
     p.add_argument("--model", required=True,
                    help="builtin model name or model file path")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--x0", type=float, default=1.0,
                    help="initial true state (all components)")
     p.add_argument("--out", default="out", help="output directory")
-    if need_N:
-        p.add_argument("--N", type=int, default=100,
-                       help="number of measurements (discrete models)")
-    p.add_argument("--em-step", type=float, default=0.01,
-                   help="Euler-Maruyama step for continuous simulation")
+    for name in options:
+        p.add_argument(name, **_OPTIONS[name])
 
 
 def build_parser():
@@ -260,16 +270,15 @@ def build_parser():
     p.set_defaults(func=_cmd_models)
 
     p = sub.add_parser("simulate", help="simulate a trajectory to CSV")
-    _add_common(p)
+    _add_common(p, "--seed", "--N", "--em-step")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("filter", help="simulate then filter, trace to CSV")
-    _add_common(p)
+    _add_common(p, "--seed", "--N", "--em-step", "--init-sigma")
     p.add_argument("--variant", choices=["covariance-update", "fixed-beta"],
                    default="covariance-update")
     p.add_argument("--beta", type=float, default=None,
                    help="process noise gain for the fixed-beta variant")
-    p.add_argument("--init-sigma", type=float, default=0.0, dest="init_sigma")
     p.add_argument("--step", type=float, default=None,
                    help="clamp-detection grid step for continuous models: "
                    "where the floored set changes, intervals are cut there")
@@ -277,7 +286,7 @@ def build_parser():
 
     p = sub.add_parser("compare",
                        help="Monte Carlo comparison against the fixed-beta baseline")
-    _add_common(p)
+    _add_common(p, "--seed", "--N")
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--replicates", type=int, default=500)
     p.add_argument("--distribution", choices=["gaussian", "uniform"],
@@ -286,14 +295,13 @@ def build_parser():
 
     p = sub.add_parser("oracle-check",
                        help="check filter against the trajectory-cost oracle")
-    _add_common(p, need_N=False)
+    _add_common(p, "--seed", "--init-sigma")
     p.add_argument("--horizon", type=int, default=20)
-    p.add_argument("--init-sigma", type=float, default=0.0, dest="init_sigma")
     p.set_defaults(func=_cmd_oracle_check)
 
     p = sub.add_parser("limit-check",
                        help="Euler-refinement consistency of the covariance ODE")
-    _add_common(p, need_N=False)
+    _add_common(p)
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t1", type=float, default=0.8)
     p.add_argument("--dt0", type=float, default=0.08,
@@ -307,9 +315,6 @@ def parse_and_dispatch(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else 0
-    try:
         if not np.isfinite(getattr(args, "x0", 0.0)):
             raise ValueError("--x0 must be finite")
         return args.func(args)

@@ -82,13 +82,9 @@ class FilterTrace:
             innovation=self.innovation[r], S=self.S[r], gain=self.gain[r],
             clamp_count=int(self.clamp_count[r]))
 
-    def to_csv(self, path, sidecar=None):
+    def to_csv(self, path):
         """One row per step: k, [t,] xhat_prior, xhat_post, innovation,
-        S diagonal, upper triangle of Sigma_post.
-
-        When `sidecar` is given, integration diagnostics are written there
-        as a small key,value CSV.
-        """
+        S diagonal, upper triangle of Sigma_post."""
         n = self.xhat_post.shape[1]
         m = self.innovation.shape[1]
         iu = np.triu_indices(n)
@@ -112,13 +108,6 @@ class FilterTrace:
             # .tolist() gives Python floats, which csv writes by their repr.
             w.writerows([k] + row.tolist() for k, row in
                         zip(self.indices.tolist(), table))
-        if sidecar is not None:
-            with open(sidecar, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["key", "value"])
-                w.writerow(["clamp_count", self.clamp_count])
-                w.writerow(["step_count", self.step_count])
-                w.writerow(["fallback_intervals", self.fallback_intervals])
 
 
 def _inverse_factor(S, step=None):

@@ -8,14 +8,14 @@ checkable by construction.  A fixed-gain baseline is the linear model with
 constant g^2 (`with_fixed_noise`); continuous-discrete models wrap a linear
 one.
 
-Every discrete model answers the same questions about a stack of states
-X (..., n): `drift(X)` and `jacobian(X)`.  The filter loop, the simulators
-and the oracle ask for f, Df and the diagonal noise gains at once through
-`linearize`.  A nonlinear model also gives its gains alone, through
-`gain(X) -> (g, floored)` with the mask of floored components.
+Every caller evaluates a discrete model through `linearize(Z) -> ([f(x) |
+Df(x) M], Df(x), g, g^2)` alone, on a stack of blocks Z = [x | M] (..., n,
+1 + k).  A nonlinear model makes one pass over the states: f and G once per
+state, and Df (or central differences of f) only when Z carries M.
 """
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Mapping, Optional, Tuple
 
 import numpy as np
@@ -130,14 +130,6 @@ class DiscreteLinearModel:
         g2 = AZ[..., self.n:, :1]
         return AZ[..., :self.n, :], self.A1, np.sqrt(np.maximum(g2, EPS_G)), g2
 
-    def drift(self, X: np.ndarray) -> np.ndarray:
-        """A0 + A1 x for each state of the stack X (..., n)."""
-        return self.linearize(X[..., None])[0][..., 0]
-
-    def jacobian(self, X: np.ndarray) -> np.ndarray:
-        """A1, which broadcasts over any stack of states."""
-        return self.A1
-
 
 def with_fixed_noise(model: DiscreteLinearModel, beta: float) -> DiscreteLinearModel:
     """Baseline companion of `model` with the gain frozen at `beta`: every
@@ -178,35 +170,22 @@ class NonlinearModel:
     def m(self) -> int:
         return self.C.shape[0]
 
-    def _rows(self, fn, X, shape, what):
-        """fn applied to each state of the stack X (..., n), stacked to
-        X.shape[:-1] + shape; a non-finite value raises."""
-        X = np.asarray(X, dtype=float)
-        out = np.array([fn(x) for x in X.reshape(-1, self.n)], dtype=float)
-        if not np.isfinite(out).all():
-            ok = np.isfinite(out.reshape(len(out), -1)).all(axis=-1)
-            raise NonFiniteStateError(f"{what} non-finite",
-                                      replicate=_first_failure(ok))
-        return out.reshape(X.shape[:-1] + shape)
-
-    def drift(self, X: np.ndarray) -> np.ndarray:
-        """f(x) for each state of the stack X (..., n)."""
-        return self._rows(self.f, X, (self.n,), "drift")
-
-    def jacobian(self, X: np.ndarray) -> np.ndarray:
-        """Df(x), or its central-difference estimate, for each state of the
-        stack X (..., n)."""
-        Df = self.Df or (lambda x: finite_difference_jacobian(self.f, x))
-        return self._rows(Df, X, (self.n, self.n), "Jacobian")
-
     def linearize(self, Z: np.ndarray):
-        """As `DiscreteLinearModel.linearize`; Df is None if Z has only x,
-        and g^2 is inf: a user-supplied gain is never floored."""
+        """As `DiscreteLinearModel.linearize`, in one pass over the states;
+        Df is None if Z has only x, and g^2 is inf: a user-supplied gain is
+        never floored.  A non-finite f, Df or G, tested in that order over
+        all states, raises naming the first failing replicate."""
         X = Z[..., 0]
-        f = self.drift(X)[..., None]
-        J = self.jacobian(X) if Z.shape[-1] > 1 else None
+        Df = None
+        if Z.shape[-1] > 1:
+            Df = self.Df or partial(finite_difference_jacobian, self.f)
+        fs, Js, gs = zip(*[(self.f(x), Df and Df(x), self._gain_row(x))
+                           for x in X.reshape(-1, self.n)])
+        f = _stacked(fs, X.shape + (1,), "drift")
+        J = Df and _stacked(Js, X.shape + (self.n,), "Jacobian")
+        g = _stacked(gs, X.shape + (1,), "gain")
         FZ = f if J is None else np.concatenate((f, J @ Z[..., 1:]), axis=-1)
-        return FZ, J, self.gain(X)[0][..., None], np.inf
+        return FZ, J, g, np.inf
 
     def _gain_row(self, x):
         raw = np.asarray(self.G(x), dtype=float)
@@ -216,27 +195,30 @@ class NonlinearModel:
             raise ModelError("G(x) evaluated to a non-diagonal matrix")
         return np.diag(raw)
 
-    def gain(self, X: np.ndarray):
-        """Diagonal gains G(x) for each state of the stack X (..., n), and
-        an all-False mask: a user-supplied gain is never floored here."""
-        g = self._rows(self._gain_row, X, (self.n,), "gain")
-        return g, np.zeros(g.shape, dtype=bool)
+
+def _stacked(rows, shape, what):
+    """The per-state values `rows` as one array of `shape`; a non-finite
+    value raises "<what> non-finite"."""
+    out = np.array(rows, dtype=float)
+    if not np.isfinite(out).all():
+        ok = np.isfinite(out.reshape(len(out), -1)).all(axis=-1)
+        raise NonFiniteStateError(f"{what} non-finite",
+                                  replicate=_first_failure(ok))
+    return out.reshape(shape)
 
 
 def finite_difference_jacobian(f, x):
-    """Central-difference Jacobian with per-coordinate step 1e-5*(1+|x_i|)."""
+    """Central-difference Jacobian with per-coordinate step 1e-5*(1+|x_i|),
+    from f at the 2n offset points only."""
     x = np.asarray(x, dtype=float)
-    n = x.size
-    fx = np.atleast_1d(np.asarray(f(x), dtype=float))
-    J = np.empty((fx.size, n))
-    for i in range(n):
+    cols = []
+    for i in range(x.size):
         h = 1e-5 * (1.0 + abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
+        xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
-        J[:, i] = (np.atleast_1d(f(xp)) - np.atleast_1d(f(xm))) / (2.0 * h)
-    return J
+        cols.append((np.atleast_1d(f(xp)) - np.atleast_1d(f(xm))) / (2.0 * h))
+    return np.stack(cols, axis=-1)
 
 
 @dataclass(frozen=True)

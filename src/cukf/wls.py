@@ -22,7 +22,7 @@ The quadratic time-step term is the second-order expansion of
 around (f(xhat_{k-1}), xhat_{k-1}).  The derivative of G^{-1} with respect to
 the previous state multiplies the predicted residual, which vanishes at the
 expansion point, so it contributes nothing to the gradient or Hessian there.
-The expansion reads f, Df and G from the model's drift, jacobian and gain,
+The expansion reads f, Df and G from one `linearize` of [x | I] per step,
 for a linear and a nonlinear model alike; the costs themselves are built
 here in information form and share no code with the covariance-form filter.
 """
@@ -208,13 +208,13 @@ def initial_cost(init: StateEstimate) -> QuadraticCost:
     return cost
 
 
-def _time_blocks(model, sigma_v, xprev, head):
-    """The time term at xprev (n,): f(xprev), A = Df(xprev), Q, d = f(xprev)
-    - A xprev, and its blocks: A'QA and A'Qd on the previous block, the
-    coupling -QA, and -Qd, or -Q f(xprev) after the pinned head (`head`)."""
-    fx, _, g, _ = model.linearize(xprev[:, None])
-    pred = fx[:, 0]
-    A = np.atleast_2d(model.jacobian(xprev))
+def _time_blocks(model, sigma_v, XI, head):
+    """The time term at xprev = XI[:, 0] from one linearization of XI =
+    [xprev | I]: f(xprev), A = Df(xprev), Q, d = f(xprev) - A xprev, and its
+    blocks: A'QA and A'Qd on the previous block, the coupling -QA, and -Qd,
+    or -Q f(xprev) after the pinned head (`head`)."""
+    fx, A, g, _ = model.linearize(XI)
+    pred, xprev = fx[:, 0], XI[:, 0]
     Q = np.diag(1.0 / (np.maximum(g[:, 0] ** 2, EPS_G) * sigma_v))
     d = pred - A @ xprev
     AtQ = A.T @ Q
@@ -228,7 +228,8 @@ def build_time_cost(prev: QuadraticCost, model, xhat_prev) -> QuadraticCost:
     xprev = np.atleast_1d(np.asarray(xhat_prev, dtype=float))
     head = cost.pinned and cost.n_variable_blocks == 0
     _, A, Q, d, AtQA, AtQd, L, b = _time_blocks(
-        model, np.diag(model.Sigma_v), xprev, head)
+        model, np.diag(model.Sigma_v),
+        np.concatenate((xprev[:, None], np.eye(xprev.size)), axis=1), head)
     j = cost.n_blocks - 1  # full-trajectory index of the previous block
     if j < 0:
         raise ValueError("cost has no blocks to extend from")
@@ -462,6 +463,7 @@ def oracle_filter(model, measurements,
     b, bt = np.zeros((2, nb, n))
     xhats, starts = np.empty((2, N, n))
     Sigmas = np.zeros((N, n, n))
+    XI = np.eye(n, n + 1, 1)  # [xhat_k | I], linearized at each step
     xhats[0] = starts[0] = init.xhat
     if not pinned:
         D[0], b[0] = prior.D[0], prior.b[0]
@@ -477,8 +479,9 @@ def oracle_filter(model, measurements,
             Sigmas[k] = symmetrize(terminal[i].T @ terminal[i])
         if k + 1 == N:
             break
+        XI[:, 0] = xhats[k]
         starts[k + 1], _, D[i + 1], _, AtQA, AtQd, Lq, b[i + 1] = (
-            _time_blocks(model, sigma_v, xhats[k], i < 0))
+            _time_blocks(model, sigma_v, XI, i < 0))
         if i >= 0:
             D[i] += AtQA
             b[i] += AtQd

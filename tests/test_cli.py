@@ -268,6 +268,44 @@ def test_usage_error_exits_1(tmp_path, monkeypatch, capsys):
     assert "error: the following arguments are required: --model" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["compare", "--model", "example_sec3", "--beta", "0.1", "--em-step", "0.01"],
+    ["oracle-check", "--model", "example_sec3", "--em-step", "0.01"],
+    ["limit-check", "--model", "birth_death_cle", "--em-step", "0.01"],
+    ["limit-check", "--model", "birth_death_cle", "--seed", "1"],
+])
+def test_option_the_subcommand_does_not_read_is_a_usage_error(
+        argv, tmp_path, monkeypatch, capsys):
+    assert run(argv, tmp_path, monkeypatch) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert f"error: unrecognized arguments: {' '.join(argv[-2:])}\n" in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["oracle-check", "--model", "example_sec3", "--horizon", "0"],
+     "--horizon must be at least 1"),
+    (["filter", "--model", "birth_death_cle", "--step", "0"],
+     "--step must be finite and positive"),
+    (["filter", "--model", "birth_death_cle", "--step", "nan"],
+     "--step must be finite and positive"),
+    (["filter", "--model", "birth_death_cle", "--step", "-1"],
+     "--step must be finite and positive"),
+])
+def test_error_names_the_option_the_user_set(argv, message, tmp_path,
+                                             monkeypatch, capsys):
+    import cukf.cli
+
+    def refused(*args, **kwargs):
+        raise AssertionError("simulated before refusing the horizon")
+
+    if argv[0] == "oracle-check":
+        monkeypatch.setattr(cukf.cli, "simulate_discrete", refused)
+    assert run(argv, tmp_path, monkeypatch) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_oracle_disagreement_exits_2(tmp_path, monkeypatch, capsys):
     import cukf.cli
     original = cukf.cli.oracle_filter

@@ -174,18 +174,29 @@ def test_diverging_propagation_names_its_interval_and_step():
     assert str(exc.value) == "integration diverged on [0.0, 0.5] (at step 2)"
 
 
-def test_cd_trace_csv_has_time_column_and_sidecar(tmp_path):
-    model = birth_death_cle(t_end=1.0, n_samples=6)
-    data = simulate_cd(model, np.array([100.0]), 12, em_step=0.01)
-    trace = cd_run(model, data.measurements, StateEstimate([100.0], [[1.0]], 0.0))
-    path = tmp_path / "trace.csv"
-    sidecar = tmp_path / "summary.csv"
-    trace.to_csv(path, sidecar=sidecar)
-    header = path.read_text().splitlines()[0]
+def test_cd_trace_csv_has_time_column_and_sidecar(tmp_path, monkeypatch):
+    # The CLI writes the continuous-discrete run's counts beside its trace.
+    import cukf.cli
+    traces = []
+
+    def recording_cd_run(*args):
+        traces.append(cd_run(*args))
+        return traces[-1]
+
+    monkeypatch.setattr(cukf.cli, "cd_run", recording_cd_run)
+    monkeypatch.delenv("CUKF_OUTPUT_DIR", raising=False)
+    models = Path(__file__).resolve().parents[1] / "bench" / "models"
+    assert cukf.cli.parse_and_dispatch([
+        "filter", "--model", str(models / "pure_death_cle.txt"), "--x0", "100",
+        "--out", str(tmp_path)]) == 0
+    header = (tmp_path / "trace.csv").read_text().splitlines()[0]
     assert header.split(",")[1] == "t"
-    body = sidecar.read_text()
-    assert "clamp_count" in body and "step_count" in body
-    assert "fallback_intervals" in body
+    trace, = traces
+    assert trace.clamp_count > 0
+    assert (tmp_path / "trace_summary.csv").read_bytes() == (
+        f"key,value\r\nclamp_count,{trace.clamp_count}\r\n"
+        f"step_count,{trace.step_count}\r\n"
+        f"fallback_intervals,{trace.fallback_intervals}\r\n").encode()
 
 
 def test_default_config_uses_hundredth_of_gap():

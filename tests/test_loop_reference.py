@@ -59,9 +59,12 @@ def earlier_parts(model, X):
         g2 = model.gsq[:, 0] + matvec(model.gsq[:, 1:], X)
         return (model.A0 + matvec(model.A1, X), model.A1,
                 np.sqrt(np.maximum(g2, EPS_G)), g2 < EPS_G)
-    f, J = model.drift(X), model.jacobian(X)
-    g, floored = model.gain(X)
-    return f, J, g, floored
+    def each(h):
+        return np.array([h(x) for x in X.reshape(-1, model.n)], dtype=float)
+
+    return (each(model.f).reshape(X.shape),
+            each(model.Df).reshape(X.shape + (model.n,)),
+            each(model.G).reshape(X.shape), np.zeros(X.shape, bool))
 
 
 def earlier_blue(X, P, Y, C, Sigma_w, step):
@@ -393,7 +396,8 @@ def earlier_oracle(model, ms, init):
         if k + 1 == N:
             break
         cost = build_time_cost(cost, model, xhats[k])
-        starts.append(model.drift(xhats[k]))
+        starts.append(model.linearize(np.concatenate(
+            (xhats[k][:, None], np.eye(n)), axis=1))[0][:, 0])
         if i >= 0:
             factor.refactor_last(cost.D[i])
             y = -cost.b[i] - coupled

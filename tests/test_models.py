@@ -102,7 +102,7 @@ def test_nonlinear_gain_rejects_offdiagonal():
                            C=np.eye(2), Sigma_v=np.eye(2), Sigma_w=np.eye(2),
                            n=2)
     with pytest.raises(ValueError):
-        model.gain(np.zeros(2))
+        model.linearize(np.zeros((2, 1)))
 
 
 def test_finite_difference_jacobian_matches_analytic():

@@ -56,9 +56,10 @@ def test_fd_jacobian_consistency_on_test_models():
                               Sigma_v=model.Sigma_v, Sigma_w=model.Sigma_w,
                               n=model.n)
         for _ in range(20):
-            x = rng.uniform(1.0, 80.0, model.n)
-            J_user = model.jacobian(x)
-            J_fd = nofd.jacobian(x)
+            Z = np.column_stack((rng.uniform(1.0, 80.0, model.n),
+                                 np.eye(model.n)))
+            J_user = model.linearize(Z)[1]
+            J_fd = nofd.linearize(Z)[1]
             assert np.allclose(J_fd, J_user, rtol=1e-4, atol=1e-8)
 
 
@@ -71,7 +72,7 @@ def test_propagated_covariance_dominates_noise_term():
         Sigma = B @ B.T
         xhat = rng.uniform(1.0, 90.0, 1)
         out = time_update(StateEstimate(xhat, Sigma), model)
-        G = np.diag(model.gain(xhat)[0])
+        G = np.diag(model.linearize(xhat[:, None])[2][:, 0])
         resid = out.Sigma - G @ model.Sigma_v @ G
         assert np.min(np.linalg.eigvalsh(resid)) >= -1e-10
 
@@ -158,3 +159,37 @@ def test_simulated_nonfinite_drift_names_its_step_and_replicate():
         simulate_batch(logistic(), x0, 50, [0, 1, 2])
     assert (exc.value.replicate, exc.value.step) == (1, 44)
     assert str(exc.value) == "drift non-finite (replicate 1, at step 44)"
+
+
+@pytest.mark.parametrize("analytic", [True, False])
+def test_linearize_is_one_pass_over_the_states(analytic):
+    # f and G once per state; Df once per state only when Z carries M, or
+    # else central differences of f at the 2n offset points.
+    calls = {"f": 0, "Df": 0, "G": 0}
+
+    def counted(name, fn):
+        def wrapped(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapped
+
+    rng = np.random.default_rng(24)
+    R, n = 5, 3
+    A = rng.standard_normal((n, n))
+    model = NonlinearModel(
+        f=counted("f", lambda x: A @ x + np.sin(x)),
+        Df=counted("Df", lambda x: A + np.diag(np.cos(x))) if analytic else None,
+        G=counted("G", lambda x: np.sqrt(1.0 + x ** 2)), C=np.eye(n),
+        Sigma_v=np.eye(n), Sigma_w=np.eye(n), n=n)
+    X = rng.standard_normal((R, n, 1))
+    FZ, J, g, _ = model.linearize(X)
+    assert J is None and FZ.shape == g.shape == (R, n, 1)
+    assert calls == {"f": R, "Df": 0, "G": R}
+    calls.update(f=0, G=0)
+    Z = np.concatenate((X, rng.standard_normal((R, n, 2))), axis=-1)
+    FZ, J, g, _ = model.linearize(Z)
+    assert FZ.shape == (R, n, 3) and J.shape == (R, n, n)
+    if analytic:
+        assert calls == {"f": R, "Df": R, "G": R}
+    else:
+        assert calls == {"f": R * (1 + 2 * n), "Df": 0, "G": R}

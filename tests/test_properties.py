@@ -129,7 +129,8 @@ def reference_oracle(model, ys, init):
         blocks = list(sol.trajectory.blocks())
         if k + 1 < len(ys):
             cost = build_time_cost(cost, model, sol.xhat)
-            blocks.append(model.drift(sol.xhat))
+            blocks.append(model.linearize(np.concatenate(
+                (sol.xhat[:, None], np.eye(cost.n)), axis=1))[0][:, 0])
     return solutions
 
 
