@@ -3,24 +3,23 @@ oracle-equivalence and Euler-limit checks.
 
 Exit status: 0 success, 1 usage error, 2 numerical failure.  Every run
 writes a manifest.json with the full configuration so outputs can be
-reproduced bit-exactly.  All files are written atomically (temp + rename).
-The output directory can be overridden with the CUKF_OUTPUT_DIR
-environment variable.
+reproduced bit-exactly; an option the model kind does not read is refused.
+Files are written atomically (temp + rename), CSV in csv's default dialect,
+by the package's one writer in `cukf.discrete`.  The output directory can be
+overridden with the CUKF_OUTPUT_DIR environment variable.
 """
 
 import argparse
-import contextlib
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
 from . import __version__
 from .builtin import builtin_models, get_builtin
 from .continuous import cd_run, default_config, euler_limit_check
-from .discrete import StateEstimate, run_filter
+from .discrete import StateEstimate, _atomic_open, _write_csv, run_filter
 from .errors import FilterError
 from .models import ContinuousDiscreteModel, DiscreteLinearModel, with_fixed_noise
 from .modelio import load_model
@@ -36,28 +35,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-@contextlib.contextmanager
-def _atomic(path):
-    """Yield a temp path in the target directory; rename into place on
-    success so partially written outputs never appear."""
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
-    os.close(fd)
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def _write_text(path, text):
-    """Write `text` to `path` atomically, with no newline translation."""
-    with _atomic(path) as tmp:
-        with open(tmp, "w", newline="") as fh:
-            fh.write(text)
 
 
 def _resolve_outdir(args):
@@ -81,8 +58,23 @@ def _write_manifest(outdir, args, extra=None):
     cfg["version"] = __version__
     if extra:
         cfg.update(extra)
-    _write_text(os.path.join(outdir, "manifest.json"),
-                json.dumps(cfg, indent=2, sort_keys=True, default=str) + "\n")
+    with _atomic_open(os.path.join(outdir, "manifest.json")) as fh:
+        fh.write(json.dumps(cfg, indent=2, sort_keys=True, default=str) + "\n")
+
+
+def _kind_options(model, args):
+    """Refuse an option that the model's kind does not read, then resolve
+    --N (discrete) or --em-step (continuous-discrete) to its default."""
+    if isinstance(model, ContinuousDiscreteModel):
+        unread, kind = ("N",), "discrete"
+        args.em_step = 0.01 if args.em_step is None else args.em_step
+    else:
+        unread, kind = ("em_step", "step"), "continuous-discrete"
+        args.N = 100 if args.N is None else args.N
+    for dest in unread:
+        if getattr(args, dest, None) is not None:
+            raise ValueError(f"--{dest.replace('_', '-')} applies to {kind} "
+                             "models only")
 
 
 def _simulate_any(model, args):
@@ -101,11 +93,11 @@ def _cmd_models(args):
 
 def _cmd_simulate(args):
     model = _load(args.model)
+    _kind_options(model, args)
     outdir = _resolve_outdir(args)
     data = _simulate_any(model, args)
     path = os.path.join(outdir, "trajectory.csv")
-    with _atomic(path) as tmp:
-        data.to_csv(tmp)
+    data.to_csv(path)
     _write_manifest(outdir, args, {"clamped": data.clamped})
     print(f"wrote {path}")
     return 0
@@ -135,6 +127,9 @@ def _cmd_filter(args):
     if args.variant == "fixed-beta":
         _check_fixed_beta(model, args.beta, "--variant fixed-beta",
                           "with --variant fixed-beta")
+    elif args.beta is not None:
+        raise ValueError("--beta applies to --variant fixed-beta only")
+    _kind_options(model, args)
     init = _init_estimate(model, args)
     outdir = _resolve_outdir(args)
     data = _simulate_any(model, args)
@@ -149,13 +144,12 @@ def _cmd_filter(args):
             model = with_fixed_noise(model, args.beta)
         trace = run_filter(model, data.measurements, init)
     path = os.path.join(outdir, "trace.csv")
-    with _atomic(path) as tmp:
-        trace.to_csv(tmp)
+    trace.to_csv(path)
     if cd:
-        _write_text(os.path.join(outdir, "trace_summary.csv"),
-                    f"key,value\r\nclamp_count,{trace.clamp_count}\r\n"
-                    f"step_count,{trace.step_count}\r\n"
-                    f"fallback_intervals,{trace.fallback_intervals}\r\n")
+        _write_csv(os.path.join(outdir, "trace_summary.csv"), ["key", "value"],
+                   [("clamp_count", trace.clamp_count),
+                    ("step_count", trace.step_count),
+                    ("fallback_intervals", trace.fallback_intervals)])
     _write_manifest(outdir, args, {"mse": mse(trace, data)})
     print(f"wrote {path}")
     return 0
@@ -164,6 +158,7 @@ def _cmd_filter(args):
 def _cmd_compare(args):
     model = _load(args.model)
     _check_fixed_beta(model, args.beta, "compare", "for the fixed-beta baseline")
+    _kind_options(model, args)
     outdir = _resolve_outdir(args)
     filters = [
         FilterSpec(name="covariance-update", variant="covariance-update"),
@@ -174,9 +169,9 @@ def _cmd_compare(args):
                                  N=args.N, master_seed=args.seed, x0=args.x0,
                                  distribution=args.distribution)
     csv_path = os.path.join(outdir, "comparison.csv")
-    with _atomic(csv_path) as tmp:
-        report.to_csv(tmp)
-    _write_text(os.path.join(outdir, "comparison.txt"), report.to_table() + "\n")
+    report.to_csv(csv_path)
+    with _atomic_open(os.path.join(outdir, "comparison.txt")) as fh:
+        fh.write(report.to_table() + "\n")
     _write_manifest(outdir, args)
     print(report.to_table())
     return 0
@@ -206,8 +201,7 @@ def _cmd_oracle_check(args):
         _step_rel_deltas(np.array([s.xhat for s in sols]), trace.xhat_post),
         _step_rel_deltas(np.array([s.Sigma for s in sols]), trace.Sigma_post)))
     path = os.path.join(outdir, "oracle_deltas.csv")
-    with _atomic(path) as tmp:
-        dump_diagnostics(sols, tmp, deltas=deltas)
+    dump_diagnostics(sols, path, deltas=deltas)
     worst = max(max(d) for d in deltas)
     _write_manifest(outdir, args, {"max_relative_delta": worst})
     print(f"max relative delta: {worst:.3e}")
@@ -229,8 +223,8 @@ def _cmd_limit_check(args):
     dts = [args.dt0 / 2 ** i for i in range(args.levels + 1)]
     rows = euler_limit_check(dyn, post, args.t0, args.t1, dts)
     path = os.path.join(outdir, "limit_check.csv")
-    _write_text(path, "dt,mean_err,cov_err\n" + "".join(
-        f"{row.dt!r},{row.mean_err!r},{row.cov_err!r}\n" for row in rows))
+    _write_csv(path, ["dt", "mean_err", "cov_err"],
+               ([row.dt, row.mean_err, row.cov_err] for row in rows))
     _write_manifest(outdir, args)
     for a, b in zip(rows[1:], rows[:-1]):
         # rows sorted ascending in dt: ratio of coarse to fine error
@@ -242,10 +236,10 @@ def _cmd_limit_check(args):
 
 _OPTIONS = {
     "--seed": dict(type=int, default=0),
-    "--N": dict(type=int, default=100,
-                help="number of measurements (discrete models)"),
-    "--em-step": dict(type=float, default=0.01,
-                      help="Euler-Maruyama step for continuous simulation"),
+    "--N": dict(type=int, default=None,
+                help="number of measurements (discrete models; default 100)"),
+    "--em-step": dict(type=float, default=None,
+                      help="Euler-Maruyama step (continuous models; default 0.01)"),
     "--init-sigma": dict(type=float, default=0.0, dest="init_sigma"),
 }
 

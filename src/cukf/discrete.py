@@ -4,8 +4,11 @@ current estimate.  One time update serves every discrete model: a linear
 model, its fixed-gain baseline (`with_fixed_noise`) and a nonlinear model
 all answer `linearize` (see `cukf.models`), on joint arrays [xhat | Sigma]."""
 
+import contextlib
 import csv
 import math
+import os
+import tempfile
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -16,6 +19,43 @@ from .models import EPS_G, DiscreteLinearModel, _first_failure, eval_G
 
 # eval_G is not called here; bench/spans.py wraps it as an attribute of this
 # module, so it stays importable from it.
+
+
+@contextlib.contextmanager
+def _atomic_open(path):
+    """A text file for `path`, with no newline translation: a temp file
+    beside it that replaces it on success and is removed on failure, so a
+    partly written output never appears.  The package's one output writer,
+    with `_write_csv` and `_write_steps`."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               prefix=".tmp-", suffix=".part")
+    try:
+        with open(fd, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _write_csv(path, header, rows):
+    """Write the header and the iterable `rows` to `path` atomically, as
+    csv's default dialect (lines end in CR LF; a Python float is written
+    by its repr).  The rows are streamed, never held in memory together."""
+    with _atomic_open(path) as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _write_steps(path, ks, times, names, cols):
+    """One row per step: k from `ks`, t from `times` unless it is None, then
+    the columns of the (N, ...) arrays `cols`, headed by `names`."""
+    if times is not None:
+        names, cols = ["t"] + names, [times[:, None]] + cols
+    # .tolist() gives Python floats, which csv writes by their repr.
+    _write_csv(path, ["k"] + names, ([k] + row.tolist() for k, row in
+                                     zip(ks, np.hstack(cols))))
 
 
 def symmetrize(S: np.ndarray) -> np.ndarray:
@@ -88,26 +128,16 @@ class FilterTrace:
         n = self.xhat_post.shape[1]
         m = self.innovation.shape[1]
         iu = np.triu_indices(n)
-        header = ["k"]
-        if self.times is not None:
-            header.append("t")
-        header += [f"xhat_prior_{i}" for i in range(n)]
-        header += [f"xhat_post_{i}" for i in range(n)]
-        header += [f"innovation_{i}" for i in range(m)]
-        header += [f"S_diag_{i}" for i in range(m)]
-        header += [f"Sigma_post_{i}{j}" for i, j in zip(*iu)]
-        cols = [self.xhat_prior, self.xhat_post, self.innovation,
-                np.diagonal(self.S, axis1=1, axis2=2),
-                self.Sigma_post[:, iu[0], iu[1]]]
-        if self.times is not None:
-            cols.insert(0, self.times[:, None])
-        table = np.hstack(cols)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            # .tolist() gives Python floats, which csv writes by their repr.
-            w.writerows([k] + row.tolist() for k, row in
-                        zip(self.indices.tolist(), table))
+        _write_steps(
+            path, self.indices.tolist(), self.times,
+            [f"xhat_prior_{i}" for i in range(n)]
+            + [f"xhat_post_{i}" for i in range(n)]
+            + [f"innovation_{i}" for i in range(m)]
+            + [f"S_diag_{i}" for i in range(m)]
+            + [f"Sigma_post_{i}{j}" for i, j in zip(*iu)],
+            [self.xhat_prior, self.xhat_post, self.innovation,
+             np.diagonal(self.S, axis1=1, axis2=2),
+             self.Sigma_post[:, iu[0], iu[1]]])
 
 
 def _inverse_factor(S, step=None):
@@ -174,9 +204,12 @@ def _predictor(model):
 
 def time_update(post: StateEstimate, model) -> StateEstimate:
     """Propagate one step, recomputing the process noise covariance
-    G(xhat) Sigma_v G(xhat) at the posterior estimate."""
+    G(xhat) Sigma_v G(xhat) at the posterior estimate.  As in the filter
+    loop, numpy's floating-point warnings are off: a non-finite f or G
+    raises NonFiniteStateError, never a RuntimeWarning first."""
     Z = np.concatenate((post.xhat[:, None], post.Sigma), axis=1)[None]
-    _predictor(model)(0, Z, Z)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        _predictor(model)(0, Z, Z)
     return StateEstimate(Z[0, :, 0], Z[0, :, 1:], post.index + 1)
 
 

@@ -21,6 +21,7 @@ from typing import Union
 
 import numpy as np
 
+from .discrete import _atomic_open
 from .errors import ModelError
 from .models import ContinuousDiscreteModel, DiscreteLinearModel
 
@@ -111,5 +112,5 @@ def load_model(path) -> Union[DiscreteLinearModel, ContinuousDiscreteModel]:
 
 
 def save_model(model, path):
-    with open(path, "w") as fh:
+    with _atomic_open(path) as fh:
         fh.write(dumps(model))

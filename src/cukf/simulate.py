@@ -1,15 +1,14 @@
 """Seedable simulation of the models, Monte Carlo filter comparison, and the
 statistics (mean squared error, innovation whiteness) used to judge them."""
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .discrete import (FilterTrace, _check_finite, run_filter,
-                       run_filter_batch)
+from .discrete import (FilterTrace, _check_finite, _write_csv, _write_steps,
+                       run_filter, run_filter_batch)
 from .errors import FilterError, LengthMismatchError
 from .models import (EPS_G, ContinuousDiscreteModel, DiscreteLinearModel,
                      _matvec, eval_G, with_fixed_noise)
@@ -72,21 +71,10 @@ class TrajectoryData:
                        clamped=bool(self.clamped[r]))
 
     def to_csv(self, path):
-        n = self.states.shape[1]
-        m = self.measurements.shape[1]
-        header = ["k"]
-        if self.times is not None:
-            header.append("t")
-        header += [f"x_true_{i}" for i in range(n)] + [f"y_{i}" for i in range(m)]
-        cols = [self.states, self.measurements]
-        if self.times is not None:
-            cols.insert(0, self.times[:, None])
-        table = np.hstack(cols)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            # .tolist() gives Python floats, which csv writes by their repr.
-            w.writerows([k] + row.tolist() for k, row in enumerate(table, 1))
+        _write_steps(path, range(1, len(self) + 1), self.times,
+                     [f"x_true_{i}" for i in range(self.states.shape[1])]
+                     + [f"y_{i}" for i in range(self.measurements.shape[1])],
+                     [self.states, self.measurements])
 
 
 def _meas_noise_chol(Sigma_w):
@@ -367,21 +355,16 @@ class ComparisonReport:
         return "\n".join(lines)
 
     def to_csv(self, path):
-        max_lag = self.autocorr_mean.shape[1] - 1
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["filter", "replicates", "N", "master_seed",
-                        "mse_mean", "mse_se", "mse_halfwidth",
-                        "whiteness_pass_fraction", "clamped_replicates"]
-                       + [f"rho_{l}" for l in range(max_lag + 1)])
-            for i, name in enumerate(self.filter_names):
-                w.writerow([name, self.replicates, self.N, self.master_seed,
-                            repr(float(self.mse_mean[i])),
-                            repr(float(self.mse_se[i])),
-                            repr(float(self.mse_halfwidth[i])),
-                            repr(float(self.whiteness_pass_fraction[i])),
-                            self.clamped_replicates]
-                           + [repr(float(v)) for v in self.autocorr_mean[i]])
+        # .tolist() gives Python floats, which csv writes by their repr.
+        stats = np.column_stack((self.mse_mean, self.mse_se, self.mse_halfwidth,
+                                 self.whiteness_pass_fraction)).tolist()
+        _write_csv(path, ["filter", "replicates", "N", "master_seed",
+                          "mse_mean", "mse_se", "mse_halfwidth",
+                          "whiteness_pass_fraction", "clamped_replicates"]
+                   + [f"rho_{l}" for l in range(self.autocorr_mean.shape[1])],
+                   ([name, self.replicates, self.N, self.master_seed, *row,
+                     self.clamped_replicates, *rho] for name, row, rho in zip(
+                         self.filter_names, stats, self.autocorr_mean.tolist())))
 
 
 def monte_carlo_compare(model: DiscreteLinearModel, filters: Sequence[FilterSpec],

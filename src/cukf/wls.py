@@ -11,11 +11,13 @@ the block-tridiagonal Hessian, so each Schur complement is factored once
 for the step that ends at it and once more, frozen, with the next time
 term.  The forward pass adds the terms' blocks in place, in arrays allocated
 once, with the measurement blocks made once per run and no copies of the
-cost.  The per-step Newton checks of all N prefix costs then run together in
-batched block sweeps over those factors: O(N) Python iterations and O(N^2 n)
-memory.  Each Schur complement S is stored as the inverse of its lower
-Cholesky factor, Li = L^{-1} (1 / sqrt(S) if 1 x 1), so a solve S^{-1} B is
-the two products Li' (Li B), as in the filter's BLUE step.
+cost.  The Newton checks of all N prefix costs then run together in batched
+block sweeps over those factors (O(N) Python iterations, O(N^2 n) memory),
+through the one `_newton_step` that `newton_solve` takes on one system; its
+`BlockTridiagFactor` eliminates a whole cost in one loop.  Each Schur
+complement S is stored as the inverse of its lower Cholesky factor, Li =
+L^{-1} (1 / sqrt(S) if 1 x 1), so a solve S^{-1} B is the two products
+Li' (Li B), as in the filter's BLUE step.
 
 The quadratic time-step term is the second-order expansion of
 0.5 * r' Sigma_v^{-1} r with r(x_k, x_{k-1}) = G^{-1}(x_{k-1})(x_k - f(x_{k-1}))
@@ -27,7 +29,6 @@ for a linear and a nonlinear model alike; the costs themselves are built
 here in information form and share no code with the covariance-form filter.
 """
 
-import csv
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import IndefiniteHessianError, ModelError
 from .models import EPS_G
-from .discrete import StateEstimate, symmetrize
+from .discrete import StateEstimate, _write_csv, symmetrize
 
 # Longest horizon `oracle_filter` accepts; its memory grows as O(N^2 n).
 MAX_HORIZON = 500
@@ -297,35 +298,20 @@ def _sweep(L, factors, last, R, ends) -> np.ndarray:
 
 
 class BlockTridiagFactor:
-    """Forward block elimination of a symmetric block-tridiagonal matrix.
-
-    Block i is factored through the inverse lower Cholesky factor of its
-    Schur complement S_i = D_i - L_{i-1} S_{i-1}^{-1} L_{i-1}'.  Blocks can
-    be appended one at a time, and the last block refactored with a new
-    diagonal block, without touching the factors before it.
+    """Block elimination of the symmetric block-tridiagonal matrix with
+    diagonal blocks D and couplings L (L[i] couples block i + 1 to block
+    i), in one pass over the blocks.  Block i is factored through the
+    inverse lower Cholesky factor of its Schur complement
+    S_i = D_i - L_{i-1} S_{i-1}^{-1} L_{i-1}'.
     """
 
     def __init__(self, D, L):
-        self.L = []
+        self.L = L
         self.factors = []
-        self._coupling = None
         for i, Di in enumerate(D):
-            self.append(Di, L[i - 1] if i else None)
-
-    def append(self, D, L=None):
-        """Factor a new last block with diagonal D, coupled to the current
-        last block by L (the new-by-last block)."""
-        if self.factors:
-            self.L.append(L)
-            self._coupling = L @ _factor_solve(self.factors[-1], L.T)
-        self.factors.append(None)
-        self.refactor_last(D)
-
-    def refactor_last(self, D):
-        """Replace the diagonal block of the last block by D and refactor its
-        Schur complement; the factors of the blocks before it stay."""
-        S = D if self._coupling is None else D - self._coupling
-        self.factors[-1] = _schur_factor(S, len(self.factors) - 1)
+            if i:
+                Di = Di - L[i - 1] @ _factor_solve(self.factors[-1], L[i - 1].T)
+            self.factors.append(_schur_factor(Di, i))
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """Solve the whole system for one right-hand side."""
@@ -365,25 +351,37 @@ def newton_solve(cost: QuadraticCost, z0: StackedTrajectory) -> OracleSolution:
             trajectory=StackedTrajectory(head.copy(), n), xhat=head,
             Sigma=np.zeros((n, n)), grad_norm_before=0.0,
             grad_norm_after=0.0, second_step_norm=0.0)
-    g0 = cost.gradient(z0)
-    factor = BlockTridiagFactor(cost.D, cost.L)
+    head = [cost.head] if cost.pinned else []
     zv = cost.variable_part(z0)
-    z_star_v = zv - factor.solve(g0)
-    z_star = StackedTrajectory.from_blocks(
-        ([cost.head] if cost.pinned else []) + [z_star_v], n)
-    g1 = cost.gradient(z_star)
-    step2 = factor.solve(g1)
-    rel = np.linalg.norm(step2) / (1.0 + np.linalg.norm(z_star_v))
-    if rel > 1e-10:
-        raise IndefiniteHessianError(
-            f"Newton step failed to converge in one iteration (residual {rel:.2e})")
+    factor = BlockTridiagFactor(cost.D, cost.L)
+    z_star_v, before, after, step2 = _newton_step(
+        lambda z: cost.gradient(StackedTrajectory.from_blocks(head + [z], n)),
+        factor.solve, zv, np.linalg.norm)
+    z_star = StackedTrajectory.from_blocks(head + [z_star_v], n)
     return OracleSolution(
         trajectory=z_star,
         xhat=z_star.blocks()[-1].copy(),
         Sigma=factor.last_inverse_block(),
-        grad_norm_before=float(np.linalg.norm(g0)),
-        grad_norm_after=float(np.linalg.norm(g1)),
-        second_step_norm=float(np.linalg.norm(step2)))
+        grad_norm_before=float(before), grad_norm_after=float(after),
+        second_step_norm=float(step2))
+
+
+def _newton_step(gradient, solve, z0, norms):
+    """One Newton step from z0 (one system, or a column per system): the
+    stepped z and the norms of the gradient before and after and of a second
+    step.  Raises at the first system whose second step moves > 1e-10
+    relative."""
+    g0 = gradient(z0)
+    z = z0 - solve(g0)
+    g1 = gradient(z)
+    step2 = solve(g1)
+    rel = np.atleast_1d(norms(step2) / (1.0 + norms(z)))
+    bad = np.flatnonzero(rel > 1e-10)
+    if bad.size:
+        raise IndefiniteHessianError(
+            "Newton step failed to converge in one iteration "
+            f"(residual {rel[bad[0]]:.2e})")
+    return z, norms(g0), norms(g1), norms(step2)
 
 
 def _newton_checks(D, b, L, Dt, bt, factors, terminal, starts):
@@ -391,10 +389,8 @@ def _newton_checks(D, b, L, Dt, bt, factors, terminal, starts):
     prefix's minimizer extended by starts[j], as the per-step solve started.
     Prefix j holds the final blocks D, b, L (factored by `factors`) up to
     block j, whose terminal blocks are Dt[j] and bt[j], factored by
-    terminal[j].  Returns the stepped trajectories (blocks, n, prefixes)
-    and, per prefix, the norms of the gradient before and after the step
-    and of a second step; raises if a second step would move by more than
-    1e-10 relative."""
+    terminal[j].  Returns `_newton_step`'s outputs, the stepped
+    trajectories (blocks, n, prefixes) and three norms per prefix."""
     nb, n = b.shape
     j = np.arange(nb)
     upper = np.triu(np.ones((nb, nb)))[:, None, :]
@@ -410,21 +406,14 @@ def _newton_checks(D, b, L, Dt, bt, factors, terminal, starts):
     def norms(Z):
         return np.sqrt(np.einsum("ijk,ijk->k", Z, Z))
 
-    z_min = -_sweep(L, factors, terminal, gradients(np.zeros((nb, n, nb))), j)
+    def solve(R):
+        return _sweep(L, factors, terminal, R, j)
+
+    z_min = -solve(gradients(np.zeros((nb, n, nb))))
     z0 = np.zeros_like(z_min)
     z0[:, :, 1:] = z_min[:, :, :-1]
     z0[j, :, j] = starts
-    g0 = gradients(z0)
-    z_star = z0 - _sweep(L, factors, terminal, g0, j)
-    g1 = gradients(z_star)
-    step2 = _sweep(L, factors, terminal, g1, j)
-    rel = norms(step2) / (1.0 + norms(z_star))
-    bad = np.flatnonzero(rel > 1e-10)
-    if bad.size:
-        raise IndefiniteHessianError(
-            "Newton step failed to converge in one iteration "
-            f"(residual {rel[bad[0]]:.2e})")
-    return z_star, norms(g0), norms(g1), norms(step2)
+    return _newton_step(gradients, solve, z0, norms)
 
 
 def oracle_filter(model, measurements,
@@ -516,11 +505,9 @@ def dump_diagnostics(solutions: Sequence[OracleSolution], path,
                      deltas: Sequence[Tuple[float, float]]):
     """Per-step gradient norms and estimate/covariance deltas against a
     filter trace, as CSV."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "grad_norm_before", "grad_norm_after",
-                    "second_step_norm", "xhat_delta", "Sigma_delta"])
-        for sol, (dx, dS) in zip(solutions, deltas):
-            w.writerow([sol.index, repr(sol.grad_norm_before),
-                        repr(sol.grad_norm_after), repr(sol.second_step_norm),
-                        repr(float(dx)), repr(float(dS))])
+    _write_csv(path, ["k", "grad_norm_before", "grad_norm_after",
+                      "second_step_norm", "xhat_delta", "Sigma_delta"],
+               ([sol.index, repr(sol.grad_norm_before),
+                 repr(sol.grad_norm_after), repr(sol.second_step_norm),
+                 repr(float(dx)), repr(float(dS))]
+                for sol, (dx, dS) in zip(solutions, deltas)))

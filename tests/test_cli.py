@@ -306,6 +306,71 @@ def test_error_names_the_option_the_user_set(argv, message, tmp_path,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["filter", "--model", "example_sec3", "--step", "0", "--em-step", "-1"],
+     "--em-step applies to continuous-discrete models only"),
+    (["filter", "--model", "example_sec3", "--step", "0"],
+     "--step applies to continuous-discrete models only"),
+    (["filter", "--model", "birth_death_cle", "--N", "7"],
+     "--N applies to discrete models only"),
+    (["simulate", "--model", "example_sec3", "--em-step", "-1"],
+     "--em-step applies to continuous-discrete models only"),
+    (["simulate", "--model", "birth_death_cle", "--N", "7"],
+     "--N applies to discrete models only"),
+    (["filter", "--model", "example_sec3", "--beta", "0.1"],
+     "--beta applies to --variant fixed-beta only"),
+    (["filter", "--model", "logistic", "--beta", "0.1"],
+     "--beta applies to --variant fixed-beta only"),
+])
+def test_option_the_model_kind_does_not_read_is_refused(argv, message,
+                                                        tmp_path, monkeypatch,
+                                                        capsys):
+    import cukf.cli
+
+    def refused(*args, **kwargs):
+        raise AssertionError("simulated before refusing the option")
+
+    monkeypatch.setattr(cukf.cli, "simulate_discrete", refused)
+    monkeypatch.setattr(cukf.cli, "simulate_cd", refused)
+    assert run(argv, tmp_path / "out", monkeypatch) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "filter"])
+def test_manifest_records_null_for_the_option_the_model_kind_does_not_read(
+        command, tmp_path, monkeypatch):
+    for model, read, value, unread in (("example_sec3", "N", 100, "em_step"),
+                                       ("birth_death_cle", "em_step", 0.01,
+                                        "N")):
+        assert run([command, "--model", model, "--x0", "100"],
+                   tmp_path / model, monkeypatch) == 0
+        manifest = json.loads((tmp_path / model / "manifest.json").read_text())
+        assert manifest[read] == value and manifest[unread] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "birth_death_cle", "--x0", "100"],
+    ["filter", "--model", "birth_death_cle", "--x0", "100"],
+    ["filter", "--model", "example_sec3", "--N", "20"],
+    ["compare", "--model", "example_sec3", "--beta", "0.1",
+     "--replicates", "5", "--N", "30"],
+    ["oracle-check", "--model", "example_sec3"],
+    ["limit-check", "--model", "example_sec3", "--x0", "5"],
+])
+def test_every_csv_line_the_cli_writes_ends_in_crlf(argv, tmp_path,
+                                                     monkeypatch):
+    assert run(argv, tmp_path, monkeypatch) == 0
+    names = sorted(os.listdir(tmp_path))
+    assert not [name for name in names if name.startswith(".tmp-")]
+    csvs = [name for name in names if name.endswith(".csv")]
+    assert csvs
+    for name in csvs:
+        body = (tmp_path / name).read_bytes()
+        assert body.endswith(b"\r\n"), name
+        assert body.count(b"\n") == body.count(b"\r\n"), name
+
+
 def test_oracle_disagreement_exits_2(tmp_path, monkeypatch, capsys):
     import cukf.cli
     original = cukf.cli.oracle_filter

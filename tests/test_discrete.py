@@ -1,12 +1,14 @@
 import csv
+import os
 import warnings
 
 import numpy as np
 import pytest
 
 from cukf.builtin import example_sec3
-from cukf.discrete import (FilterTrace, StateEstimate, measurement_update,
-                           run_filter, run_filter_batch, time_update)
+from cukf.discrete import (FilterTrace, StateEstimate, _write_csv,
+                           measurement_update, run_filter, run_filter_batch,
+                           time_update)
 from cukf.errors import NonFiniteStateError, SingularInnovationError
 from cukf.models import DiscreteLinearModel, with_fixed_noise
 from cukf.simulate import simulate_discrete
@@ -271,3 +273,21 @@ def test_trace_csv_bytes_match_per_value_repr_writer(tmp_path, timed):
     assert new == (tmp_path / "old.csv").read_bytes()
     for text in (b"-0.0", b"5e-324", b"1e+300"):
         assert text in new
+
+
+def test_a_failed_write_leaves_no_file_and_keeps_the_old_one(tmp_path):
+    def rows():
+        yield [1, 0.5]
+        raise RuntimeError("row 2")
+
+    target = tmp_path / "out.csv"
+    with pytest.raises(RuntimeError, match="row 2"):
+        _write_csv(target, ["k", "x"], rows())
+    assert os.listdir(tmp_path) == []
+    target.write_bytes(b"k,x\r\n1,0.25\r\n")
+    with pytest.raises(RuntimeError, match="row 2"):
+        _write_csv(target, ["k", "x"], rows())
+    assert os.listdir(tmp_path) == ["out.csv"]
+    assert target.read_bytes() == b"k,x\r\n1,0.25\r\n"
+    _write_csv(target, ["k", "x"], iter([[1, 0.5], [2, -0.0]]))
+    assert target.read_bytes() == b"k,x\r\n1,0.5\r\n2,-0.0\r\n"

@@ -12,8 +12,9 @@ for bit, signed zeros included, or fail the same way.
 
 The oracle's forward pass, which keeps its blocks and factors in arrays,
 must match a copy of its earlier form, which copied the running cost
-through the builders at every step and grew one `BlockTridiagFactor`, bit
-for bit in every output, or fail with the same error and message."""
+through the builders at every step and grew its block elimination one
+block at a time, bit for bit in every output, or fail with the same error
+and message."""
 
 import itertools
 from dataclasses import replace
@@ -24,15 +25,15 @@ from hypothesis import given, settings, strategies as st
 
 from cukf.builtin import example_sec3, logistic
 from cukf.discrete import (StateEstimate, _predictor, _run_loop, run_filter,
-                           run_filter_batch)
+                           run_filter_batch, symmetrize)
 from cukf.errors import (FilterError, IndefiniteHessianError,
                          NonFiniteStateError, SingularInnovationError)
 from cukf.models import (EPS_G, ContinuousDiscreteModel, DiscreteLinearModel,
                          NonlinearModel, with_fixed_noise)
 from cukf.simulate import (simulate_batch, simulate_cd, simulate_cd_batch,
                            simulate_discrete)
-from cukf.wls import (BlockTridiagFactor, build_measurement_cost,
-                      build_time_cost, initial_cost, oracle_filter)
+from cukf.wls import (_schur_factor, build_measurement_cost, build_time_cost,
+                      initial_cost, oracle_filter)
 
 from reference_impl import rel_err
 
@@ -329,7 +330,7 @@ def earlier_sweep(L, factors, last, R, ends):
     return X
 
 
-def earlier_newton_checks(cost, factor, terminal, Dt, bt, starts):
+def earlier_newton_checks(cost, factors, terminal, Dt, bt, starts):
     nb, n = cost.n_variable_blocks, cost.n
     D, b, Dt, bt = (np.array(a) for a in (cost.D, cost.b, Dt, bt))
     L = np.array(cost.L).reshape(-1, n, n)
@@ -344,7 +345,7 @@ def earlier_newton_checks(cost, factor, terminal, Dt, bt, starts):
         return G * upper
 
     def solve(R):
-        return earlier_sweep(factor.L, factor.factors, terminal, R, j)
+        return earlier_sweep(cost.L, factors, terminal, R, j)
 
     def norms(Z):
         return np.sqrt(np.einsum("ijk,ijk->k", Z, Z))
@@ -368,16 +369,21 @@ def earlier_newton_checks(cost, factor, terminal, Dt, bt, starts):
 
 def earlier_oracle(model, ms, init):
     """The earlier forward pass: per step, the builders copy the running
-    cost and the factor grows by one block; returns per step (index,
-    trajectory, xhat, Sigma, three norms) as bytes and floats."""
+    cost and the elimination grows by one block, whose Schur complement is
+    factored with the measurement term and again with the time term;
+    returns per step (index, trajectory, xhat, Sigma, three norms) as bytes
+    and floats."""
     ms = np.atleast_2d(np.asarray(ms, dtype=float))
     N = ms.shape[0]
     cost = initial_cost(init)
     n = cost.n
-    factor = BlockTridiagFactor([], [])
-    terminal, Dt, bt, xhats, Sigmas = [], [], [], [], []
+    factors, terminal, Dt, bt, xhats, Sigmas = [], [], [], [], [], []
     starts = [init.xhat]
-    y = None
+    y = coupling = None  # coupling: L S^-1 L' from the frozen previous block
+
+    def schur(D, i):
+        return _schur_factor(D if coupling is None else D - coupling, i)
+
     for k in range(N):
         cost = build_measurement_cost(cost, ms[k], model.C, model.Sigma_w)
         i = cost.n_variable_blocks - 1
@@ -385,12 +391,15 @@ def earlier_oracle(model, ms, init):
             xhats.append(cost.head.copy())
             Sigmas.append(np.zeros((n, n)))
         else:
-            coupled = (cost.L[i - 1] @ factor_solve(factor.factors[i - 1], y)
-                       if i else 0.0)
-            factor.append(cost.D[i], cost.L[i - 1] if i else None)
-            terminal.append(factor.factors[-1])
-            xhats.append(factor_solve(factor.factors[i], -cost.b[i] - coupled))
-            Sigmas.append(factor.last_inverse_block())
+            coupled = 0.0
+            if i:
+                Lc = cost.L[i - 1]
+                coupled = Lc @ factor_solve(factors[i - 1], y)
+                coupling = Lc @ factor_solve(factors[i - 1], Lc.T)
+            factors.append(schur(cost.D[i], i))
+            terminal.append(factors[-1])
+            xhats.append(factor_solve(factors[i], -cost.b[i] - coupled))
+            Sigmas.append(symmetrize(factors[-1].T @ factors[-1]))
             Dt.append(cost.D[i])
             bt.append(cost.b[i])
         if k + 1 == N:
@@ -399,7 +408,7 @@ def earlier_oracle(model, ms, init):
         starts.append(model.linearize(np.concatenate(
             (xhats[k][:, None], np.eye(n)), axis=1))[0][:, 0])
         if i >= 0:
-            factor.refactor_last(cost.D[i])
+            factors[i] = schur(cost.D[i], i)
             y = -cost.b[i] - coupled
     pinned = int(cost.pinned)
     out = [(0, cost.head.tobytes(), xhats[0].tobytes(), Sigmas[0].tobytes(),
@@ -407,7 +416,7 @@ def earlier_oracle(model, ms, init):
     if cost.n_variable_blocks == 0:
         return out
     z_star, before, after, step2 = earlier_newton_checks(
-        cost, factor, terminal, Dt, bt, starts[pinned:])
+        cost, factors, terminal, Dt, bt, starts[pinned:])
     head = [cost.head] if pinned else []
     for j in range(cost.n_variable_blocks):
         z = np.concatenate(head + list(z_star[:j + 1, :, j]))

@@ -114,6 +114,7 @@ def test_nl_run_logistic_long_run_invariants():
         assert np.min(np.linalg.eigvalsh(diff)) >= -1e-10
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nonfinite_drift_raises():
     model = NonlinearModel(f=lambda x: x * np.inf, G=lambda x: np.eye(1),
                            C=[[1.0]], Sigma_v=[[1.0]], Sigma_w=[[1.0]], n=1)
