@@ -14,12 +14,11 @@ from .continuous import cd_run, cd_time_update, euler_limit_check
 from .discrete import (FilterTrace, StateEstimate, measurement_update,
                        run_filter, run_filter_batch, time_update)
 from .errors import (FilterError, IndefiniteHessianError, LengthMismatchError,
-                     ModelError, NonAffineError, NonDiagonalizableError,
-                     NonFiniteStateError, SingularInnovationError,
-                     StepTooLargeError)
+                     ModelError, NonDiagonalizableError, NonFiniteStateError,
+                     SingularInnovationError, StepTooLargeError)
 from .models import (ContinuousDiscreteModel, DiscreteLinearModel,
-                     NonlinearModel, ReactionNetwork, eval_G, from_cle,
-                     gain_from_affine, with_fixed_noise)
+                     NonlinearModel, eval_G, from_cle, gain_from_affine,
+                     with_fixed_noise)
 from .simulate import (ComparisonReport, FilterSpec, TrajectoryData,
                        innovation_whiteness, monte_carlo_compare, mse,
                        simulate_batch, simulate_cd, simulate_cd_batch,

@@ -3,8 +3,7 @@
 import numpy as np
 
 from .models import (ContinuousDiscreteModel, DiscreteLinearModel,
-                     NonlinearModel, ReactionNetwork, from_cle,
-                     gain_from_affine)
+                     NonlinearModel, from_cle, gain_from_affine)
 
 
 def example_sec3() -> DiscreteLinearModel:
@@ -15,15 +14,10 @@ def example_sec3() -> DiscreteLinearModel:
                                Sigma_w=[[1.0]])
 
 
-def birth_death_network() -> ReactionNetwork:
-    """Single species, constant birth at rate 10, linear death at rate 0.1."""
-    return ReactionNetwork(nu=[[1, -1]],
-                           propensities=({(): 10.0}, {(0,): 0.1}))
-
-
 def birth_death_cle(t_end: float = 5.0, n_samples: int = 51) -> ContinuousDiscreteModel:
-    """Diffusion approximation of the birth-death process, sampled uniformly."""
-    dyn = from_cle(birth_death_network())
+    """Diffusion approximation of the birth-death process (one species,
+    constant birth at rate 10, linear death at rate 0.1), sampled uniformly."""
+    dyn = from_cle(nu=[[1, -1]], propensities=[[10.0, 0.0], [0.0, 0.1]])
     return ContinuousDiscreteModel(
         inner=dyn, sample_times=np.linspace(0.0, t_end, n_samples))
 

@@ -63,18 +63,26 @@ def _write_manifest(outdir, args, extra=None):
 
 
 def _kind_options(model, args):
-    """Refuse an option that the model's kind does not read, then resolve
-    --N (discrete) or --em-step (continuous-discrete) to its default."""
-    if isinstance(model, ContinuousDiscreteModel):
-        unread, kind = ("N",), "discrete"
-        args.em_step = 0.01 if args.em_step is None else args.em_step
-    else:
-        unread, kind = ("em_step", "step"), "continuous-discrete"
+    """Refuse an option that the model's kind does not read and a step that
+    is not finite and positive, then resolve --N (discrete) or --em-step
+    (continuous-discrete) to its default.  For `filter` on a
+    continuous-discrete model, return the clamp-detection step: --step, or
+    default_config."""
+    cd = isinstance(model, ContinuousDiscreteModel)
+    unread, kind = ((("N",), "discrete") if cd else
+                    (("em_step", "step"), "continuous-discrete"))
+    for dest in ("N", "em_step", "step"):
+        value, flag = getattr(args, dest, None), "--" + dest.replace("_", "-")
+        if value is not None and dest in unread:
+            raise ValueError(f"{flag} applies to {kind} models only")
+        if value is not None and dest != "N" and not 0 < value < np.inf:
+            raise ValueError(f"{flag} must be finite and positive")
+    if not cd:
         args.N = 100 if args.N is None else args.N
-    for dest in unread:
-        if getattr(args, dest, None) is not None:
-            raise ValueError(f"--{dest.replace('_', '-')} applies to {kind} "
-                             "models only")
+        return None
+    args.em_step = 0.01 if args.em_step is None else args.em_step
+    if hasattr(args, "step"):
+        return default_config(model) if args.step is None else args.step
 
 
 def _simulate_any(model, args):
@@ -129,15 +137,12 @@ def _cmd_filter(args):
                           "with --variant fixed-beta")
     elif args.beta is not None:
         raise ValueError("--beta applies to --variant fixed-beta only")
-    _kind_options(model, args)
+    step = _kind_options(model, args)
     init = _init_estimate(model, args)
     outdir = _resolve_outdir(args)
     data = _simulate_any(model, args)
     cd = isinstance(model, ContinuousDiscreteModel)
     if cd:
-        step = default_config(model) if args.step is None else args.step
-        if not 0 < step < np.inf:
-            raise ValueError("--step must be finite and positive")
         trace = cd_run(model, data.measurements, init, step)
     else:
         if args.variant == "fixed-beta":

@@ -50,8 +50,11 @@ _PADE = (
 def _expm(A: np.ndarray) -> np.ndarray:
     """exp(A) from the lowest Padé degree m in {3, 5, 7, 9, 13} whose bound
     covers the 1-norm of A; at degree 13, A is first scaled by 2^-s into the
-    bound and the result squared s times."""
-    norm = np.linalg.norm(A, 1)
+    bound and the result squared s times.  A non-finite 1-norm raises."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(A, 1)
+    if not norm < np.inf:
+        raise NonFiniteStateError("matrix exponential argument non-finite")
     s = 0
     for theta, b in _PADE:
         if norm <= theta:
@@ -149,11 +152,13 @@ class _Propagator:
         M[:n, :n] = dyn.A1
         M[:n, -1] = dyn.A0
         eye = np.eye(n)
-        M[n:-1, n:-1] = np.kron(dyn.A1, eye) + np.kron(eye, dyn.A1)
         diag = n + np.arange(n) * (n + 1)   # rows of Sigma_ii in vec Sigma
-        M[diag, :n] = np.where(floored[:, None], 0.0,
-                               self.sv[:, None] * dyn.gsq[:, 1:])
-        M[diag, -1] = self.sv * np.where(floored, EPS_G, dyn.gsq[:, 0])
+        # An entry that overflows is inf, unwarned; _expm then raises.
+        with np.errstate(over="ignore"):
+            M[n:-1, n:-1] = np.kron(dyn.A1, eye) + np.kron(eye, dyn.A1)
+            M[diag, :n] = np.where(floored[:, None], 0.0,
+                                   self.sv[:, None] * dyn.gsq[:, 1:])
+            M[diag, -1] = self.sv * np.where(floored, EPS_G, dyn.gsq[:, 0])
         self._generators[key] = M
         return M
 

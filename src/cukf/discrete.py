@@ -8,7 +8,6 @@ import contextlib
 import csv
 import math
 import os
-import tempfile
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -26,9 +25,11 @@ def _atomic_open(path):
     """A text file for `path`, with no newline translation: a temp file
     beside it that replaces it on success and is removed on failure, so a
     partly written output never appears.  The package's one output writer,
-    with `_write_csv` and `_write_steps`."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                               prefix=".tmp-", suffix=".part")
+    with `_write_csv` and `_write_steps`.  The temp file is created with
+    mode 0666 less the umask, as a plain open() would create `path`."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".tmp-{os.urandom(8).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", newline="") as fh:
             yield fh

@@ -5,10 +5,6 @@ class ModelError(ValueError):
     """Raised when a model definition violates a structural requirement."""
 
 
-class NonAffineError(ModelError):
-    """A reaction propensity is not an affine function of the state."""
-
-
 class NonDiagonalizableError(ModelError):
     """A reaction changes more than one species, so the network cannot be
     converted to a per-species diagonal noise model."""

@@ -16,12 +16,11 @@ state, and Df (or central differences of f) only when Z carries M.
 
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Mapping, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (ModelError, NonAffineError, NonDiagonalizableError,
-                     NonFiniteStateError)
+from .errors import ModelError, NonDiagonalizableError, NonFiniteStateError
 
 # Floor applied to g_i^2 before taking the square root.  Keeps covariances
 # PSD when an estimate wanders into the region where the affine form goes
@@ -267,79 +266,24 @@ def gain_from_affine(gsq) -> Callable[[np.ndarray], np.ndarray]:
     return lambda x: np.sqrt(np.maximum(gsq[:, 0] + gsq[:, 1:] @ x, EPS_G))
 
 
-@dataclass(frozen=True)
-class ReactionNetwork:
-    """Stoichiometry plus affine propensities.
-
-    Propensities are given one per reaction as a mapping from monomial index
-    tuples to coefficients, e.g. {(): 10.0} for a constant rate and
-    {(0,): 0.1} for 0.1 * x_0.  Any monomial of degree > 1 (e.g. {(0, 0): 1}
-    for x_0^2) is rejected at construction.
-    """
-
-    nu: np.ndarray
-    propensities: Tuple[Mapping, ...]
-
-    def __post_init__(self):
-        nu = np.atleast_2d(np.asarray(self.nu))
-        if not np.issubdtype(nu.dtype, np.integer):
-            rounded = np.rint(nu)
-            if np.any(rounded != nu):
-                raise ModelError("stoichiometry entries must be integers")
-            nu = rounded.astype(int)
-        nu.setflags(write=False)
-        object.__setattr__(self, "nu", nu)
-        if len(self.propensities) != nu.shape[1]:
-            raise ModelError("need one propensity per reaction column")
-        n = nu.shape[0]
-        coeffs = np.zeros((nu.shape[1], n + 1))
-        for j, prop in enumerate(self.propensities):
-            for mono, c in prop.items():
-                mono = tuple(mono)
-                if len(mono) == 0:
-                    coeffs[j, 0] += float(c)
-                elif len(mono) == 1:
-                    i = int(mono[0])
-                    if not 0 <= i < n:
-                        raise ModelError(f"species index {i} out of range")
-                    coeffs[j, 1 + i] += float(c)
-                else:
-                    raise NonAffineError(
-                        f"propensity {j} has a degree-{len(mono)} monomial; "
-                        "only affine propensities are supported")
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "propensities", tuple(dict(p) for p in self.propensities))
-        object.__setattr__(self, "_coeffs", coeffs)
-
-    @property
-    def n_species(self) -> int:
-        return self.nu.shape[0]
-
-    def propensity_coeffs(self) -> np.ndarray:
-        """Affine coefficients (M, n+1): a_j(x) = b_j0 + b_j. @ x."""
-        return self._coeffs
-
-
-def from_cle(net: ReactionNetwork) -> DiscreteLinearModel:
-    """Chemical-Langevin continuous dynamics with per-species diagonal noise,
-    every species measured (C = I) with unit noise (Sigma_w = I).
-
-    Drift: A0_i = sum_j nu_ij b_j0, A1_ik = sum_j nu_ij b_jk.  The independent
-    reaction channels are summed in variance per species, giving
-    g_i^2(x) = sum_j nu_ij^2 a_j(x), which keeps the gain diagonal.  Requires
-    every reaction to change exactly one species.
-    """
-    nu = net.nu
-    per_column_nonzeros = np.count_nonzero(nu, axis=0)
-    bad = np.nonzero(per_column_nonzeros != 1)[0]
+def from_cle(nu, propensities) -> DiscreteLinearModel:
+    """Chemical-Langevin continuous dynamics from the integer stoichiometry
+    `nu` (n, M) and one affine propensity row [b_j0, b_j1, ..., b_jn] per
+    reaction (M, n+1), the row layout of gsq; every species is measured
+    (C = I) with unit noise (Sigma_w = I).  A0 = nu b_.0 and A1 = nu b_.1:;
+    the independent channels are summed in variance per species, g_i^2(x) =
+    sum_j nu_ij^2 a_j(x), which is diagonal: every reaction must change
+    exactly one species."""
+    nu = np.atleast_2d(np.asarray(nu, dtype=float))
+    if not np.all(np.isfinite(nu) & (nu == np.rint(nu))):
+        raise ModelError("stoichiometry entries must be integers")
+    n, M = nu.shape
+    b = _as_matrix(propensities, M, n + 1, "propensities")
+    bad = np.nonzero(np.count_nonzero(nu, axis=0) != 1)[0]
     if bad.size:
         raise NonDiagonalizableError(
             f"reaction(s) {bad.tolist()} change more or fewer than one species; "
             "diagonal conversion requires single-species reactions")
-    b = net.propensity_coeffs()  # (M, n+1)
-    n = net.n_species
-    A0 = nu @ b[:, 0]
-    A1 = nu @ b[:, 1:]
-    gsq = (nu.astype(float) ** 2) @ b  # rows: [c_i0, c_i1, ..., c_in]
-    return DiscreteLinearModel(A0=A0, A1=A1, C=np.eye(n), gsq=gsq,
-                               Sigma_v=np.eye(n), Sigma_w=np.eye(n))
+    return DiscreteLinearModel(A0=nu @ b[:, 0], A1=nu @ b[:, 1:], C=np.eye(n),
+                               gsq=nu ** 2 @ b, Sigma_v=np.eye(n),
+                               Sigma_w=np.eye(n))

@@ -189,18 +189,22 @@ def initial_cost(init: StateEstimate) -> QuadraticCost:
 
     A symmetric positive definite prior covariance enters through its
     inverse; an exactly zero covariance pins x_0 at the prior mean.  A
-    partially singular prior is rejected.
+    partially singular or a non-finite prior is rejected.
     """
     n = init.xhat.size
     Sigma = init.Sigma
     if np.all(Sigma == 0.0):
         return QuadraticCost(n=n, head=init.xhat.copy())
     try:
-        Li = _inverse_cholesky(Sigma)
+        with np.errstate(over="ignore"):  # an overflow is inf, refused below
+            Li = _inverse_cholesky(Sigma)
     except np.linalg.LinAlgError as exc:
         raise ModelError(
             "initial prior covariance must be symmetric positive definite "
             "or exactly zero") from exc
+    except ValueError as exc:
+        raise ModelError("initial prior covariance must not contain infs or "
+                         "NaNs, nor overflow when symmetrized") from exc
     W = symmetrize(Li.T @ Li)
     cost = QuadraticCost(n=n)
     cost.D.append(W.copy())

@@ -337,6 +337,68 @@ def test_option_the_model_kind_does_not_read_is_refused(argv, message,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--model", "birth_death_cle", "--em-step", "nan"],
+     "--em-step must be finite and positive"),
+    (["filter", "--model", "birth_death_cle", "--em-step", "-1"],
+     "--em-step must be finite and positive"),
+    (["filter", "--model", "birth_death_cle", "--step", "0"],
+     "--step must be finite and positive"),
+    (["filter", "--model", "birth_death_cle", "--step", "inf",
+      "--init-sigma", "-1"],
+     "--step must be finite and positive"),
+])
+def test_a_step_that_is_not_finite_and_positive_is_refused_before_any_output(
+        argv, message, tmp_path, monkeypatch, capsys):
+    import cukf.cli
+
+    def refused(*args, **kwargs):
+        raise AssertionError("simulated before refusing the step")
+
+    monkeypatch.setattr(cukf.cli, "simulate_cd", refused)
+    assert run(argv, tmp_path / "out", monkeypatch) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+TWO_SPECIES_FILE = ("kind = continuous\nn = 2\nm = 2\nA0 = 20.0 5.0\n"
+                    "A1 = -0.1 0.0 0.5 -0.05\nC = 1.0 0.0 0.0 1.0\n"
+                    "gsq = 20.0 0.1 0.0 5.0 0.5 0.05\nSigma_v = 1.0 1.0\n"
+                    "Sigma_w = 1.0 0.0 0.0 1.0\nsample_times = 0.0 0.1 0.2 0.3\n")
+
+
+@pytest.mark.parametrize("command, line", [
+    ("filter", "Sigma_v = 1e308 1.0"),
+    ("limit-check", "Sigma_v = 1.0 1e308"),
+    ("limit-check", "A1 = -1e308 0.0 0.5 -0.05"),
+])
+@pytest.mark.filterwarnings("error")
+def test_a_moment_generator_that_overflows_is_a_numerical_failure(
+        command, line, tmp_path, monkeypatch, capsys):
+    key = line.split(" =")[0]
+    old = next(row for row in TWO_SPECIES_FILE.splitlines()
+               if row.startswith(key + " ="))
+    path = tmp_path / "model.txt"
+    path.write_text(TWO_SPECIES_FILE.replace(old, line))
+    assert run([command, "--model", str(path)], tmp_path / "out",
+               monkeypatch) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: matrix exponential argument "
+                          "non-finite")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_oracle_prior_whose_symmetric_part_overflows_exits_1(
+        tmp_path, monkeypatch, capsys):
+    code = run(["oracle-check", "--model", "example_sec3", "--init-sigma",
+                "1e308"], tmp_path, monkeypatch)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: initial prior covariance must not contain infs or NaNs, nor "
+        "overflow when symmetrized\n")
+
+
 @pytest.mark.parametrize("command", ["simulate", "filter"])
 def test_manifest_records_null_for_the_option_the_model_kind_does_not_read(
         command, tmp_path, monkeypatch):

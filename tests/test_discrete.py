@@ -291,3 +291,14 @@ def test_a_failed_write_leaves_no_file_and_keeps_the_old_one(tmp_path):
     assert target.read_bytes() == b"k,x\r\n1,0.25\r\n"
     _write_csv(target, ["k", "x"], iter([[1, 0.5], [2, -0.0]]))
     assert target.read_bytes() == b"k,x\r\n1,0.5\r\n2,-0.0\r\n"
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_an_output_file_has_the_mode_the_umask_gives(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        _write_csv(tmp_path / "out.csv", ["k"], [[1]])
+    finally:
+        os.umask(old)
+    assert os.stat(tmp_path / "out.csv").st_mode & 0o777 == mode

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cukf.builtin import example_sec3
-from cukf.errors import ModelError, NonAffineError, NonDiagonalizableError
+from cukf.errors import ModelError, NonDiagonalizableError
 from cukf.models import (ContinuousDiscreteModel, DiscreteLinearModel,
-                         EPS_G, NonlinearModel, ReactionNetwork, eval_G,
+                         EPS_G, NonlinearModel, eval_G,
                          finite_difference_jacobian, from_cle,
                          gain_from_affine, with_fixed_noise)
 from cukf import modelio
@@ -45,32 +45,23 @@ def test_eval_G_squares_back_to_gsq():
 
 
 def test_from_cle_birth_death():
-    net = ReactionNetwork(nu=[[1, -1]], propensities=({(): 10.0}, {(0,): 0.1}))
-    dyn = from_cle(net)
+    dyn = from_cle(nu=[[1, -1]], propensities=[[10.0, 0.0], [0.0, 0.1]])
     assert np.allclose(dyn.A0, [10.0])
     assert np.allclose(dyn.A1, [[-0.1]])
     # g^2(x) = 10 + 0.1 x
     assert np.allclose(dyn.gsq, [[10.0, 0.1]])
 
 
-def test_from_cle_nonaffine_rejected():
-    with pytest.raises(NonAffineError):
-        ReactionNetwork(nu=[[1]], propensities=({(0, 0): 1.0},))
-
-
 def test_from_cle_multispecies_rejected():
-    net = ReactionNetwork(nu=[[1], [-1]], propensities=({(): 1.0},))
     with pytest.raises(NonDiagonalizableError):
-        from_cle(net)
+        from_cle(nu=[[1], [-1]], propensities=[[1.0, 0.0, 0.0]])
 
 
 def test_from_cle_variance_matches_channel_sum():
     rng = np.random.default_rng(1)
     nu = np.array([[1, -1, 0], [0, 0, 2]])
-    props = ({(): 3.0}, {(0,): 0.5}, {(1,): 0.25})
-    net = ReactionNetwork(nu=nu, propensities=props)
-    dyn = from_cle(net)
-    b = net.propensity_coeffs()
+    b = np.array([[3.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.25]])
+    dyn = from_cle(nu, b)
     for _ in range(20):
         x = rng.uniform(0, 10, 2)
         a = b[:, 0] + b[:, 1:] @ x
@@ -78,6 +69,23 @@ def test_from_cle_variance_matches_channel_sum():
         expected = (nu.astype(float) ** 2) @ a
         assert np.allclose(dyn.gsq[:, 0] + dyn.gsq[:, 1:] @ x, expected,
                            rtol=1e-15)
+
+
+@pytest.mark.parametrize("nu", [[[1, -0.5]], [[1, np.nan]], [[1, np.inf]]])
+def test_from_cle_rejects_a_non_integer_stoichiometry(nu):
+    with pytest.raises(ModelError, match="^stoichiometry entries must be integers$"):
+        from_cle(nu, [[10.0, 0.0], [0.0, 0.1]])
+
+
+@pytest.mark.parametrize("propensities, got", [
+    ([[10.0, 0.0]], r"\(1, 2\)"),                    # one row for two reactions
+    ([[10.0, 0.0, 0.0], [0.0, 0.1, 0.0]], r"\(2, 3\)"),  # a column too many
+    ([10.0, 0.1], r"\(1, 2\)"),
+])
+def test_from_cle_rejects_propensities_of_the_wrong_shape(propensities, got):
+    with pytest.raises(ModelError,
+                       match=r"^propensities must have shape \(2, 2\), got " + got):
+        from_cle([[1, -1]], propensities)
 
 
 def test_models_immutable():
