@@ -19,10 +19,9 @@ from .errors import (FilterError, IndefiniteHessianError, LengthMismatchError,
 from .models import (ContinuousDiscreteModel, DiscreteLinearModel,
                      NonlinearModel, eval_G, from_cle, gain_from_affine,
                      with_fixed_noise)
-from .simulate import (ComparisonReport, FilterSpec, TrajectoryData,
-                       innovation_whiteness, monte_carlo_compare, mse,
-                       simulate_batch, simulate_cd, simulate_cd_batch,
-                       simulate_discrete)
+from .simulate import (ComparisonReport, TrajectoryData, innovation_whiteness,
+                       monte_carlo_compare, mse, simulate_batch, simulate_cd,
+                       simulate_cd_batch, simulate_discrete)
 from .wls import (OracleSolution, QuadraticCost, StackedTrajectory,
                   build_measurement_cost, build_time_cost, newton_solve,
                   oracle_filter)

@@ -23,7 +23,7 @@ from .discrete import StateEstimate, _atomic_open, _write_csv, run_filter
 from .errors import FilterError
 from .models import ContinuousDiscreteModel, DiscreteLinearModel, with_fixed_noise
 from .modelio import load_model
-from .simulate import (FilterSpec, monte_carlo_compare, mse, simulate_cd,
+from .simulate import (_em_steps, monte_carlo_compare, mse, simulate_cd,
                        simulate_discrete)
 from .wls import MAX_HORIZON, dump_diagnostics, oracle_filter
 
@@ -65,9 +65,9 @@ def _write_manifest(outdir, args, extra=None):
 def _kind_options(model, args):
     """Refuse an option that the model's kind does not read and a step that
     is not finite and positive, then resolve --N (discrete) or --em-step
-    (continuous-discrete) to its default.  For `filter` on a
-    continuous-discrete model, return the clamp-detection step: --step, or
-    default_config."""
+    (continuous-discrete) to its default and refuse an --em-step grid that
+    the simulator would refuse.  For `filter` on a continuous-discrete
+    model, return the clamp-detection step: --step, or default_config."""
     cd = isinstance(model, ContinuousDiscreteModel)
     unread, kind = ((("N",), "discrete") if cd else
                     (("em_step", "step"), "continuous-discrete"))
@@ -81,6 +81,7 @@ def _kind_options(model, args):
         args.N = 100 if args.N is None else args.N
         return None
     args.em_step = 0.01 if args.em_step is None else args.em_step
+    _em_steps(model.sample_times, args.em_step)
     if hasattr(args, "step"):
         return default_config(model) if args.step is None else args.step
 
@@ -164,12 +165,9 @@ def _cmd_compare(args):
     model = _load(args.model)
     _check_fixed_beta(model, args.beta, "compare", "for the fixed-beta baseline")
     _kind_options(model, args)
+    filters = {"covariance-update": model,
+               f"fixed-beta={args.beta}": with_fixed_noise(model, args.beta)}
     outdir = _resolve_outdir(args)
-    filters = [
-        FilterSpec(name="covariance-update", variant="covariance-update"),
-        FilterSpec(name=f"fixed-beta={args.beta}", variant="fixed-beta",
-                   beta=args.beta),
-    ]
     report = monte_carlo_compare(model, filters, replicates=args.replicates,
                                  N=args.N, master_seed=args.seed, x0=args.x0,
                                  distribution=args.distribution)

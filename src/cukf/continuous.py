@@ -70,8 +70,9 @@ def _expm(A: np.ndarray) -> np.ndarray:
     U = A @ sum(c * P for c, P in zip(b[1::2], powers))
     V = sum(c * P for c, P in zip(b[::2], powers))
     E = np.linalg.solve(V - U, V + U)
-    for _ in range(s):
-        E = E @ E
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller tests E z
+        for _ in range(s):
+            E = E @ E
     return E
 
 
@@ -261,8 +262,9 @@ def euler_limit_check(model, post: StateEstimate, t0: float, t1: float,
     The discretization is the discrete time update of the Euler model
     (A0*dt, I + dt*A1, Sigma_v*dt), which propagates
     Sigma <- (I + dt*A1) Sigma (I + dt*A1)' + dt * G(xhat) Sigma_v G(xhat).
-    Errors must shrink roughly linearly in dt.  The finest step sets the
-    reference's clamp-detection grid, so it may take 10^5 steps.
+    Errors must shrink roughly linearly in dt; one that is not finite
+    raises NonFiniteStateError.  The finest step sets the reference's
+    clamp-detection grid, so it may take 10^5 steps.
     """
     dyn = _inner(model)
     if not -np.inf < t0 < t1 < np.inf:
@@ -285,8 +287,10 @@ def euler_limit_check(model, post: StateEstimate, t0: float, t1: float,
         est = post
         for _ in range(int(round(span / dt))):
             est = time_update(est, euler)
-        rows.append(LimitCheckRow(
-            dt=dt,
-            mean_err=float(np.linalg.norm(est.xhat - ref.xhat)),
-            cov_err=float(np.linalg.norm(est.Sigma - ref.Sigma))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            errs = [float(np.linalg.norm(est.xhat - ref.xhat)),
+                    float(np.linalg.norm(est.Sigma - ref.Sigma))]
+        if not np.isfinite(errs).all():
+            raise NonFiniteStateError(f"Euler error at dt={dt} not finite")
+        rows.append(LimitCheckRow(dt, *errs))
     return rows

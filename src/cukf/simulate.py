@@ -3,7 +3,8 @@ statistics (mean squared error, innovation whiteness) used to judge them."""
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from itertools import islice
+from typing import List, Mapping, Optional
 
 import numpy as np
 
@@ -11,7 +12,7 @@ from .discrete import (FilterTrace, _check_finite, _write_csv, _write_steps,
                        run_filter, run_filter_batch)
 from .errors import FilterError, LengthMismatchError
 from .models import (EPS_G, ContinuousDiscreteModel, DiscreteLinearModel,
-                     _matvec, eval_G, with_fixed_noise)
+                     _matvec, eval_G)
 
 # run_filter and eval_G are not called here; bench/spans.py wraps them as
 # attributes of this module, so they stay importable from it.
@@ -32,13 +33,12 @@ def _unit_noise(rng, size, distribution):
     raise ValueError(f"unknown noise distribution {distribution!r}")
 
 
-def _noise_blocks(seeds, size, distribution, pad=0):
-    """(R, size + pad) array whose row r holds `size` unit draws from
-    `default_rng(seeds[r])`, then `pad` zeros."""
-    noise = np.zeros((len(seeds), size + pad))
+def _noise_blocks(seeds, size, distribution):
+    """(R, size) array whose row r holds `size` unit draws from
+    `default_rng(seeds[r])`."""
+    noise = np.empty((len(seeds), size))
     for r, seed in enumerate(seeds):
-        noise[r, :size] = _unit_noise(np.random.default_rng(seed), size,
-                                      distribution)
+        noise[r] = _unit_noise(np.random.default_rng(seed), size, distribution)
     return noise
 
 
@@ -86,46 +86,65 @@ def _meas_noise_chol(Sigma_w):
         return V * np.sqrt(np.clip(w, 0.0, None))
 
 
-def simulate_batch(model, x0, N: int, seeds,
-                   distribution: str = "gaussian") -> TrajectoryData:
-    """Simulate R = len(seeds) replicates of N steps of a discrete model at
-    once, replicate r from its own Generator `default_rng(seeds[r])`; x0 is
-    shared or (R, n).  Each replicate draws its noise as one block in the
-    per-step order y_1 v_1 y_2 v_2 ... y_N, so every row is bit-identical to
-    a one-replicate run with the same seed.  One replicate of a linear model
-    with n = 1 takes the Python-float kernel `_scalar_states`, bit-identical
-    to the numpy loop, which runs every other case."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    R = len(seeds)
-    n = model.n
-    m = model.m
-    sv = np.sqrt(np.diag(model.Sigma_v))
-    Lw = _meas_noise_chol(model.Sigma_w)
-    # Pad each block by n so that row k holds the draws of step k.
-    noise = _noise_blocks(seeds, N * (m + n) - n, distribution,
-                          pad=n).reshape(R, N, m + n)
-    # Column states (R, n, 1); row 0 holds x0, row k the state of step k.
-    v = (sv * noise[:, :-1, m:])[..., None]
-    states, g2 = np.empty((R, N, n, 1)), np.empty((R, N - 1, n, 1))
-    states[:, 0, :, 0] = x0
-    if R == n == 1 and isinstance(model, DiscreteLinearModel):
-        clamped = _scalar_states(model, states.reshape(-1), v.reshape(-1))
+def _paths(dyn, x0, seeds, nsteps, distribution, what, step, kernel,
+           times=None) -> TrajectoryData:
+    """R = len(seeds) paths of `dyn` from x0 (shared or (R, n)), sampled
+    K = len(nsteps) + 1 times, with nsteps[k] steps in gap k.  Path r draws
+    its noise as one block from `default_rng(seeds[r])` in the order y_1,
+    the steps of gap 1, y_2, ..., y_K, so every row is bit-identical to a
+    one-path run with the same seed.  A step of gap k is
+    x <- step(k, x, f(x), g(x), v), v its draws times sqrt(diag Sigma_v).
+    One path of a linear model with n = 1 runs `kernel(dyn, x, v)` on x
+    (K,), which holds x0 and gets the states, and all the scaled draws v;
+    the numpy loop runs every other case."""
+    R, n, m = len(seeds), dyn.n, dyn.m
+    K, ends = len(nsteps) + 1, np.cumsum(nsteps)
+    is_y = np.zeros(K * m + n * int(np.sum(nsteps)), dtype=bool)
+    is_y[(m * np.arange(K) + n * np.append(0, ends))[:, None]
+         + np.arange(m)] = True
+    noise = _noise_blocks(seeds, is_y.size, distribution)
+    v = np.sqrt(np.diag(dyn.Sigma_v)) * np.compress(
+        ~is_y, noise, axis=1).reshape(R, -1, n)
+    states = np.empty((R, K, n))
+    states[:, 0] = x0
+    if R == n == 1 and isinstance(dyn, DiscreteLinearModel):
+        clamped = kernel(dyn, states.reshape(-1), v.reshape(-1))
     else:
+        # Column states (R, n, 1), so that A @ x rounds like the 1-D product.
+        x, v = states[:, 0, :, None], v[..., None]
+        g2 = np.empty_like(v)
         try:
             with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-                for k in range(N - 1):
-                    fx, _, g, g2[:, k] = model.linearize(states[:, k])
-                    states[:, k + 1] = fx + g * v[:, k]
-        except FilterError as exc:  # f or G non-finite making step k + 1
-            _check_finite("simulated state", 1, states[:, 1:k + 1])
+                for k, (a, b) in enumerate(zip((ends - nsteps).tolist(),
+                                               ends.tolist())):
+                    for j in range(a, b):
+                        fx, _, g, g2[:, j] = dyn.linearize(x)
+                        x = step(k, x, fx, g, v[:, j])
+                    states[:, k + 1] = x[..., 0]
+        except FilterError as exc:  # f or G non-finite in gap k
+            _check_finite(what, 1, states[:, 1:k + 1])
             exc.step = k + 1
             raise
         clamped = (g2 < EPS_G).any(axis=(1, 2, 3))
-    states = states[..., 0]
-    _check_finite("simulated state", 1, states[:, 1:])
-    ys = _matvec(model.C, states) + _matvec(Lw, noise[..., :m])
-    return TrajectoryData(states=states, measurements=ys, clamped=clamped)
+    _check_finite(what, 1, states[:, 1:])
+    ys = _matvec(dyn.C, states) + _matvec(
+        _meas_noise_chol(dyn.Sigma_w),
+        np.compress(is_y, noise, axis=1).reshape(R, K, m))
+    return TrajectoryData(states=states, measurements=ys, clamped=clamped,
+                          times=times)
+
+
+def simulate_batch(model, x0, N: int, seeds,
+                   distribution: str = "gaussian") -> TrajectoryData:
+    """R = len(seeds) replicates of N steps of a discrete model, x0 shared
+    or (R, n): the `_paths` with one step x <- f(x) + g(x) v per gap, so
+    replicate r draws y_1 v_1 y_2 ... y_N from `default_rng(seeds[r])`.
+    One replicate of a linear model with n = 1 takes `_scalar_states`."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    return _paths(model, x0, seeds, np.ones(N - 1, dtype=int), distribution,
+                  "simulated state", lambda k, x, fx, g, v: fx + g * v,
+                  _scalar_states)
 
 
 def _scalar_states(model, x, v):
@@ -152,25 +171,12 @@ def simulate_discrete(model, x0, N: int, seed,
     return simulate_batch(model, x0, N, [seed], distribution).replicate(0)
 
 
-def simulate_cd_batch(model: ContinuousDiscreteModel, x0, seeds,
-                      em_step: float,
-                      distribution: str = "gaussian") -> TrajectoryData:
-    """Euler-Maruyama paths of the continuous dynamics, measured at the
-    model's sample times (the first sample time carries x0), for
-    R = len(seeds) paths at once; x0 is shared or (R, n).  Path r draws its
-    noise as one block from `default_rng(seeds[r])` in the per-step order
-    y_1, the steps of gap 1, y_2, ..., so every row is bit-identical to a
-    one-path run with the same seed.  A gap of more than 10^5 steps is
-    refused before any noise is drawn.  One path of a model with n = 1 takes
-    the Python-float kernel `_one_path_states`, bit-identical to the numpy
-    loop, which runs every other case."""
+def _em_steps(times, em_step: float) -> np.ndarray:
+    """The Euler-Maruyama steps in each gap of `times` for the step
+    `em_step`, which must be finite and positive, put at most 10^5 steps in
+    a gap and divide every gap."""
     if not 0 < em_step < np.inf:
         raise ValueError("em_step must be finite and positive")
-    dyn = model.inner
-    times = model.sample_times
-    R = len(seeds)
-    n = dyn.n
-    m = dyn.m
     gaps = np.diff(times)
     with np.errstate(over="ignore"):
         nsteps = np.rint(gaps / em_step)
@@ -180,55 +186,41 @@ def simulate_cd_batch(model: ContinuousDiscreteModel, x0, seeds,
                              f"[{t0}, {t1}]; at most 100000 are allowed")
         if ns < 1 or abs(ns * em_step - gap) > 1e-9 * max(gap, 1.0):
             raise ValueError(f"em_step {em_step} does not divide the gap {gap}")
-    nsteps = nsteps.astype(int)
-    hs = gaps / nsteps
-    # Sample k's draws start at starts[k]: m for y_k, then n per step.
-    sizes = m + n * np.append(nsteps, 0)
-    starts = np.concatenate(([0], np.cumsum(sizes)))
-    noise = _noise_blocks(seeds, starts[-1], distribution)
-    sv = np.sqrt(np.diag(dyn.Sigma_v))
-    Lw = _meas_noise_chol(dyn.Sigma_w)
-    # Column states (R, n, 1), so that A @ x rounds like the 1-D product.
-    x = np.broadcast_to(np.asarray(x0, dtype=float), (R, n))[..., None]
-    states = np.empty((R, times.size, n))
-    states[:, 0] = x[..., 0]
-    if R == n == 1:
-        floored = _one_path_states(dyn, states.reshape(-1), sv * noise[0],
-                                   hs, nsteps, starts[:-1] + m)
-    else:
-        floored = np.zeros(R, dtype=bool)
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            for k, h in enumerate(hs):
-                sqh = np.sqrt(h)
-                xi = (sv * noise[:, starts[k] + m:starts[k + 1]].reshape(
-                    R, nsteps[k], n))[..., None]
-                # g^2 of every step of the gap, tested for the floor once.
-                g2 = np.empty_like(xi)
-                for j in range(nsteps[k]):
-                    fx, _, gain, g2[:, j] = dyn.linearize(x)
-                    x = x + h * fx + sqh * (gain * xi[:, j])
-                floored |= (g2 < EPS_G).any(axis=(1, 2, 3))
-                states[:, k + 1] = x[..., 0]
-    _check_finite("simulated path", 1, states[:, 1:])
-    ys = _matvec(dyn.C, states) + _matvec(
-        Lw, noise[:, starts[:-1, None] + np.arange(m)])
-    return TrajectoryData(states=states, measurements=ys, clamped=floored,
-                          times=times.copy())
+    return nsteps.astype(int)
 
 
-def _one_path_states(dyn, x, xi, hs, nsteps, starts):
+def simulate_cd_batch(model: ContinuousDiscreteModel, x0, seeds,
+                      em_step: float,
+                      distribution: str = "gaussian") -> TrajectoryData:
+    """Euler-Maruyama paths of the continuous dynamics, measured at the
+    model's sample times (the first sample time carries x0), for
+    R = len(seeds) paths at once, x0 shared or (R, n): the `_paths` whose
+    gap k takes `_em_steps` steps x <- x + h f(x) + sqrt(h) g(x) v of
+    length h = hs[k].  One path of a model with n = 1 takes
+    `_one_path_states`."""
+    times = model.sample_times
+    nsteps = _em_steps(times, em_step)
+    hs = np.diff(times) / nsteps
+    sqhs = np.sqrt(hs)
+    return _paths(model.inner, x0, seeds, nsteps, distribution,
+                  "simulated path",
+                  lambda k, x, fx, g, v: x + hs[k] * fx + sqhs[k] * (g * v),
+                  lambda dyn, x, v: _one_path_states(dyn, x, v, hs, nsteps),
+                  times=times.copy())
+
+
+def _one_path_states(dyn, x, xi, hs, nsteps):
     """`simulate_cd_batch`'s Euler-Maruyama loop for one path of a model with
     n = 1 in Python floats, bit-identical (see `discrete._scalar_steps`): x
     (K,) holds x0 and gets the states at the sample times, xi the scaled
-    noise row, whose steps of gap k start at starts[k]."""
+    step draws, nsteps[k - 1] of them in gap k."""
     a1, a0 = dyn.A1.item(), dyn.A0.item() + 0.0
     c0, c1 = dyn.gsq[0].tolist()
-    xs, xi, floored = memoryview(x), memoryview(xi), False
+    xs, xi, floored = memoryview(x), iter(memoryview(xi)), False
     xk = xs[0]
-    for k, (h, ns, s) in enumerate(zip(hs.tolist(), nsteps.tolist(),
-                                       starts.tolist()), 1):
+    for k, (h, ns) in enumerate(zip(hs.tolist(), nsteps.tolist()), 1):
         sqh = math.sqrt(h)
-        for v in xi[s:s + ns]:
+        for v in islice(xi, ns):
             g2 = c1 * xk + c0
             if g2 < EPS_G:  # not for NaN, which reaches the gain
                 g2, floored = EPS_G, True
@@ -311,23 +303,6 @@ def innovation_whiteness(trace: FilterTrace,
                            degenerate=degenerate)
 
 
-@dataclass(frozen=True)
-class FilterSpec:
-    """A filter entry for the comparison: covariance-update or fixed-beta.
-    The variant only picks the model that is filtered: the model itself, or
-    its `with_fixed_noise(model, beta)` baseline."""
-
-    name: str
-    variant: str = "covariance-update"
-    beta: Optional[float] = None
-
-    def __post_init__(self):
-        if self.variant == "fixed-beta" and self.beta is None:
-            raise ValueError("fixed-beta filter needs a beta value")
-        if self.variant not in ("covariance-update", "fixed-beta"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-
-
 @dataclass
 class ComparisonReport:
     """Replicate-aggregated comparison of filters on one model."""
@@ -367,11 +342,14 @@ class ComparisonReport:
                          self.filter_names, stats, self.autocorr_mean.tolist())))
 
 
-def monte_carlo_compare(model: DiscreteLinearModel, filters: Sequence[FilterSpec],
+def monte_carlo_compare(model: DiscreteLinearModel,
+                        filters: Mapping[str, DiscreteLinearModel],
                         replicates: int, N: int, master_seed: int,
                         x0=1.0, init_sigma: float = 0.0,
                         distribution: str = "gaussian") -> ComparisonReport:
     """Run every filter on the same seeded replicates and aggregate.
+    `filters` maps each filter's name to the model it filters with, e.g.
+    `with_fixed_noise(model, beta)` for a fixed-beta baseline.
 
     Per replicate, data are simulated from the model and the filter initial
     condition is drawn from a standard Gaussian with prior covariance
@@ -392,9 +370,7 @@ def monte_carlo_compare(model: DiscreteLinearModel, filters: Sequence[FilterSpec
     mses = np.empty((replicates, F))
     passes = np.empty((replicates, F))
     rhos = np.empty((F, MAX_LAG + 1))
-    for i, spec in enumerate(filters):
-        run_model = (with_fixed_noise(model, spec.beta)
-                     if spec.variant == "fixed-beta" else model)
+    for i, run_model in enumerate(filters.values()):
         trace = run_filter_batch(run_model, data.measurements, xinit, Sigma0)
         mses[:, i] = mse(trace, data)
         wh = innovation_whiteness(trace)
@@ -403,7 +379,7 @@ def monte_carlo_compare(model: DiscreteLinearModel, filters: Sequence[FilterSpec
     se = mses.std(axis=0, ddof=1) / np.sqrt(replicates) if replicates > 1 \
         else np.zeros(F)
     return ComparisonReport(
-        filter_names=[s.name for s in filters], replicates=replicates, N=N,
+        filter_names=list(filters), replicates=replicates, N=N,
         master_seed=master_seed, mse_mean=mses.mean(axis=0), mse_se=se,
         mse_halfwidth=1.96 * se,
         whiteness_pass_fraction=passes.mean(axis=0), autocorr_mean=rhos,

@@ -7,10 +7,11 @@ import pytest
 from cukf.builtin import example_sec3, logistic
 from cukf.continuous import cd_run, euler_limit_check
 from cukf.discrete import StateEstimate, run_filter, run_filter_batch
-from cukf.models import ContinuousDiscreteModel, DiscreteLinearModel
-from cukf.simulate import (FilterSpec, innovation_whiteness,
-                           monte_carlo_compare, replicate_seed,
-                           simulate_batch, simulate_cd, simulate_discrete)
+from cukf.models import (ContinuousDiscreteModel, DiscreteLinearModel,
+                         with_fixed_noise)
+from cukf.simulate import (innovation_whiteness, monte_carlo_compare,
+                           replicate_seed, simulate_batch, simulate_cd,
+                           simulate_discrete)
 from cukf.wls import StackedTrajectory, initial_cost, build_measurement_cost, \
     build_time_cost, newton_solve, oracle_filter
 
@@ -54,8 +55,8 @@ def test_A2_beats_fixed_beta_baseline():
     """Covariance-update filter has lower mean MSE than the fixed-beta=0.1
     baseline over 500 replicates, difference > 2 standard errors."""
     model = example_sec3()
-    filters = [FilterSpec("covariance-update"),
-               FilterSpec("fixed-beta", "fixed-beta", 0.1)]
+    filters = {"covariance-update": model,
+               "fixed-beta": with_fixed_noise(model, 0.1)}
     report = monte_carlo_compare(model, filters, replicates=500, N=100,
                                  master_seed=2024, x0=1.0, init_sigma=0.0)
     diff = report.mse_samples[:, 1] - report.mse_samples[:, 0]
@@ -144,7 +145,7 @@ def test_A5_innovation_whiteness():
     """Mean fraction of lags 1..20 inside +/-1.96/sqrt(N) exceeds 0.85 over
     200 replicates of the reference scalar model."""
     model = example_sec3()
-    report = monte_carlo_compare(model, [FilterSpec("covariance-update")],
+    report = monte_carlo_compare(model, {"covariance-update": model},
                                  replicates=200, N=100, master_seed=2025)
     frac = float(report.whiteness_pass_fraction[0])
     print(f"\nA5 PASS: mean whiteness pass fraction {frac:.4f} > 0.85")

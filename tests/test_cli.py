@@ -347,6 +347,12 @@ def test_option_the_model_kind_does_not_read_is_refused(argv, message,
     (["filter", "--model", "birth_death_cle", "--step", "inf",
       "--init-sigma", "-1"],
      "--step must be finite and positive"),
+    # An --em-step grid the simulator refuses, in the simulator's words.
+    (["simulate", "--model", "birth_death_cle", "--em-step", "0.003"],
+     "em_step 0.003 does not divide the gap 0.1"),
+    (["simulate", "--model", "birth_death_cle", "--em-step", "1e-9"],
+     "em_step 1e-09 puts 100000000 steps on [0.0, 0.1]; at most 100000 are "
+     "allowed"),
 ])
 def test_a_step_that_is_not_finite_and_positive_is_refused_before_any_output(
         argv, message, tmp_path, monkeypatch, capsys):
@@ -386,6 +392,25 @@ def test_a_moment_generator_that_overflows_is_a_numerical_failure(
     assert err.startswith("numerical failure: matrix exponential argument "
                           "non-finite")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("line, message", [
+    ("gsq = 1e200 0.1 0.0 5.0 0.5 0.05", "Euler error at dt=0.01 not finite"),
+    ("A1 = 1e200 0.0 0.5 -0.05", "integration diverged on [0.0, 0.8]"),
+])
+def test_limit_check_on_a_finite_but_huge_model_is_a_numerical_failure(
+        line, message, tmp_path, monkeypatch, capsys):
+    key = line.split(" =")[0]
+    old = next(row for row in TWO_SPECIES_FILE.splitlines()
+               if row.startswith(key + " ="))
+    path = tmp_path / "model.txt"
+    path.write_text(TWO_SPECIES_FILE.replace(old, line))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["limit-check", "--model", str(path)], tmp_path / "out",
+                   monkeypatch) == 2
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert not (tmp_path / "out" / "limit_check.csv").exists()
 
 
 @pytest.mark.filterwarnings("error")

@@ -9,8 +9,9 @@ from cukf.builtin import birth_death_cle, example_sec3
 from cukf.discrete import StateEstimate, run_filter
 from cukf.errors import LengthMismatchError, NonFiniteStateError
 from cukf.modelio import load_model
-from cukf.models import ContinuousDiscreteModel, DiscreteLinearModel
-from cukf.simulate import (FilterSpec, TrajectoryData, innovation_whiteness,
+from cukf.models import (ContinuousDiscreteModel, DiscreteLinearModel,
+                         with_fixed_noise)
+from cukf.simulate import (TrajectoryData, innovation_whiteness,
                            monte_carlo_compare, mse, replicate_seed,
                            simulate_batch, simulate_cd, simulate_cd_batch,
                            simulate_discrete)
@@ -288,6 +289,33 @@ def test_one_path_of_a_scalar_model_takes_the_kernel(monkeypatch):
                               em_step=0.01)
 
 
+@pytest.mark.parametrize("distribution", ["gaussian", "uniform"])
+@pytest.mark.parametrize("R", [1, 3])
+def test_both_simulators_draw_one_noise_layout(distribution, R):
+    # With C = 0 the measurements are the measurement draws alone, so a
+    # discrete run and an Euler-Maruyama run with one step per gap must
+    # read them from the same places of each path's noise block.
+    h, N = 0.1, 30
+    stable = DiscreteLinearModel(A0=[0.5, 0.0], A1=[[-0.5, 0.1], [0.0, -0.2]],
+                                 C=np.zeros((2, 2)), gsq=[[1.0, 0.0, 0.0],
+                                                          [2.0, 0.0, 0.0]],
+                                 Sigma_v=np.eye(2), Sigma_w=[[1.0, 0.3],
+                                                             [0.3, 2.0]])
+    scalar = DiscreteLinearModel(A0=[0.5], A1=[[-0.5]], C=[[0.0]],
+                                 gsq=[[1.0, 0.0]], Sigma_v=[[1.0]],
+                                 Sigma_w=[[2.0]])
+    seeds = [replicate_seed(8, r) for r in range(R)]
+    for model in (stable, scalar):
+        cd = ContinuousDiscreteModel(inner=model,
+                                     sample_times=h * np.arange(N))
+        x0 = np.ones(model.n)
+        discrete = simulate_batch(model, x0, N, seeds, distribution)
+        euler = simulate_cd_batch(cd, x0, seeds, em_step=h,
+                                  distribution=distribution)
+        assert (discrete.measurements.tobytes()
+                == euler.measurements.tobytes())
+
+
 def test_em_step_cap_is_checked_before_the_noise_is_drawn(monkeypatch):
     def no_noise(*args, **kwargs):
         raise AssertionError("noise drawn")
@@ -355,7 +383,7 @@ def test_whiteness_degenerate_sequence_flagged():
 
 def test_monte_carlo_single_replicate_reduces_to_one_run():
     model = example_sec3()
-    report = monte_carlo_compare(model, [FilterSpec("cu")], replicates=1,
+    report = monte_carlo_compare(model, {"cu": model}, replicates=1,
                                  N=60, master_seed=99)
     ss = replicate_seed(99, 0)
     data_seed, init_seed = ss.spawn(2)
@@ -368,7 +396,7 @@ def test_monte_carlo_single_replicate_reduces_to_one_run():
 
 def test_monte_carlo_duplicate_filter_identical_stats():
     model = example_sec3()
-    report = monte_carlo_compare(model, [FilterSpec("a"), FilterSpec("b")],
+    report = monte_carlo_compare(model, {"a": model, "b": model},
                                  replicates=20, N=50, master_seed=7)
     assert report.mse_mean[0] == report.mse_mean[1]
     assert np.array_equal(report.autocorr_mean[0], report.autocorr_mean[1])
@@ -376,7 +404,7 @@ def test_monte_carlo_duplicate_filter_identical_stats():
 
 def test_monte_carlo_determinism_and_invariants():
     model = example_sec3()
-    fs = [FilterSpec("cu"), FilterSpec("kf", "fixed-beta", 0.5)]
+    fs = {"cu": model, "kf": with_fixed_noise(model, 0.5)}
     a = monte_carlo_compare(model, fs, replicates=10, N=50, master_seed=3)
     b = monte_carlo_compare(model, fs, replicates=10, N=50, master_seed=3)
     assert np.array_equal(a.mse_samples, b.mse_samples)
