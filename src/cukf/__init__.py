@@ -22,9 +22,8 @@ from .models import (ContinuousDiscreteModel, DiscreteLinearModel,
 from .simulate import (ComparisonReport, TrajectoryData, innovation_whiteness,
                        monte_carlo_compare, mse, simulate_batch, simulate_cd,
                        simulate_cd_batch, simulate_discrete)
-from .wls import (OracleSolution, QuadraticCost, StackedTrajectory,
-                  build_measurement_cost, build_time_cost, newton_solve,
-                  oracle_filter)
+from .wls import (OracleSolution, QuadraticCost, build_measurement_cost,
+                  build_time_cost, newton_solve, oracle_filter)
 
 # The former nonlinear entry point; bench/micro.py still calls it.
 nl_run = run_filter

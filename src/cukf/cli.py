@@ -38,9 +38,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_outdir(args):
-    out = os.environ.get("CUKF_OUTPUT_DIR") or args.out
-    os.makedirs(out, exist_ok=True)
-    return out
+    args.out = os.environ.get("CUKF_OUTPUT_DIR") or args.out  # for the manifest
+    os.makedirs(args.out, exist_ok=True)
+    return args.out
 
 
 def _load(name_or_path):

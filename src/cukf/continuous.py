@@ -137,7 +137,8 @@ class _Propagator:
         while P.shape[0] <= 2 * nsteps:
             P = np.concatenate((P, power @ P))
             power = power @ power
-        W = (dyn.gsq @ P[:2 * nsteps + 1]).reshape(-1, n + 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # propagate tests z
+            W = (dyn.gsq @ P[:2 * nsteps + 1]).reshape(-1, n + 1)
         entry = self._spans[span] = (W[:, 0], W[:, 1:], {})
         return entry
 
@@ -186,7 +187,8 @@ class _Propagator:
         w0, W1, exps = (self._spans.get(span)
                         or self._new_span(span, t0, t1))
         n = x.size
-        g2 = (w0 + W1 @ x).reshape(-1, n)
+        with np.errstate(over="ignore", invalid="ignore"):  # z is tested below
+            g2 = (w0 + W1 @ x).reshape(-1, n)
         floored = g2 < EPS_G
         z = np.concatenate((x, S.ravel(), [1.0]))
         if (floored == floored[0]).all():

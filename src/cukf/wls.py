@@ -1,8 +1,8 @@
 """Trajectory-cost oracle: builds the recursive quadratic approximation to
-the noise-covariance-weighted least squares cost over the stacked trajectory,
-minimizes it with a single Newton step, and extracts the marginal covariance
-from the inverse Hessian.  Used as an independent check of the recursive
-filters.
+the noise-covariance-weighted least squares cost over a trajectory (a (K, n)
+array of states, any pinned head included), minimizes it with a single Newton
+step, and extracts the marginal covariance from the inverse Hessian.  Used as
+an independent check of the recursive filters.
 
 `oracle_filter` is linear in the horizon in its factorizations (Bell, "The
 iterated Kalman smoother as a Gauss-Newton method", SIAM J. Optim. 4(3),
@@ -43,34 +43,14 @@ MAX_HORIZON = 500
 
 
 @dataclass
-class StackedTrajectory:
-    """Concatenated trajectory [x_0, x_1, ..., x_k]."""
-
-    z: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        self.z = np.asarray(self.z, dtype=float).ravel()
-        if self.z.size % self.n != 0:
-            raise ValueError("stacked length must be a multiple of n")
-
-    def blocks(self) -> np.ndarray:
-        return self.z.reshape(-1, self.n)
-
-    @classmethod
-    def from_blocks(cls, blocks, n):
-        return cls(z=np.concatenate([np.asarray(b, float).ravel() for b in blocks]), n=n)
-
-
-@dataclass
 class QuadraticCost:
     """Gradient/Hessian representation of the running quadratic cost.
 
     The Hessian is block tridiagonal by construction: `D[i]` is the diagonal
     block of variable block i, `L[i]` couples variable blocks i+1 and i.
-    The gradient at a stacked point z is H z + b.  When the initial prior
-    covariance is exactly zero, x_0 is pinned: it is excluded from the
-    variables and `head` holds its fixed value.
+    The gradient at the flattened variable blocks z is H z + b.  When the
+    initial prior covariance is exactly zero, x_0 is pinned: it is excluded
+    from the variables and `head` holds its fixed value.
 
     `terms` keeps each cost term in residual form so the quadratic can be
     re-evaluated independently of the assembled (H, b).
@@ -102,10 +82,9 @@ class QuadraticCost:
                              L=list(self.L), b=list(self.b),
                              terms=list(self.terms))
 
-    def value(self, traj: StackedTrajectory) -> float:
-        """Evaluate the quadratic from its term list (full trajectory,
-        pinned head included)."""
-        xs = traj.blocks()
+    def value(self, xs: np.ndarray) -> float:
+        """Evaluate the quadratic from its term list at a (K, n) trajectory,
+        pinned head included."""
         total = 0.0
         for term in self.terms:
             kind = term[0]
@@ -123,19 +102,21 @@ class QuadraticCost:
                 total += 0.5 * r @ Wm @ r
         return float(total)
 
-    def variable_part(self, traj: StackedTrajectory) -> np.ndarray:
-        xs = traj.blocks()
-        if self.pinned:
-            if not np.allclose(xs[0], self.head):
-                raise ValueError("pinned initial block does not match trajectory")
-            xs = xs[1:]
-        if len(xs) != self.n_variable_blocks:
+    def variable_part(self, xs: np.ndarray) -> np.ndarray:
+        """The (nb, n) variable blocks of a (K, n) trajectory."""
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.n:
+            raise ValueError(f"trajectory must be a (K, {self.n}) array, "
+                             f"not of shape {xs.shape}")
+        if len(xs) != self.n_blocks:
             raise ValueError("trajectory length does not match cost")
-        return xs.reshape(-1)
+        if self.pinned and not np.allclose(xs[0], self.head):
+            raise ValueError("pinned initial block does not match trajectory")
+        return xs[int(self.pinned):]
 
-    def gradient(self, traj: StackedTrajectory) -> np.ndarray:
-        """Gradient with respect to the variable blocks."""
-        zv = self.variable_part(traj).reshape(-1, self.n)
+    def gradient(self, xs: np.ndarray) -> np.ndarray:
+        """Gradient with respect to the variable blocks, flattened."""
+        zv = self.variable_part(xs)
         nb = self.n_variable_blocks
         g = [self.D[i] @ zv[i] + self.b[i] for i in range(nb)]
         for i, Li in enumerate(self.L):
@@ -335,7 +316,7 @@ class OracleSolution:
     factor and the trajectory from the Newton step, which agree to
     rounding."""
 
-    trajectory: StackedTrajectory
+    trajectory: np.ndarray
     xhat: np.ndarray
     Sigma: np.ndarray
     grad_norm_before: float
@@ -344,27 +325,30 @@ class OracleSolution:
     index: int = 0
 
 
-def newton_solve(cost: QuadraticCost, z0: StackedTrajectory) -> OracleSolution:
-    """One Newton step from z0; verifies internally that the step converged
-    (a second step would move by < 1e-10 relative) and extracts the marginal
-    covariance of the final block from the inverse Hessian."""
+def newton_solve(cost: QuadraticCost, z0: np.ndarray) -> OracleSolution:
+    """One Newton step from the (K, n) trajectory z0, pinned head included;
+    verifies internally that the step converged (a second step would move by
+    < 1e-10 relative) and extracts the marginal covariance of the final
+    block from the inverse Hessian."""
     n = cost.n
+    zv = cost.variable_part(z0).ravel()
     if cost.n_variable_blocks == 0:
-        head = cost.head.copy()
         return OracleSolution(
-            trajectory=StackedTrajectory(head.copy(), n), xhat=head,
+            trajectory=cost.head[None].copy(), xhat=cost.head.copy(),
             Sigma=np.zeros((n, n)), grad_norm_before=0.0,
             grad_norm_after=0.0, second_step_norm=0.0)
-    head = [cost.head] if cost.pinned else []
-    zv = cost.variable_part(z0)
+    head = cost.head[None] if cost.pinned else np.zeros((0, n))
+
+    def trajectory(z):
+        return np.concatenate((head, z.reshape(-1, n)))
+
     factor = BlockTridiagFactor(cost.D, cost.L)
-    z_star_v, before, after, step2 = _newton_step(
-        lambda z: cost.gradient(StackedTrajectory.from_blocks(head + [z], n)),
-        factor.solve, zv, np.linalg.norm)
-    z_star = StackedTrajectory.from_blocks(head + [z_star_v], n)
+    z_star, before, after, step2 = _newton_step(
+        lambda z: cost.gradient(trajectory(z)), factor.solve, zv,
+        np.linalg.norm)
+    xs = trajectory(z_star)
     return OracleSolution(
-        trajectory=z_star,
-        xhat=z_star.blocks()[-1].copy(),
+        trajectory=xs, xhat=xs[-1].copy(),
         Sigma=factor.last_inverse_block(),
         grad_norm_before=float(before), grad_norm_after=float(after),
         second_step_norm=float(step2))
@@ -486,7 +470,7 @@ def oracle_filter(model, measurements,
     solutions = []
     if pinned:
         solutions.append(OracleSolution(
-            trajectory=StackedTrajectory(init.xhat.copy(), n), xhat=xhats[0],
+            trajectory=init.xhat[None].copy(), xhat=xhats[0],
             Sigma=Sigmas[0], grad_norm_before=0.0, grad_norm_after=0.0,
             second_step_norm=0.0))
     if nb == 0:
@@ -498,7 +482,7 @@ def oracle_filter(model, measurements,
                         z_star.transpose(2, 0, 1)), axis=1)
     for j in range(nb):
         solutions.append(OracleSolution(
-            trajectory=StackedTrajectory(Z[j, :j + 1 + pinned], n),
+            trajectory=Z[j, :j + 1 + pinned],
             xhat=xhats[j + pinned], Sigma=Sigmas[j + pinned],
             grad_norm_before=float(before[j]), grad_norm_after=float(after[j]),
             second_step_norm=float(step2[j]), index=j + pinned))

@@ -12,8 +12,8 @@ from cukf.models import (ContinuousDiscreteModel, DiscreteLinearModel,
 from cukf.simulate import (innovation_whiteness, monte_carlo_compare,
                            replicate_seed, simulate_batch, simulate_cd,
                            simulate_discrete)
-from cukf.wls import StackedTrajectory, initial_cost, build_measurement_cost, \
-    build_time_cost, newton_solve, oracle_filter
+from cukf.wls import initial_cost, build_measurement_cost, build_time_cost, \
+    newton_solve, oracle_filter
 
 from reference_impl import (classical_cd_kf, random_constant_noise_model,
                             rel_err, textbook_kf)
@@ -190,7 +190,7 @@ def test_A6_structural_invariants():
             xhat = 1.0 + 0.99 * xhat
         assert len(cost.D) == K + 1
         assert len(cost.L) == K  # coupling only between consecutive blocks
-        sol = newton_solve(cost, StackedTrajectory(rng.standard_normal(K + 1), 1))
+        sol = newton_solve(cost, rng.standard_normal((K + 1, 1)))
         assert sol.grad_norm_after <= 1e-9 * (1.0 + sol.grad_norm_before)
     print("\nA6 PASS: structural invariants hold over 100 random draws each")
 

@@ -128,6 +128,8 @@ def test_output_dir_env_override(tmp_path, monkeypatch):
     assert code == 0
     assert (target / "trajectory.csv").exists()
     assert not (tmp_path / "ignored").exists()
+    manifest = json.loads((target / "manifest.json").read_text())
+    assert manifest["out"] == str(target)
 
 
 def test_model_file_path_accepted(tmp_path, monkeypatch):
@@ -396,6 +398,7 @@ def test_a_moment_generator_that_overflows_is_a_numerical_failure(
 
 @pytest.mark.parametrize("line, message", [
     ("gsq = 1e200 0.1 0.0 5.0 0.5 0.05", "Euler error at dt=0.01 not finite"),
+    ("gsq = 20.0 1e308 0.0 5.0 0.5 0.05", "Euler error at dt=0.01 not finite"),
     ("A1 = 1e200 0.0 0.5 -0.05", "integration diverged on [0.0, 0.8]"),
 ])
 def test_limit_check_on_a_finite_but_huge_model_is_a_numerical_failure(

@@ -427,7 +427,7 @@ def earlier_oracle(model, ms, init):
 
 
 def solution_rows(sols):
-    return [(s.index, s.trajectory.z.tobytes(), s.xhat.tobytes(),
+    return [(s.index, s.trajectory.tobytes(), s.xhat.tobytes(),
              s.Sigma.tobytes(), s.grad_norm_before, s.grad_norm_after,
              s.second_step_norm) for s in sols]
 

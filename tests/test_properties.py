@@ -16,9 +16,9 @@ from cukf.errors import IndefiniteHessianError
 from cukf.models import (ContinuousDiscreteModel, DiscreteLinearModel,
                          with_fixed_noise)
 from cukf.simulate import innovation_whiteness, simulate_batch
-from cukf.wls import (StackedTrajectory, _inverse_cholesky,
-                      build_measurement_cost, build_time_cost, initial_cost,
-                      newton_solve, oracle_filter)
+from cukf.wls import (_inverse_cholesky, build_measurement_cost,
+                      build_time_cost, initial_cost, newton_solve,
+                      oracle_filter)
 
 from reference_impl import rel_err
 
@@ -123,10 +123,10 @@ def reference_oracle(model, ys, init):
     solutions = []
     for k in range(len(ys)):
         cost = build_measurement_cost(cost, ys[k], model.C, model.Sigma_w)
-        sol = newton_solve(cost, StackedTrajectory.from_blocks(blocks, cost.n))
+        sol = newton_solve(cost, np.array(blocks))
         sol.index = k
         solutions.append(sol)
-        blocks = list(sol.trajectory.blocks())
+        blocks = list(sol.trajectory)
         if k + 1 < len(ys):
             cost = build_time_cost(cost, model, sol.xhat)
             blocks.append(model.linearize(np.concatenate(
@@ -178,10 +178,10 @@ def test_oracle_matches_per_step_newton_loop(case):
         assert close(sol.xhat, want.xhat)
         assert close(sol.Sigma, want.Sigma)
         assert close(sol.grad_norm_before, want.grad_norm_before)
-        assert sol.trajectory.z.shape == want.trajectory.z.shape
+        assert sol.trajectory.shape == want.trajectory.shape
         assert sol.grad_norm_after <= 1e-9 * (1.0 + sol.grad_norm_before)
         assert sol.second_step_norm <= 1e-10 * (
-            1.0 + np.linalg.norm(sol.trajectory.z))
+            1.0 + np.linalg.norm(sol.trajectory))
 
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)

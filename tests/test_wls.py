@@ -7,15 +7,15 @@ from cukf.errors import IndefiniteHessianError, ModelError
 from cukf.models import DiscreteLinearModel
 from cukf.simulate import simulate_discrete
 from cukf.wls import (MAX_HORIZON, BlockTridiagFactor, QuadraticCost,
-                      StackedTrajectory, _inverse_cholesky,
-                      build_measurement_cost, build_time_cost, initial_cost,
-                      newton_solve, oracle_filter)
+                      _inverse_cholesky, build_measurement_cost,
+                      build_time_cost, initial_cost, newton_solve,
+                      oracle_filter)
 
 from reference_impl import random_constant_noise_model, rel_err, textbook_kf
 
 
-def fd_gradient(cost, traj, h=1e-6):
-    z = traj.z.copy()
+def fd_gradient(cost, xs, h=1e-6):
+    z = xs.ravel()
     head = 1 if cost.pinned else 0
     nvar = cost.n_variable_blocks * cost.n
     g = np.empty(nvar)
@@ -23,13 +23,13 @@ def fd_gradient(cost, traj, h=1e-6):
     for i in range(nvar):
         zp = z.copy(); zp[off + i] += h
         zm = z.copy(); zm[off + i] -= h
-        g[i] = (cost.value(StackedTrajectory(zp, cost.n))
-                - cost.value(StackedTrajectory(zm, cost.n))) / (2 * h)
+        g[i] = (cost.value(zp.reshape(xs.shape))
+                - cost.value(zm.reshape(xs.shape))) / (2 * h)
     return g
 
 
-def fd_hessian(cost, traj, h=1e-4):
-    z = traj.z.copy()
+def fd_hessian(cost, xs, h=1e-4):
+    z = xs.ravel()
     head = 1 if cost.pinned else 0
     nvar = cost.n_variable_blocks * cost.n
     off = head * cost.n
@@ -42,7 +42,7 @@ def fd_hessian(cost, traj, h=1e-4):
                     zp = z.copy()
                     zp[off + i] += si * h
                     zp[off + j] += sj * h
-                    zz[si, sj] = cost.value(StackedTrajectory(zp, cost.n))
+                    zz[si, sj] = cost.value(zp.reshape(xs.shape))
             H[i, j] = (zz[1, 1] - zz[1, -1] - zz[-1, 1] + zz[-1, -1]) / (4 * h * h)
     return H
 
@@ -93,12 +93,11 @@ def test_gradient_hessian_match_finite_differences():
     cost = build_measurement_cost(cost, [6.0], model.C, model.Sigma_w)
     cost = build_time_cost(cost, model, [5.5, 4.5])
     for _ in range(5):
-        z = rng.uniform(3.0, 7.0, 3 * 2)
-        traj = StackedTrajectory(z, 2)
-        g = cost.gradient(traj)
-        assert np.allclose(g, fd_gradient(cost, traj), rtol=1e-6, atol=1e-6)
+        xs = rng.uniform(3.0, 7.0, (3, 2))
+        g = cost.gradient(xs)
+        assert np.allclose(g, fd_gradient(cost, xs), rtol=1e-6, atol=1e-6)
     H = cost.dense_hessian()
-    assert np.allclose(H, fd_hessian(cost, traj), rtol=1e-4, atol=1e-4)
+    assert np.allclose(H, fd_hessian(cost, xs), rtol=1e-4, atol=1e-4)
 
 
 def test_hessian_is_block_tridiagonal():
@@ -109,8 +108,7 @@ def test_hessian_is_block_tridiagonal():
         cost = build_measurement_cost(cost, [float(k)], model.C, model.Sigma_w)
         cost = build_time_cost(cost, model, [xhat])
         xhat = 1.0 + 0.99 * xhat
-    traj = StackedTrajectory(np.zeros(6), 1)
-    H = fd_hessian(cost, traj)
+    H = fd_hessian(cost, np.zeros((6, 1)))
     n = cost.n
     for i in range(6):
         for j in range(6):
@@ -144,8 +142,7 @@ def test_measurement_cost_stacked_sensors():
 def test_newton_prior_only_returns_init():
     init = StateEstimate([2.0, -1.0], np.diag([3.0, 0.5]))
     cost = initial_cost(init)
-    z0 = StackedTrajectory(np.array([0.0, 0.0]), 2)
-    sol = newton_solve(cost, z0)
+    sol = newton_solve(cost, np.zeros((1, 2)))
     assert np.allclose(sol.xhat, init.xhat, rtol=1e-12)
     assert np.allclose(sol.Sigma, init.Sigma, rtol=1e-12)
 
@@ -154,9 +151,44 @@ def test_newton_pinned_prior_degenerate():
     init = StateEstimate([4.0], [[0.0]])
     cost = initial_cost(init)
     cost = build_measurement_cost(cost, [10.0], [[1.0]], [[1.0]])
-    sol = newton_solve(cost, StackedTrajectory(np.array([4.0]), 1))
+    sol = newton_solve(cost, np.array([[4.0]]))
     assert np.allclose(sol.xhat, [4.0])
     assert np.allclose(sol.Sigma, [[0.0]])
+    with pytest.raises(ValueError, match="pinned initial block"):
+        newton_solve(cost, np.array([[5.0]]))
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+def test_trajectory_boundary_is_checked(pinned):
+    model = example_sec3()
+    cost = initial_cost(StateEstimate([2.0], [[0.0 if pinned else 1.0]]))
+    cost = build_measurement_cost(cost, [1.0], model.C, model.Sigma_w)
+    cost = build_time_cost(cost, model, [2.0])
+    cost = build_measurement_cost(cost, [1.5], model.C, model.Sigma_w)
+    good = np.full((cost.n_blocks, 1), 2.0)
+    off_head = good.copy()
+    off_head[0] += 1.0
+    bad = {r"must be a \(K, 1\) array": [good.ravel(), np.hstack((good, good)),
+                                          good[None]],
+           "length does not match": [good[:-1], np.vstack((good, good)),
+                                     np.zeros((0, 1))]}
+    if pinned:
+        bad["pinned initial block does not match"] = [off_head]
+    else:
+        newton_solve(cost, off_head)
+    newton_solve(cost, good)
+    for check in (newton_solve, QuadraticCost.gradient):
+        for match, starts in bad.items():
+            for z0 in starts:
+                with pytest.raises(ValueError, match=match):
+                    check(cost, z0)
+
+
+def test_time_cost_expands_at_the_pinned_head_only():
+    cost = initial_cost(StateEstimate([2.0], [[0.0]]))
+    with pytest.raises(ValueError, match="must equal the pinned head"):
+        build_time_cost(cost, example_sec3(), [3.0])
+    assert build_time_cost(cost, example_sec3(), [2.0]).n_blocks == 2
 
 
 def test_newton_one_step_convergence():
@@ -166,7 +198,7 @@ def test_newton_one_step_convergence():
                          StateEstimate([0.0], [[2.0]], 1))
     for sol in sols:
         assert sol.grad_norm_after <= 1e-9 * (1.0 + sol.grad_norm_before)
-        assert sol.second_step_norm <= 1e-10 * (1.0 + np.linalg.norm(sol.trajectory.z))
+        assert sol.second_step_norm <= 1e-10 * (1.0 + np.linalg.norm(sol.trajectory))
 
 
 def test_k1_equivalence_with_filter():
@@ -293,4 +325,4 @@ def test_indefinite_hessian_detected():
     cost = initial_cost(StateEstimate([0.0], [[1.0]]))
     cost.D[0] = np.array([[-1.0]])
     with pytest.raises(IndefiniteHessianError):
-        newton_solve(cost, StackedTrajectory(np.zeros(1), 1))
+        newton_solve(cost, np.zeros((1, 1)))
