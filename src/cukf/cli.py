@@ -23,8 +23,8 @@ from .discrete import StateEstimate, _atomic_open, _write_csv, run_filter
 from .errors import FilterError
 from .models import ContinuousDiscreteModel, DiscreteLinearModel, with_fixed_noise
 from .modelio import load_model
-from .simulate import (_em_steps, monte_carlo_compare, mse, simulate_cd,
-                       simulate_discrete)
+from .simulate import (MAX_LAG, _em_steps, monte_carlo_compare, mse,
+                       simulate_cd, simulate_discrete)
 from .wls import MAX_HORIZON, dump_diagnostics, oracle_filter
 
 
@@ -62,12 +62,12 @@ def _write_manifest(outdir, args, extra=None):
         fh.write(json.dumps(cfg, indent=2, sort_keys=True, default=str) + "\n")
 
 
-def _kind_options(model, args):
+def _kind_options(model, args, least_N=1):
     """Refuse an option that the model's kind does not read and a step that
     is not finite and positive, then resolve --N (discrete) or --em-step
-    (continuous-discrete) to its default and refuse an --em-step grid that
-    the simulator would refuse.  For `filter` on a continuous-discrete
-    model, return the clamp-detection step: --step, or default_config."""
+    (continuous-discrete) to its default and refuse an --N below least_N or
+    an --em-step grid that the simulator would refuse.  For `filter` on a
+    continuous-discrete model, return the clamp-detection step."""
     cd = isinstance(model, ContinuousDiscreteModel)
     unread, kind = ((("N",), "discrete") if cd else
                     (("em_step", "step"), "continuous-discrete"))
@@ -79,6 +79,8 @@ def _kind_options(model, args):
             raise ValueError(f"{flag} must be finite and positive")
     if not cd:
         args.N = 100 if args.N is None else args.N
+        if args.N < least_N:
+            raise ValueError(f"--N must be at least {least_N}")
         return None
     args.em_step = 0.01 if args.em_step is None else args.em_step
     _em_steps(model.sample_times, args.em_step)
@@ -103,8 +105,8 @@ def _cmd_models(args):
 def _cmd_simulate(args):
     model = _load(args.model)
     _kind_options(model, args)
-    outdir = _resolve_outdir(args)
     data = _simulate_any(model, args)
+    outdir = _resolve_outdir(args)
     path = os.path.join(outdir, "trajectory.csv")
     data.to_csv(path)
     _write_manifest(outdir, args, {"clamped": data.clamped})
@@ -140,7 +142,6 @@ def _cmd_filter(args):
         raise ValueError("--beta applies to --variant fixed-beta only")
     step = _kind_options(model, args)
     init = _init_estimate(model, args)
-    outdir = _resolve_outdir(args)
     data = _simulate_any(model, args)
     cd = isinstance(model, ContinuousDiscreteModel)
     if cd:
@@ -149,6 +150,7 @@ def _cmd_filter(args):
         if args.variant == "fixed-beta":
             model = with_fixed_noise(model, args.beta)
         trace = run_filter(model, data.measurements, init)
+    outdir = _resolve_outdir(args)
     path = os.path.join(outdir, "trace.csv")
     trace.to_csv(path)
     if cd:
@@ -164,13 +166,15 @@ def _cmd_filter(args):
 def _cmd_compare(args):
     model = _load(args.model)
     _check_fixed_beta(model, args.beta, "compare", "for the fixed-beta baseline")
-    _kind_options(model, args)
+    _kind_options(model, args, least_N=MAX_LAG + 1)  # the whiteness lags
+    if args.replicates < 1:
+        raise ValueError("--replicates must be at least 1")
     filters = {"covariance-update": model,
                f"fixed-beta={args.beta}": with_fixed_noise(model, args.beta)}
-    outdir = _resolve_outdir(args)
     report = monte_carlo_compare(model, filters, replicates=args.replicates,
                                  N=args.N, master_seed=args.seed, x0=args.x0,
                                  distribution=args.distribution)
+    outdir = _resolve_outdir(args)
     csv_path = os.path.join(outdir, "comparison.csv")
     report.to_csv(csv_path)
     with _atomic_open(os.path.join(outdir, "comparison.txt")) as fh:
@@ -183,7 +187,7 @@ def _cmd_compare(args):
 def _step_rel_deltas(a, b):
     """Per step (leading axis), the largest |a - b| / max(1, |b|)."""
     r = np.abs(a - b) / np.maximum(1.0, np.abs(b))
-    return r.reshape(len(r), -1).max(axis=1).tolist()
+    return r.reshape(len(r), -1).max(axis=1)
 
 
 def _cmd_oracle_check(args):
@@ -195,17 +199,17 @@ def _cmd_oracle_check(args):
     if isinstance(model, ContinuousDiscreteModel):
         raise ValueError("oracle-check supports discrete models only")
     init = _init_estimate(model, args)
-    outdir = _resolve_outdir(args)
     args.N = args.horizon
     data = _simulate_any(model, args)
     trace = run_filter(model, data.measurements, init)
-    sols = oracle_filter(model, data.measurements, init)
-    deltas = list(zip(
-        _step_rel_deltas(np.array([s.xhat for s in sols]), trace.xhat_post),
-        _step_rel_deltas(np.array([s.Sigma for s in sols]), trace.Sigma_post)))
+    sol = oracle_filter(model, data.measurements, init)
+    deltas = np.column_stack(
+        (_step_rel_deltas(sol.xhat, trace.xhat_post),
+         _step_rel_deltas(sol.Sigma, trace.Sigma_post)))
+    outdir = _resolve_outdir(args)
     path = os.path.join(outdir, "oracle_deltas.csv")
-    dump_diagnostics(sols, path, deltas=deltas)
-    worst = max(max(d) for d in deltas)
+    dump_diagnostics(sol, path, deltas)
+    worst = float(deltas.max())
     _write_manifest(outdir, args, {"max_relative_delta": worst})
     print(f"max relative delta: {worst:.3e}")
     if worst > 1e-9:
@@ -219,12 +223,14 @@ def _cmd_limit_check(args):
     dyn = model.inner if isinstance(model, ContinuousDiscreteModel) else model
     if not isinstance(dyn, DiscreteLinearModel):
         raise ValueError("limit-check needs a linear model")
-    outdir = _resolve_outdir(args)
+    if args.levels < 0:
+        raise ValueError("--levels must be at least 0")
     n = dyn.n
     post = StateEstimate(xhat=np.full(n, args.x0),
                          Sigma=np.eye(n), index=args.t0)
     dts = [args.dt0 / 2 ** i for i in range(args.levels + 1)]
     rows = euler_limit_check(dyn, post, args.t0, args.t1, dts)
+    outdir = _resolve_outdir(args)
     path = os.path.join(outdir, "limit_check.csv")
     _write_csv(path, ["dt", "mean_err", "cov_err"],
                ([row.dt, row.mean_err, row.cov_err] for row in rows))
@@ -320,8 +326,8 @@ def parse_and_dispatch(argv=None) -> int:
     except (FilterError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        # ModelError, StepTooLargeError and other invalid inputs.
+    except (ValueError, OSError) as exc:
+        # ModelError, StepTooLargeError, other bad inputs and unusable paths.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

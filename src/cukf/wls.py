@@ -30,13 +30,13 @@ here in information form and share no code with the covariance-form filter.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from .errors import IndefiniteHessianError, ModelError
 from .models import EPS_G
-from .discrete import StateEstimate, _write_csv, symmetrize
+from .discrete import StateEstimate, _write_steps, symmetrize
 
 # Longest horizon `oracle_filter` accepts; its memory grows as O(N^2 n).
 MAX_HORIZON = 500
@@ -237,8 +237,12 @@ def build_time_cost(prev: QuadraticCost, model, xhat_prev) -> QuadraticCost:
 def _measurement_blocks(C, Sigma_w):
     """(C, Wm = Sigma_w^{-1}, C'Wm, C'Wm C) of the measurement term."""
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    Wm = symmetrize(np.linalg.inv(
-        np.atleast_2d(np.asarray(Sigma_w, dtype=float))))
+    try:
+        Wm = symmetrize(np.linalg.inv(
+            np.atleast_2d(np.asarray(Sigma_w, dtype=float))))
+    except np.linalg.LinAlgError as exc:
+        raise ModelError("Sigma_w is singular; the oracle weighs each "
+                         "measurement by its inverse") from exc
     CtW = C.T @ Wm
     return C, Wm, CtW, CtW @ C
 
@@ -266,7 +270,7 @@ def _sweep(L, factors, last, R, ends) -> np.ndarray:
     # first[i]: the first column whose system reaches block i.
     first = np.searchsorted(ends, np.arange(nb + 1))
     Y = np.zeros_like(R)
-    Y[0] = R[0]
+    Y[:1] = R[:1]  # a slice: a pinned head alone leaves no block
     for i in range(1, nb):
         c = first[i]
         Y[i, :, c:] = R[i, :, c:] - L[i - 1] @ _factor_solve(
@@ -312,17 +316,16 @@ class BlockTridiagFactor:
 @dataclass
 class OracleSolution:
     """Minimizing trajectory with the estimate and covariance of its final
-    block.  `oracle_filter` reads xhat and Sigma from the terminal Schur
-    factor and the trajectory from the Newton step, which agree to
-    rounding."""
+    block.  `oracle_filter` returns every step's, each field with a leading
+    step axis and each trajectory row zero past its step's block; its xhat
+    and Sigma, from Schur factors, agree with the Newton step to rounding."""
 
     trajectory: np.ndarray
     xhat: np.ndarray
     Sigma: np.ndarray
-    grad_norm_before: float
-    grad_norm_after: float
-    second_step_norm: float
-    index: int = 0
+    grad_norm_before: np.ndarray
+    grad_norm_after: np.ndarray
+    second_step_norm: np.ndarray
 
 
 def newton_solve(cost: QuadraticCost, z0: np.ndarray) -> OracleSolution:
@@ -404,8 +407,7 @@ def _newton_checks(D, b, L, Dt, bt, factors, terminal, starts):
     return _newton_step(gradients, solve, z0, norms)
 
 
-def oracle_filter(model, measurements,
-                  init: StateEstimate) -> List[OracleSolution]:
+def oracle_filter(model, measurements, init: StateEstimate) -> OracleSolution:
     """Recursive cost construction mirroring the filter: at each step the
     measurement term is added and the cost minimized; the time term appended
     afterwards is expanded at the running estimate and never revisited.
@@ -421,7 +423,8 @@ def oracle_filter(model, measurements,
     reported before a failed check of an earlier step.  Step k's Newton
     check starts, as the per-step solve did, from the previous minimizer
     extended by f(xhat_{k-1}); it takes one Newton step and requires a
-    second step to move by < 1e-10 relative.
+    second step to move by < 1e-10 relative.  A zero Sigma_v diagonal
+    entry or a singular Sigma_w, which the costs invert, is a `ModelError`.
     """
     ms = np.atleast_2d(np.asarray(measurements, dtype=float))
     N = ms.shape[0]
@@ -430,12 +433,15 @@ def oracle_filter(model, measurements,
             f"horizon {N} exceeds cap {MAX_HORIZON}; the cap bounds the "
             "O(N^2 n) memory of the batched per-step Newton checks and of "
             "the per-step trajectories returned")
+    sigma_v = np.diag(model.Sigma_v)
+    if not np.all(sigma_v > 0):
+        raise ModelError("Sigma_v has a zero diagonal entry; the oracle "
+                         "weighs each time step by its inverse")
+    _, _, CtW, CtWC = _measurement_blocks(model.C, model.Sigma_w)
     prior = initial_cost(init)
     n, pinned = prior.n, int(prior.pinned)
     nb = N - pinned  # variable blocks; step k ends at block k - pinned
-    _, _, CtW, CtWC = _measurement_blocks(model.C, model.Sigma_w)
     CtWy = (CtW @ ms[pinned:, :, None])[..., 0]
-    sigma_v = np.diag(model.Sigma_v)
     D, Dt, L, factors, terminal = np.zeros((5, nb, n, n))
     b, bt = np.zeros((2, nb, n))
     xhats, starts = np.empty((2, N, n))
@@ -467,35 +473,22 @@ def oracle_filter(model, measurements,
             coupled = Lq @ _factor_solve(factors[i], -b[i] - coupled)
             coupling = Lq @ _factor_solve(factors[i], Lq.T)
 
-    solutions = []
-    if pinned:
-        solutions.append(OracleSolution(
-            trajectory=init.xhat[None].copy(), xhat=xhats[0],
-            Sigma=Sigmas[0], grad_norm_before=0.0, grad_norm_after=0.0,
-            second_step_norm=0.0))
-    if nb == 0:
-        return solutions
     z_star, before, after, step2 = _newton_checks(
         D, b, L[:-1], Dt, bt, factors, terminal, starts[pinned:])
-    # Row j: prefix j's trajectory, pinned head first, blocks past j unused.
-    Z = np.concatenate((np.broadcast_to(init.xhat, (nb, pinned, n)),
-                        z_star.transpose(2, 0, 1)), axis=1)
-    for j in range(nb):
-        solutions.append(OracleSolution(
-            trajectory=Z[j, :j + 1 + pinned],
-            xhat=xhats[j + pinned], Sigma=Sigmas[j + pinned],
-            grad_norm_before=float(before[j]), grad_norm_after=float(after[j]),
-            second_step_norm=float(step2[j]), index=j + pinned))
-    return solutions
+    # Row k: step k's trajectory, pinned head first, zero past block k.
+    trajectory = np.zeros((N, N, n))
+    trajectory[:, :pinned] = init.xhat
+    trajectory[pinned:, pinned:] = z_star.transpose(2, 0, 1)
+    norms = np.zeros((3, N))  # zero for a pinned head alone
+    norms[:, pinned:] = before, after, step2
+    return OracleSolution(trajectory, xhats, Sigmas, *norms)
 
 
-def dump_diagnostics(solutions: Sequence[OracleSolution], path,
-                     deltas: Sequence[Tuple[float, float]]):
-    """Per-step gradient norms and estimate/covariance deltas against a
-    filter trace, as CSV."""
-    _write_csv(path, ["k", "grad_norm_before", "grad_norm_after",
-                      "second_step_norm", "xhat_delta", "Sigma_delta"],
-               ([sol.index, repr(sol.grad_norm_before),
-                 repr(sol.grad_norm_after), repr(sol.second_step_norm),
-                 repr(float(dx)), repr(float(dS))]
-                for sol, (dx, dS) in zip(solutions, deltas)))
+def dump_diagnostics(sol: OracleSolution, path, deltas: np.ndarray):
+    """Per-step gradient norms of `sol` and the (N, 2) estimate/covariance
+    deltas against a filter trace, as CSV."""
+    _write_steps(path, range(len(deltas)), None,
+                 ["grad_norm_before", "grad_norm_after", "second_step_norm",
+                  "xhat_delta", "Sigma_delta"],
+                 [np.column_stack((sol.grad_norm_before, sol.grad_norm_after,
+                                   sol.second_step_norm)), deltas])

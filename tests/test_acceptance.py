@@ -35,18 +35,18 @@ def test_A1_oracle_equivalence():
     for sigma0 in (0.0, 1.0):
         init = StateEstimate([0.3], [[sigma0]], 1)
         trace = run_filter(model, data.measurements, init)
-        sols = oracle_filter(model, data.measurements, init)
+        sol = oracle_filter(model, data.measurements, init)
         for k in range(20):
-            worst = max(worst, rel_err(sols[k].xhat, trace.xhat_post[k]),
-                        rel_err(sols[k].Sigma, trace.Sigma_post[k]))
+            worst = max(worst, rel_err(sol.xhat[k], trace.xhat_post[k]),
+                        rel_err(sol.Sigma[k], trace.Sigma_post[k]))
     nl = logistic()
     data_nl = simulate_discrete(nl, 50.0, 20, 102)
     init = StateEstimate([40.0], [[4.0]], 1)
     trace = run_filter(nl, data_nl.measurements, init)
-    sols = oracle_filter(nl, data_nl.measurements, init)
+    sol = oracle_filter(nl, data_nl.measurements, init)
     for k in range(20):
-        worst = max(worst, rel_err(sols[k].xhat, trace.xhat_post[k]),
-                    rel_err(sols[k].Sigma, trace.Sigma_post[k]))
+        worst = max(worst, rel_err(sol.xhat[k], trace.xhat_post[k]),
+                    rel_err(sol.Sigma[k], trace.Sigma_post[k]))
     print(f"\nA1 PASS: max relative filter/oracle delta {worst:.3e} <= 1e-9")
     assert worst <= 1e-9
 

@@ -185,11 +185,22 @@ def test_model_file_path_accepted(tmp_path, monkeypatch):
     ["simulate", "--model", "birth_death_cle", "--em-step", "5e-324"],
     # One step past the oracle's horizon cap, refused before simulating.
     ["oracle-check", "--model", "example_sec3", "--horizon", "501"],
+    # Paths that cannot be used: an --out that is a file, a --model that is
+    # a directory.
+    ["simulate", "--model", "example_sec3", "--out", "<file>"],
+    ["filter", "--model", "<dir>"],
 ])
 @pytest.mark.filterwarnings("error")
 def test_invalid_input_exits_1_without_traceback(argv, tmp_path, monkeypatch,
                                                  capsys):
-    assert run(argv, tmp_path, monkeypatch) == 1
+    (tmp_path / "a-file").write_text("")
+    paths = {"<file>": str(tmp_path / "a-file"), "<dir>": str(tmp_path)}
+    argv = [paths.get(arg, arg) for arg in argv]
+    if "--out" in argv:
+        monkeypatch.delenv("CUKF_OUTPUT_DIR", raising=False)
+        assert parse_and_dispatch(argv) == 1
+    else:
+        assert run(argv, tmp_path, monkeypatch) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert err.count("\n") == 1 and "NaN" not in err
@@ -369,6 +380,67 @@ def test_a_step_that_is_not_finite_and_positive_is_refused_before_any_output(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--model", "example_sec3", "--N", "0"],
+     "--N must be at least 1"),
+    (["filter", "--model", "example_sec3", "--N", "0"],
+     "--N must be at least 1"),
+    (["compare", "--model", "example_sec3", "--beta", "0.1", "--N", "-3"],
+     "--N must be at least 21"),
+    (["compare", "--model", "example_sec3", "--beta", "0.1", "--N", "20"],
+     "--N must be at least 21"),
+    (["compare", "--model", "example_sec3", "--beta", "0.1",
+      "--replicates", "0"],
+     "--replicates must be at least 1"),
+    (["limit-check", "--model", "birth_death_cle", "--levels", "-1"],
+     "--levels must be at least 0"),
+])
+def test_a_count_out_of_range_is_refused_by_its_flag_before_any_output(
+        argv, message, tmp_path, monkeypatch, capsys):
+    import cukf.cli
+
+    def refused(*args, **kwargs):
+        raise AssertionError("computed before refusing the count")
+
+    for name in ("simulate_discrete", "monte_carlo_compare",
+                 "euler_limit_check"):
+        monkeypatch.setattr(cukf.cli, name, refused)
+    assert run(argv, tmp_path / "out", monkeypatch) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "logistic", "--x0", "-5"],
+    ["filter", "--model", "logistic", "--x0", "-5"],
+    ["limit-check", "--model", "birth_death_cle", "--t1", "-1"],
+])
+def test_a_failed_run_leaves_no_output_directory(argv, tmp_path, monkeypatch):
+    assert run(argv, tmp_path / "out", monkeypatch) in (1, 2)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("old, new, init_sigma, message", [
+    ("Sigma_v = 1.0", "Sigma_v = 0.0", "0",
+     "Sigma_v has a zero diagonal entry; the oracle weighs each time step "
+     "by its inverse"),
+    ("Sigma_w = 1.0", "Sigma_w = 0.0", "1",
+     "Sigma_w is singular; the oracle weighs each measurement by its "
+     "inverse"),
+])
+def test_oracle_check_refuses_a_model_it_cannot_weigh(
+        old, new, init_sigma, message, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "model.txt"
+    path.write_text(GOOD_MODEL_FILE.replace(old, new))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["oracle-check", "--model", str(path), "--init-sigma",
+                    init_sigma], tmp_path / "out", monkeypatch)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 TWO_SPECIES_FILE = ("kind = continuous\nn = 2\nm = 2\nA0 = 20.0 5.0\n"
                     "A1 = -0.1 0.0 0.5 -0.05\nC = 1.0 0.0 0.0 1.0\n"
                     "gsq = 20.0 0.1 0.0 5.0 0.5 0.05\nSigma_v = 1.0 1.0\n"
@@ -466,9 +538,9 @@ def test_oracle_disagreement_exits_2(tmp_path, monkeypatch, capsys):
     original = cukf.cli.oracle_filter
 
     def shifted(*args, **kwargs):
-        sols = original(*args, **kwargs)
-        sols[-1].xhat = sols[-1].xhat + 1e-6
-        return sols
+        sol = original(*args, **kwargs)
+        sol.xhat[-1] += 1e-6
+        return sol
 
     monkeypatch.setattr(cukf.cli, "oracle_filter", shifted)
     code = run(["oracle-check", "--model", "example_sec3"], tmp_path,

@@ -426,10 +426,11 @@ def earlier_oracle(model, ms, init):
     return out
 
 
-def solution_rows(sols):
-    return [(s.index, s.trajectory.tobytes(), s.xhat.tobytes(),
-             s.Sigma.tobytes(), s.grad_norm_before, s.grad_norm_after,
-             s.second_step_norm) for s in sols]
+def solution_rows(sol):
+    return [(k, sol.trajectory[k, :k + 1].tobytes(), sol.xhat[k].tobytes(),
+             sol.Sigma[k].tobytes(), sol.grad_norm_before[k],
+             sol.grad_norm_after[k], sol.second_step_norm[k])
+            for k in range(len(sol.xhat))]
 
 
 def oracle_outcome(run):

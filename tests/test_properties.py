@@ -124,7 +124,6 @@ def reference_oracle(model, ys, init):
     for k in range(len(ys)):
         cost = build_measurement_cost(cost, ys[k], model.C, model.Sigma_w)
         sol = newton_solve(cost, np.array(blocks))
-        sol.index = k
         solutions.append(sol)
         blocks = list(sol.trajectory)
         if k + 1 < len(ys):
@@ -171,17 +170,16 @@ def test_oracle_matches_per_step_newton_loop(case):
         with pytest.raises(IndefiniteHessianError):
             oracle_filter(model, ys, init)
         return
-    sols = oracle_filter(model, ys, init)
-    assert len(sols) == len(ref)
-    for sol, want in zip(sols, ref):
-        assert sol.index == want.index
-        assert close(sol.xhat, want.xhat)
-        assert close(sol.Sigma, want.Sigma)
-        assert close(sol.grad_norm_before, want.grad_norm_before)
-        assert sol.trajectory.shape == want.trajectory.shape
-        assert sol.grad_norm_after <= 1e-9 * (1.0 + sol.grad_norm_before)
-        assert sol.second_step_norm <= 1e-10 * (
-            1.0 + np.linalg.norm(sol.trajectory))
+    sol = oracle_filter(model, ys, init)
+    assert len(sol.xhat) == len(ref)
+    for k, want in enumerate(ref):
+        assert close(sol.xhat[k], want.xhat)
+        assert close(sol.Sigma[k], want.Sigma)
+        assert close(sol.grad_norm_before[k], want.grad_norm_before)
+        assert sol.trajectory[k, :k + 1].shape == want.trajectory.shape
+        assert sol.grad_norm_after[k] <= 1e-9 * (1.0 + sol.grad_norm_before[k])
+        assert sol.second_step_norm[k] <= 1e-10 * (
+            1.0 + np.linalg.norm(sol.trajectory[k, :k + 1]))
 
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -194,11 +196,12 @@ def test_time_cost_expands_at_the_pinned_head_only():
 def test_newton_one_step_convergence():
     model = example_sec3()
     data = simulate_discrete(model, 1.0, 10, 31)
-    sols = oracle_filter(model, data.measurements,
-                         StateEstimate([0.0], [[2.0]], 1))
-    for sol in sols:
-        assert sol.grad_norm_after <= 1e-9 * (1.0 + sol.grad_norm_before)
-        assert sol.second_step_norm <= 1e-10 * (1.0 + np.linalg.norm(sol.trajectory))
+    sol = oracle_filter(model, data.measurements,
+                        StateEstimate([0.0], [[2.0]], 1))
+    for k in range(10):
+        assert sol.grad_norm_after[k] <= 1e-9 * (1.0 + sol.grad_norm_before[k])
+        assert sol.second_step_norm[k] <= 1e-10 * (
+            1.0 + np.linalg.norm(sol.trajectory[k, :k + 1]))
 
 
 def test_k1_equivalence_with_filter():
@@ -206,10 +209,10 @@ def test_k1_equivalence_with_filter():
     data = simulate_discrete(model, 1.0, 2, 32)
     init = StateEstimate([0.5], [[1.5]], 1)
     trace = run_filter(model, data.measurements, init)
-    sols = oracle_filter(model, data.measurements, init)
+    sol = oracle_filter(model, data.measurements, init)
     for k in range(2):
-        assert rel_err(sols[k].xhat, trace.xhat_post[k]) < 1e-9
-        assert rel_err(sols[k].Sigma, trace.Sigma_post[k]) < 1e-9
+        assert rel_err(sol.xhat[k], trace.xhat_post[k]) < 1e-9
+        assert rel_err(sol.Sigma[k], trace.Sigma_post[k]) < 1e-9
 
 
 def test_random_constant_gain_marginal_matches_textbook_kf():
@@ -224,12 +227,12 @@ def test_random_constant_gain_marginal_matches_textbook_kf():
         data = simulate_discrete(model, np.ones(n), 6, rng.integers(1 << 31))
         x0 = rng.standard_normal(n)
         P0 = np.eye(n)
-        sols = oracle_filter(model, data.measurements, StateEstimate(x0, P0))
+        sol = oracle_filter(model, data.measurements, StateEstimate(x0, P0))
         Q = np.diag(p["g2"] * p["sv"])
         xs, Ps = textbook_kf(p["A0"], p["A1"], p["C"], Q, p["Sigma_w"],
                              data.measurements, x0, P0)
-        assert rel_err(sols[-1].xhat, xs[-1]) < 1e-9
-        assert rel_err(sols[-1].Sigma, Ps[-1]) < 1e-9
+        assert rel_err(sol.xhat[-1], xs[-1]) < 1e-9
+        assert rel_err(sol.Sigma[-1], Ps[-1]) < 1e-9
 
 
 def test_oracle_filter_matches_recursive_filter_sec3():
@@ -238,10 +241,10 @@ def test_oracle_filter_matches_recursive_filter_sec3():
     for sigma0 in (0.0, 1.0):
         init = StateEstimate([0.0], [[sigma0]], 1)
         trace = run_filter(model, data.measurements, init)
-        sols = oracle_filter(model, data.measurements, init)
+        sol = oracle_filter(model, data.measurements, init)
         for k in range(20):
-            assert rel_err(sols[k].xhat, trace.xhat_post[k]) < 1e-9
-            assert rel_err(sols[k].Sigma, trace.Sigma_post[k]) < 1e-9
+            assert rel_err(sol.xhat[k], trace.xhat_post[k]) < 1e-9
+            assert rel_err(sol.Sigma[k], trace.Sigma_post[k]) < 1e-9
 
 
 def test_oracle_filter_matches_nonlinear_filter_logistic():
@@ -249,10 +252,10 @@ def test_oracle_filter_matches_nonlinear_filter_logistic():
     data = simulate_discrete(model, 50.0, 20, 35)
     init = StateEstimate([40.0], [[4.0]], 1)
     trace = run_filter(model, data.measurements, init)
-    sols = oracle_filter(model, data.measurements, init)
+    sol = oracle_filter(model, data.measurements, init)
     for k in range(20):
-        assert rel_err(sols[k].xhat, trace.xhat_post[k]) < 1e-9
-        assert rel_err(sols[k].Sigma, trace.Sigma_post[k]) < 1e-9
+        assert rel_err(sol.xhat[k], trace.xhat_post[k]) < 1e-9
+        assert rel_err(sol.Sigma[k], trace.Sigma_post[k]) < 1e-9
 
 
 def test_oracle_factors_each_schur_block_at_most_twice(monkeypatch):
@@ -282,7 +285,7 @@ def test_oracle_filter_makes_no_cost_copies(monkeypatch):
     data = simulate_discrete(model, 1.0, 20, 37)
     for sigma0 in (0.0, 1.0):
         init = StateEstimate([0.0], [[sigma0]], 1)
-        assert len(oracle_filter(model, data.measurements, init)) == 20
+        assert len(oracle_filter(model, data.measurements, init).xhat) == 20
 
 
 def test_partially_singular_prior_rejected():
@@ -326,3 +329,56 @@ def test_indefinite_hessian_detected():
     cost.D[0] = np.array([[-1.0]])
     with pytest.raises(IndefiniteHessianError):
         newton_solve(cost, np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("N", [1, 2, 5])
+@pytest.mark.parametrize("sigma0", [0.0, 1.0])
+def test_oracle_returns_one_record_of_per_step_arrays(N, sigma0):
+    model = example_sec3()
+    data = simulate_discrete(model, 1.0, N, 38)
+    init = StateEstimate([0.3], [[sigma0]], 1)
+    sol = oracle_filter(model, data.measurements, init)
+    assert sol.trajectory.shape == (N, N, 1)
+    assert sol.xhat.shape == (N, 1)
+    assert sol.Sigma.shape == (N, 1, 1)
+    norms = (sol.grad_norm_before, sol.grad_norm_after, sol.second_step_norm)
+    for norm in norms:
+        assert norm.shape == (N,)
+    for k in range(N):
+        assert np.all(sol.trajectory[k, k + 1:] == 0.0)
+        assert np.allclose(sol.trajectory[k, k], sol.xhat[k], rtol=1e-9)
+    if sigma0 == 0.0:
+        # x_0 is pinned: every row starts at the head, and row 0 is the
+        # head alone, with no Newton step taken.
+        assert np.all(sol.trajectory[:, 0] == init.xhat)
+        assert np.all(sol.xhat[0] == init.xhat)
+        assert np.all(sol.Sigma[0] == 0.0)
+        assert all(norm[0] == 0.0 for norm in norms)
+    else:
+        assert np.all(sol.grad_norm_before > 0.0)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("Sigma_v", np.array([[0.0]])),
+    ("Sigma_w", np.array([[0.0]])),
+])
+def test_oracle_refuses_a_noise_covariance_it_cannot_invert(key, value):
+    from dataclasses import replace
+
+    model = replace(example_sec3(), **{key: value})
+    data = simulate_discrete(example_sec3(), 1.0, 5, 39)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelError, match=f"^{key} "):
+            oracle_filter(model, data.measurements,
+                          StateEstimate([0.3], [[1.0]], 1))
+
+
+def test_oracle_refuses_a_singular_matrix_measurement_covariance():
+    model = DiscreteLinearModel(
+        A0=np.zeros(2), A1=0.9 * np.eye(2), C=np.eye(2),
+        gsq=np.column_stack([np.ones(2), np.zeros((2, 2))]),
+        Sigma_v=np.eye(2), Sigma_w=np.ones((2, 2)))
+    with pytest.raises(ModelError, match="^Sigma_w is singular"):
+        oracle_filter(model, np.ones((3, 2)),
+                      StateEstimate(np.zeros(2), np.eye(2), 1))
