@@ -14,7 +14,7 @@ import numpy as np
 
 from .discrete import (FilterTrace, StateEstimate, _run_loop,
                        _symmetrize_in_place, symmetrize, time_update)
-from .errors import (LengthMismatchError, ModelError, NonFiniteStateError,
+from .errors import (LengthMismatchError, NonFiniteStateError,
                      StepTooLargeError)
 from .models import EPS_G, ContinuousDiscreteModel, DiscreteLinearModel, eval_G
 
@@ -100,13 +100,9 @@ class _Propagator:
     def __init__(self, dyn: DiscreteLinearModel, step: float):
         if not 0 < step < np.inf:
             raise ValueError("step must be finite and positive")
-        sv = np.diag(dyn.Sigma_v)
-        if np.any(dyn.Sigma_v != np.diag(sv)):
-            raise ModelError(
-                "continuous-discrete propagation needs a diagonal Sigma_v")
         self.dyn = dyn
         self.step = step
-        self.sv = sv
+        self.sv = np.diag(dyn.Sigma_v)
         self.cut_intervals = 0
         self.cuts = 0
         self._spans = {}       # span -> (w0, W1, {floored set: expm})

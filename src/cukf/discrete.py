@@ -235,8 +235,9 @@ def _filtered(measurements, xhat, Sigma, start_index, steps):
     """A filter run over measurements (R, N, m) of R replicates from priors
     xhat (R, n) and Sigma (R, n, n): steps(prior, post, W, S, Kt, tr) fills
     the time-major buffers (N, R, ...) of [xhat | Sigma], W = [y | 0] ->
-    [E | -C Sigma], S and -K', returning the clamp counts, and one scan finds
-    the first failed step (`_check_finite`).  tr's fields view the buffers."""
+    [E | -C Sigma], S and -K', returning the clamp counts, and one scan of
+    the posteriors and S finds the first failed step (`_check_finite`).
+    tr's fields view the buffers."""
     ms = np.asarray(measurements, dtype=float)
     R, N, m = ms.shape
     if N < 1:
@@ -253,7 +254,7 @@ def _filtered(measurements, xhat, Sigma, start_index, steps):
                                    Kt.swapaxes(-1, -2))))
     clamp_count = steps(prior, post, W, S, Kt, tr)
     _check_finite("estimate", start_index, tr.xhat_post, tr.Sigma_post,
-                  S=tr.S)
+                  tr.S, S=tr.S)
     np.negative(Kt, out=Kt)  # the trace's gains K = -Kt'
     tr.clamp_count = clamp_count
     return tr
@@ -289,7 +290,8 @@ def _run_loop(measurements, xhat, Sigma, predict, C, Sigma_w, start_index=1):
             # Whatever the loop raised (a user's f may raise anything), a
             # failed step before it is the first failure.
             _check_finite("estimate", start_index, tr.xhat_post[:, :written],
-                          tr.Sigma_post[:, :written], S=tr.S)
+                          tr.Sigma_post[:, :written], tr.S[:, :written],
+                          S=tr.S)
             if isinstance(exc, FilterError) and exc.step is None:
                 exc.step = start_index + written  # predict made its prior
             raise

@@ -87,8 +87,6 @@ def loads(text: str) -> Union[DiscreteLinearModel, ContinuousDiscreteModel]:
 def dumps(model) -> str:
     cd = isinstance(model, ContinuousDiscreteModel)
     inner = model.inner if cd else model
-    if np.any(inner.Sigma_v != np.diag(np.diag(inner.Sigma_v))):
-        raise ModelError("a model file holds only a diagonal Sigma_v")
     lines = [
         f"kind = {'continuous' if cd else 'discrete'}",
         f"n = {inner.n}",

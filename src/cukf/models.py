@@ -56,15 +56,18 @@ def _as_vector(a, n, name):
 
 def _set_noise_covariances(model, n, m):
     """Check `model`'s Sigma_v (n, n) and Sigma_w (m, m), and reject what no
-    filter can use: non-finite entries, a negative Sigma_v diagonal, or a
-    Sigma_w that is not symmetric positive semidefinite.  A non-diagonal
-    Sigma_v and a zero Sigma_w are accepted."""
+    filter can use: non-finite entries, a Sigma_v that is not diagonal with
+    a nonnegative diagonal, or a Sigma_w that is not symmetric positive
+    semidefinite.  A zero Sigma_w is accepted."""
     for name, size in (("Sigma_v", n), ("Sigma_w", m)):
         a = _as_matrix(getattr(model, name), size, size, name)
         if not np.all(np.isfinite(a)):
             raise ModelError(f"{name} has non-finite entries")
         object.__setattr__(model, name, a)
-    if np.any(np.diag(model.Sigma_v) < 0):
+    Sv = model.Sigma_v
+    if np.any(Sv != np.diag(np.diag(Sv))):
+        raise ModelError("Sigma_v must be diagonal")
+    if np.any(np.diag(Sv) < 0):
         raise ModelError("Sigma_v has negative diagonal entries")
     Sw = model.Sigma_w
     tol = 1e-12 * (1.0 + np.abs(Sw).max())

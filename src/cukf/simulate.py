@@ -3,7 +3,6 @@ statistics (mean squared error, innovation whiteness) used to judge them."""
 
 import math
 from dataclasses import dataclass, replace
-from itertools import islice
 from typing import List, Mapping, Optional
 
 import numpy as np
@@ -86,7 +85,7 @@ def _meas_noise_chol(Sigma_w):
         return V * np.sqrt(np.clip(w, 0.0, None))
 
 
-def _paths(dyn, x0, seeds, nsteps, distribution, what, step, kernel,
+def _paths(dyn, x0, seeds, nsteps, distribution, what, step,
            times=None) -> TrajectoryData:
     """R = len(seeds) paths of `dyn` from x0 (shared or (R, n)), sampled
     K = len(nsteps) + 1 times, with nsteps[k] steps in gap k.  Path r draws
@@ -94,9 +93,10 @@ def _paths(dyn, x0, seeds, nsteps, distribution, what, step, kernel,
     the steps of gap 1, y_2, ..., y_K, so every row is bit-identical to a
     one-path run with the same seed.  A step of gap k is
     x <- step(k, x, f(x), g(x), v), v its draws times sqrt(diag Sigma_v).
-    One path of a linear model with n = 1 runs `kernel(dyn, x, v)` on x
-    (K,), which holds x0 and gets the states, and all the scaled draws v;
-    the numpy loop runs every other case."""
+    One path of a linear model with n = 1 calls `step` on Python floats,
+    bit-identical (see `discrete._scalar_steps`); the numpy loop runs every
+    other case.  A non-finite state raises naming the step that made it, a
+    non-finite measurement y_k naming k."""
     R, n, m = len(seeds), dyn.n, dyn.m
     K, ends = len(nsteps) + 1, np.cumsum(nsteps)
     is_y = np.zeros(K * m + n * int(np.sum(nsteps)), dtype=bool)
@@ -108,7 +108,17 @@ def _paths(dyn, x0, seeds, nsteps, distribution, what, step, kernel,
     states = np.empty((R, K, n))
     states[:, 0] = x0
     if R == n == 1 and isinstance(dyn, DiscreteLinearModel):
-        clamped = kernel(dyn, states.reshape(-1), v.reshape(-1))
+        a1, a0 = dyn.A1.item(), dyn.A0.item() + 0.0
+        c0, c1 = dyn.gsq[0].tolist()
+        xs, vs = memoryview(states.reshape(-1)), memoryview(v.reshape(-1))
+        x, clamped = xs[0], False
+        # k is the gap of each step; the gap's last step leaves states[k + 1].
+        for k, vj in zip(memoryview(np.repeat(np.arange(K - 1), nsteps)), vs):
+            g2 = c1 * x + c0
+            if g2 < EPS_G:  # not for NaN, which reaches the gain
+                g2, clamped = EPS_G, True
+            xs[k + 1] = x = step(k, x, a1 * x + a0, math.sqrt(g2), vj)
+        clamped = np.array([clamped])
     else:
         # Column states (R, n, 1), so that A @ x rounds like the 1-D product.
         x, v = states[:, 0, :, None], v[..., None]
@@ -127,9 +137,11 @@ def _paths(dyn, x0, seeds, nsteps, distribution, what, step, kernel,
             raise
         clamped = (g2 < EPS_G).any(axis=(1, 2, 3))
     _check_finite(what, 1, states[:, 1:])
-    ys = _matvec(dyn.C, states) + _matvec(
-        _meas_noise_chol(dyn.Sigma_w),
-        np.compress(is_y, noise, axis=1).reshape(R, K, m))
+    with np.errstate(invalid="ignore", over="ignore"):
+        ys = _matvec(dyn.C, states) + _matvec(
+            _meas_noise_chol(dyn.Sigma_w),
+            np.compress(is_y, noise, axis=1).reshape(R, K, m))
+    _check_finite("simulated measurement", 1, ys)
     return TrajectoryData(states=states, measurements=ys, clamped=clamped,
                           times=times)
 
@@ -139,28 +151,11 @@ def simulate_batch(model, x0, N: int, seeds,
     """R = len(seeds) replicates of N steps of a discrete model, x0 shared
     or (R, n): the `_paths` with one step x <- f(x) + g(x) v per gap, so
     replicate r draws y_1 v_1 y_2 ... y_N from `default_rng(seeds[r])`.
-    One replicate of a linear model with n = 1 takes `_scalar_states`."""
+    One replicate of a linear model with n = 1 steps in Python floats."""
     if N < 1:
         raise ValueError("N must be >= 1")
     return _paths(model, x0, seeds, np.ones(N - 1, dtype=int), distribution,
-                  "simulated state", lambda k, x, fx, g, v: fx + g * v,
-                  _scalar_states)
-
-
-def _scalar_states(model, x, v):
-    """`simulate_batch`'s state loop for one replicate of a linear model with
-    n = 1 in Python floats, bit-identical (see `discrete._scalar_steps`): x
-    (N,) holds x0 and gets the states, v the N - 1 scaled noises."""
-    a1, a0 = model.A1.item(), model.A0.item() + 0.0
-    c0, c1 = model.gsq[0].tolist()
-    xs, clamped = memoryview(x), False
-    xk = xs[0]
-    for k, vk in enumerate(memoryview(v), 1):
-        g2 = c1 * xk + c0
-        if g2 < EPS_G:  # not for NaN, which reaches the gain
-            g2, clamped = EPS_G, True
-        xs[k] = xk = a1 * xk + a0 + math.sqrt(g2) * vk
-    return np.array([clamped])
+                  "simulated state", lambda k, x, fx, g, v: fx + g * v)
 
 
 def simulate_discrete(model, x0, N: int, seed,
@@ -196,37 +191,16 @@ def simulate_cd_batch(model: ContinuousDiscreteModel, x0, seeds,
     model's sample times (the first sample time carries x0), for
     R = len(seeds) paths at once, x0 shared or (R, n): the `_paths` whose
     gap k takes `_em_steps` steps x <- x + h f(x) + sqrt(h) g(x) v of
-    length h = hs[k].  One path of a model with n = 1 takes
-    `_one_path_states`."""
+    length h = hs[k].  One path of a model with n = 1 steps in Python
+    floats."""
     times = model.sample_times
     nsteps = _em_steps(times, em_step)
-    hs = np.diff(times) / nsteps
-    sqhs = np.sqrt(hs)
+    hs = (np.diff(times) / nsteps).tolist()
+    sqhs = [math.sqrt(h) for h in hs]
     return _paths(model.inner, x0, seeds, nsteps, distribution,
                   "simulated path",
                   lambda k, x, fx, g, v: x + hs[k] * fx + sqhs[k] * (g * v),
-                  lambda dyn, x, v: _one_path_states(dyn, x, v, hs, nsteps),
                   times=times.copy())
-
-
-def _one_path_states(dyn, x, xi, hs, nsteps):
-    """`simulate_cd_batch`'s Euler-Maruyama loop for one path of a model with
-    n = 1 in Python floats, bit-identical (see `discrete._scalar_steps`): x
-    (K,) holds x0 and gets the states at the sample times, xi the scaled
-    step draws, nsteps[k - 1] of them in gap k."""
-    a1, a0 = dyn.A1.item(), dyn.A0.item() + 0.0
-    c0, c1 = dyn.gsq[0].tolist()
-    xs, xi, floored = memoryview(x), iter(memoryview(xi)), False
-    xk = xs[0]
-    for k, (h, ns) in enumerate(zip(hs.tolist(), nsteps.tolist()), 1):
-        sqh = math.sqrt(h)
-        for v in islice(xi, ns):
-            g2 = c1 * xk + c0
-            if g2 < EPS_G:  # not for NaN, which reaches the gain
-                g2, floored = EPS_G, True
-            xk = xk + h * (a1 * xk + a0) + sqh * (math.sqrt(g2) * v)
-        xs[k] = xk
-    return np.array([floored])
 
 
 def simulate_cd(model: ContinuousDiscreteModel, x0, seed, em_step: float,

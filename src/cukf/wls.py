@@ -34,7 +34,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import IndefiniteHessianError, ModelError
+from .errors import IndefiniteHessianError, ModelError, NonFiniteStateError
 from .models import EPS_G
 from .discrete import StateEstimate, _write_steps, symmetrize
 
@@ -198,8 +198,10 @@ def _time_blocks(model, sigma_v, XI, head):
     """The time term at xprev = XI[:, 0] from one linearization of XI =
     [xprev | I]: f(xprev), A = Df(xprev), Q, d = f(xprev) - A xprev, and its
     blocks: A'QA and A'Qd on the previous block, the coupling -QA, and -Qd,
-    or -Q f(xprev) after the pinned head (`head`)."""
-    fx, A, g, _ = model.linearize(XI)
+    or -Q f(xprev) after the pinned head (`head`).  As in the filter, the
+    linearization runs without floating-point warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx, A, g, _ = model.linearize(XI)
     pred, xprev = fx[:, 0], XI[:, 0]
     Q = np.diag(1.0 / (np.maximum(g[:, 0] ** 2, EPS_G) * sigma_v))
     d = pred - A @ xprev
@@ -360,19 +362,22 @@ def newton_solve(cost: QuadraticCost, z0: np.ndarray) -> OracleSolution:
 def _newton_step(gradient, solve, z0, norms):
     """One Newton step from z0 (one system, or a column per system): the
     stepped z and the norms of the gradient before and after and of a second
-    step.  Raises at the first system whose second step moves > 1e-10
-    relative."""
+    step.  Raises if a norm is not finite, and at the first system whose
+    second step moves > 1e-10 relative."""
     g0 = gradient(z0)
     z = z0 - solve(g0)
     g1 = gradient(z)
     step2 = solve(g1)
-    rel = np.atleast_1d(norms(step2) / (1.0 + norms(z)))
+    out = [norms(g0), norms(g1), norms(step2)]
+    if not np.isfinite(out).all():
+        raise NonFiniteStateError("Newton check norm non-finite")
+    rel = np.atleast_1d(out[2] / (1.0 + norms(z)))
     bad = np.flatnonzero(rel > 1e-10)
     if bad.size:
         raise IndefiniteHessianError(
             "Newton step failed to converge in one iteration "
             f"(residual {rel[bad[0]]:.2e})")
-    return z, norms(g0), norms(g1), norms(step2)
+    return (z, *out)
 
 
 def _newton_checks(D, b, L, Dt, bt, factors, terminal, starts):
@@ -423,8 +428,10 @@ def oracle_filter(model, measurements, init: StateEstimate) -> OracleSolution:
     reported before a failed check of an earlier step.  Step k's Newton
     check starts, as the per-step solve did, from the previous minimizer
     extended by f(xhat_{k-1}); it takes one Newton step and requires a
-    second step to move by < 1e-10 relative.  A zero Sigma_v diagonal
-    entry or a singular Sigma_w, which the costs invert, is a `ModelError`.
+    second step to move by < 1e-10 relative; a norm that is not finite
+    raises.  A Sigma_v diagonal entry whose largest weight 1/(EPS_G Sigma_v)
+    is not finite, or a singular Sigma_w, which the costs invert, is a
+    `ModelError`.
     """
     ms = np.atleast_2d(np.asarray(measurements, dtype=float))
     N = ms.shape[0]
@@ -437,6 +444,11 @@ def oracle_filter(model, measurements, init: StateEstimate) -> OracleSolution:
     if not np.all(sigma_v > 0):
         raise ModelError("Sigma_v has a zero diagonal entry; the oracle "
                          "weighs each time step by its inverse")
+    with np.errstate(over="ignore", divide="ignore"):
+        if not np.all(1.0 / (EPS_G * sigma_v) < np.inf):
+            raise ModelError("Sigma_v has a diagonal entry so small that the "
+                             "oracle's largest time weight 1/(EPS_G Sigma_v) "
+                             "overflows")
     _, _, CtW, CtWC = _measurement_blocks(model.C, model.Sigma_w)
     prior = initial_cost(init)
     n, pinned = prior.n, int(prior.pinned)

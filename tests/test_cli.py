@@ -427,6 +427,9 @@ def test_a_failed_run_leaves_no_output_directory(argv, tmp_path, monkeypatch):
     ("Sigma_w = 1.0", "Sigma_w = 0.0", "1",
      "Sigma_w is singular; the oracle weighs each measurement by its "
      "inverse"),
+    ("Sigma_v = 1.0", "Sigma_v = 1e-320", "0",
+     "Sigma_v has a diagonal entry so small that the oracle's largest time "
+     "weight 1/(EPS_G Sigma_v) overflows"),
 ])
 def test_oracle_check_refuses_a_model_it_cannot_weigh(
         old, new, init_sigma, message, tmp_path, monkeypatch, capsys):
@@ -447,6 +450,21 @@ TWO_SPECIES_FILE = ("kind = continuous\nn = 2\nm = 2\nA0 = 20.0 5.0\n"
                     "Sigma_w = 1.0 0.0 0.0 1.0\nsample_times = 0.0 0.1 0.2 0.3\n")
 
 
+TWO_STATE_DISCRETE_FILE = ("kind = discrete\nn = 2\nm = 1\nA0 = 1.0 0.5\n"
+                           "A1 = 0.9 0.05 0.0 0.8\nC = 1.0 1.0\n"
+                           "gsq = 10.0 0.5 0.0 4.0 0.0 0.2\n"
+                           "Sigma_v = 1.0 2.0\nSigma_w = 1.0\n")
+
+
+def _mutated(tmp_path, text, line):
+    """A model file: `text` with the line of `line`'s key replaced by it."""
+    key = line.split(" =")[0]
+    old = next(row for row in text.splitlines() if row.startswith(key + " ="))
+    path = tmp_path / "model.txt"
+    path.write_text(text.replace(old, line))
+    return str(path)
+
+
 @pytest.mark.parametrize("command, line", [
     ("filter", "Sigma_v = 1e308 1.0"),
     ("limit-check", "Sigma_v = 1.0 1e308"),
@@ -455,12 +473,8 @@ TWO_SPECIES_FILE = ("kind = continuous\nn = 2\nm = 2\nA0 = 20.0 5.0\n"
 @pytest.mark.filterwarnings("error")
 def test_a_moment_generator_that_overflows_is_a_numerical_failure(
         command, line, tmp_path, monkeypatch, capsys):
-    key = line.split(" =")[0]
-    old = next(row for row in TWO_SPECIES_FILE.splitlines()
-               if row.startswith(key + " ="))
-    path = tmp_path / "model.txt"
-    path.write_text(TWO_SPECIES_FILE.replace(old, line))
-    assert run([command, "--model", str(path)], tmp_path / "out",
+    path = _mutated(tmp_path, TWO_SPECIES_FILE, line)
+    assert run([command, "--model", path], tmp_path / "out",
                monkeypatch) == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: matrix exponential argument "
@@ -475,17 +489,75 @@ def test_a_moment_generator_that_overflows_is_a_numerical_failure(
 ])
 def test_limit_check_on_a_finite_but_huge_model_is_a_numerical_failure(
         line, message, tmp_path, monkeypatch, capsys):
-    key = line.split(" =")[0]
-    old = next(row for row in TWO_SPECIES_FILE.splitlines()
-               if row.startswith(key + " ="))
-    path = tmp_path / "model.txt"
-    path.write_text(TWO_SPECIES_FILE.replace(old, line))
+    path = _mutated(tmp_path, TWO_SPECIES_FILE, line)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run(["limit-check", "--model", str(path)], tmp_path / "out",
+        assert run(["limit-check", "--model", path], tmp_path / "out",
                    monkeypatch) == 2
     assert capsys.readouterr().err == f"numerical failure: {message}\n"
     assert not (tmp_path / "out" / "limit_check.csv").exists()
+
+
+@pytest.mark.parametrize("argv, text, line, where", [
+    (["simulate"], TWO_SPECIES_FILE, "C = 1e308 0.0 0.0 1.0", "at step 3"),
+    (["filter"], TWO_SPECIES_FILE, "C = -1e308 0.0 0.0 1.0", "at step 3"),
+    (["compare", "--beta", "0.5"], GOOD_MODEL_FILE, "C = 1e308",
+     "replicate 0, at step 2"),
+    (["oracle-check"], GOOD_MODEL_FILE, "C = -1e308", "at step 3"),
+], ids=["simulate", "filter", "compare", "oracle-check"])
+def test_a_simulated_measurement_that_overflows_is_a_numerical_failure(
+        argv, text, line, where, tmp_path, monkeypatch, capsys):
+    path = _mutated(tmp_path, text, line)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(argv + ["--model", path], tmp_path / "out", monkeypatch)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"numerical failure: simulated measurement became non-finite "
+        f"({where})\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_innovation_covariance_that_overflows_is_a_numerical_failure(
+        tmp_path, monkeypatch, capsys):
+    # Symmetrizing S adds 1e308 to itself; the posteriors stay finite.
+    path = _mutated(tmp_path, TWO_SPECIES_FILE, "Sigma_w = 1.0 0.0 0.0 1e308")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["filter", "--model", path], tmp_path / "out", monkeypatch)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: estimate became non-finite (at step 1)\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line", ["Sigma_v = 1e-250", "Sigma_v = 1e-200"])
+def test_an_oracle_newton_check_that_overflows_is_a_numerical_failure(
+        line, tmp_path, monkeypatch, capsys):
+    path = _mutated(tmp_path, GOOD_MODEL_FILE, line)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["oracle-check", "--model", path], tmp_path / "out",
+                   monkeypatch)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: Newton check norm non-finite\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_oracle_linearizes_an_overflowing_gain_without_a_warning(
+        tmp_path, monkeypatch, capsys):
+    # g_2^2 = -1e308 x_2 overflows to -inf and is floored, as in the filter.
+    path = _mutated(tmp_path, TWO_STATE_DISCRETE_FILE,
+                    "gsq = 10.0 0.5 0.0 4.0 0.0 -1e308")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["oracle-check", "--model", path, "--x0", "5"],
+                   tmp_path / "out", monkeypatch)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    text = (tmp_path / "out" / "oracle_deltas.csv").read_text()
+    assert "inf" not in text and "nan" not in text
 
 
 @pytest.mark.filterwarnings("error")

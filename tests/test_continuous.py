@@ -71,12 +71,12 @@ def test_bad_interval_rejected(t0, t1):
 
 
 def test_non_diagonal_sigma_v_rejected():
-    model = DiscreteLinearModel(A0=[0, 0], A1=-np.eye(2), C=np.eye(2),
-                                gsq=[[1.0, 0, 0], [1.0, 0, 0]],
-                                Sigma_v=[[1.0, 0.5], [0.5, 1.0]],
-                                Sigma_w=np.eye(2))
     post = StateEstimate([1.0, 1.0], np.eye(2), 0.0)
     with pytest.raises(ModelError):
+        model = DiscreteLinearModel(A0=[0, 0], A1=-np.eye(2), C=np.eye(2),
+                                    gsq=[[1.0, 0, 0], [1.0, 0, 0]],
+                                    Sigma_v=[[1.0, 0.5], [0.5, 1.0]],
+                                    Sigma_w=np.eye(2))
         cd_time_update(post, model, 0.0, 0.1, STEP)
 
 

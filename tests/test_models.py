@@ -168,11 +168,24 @@ def test_modelio_rejects_dimension_that_is_not_a_positive_integer(line):
 
 
 def test_modelio_refuses_to_drop_off_diagonal_sigma_v():
-    m = DiscreteLinearModel(A0=[0, 0], A1=np.eye(2), C=np.eye(2),
-                            gsq=np.zeros((2, 3)),
-                            Sigma_v=[[1, 0.5], [0.5, 1]], Sigma_w=np.eye(2))
-    with pytest.raises(ModelError, match="diagonal Sigma_v"):
+    with pytest.raises(ModelError, match="^Sigma_v must be diagonal$"):
+        m = DiscreteLinearModel(A0=[0, 0], A1=np.eye(2), C=np.eye(2),
+                                gsq=np.zeros((2, 3)),
+                                Sigma_v=[[1, 0.5], [0.5, 1]],
+                                Sigma_w=np.eye(2))
         modelio.dumps(m)
+
+
+def test_non_diagonal_sigma_v_is_refused_at_construction():
+    # Every consumer but the discrete time update reads diag(Sigma_v) only.
+    Sigma_v = [[1.0, 0.99], [0.99, 1.0]]
+    with pytest.raises(ModelError, match="^Sigma_v must be diagonal$"):
+        DiscreteLinearModel(A0=[0, 0], A1=np.zeros((2, 2)), C=np.eye(2),
+                            gsq=[[1.0, 0, 0], [1.0, 0, 0]], Sigma_v=Sigma_v,
+                            Sigma_w=np.eye(2))
+    with pytest.raises(ModelError, match="^Sigma_v must be diagonal$"):
+        NonlinearModel(f=lambda x: x, G=lambda x: np.ones(2), C=np.eye(2),
+                       Sigma_v=Sigma_v, Sigma_w=np.eye(2), n=2)
 
 
 def sec3_fields(**changes):

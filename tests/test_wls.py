@@ -361,6 +361,8 @@ def test_oracle_returns_one_record_of_per_step_arrays(N, sigma0):
 @pytest.mark.parametrize("key, value", [
     ("Sigma_v", np.array([[0.0]])),
     ("Sigma_w", np.array([[0.0]])),
+    ("Sigma_v", np.array([[1e-320]])),
+    ("Sigma_v", np.array([[1e-300]])),
 ])
 def test_oracle_refuses_a_noise_covariance_it_cannot_invert(key, value):
     from dataclasses import replace
