@@ -124,20 +124,22 @@ def _init_estimate(model, args):
     return StateEstimate(xhat=xinit, Sigma=args.init_sigma * np.eye(n), index=1)
 
 
-def _check_fixed_beta(model, beta, what, beta_for):
-    """Refuse a fixed-beta baseline of a model that is not discrete linear,
-    then one without --beta."""
+def _fixed_beta_baseline(model, beta, what, beta_for):
+    """The fixed-beta baseline of `model` (`with_fixed_noise`), refused for
+    a model that is not discrete linear, then without --beta."""
     if not isinstance(model, DiscreteLinearModel):
         raise ValueError(f"{what} needs a discrete linear model")
     if beta is None:
         raise ValueError(f"--beta is required {beta_for}")
+    return with_fixed_noise(model, beta)
 
 
 def _cmd_filter(args):
-    model = _load(args.model)
+    model = filter_model = _load(args.model)
     if args.variant == "fixed-beta":
-        _check_fixed_beta(model, args.beta, "--variant fixed-beta",
-                          "with --variant fixed-beta")
+        filter_model = _fixed_beta_baseline(model, args.beta,
+                                            "--variant fixed-beta",
+                                            "with --variant fixed-beta")
     elif args.beta is not None:
         raise ValueError("--beta applies to --variant fixed-beta only")
     step = _kind_options(model, args)
@@ -147,9 +149,7 @@ def _cmd_filter(args):
     if cd:
         trace = cd_run(model, data.measurements, init, step)
     else:
-        if args.variant == "fixed-beta":
-            model = with_fixed_noise(model, args.beta)
-        trace = run_filter(model, data.measurements, init)
+        trace = run_filter(filter_model, data.measurements, init)
     outdir = _resolve_outdir(args)
     path = os.path.join(outdir, "trace.csv")
     trace.to_csv(path)
@@ -165,12 +165,12 @@ def _cmd_filter(args):
 
 def _cmd_compare(args):
     model = _load(args.model)
-    _check_fixed_beta(model, args.beta, "compare", "for the fixed-beta baseline")
+    baseline = _fixed_beta_baseline(model, args.beta, "compare",
+                                    "for the fixed-beta baseline")
     _kind_options(model, args, least_N=MAX_LAG + 1)  # the whiteness lags
     if args.replicates < 1:
         raise ValueError("--replicates must be at least 1")
-    filters = {"covariance-update": model,
-               f"fixed-beta={args.beta}": with_fixed_noise(model, args.beta)}
+    filters = {"covariance-update": model, f"fixed-beta={args.beta}": baseline}
     report = monte_carlo_compare(model, filters, replicates=args.replicates,
                                  N=args.N, master_seed=args.seed, x0=args.x0,
                                  distribution=args.distribution)

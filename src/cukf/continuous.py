@@ -118,7 +118,7 @@ class _Propagator:
         # In Python floats, so that a ratio that overflows is inf, unwarned.
         nsteps = max(1.0, round(float(span) / float(self.step), 0))
         if nsteps > 10 ** 5:  # a grid of 2 * nsteps + 1 nodes
-            raise ValueError(f"step {self.step} puts {nsteps:.0f} grid "
+            raise ValueError(f"step {self.step} puts {nsteps:.3g} grid "
                              f"steps on [{t0}, {t1}]; at most 100000 are "
                              "allowed")
         nsteps = int(nsteps)
@@ -275,6 +275,9 @@ def euler_limit_check(model, post: StateEstimate, t0: float, t1: float,
         if not 0 < dt < np.inf:
             raise ValueError(f"dt={dt} must be finite and positive")
         ratio = span / dt
+        if ratio == np.inf:  # the reference would refuse it, past 10^5
+            raise ValueError(f"dt={dt} puts {ratio:.3g} steps on "
+                             f"[{t0}, {t1}]; at most 100000 are allowed")
         if abs(ratio - round(ratio)) > 1e-9 * ratio:
             raise ValueError(f"dt={dt} does not divide the interval {span}")
     ref = cd_time_update(post, dyn, t0, t1, steps[0])

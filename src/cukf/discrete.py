@@ -6,6 +6,7 @@ all answer `linearize` (see `cukf.models`), on joint arrays [xhat | Sigma]."""
 
 import contextlib
 import csv
+import itertools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -42,21 +43,40 @@ def _atomic_open(path):
 def _write_csv(path, header, rows):
     """Write the header and the iterable `rows` to `path` atomically, as
     csv's default dialect (lines end in CR LF; a Python float is written
-    by its repr).  The rows are streamed, never held in memory together."""
+    by its repr; a string that needs it is quoted).  For the small tables
+    of labelled rows; the per-step tables go through `_write_steps`."""
     with _atomic_open(path) as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
 
 
+# Rows that _write_steps formats per write.  256 was no faster, and its
+# transient strings raised the peak RSS of a 10,000-row trace by ~0.3 MB.
+_CHUNK = 64
+
+
 def _write_steps(path, ks, times, names, cols):
-    """One row per step: k from `ks`, t from `times` unless it is None, then
-    the columns of the (N, ...) arrays `cols`, headed by `names`."""
+    """One row per step: k from the iterable `ks`, t from `times` unless it
+    is None, then the columns of the (N, ...) arrays `cols`, headed by
+    `names`, written to `path` atomically.
+
+    The rows are formatted _CHUNK at a time, a column at a time, and each
+    chunk is written at once, so neither the file's text nor a list of
+    `ks` is ever held.  The bytes are csv's default dialect by
+    construction: csv writes an int by its str and a Python float by its
+    repr, quotes neither (no repr holds a comma, quote or line break), and
+    ends each line in CR LF."""
     if times is not None:
         names, cols = ["t"] + names, [times[:, None]] + cols
-    # .tolist() gives Python floats, which csv writes by their repr.
-    _write_csv(path, ["k"] + names, ([k] + row.tolist() for k, row in
-                                     zip(ks, np.hstack(cols))))
+    table = np.hstack(cols)
+    ks = iter(ks)
+    with _atomic_open(path) as fh:
+        csv.writer(fh).writerow(["k"] + names)
+        for a in range(0, len(table), _CHUNK):
+            fields = [map(str, itertools.islice(ks, _CHUNK))] + [
+                map(repr, col) for col in table[a:a + _CHUNK].T.tolist()]
+            fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
 
 
 def symmetrize(S: np.ndarray) -> np.ndarray:
@@ -130,7 +150,7 @@ class FilterTrace:
         m = self.innovation.shape[1]
         iu = np.triu_indices(n)
         _write_steps(
-            path, self.indices.tolist(), self.times,
+            path, map(int, self.indices), self.times,
             [f"xhat_prior_{i}" for i in range(n)]
             + [f"xhat_post_{i}" for i in range(n)]
             + [f"innovation_{i}" for i in range(m)]
@@ -214,18 +234,22 @@ def time_update(post: StateEstimate, model) -> StateEstimate:
     return StateEstimate(Z[0, :, 0], Z[0, :, 1:], post.index + 1)
 
 
-def _check_finite(what, first_step, *stacks, S=None):
+def _check_finite(first_step, *stacks, S=None):
     """Raise NonFiniteStateError at the first step, first_step + k, where one
-    of `stacks` (R, K, ...) is non-finite, naming its first failing
-    replicate; SingularInnovationError if S[:, k, 0, 0] is not > 0."""
-    ok = np.logical_and.reduce([
-        np.isfinite(a).all(axis=tuple(range(2, a.ndim))) for a in stacks])
+    of the named `stacks`, pairs (name, (R, K, ...) array), is non-finite,
+    naming its first failing replicate and, for that replicate, the first
+    such stack; SingularInnovationError if S[:, k, 0, 0] is not > 0."""
+    oks = [np.isfinite(a).all(axis=tuple(range(2, a.ndim)))
+           for _, a in stacks]
+    ok = np.logical_and.reduce(oks)
     if not ok.all():
         k = int(np.argmin(ok.all(axis=0)))
         if S is not None and not (S_ok := S[:, k, 0, 0] > 0).all():
             raise SingularInnovationError(
                 "innovation covariance not positive definite",
                 step=first_step + k, replicate=_first_failure(S_ok))
+        r = int(np.argmin(ok[:, k]))
+        what = next(name for (name, _), o in zip(stacks, oks) if not o[r, k])
         raise NonFiniteStateError(f"{what} became non-finite",
                                   step=first_step + k,
                                   replicate=_first_failure(ok[:, k]))
@@ -253,8 +277,9 @@ def _filtered(measurements, xhat, Sigma, start_index, steps):
                                    post[..., 1:], W[..., 0], S,
                                    Kt.swapaxes(-1, -2))))
     clamp_count = steps(prior, post, W, S, Kt, tr)
-    _check_finite("estimate", start_index, tr.xhat_post, tr.Sigma_post,
-                  tr.S, S=tr.S)
+    _check_finite(start_index, ("estimate", tr.xhat_post),
+                  ("estimate", tr.Sigma_post),
+                  ("innovation covariance", tr.S), S=tr.S)
     np.negative(Kt, out=Kt)  # the trace's gains K = -Kt'
     tr.clamp_count = clamp_count
     return tr
@@ -289,8 +314,9 @@ def _run_loop(measurements, xhat, Sigma, predict, C, Sigma_w, start_index=1):
         except Exception as exc:
             # Whatever the loop raised (a user's f may raise anything), a
             # failed step before it is the first failure.
-            _check_finite("estimate", start_index, tr.xhat_post[:, :written],
-                          tr.Sigma_post[:, :written], tr.S[:, :written],
+            _check_finite(start_index, ("estimate", tr.xhat_post[:, :written]),
+                          ("estimate", tr.Sigma_post[:, :written]),
+                          ("innovation covariance", tr.S[:, :written]),
                           S=tr.S)
             if isinstance(exc, FilterError) and exc.step is None:
                 exc.step = start_index + written  # predict made its prior

@@ -137,11 +137,17 @@ def with_fixed_noise(model: DiscreteLinearModel, beta: float) -> DiscreteLinearM
     """Baseline companion of `model` with the gain frozen at `beta`: every
     g^2 is the constant 1 and Sigma_v becomes beta^2 Sigma_v, so the process
     noise is exactly beta^2 Sigma_v (zero for beta = 0) and never floored."""
-    if not 0 <= beta < np.inf:
-        raise ModelError("beta must be finite and nonnegative")
+    beta = float(beta)
+    if not 0 <= beta < np.inf or beta * beta == np.inf:
+        raise ModelError("beta must be finite and nonnegative, with a finite "
+                         "square")
+    with np.errstate(over="ignore"):
+        Sigma_v = beta ** 2 * model.Sigma_v
+    if not np.isfinite(Sigma_v).all():
+        raise ModelError("beta^2 Sigma_v has non-finite entries")
     gsq = np.zeros_like(model.gsq)
     gsq[:, 0] = 1.0
-    return replace(model, gsq=gsq, Sigma_v=beta ** 2 * model.Sigma_v)
+    return replace(model, gsq=gsq, Sigma_v=Sigma_v)
 
 
 @dataclass(frozen=True)

@@ -132,16 +132,16 @@ def _paths(dyn, x0, seeds, nsteps, distribution, what, step,
                         x = step(k, x, fx, g, v[:, j])
                     states[:, k + 1] = x[..., 0]
         except FilterError as exc:  # f or G non-finite in gap k
-            _check_finite(what, 1, states[:, 1:k + 1])
+            _check_finite(1, (what, states[:, 1:k + 1]))
             exc.step = k + 1
             raise
         clamped = (g2 < EPS_G).any(axis=(1, 2, 3))
-    _check_finite(what, 1, states[:, 1:])
+    _check_finite(1, (what, states[:, 1:]))
     with np.errstate(invalid="ignore", over="ignore"):
         ys = _matvec(dyn.C, states) + _matvec(
             _meas_noise_chol(dyn.Sigma_w),
             np.compress(is_y, noise, axis=1).reshape(R, K, m))
-    _check_finite("simulated measurement", 1, ys)
+    _check_finite(1, ("simulated measurement", ys))
     return TrajectoryData(states=states, measurements=ys, clamped=clamped,
                           times=times)
 
@@ -177,7 +177,7 @@ def _em_steps(times, em_step: float) -> np.ndarray:
         nsteps = np.rint(gaps / em_step)
     for t0, t1, gap, ns in zip(times, times[1:], gaps, nsteps):
         if not ns <= 10 ** 5:
-            raise ValueError(f"em_step {em_step} puts {ns:.0f} steps on "
+            raise ValueError(f"em_step {em_step} puts {ns:.3g} steps on "
                              f"[{t0}, {t1}]; at most 100000 are allowed")
         if ns < 1 or abs(ns * em_step - gap) > 1e-9 * max(gap, 1.0):
             raise ValueError(f"em_step {em_step} does not divide the gap {gap}")

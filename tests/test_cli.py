@@ -364,7 +364,7 @@ def test_option_the_model_kind_does_not_read_is_refused(argv, message,
     (["simulate", "--model", "birth_death_cle", "--em-step", "0.003"],
      "em_step 0.003 does not divide the gap 0.1"),
     (["simulate", "--model", "birth_death_cle", "--em-step", "1e-9"],
-     "em_step 1e-09 puts 100000000 steps on [0.0, 0.1]; at most 100000 are "
+     "em_step 1e-09 puts 1e+08 steps on [0.0, 0.1]; at most 100000 are "
      "allowed"),
 ])
 def test_a_step_that_is_not_finite_and_positive_is_refused_before_any_output(
@@ -407,6 +407,65 @@ def test_a_count_out_of_range_is_refused_by_its_flag_before_any_output(
         monkeypatch.setattr(cukf.cli, name, refused)
     assert run(argv, tmp_path / "out", monkeypatch) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["filter", "--model", "example_sec3", "--variant", "fixed-beta",
+     "--beta", "1e308"],
+    ["compare", "--model", "example_sec3", "--beta", "1e308"],
+], ids=["filter", "compare"])
+def test_a_beta_whose_square_overflows_is_refused_before_any_output(
+        argv, tmp_path, monkeypatch, capsys):
+    import cukf.cli
+
+    def refused(*args, **kwargs):
+        raise AssertionError("simulated before refusing --beta")
+
+    for name in ("simulate_discrete", "monte_carlo_compare"):
+        monkeypatch.setattr(cukf.cli, name, refused)
+    assert run(argv, tmp_path / "out", monkeypatch) == 1
+    assert capsys.readouterr().err == (
+        "error: beta must be finite and nonnegative, with a finite square\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_beta_whose_noise_covariance_overflows_is_refused(
+        tmp_path, monkeypatch, capsys):
+    # beta^2 = 1e300 is finite; beta^2 Sigma_v = 1e310 is not.
+    path = _mutated(tmp_path, GOOD_MODEL_FILE, "Sigma_v = 1e10")
+    assert run(["filter", "--model", path, "--variant", "fixed-beta",
+                "--beta", "1e150"], tmp_path / "out", monkeypatch) == 1
+    assert capsys.readouterr().err == (
+        "error: beta^2 Sigma_v has non-finite entries\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, message", [
+    (["--t1", "1e308"],
+     "dt=0.01 puts inf steps on [0.0, 1e+308]; at most 100000 are allowed"),
+    (["--t0=-1e308", "--t1", "1e308"],
+     "dt=0.01 puts inf steps on [-1e+308, 1e+308]; at most 100000 are "
+     "allowed"),
+], ids=["t1", "t0-t1"])
+def test_a_limit_check_span_of_infinitely_many_steps_is_refused(
+        argv, message, tmp_path, monkeypatch, capsys):
+    assert run(["limit-check", "--model", "birth_death_cle"] + argv,
+               tmp_path / "out", monkeypatch) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_step_count_past_the_cap_is_printed_to_three_digits(
+        tmp_path, monkeypatch, capsys):
+    assert run(["limit-check", "--model", "birth_death_cle", "--dt0",
+                "1e-300"], tmp_path / "out", monkeypatch) == 1
+    assert capsys.readouterr().err == (
+        "error: step 1.25e-301 puts 6.4e+300 grid steps on [0.0, 0.8]; at "
+        "most 100000 are allowed\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -527,7 +586,8 @@ def test_an_innovation_covariance_that_overflows_is_a_numerical_failure(
         code = run(["filter", "--model", path], tmp_path / "out", monkeypatch)
     assert code == 2
     assert capsys.readouterr().err == (
-        "numerical failure: estimate became non-finite (at step 1)\n")
+        "numerical failure: innovation covariance became non-finite "
+        "(at step 1)\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -231,3 +231,11 @@ def test_fixed_noise_rejects_non_finite_beta():
     for beta in (np.nan, np.inf, -1.0):
         with pytest.raises(ModelError, match="beta"):
             with_fixed_noise(example_sec3(), beta)
+
+
+@pytest.mark.filterwarnings("error")
+def test_fixed_noise_rejects_a_beta_whose_square_overflows():
+    for beta in (1e308, np.float64(1e155)):
+        with pytest.raises(ModelError, match="finite square"):
+            with_fixed_noise(example_sec3(), beta)
+    assert with_fixed_noise(example_sec3(), 1e154).Sigma_v[0, 0] < np.inf

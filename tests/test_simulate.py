@@ -323,7 +323,7 @@ def test_em_step_cap_is_checked_before_the_noise_is_drawn(monkeypatch):
     monkeypatch.setattr("cukf.simulate._noise_blocks", no_noise)
     with pytest.raises(ValueError) as exc:
         simulate_cd(birth_death_cle(), [100.0], 0, em_step=1e-9)
-    assert str(exc.value) == ("em_step 1e-09 puts 100000000 steps on "
+    assert str(exc.value) == ("em_step 1e-09 puts 1e+08 steps on "
                               "[0.0, 0.1]; at most 100000 are allowed")
 
 
