@@ -58,24 +58,25 @@ _CHUNK = 64
 
 def _write_steps(path, ks, times, names, cols):
     """One row per step: k from the iterable `ks`, t from `times` unless it
-    is None, then the columns of the (N, ...) arrays `cols`, headed by
+    is None, then the columns of the (N, c) arrays `cols`, headed by
     `names`, written to `path` atomically.
 
-    The rows are formatted _CHUNK at a time, a column at a time, and each
-    chunk is written at once, so neither the file's text nor a list of
-    `ks` is ever held.  The bytes are csv's default dialect by
+    The rows are formatted _CHUNK at a time, a column at a time, each
+    column taken from its array's slice, and each chunk is written at once,
+    so neither the file's text, nor a stacked copy of the table, nor a list
+    of `ks` is ever held.  The bytes are csv's default dialect by
     construction: csv writes an int by its str and a Python float by its
     repr, quotes neither (no repr holds a comma, quote or line break), and
     ends each line in CR LF."""
     if times is not None:
         names, cols = ["t"] + names, [times[:, None]] + cols
-    table = np.hstack(cols)
     ks = iter(ks)
     with _atomic_open(path) as fh:
         csv.writer(fh).writerow(["k"] + names)
-        for a in range(0, len(table), _CHUNK):
+        for a in range(0, len(cols[0]), _CHUNK):
             fields = [map(str, itertools.islice(ks, _CHUNK))] + [
-                map(repr, col) for col in table[a:a + _CHUNK].T.tolist()]
+                map(repr, column) for array in cols
+                for column in array[a:a + _CHUNK].T.tolist()]
             fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
 
 

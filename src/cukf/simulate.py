@@ -2,16 +2,18 @@
 statistics (mean squared error, innovation whiteness) used to judge them."""
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import List, Mapping, Optional
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .discrete import (FilterTrace, _check_finite, _write_csv, _write_steps,
                        run_filter, run_filter_batch)
-from .errors import FilterError, LengthMismatchError
+from .errors import FilterError, LengthMismatchError, NonFiniteStateError
 from .models import (EPS_G, ContinuousDiscreteModel, DiscreteLinearModel,
-                     _matvec, eval_G)
+                     _first_failure, _matvec, eval_G)
 
 # run_filter and eval_G are not called here; bench/spans.py wraps them as
 # attributes of this module, so they stay importable from it.
@@ -44,6 +46,88 @@ def _noise_blocks(seeds, size, distribution):
 def replicate_seed(master_seed: int, replicate: int) -> np.random.SeedSequence:
     """Deterministic per-replicate stream, independent of execution order."""
     return np.random.SeedSequence(entropy=master_seed, spawn_key=(replicate,))
+
+
+# numpy's SeedSequence constants (NEP 19 fixes its output): the pool hash,
+# the state hash and the pool mix, all uint32 arithmetic.
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hasher(h, mult):
+    """SeedSequence's `hashmix`, whose multiplier h advances by `mult` at
+    each call, on a Python int or a uint64 array of uint32 values."""
+
+    def hashmix(value):
+        nonlocal h
+        value = value ^ h
+        h = h * mult & _M32
+        value = value * h & _M32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x, y):
+    """SeedSequence's `mix` of a pool word x with a hashed word y."""
+    value = _MIX_L * x - _MIX_R * y & _M32
+    return value ^ value >> 16
+
+
+def _replicate_words(master_seed, R) -> np.ndarray:
+    """(2, R, 4) uint64 whose [c, r] is
+    `replicate_seed(master_seed, r).spawn(2)[c].generate_state(4, np.uint64)`
+    (c = 0 the data stream, 1 the init stream), made for all R at once.
+
+    It runs SeedSequence's pool hashing and state mixing word by word on
+    the entropy [seed words, r, c], with r and c held in uint64 arrays and
+    every product or difference reduced mod 2^32.  The seed's words are
+    the same for every replicate and stay Python ints."""
+    seed = operator.index(master_seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    if R >= 2 ** 32:
+        raise ValueError(f"replicates must be below 2**32, got {R}: a "
+                         "replicate index is one 32-bit spawn-key word")
+    run = [seed >> 32 * i & _M32
+           for i in range(max(1, (seed.bit_length() + 31) // 32))]
+    r, c = np.arange(R, dtype=np.uint64), np.arange(2, dtype=np.uint64)
+    # With a spawn key, the seed's words are padded to the pool size, 4.
+    entropy = run + [0] * (4 - len(run)) + [r[None, :], c[:, None]]
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(e) for e in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for e in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(e))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = np.array([hashmix(pool[i % 4]) for i in range(8)])
+    # Little-endian pairs of uint32 words make the uint64 words; PCG64
+    # reads a row's buffer, so each row must be contiguous.
+    return np.ascontiguousarray(
+        (state[0::2] | state[1::2] << np.uint64(32)).transpose(1, 2, 0))
+
+
+class _Words(ISeedSequence):
+    """A seed for PCG64 whose state words are given: `generate_state`
+    returns them, for the one call PCG64 makes, (4, np.uint64)."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _generator(words) -> np.random.Generator:
+    """`default_rng(ss)` for the SeedSequence ss whose
+    `generate_state(4, np.uint64)` is `words`."""
+    return np.random.Generator(np.random.PCG64(_Words(words)))
 
 
 @dataclass
@@ -150,7 +234,8 @@ def simulate_batch(model, x0, N: int, seeds,
                    distribution: str = "gaussian") -> TrajectoryData:
     """R = len(seeds) replicates of N steps of a discrete model, x0 shared
     or (R, n): the `_paths` with one step x <- f(x) + g(x) v per gap, so
-    replicate r draws y_1 v_1 y_2 ... y_N from `default_rng(seeds[r])`.
+    replicate r draws y_1 v_1 y_2 ... y_N from `default_rng(seeds[r])`
+    (seeds[r] itself if it is a Generator).
     One replicate of a linear model with n = 1 steps in Python floats."""
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -244,18 +329,24 @@ def innovation_whiteness(trace: FilterTrace,
     """Sample autocorrelations of the normalized innovations.
 
     Innovations are whitened per step by the Cholesky factor of the
-    innovation covariance; for multi-output models the autocorrelations are
-    averaged over components.  The pass fraction counts lags 1..max_lag with
-    |rho| <= 1.96/sqrt(N).  A replicate with a constant component is
-    degenerate: its rho and pass fraction are NaN.
+    innovation covariance (for one output, divided by sqrt(S)); for
+    multi-output models the autocorrelations are averaged over components.
+    The pass fraction counts lags 1..max_lag with |rho| <= 1.96/sqrt(N).  A
+    replicate with a constant component is degenerate: its rho and pass
+    fraction are NaN.
     """
     N = len(trace)
     if N <= max_lag:
         raise ValueError(f"need more than max_lag={max_lag} steps, got {N}")
     m = trace.innovation.shape[-1]
-    E = trace.innovation.reshape(-1, N, m, 1)
+    E = trace.innovation.reshape(-1, N, m)
     S = trace.S.reshape(-1, N, m, m)
-    z = np.linalg.solve(np.linalg.cholesky(S), E)[..., 0]
+    if m > 1:
+        z = np.linalg.solve(np.linalg.cholesky(S), E[..., None])[..., 0]
+    elif (S <= 0).any():
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    else:  # rounds exactly like the solve, as in `discrete._inverse_factor`
+        z = E / np.sqrt(S[..., 0])
     # (R, m, N): each component's series contiguous, as in a 1-D reduction.
     z = np.ascontiguousarray(z.swapaxes(-1, -2))
     z = z - z.mean(axis=-1, keepdims=True)
@@ -329,24 +420,31 @@ def monte_carlo_compare(model: DiscreteLinearModel,
     condition is drawn from a standard Gaussian with prior covariance
     init_sigma * I (zero by default, matching the reproduction setup even
     though that prior claims no uncertainty about a random guess).
+    Replicate r's data and initial condition draw from the two children of
+    `replicate_seed(master_seed, r).spawn(2)`, whose words
+    `_replicate_words` makes for every replicate at once.  A filter whose
+    MSE is not finite raises NonFiniteStateError naming it and the first
+    such replicate.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    data_seeds = []
-    xinit = np.empty((replicates, model.n))
-    for r in range(replicates):
-        data_seed, init_seed = replicate_seed(master_seed, r).spawn(2)
-        data_seeds.append(data_seed)
-        xinit[r] = np.random.default_rng(init_seed).standard_normal(model.n)
-    data = simulate_batch(model, x0, N, data_seeds, distribution=distribution)
+    data_words, init_words = _replicate_words(master_seed, replicates)
+    xinit = np.array([_generator(w).standard_normal(model.n)
+                      for w in init_words])
+    data = simulate_batch(model, x0, N, [_generator(w) for w in data_words],
+                          distribution=distribution)
     Sigma0 = init_sigma * np.eye(model.n)
     F = len(filters)
     mses = np.empty((replicates, F))
     passes = np.empty((replicates, F))
     rhos = np.empty((F, MAX_LAG + 1))
-    for i, run_model in enumerate(filters.values()):
+    for i, (name, run_model) in enumerate(filters.items()):
         trace = run_filter_batch(run_model, data.measurements, xinit, Sigma0)
         mses[:, i] = mse(trace, data)
+        if not (ok := np.isfinite(mses[:, i])).all():
+            raise NonFiniteStateError(
+                f"mean squared error of filter {name!r} became non-finite",
+                replicate=_first_failure(ok))
         wh = innovation_whiteness(trace)
         passes[:, i] = wh.pass_fraction
         rhos[i] = wh.rho.sum(axis=0) / replicates

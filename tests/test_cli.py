@@ -228,6 +228,30 @@ def test_overflowing_mse_exits_0_without_a_warning(tmp_path, monkeypatch,
     assert manifest["mse"] == np.inf
 
 
+def test_a_diverged_compare_is_a_numerical_failure(tmp_path, monkeypatch,
+                                                  capsys):
+    # The estimates stay finite, but every squared error overflows.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["compare", "--model", "example_sec3", "--beta", "0.1",
+                    "--replicates", "5", "--x0", "1e200"], tmp_path / "out",
+                   monkeypatch)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: mean squared error of filter 'covariance-update' "
+        "became non-finite (replicate 0)\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_negative_compare_seed_exits_1_with_one_error_line(
+        tmp_path, monkeypatch, capsys):
+    code = run(["compare", "--model", "example_sec3", "--beta", "0.1",
+                "--seed", "-1"], tmp_path / "out", monkeypatch)
+    assert code == 1
+    assert capsys.readouterr().err == "error: expected non-negative integer\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["filter", "oracle-check"])
 def test_infinite_init_sigma_exits_1_with_one_error_line(command, tmp_path,
                                                          monkeypatch, capsys):

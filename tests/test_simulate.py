@@ -1,20 +1,21 @@
 import csv
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cukf.builtin import birth_death_cle, example_sec3
-from cukf.discrete import StateEstimate, run_filter
+from cukf.discrete import StateEstimate, run_filter, run_filter_batch
 from cukf.errors import LengthMismatchError, NonFiniteStateError
 from cukf.modelio import load_model
 from cukf.models import (ContinuousDiscreteModel, DiscreteLinearModel,
                          with_fixed_noise)
-from cukf.simulate import (TrajectoryData, innovation_whiteness,
-                           monte_carlo_compare, mse, replicate_seed,
-                           simulate_batch, simulate_cd, simulate_cd_batch,
-                           simulate_discrete)
+from cukf.simulate import (MAX_LAG, TrajectoryData, _replicate_words,
+                           innovation_whiteness, monte_carlo_compare, mse,
+                           replicate_seed, simulate_batch, simulate_cd,
+                           simulate_cd_batch, simulate_discrete)
 
 
 def noiseless_sec3():
@@ -410,6 +411,118 @@ def test_monte_carlo_determinism_and_invariants():
     assert np.array_equal(a.mse_samples, b.mse_samples)
     assert np.all(a.mse_mean >= 0)
     assert np.allclose(a.autocorr_mean[:, 0], 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 7,
+                                  2 ** 128 - 1, 2 ** 128 + 5, 3 ** 200])
+def test_replicate_words_are_the_spawned_seed_sequences_words(seed):
+    # The last three seeds take more than the pool's 4 entropy words.
+    words = _replicate_words(seed, 70)
+    assert words.shape == (2, 70, 4) and words.dtype == np.uint64
+    for r in range(70):
+        for c, child in enumerate(replicate_seed(seed, r).spawn(2)):
+            assert (words[c, r].tobytes()
+                    == child.generate_state(4, np.uint64).tobytes())
+
+
+def test_replicate_words_refuse_what_a_seed_sequence_cannot_spawn():
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        _replicate_words(-1, 3)
+    with pytest.raises(ValueError, match=r"must be below 2\*\*32"):
+        monte_carlo_compare(example_sec3(), {}, replicates=2 ** 32, N=50,
+                            master_seed=0)
+
+
+def per_replicate_compare(model, filters, R, N, seed, distribution):
+    """mse_samples, pass fractions and autocorr_mean of monte_carlo_compare,
+    with each replicate's streams made one at a time by SeedSequence."""
+    data_seeds, xinit = [], np.empty((R, model.n))
+    for r in range(R):
+        data_seed, init_seed = replicate_seed(seed, r).spawn(2)
+        data_seeds.append(data_seed)
+        xinit[r] = np.random.default_rng(init_seed).standard_normal(model.n)
+    data = simulate_batch(model, 1.0, N, data_seeds, distribution=distribution)
+    mses, passes = np.empty((R, len(filters))), np.empty((R, len(filters)))
+    rhos = np.empty((len(filters), MAX_LAG + 1))
+    for i, run_model in enumerate(filters.values()):
+        trace = run_filter_batch(run_model, data.measurements, xinit,
+                                 np.zeros((model.n, model.n)))
+        mses[:, i] = mse(trace, data)
+        wh = innovation_whiteness(trace)
+        passes[:, i] = wh.pass_fraction
+        rhos[i] = wh.rho.sum(axis=0) / R
+    return mses, passes.mean(axis=0), rhos
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 128 + 5])
+@pytest.mark.parametrize("distribution", ["gaussian", "uniform"])
+def test_monte_carlo_compare_equals_the_per_replicate_streams(seed,
+                                                              distribution):
+    model = example_sec3()
+    filters = {"cu": model, "kf": with_fixed_noise(model, 0.1)}
+    report = monte_carlo_compare(model, filters, replicates=40, N=60,
+                                 master_seed=seed, distribution=distribution)
+    mses, passes, rhos = per_replicate_compare(model, filters, 40, 60, seed,
+                                               distribution)
+    assert report.mse_samples.tobytes() == mses.tobytes()
+    assert report.whiteness_pass_fraction.tobytes() == passes.tobytes()
+    assert report.autocorr_mean.tobytes() == rhos.tobytes()
+
+
+def test_a_diverged_compare_names_its_filter_and_first_replicate():
+    # Replicates 2 and 4 start at 1e200: their estimates stay finite, but
+    # the squared errors overflow; mse() itself still returns inf.
+    model = example_sec3()
+    x0 = np.array([[1.0], [1.0], [1e200], [1.0], [1e200]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteStateError) as exc:
+            monte_carlo_compare(model, {"cu": model}, replicates=5, N=50,
+                                master_seed=0, x0=x0)
+    assert str(exc.value) == ("mean squared error of filter 'cu' became "
+                              "non-finite (replicate 2)")
+    data = simulate_discrete(model, 1e200, 50, 0)
+    trace = run_filter(model, data.measurements, StateEstimate([0.0], [[0.0]]))
+    assert mse(trace, data) == np.inf
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_whitening_equals_the_solve_with_the_cholesky_factor(m):
+    # Exponents of +-50 (S) and +-30 (E).  Whitening a trace whose
+    # innovations are already whitened by the solve, with S = I, divides by
+    # (or solves with) exactly 1, so both traces give the same bits iff the
+    # whitening rounds like the solve.
+    rng = np.random.default_rng(m)
+    R, N = 30, 200
+    E = rng.choice([-1, 1], (R, N, m)) * 10.0 ** rng.uniform(-30, 30,
+                                                           (R, N, m))
+    # S = D A D, A well conditioned, D diagonal with entries 10^+-25.
+    L = 10.0 ** rng.uniform(-25, 25, (R, N, m, 1)) * (
+        np.eye(m) + np.tril(rng.standard_normal((R, N, m, m)), -1))
+    S = L @ L.swapaxes(-1, -2)
+    z = np.linalg.solve(np.linalg.cholesky(S), E[..., None])[..., 0]
+    if m == 1:
+        assert (E / np.sqrt(S[..., 0])).tobytes() == z.tobytes()
+    trace = run_filter(example_sec3(), np.zeros((N, 1)),
+                       StateEstimate([0.0], [[0.0]]))
+    whitened = []
+    for innovation, cov in ((E, S), (z, np.broadcast_to(np.eye(m), S.shape))):
+        batch = replace(trace, innovation=innovation, S=cov)
+        whitened.append(innovation_whiteness(batch))
+    assert whitened[0].rho.tobytes() == whitened[1].rho.tobytes()
+    assert (whitened[0].pass_fraction.tobytes()
+            == whitened[1].pass_fraction.tobytes())
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, -1.0])
+def test_whitening_refuses_a_scalar_s_that_is_not_positive(bad):
+    trace = run_filter(example_sec3(), np.zeros((50, 1)),
+                       StateEstimate([0.0], [[0.0]]))
+    trace.S = trace.S.copy()
+    trace.S[17] = bad
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="^Matrix is not positive definite$"):
+        innovation_whiteness(trace)
 
 
 def test_trajectory_csv(tmp_path):

@@ -71,8 +71,9 @@ def test_a_two_state_trace_is_byte_identical_to_csv_writer(tmp_path):
 
 
 def test_write_steps_never_holds_the_whole_file(tmp_path):
-    # The (N, 6) table that _write_steps stacks is about 1 MB; the text of
-    # the whole 2.5 MB file would pass the bound.
+    # The text of the whole 2.5 MB file would pass the first bound, and a
+    # stacked copy of the 0.96 MB (N, 6) table would pass the second; the
+    # chunks peak at about 0.14 MB.
     N = 20_000
     table = np.random.default_rng(0).standard_normal((N, 6))
     path = tmp_path / "steps.csv"
@@ -84,3 +85,4 @@ def test_write_steps_never_holds_the_whole_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < path.stat().st_size
+    assert peak < table.nbytes / 4
