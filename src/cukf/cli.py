@@ -12,6 +12,7 @@ overridden with the CUKF_OUTPUT_DIR environment variable.
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -29,7 +30,14 @@ from .wls import MAX_HORIZON, dump_diagnostics, oracle_filter
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors mapped to exit status 1."""
+    """argparse with usage errors mapped to exit status 1, and a negative
+    number in exponent notation (--x0 -1e3) read as a value, as -1000 is."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            self._negative_number_matcher.pattern
+            + r"|^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

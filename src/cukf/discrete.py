@@ -136,13 +136,15 @@ class FilterTrace:
     def __len__(self):
         return self.xhat_post.shape[-2]
 
-    def replicate(self, r: int) -> "FilterTrace":
-        """Replicate r of a batch trace, as a single-run trace."""
+    def replicate(self, r) -> "FilterTrace":
+        """Replicate r of a batch trace, as a single-run trace; for a slice
+        r, the batch trace of those replicates."""
+        clamps = self.clamp_count[r]
         return replace(
             self, xhat_prior=self.xhat_prior[r], Sigma_prior=self.Sigma_prior[r],
             xhat_post=self.xhat_post[r], Sigma_post=self.Sigma_post[r],
             innovation=self.innovation[r], S=self.S[r], gain=self.gain[r],
-            clamp_count=int(self.clamp_count[r]))
+            clamp_count=clamps if isinstance(r, slice) else int(clamps))
 
     def to_csv(self, path):
         """One row per step: k, [t,] xhat_prior, xhat_post, innovation,
@@ -260,9 +262,8 @@ def _filtered(measurements, xhat, Sigma, start_index, steps):
     """A filter run over measurements (R, N, m) of R replicates from priors
     xhat (R, n) and Sigma (R, n, n): steps(prior, post, W, S, Kt, tr) fills
     the time-major buffers (N, R, ...) of [xhat | Sigma], W = [y | 0] ->
-    [E | -C Sigma], S and -K', returning the clamp counts, and one scan of
-    the posteriors and S finds the first failed step (`_check_finite`).
-    tr's fields view the buffers."""
+    [E | -C Sigma], S and -K', returning the clamp counts.  tr's fields
+    view the buffers; it is returned unchecked, for `_checked`."""
     ms = np.asarray(measurements, dtype=float)
     R, N, m = ms.shape
     if N < 1:
@@ -277,12 +278,17 @@ def _filtered(measurements, xhat, Sigma, start_index, steps):
         a.swapaxes(0, 1) for a in (prior[..., 0], prior[..., 1:], post[..., 0],
                                    post[..., 1:], W[..., 0], S,
                                    Kt.swapaxes(-1, -2))))
-    clamp_count = steps(prior, post, W, S, Kt, tr)
+    tr.clamp_count = steps(prior, post, W, S, Kt, tr)
+    return tr
+
+
+def _checked(tr, start_index=1):
+    """The trace `tr` of `_filtered`, once one scan of its posteriors and S
+    finds no failed step (`_check_finite`), with its -K' made the gains K."""
     _check_finite(start_index, ("estimate", tr.xhat_post),
                   ("estimate", tr.Sigma_post),
                   ("innovation covariance", tr.S), S=tr.S)
-    np.negative(Kt, out=Kt)  # the trace's gains K = -Kt'
-    tr.clamp_count = clamp_count
+    np.negative(tr.gain, out=tr.gain)
     return tr
 
 
@@ -324,19 +330,34 @@ def _run_loop(measurements, xhat, Sigma, predict, C, Sigma_w, start_index=1):
             raise
         return floored.any(axis=(2, 3)).sum(axis=0)
 
-    return _filtered(measurements, xhat, Sigma, start_index, steps)
+    return _checked(_filtered(measurements, xhat, Sigma, start_index, steps),
+                    start_index)
 
 
-def _scalar_steps(model, prior, post, W, S, Kt, tr):
-    """`_run_loop`'s steps for one replicate of a linear model with n = m = 1
-    in Python floats, bit-identical: the same IEEE operations in the same
-    order.  A matmul of one product adds it to +0.0 (-0.0 becomes +0.0); so
-    does this code where the sign can reach the trace."""
+def _scalar_linear(model):
+    """Whether `model` is linear with n = m = 1, so that the scalar step
+    rule (`_scalar_steps`, `_array_steps`) filters with it."""
+    return isinstance(model, DiscreteLinearModel) and model.n == model.m == 1
+
+
+def _coefficients(model):
+    """The floats (c, Sigma_w, a1, a0, Sigma_v, c0, c1) of a `_scalar_linear`
+    model, for the scalar step rule.  A matmul of one product adds it to
+    +0.0; so A0 and Sigma_v have -0.0 made +0.0."""
+    c0, c1 = model.gsq[0].tolist()
+    return (model.C.item(), model.Sigma_w.item(), model.A1.item(),
+            model.A0.item() + 0.0, model.Sigma_v.item() + 0.0, c0, c1)
+
+
+def _scalar_steps(coefs, prior, post, W, S, Kt, tr):
+    """`_run_loop`'s steps for one replicate of a `_scalar_linear` model
+    with `_coefficients` coefs, in Python floats, bit-identical: the same
+    IEEE operations in the same order.  A matmul of one product adds it to
+    +0.0 (-0.0 becomes +0.0); so does this code where the sign can reach
+    the trace.  `_array_steps` is the same rule on many replicates."""
     xp, Pp, xq, Pq, E, Ss, Ks = (memoryview(a[:, 0, 0, j]) for a, j in zip(
         (prior, prior, post, post, W, S, Kt), (0, 1, 0, 1, 0, 0, 0)))
-    c, sw, a1 = (a.item() for a in (model.C, model.Sigma_w, model.A1))
-    a0, sv = model.A0.item() + 0.0, model.Sigma_v.item() + 0.0
-    c0, c1 = model.gsq[0].tolist()
+    c, sw, a1, a0, sv, c0, c1 = coefs
     x, P, N, clamps = xp[0], Pp[0], len(Ss), 0
     for k in range(N):
         mcp = 0.0 - c * P  # -C Sigma
@@ -357,16 +378,71 @@ def _scalar_steps(model, prior, post, W, S, Kt, tr):
     return np.array([clamps])
 
 
+def _array_steps(coefs, prior, post, W, S, Kt, tr):
+    """`_scalar_steps` on 1-D arrays, one column per replicate, with coefs
+    the `_coefficients` as arrays of one value per column: the same
+    operations in the same order, written with out= into each step's slice
+    of the buffers, so bit-identical to `_run_loop` as that is.  S not > 0
+    gives the numpy loop's non-finite 1 / sqrt(S); nothing is tested per
+    step."""
+    xp, Pp, xq, Pq, E, Ss, Ks = (a[..., 0, j] for a, j in zip(
+        (prior, prior, post, post, W, S, Kt), (0, 1, 0, 1, 0, 0, 0)))
+    c, sw, a1, a0, sv, c0, c1 = coefs
+    N = len(Ss)
+    mcp, li, t, g = np.empty((4, Ss.shape[1]))
+    floored = np.zeros(Ss.shape, dtype=bool)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for k in range(N):
+            x, P, e, s, kt = xp[k], Pp[k], E[k], Ss[k], Ks[k]
+            np.subtract(0.0, np.multiply(c, P, out=mcp), out=mcp)  # -C Sigma
+            np.subtract(sw, np.multiply(mcp, c, out=s), out=s)
+            np.divide(1.0, np.sqrt(s, out=li), out=li)
+            np.subtract(e, np.add(np.multiply(c, x, out=t), 0.0, out=t), out=e)
+            np.multiply(li, np.multiply(li, mcp, out=kt), out=kt)
+            np.add(kt, 0.0, out=kt)
+            np.add(np.multiply(kt, e, out=t), 0.0, out=t)
+            x = np.subtract(x, t, out=xq[k])
+            P = np.subtract(P, np.multiply(kt, mcp, out=t), out=Pq[k])
+            if k + 1 < N:
+                np.add(np.multiply(c1, x, out=g), c0, out=g)  # g^2
+                np.less(g, EPS_G, out=floored[k])  # not for NaN
+                np.sqrt(np.maximum(g, EPS_G, out=g), out=g)
+                np.add(np.multiply(a1, x, out=xp[k + 1]), a0, out=xp[k + 1])
+                np.multiply(np.multiply(a1, P, out=t), a1, out=t)
+                np.multiply(np.multiply(g, sv, out=li), g, out=li)
+                np.add(t, li, out=Pp[k + 1])
+    return floored.sum(axis=0)
+
+
+def _scalar_traces(models, measurements, xhat, Sigma):
+    """Unchecked traces (see `_checked`) of the `_scalar_linear` models, each
+    over the same R replicates (see `_filtered`).  One replicate of one
+    model runs `_scalar_steps`; otherwise the F models run as one batch of
+    F R columns through `_array_steps`, model i in columns i R to
+    (i + 1) R."""
+    F, R = len(models), len(measurements)
+    if F * R == 1:
+        coefs = _coefficients(models[0])
+        return [_filtered(measurements, xhat, Sigma, 1,
+                          lambda *bufs: _scalar_steps(coefs, *bufs))]
+    coefs = np.repeat(np.array([_coefficients(m) for m in models]).T, R,
+                      axis=1)
+    tr = _filtered(np.tile(np.asarray(measurements, dtype=float), (F, 1, 1)),
+                   np.tile(xhat, (F, 1)),
+                   np.tile(np.broadcast_to(Sigma, (R, 1, 1)), (F, 1, 1)), 1,
+                   lambda *bufs: _array_steps(coefs, *bufs))
+    return [tr.replicate(slice(i * R, (i + 1) * R)) for i in range(F)]
+
+
 def run_filter_batch(model, measurements, xhat, Sigma) -> FilterTrace:
     """Filter R replicates at once: measurements (R, N, m), initial priors
     xhat (R, n) and Sigma (R, n, n) or one shared (n, n).  Returns a batch
-    trace.  One replicate of a linear model with n = m = 1 takes the
-    Python-float kernel `_scalar_steps`, bit-identical to the numpy loop
-    `_run_loop`, which runs every other case."""
-    if (isinstance(model, DiscreteLinearModel) and model.n == model.m == 1
-            and np.shape(measurements)[0] == 1):
-        return _filtered(measurements, xhat, Sigma, 1,
-                         lambda *bufs: _scalar_steps(model, *bufs))
+    trace.  A linear model with n = m = 1 takes the scalar step rule: in
+    Python floats for one replicate (`_scalar_steps`), on one array column
+    per replicate for more (`_array_steps`).  Both are bit-identical to the
+    numpy loop `_run_loop`, which runs every other case."""
+    if _scalar_linear(model):
+        return _checked(_scalar_traces([model], measurements, xhat, Sigma)[0])
     return _run_loop(measurements, xhat, Sigma, _predictor(model), model.C,
                      model.Sigma_w)
 

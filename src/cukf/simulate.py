@@ -9,8 +9,9 @@ from typing import List, Mapping, Optional
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .discrete import (FilterTrace, _check_finite, _write_csv, _write_steps,
-                       run_filter, run_filter_batch)
+from .discrete import (FilterTrace, _check_finite, _checked, _scalar_linear,
+                       _scalar_traces, _write_csv, _write_steps, run_filter,
+                       run_filter_batch)
 from .errors import FilterError, LengthMismatchError, NonFiniteStateError
 from .models import (EPS_G, ContinuousDiscreteModel, DiscreteLinearModel,
                      _first_failure, _matvec, eval_G)
@@ -422,9 +423,16 @@ def monte_carlo_compare(model: DiscreteLinearModel,
     though that prior claims no uncertainty about a random guess).
     Replicate r's data and initial condition draw from the two children of
     `replicate_seed(master_seed, r).spawn(2)`, whose words
-    `_replicate_words` makes for every replicate at once.  A filter whose
-    MSE is not finite raises NonFiniteStateError naming it and the first
-    such replicate.
+    `_replicate_words` makes for every replicate at once.
+
+    When every filter is linear with n = m = 1, all F filters run over all
+    replicates as one batch of F R columns (`discrete._scalar_traces`);
+    otherwise each filter runs once over all replicates
+    (`run_filter_batch`).  Either way each filter in turn is then checked:
+    its trace (errors name the step and its replicate), its MSE, whose
+    first non-finite replicate raises NonFiniteStateError naming the
+    filter, and its whiteness.  A mean or standard error of the MSE that
+    is not finite raises NonFiniteStateError naming its filter.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
@@ -434,12 +442,17 @@ def monte_carlo_compare(model: DiscreteLinearModel,
     data = simulate_batch(model, x0, N, [_generator(w) for w in data_words],
                           distribution=distribution)
     Sigma0 = init_sigma * np.eye(model.n)
-    F = len(filters)
+    F, models = len(filters), list(filters.values())
+    traces = [None] * F
+    if F and all(map(_scalar_linear, models)):
+        traces = _scalar_traces(models, data.measurements, xinit, Sigma0)
     mses = np.empty((replicates, F))
     passes = np.empty((replicates, F))
     rhos = np.empty((F, MAX_LAG + 1))
-    for i, (name, run_model) in enumerate(filters.items()):
-        trace = run_filter_batch(run_model, data.measurements, xinit, Sigma0)
+    for i, (name, run_model, trace) in enumerate(zip(filters, models,
+                                                     traces)):
+        trace = (run_filter_batch(run_model, data.measurements, xinit, Sigma0)
+                 if trace is None else _checked(trace))
         mses[:, i] = mse(trace, data)
         if not (ok := np.isfinite(mses[:, i])).all():
             raise NonFiniteStateError(
@@ -448,11 +461,18 @@ def monte_carlo_compare(model: DiscreteLinearModel,
         wh = innovation_whiteness(trace)
         passes[:, i] = wh.pass_fraction
         rhos[i] = wh.rho.sum(axis=0) / replicates
-    se = mses.std(axis=0, ddof=1) / np.sqrt(replicates) if replicates > 1 \
-        else np.zeros(F)
+    with np.errstate(over="ignore"):  # squares of finite MSEs may overflow
+        mean = mses.mean(axis=0)
+        se = mses.std(axis=0, ddof=1) / np.sqrt(replicates) \
+            if replicates > 1 else np.zeros(F)
+    for name, ok in zip(filters, np.isfinite(mean) & np.isfinite(se)):
+        if not ok:
+            raise NonFiniteStateError(
+                f"mean or standard error of the mean squared error of filter "
+                f"{name!r} is not finite")
     return ComparisonReport(
         filter_names=list(filters), replicates=replicates, N=N,
-        master_seed=master_seed, mse_mean=mses.mean(axis=0), mse_se=se,
+        master_seed=master_seed, mse_mean=mean, mse_se=se,
         mse_halfwidth=1.96 * se,
         whiteness_pass_fraction=passes.mean(axis=0), autocorr_mean=rhos,
         clamped_replicates=int(data.clamped.sum()), mse_samples=mses)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cukf.cli import parse_and_dispatch
+from cukf.cli import build_parser, parse_and_dispatch
 
 
 def run(args, tmp_path, monkeypatch, capsys=None):
@@ -241,6 +241,39 @@ def test_a_diverged_compare_is_a_numerical_failure(tmp_path, monkeypatch,
         "numerical failure: mean squared error of filter 'covariance-update' "
         "became non-finite (replicate 0)\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("x0", ["1e90", "1e120", "1e153"])
+def test_a_compare_whose_mse_standard_error_overflows_is_a_numerical_failure(
+        x0, tmp_path, monkeypatch, capsys):
+    # Every per-replicate MSE is finite (up to ~1e305), but the squares of
+    # their deviations in the standard error overflow.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["compare", "--model", "example_sec3", "--beta", "0.1",
+                    "--replicates", "5", "--x0", x0], tmp_path / "out",
+                   monkeypatch)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: mean or standard error of the mean squared error "
+        "of filter 'covariance-update' is not finite\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["-1e3", "-1E-3", "-.5e2", "-5"])
+@pytest.mark.parametrize("argv, dest", [
+    (["filter", "--model", "example_sec3", "--x0"], "x0"),
+    (["limit-check", "--model", "example_sec3", "--t0"], "t0"),
+    (["compare", "--model", "example_sec3", "--beta"], "beta"),
+    (["filter", "--model", "example_sec3", "--variant", "fixed-beta",
+      "--beta"], "beta"),
+])
+def test_a_negative_number_in_exponent_notation_is_an_option_value(
+        value, argv, dest):
+    # argparse reads "-1e3" as an option unless its negative-number
+    # matcher is widened; a Python that drops the hook fails here.
+    assert getattr(build_parser().parse_args(argv + [value]), dest) == \
+        float(value)
 
 
 def test_a_negative_compare_seed_exits_1_with_one_error_line(

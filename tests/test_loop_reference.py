@@ -6,9 +6,12 @@ relative up to n = 3 and m = 2, with the same clamp counts, and fail with
 the same error class, step and replicate on a non-positive innovation
 covariance or a non-finite measurement.
 
-One replicate of a linear model with n = m = 1 runs through the scalar
-kernel `_scalar_steps` instead; it must match the numpy loop `_run_loop` bit
-for bit, signed zeros included, or fail the same way.
+A linear model with n = m = 1 runs through a scalar kernel instead:
+`_scalar_steps` in Python floats for one replicate, `_array_steps` on one
+array column per replicate for more.  Each must match the numpy loop
+`_run_loop` bit for bit, signed zeros included, or fail the same way; and
+`monte_carlo_compare`, which fills all such filters in one batch, must give
+the report or the error of running each filter through `_run_loop`.
 
 The oracle's forward pass, which keeps its blocks and factors in arrays,
 must match a copy of its earlier form, which copied the running cost
@@ -24,14 +27,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cukf.builtin import example_sec3, logistic
-from cukf.discrete import (StateEstimate, _predictor, _run_loop, run_filter,
-                           run_filter_batch, symmetrize)
+from cukf.discrete import (StateEstimate, _array_steps, _predictor, _run_loop,
+                           run_filter, run_filter_batch, symmetrize)
 from cukf.errors import (FilterError, IndefiniteHessianError,
                          NonFiniteStateError, SingularInnovationError)
 from cukf.models import (EPS_G, ContinuousDiscreteModel, DiscreteLinearModel,
                          NonlinearModel, with_fixed_noise)
-from cukf.simulate import (simulate_batch, simulate_cd, simulate_cd_batch,
-                           simulate_discrete)
+from cukf.simulate import (monte_carlo_compare, simulate_batch, simulate_cd,
+                           simulate_cd_batch, simulate_discrete)
 from cukf.wls import (_schur_factor, build_measurement_cost, build_time_cost,
                       initial_cost, oracle_filter)
 
@@ -261,7 +264,7 @@ def test_failures_match_the_earlier_loop(n, m, R, exact, seed):
     assert got == want
     if want is not None:
         assert want[0] in (SingularInnovationError, NonFiniteStateError)
-    if R == n == m == 1:
+    if n == m == 1:  # a scalar kernel ran
         assert_kernel_matches_numpy_loop(model, ms, xinit, Sigma0)
 
 
@@ -287,21 +290,138 @@ def test_scalar_kernels_keep_the_signed_zeros_of_the_numpy_loops():
             assert one.states.tobytes() == batch.states[r].tobytes()
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(2, 40), st.booleans(), st.booleans(), st.booleans(),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_array_route_matches_the_numpy_loop_bit_for_bit(R, clamp, exact,
+                                                        signed_zeros, hazards,
+                                                        seed):
+    # run_filter_batch takes `_array_steps` for R >= 2 replicates of a
+    # linear n = m = 1 model.  Per replicate: a prior that is zero, -0.0 or
+    # denormal, so that S <= 0 with exact (zero-noise) measurements or a
+    # gain underflows to -0.0, or a -0.0 state and measurements; with
+    # `hazards`, also a negative prior or a NaN, inf or signed-zero
+    # measurement.  The model may clamp g^2, hold -0.0 coefficients or
+    # measure exactly.
+    rng = np.random.default_rng(seed)
+    gsq = [rng.uniform(-5.0, 5.0) if clamp else rng.uniform(0.5, 5.0),
+           rng.uniform(-2.0, 2.0)]
+    if clamp and rng.random() < 0.3:
+        gsq = [EPS_G, 0.0]  # g^2 on the floor, which is not floored
+    zero = -0.0 if signed_zeros else 0.0
+    model = DiscreteLinearModel(
+        A0=[zero if rng.random() < 0.5 else rng.standard_normal()],
+        A1=[[rng.uniform(-1.0, 1.0)]], C=[[rng.choice([-1.0, 1.0])
+                                           * rng.uniform(0.0, 2.0)]],
+        gsq=[gsq],
+        Sigma_v=[[zero if rng.random() < 0.3 else rng.uniform(0.1, 2.0)]],
+        Sigma_w=[[0.0 if exact else rng.choice([rng.uniform(0.1, 2.0),
+                                                rng.uniform(4.0, 100.0)])]])
+    if rng.random() < 0.3:
+        model = with_fixed_noise(model, rng.choice([0.0, rng.uniform(0, 2)]))
+    ms, xinit, Sigma0 = data_for(rng, model, R)
+    Sigma0 = np.broadcast_to(Sigma0, (R, 1, 1)).copy()
+    for r in range(R):
+        pick = rng.integers(8) if hazards else rng.choice([0, 1, 4])
+        if pick == 1:
+            Sigma0[r] = rng.choice([0.0, -0.0, 5e-324])
+        elif pick == 2:
+            Sigma0[r] = -rng.uniform(0.1, 4.0)
+        elif pick == 3:
+            ms[r, rng.integers(N)] = rng.choice([np.nan, np.inf, -np.inf,
+                                                 -0.0, 0.0])
+        elif pick == 4:
+            xinit[r] = zero
+            ms[r, :3] = zero
+    assert_kernel_matches_numpy_loop(model, ms, xinit, Sigma0)
+
+
+def reference_compare(*args, **kwargs):
+    """monte_carlo_compare with every filter run by the numpy loop alone,
+    one filter at a time: the report, or the class and text of the error."""
+    with pytest.MonkeyPatch.context() as patch:
+        for where in ("cukf.discrete", "cukf.simulate"):
+            patch.setattr(f"{where}._scalar_linear", lambda model: False)
+        return compare_outcome(*args, **kwargs)
+
+
+def compare_outcome(*args, **kwargs):
+    try:
+        report = monte_carlo_compare(*args, **kwargs)
+    except (FilterError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+    return {name: (np.asarray(v).tobytes() if isinstance(v, np.ndarray) else v)
+            for name, v in vars(report).items()}
+
+
+def random_filter(rng, truth):
+    """A filter for data from `truth`: its fixed-beta baseline, a model of
+    its own, or one that fails: diverging, measuring exactly with no
+    process noise (S reaches 0), or with estimates so large that the MSE
+    or the square in its standard error overflows."""
+    pick = rng.integers(8)
+    if pick == 0:
+        return with_fixed_noise(truth, rng.uniform(0.0, 2.0))
+    model = random_linear(rng, 1, 1, rng.random() < 0.5, rng.random() < 0.3)
+    if pick == 2:
+        return replace(model, A1=np.array([[rng.choice([1e10, 1e100])]]))
+    if pick == 3:
+        return replace(with_fixed_noise(model, 0.0), Sigma_w=np.zeros((1, 1)))
+    if pick == 4:
+        return replace(model, A0=np.array([rng.choice([1e150, 1e153, 1e160])]))
+    return model
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(1, 12), st.integers(21, 40),
+       st.sampled_from([0.0, 1.0]), st.integers(0, 2 ** 32 - 1))
+def test_fused_compare_matches_per_filter_numpy_loops(F, R, N_steps,
+                                                      init_sigma, seed):
+    # One batch of F R columns must give the report, or the error (class,
+    # filter, step and replicate), of running each filter on its own, also
+    # when one filter fails, or another, or both.
+    rng = np.random.default_rng(seed)
+    truth = random_linear(rng, 1, 1, False, False)
+    filters = {f"f{i}": random_filter(rng, truth) for i in range(F)}
+    args = (truth, filters, R, N_steps, int(rng.integers(1 << 31)))
+    kwargs = dict(x0=rng.standard_normal(), init_sigma=init_sigma)
+    want = reference_compare(*args, **kwargs)
+    assert compare_outcome(*args, **kwargs) == want
+
+
 def test_one_scalar_replicate_takes_the_kernels(monkeypatch):
     # Without this, a silent fall-back to the numpy loop would pass every
-    # bit-identity test.
+    # bit-identity test.  One replicate takes the Python-float kernel, more
+    # take the array kernel, and compare fills both filters in one batch.
     def numpy_path(*args, **kwargs):
         raise AssertionError("numpy path taken")
 
+    batches = []
+
+    def array_steps(coefs, *bufs):
+        batches.append(bufs[0].shape[1])
+        return _array_steps(coefs, *bufs)
+
     monkeypatch.setattr("cukf.discrete._run_loop", numpy_path)
-    monkeypatch.setattr(DiscreteLinearModel, "linearize", numpy_path)
+    monkeypatch.setattr("cukf.discrete._array_steps", array_steps)
     init = StateEstimate(xhat=[0.5], Sigma=[[1.0]], index=1)
-    for model in (example_sec3(), with_fixed_noise(example_sec3(), 0.1)):
-        data = simulate_discrete(model, [1.0], 30, 0)
-        assert len(run_filter(model, data.measurements, init)) == 30
-    with pytest.raises(AssertionError, match="numpy path taken"):
-        run_filter_batch(example_sec3(), np.ones((2, 5, 1)), np.zeros((2, 1)),
-                         np.eye(1))
+    models = {"cu": example_sec3(), "fixed": with_fixed_noise(example_sec3(),
+                                                              0.1)}
+    for model in models.values():
+        with monkeypatch.context() as patch:  # the one-path simulator too
+            patch.setattr(DiscreteLinearModel, "linearize", numpy_path)
+            data = simulate_discrete(model, [1.0], 30, 0)
+            assert len(run_filter(model, data.measurements, init)) == 30
+        assert batches == []
+        for R in (2, 5):
+            trace = run_filter_batch(model, np.ones((R, 5, 1)),
+                                     np.zeros((R, 1)), np.eye(1))
+            assert trace.xhat_post.shape == (R, 5, 1)
+            assert batches.pop() == R
+    for R in (1, 3):  # the simulator's numpy loop runs R > 1 paths
+        monte_carlo_compare(example_sec3(), models, R, 30, 0)
+        assert batches == [2 * R]
+        batches.clear()
 
 
 def factor_solve(Li, B):
