@@ -10,6 +10,7 @@ overridden with the CUKF_OUTPUT_DIR environment variable.
 """
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -322,10 +323,17 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The parser of `parse_and_dispatch`, built once per process: parsing
+    leaves it as it was, and building it costs more than most runs' own
+    parsing."""
+    return build_parser()
+
+
 def parse_and_dispatch(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if not np.isfinite(getattr(args, "x0", 0.0)):
             raise ValueError("--x0 must be finite")
         return args.func(args)

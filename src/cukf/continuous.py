@@ -12,7 +12,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .discrete import (FilterTrace, StateEstimate, _run_loop,
+from .discrete import (FilterTrace, StateEstimate, _checked, _coefficients,
+                       _filtered, _run_loop, _scalar_linear, _scalar_steps,
                        _symmetrize_in_place, symmetrize, time_update)
 from .errors import (LengthMismatchError, NonFiniteStateError,
                      StepTooLargeError)
@@ -50,11 +51,30 @@ _PADE = (
 def _expm(A: np.ndarray) -> np.ndarray:
     """exp(A) from the lowest Padé degree m in {3, 5, 7, 9, 13} whose bound
     covers the 1-norm of A; at degree 13, A is first scaled by 2^-s into the
-    bound and the result squared s times.  A non-finite 1-norm raises."""
+    bound and the result squared s times.  A non-finite 1-norm raises.
+
+    Before that, on the squaring path only, the constant coordinates (zero
+    rows of A, such as the 1 of [x; vec Sigma; 1]) are balanced (Ward, SIAM
+    J. Numer. Anal. 14(4), 1977): when their columns set the norm, they are
+    scaled by the power of two 2^-p that brings them within the other
+    columns' norm, or the degree-3 bound if that is larger, and exp(A) =
+    D exp(D^-1 A D) D^-1, D = diag(1 or 2^-p), exactly.  Otherwise an
+    affine column far larger than the dynamics forces squarings that wash
+    out the rest of exp(A)."""
     with np.errstate(over="ignore"):
-        norm = np.linalg.norm(A, 1)
+        cols = np.abs(A).sum(axis=0)  # the 1-norm of each column
+    norm = cols.max()
     if not norm < np.inf:
         raise NonFiniteStateError("matrix exponential argument non-finite")
+    e = None  # the exponents of D, when balanced
+    if norm > _PADE[-1][0]:
+        const = ~A.any(axis=1)
+        rest = max(cols[~const].max(initial=0.0), _PADE[0][0])
+        if norm > rest:  # a constant column sets the norm
+            p = int(np.ceil(np.log2(norm) - np.log2(rest)))
+            e = np.where(const, -p, 0)
+            A = np.ldexp(A, e)
+            norm = np.abs(A).sum(axis=0).max()
     s = 0
     for theta, b in _PADE:
         if norm <= theta:
@@ -73,7 +93,7 @@ def _expm(A: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # the caller tests E z
         for _ in range(s):
             E = E @ E
-    return E
+        return E if e is None else np.ldexp(E, e[:, None] - e)
 
 
 def _inner(model) -> DiscreteLinearModel:
@@ -95,6 +115,10 @@ class _Propagator:
     the grid checks, the node map and the whole-interval exponentials (one
     per floored set) are built once per exact interval length, on its first
     interval, and the generator M once per floored set.
+
+    Its numpy calls run under the caller's
+    np.errstate(over="ignore", invalid="ignore"), entered once per run: a
+    value that overflows is tested where `propagate` tests z.
     """
 
     def __init__(self, dyn: DiscreteLinearModel, step: float):
@@ -105,6 +129,7 @@ class _Propagator:
         self.sv = np.diag(dyn.Sigma_v)
         self.cut_intervals = 0
         self.cuts = 0
+        self._unfloored = bytes(dyn.n)  # the key of the empty floored set
         self._spans = {}       # span -> (w0, W1, {floored set: expm})
         self._generators = {}  # floored set -> M
 
@@ -133,17 +158,17 @@ class _Propagator:
         while P.shape[0] <= 2 * nsteps:
             P = np.concatenate((P, power @ P))
             power = power @ power
-        with np.errstate(over="ignore", invalid="ignore"):  # propagate tests z
-            W = (dyn.gsq @ P[:2 * nsteps + 1]).reshape(-1, n + 1)
+        W = (dyn.gsq @ P[:2 * nsteps + 1]).reshape(-1, n + 1)
         entry = self._spans[span] = (W[:, 0], W[:, 1:], {})
         return entry
 
-    def _generator(self, floored):
-        """M of z' = M z, with the g2 components in `floored` at EPS_G."""
-        key = floored.tobytes()
+    def _generator(self, key):
+        """M of z' = M z, with the g2 components of the floored set `key`
+        (the bytes of a boolean mask) at EPS_G."""
         M = self._generators.get(key)
         if M is not None:
             return M
+        floored = np.frombuffer(key, dtype=bool)
         dyn = self.dyn
         n = dyn.n
         M = np.zeros((n + n * n + 1, n + n * n + 1))
@@ -151,12 +176,11 @@ class _Propagator:
         M[:n, -1] = dyn.A0
         eye = np.eye(n)
         diag = n + np.arange(n) * (n + 1)   # rows of Sigma_ii in vec Sigma
-        # An entry that overflows is inf, unwarned; _expm then raises.
-        with np.errstate(over="ignore"):
-            M[n:-1, n:-1] = np.kron(dyn.A1, eye) + np.kron(eye, dyn.A1)
-            M[diag, :n] = np.where(floored[:, None], 0.0,
-                                   self.sv[:, None] * dyn.gsq[:, 1:])
-            M[diag, -1] = self.sv * np.where(floored, EPS_G, dyn.gsq[:, 0])
+        # An entry that overflows is inf; _expm then raises.
+        M[n:-1, n:-1] = np.kron(dyn.A1, eye) + np.kron(eye, dyn.A1)
+        M[diag, :n] = np.where(floored[:, None], 0.0,
+                               self.sv[:, None] * dyn.gsq[:, 1:])
+        M[diag, -1] = self.sv * np.where(floored, EPS_G, dyn.gsq[:, 0])
         self._generators[key] = M
         return M
 
@@ -169,35 +193,42 @@ class _Propagator:
         order = np.argsort(cuts)
         flags = floored[0].copy()
         for length, toggle in zip(np.diff(cuts[order], prepend=0.0), i[order]):
-            z = _expm(self._generator(flags) * length) @ z
+            z = _expm(self._generator(flags.tobytes()) * length) @ z
             flags[toggle] ^= True
         self.cut_intervals += 1
         self.cuts += len(cuts)
-        return _expm(self._generator(flags) * (span - cuts.max())) @ z
+        M = self._generator(flags.tobytes())
+        return _expm(M * (span - cuts.max())) @ z
 
-    def propagate(self, x, S, t0, t1):
-        """(x, S) at t1 from (x, S) at t0, and whether any g2 was floored."""
+    def propagate(self, z, t0, t1):
+        """z = [x; vec Sigma; 1] at t1 from the contiguous array z at t0 (z
+        itself if t1 == t0), and whether any g2 was floored.  An interval
+        where no node floors, the common case, takes the exponential of the
+        empty floored set at once; an x or Sigma at t1 that is not finite
+        raises NonFiniteStateError."""
         span = t1 - t0
         if span == 0:
-            return x.copy(), S.copy(), False
+            return z, False
         w0, W1, exps = (self._spans.get(span)
                         or self._new_span(span, t0, t1))
-        n = x.size
-        with np.errstate(over="ignore", invalid="ignore"):  # z is tested below
-            g2 = (w0 + W1 @ x).reshape(-1, n)
+        n = self.dyn.n
+        g2 = w0 + W1 @ z[:n]
         floored = g2 < EPS_G
-        z = np.concatenate((x, S.ravel(), [1.0]))
-        if (floored == floored[0]).all():
-            key = floored[0].tobytes()
+        key = self._unfloored
+        if floored.any():
+            g2, floored = g2.reshape(-1, n), floored.reshape(-1, n)
+            same = (floored == floored[0]).all()  # at every node
+            key = floored[0].tobytes() if same else None
+        if key is None:
+            z = self._cut(z, g2, floored, span)
+        else:
             E = exps.get(key)
             if E is None:
-                E = exps[key] = _expm(self._generator(floored[0]) * span)
+                E = exps[key] = _expm(self._generator(key) * span)
             z = E @ z
-        else:
-            z = self._cut(z, g2, floored, span)
         if not np.isfinite(z[:-1]).all():
             raise NonFiniteStateError(f"integration diverged on [{t0}, {t1}]")
-        return z[:n], z[n:-1].reshape(n, n), bool(floored.any())
+        return z, key != self._unfloored
 
 
 def cd_time_update(post: StateEstimate, model, t0: float, t1: float,
@@ -205,12 +236,16 @@ def cd_time_update(post: StateEstimate, model, t0: float, t1: float,
     """Propagate estimate and covariance from t0 to t1 through the coupled
     ODEs, evaluating the noise gain along the evolving estimate.  Each call
     builds its own matrix exponentials; `cd_run` reuses them across
-    intervals."""
+    intervals.  A value that overflows raises NonFiniteStateError, never a
+    RuntimeWarning first."""
     if not -np.inf < t0 <= t1 < np.inf:
         raise ValueError("need finite t0 <= t1")
-    x, S, _ = _Propagator(_inner(model), step).propagate(
-        post.xhat, post.Sigma, t0, t1)
-    return StateEstimate(xhat=x, Sigma=symmetrize(S), index=t1)
+    n = post.xhat.size
+    z = np.concatenate((post.xhat, post.Sigma.ravel(), [1.0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        z, _ = _Propagator(_inner(model), step).propagate(z, t0, t1)
+        Sigma = symmetrize(z[n:-1].reshape(n, n))
+    return StateEstimate(xhat=z[:n], Sigma=Sigma, index=t1)
 
 
 def cd_run(model: ContinuousDiscreteModel, measurements, init: StateEstimate,
@@ -220,7 +255,12 @@ def cd_run(model: ContinuousDiscreteModel, measurements, init: StateEstimate,
 
     The trace counts intervals in which any g2 was floored (`clamp_count`),
     intervals cut where the floored set changes (`fallback_intervals`) and
-    the cuts made in them (`step_count`)."""
+    the cuts made in them (`step_count`).
+
+    A model with n = m = 1 (`discrete._scalar_linear`) runs the scalar step
+    rule of `discrete._scalar_steps` in Python floats, with the propagation
+    of each interval as its time update; any other runs the numpy loop
+    `discrete._run_loop`.  Both give the same bits, and the same errors."""
     if step is None:
         step = default_config(model)
     ms = np.atleast_2d(np.asarray(measurements, dtype=float))
@@ -229,16 +269,39 @@ def cd_run(model: ContinuousDiscreteModel, measurements, init: StateEstimate,
         raise LengthMismatchError(
             f"{ms.shape[0]} measurements for {times.size} sample times")
     dyn = _inner(model)
+    if ms.shape[1] != dyn.m or init.xhat.shape != (dyn.n,):
+        raise LengthMismatchError(
+            f"measurements of {ms.shape[1]} components and a prior of "
+            f"{init.xhat.size} states for a model of m = {dyn.m}, n = {dyn.n}")
     prop = _Propagator(dyn, step)
+    ts = times.tolist()
+    n = dyn.n
+    z = np.zeros(n * (n + 1) + 1)  # [x; vec Sigma; 1]
+    z[-1] = 1.0
+    if _scalar_linear(dyn):
+        def interval(k, x, P):
+            z[0], z[1] = x, P
+            z1, floored = prop.propagate(z, ts[k], ts[k + 1])
+            x, P, _ = z1.tolist()
+            return x, P, floored
 
-    def predict(k, Z, out):
-        out[0, :, 0], out[0, :, 1:], clamped = prop.propagate(
-            Z[0, :, 0], Z[0, :, 1:], times[k], times[k + 1])
-        _symmetrize_in_place(out[0, :, 1:])
-        return clamped
+        coefs = _coefficients(dyn)
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = _filtered(ms[None], init.xhat[None], init.Sigma[None], 1,
+                              lambda *bufs: _scalar_steps(coefs, *bufs,
+                                                          interval=interval))
+        trace = _checked(trace)
+    else:
+        def predict(k, Z, out):
+            z[:n], z[n:-1] = Z[0, :, 0], Z[0, :, 1:].ravel()
+            z1, floored = prop.propagate(z, ts[k], ts[k + 1])
+            out[0, :, 0], out[0, :, 1:] = z1[:n], z1[n:-1].reshape(n, n)
+            _symmetrize_in_place(out[0, :, 1:])
+            return floored
 
-    trace = _run_loop(ms[None], init.xhat[None], init.Sigma[None], predict,
-                      dyn.C, dyn.Sigma_w).replicate(0)
+        trace = _run_loop(ms[None], init.xhat[None], init.Sigma[None],
+                          predict, dyn.C, dyn.Sigma_w)
+    trace = trace.replicate(0)
     trace.times = times.copy()
     trace.step_count = prop.cuts
     trace.fallback_intervals = prop.cut_intervals

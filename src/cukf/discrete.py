@@ -292,6 +292,19 @@ def _checked(tr, start_index=1):
     return tr
 
 
+def _scan_failed_run(exc, tr, written, start_index):
+    """What a filter loop does with the exception `exc` raised after it
+    wrote `written` posteriors into `tr`, before raising it again: whatever
+    it was (a user's f may raise anything), a failed step before it is the
+    first failure (`_check_finite`); and a FilterError without a step names
+    the step of the prior being made."""
+    _check_finite(start_index, ("estimate", tr.xhat_post[:, :written]),
+                  ("estimate", tr.Sigma_post[:, :written]),
+                  ("innovation covariance", tr.S[:, :written]), S=tr.S)
+    if isinstance(exc, FilterError) and exc.step is None:
+        exc.step = start_index + written
+
+
 def _run_loop(measurements, xhat, Sigma, predict, C, Sigma_w, start_index=1):
     """The measurement-first filter loop shared by every filter, in numpy
     over the batch (see `_filtered`).
@@ -319,14 +332,7 @@ def _run_loop(measurements, xhat, Sigma, predict, C, Sigma_w, start_index=1):
                     if written < N:
                         floored[k] = predict(k, post[k], prior[k + 1])
         except Exception as exc:
-            # Whatever the loop raised (a user's f may raise anything), a
-            # failed step before it is the first failure.
-            _check_finite(start_index, ("estimate", tr.xhat_post[:, :written]),
-                          ("estimate", tr.Sigma_post[:, :written]),
-                          ("innovation covariance", tr.S[:, :written]),
-                          S=tr.S)
-            if isinstance(exc, FilterError) and exc.step is None:
-                exc.step = start_index + written  # predict made its prior
+            _scan_failed_run(exc, tr, written, start_index)
             raise
         return floored.any(axis=(2, 3)).sum(axis=0)
 
@@ -349,12 +355,17 @@ def _coefficients(model):
             model.A0.item() + 0.0, model.Sigma_v.item() + 0.0, c0, c1)
 
 
-def _scalar_steps(coefs, prior, post, W, S, Kt, tr):
+def _scalar_steps(coefs, prior, post, W, S, Kt, tr, interval=None):
     """`_run_loop`'s steps for one replicate of a `_scalar_linear` model
     with `_coefficients` coefs, in Python floats, bit-identical: the same
     IEEE operations in the same order.  A matmul of one product adds it to
     +0.0 (-0.0 becomes +0.0); so does this code where the sign can reach
-    the trace.  `_array_steps` is the same rule on many replicates."""
+    the trace.  `_array_steps` is the same rule on many replicates.
+
+    The time update is the discrete model's, inline, unless `interval` is
+    given: interval(k, x, P) -> (x, P, floored) then makes the prior at
+    index k + 1 from the posterior at index k (`cd_run`'s propagation), and
+    an error it raises is handled as `_run_loop` handles predict's."""
     xp, Pp, xq, Pq, E, Ss, Ks = (memoryview(a[:, 0, 0, j]) for a, j in zip(
         (prior, prior, post, post, W, S, Kt), (0, 1, 0, 1, 0, 0, 0)))
     c, sw, a1, a0, sv, c0, c1 = coefs
@@ -369,6 +380,14 @@ def _scalar_steps(coefs, prior, post, W, S, Kt, tr):
         xq[k] = x = x - (kt * e + 0.0)
         Pq[k] = P = P - kt * mcp
         if k + 1 < N:
+            if interval is not None:
+                try:
+                    x, P, floored = interval(k, x, P)
+                except Exception as exc:
+                    _scan_failed_run(exc, tr, k + 1, 1)
+                    raise
+                xp[k + 1], Pp[k + 1], clamps = x, P, clamps + floored
+                continue
             g2 = c1 * x + c0
             if g2 < EPS_G:  # not for NaN, which reaches the gain
                 g2, clamps = EPS_G, clamps + 1

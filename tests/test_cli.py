@@ -338,6 +338,62 @@ def test_usage_error_exits_1(tmp_path, monkeypatch, capsys):
     assert "error: the following arguments are required: --model" in err
 
 
+# Usage errors, each followed by valid runs of other subcommands.
+ONE_PROCESS = [
+    ["filter"],
+    ["simulate", "--model", "example_sec3", "--N", "5"],
+    ["compare", "--model", "example_sec3", "--beta", "0.1", "--bogus", "1"],
+    ["filter", "--model", "birth_death_cle", "--x0", "100"],
+    ["oracle-check", "--model", "example_sec3", "--horizon", "two"],
+    ["compare", "--model", "example_sec3", "--beta", "0.1", "--replicates",
+     "3", "--N", "30"],
+    ["filter", "--model", "example_sec3", "--variant", "other"],
+    ["oracle-check", "--model", "example_sec3", "--horizon", "10"],
+    ["no-such-command"],
+    ["limit-check", "--model", "birth_death_cle", "--x0", "100"],
+    ["filter", "--help"],
+    ["models"],
+]
+
+
+def one_process_outcomes(root, monkeypatch, capsys):
+    """Exit code, stdout, stderr and output files of each ONE_PROCESS argv,
+    run in turn in this process, each that names a model into its own --out
+    under root."""
+    monkeypatch.delenv("CUKF_OUTPUT_DIR", raising=False)
+    root.mkdir()
+    monkeypatch.chdir(root)
+    outcomes = []
+    for i, argv in enumerate(ONE_PROCESS):
+        code = parse_and_dispatch(
+            argv + (["--out", f"out{i}"] if "--model" in argv else []))
+        out, err = capsys.readouterr()
+        files = {str(p.relative_to(root)): p.read_bytes()
+                 for p in sorted(root.glob(f"out{i}/*"))}
+        outcomes.append((code, out, err, files))
+    return outcomes
+
+
+def test_the_parser_is_built_once_and_reused_as_a_fresh_one(
+        tmp_path, monkeypatch, capsys):
+    import cukf.cli
+    builds = []
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    cukf.cli._parser.cache_clear()
+    monkeypatch.setattr(cukf.cli, "build_parser", counting_build_parser)
+    reused = one_process_outcomes(tmp_path / "reused", monkeypatch, capsys)
+    assert len(builds) == 1
+    monkeypatch.setattr(cukf.cli, "_parser", build_parser)  # one per call
+    fresh = one_process_outcomes(tmp_path / "fresh", monkeypatch, capsys)
+    assert reused == fresh
+    assert [code for code, *_ in fresh] == [1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 0, 0]
+    assert all(files for code, _, _, files in fresh[1:-2] if code == 0)
+
+
 @pytest.mark.parametrize("argv", [
     ["compare", "--model", "example_sec3", "--beta", "0.1", "--em-step", "0.01"],
     ["oracle-check", "--model", "example_sec3", "--em-step", "0.01"],
@@ -611,6 +667,19 @@ def test_limit_check_on_a_finite_but_huge_model_is_a_numerical_failure(
         assert run(["limit-check", "--model", path], tmp_path / "out",
                    monkeypatch) == 2
     assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert not (tmp_path / "out" / "limit_check.csv").exists()
+
+
+@pytest.mark.parametrize("x0", ["1e308", "-1e308"])
+def test_limit_check_whose_exact_propagation_overflows_has_no_warning(
+        x0, tmp_path, monkeypatch, capsys):
+    # E z overflows in the reference propagation of the first interval.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["limit-check", "--model", "example_sec3", "--x0", x0],
+                   tmp_path / "out", monkeypatch) == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: integration diverged on [0.0, 0.8]\n")
     assert not (tmp_path / "out" / "limit_check.csv").exists()
 
 

@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,8 @@ from cukf.continuous import (_PADE, _Propagator, _expm,
                              cd_run, cd_time_update, default_config,
                              euler_limit_check)
 from cukf.discrete import StateEstimate, time_update
-from cukf.errors import ModelError, NonFiniteStateError, StepTooLargeError
+from cukf.errors import (LengthMismatchError, ModelError, NonFiniteStateError,
+                         StepTooLargeError)
 from cukf.modelio import load_model
 from cukf.models import ContinuousDiscreteModel, DiscreteLinearModel
 from cukf.simulate import simulate_cd
@@ -174,6 +176,20 @@ def test_diverging_propagation_names_its_interval_and_step():
     assert str(exc.value) == "integration diverged on [0.0, 0.5] (at step 2)"
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_cd_run_refuses_a_prior_or_measurements_of_another_size(n):
+    # Either route would otherwise run: the scalar rule on the first
+    # component alone, the numpy loop into a numpy error or a wrong trace.
+    model = birth_death_cle() if n == 1 else load_model(
+        Path(__file__).resolve().parents[1] / "bench" / "models"
+        / "two_species_cle.txt")
+    K = model.sample_times.size
+    for ms, xhat in ((np.zeros((K, n)), np.zeros(n + 1)),
+                     (np.zeros((K, n + 1)), np.zeros(n))):
+        with pytest.raises(LengthMismatchError, match=f"m = {n}, n = {n}$"):
+            cd_run(model, ms, StateEstimate(xhat, np.eye(n), 0.0))
+
+
 def test_cd_trace_csv_has_time_column_and_sidecar(tmp_path, monkeypatch):
     # The CLI writes the continuous-discrete run's counts beside its trace.
     import cukf.cli
@@ -308,7 +324,8 @@ def test_cut_propagation_matches_split_reference(case):
     model, post = case
     out = cd_time_update(post, model, 0.0, 0.1, STEP)
     prop = _Propagator(model, STEP)
-    prop.propagate(post.xhat, post.Sigma, 0.0, 0.1)
+    prop.propagate(np.concatenate((post.xhat, post.Sigma.ravel(), [1.0])),
+                   0.0, 0.1)
     assert prop.cuts == len(floor_crossings(model, post.xhat, 0.1)) >= 1
     x, S = split_rk4(model, post.xhat, post.Sigma, 0.1)
     assert rel_err(out.xhat, x) <= 1e-9
@@ -402,3 +419,48 @@ def test_expm_matches_scipy_on_cle_moment_generators(monkeypatch):
 def test_expm_of_zero_is_identity():
     for n in (1, 2, 7):
         assert np.array_equal(_expm(np.zeros((n, n))), np.eye(n))
+
+
+def test_expm_balances_an_affine_column_that_dominates():
+    # exp of [[0, 0, 0], [0, 0, a], [0, 0, 0]] is I + a e_1 e_2'.  Without
+    # balancing, the squarings that a large a forces wash out the diagonal:
+    # 0.99997 at a = 1e12, 0 at 1e20.
+    for a in [5.5, 1e8, 1e12, 1e16, 1e20, 1e100, 1e300, 1.7e308]:
+        A = np.zeros((3, 3))
+        A[1, 2] = a
+        E = _expm(A)
+        want = np.eye(3)
+        want[1, 2] = E[1, 2]
+        assert np.array_equal(E, want)
+        assert abs(E[1, 2] - a) <= np.finfo(float).eps * a
+
+
+def test_expm_balancing_keeps_the_dynamics_and_scales_the_affine_column():
+    # [[B, c], [0, 0]] with c 2^60 times larger than scipy's reference: the
+    # B block must stay exp(B), and the affine column scale with c.
+    rng = np.random.default_rng(1977)
+    for _ in range(50):
+        n = int(rng.integers(1, 6))
+        A = np.zeros((n + 1, n + 1))
+        A[:n, :n] = rng.uniform(0.1, 3.0) * rng.standard_normal((n, n))
+        A[:n, -1] = rng.standard_normal(n)
+        ref = scipy_expm(A)
+        A[:n, -1] *= 2.0 ** 60
+        E = _expm(A)
+        assert rel_err(E[:n, :n], ref[:n, :n]) <= 1e-12
+        assert rel_err(E[:n, -1], 2.0 ** 60 * ref[:n, -1]) <= 1e-12
+
+
+def test_a_huge_constant_noise_intensity_reaches_the_prior():
+    # One state, A1 = 0 and g^2 = 1e307: Sigma grows by 1e307 per unit of
+    # time.  Unbalanced, the constant column forced ~1020 squarings and the
+    # prior's Sigma came out 0.
+    dyn = DiscreteLinearModel(A0=[0.0], A1=[[0.0]], C=[[1.0]],
+                              gsq=[[1e307, 0.0]], Sigma_v=[[1.0]],
+                              Sigma_w=[[1.0]])
+    model = ContinuousDiscreteModel(inner=dyn, sample_times=[0.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = cd_run(model, [[0.0], [0.0]],
+                       StateEstimate([0.0], [[1.0]], 0.0), step=0.01)
+    assert trace.Sigma_prior[1, 0, 0] == pytest.approx(1e307, rel=1e-12)

@@ -11,7 +11,10 @@ A linear model with n = m = 1 runs through a scalar kernel instead:
 array column per replicate for more.  Each must match the numpy loop
 `_run_loop` bit for bit, signed zeros included, or fail the same way; and
 `monte_carlo_compare`, which fills all such filters in one batch, must give
-the report or the error of running each filter through `_run_loop`.
+the report or the error of running each filter through `_run_loop`.  So
+must `cd_run` on a one-state continuous-discrete model, which runs
+`_scalar_steps` with the exact propagation of each interval as its time
+update, against its numpy-loop route.
 
 The oracle's forward pass, which keeps its blocks and factors in arrays,
 must match a copy of its earlier form, which copied the running cost
@@ -21,16 +24,19 @@ and message."""
 
 import itertools
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cukf.builtin import example_sec3, logistic
+from cukf.builtin import birth_death_cle, example_sec3, logistic
+from cukf.continuous import cd_run
 from cukf.discrete import (StateEstimate, _array_steps, _predictor, _run_loop,
                            run_filter, run_filter_batch, symmetrize)
 from cukf.errors import (FilterError, IndefiniteHessianError,
                          NonFiniteStateError, SingularInnovationError)
+from cukf.modelio import load_model
 from cukf.models import (EPS_G, ContinuousDiscreteModel, DiscreteLinearModel,
                          NonlinearModel, with_fixed_noise)
 from cukf.simulate import (monte_carlo_compare, simulate_batch, simulate_cd,
@@ -422,6 +428,98 @@ def test_one_scalar_replicate_takes_the_kernels(monkeypatch):
         monte_carlo_compare(example_sec3(), models, R, 30, 0)
         assert batches == [2 * R]
         batches.clear()
+
+
+def cd_outcome(model, ms, init, step):
+    """cd_run's trace, every field as bytes, with its three counts, or the
+    class, text and step of its error."""
+    try:
+        tr = cd_run(model, ms, init, step)
+    except (FilterError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "step", None)
+    return ([np.ascontiguousarray(getattr(tr, name)).tobytes()
+             for name in FIELDS + ("indices", "times")]
+            + [tr.clamp_count, tr.step_count, tr.fallback_intervals])
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(st.booleans(), st.booleans(), st.booleans(), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_scalar_cd_route_matches_the_numpy_loop_bit_for_bit(
+        clamp, exact, signed_zeros, hazards, seed):
+    # cd_run takes the Python-float rule for n = 1.  Models whose g^2
+    # crosses the floor near where the estimate goes (so intervals clamp
+    # and are cut), gaps that differ by ulps, -0.0 coefficients, exact
+    # measurements (Sigma_w = 0); with `hazards`, also a zero, -0.0,
+    # denormal or negative prior, a NaN, inf or signed-zero measurement,
+    # a step too large for the smallest gap, or a Sigma_v so large that
+    # Sigma or the generator overflows.
+    rng = np.random.default_rng(seed)
+    zero = -0.0 if signed_zeros else 0.0
+    K = int(rng.integers(1, 12))
+    if rng.random() < 0.5:  # gaps that differ by ulps
+        times = np.linspace(0.0, rng.uniform(0.05, 1.0) * K, K)
+    else:
+        times = np.cumsum(np.r_[rng.uniform(-1.0, 1.0),
+                                rng.uniform(0.01, 0.5, K - 1)])
+    A1 = rng.choice([zero, rng.uniform(-8.0, 0.5)])
+    floor_at = rng.uniform(-5.0, 5.0)  # where g^2 = EPS_G, if `clamp`
+    c1 = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0)
+    c0 = EPS_G - c1 * floor_at if clamp else rng.uniform(0.5, 5.0)
+    if rng.random() < 0.2:
+        c1 = zero
+    C = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0)
+    dyn = DiscreteLinearModel(
+        A0=[rng.choice([zero, -A1 * (floor_at + rng.choice([-1.0, 1.0])
+                                     * rng.uniform(0.5, 4.0))])],
+        A1=[[A1]], C=[[C]], gsq=[[c0, c1]],
+        Sigma_v=[[zero if rng.random() < 0.2 else rng.uniform(0.1, 2.0)]],
+        Sigma_w=[[0.0 if exact else rng.uniform(0.1, 4.0)]])
+    ms = C * (floor_at + rng.normal(0.0, 2.0, (K, 1)))
+    x0, P0 = floor_at + rng.normal(0.0, 2.0), rng.uniform(0.0, 4.0)
+    step = None
+    if hazards:
+        pick = rng.integers(4)
+        if pick == 0:
+            P0 = rng.choice([0.0, -0.0, 5e-324, -rng.uniform(0.1, 4.0)])
+        elif pick == 1:
+            ms[rng.integers(K)] = rng.choice([np.nan, np.inf, -np.inf, -0.0,
+                                              0.0])
+        elif pick == 2 and K > 1:
+            step = np.diff(times).min() * rng.choice([0.3, 1.0, 1.5])
+        elif pick == 3:  # Sigma or the generator overflows
+            dyn = replace(dyn, Sigma_v=np.array([[rng.choice([1e306,
+                                                              1e308])]]))
+    if signed_zeros and rng.random() < 0.5:
+        x0 = zero
+        ms[:2] = zero
+    model = ContinuousDiscreteModel(inner=dyn, sample_times=times)
+    init = StateEstimate([x0], [[P0]], times[0])
+    got = cd_outcome(model, ms, init, step)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("cukf.continuous._scalar_linear", lambda model: False)
+        want = cd_outcome(model, ms, init, step)
+    assert got == want
+
+
+def test_one_state_cd_models_take_the_scalar_rule(monkeypatch):
+    # Without this, a silent fall-back to the numpy loop would pass the
+    # bit-identity test above.  Two-species (n = 2) keeps the numpy loop.
+    def numpy_path(*args, **kwargs):
+        raise AssertionError("numpy loop taken")
+
+    monkeypatch.setattr("cukf.continuous._run_loop", numpy_path)
+    models = Path(__file__).resolve().parents[1] / "bench" / "models"
+    for model in (birth_death_cle(), load_model(models / "pure_death_cle.txt")):
+        data = simulate_cd(model, [100.0], 0, 0.01)
+        trace = cd_run(model, data.measurements,
+                       StateEstimate([100.0], [[1.0]], 0.0))
+        assert len(trace) == model.sample_times.size
+    model = load_model(models / "two_species_cle.txt")
+    data = simulate_cd(model, [100.0, 100.0], 0, 0.01)
+    with pytest.raises(AssertionError, match="numpy loop taken"):
+        cd_run(model, data.measurements,
+               StateEstimate([100.0, 100.0], np.eye(2), 0.0))
 
 
 def factor_solve(Li, B):
