@@ -12,9 +12,10 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .discrete import (FilterTrace, StateEstimate, _checked, _coefficients,
-                       _filtered, _run_loop, _scalar_linear, _scalar_steps,
-                       _symmetrize_in_place, symmetrize, time_update)
+from .discrete import (FilterTrace, StateEstimate, _check_sizes, _checked,
+                       _coefficients, _column_steps, _filtered, _run_loop,
+                       _scalar_linear, _symmetrize_in_place, symmetrize,
+                       time_update)
 from .errors import (LengthMismatchError, NonFiniteStateError,
                      StepTooLargeError)
 from .models import EPS_G, ContinuousDiscreteModel, DiscreteLinearModel, eval_G
@@ -258,9 +259,10 @@ def cd_run(model: ContinuousDiscreteModel, measurements, init: StateEstimate,
     the cuts made in them (`step_count`).
 
     A model with n = m = 1 (`discrete._scalar_linear`) runs the scalar step
-    rule of `discrete._scalar_steps` in Python floats, with the propagation
-    of each interval as its time update; any other runs the numpy loop
-    `discrete._run_loop`.  Both give the same bits, and the same errors."""
+    rule `discrete._column_steps` on one column of Python floats, with the
+    propagation of each interval as its time update; any other runs the
+    numpy loop `discrete._run_loop`.  Both give the same bits, and the same
+    errors."""
     if step is None:
         step = default_config(model)
     ms = np.atleast_2d(np.asarray(measurements, dtype=float))
@@ -269,10 +271,8 @@ def cd_run(model: ContinuousDiscreteModel, measurements, init: StateEstimate,
         raise LengthMismatchError(
             f"{ms.shape[0]} measurements for {times.size} sample times")
     dyn = _inner(model)
-    if ms.shape[1] != dyn.m or init.xhat.shape != (dyn.n,):
-        raise LengthMismatchError(
-            f"measurements of {ms.shape[1]} components and a prior of "
-            f"{init.xhat.size} states for a model of m = {dyn.m}, n = {dyn.n}")
+    ms, xhat, Sigma = ms[None], init.xhat[None], init.Sigma[None]
+    _check_sizes(dyn, ms, xhat, Sigma)
     prop = _Propagator(dyn, step)
     ts = times.tolist()
     n = dyn.n
@@ -285,12 +285,10 @@ def cd_run(model: ContinuousDiscreteModel, measurements, init: StateEstimate,
             x, P, _ = z1.tolist()
             return x, P, floored
 
-        coefs = _coefficients(dyn)
-        with np.errstate(over="ignore", invalid="ignore"):
-            trace = _filtered(ms[None], init.xhat[None], init.Sigma[None], 1,
-                              lambda *bufs: _scalar_steps(coefs, *bufs,
-                                                          interval=interval))
-        trace = _checked(trace)
+        coefs = _coefficients([dyn])
+        trace = _checked(_filtered(
+            ms, xhat, Sigma, 1,
+            lambda *bufs: _column_steps(coefs, *bufs, interval=interval)))
     else:
         def predict(k, Z, out):
             z[:n], z[n:-1] = Z[0, :, 0], Z[0, :, 1:].ravel()
@@ -299,8 +297,7 @@ def cd_run(model: ContinuousDiscreteModel, measurements, init: StateEstimate,
             _symmetrize_in_place(out[0, :, 1:])
             return floored
 
-        trace = _run_loop(ms[None], init.xhat[None], init.Sigma[None],
-                          predict, dyn.C, dyn.Sigma_w)
+        trace = _run_loop(ms, xhat, Sigma, predict, dyn.C, dyn.Sigma_w)
     trace = trace.replicate(0)
     trace.times = times.copy()
     trace.step_count = prop.cuts

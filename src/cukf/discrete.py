@@ -14,7 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import FilterError, NonFiniteStateError, SingularInnovationError
+from .errors import (FilterError, LengthMismatchError, NonFiniteStateError,
+                     SingularInnovationError)
 from .models import EPS_G, DiscreteLinearModel, _first_failure, eval_G
 
 # eval_G is not called here; bench/spans.py wraps it as an attribute of this
@@ -342,126 +343,120 @@ def _run_loop(measurements, xhat, Sigma, predict, C, Sigma_w, start_index=1):
 
 def _scalar_linear(model):
     """Whether `model` is linear with n = m = 1, so that the scalar step
-    rule (`_scalar_steps`, `_array_steps`) filters with it."""
+    rule (`_column_steps`) filters with it."""
     return isinstance(model, DiscreteLinearModel) and model.n == model.m == 1
 
 
-def _coefficients(model):
-    """The floats (c, Sigma_w, a1, a0, Sigma_v, c0, c1) of a `_scalar_linear`
-    model, for the scalar step rule.  A matmul of one product adds it to
-    +0.0; so A0 and Sigma_v have -0.0 made +0.0."""
-    c0, c1 = model.gsq[0].tolist()
-    return (model.C.item(), model.Sigma_w.item(), model.A1.item(),
-            model.A0.item() + 0.0, model.Sigma_v.item() + 0.0, c0, c1)
+def _coefficients(models, R=1):
+    """The (7, F R) columns (c, Sigma_w, a1, a0, Sigma_v, c0, c1) of the F
+    `_scalar_linear` models, model i in columns i R to (i + 1) R, for the
+    scalar step rule.  A matmul of one product adds it to +0.0; so A0 and
+    Sigma_v have -0.0 made +0.0."""
+    return np.repeat(np.array(
+        [(m.C.item(), m.Sigma_w.item(), m.A1.item(), m.A0.item() + 0.0,
+          m.Sigma_v.item() + 0.0, *m.gsq[0].tolist()) for m in models]).T,
+        R, axis=1)
 
 
-def _scalar_steps(coefs, prior, post, W, S, Kt, tr, interval=None):
-    """`_run_loop`'s steps for one replicate of a `_scalar_linear` model
-    with `_coefficients` coefs, in Python floats, bit-identical: the same
-    IEEE operations in the same order.  A matmul of one product adds it to
-    +0.0 (-0.0 becomes +0.0); so does this code where the sign can reach
-    the trace.  `_array_steps` is the same rule on many replicates.
+def _column_steps(coefs, prior, post, W, S, Kt, tr, interval=None):
+    """`_run_loop`'s steps for `_scalar_linear` models, one column per
+    replicate, with coefs their `_coefficients`: the same IEEE operations
+    in the same order, so bit-identical to `_run_loop`.  A matmul of one
+    product adds it to +0.0 (-0.0 becomes +0.0); so does this code where
+    the sign can reach the trace.  The body is written once: one column
+    runs it on Python floats (memoryviews of the buffers, math.sqrt and
+    max), more on 1-D arrays, a row of each buffer per step (np.sqrt and
+    np.maximum).  S not > 0 gives numpy's non-finite 1 / sqrt(S), or NaN
+    where a float raises; nothing is tested per step.
 
-    The time update is the discrete model's, inline, unless `interval` is
-    given: interval(k, x, P) -> (x, P, floored) then makes the prior at
-    index k + 1 from the posterior at index k (`cd_run`'s propagation), and
-    an error it raises is handled as `_run_loop` handles predict's."""
-    xp, Pp, xq, Pq, E, Ss, Ks = (memoryview(a[:, 0, 0, j]) for a, j in zip(
-        (prior, prior, post, post, W, S, Kt), (0, 1, 0, 1, 0, 0, 0)))
+    The time update is the discrete model's, and the time updates that
+    floored g^2 are counted from the posteriors after the loop, unless
+    `interval` is given: interval(k, x, P) -> (x, P, floored) then makes
+    the prior at index k + 1 from the posterior at index k (`cd_run`'s
+    propagation), and an error it raises is handled as `_run_loop` handles
+    predict's."""
+    rows = [a[:, :, 0, j] for a, j in zip((prior, prior, post, post, W, S, Kt),
+                                          (0, 1, 0, 1, 0, 0, 0))]
+    if coefs.shape[1] == 1:
+        rows = [memoryview(a[:, 0]) for a in rows]
+        coefs, sqrt, maximum = coefs[:, 0].tolist(), math.sqrt, max
+    else:
+        sqrt, maximum = np.sqrt, np.maximum
+    xp, Pp, xq, Pq, E, Ss, Ks = rows
     c, sw, a1, a0, sv, c0, c1 = coefs
     x, P, N, clamps = xp[0], Pp[0], len(Ss), 0
-    for k in range(N):
-        mcp = 0.0 - c * P  # -C Sigma
-        Ss[k] = s = sw - mcp * c
-        # S not > 0 makes the posteriors non-finite, for the scan to report.
-        li = 1.0 / math.sqrt(s) if s > 0 else math.nan
-        E[k] = e = E[k] - (c * x + 0.0)
-        Ks[k] = kt = li * (li * mcp) + 0.0
-        xq[k] = x = x - (kt * e + 0.0)
-        Pq[k] = P = P - kt * mcp
-        if k + 1 < N:
-            if interval is not None:
-                try:
-                    x, P, floored = interval(k, x, P)
-                except Exception as exc:
-                    _scan_failed_run(exc, tr, k + 1, 1)
-                    raise
-                xp[k + 1], Pp[k + 1], clamps = x, P, clamps + floored
-                continue
-            g2 = c1 * x + c0
-            if g2 < EPS_G:  # not for NaN, which reaches the gain
-                g2, clamps = EPS_G, clamps + 1
-            g = math.sqrt(g2)
-            xp[k + 1] = x = a1 * x + a0
-            Pp[k + 1] = P = a1 * P * a1 + g * sv * g
-    return np.array([clamps])
-
-
-def _array_steps(coefs, prior, post, W, S, Kt, tr):
-    """`_scalar_steps` on 1-D arrays, one column per replicate, with coefs
-    the `_coefficients` as arrays of one value per column: the same
-    operations in the same order, written with out= into each step's slice
-    of the buffers, so bit-identical to `_run_loop` as that is.  S not > 0
-    gives the numpy loop's non-finite 1 / sqrt(S); nothing is tested per
-    step."""
-    xp, Pp, xq, Pq, E, Ss, Ks = (a[..., 0, j] for a, j in zip(
-        (prior, prior, post, post, W, S, Kt), (0, 1, 0, 1, 0, 0, 0)))
-    c, sw, a1, a0, sv, c0, c1 = coefs
-    N = len(Ss)
-    mcp, li, t, g = np.empty((4, Ss.shape[1]))
-    floored = np.zeros(Ss.shape, dtype=bool)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         for k in range(N):
-            x, P, e, s, kt = xp[k], Pp[k], E[k], Ss[k], Ks[k]
-            np.subtract(0.0, np.multiply(c, P, out=mcp), out=mcp)  # -C Sigma
-            np.subtract(sw, np.multiply(mcp, c, out=s), out=s)
-            np.divide(1.0, np.sqrt(s, out=li), out=li)
-            np.subtract(e, np.add(np.multiply(c, x, out=t), 0.0, out=t), out=e)
-            np.multiply(li, np.multiply(li, mcp, out=kt), out=kt)
-            np.add(kt, 0.0, out=kt)
-            np.add(np.multiply(kt, e, out=t), 0.0, out=t)
-            x = np.subtract(x, t, out=xq[k])
-            P = np.subtract(P, np.multiply(kt, mcp, out=t), out=Pq[k])
-            if k + 1 < N:
-                np.add(np.multiply(c1, x, out=g), c0, out=g)  # g^2
-                np.less(g, EPS_G, out=floored[k])  # not for NaN
-                np.sqrt(np.maximum(g, EPS_G, out=g), out=g)
-                np.add(np.multiply(a1, x, out=xp[k + 1]), a0, out=xp[k + 1])
-                np.multiply(np.multiply(a1, P, out=t), a1, out=t)
-                np.multiply(np.multiply(g, sv, out=li), g, out=li)
-                np.add(t, li, out=Pp[k + 1])
-    return floored.sum(axis=0)
+            mcp = 0.0 - c * P  # -C Sigma
+            Ss[k] = s = sw - mcp * c
+            try:
+                li = 1.0 / sqrt(s)
+            except (ValueError, ZeroDivisionError):  # a float S not > 0
+                li = math.nan
+            E[k] = e = E[k] - (c * x + 0.0)
+            Ks[k] = kt = li * (li * mcp) + 0.0
+            xq[k] = x = x - (kt * e + 0.0)
+            Pq[k] = P = P - kt * mcp
+            if k + 1 == N:
+                break
+            if interval is None:
+                g = sqrt(maximum(c1 * x + c0, EPS_G))  # NaN stays NaN
+                xp[k + 1] = x = a1 * x + a0
+                Pp[k + 1] = P = a1 * P * a1 + g * sv * g
+                continue
+            try:
+                x, P, floored = interval(k, x, P)
+            except Exception as exc:
+                _scan_failed_run(exc, tr, k + 1, 1)
+                raise
+            xp[k + 1], Pp[k + 1], clamps = x, P, clamps + floored
+        if interval is not None:
+            return np.array([clamps])
+        # The loop's g^2 of each posterior but the last, the same bits.
+        return (c1 * post[:-1, :, 0, 0] + c0 < EPS_G).sum(axis=0)
 
 
 def _scalar_traces(models, measurements, xhat, Sigma):
     """Unchecked traces (see `_checked`) of the `_scalar_linear` models, each
-    over the same R replicates (see `_filtered`).  One replicate of one
-    model runs `_scalar_steps`; otherwise the F models run as one batch of
-    F R columns through `_array_steps`, model i in columns i R to
-    (i + 1) R."""
+    over the same R replicates (see `_filtered`): the F models run as one
+    batch of F R columns through `_column_steps`, model i in columns i R to
+    (i + 1) R.  Sizes that do not fit a model raise LengthMismatchError."""
+    for model in models:
+        _check_sizes(model, measurements, xhat, Sigma)
     F, R = len(models), len(measurements)
-    if F * R == 1:
-        coefs = _coefficients(models[0])
-        return [_filtered(measurements, xhat, Sigma, 1,
-                          lambda *bufs: _scalar_steps(coefs, *bufs))]
-    coefs = np.repeat(np.array([_coefficients(m) for m in models]).T, R,
-                      axis=1)
+    coefs = _coefficients(models, R)
     tr = _filtered(np.tile(np.asarray(measurements, dtype=float), (F, 1, 1)),
                    np.tile(xhat, (F, 1)),
                    np.tile(np.broadcast_to(Sigma, (R, 1, 1)), (F, 1, 1)), 1,
-                   lambda *bufs: _array_steps(coefs, *bufs))
+                   lambda *bufs: _column_steps(coefs, *bufs))
     return [tr.replicate(slice(i * R, (i + 1) * R)) for i in range(F)]
+
+
+def _check_sizes(model, measurements, xhat, Sigma):
+    """Raise LengthMismatchError unless the measurements (R, N, m), the
+    prior means xhat (R, n) and covariances Sigma, (R, n, n) or one shared
+    (n, n), fit the model's m and n and share R."""
+    shape, n = np.shape(measurements), model.n
+    R, m = shape[0], shape[-1]
+    if (m != model.m or np.shape(xhat) != (R, n)
+            or np.shape(Sigma) not in ((n, n), (R, n, n))):
+        raise LengthMismatchError(
+            f"{R} series of measurements of {m} components, priors of shape "
+            f"{np.shape(xhat)} and covariances of shape {np.shape(Sigma)} "
+            f"for a model of m = {model.m}, n = {n}")
 
 
 def run_filter_batch(model, measurements, xhat, Sigma) -> FilterTrace:
     """Filter R replicates at once: measurements (R, N, m), initial priors
-    xhat (R, n) and Sigma (R, n, n) or one shared (n, n).  Returns a batch
-    trace.  A linear model with n = m = 1 takes the scalar step rule: in
-    Python floats for one replicate (`_scalar_steps`), on one array column
-    per replicate for more (`_array_steps`).  Both are bit-identical to the
-    numpy loop `_run_loop`, which runs every other case."""
+    xhat (R, n) and Sigma (R, n, n) or one shared (n, n); other sizes raise
+    LengthMismatchError.  Returns a batch trace.  A linear model with
+    n = m = 1 takes the scalar step rule `_column_steps`: in Python floats
+    for one replicate, on one array column per replicate for more.  It is
+    bit-identical to the numpy loop `_run_loop`, which runs every other
+    case."""
     if _scalar_linear(model):
         return _checked(_scalar_traces([model], measurements, xhat, Sigma)[0])
+    _check_sizes(model, measurements, xhat, Sigma)
     return _run_loop(measurements, xhat, Sigma, _predictor(model), model.C,
                      model.Sigma_w)
 

@@ -179,7 +179,7 @@ def _paths(dyn, x0, seeds, nsteps, distribution, what, step,
     one-path run with the same seed.  A step of gap k is
     x <- step(k, x, f(x), g(x), v), v its draws times sqrt(diag Sigma_v).
     One path of a linear model with n = 1 calls `step` on Python floats,
-    bit-identical (see `discrete._scalar_steps`); the numpy loop runs every
+    bit-identical (see `discrete._column_steps`); the numpy loop runs every
     other case.  A non-finite state raises naming the step that made it, a
     non-finite measurement y_k naming k."""
     R, n, m = len(seeds), dyn.n, dyn.m

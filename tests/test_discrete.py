@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from cukf.builtin import example_sec3
-from cukf.discrete import (FilterTrace, StateEstimate, _write_csv,
-                           measurement_update, run_filter, run_filter_batch,
-                           time_update)
-from cukf.errors import NonFiniteStateError, SingularInnovationError
+from cukf.discrete import (FilterTrace, StateEstimate, _predictor, _run_loop,
+                           _write_csv, measurement_update, run_filter,
+                           run_filter_batch, time_update)
+from cukf.errors import (LengthMismatchError, NonFiniteStateError,
+                         SingularInnovationError)
 from cukf.models import DiscreteLinearModel, with_fixed_noise
-from cukf.simulate import simulate_discrete
+from cukf.simulate import monte_carlo_compare, simulate_discrete
 
 from reference_impl import random_constant_noise_model, rel_err, textbook_kf
 
@@ -199,6 +200,57 @@ def test_batch_errors_name_the_first_failing_replicate():
         run_filter_batch(model, ys, np.zeros((4, 1)), np.eye(1))
     assert (exc.value.replicate, exc.value.step) == (3, 3)
     assert "(replicate 3, at step 3)" in str(exc.value)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_run_filter_refuses_a_prior_or_measurements_of_another_size(n):
+    # n = 1 takes the scalar kernel, which would otherwise filter on the
+    # first column alone and leave the rest of its buffers unwritten; n = 2
+    # the numpy loop.
+    model = example_sec3() if n == 1 else DiscreteLinearModel(
+        A0=[0.0, 0.0], A1=0.5 * np.eye(2), C=[[1.0, 0.0]],
+        gsq=[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], Sigma_v=np.eye(2),
+        Sigma_w=[[1.0]])
+    R, N = 3, 5
+    ms, xhat, Sigma = np.ones((R, N, 1)), np.zeros((R, n)), np.eye(n)
+    assert len(run_filter_batch(model, ms, xhat, Sigma)) == N
+    for bad in ((np.ones((R, N, 2)), xhat, Sigma),
+                (ms, np.zeros((R, n + 1)), Sigma),
+                (ms, xhat, np.eye(n + 1)),
+                (ms, xhat, np.ones((R + 1, n, n))),
+                (ms, np.zeros((R - 1, n)), Sigma),
+                (ms[:1], xhat, np.ones((R, n, n)))):
+        with pytest.raises(LengthMismatchError, match=f"m = 1, n = {n}$"):
+            run_filter_batch(model, *bad)
+    for ys, x0, P0 in ((np.ones((N, 1)), np.zeros(n + 1), np.eye(n)),
+                       (np.ones((N, 1)), np.zeros(n), np.eye(n + 1)),
+                       (np.ones((N, 2)), np.zeros(n), np.eye(n))):
+        with pytest.raises(LengthMismatchError):
+            run_filter(model, ys, StateEstimate(x0, P0))
+    if n == 2:  # compare's one batch of scalar filters checks each
+        with pytest.raises(LengthMismatchError, match="m = 1, n = 1$"):
+            monte_carlo_compare(model, {"cu": example_sec3()}, R, 30, 0)
+
+
+def test_clamps_are_counted_from_the_posteriors_that_a_time_update_follows():
+    # g^2 = x, floored where a posterior is below EPS_G.  Replicate 0 floors
+    # only at its last posterior, which no time update follows, so it
+    # counts none; replicate 1 floors at step 1 only; replicate 2 never.
+    model = DiscreteLinearModel(A0=[2.0], A1=[[0.5]], C=[[1.0]],
+                                gsq=[[0.0, 1.0]], Sigma_v=[[1.0]],
+                                Sigma_w=[[1e-6]])
+    ms = np.ones((3, 5, 1))
+    ms[0, -1] = ms[1, 0] = -1.0
+    xhat, Sigma = np.ones((3, 1)), np.eye(1)
+    numpy_loop = _run_loop(ms, xhat, Sigma, _predictor(model), model.C,
+                           model.Sigma_w)
+    assert numpy_loop.clamp_count.tolist() == [0, 1, 0]
+    trace = run_filter_batch(model, ms, xhat, Sigma)
+    assert trace.xhat_post[0, -1, 0] < 0 and trace.xhat_post[1, 0, 0] < 0
+    assert trace.clamp_count.tolist() == [0, 1, 0]
+    for r in range(3):  # one replicate, in Python floats
+        one = run_filter_batch(model, ms[r:r + 1], xhat[r:r + 1], Sigma)
+        assert one.clamp_count.tolist() == [numpy_loop.clamp_count[r]]
 
 
 @pytest.mark.parametrize("m", [1, 2])

@@ -6,15 +6,15 @@ relative up to n = 3 and m = 2, with the same clamp counts, and fail with
 the same error class, step and replicate on a non-positive innovation
 covariance or a non-finite measurement.
 
-A linear model with n = m = 1 runs through a scalar kernel instead:
-`_scalar_steps` in Python floats for one replicate, `_array_steps` on one
-array column per replicate for more.  Each must match the numpy loop
-`_run_loop` bit for bit, signed zeros included, or fail the same way; and
+A linear model with n = m = 1 runs through one scalar kernel instead,
+`_column_steps`: in Python floats for one replicate, on one array column
+per replicate for more.  Both must match the numpy loop `_run_loop` bit for
+bit, signed zeros included, or fail the same way; and
 `monte_carlo_compare`, which fills all such filters in one batch, must give
 the report or the error of running each filter through `_run_loop`.  So
-must `cd_run` on a one-state continuous-discrete model, which runs
-`_scalar_steps` with the exact propagation of each interval as its time
-update, against its numpy-loop route.
+must `cd_run` on a one-state continuous-discrete model, which runs the
+kernel with the exact propagation of each interval as its time update,
+against its numpy-loop route.
 
 The oracle's forward pass, which keeps its blocks and factors in arrays,
 must match a copy of its earlier form, which copied the running cost
@@ -32,8 +32,8 @@ from hypothesis import given, settings, strategies as st
 
 from cukf.builtin import birth_death_cle, example_sec3, logistic
 from cukf.continuous import cd_run
-from cukf.discrete import (StateEstimate, _array_steps, _predictor, _run_loop,
-                           run_filter, run_filter_batch, symmetrize)
+from cukf.discrete import (StateEstimate, _column_steps, _predictor,
+                           _run_loop, run_filter, run_filter_batch, symmetrize)
 from cukf.errors import (FilterError, IndefiniteHessianError,
                          NonFiniteStateError, SingularInnovationError)
 from cukf.modelio import load_model
@@ -297,18 +297,18 @@ def test_scalar_kernels_keep_the_signed_zeros_of_the_numpy_loops():
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.integers(2, 40), st.booleans(), st.booleans(), st.booleans(),
+@given(st.integers(1, 40), st.booleans(), st.booleans(), st.booleans(),
        st.booleans(), st.integers(0, 2 ** 32 - 1))
 def test_array_route_matches_the_numpy_loop_bit_for_bit(R, clamp, exact,
                                                         signed_zeros, hazards,
                                                         seed):
-    # run_filter_batch takes `_array_steps` for R >= 2 replicates of a
-    # linear n = m = 1 model.  Per replicate: a prior that is zero, -0.0 or
-    # denormal, so that S <= 0 with exact (zero-noise) measurements or a
-    # gain underflows to -0.0, or a -0.0 state and measurements; with
-    # `hazards`, also a negative prior or a NaN, inf or signed-zero
-    # measurement.  The model may clamp g^2, hold -0.0 coefficients or
-    # measure exactly.
+    # run_filter_batch takes `_column_steps` for R replicates of a linear
+    # n = m = 1 model: on Python floats for R = 1, on arrays for more.  Per
+    # replicate: a prior that is zero, -0.0 or denormal, so that S <= 0
+    # with exact (zero-noise) measurements or a gain underflows to -0.0, or
+    # a -0.0 state and measurements; with `hazards`, also a negative prior
+    # or a NaN, inf or signed-zero measurement.  The model may clamp g^2,
+    # hold -0.0 coefficients or measure exactly.
     rng = np.random.default_rng(seed)
     gsq = [rng.uniform(-5.0, 5.0) if clamp else rng.uniform(0.5, 5.0),
            rng.uniform(-2.0, 2.0)]
@@ -397,19 +397,22 @@ def test_fused_compare_matches_per_filter_numpy_loops(F, R, N_steps,
 
 def test_one_scalar_replicate_takes_the_kernels(monkeypatch):
     # Without this, a silent fall-back to the numpy loop would pass every
-    # bit-identity test.  One replicate takes the Python-float kernel, more
-    # take the array kernel, and compare fills both filters in one batch.
+    # bit-identity test.  Every linear n = m = 1 filter takes the one
+    # kernel, with one column per replicate: one (Python floats) for
+    # run_filter, R for a batch, and 2 R when compare fills both filters in
+    # one batch.
     def numpy_path(*args, **kwargs):
         raise AssertionError("numpy path taken")
 
     batches = []
 
-    def array_steps(coefs, *bufs):
-        batches.append(bufs[0].shape[1])
-        return _array_steps(coefs, *bufs)
+    def column_steps(coefs, *bufs):
+        batches.append(coefs.shape[1])
+        assert bufs[0].shape[1] == coefs.shape[1]
+        return _column_steps(coefs, *bufs)
 
     monkeypatch.setattr("cukf.discrete._run_loop", numpy_path)
-    monkeypatch.setattr("cukf.discrete._array_steps", array_steps)
+    monkeypatch.setattr("cukf.discrete._column_steps", column_steps)
     init = StateEstimate(xhat=[0.5], Sigma=[[1.0]], index=1)
     models = {"cu": example_sec3(), "fixed": with_fixed_noise(example_sec3(),
                                                               0.1)}
@@ -418,7 +421,8 @@ def test_one_scalar_replicate_takes_the_kernels(monkeypatch):
             patch.setattr(DiscreteLinearModel, "linearize", numpy_path)
             data = simulate_discrete(model, [1.0], 30, 0)
             assert len(run_filter(model, data.measurements, init)) == 30
-        assert batches == []
+        assert batches == [1]
+        batches.clear()
         for R in (2, 5):
             trace = run_filter_batch(model, np.ones((R, 5, 1)),
                                      np.zeros((R, 1)), np.eye(1))
