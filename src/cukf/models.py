@@ -34,12 +34,6 @@ def _first_failure(ok: np.ndarray):
     return int(np.argmin(ok)) if len(ok) > 1 else None
 
 
-def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A @ x for one vector or a stack of vectors (..., n).  The stacked
-    product rounds like the single one, which `x @ A.T` does not."""
-    return (A @ x[..., None])[..., 0]
-
-
 def _as_matrix(a, rows, cols, name):
     out = np.atleast_2d(np.asarray(a, dtype=float))
     if out.shape != (rows, cols):

@@ -1,6 +1,7 @@
 """Seedable simulation of the models, Monte Carlo filter comparison, and the
 statistics (mean squared error, innovation whiteness) used to judge them."""
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -14,7 +15,7 @@ from .discrete import (FilterTrace, _check_finite, _checked, _scalar_linear,
                        run_filter_batch)
 from .errors import FilterError, LengthMismatchError, NonFiniteStateError
 from .models import (EPS_G, ContinuousDiscreteModel, DiscreteLinearModel,
-                     _first_failure, _matvec, eval_G)
+                     _first_failure, eval_G)
 
 # run_filter and eval_G are not called here; bench/spans.py wraps them as
 # attributes of this module, so they stay importable from it.
@@ -170,6 +171,52 @@ def _meas_noise_chol(Sigma_w):
         return V * np.sqrt(np.clip(w, 0.0, None))
 
 
+def _affine(A, x, b=0.0):
+    """b + A x for x (n, ...), its components first: output i is the ordered
+    sum (A[i, 0] x[0] + ... + A[i, n-1] x[n-1]) + b[i], one rounding per
+    operation, by n broadcast multiply-adds.  A BLAS product may fuse them
+    into FMAs, depending on the CPU; this rounds alike on every CPU, and
+    like `_float_steps`.  b = 0.0 makes a -0.0 sum +0.0, as a matmul does."""
+    y = np.multiply.outer(A[:, 0], x[0])
+    for a, xj in zip(A.T[1:], x[1:]):
+        y = y + np.multiply.outer(a, xj)
+    return y + b
+
+
+@functools.lru_cache(maxsize=None)
+def _float_steps(n):
+    """The Python-float loop of `_paths` for n states, written out by
+    component: steps(ps, ks, vs, step, coefs) writes component i of the
+    state after each step of gap k to ps[i][k], so the gap's last step
+    leaves it there, with ks[j] the gap of step j and vs[i] component i's
+    draws.  coefs holds the rows of [A1; C1], then [A0; c0] + 0.0, then
+    the start x0 ... x{n-1}.  Output i, drift i or g^2_{i-n}, is
+    `a{i}_0 * x0 + ... + a{i}_{n-1} * x{n-1} + b{i}`, which Python sums
+    left to right, as `_affine` does.  Returns whether a g^2 was floored."""
+    def names(prefix, count):
+        return ", ".join(f"{prefix}{i}" for i in range(count)) + ","
+
+    rows = range(2 * n)
+    src = ["def steps(ps, ks, vs, step, coefs):",
+           f"    {' '.join(f'a{i}_{j},' for i in rows for j in range(n))}"
+           f" {names('b', 2 * n)} {names('x', n)} = coefs",
+           f"    {names('p', n)} = ps",
+           "    clamped = False",
+           f"    for k, {names('v', n)} in zip(ks, *vs):"]
+    src += [f"        y{i} = "
+            + " + ".join(f"a{i}_{j} * x{j}" for j in range(n)) + f" + b{i}"
+            for i in rows]
+    for i in range(n, 2 * n):  # not for NaN, which reaches the state
+        src += [f"        if y{i} < EPS_G:",
+                f"            y{i}, clamped = EPS_G, True"]
+    src += [f"        p{i}[k] = x{i} = step(k, x{i}, y{i}, sqrt(y{n + i}),"
+            f" v{i})" for i in range(n)]
+    src.append("    return clamped")
+    scope = {"EPS_G": EPS_G, "sqrt": math.sqrt}
+    exec("\n".join(src), scope)
+    return scope["steps"]
+
+
 def _paths(dyn, x0, seeds, nsteps, distribution, what, step,
            times=None) -> TrajectoryData:
     """R = len(seeds) paths of `dyn` from x0 (shared or (R, n)), sampled
@@ -178,54 +225,67 @@ def _paths(dyn, x0, seeds, nsteps, distribution, what, step,
     the steps of gap 1, y_2, ..., y_K, so every row is bit-identical to a
     one-path run with the same seed.  A step of gap k is
     x <- step(k, x, f(x), g(x), v), v its draws times sqrt(diag Sigma_v).
-    One path of a linear model with n = 1 calls `step` on Python floats,
-    bit-identical (see `discrete._column_steps`); the numpy loop runs every
-    other case.  A non-finite state raises naming the step that made it, a
-    non-finite measurement y_k naming k."""
+
+    One path of a `DiscreteLinearModel` runs `_float_steps` on Python
+    floats; more paths, or a nonlinear model, run the numpy loop.  For a
+    linear model both compute f(x) = A0 + A1 x, g^2(x) = c0 + C1 x and the
+    measurements C x + L w as `_affine`'s ordered sums, not as BLAS
+    products.  So a batch row equals its one-path run bit for bit for every
+    n, and the path does not depend on the CPU's BLAS kernel, as long as
+    the Cholesky factor L of Sigma_w does not (it is exact for a diagonal
+    Sigma_w).  A filter's trace of an n >= 2 model still does.  A
+    non-finite state or measurement raises naming its row k of the samples
+    (x_1 = x0 is row 1), and so does a nonlinear model's drift or gain that
+    turns non-finite making row k."""
     R, n, m = len(seeds), dyn.n, dyn.m
     K, ends = len(nsteps) + 1, np.cumsum(nsteps)
     is_y = np.zeros(K * m + n * int(np.sum(nsteps)), dtype=bool)
     is_y[(m * np.arange(K) + n * np.append(0, ends))[:, None]
          + np.arange(m)] = True
     noise = _noise_blocks(seeds, is_y.size, distribution)
-    v = np.sqrt(np.diag(dyn.Sigma_v)) * np.compress(
-        ~is_y, noise, axis=1).reshape(R, -1, n)
+    # v[j] holds step j's draws times sqrt(diag Sigma_v), as (n, R).
+    v = np.multiply(np.sqrt(np.diag(dyn.Sigma_v))[:, None], np.compress(
+        ~is_y, noise, axis=1).reshape(R, -1, n).transpose(1, 2, 0), order="C")
     states = np.empty((R, K, n))
     states[:, 0] = x0
-    if R == n == 1 and isinstance(dyn, DiscreteLinearModel):
-        a1, a0 = dyn.A1.item(), dyn.A0.item() + 0.0
-        c0, c1 = dyn.gsq[0].tolist()
-        xs, vs = memoryview(states.reshape(-1)), memoryview(v.reshape(-1))
-        x, clamped = xs[0], False
-        # k is the gap of each step; the gap's last step leaves states[k + 1].
-        for k, vj in zip(memoryview(np.repeat(np.arange(K - 1), nsteps)), vs):
-            g2 = c1 * x + c0
-            if g2 < EPS_G:  # not for NaN, which reaches the gain
-                g2, clamped = EPS_G, True
-            xs[k + 1] = x = step(k, x, a1 * x + a0, math.sqrt(g2), vj)
-        clamped = np.array([clamped])
+    linear = isinstance(dyn, DiscreteLinearModel)
+    if linear:
+        A, b = dyn._A1C1, dyn._a0c0 + 0.0
+    if R == 1 and linear:
+        path = np.empty((n, K - 1))
+        clamped = np.array([_float_steps(n)(
+            list(map(memoryview, path)),
+            memoryview(np.repeat(np.arange(K - 1), nsteps)),
+            list(map(memoryview, np.ascontiguousarray(v[..., 0].T))),
+            step, A.ravel().tolist() + b.tolist() + states[0, 0].tolist())])
+        states[0, 1:] = path.T
     else:
-        # Column states (R, n, 1), so that A @ x rounds like the 1-D product.
-        x, v = states[:, 0, :, None], v[..., None]
-        g2 = np.empty_like(v)
+        # Components first, x (n, R), so that each operation runs along R.
+        x, g2 = states[:, 0].T, np.empty_like(v)
         try:
             with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-                for k, (a, b) in enumerate(zip((ends - nsteps).tolist(),
-                                               ends.tolist())):
-                    for j in range(a, b):
-                        fx, _, g, g2[:, j] = dyn.linearize(x)
-                        x = step(k, x, fx, g, v[:, j])
-                    states[:, k + 1] = x[..., 0]
-        except FilterError as exc:  # f or G non-finite in gap k
-            _check_finite(1, (what, states[:, 1:k + 1]))
-            exc.step = k + 1
+                for k, (lo, hi) in enumerate(zip((ends - nsteps).tolist(),
+                                                 ends.tolist())):
+                    for j in range(lo, hi):
+                        if linear:
+                            y = _affine(A, x, b[:, None])
+                            fx, g2[j] = y[:n], y[n:]
+                            g = np.sqrt(np.maximum(g2[j], EPS_G))
+                        else:
+                            fx, _, g, g2[j] = dyn.linearize(x.T[..., None])
+                            fx, g = fx[..., 0].T, g[..., 0].T
+                        x = step(k, x, fx, g, v[j])
+                    states[:, k + 1] = x.T
+        except FilterError as exc:  # f or G non-finite making row k + 2
+            _check_finite(2, (what, states[:, 1:k + 1]))
+            exc.step = k + 2
             raise
-        clamped = (g2 < EPS_G).any(axis=(1, 2, 3))
-    _check_finite(1, (what, states[:, 1:]))
+        clamped = (g2 < EPS_G).any(axis=(0, 1))
+    _check_finite(2, (what, states[:, 1:]))
+    w = np.compress(is_y, noise, axis=1).reshape(R, K, m)
     with np.errstate(invalid="ignore", over="ignore"):
-        ys = _matvec(dyn.C, states) + _matvec(
-            _meas_noise_chol(dyn.Sigma_w),
-            np.compress(is_y, noise, axis=1).reshape(R, K, m))
+        ys = np.ascontiguousarray((_affine(dyn.C, states.T) + _affine(
+            _meas_noise_chol(dyn.Sigma_w), w.T)).T)
     _check_finite(1, ("simulated measurement", ys))
     return TrajectoryData(states=states, measurements=ys, clamped=clamped,
                           times=times)
@@ -237,7 +297,7 @@ def simulate_batch(model, x0, N: int, seeds,
     or (R, n): the `_paths` with one step x <- f(x) + g(x) v per gap, so
     replicate r draws y_1 v_1 y_2 ... y_N from `default_rng(seeds[r])`
     (seeds[r] itself if it is a Generator).
-    One replicate of a linear model with n = 1 steps in Python floats."""
+    One replicate of a linear model steps in Python floats."""
     if N < 1:
         raise ValueError("N must be >= 1")
     return _paths(model, x0, seeds, np.ones(N - 1, dtype=int), distribution,
@@ -277,8 +337,7 @@ def simulate_cd_batch(model: ContinuousDiscreteModel, x0, seeds,
     model's sample times (the first sample time carries x0), for
     R = len(seeds) paths at once, x0 shared or (R, n): the `_paths` whose
     gap k takes `_em_steps` steps x <- x + h f(x) + sqrt(h) g(x) v of
-    length h = hs[k].  One path of a model with n = 1 steps in Python
-    floats."""
+    length h = hs[k].  One path steps in Python floats."""
     times = model.sample_times
     nsteps = _em_steps(times, em_step)
     hs = (np.diff(times) / nsteps).tolist()

@@ -3,9 +3,12 @@
 These are deliberately written as straight-line textbook code, sharing no
 code path with the package: explicit inverses for the discrete Kalman
 filter, matrix-exponential (Van Loan) discretization for the
-continuous-discrete one, and classical RK4 for the moment ODEs of a
-state-dependent noise gain.
+continuous-discrete one, classical RK4 for the moment ODEs of a
+state-dependent noise gain, and an Euler-Maruyama path in Python floats
+whose affine maps are sums taken left to right.
 """
+
+import math
 
 import numpy as np
 from scipy.linalg import expm
@@ -178,3 +181,55 @@ def split_rk4(dyn, x, S, span, step=1e-4):
         if length > 0:
             x, S = _rk4(dyn, x, S, length, max(1, int(np.ceil(length / step))))
     return x, S
+
+
+def ordered_affine(A, x, b=None):
+    """A x + b as Python floats: output i is the sum (A[i][0] x[0] + ... +
+    A[i][n-1] x[n-1]) + b[i], taken left to right with one rounding per
+    operation.  A -0.0 offset counts as +0.0, and b = None adds +0.0, so a
+    sum that is -0.0 comes out +0.0, as from a matmul."""
+    rows = np.asarray(A, float).tolist()
+    b = [0.0] * len(rows) if b is None else [float(c) + 0.0 for c in b]
+    x = [float(c) for c in x]
+    out = []
+    for row, offset in zip(rows, b):
+        total = row[0] * x[0]
+        for a, xj in zip(row[1:], x[1:]):
+            total = total + a * xj
+        out.append(total + offset)
+    return out
+
+
+def euler_maruyama_ordered(dyn, times, em_step, x0, draw):
+    """One Euler-Maruyama path of the linear model `dyn` (A0, A1, gsq,
+    Sigma_v, C, Sigma_w) in Python floats, measured at `times` (x0 at the
+    first), with every affine map an `ordered_affine` sum.  A gap of length
+    d takes round(d / em_step) steps of h = d / steps,
+    x <- x + h f(x) + sqrt(h) (g(x) (sqrt(Sigma_v,ii) z)), with
+    g = sqrt(max(g^2, EPS_G)); a measurement is C x + L w, L the Cholesky
+    factor of Sigma_w.  draw(size) returns `size` unit draws, asked for in
+    the order y_1, each step of gap 1, y_2, ...  Returns (states,
+    measurements, clamped)."""
+    n, m = dyn.n, dyn.m
+    L = np.linalg.cholesky(dyn.Sigma_w)
+    sv = [math.sqrt(s) for s in np.diag(dyn.Sigma_v).tolist()]
+    x = [float(c) for c in x0]
+    xs, ys, clamped = [], [], False
+    for k in range(len(times)):
+        xs.append(x)
+        ys.append([a + b for a, b in zip(ordered_affine(dyn.C, x),
+                                         ordered_affine(L, draw(m)))])
+        if k + 1 == len(times):
+            break
+        gap = float(times[k + 1]) - float(times[k])
+        steps = round(gap / em_step)
+        h = gap / steps
+        sqh = math.sqrt(h)
+        for _ in range(steps):
+            f = ordered_affine(dyn.A1, x, dyn.A0)
+            g2 = ordered_affine(dyn.gsq[:, 1:], x, dyn.gsq[:, 0])
+            clamped = clamped or any(g < EPS_G for g in g2)
+            v = [s * z for s, z in zip(sv, draw(n))]
+            x = [xi + h * fi + sqh * (math.sqrt(max(gi, EPS_G)) * vi)
+                 for xi, fi, gi, vi in zip(x, f, g2, v)]
+    return np.array(xs), np.array(ys), clamped

@@ -213,7 +213,7 @@ def test_nonfinite_nonlinear_simulation_names_its_step(tmp_path, monkeypatch,
                monkeypatch)
     assert code == 2
     assert capsys.readouterr().err == (
-        "numerical failure: drift non-finite (at step 44)\n")
+        "numerical failure: drift non-finite (at step 45)\n")
 
 
 @pytest.mark.filterwarnings("error")

@@ -149,17 +149,18 @@ def test_time_update_failure_names_the_step_of_its_prior():
 
 def test_simulated_nonfinite_drift_names_its_step_and_replicate():
     # Below 0 the logistic drift runs off to -inf; f(x) overflows making
-    # the state of step 44, whichever the noise (g^2 is floored there).
+    # the state of row 45 of the samples (x_1 = x0 is row 1), whichever the
+    # noise (g^2 is floored there).
     with pytest.raises(NonFiniteStateError) as exc:
         simulate_discrete(logistic(), [-5.0], 50, 0)
-    assert (exc.value.replicate, exc.value.step) == (None, 44)
-    assert str(exc.value) == "drift non-finite (at step 44)"
+    assert (exc.value.replicate, exc.value.step) == (None, 45)
+    assert str(exc.value) == "drift non-finite (at step 45)"
     x0 = np.full((3, 1), 50.0)
     x0[1] = -5.0
     with pytest.raises(NonFiniteStateError) as exc:
         simulate_batch(logistic(), x0, 50, [0, 1, 2])
-    assert (exc.value.replicate, exc.value.step) == (1, 44)
-    assert str(exc.value) == "drift non-finite (replicate 1, at step 44)"
+    assert (exc.value.replicate, exc.value.step) == (1, 45)
+    assert str(exc.value) == "drift non-finite (replicate 1, at step 45)"
 
 
 @pytest.mark.parametrize("analytic", [True, False])

@@ -1,13 +1,14 @@
 """Property tests over random small models, some of which clamp g^2: a batch
 of replicates equals the same replicates run one at a time, the covariances
 keep their structure, the batched oracle equals its per-step Newton loop,
-and model files round-trip.  The closed-form scalar innovation factor and
-the oracle's closed-form 1 x 1 Schur factor equal their LAPACK form bit for
-bit."""
+model files round-trip, and a batch of simulated paths equals its one-path
+runs and an ordered-sum reference.  The closed-form scalar innovation factor
+and the oracle's closed-form 1 x 1 Schur factor equal their LAPACK form bit
+for bit."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cukf.discrete import (StateEstimate, _inverse_factor, run_filter,
                            run_filter_batch)
@@ -15,12 +16,13 @@ from cukf import modelio
 from cukf.errors import IndefiniteHessianError
 from cukf.models import (ContinuousDiscreteModel, DiscreteLinearModel,
                          with_fixed_noise)
-from cukf.simulate import innovation_whiteness, simulate_batch
+from cukf.simulate import (innovation_whiteness, simulate_batch,
+                           simulate_cd, simulate_cd_batch, simulate_discrete)
 from cukf.wls import (_inverse_cholesky, build_measurement_cost,
                       build_time_cost, initial_cost, newton_solve,
                       oracle_filter)
 
-from reference_impl import rel_err
+from reference_impl import euler_maruyama_ordered, rel_err
 
 N = 25
 ORACLE_N = 12
@@ -63,6 +65,65 @@ def batches(draw):
     if fixed_beta:
         model = with_fixed_noise(model, rng.uniform(0.0, 2.0))
     return model, data.measurements, xinit, Sigma0
+
+
+@st.composite
+def path_cases(draw):
+    """(model, x0 (R, n), sample times) for R in 1..6: generic coefficients,
+    about a third of them +0.0 or -0.0, g^2 rows of which some clamp, some
+    zero noise intensities, and uneven gaps of 1 to 4 steps of 0.01."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 2))
+    R = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def generic(*shape):
+        a = rng.standard_normal(shape)
+        zero = rng.random(shape) < 1 / 3
+        return np.where(zero, np.copysign(0.0, rng.standard_normal(shape)), a)
+
+    gsq = np.column_stack([rng.uniform(-1.0, 5.0, n), generic(n, n)])
+    B = rng.standard_normal((m, m))
+    model = DiscreteLinearModel(
+        A0=generic(n), A1=0.5 * generic(n, n), C=generic(m, n), gsq=gsq,
+        Sigma_v=np.diag(np.where(rng.random(n) < 0.2, 0.0,
+                                 rng.uniform(0.1, 2.0, n))),
+        Sigma_w=B @ B.T + 0.1 * np.eye(m))
+    times = 0.01 * np.cumsum(np.append(0, rng.integers(1, 5, 7)))
+    return model, generic(R, n), times
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(path_cases())
+# A -0.0 offset counts as +0.0: from x0 = -0.0 with no noise, the state
+# after seed 0's first (negative) draw is +0.0, not -0.0.
+@example((DiscreteLinearModel(A0=[-0.0], A1=[[0.0]], C=[[1.0]],
+                              gsq=[[1.0, 0.0]], Sigma_v=[[0.0]],
+                              Sigma_w=[[1.0]]),
+          np.array([[-0.0]]), 0.01 * np.arange(4.0)))
+def test_batch_paths_equal_one_path_runs_and_the_ordered_sums(case):
+    # Byte for byte, signed zeros included: both simulator routes compute
+    # f(x), g^2(x) and the measurements as sums taken left to right, so
+    # neither depends on the BLAS kernel, and path 0 is the pure-Python
+    # Euler-Maruyama reference's.
+    model, x0, times = case
+    cd = ContinuousDiscreteModel(inner=model, sample_times=times)
+    seeds = range(len(x0))
+    discrete = simulate_batch(model, x0, len(times), seeds)
+    euler = simulate_cd_batch(cd, x0, seeds, em_step=0.01)
+    for r in seeds:
+        paths = (simulate_discrete(model, x0[r], len(times), r),
+                 simulate_cd(cd, x0[r], r, em_step=0.01))
+        for batch, path in zip((discrete, euler), paths):
+            row = batch.replicate(r)
+            assert row.states.tobytes() == path.states.tobytes()
+            assert row.measurements.tobytes() == path.measurements.tobytes()
+            assert row.clamped == path.clamped
+    xs, ys, clamped = euler_maruyama_ordered(
+        model, times, 0.01, x0[0], np.random.default_rng(0).standard_normal)
+    assert euler.states[0].tobytes() == xs.tobytes()
+    assert euler.measurements[0].tobytes() == ys.tobytes()
+    assert euler.clamped[0] == clamped
 
 
 def run_batch(case):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cukf import simulate
 from cukf.builtin import birth_death_cle, example_sec3
 from cukf.discrete import StateEstimate, run_filter, run_filter_batch
 from cukf.errors import LengthMismatchError, NonFiniteStateError
@@ -16,6 +17,8 @@ from cukf.simulate import (MAX_LAG, TrajectoryData, _replicate_words,
                            innovation_whiteness, monte_carlo_compare, mse,
                            replicate_seed, simulate_batch, simulate_cd,
                            simulate_cd_batch, simulate_discrete)
+
+from reference_impl import euler_maruyama_ordered, ordered_affine
 
 
 def noiseless_sec3():
@@ -97,34 +100,12 @@ def test_simulate_cd_weak_convergence_in_step():
     assert abs(var[0.005] - var[0.01]) / var[0.01] < 0.05
 
 
-def simulate_cd_per_step(model, x0, seed, em_step, distribution):
-    """Euler-Maruyama with one noise draw per step and the gain applied as
-    the diagonal matrix diag(sqrt(max(g^2, 1e-12)))."""
+def unit_draws(seed, distribution):
+    """draw(size): the next `size` unit draws of `default_rng(seed)`."""
     rng = np.random.default_rng(seed)
-
-    def draw(size):
-        if distribution == "gaussian":
-            return rng.standard_normal(size)
-        return rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size)
-
-    dyn = model.inner
-    times = model.sample_times
-    Lw = np.linalg.cholesky(dyn.Sigma_w)
-    sv = np.sqrt(np.diag(dyn.Sigma_v))
-    x = np.array(x0, dtype=float)
-    xs, ys = [], []
-    for k in range(times.size):
-        xs.append(x)
-        ys.append(dyn.C @ x + Lw @ draw(dyn.m))
-        if k + 1 < times.size:
-            nsteps = int(round((times[k + 1] - times[k]) / em_step))
-            h = (times[k + 1] - times[k]) / nsteps
-            for _ in range(nsteps):
-                g2 = dyn.gsq[:, 0] + dyn.gsq[:, 1:] @ x
-                G = np.diag(np.sqrt(np.maximum(g2, 1e-12)))
-                x = (x + h * (dyn.A0 + dyn.A1 @ x)
-                     + np.sqrt(h) * (G @ (sv * draw(dyn.n))))
-    return np.array(xs), np.array(ys)
+    if distribution == "gaussian":
+        return rng.standard_normal
+    return lambda size: rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size)
 
 
 @pytest.mark.parametrize("distribution", ["gaussian", "uniform"])
@@ -145,21 +126,19 @@ def test_simulate_cd_matches_per_step_loop_bit_for_bit(distribution):
             x0 = np.full(model.n, 2.0)
             data = simulate_cd(model, x0, seed, em_step=0.01,
                                distribution=distribution)
-            xs, ys = simulate_cd_per_step(model, x0, seed, 0.01, distribution)
+            xs, ys, clamped = euler_maruyama_ordered(
+                model.inner, model.sample_times, 0.01, x0,
+                unit_draws(seed, distribution))
             assert np.array_equal(data.states, xs)
+            assert data.clamped == clamped
             assert np.array_equal(data.measurements, ys)
 
 
 def simulate_discrete_per_step(model, x0, N, seed, distribution):
-    """One noise draw per measurement and per transition, the gain applied
-    as the diagonal matrix diag(sqrt(max(g^2, 1e-12)))."""
-    rng = np.random.default_rng(seed)
-
-    def draw(size):
-        if distribution == "gaussian":
-            return rng.standard_normal(size)
-        return rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size)
-
+    """One noise draw per measurement and per transition, every affine map
+    an ordered sum (`ordered_affine`) and the gain applied as the diagonal
+    matrix diag(sqrt(max(g^2, 1e-12)))."""
+    draw = unit_draws(seed, distribution)
     Lw = np.linalg.cholesky(model.Sigma_w)
     sv = np.sqrt(np.diag(model.Sigma_v))
     x = np.array(x0, dtype=float)
@@ -167,13 +146,14 @@ def simulate_discrete_per_step(model, x0, N, seed, distribution):
     clamped = False
     for k in range(N):
         xs.append(x)
-        ys.append(model.C @ x + Lw @ draw(model.m))
+        ys.append(np.add(ordered_affine(model.C, x),
+                         ordered_affine(Lw, draw(model.m))))
         if k + 1 < N:
             v = sv * draw(model.n)
-            g2 = model.gsq[:, 0] + model.gsq[:, 1:] @ x
+            g2 = np.array(ordered_affine(model.gsq[:, 1:], x, model.gsq[:, 0]))
             clamped = clamped or bool((g2 < 1e-12).any())
             G = np.diag(np.sqrt(np.maximum(g2, 1e-12)))
-            x = model.A0 + model.A1 @ x + G @ v
+            x = ordered_affine(model.A1, x, model.A0) + G @ v
     return np.array(xs), np.array(ys), clamped
 
 
@@ -219,8 +199,9 @@ def test_simulate_batch_names_the_failing_replicate():
     with pytest.raises(NonFiniteStateError) as exc, \
             np.errstate(invalid="ignore"):
         simulate_batch(example_sec3(), x0, 5, [0, 1, 2, 3])
-    assert (exc.value.replicate, exc.value.step) == (2, 1)
-    assert "(replicate 2, at step 1)" in str(exc.value)
+    # x_1 = x0 is row 1 of the samples; the first state made from it, row 2.
+    assert (exc.value.replicate, exc.value.step) == (2, 2)
+    assert "(replicate 2, at step 2)" in str(exc.value)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -232,18 +213,18 @@ def test_nonfinite_simulations_emit_no_runtime_warning(bad):
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteStateError) as exc:
             simulate_batch(example_sec3(), x0, 5, [0, 1, 2, 3])
-        assert (exc.value.replicate, exc.value.step) == (1, 1)
+        assert (exc.value.replicate, exc.value.step) == (1, 2)
         with pytest.raises(NonFiniteStateError) as exc:
             simulate_discrete(example_sec3(), [bad], 5, 0)
-        assert (exc.value.replicate, exc.value.step) == (None, 1)
+        assert (exc.value.replicate, exc.value.step) == (None, 2)
         with pytest.raises(NonFiniteStateError) as exc:
             simulate_cd(model, [bad], 0, em_step=0.01)
-        assert (exc.value.replicate, exc.value.step) == (None, 1)
+        assert (exc.value.replicate, exc.value.step) == (None, 2)
         with pytest.raises(NonFiniteStateError) as exc:
             simulate_cd_batch(model, x0, [0, 1, 2, 3], em_step=0.01)
-        assert (exc.value.replicate, exc.value.step) == (1, 1)
+        assert (exc.value.replicate, exc.value.step) == (1, 2)
     assert str(exc.value) == ("simulated path became non-finite "
-                              "(replicate 1, at step 1)")
+                              "(replicate 1, at step 2)")
 
 
 def test_simulate_cd_batch_rows_match_one_path_runs():
@@ -271,23 +252,31 @@ def test_simulate_cd_batch_rows_match_one_path_runs():
         assert batch.clamped.any() == (model is pure_death)
 
 
-def test_one_path_of_a_scalar_model_takes_the_kernel(monkeypatch):
+def test_one_path_of_a_linear_model_takes_the_float_route(monkeypatch):
     # Without this, a silent fall-back to the numpy loop would pass every
-    # bit-identity test.
-    def numpy_path(*args, **kwargs):
-        raise AssertionError("numpy path taken")
+    # bit-identity test: one path of any linear model, n = 2 included, runs
+    # the Python-float loop, and a batch the numpy loop.
+    def float_route(n):
+        raise AssertionError("float route taken")
 
     models = Path(__file__).resolve().parents[1] / "bench" / "models"
     pure_death = load_model(models / "pure_death_cle.txt")
     two_species = load_model(models / "two_species_cle.txt")
-    monkeypatch.setattr(DiscreteLinearModel, "linearize", numpy_path)
-    for model in (birth_death_cle(), pure_death):
-        assert simulate_cd(model, [100.0], 0, em_step=0.01).clamped == (
-            model is pure_death)
-    for model, seeds in ((birth_death_cle(), [0, 1]), (two_species, [0])):
-        with pytest.raises(AssertionError, match="numpy path taken"):
-            simulate_cd_batch(model, np.full(model.n, 100.0), seeds,
-                              em_step=0.01)
+    two_state = DiscreteLinearModel(
+        A0=[1.0, 0.5], A1=[[0.9, 0.05], [0.1, 0.8]], C=[[1.0, 0.5]],
+        gsq=[[4.0, 0.1, 0.0], [2.0, 0.0, 0.2]], Sigma_v=np.eye(2),
+        Sigma_w=[[0.5]])
+    monkeypatch.setattr(simulate, "_float_steps", float_route)
+    for model in (birth_death_cle(), pure_death, two_species):
+        x0 = np.full(model.n, 100.0)
+        with pytest.raises(AssertionError, match="float route taken"):
+            simulate_cd(model, x0, 0, em_step=0.01)
+        batch = simulate_cd_batch(model, x0, [0, 1], em_step=0.01)
+        assert batch.clamped.tolist() == [model is pure_death] * 2
+    with pytest.raises(AssertionError, match="float route taken"):
+        simulate_discrete(two_state, [1.0, 1.0], 10, 0)
+    assert simulate_batch(two_state, [1.0, 1.0], 10, [0, 1]).states.shape == (
+        2, 10, 2)
 
 
 @pytest.mark.parametrize("distribution", ["gaussian", "uniform"])
