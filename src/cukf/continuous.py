@@ -12,10 +12,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .discrete import (FilterTrace, StateEstimate, _check_sizes, _checked,
-                       _coefficients, _column_steps, _filtered, _run_loop,
-                       _scalar_linear, _symmetrize_in_place, symmetrize,
-                       time_update)
+from .discrete import (FilterTrace, StateEstimate, _predictor, _run,
+                       _stepped, _symmetrize_in_place)
 from .errors import (LengthMismatchError, NonFiniteStateError,
                      StepTooLargeError)
 from .models import EPS_G, ContinuousDiscreteModel, DiscreteLinearModel, eval_G
@@ -102,7 +100,9 @@ def _inner(model) -> DiscreteLinearModel:
 
 
 class _Propagator:
-    """Moment propagation for one model over one run.
+    """Moment propagation for one model over one run at the sample times
+    `times`: the time update from times[k] to times[k + 1] in two adaptors
+    of one z buffer, `interval` (floats) and `predict` (a joint block).
 
     Between samples x' = A0 + A1 x and
     Sigma' = A1 Sigma + Sigma A1' + diag(sv * max(g2(x), EPS_G)).  While the
@@ -117,16 +117,18 @@ class _Propagator:
     per floored set) are built once per exact interval length, on its first
     interval, and the generator M once per floored set.
 
-    Its numpy calls run under the caller's
-    np.errstate(over="ignore", invalid="ignore"), entered once per run: a
-    value that overflows is tested where `propagate` tests z.
+    Its numpy calls run under the np.errstate of the filter loop (or of
+    `discrete._stepped`), entered once per run: a value that overflows is
+    tested where `propagate` tests z.
     """
 
-    def __init__(self, dyn: DiscreteLinearModel, step: float):
+    def __init__(self, dyn: DiscreteLinearModel, step: float, times):
         if not 0 < step < np.inf:
             raise ValueError("step must be finite and positive")
         self.dyn = dyn
         self.step = step
+        self._ts = list(times)
+        self._z = np.r_[np.zeros(dyn.n * (dyn.n + 1)), 1.0]
         self.sv = np.diag(dyn.Sigma_v)
         self.cut_intervals = 0
         self.cuts = 0
@@ -231,6 +233,25 @@ class _Propagator:
             raise NonFiniteStateError(f"integration diverged on [{t0}, {t1}]")
         return z, key != self._unfloored
 
+    def interval(self, k, x, P):
+        """(x, P, floored) at times[k + 1] from the floats x, P (n = 1)."""
+        z = self._z
+        z[0], z[1] = x, P
+        z, floored = self.propagate(z, self._ts[k], self._ts[k + 1])
+        x, P, _ = z.tolist()
+        return x, P, floored
+
+    def predict(self, k, Z, out):
+        """`_run_loop`'s time update of one joint block Z into `out` (maybe
+        Z), read and written by columns: Sigma is symmetric on the way in,
+        as `_blue_step` leaves it, and symmetrized on the way out."""
+        n, z = self.dyn.n, self._z
+        z[:-1] = Z[0].T.ravel()
+        z, floored = self.propagate(z, self._ts[k], self._ts[k + 1])
+        out[0] = z[:-1].reshape(1 + n, n).T
+        _symmetrize_in_place(out[0, :, 1:])
+        return floored
+
 
 def cd_time_update(post: StateEstimate, model, t0: float, t1: float,
                    step: float) -> StateEstimate:
@@ -241,12 +262,8 @@ def cd_time_update(post: StateEstimate, model, t0: float, t1: float,
     RuntimeWarning first."""
     if not -np.inf < t0 <= t1 < np.inf:
         raise ValueError("need finite t0 <= t1")
-    n = post.xhat.size
-    z = np.concatenate((post.xhat, post.Sigma.ravel(), [1.0]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        z, _ = _Propagator(_inner(model), step).propagate(z, t0, t1)
-        Sigma = symmetrize(z[n:-1].reshape(n, n))
-    return StateEstimate(xhat=z[:n], Sigma=Sigma, index=t1)
+    prop = _Propagator(_inner(model), step, [t0, t1])
+    return _stepped(post, prop.predict, 1, t1)
 
 
 def cd_run(model: ContinuousDiscreteModel, measurements, init: StateEstimate,
@@ -258,11 +275,8 @@ def cd_run(model: ContinuousDiscreteModel, measurements, init: StateEstimate,
     intervals cut where the floored set changes (`fallback_intervals`) and
     the cuts made in them (`step_count`).
 
-    A model with n = m = 1 (`discrete._scalar_linear`) runs the scalar step
-    rule `discrete._column_steps` on one column of Python floats, with the
-    propagation of each interval as its time update; any other runs the
-    numpy loop `discrete._run_loop`.  Both give the same bits, and the same
-    errors."""
+    It is `discrete._run` with a `_Propagator` as the time update, so it
+    takes a discrete model's route, with the same bits and errors."""
     if step is None:
         step = default_config(model)
     ms = np.atleast_2d(np.asarray(measurements, dtype=float))
@@ -270,39 +284,11 @@ def cd_run(model: ContinuousDiscreteModel, measurements, init: StateEstimate,
     if ms.shape[0] != times.size:
         raise LengthMismatchError(
             f"{ms.shape[0]} measurements for {times.size} sample times")
-    dyn = _inner(model)
-    ms, xhat, Sigma = ms[None], init.xhat[None], init.Sigma[None]
-    _check_sizes(dyn, ms, xhat, Sigma)
-    prop = _Propagator(dyn, step)
-    ts = times.tolist()
-    n = dyn.n
-    z = np.zeros(n * (n + 1) + 1)  # [x; vec Sigma; 1]
-    z[-1] = 1.0
-    if _scalar_linear(dyn):
-        def interval(k, x, P):
-            z[0], z[1] = x, P
-            z1, floored = prop.propagate(z, ts[k], ts[k + 1])
-            x, P, _ = z1.tolist()
-            return x, P, floored
-
-        coefs = _coefficients([dyn])
-        trace = _checked(_filtered(
-            ms, xhat, Sigma, 1,
-            lambda *bufs: _column_steps(coefs, *bufs, interval=interval)))
-    else:
-        def predict(k, Z, out):
-            z[:n], z[n:-1] = Z[0, :, 0], Z[0, :, 1:].ravel()
-            z1, floored = prop.propagate(z, ts[k], ts[k + 1])
-            out[0, :, 0], out[0, :, 1:] = z1[:n], z1[n:-1].reshape(n, n)
-            _symmetrize_in_place(out[0, :, 1:])
-            return floored
-
-        trace = _run_loop(ms, xhat, Sigma, predict, dyn.C, dyn.Sigma_w)
-    trace = trace.replicate(0)
-    trace.times = times.copy()
-    trace.step_count = prop.cuts
-    trace.fallback_intervals = prop.cut_intervals
-    return trace
+    prop = _Propagator(_inner(model), step, times.tolist())
+    trace = _run(prop.dyn, ms[None], init.xhat[None], init.Sigma[None],
+                 prop).replicate(0)
+    return replace(trace, times=times.copy(), step_count=prop.cuts,
+                   fallback_intervals=prop.cut_intervals)
 
 
 @dataclass(frozen=True)
@@ -345,9 +331,7 @@ def euler_limit_check(model, post: StateEstimate, t0: float, t1: float,
     for dt in steps:
         euler = replace(dyn, A0=dt * dyn.A0, A1=np.eye(dyn.n) + dt * dyn.A1,
                         Sigma_v=dt * dyn.Sigma_v)
-        est = post
-        for _ in range(int(round(span / dt))):
-            est = time_update(est, euler)
+        est = _stepped(post, _predictor(euler), int(round(span / dt)), t1)
         with np.errstate(over="ignore", invalid="ignore"):
             errs = [float(np.linalg.norm(est.xhat - ref.xhat)),
                     float(np.linalg.norm(est.Sigma - ref.Sigma))]

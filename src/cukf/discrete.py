@@ -227,15 +227,22 @@ def _predictor(model):
     return predict
 
 
-def time_update(post: StateEstimate, model) -> StateEstimate:
-    """Propagate one step, recomputing the process noise covariance
-    G(xhat) Sigma_v G(xhat) at the posterior estimate.  As in the filter
-    loop, numpy's floating-point warnings are off: a non-finite f or G
-    raises NonFiniteStateError, never a RuntimeWarning first."""
+def _stepped(post: StateEstimate, predict, count, index) -> StateEstimate:
+    """`post` after the time updates predict(k, Z, Z), k < count (see
+    `_run_loop`), in place on one joint block Z = [xhat | Sigma] under the
+    filter loop's np.errstate, indexed `index`."""
     Z = np.concatenate((post.xhat[:, None], post.Sigma), axis=1)[None]
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        _predictor(model)(0, Z, Z)
-    return StateEstimate(Z[0, :, 0], Z[0, :, 1:], post.index + 1)
+        for k in range(count):
+            predict(k, Z, Z)
+    return StateEstimate(Z[0, :, 0], Z[0, :, 1:], index)
+
+
+def time_update(post: StateEstimate, model) -> StateEstimate:
+    """Propagate one step, recomputing the process noise covariance
+    G(xhat) Sigma_v G(xhat) at the posterior estimate (`_stepped`): a
+    non-finite f or G raises NonFiniteStateError, never a RuntimeWarning."""
+    return _stepped(post, _predictor(model), 1, post.index + 1)
 
 
 def _check_finite(first_step, *stacks, S=None):
@@ -372,9 +379,9 @@ def _column_steps(coefs, prior, post, W, S, Kt, tr, interval=None):
     The time update is the discrete model's, and the time updates that
     floored g^2 are counted from the posteriors after the loop, unless
     `interval` is given: interval(k, x, P) -> (x, P, floored) then makes
-    the prior at index k + 1 from the posterior at index k (`cd_run`'s
-    propagation), and an error it raises is handled as `_run_loop` handles
-    predict's."""
+    the prior at index k + 1 from the posterior at index k (a propagator's
+    float adaptor, `continuous._Propagator.interval`), and an error it
+    raises is handled as `_run_loop` handles predict's."""
     rows = [a[:, :, 0, j] for a, j in zip((prior, prior, post, post, W, S, Kt),
                                           (0, 1, 0, 1, 0, 0, 0))]
     if coefs.shape[1] == 1:
@@ -416,11 +423,12 @@ def _column_steps(coefs, prior, post, W, S, Kt, tr, interval=None):
         return (c1 * post[:-1, :, 0, 0] + c0 < EPS_G).sum(axis=0)
 
 
-def _scalar_traces(models, measurements, xhat, Sigma):
+def _scalar_traces(models, measurements, xhat, Sigma, interval=None):
     """Unchecked traces (see `_checked`) of the `_scalar_linear` models, each
     over the same R replicates (see `_filtered`): the F models run as one
     batch of F R columns through `_column_steps`, model i in columns i R to
-    (i + 1) R.  Sizes that do not fit a model raise LengthMismatchError."""
+    (i + 1) R, `interval` passed on.  Sizes that do not fit a model raise
+    LengthMismatchError."""
     for model in models:
         _check_sizes(model, measurements, xhat, Sigma)
     F, R = len(models), len(measurements)
@@ -428,7 +436,7 @@ def _scalar_traces(models, measurements, xhat, Sigma):
     tr = _filtered(np.tile(np.asarray(measurements, dtype=float), (F, 1, 1)),
                    np.tile(xhat, (F, 1)),
                    np.tile(np.broadcast_to(Sigma, (R, 1, 1)), (F, 1, 1)), 1,
-                   lambda *bufs: _column_steps(coefs, *bufs))
+                   lambda *bufs: _column_steps(coefs, *bufs, interval))
     return [tr.replicate(slice(i * R, (i + 1) * R)) for i in range(F)]
 
 
@@ -446,19 +454,26 @@ def _check_sizes(model, measurements, xhat, Sigma):
             f"for a model of m = {model.m}, n = {n}")
 
 
+def _run(model, measurements, xhat, Sigma, prop=None) -> FilterTrace:
+    """The route of every filter run: a linear model with n = m = 1 takes
+    the scalar step rule `_column_steps` (Python floats for one replicate,
+    an array column each for more), bit-identical to the numpy loop
+    `_run_loop` of every other model.  A continuous-discrete run's
+    propagator `prop` gives the time update."""
+    if _scalar_linear(model):
+        return _checked(_scalar_traces([model], measurements, xhat, Sigma,
+                                       prop and prop.interval)[0])
+    _check_sizes(model, measurements, xhat, Sigma)
+    predict = prop.predict if prop else _predictor(model)
+    return _run_loop(measurements, xhat, Sigma, predict, model.C,
+                     model.Sigma_w)
+
+
 def run_filter_batch(model, measurements, xhat, Sigma) -> FilterTrace:
     """Filter R replicates at once: measurements (R, N, m), initial priors
     xhat (R, n) and Sigma (R, n, n) or one shared (n, n); other sizes raise
-    LengthMismatchError.  Returns a batch trace.  A linear model with
-    n = m = 1 takes the scalar step rule `_column_steps`: in Python floats
-    for one replicate, on one array column per replicate for more.  It is
-    bit-identical to the numpy loop `_run_loop`, which runs every other
-    case."""
-    if _scalar_linear(model):
-        return _checked(_scalar_traces([model], measurements, xhat, Sigma)[0])
-    _check_sizes(model, measurements, xhat, Sigma)
-    return _run_loop(measurements, xhat, Sigma, _predictor(model), model.C,
-                     model.Sigma_w)
+    LengthMismatchError.  Returns a batch trace; `_run` picks the route."""
+    return _run(model, measurements, xhat, Sigma)
 
 
 def run_filter(model, measurements, init: StateEstimate) -> FilterTrace:

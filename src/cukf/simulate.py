@@ -163,12 +163,30 @@ class TrajectoryData:
 
 
 def _meas_noise_chol(Sigma_w):
-    # Square-root factor that also accepts PSD (e.g. zero) matrices.
-    try:
-        return np.linalg.cholesky(Sigma_w)
-    except np.linalg.LinAlgError:
-        w, V = np.linalg.eigh(Sigma_w)
-        return V * np.sqrt(np.clip(w, 0.0, None))
+    """A square-root factor L of Sigma_w, L L' = Sigma_w.  A positive
+    definite Sigma_w gets its lower Cholesky factor by the textbook
+    (unblocked) recursion in Python floats: each dot product summed left to
+    right, math.sqrt, and each column scaled by the reciprocal of its
+    pivot.  So unlike LAPACK's, its bits do not depend on the CPU's BLAS
+    kernel.  Any other (a semidefinite one, such as 0) gets V sqrt(w) from
+    eigh."""
+    S, m = Sigma_w.tolist(), len(Sigma_w)
+    L = [[0.0] * m for _ in range(m)]
+    for j in range(m):
+        for i in range(j, m):
+            dot = 0.0
+            for k in range(j):
+                dot += L[i][k] * L[j][k]
+            s = S[i][j] - dot
+            if i > j:
+                L[i][j] = s * inv
+            elif s > 0:
+                L[j][j] = math.sqrt(s)
+                inv = 1.0 / L[j][j]
+            else:
+                w, V = np.linalg.eigh(Sigma_w)
+                return V * np.sqrt(np.clip(w, 0.0, None))
+    return np.array(L)
 
 
 def _affine(A, x, b=0.0):
@@ -231,9 +249,9 @@ def _paths(dyn, x0, seeds, nsteps, distribution, what, step,
     linear model both compute f(x) = A0 + A1 x, g^2(x) = c0 + C1 x and the
     measurements C x + L w as `_affine`'s ordered sums, not as BLAS
     products.  So a batch row equals its one-path run bit for bit for every
-    n, and the path does not depend on the CPU's BLAS kernel, as long as
-    the Cholesky factor L of Sigma_w does not (it is exact for a diagonal
-    Sigma_w).  A filter's trace of an n >= 2 model still does.  A
+    n, and the path does not depend on the CPU's BLAS kernel, nor does L
+    (`_meas_noise_chol`) unless Sigma_w is singular and not zero.  A
+    filter's trace of an n >= 2 model still does.  A
     non-finite state or measurement raises naming its row k of the samples
     (x_1 = x0 is row 1), and so does a nonlinear model's drift or gain that
     turns non-finite making row k."""

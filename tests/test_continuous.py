@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,29 @@ def test_euler_single_step_equals_discrete_update():
                       rtol=1e-6, atol=1e-12)
 
 
+@pytest.mark.parametrize("name", ["birth_death_cle", "two_species"])
+def test_euler_rows_equal_a_loop_of_time_updates(name):
+    # Bit for bit: the Euler model stepped by repeated time_update calls,
+    # against the exact propagation at the finest step.
+    model = birth_death_cle() if name == "birth_death_cle" else load_model(
+        Path(__file__).resolve().parents[1] / "bench" / "models"
+        / "two_species_cle.txt")
+    dyn = model.inner
+    post = StateEstimate(np.full(dyn.n, 100.0), np.eye(dyn.n), 0.0)
+    dts = [0.08 / 2 ** i for i in range(4)]
+    rows = euler_limit_check(model, post, 0.0, 0.8, dts)
+    ref = cd_time_update(post, model, 0.0, 0.8, dts[-1])
+    for row, dt in zip(rows, sorted(dts)):
+        euler = replace(dyn, A0=dt * dyn.A0, A1=np.eye(dyn.n) + dt * dyn.A1,
+                        Sigma_v=dt * dyn.Sigma_v)
+        est = post
+        for _ in range(round(0.8 / dt)):
+            est = time_update(est, euler)
+        assert row.dt == dt
+        assert row.mean_err == float(np.linalg.norm(est.xhat - ref.xhat))
+        assert row.cov_err == float(np.linalg.norm(est.Sigma - ref.Sigma))
+
+
 @pytest.mark.parametrize("g2", [(4.0, 0.0), (10.0, 0.1)])
 def test_euler_errors_halve_with_dt(g2):
     model = scalar_model(A0=1.0, A1=-0.5, g2=g2)
@@ -165,15 +189,55 @@ def test_cd_run_constant_gain_matches_classical(subtests=None):
         assert rel_err(trace.Sigma_post, Ps) < 1e-8
 
 
-def test_diverging_propagation_names_its_interval_and_step():
-    dyn = DiscreteLinearModel(A0=[1.0], A1=[[800.0]], C=[[1.0]],
-                              gsq=[[1.0, 0.0]], Sigma_v=[[1.0]],
-                              Sigma_w=[[1.0]])
+@pytest.mark.parametrize("n", [1, 2])
+def test_diverging_propagation_names_its_interval_and_step(n):
+    # n = 1 fails in the propagator's float adaptor `interval`, n = 2 in
+    # its `predict` inside the numpy loop; both name the prior's step.
+    dyn = DiscreteLinearModel(
+        A0=np.ones(n), A1=800.0 * np.eye(n), C=np.eye(n),
+        gsq=np.column_stack([np.ones(n), np.zeros((n, n))]), Sigma_v=np.eye(n),
+        Sigma_w=np.eye(n))
     model = ContinuousDiscreteModel(inner=dyn, sample_times=[0.0, 0.5, 1.0])
     with pytest.raises(NonFiniteStateError) as exc:
-        cd_run(model, np.zeros((3, 1)), StateEstimate([1.0], [[1.0]], 0.0))
+        cd_run(model, np.zeros((3, n)), StateEstimate(np.ones(n), np.eye(n),
+                                                      0.0))
     assert exc.value.step == 2
     assert str(exc.value) == "integration diverged on [0.0, 0.5] (at step 2)"
+
+
+def cutting_cd():
+    """The CI's cutting file: g^2 = x - 2 crosses the floor as the mean
+    relaxes toward 5, so intervals are cut."""
+    dyn = DiscreteLinearModel(A0=[5.0], A1=[[-1.0]], C=[[1.0]],
+                              gsq=[[-2.0, 1.0]], Sigma_v=[[1.0]],
+                              Sigma_w=[[0.25]])
+    return ContinuousDiscreteModel(inner=dyn, sample_times=0.5 * np.arange(7))
+
+
+@pytest.mark.parametrize("name", ["birth_death_cle", "two_species",
+                                  "cutting"])
+def test_cd_time_update_is_the_time_update_cd_run_makes(name):
+    # From cd_run's posterior at step k, cd_time_update over the next gap
+    # gives cd_run's prior at step k + 1, bit for bit: for n = 1 through
+    # the scalar rule's float adaptor, for n = 2 through the numpy loop's.
+    models = Path(__file__).resolve().parents[1] / "bench" / "models"
+    model, x0 = {"birth_death_cle": (birth_death_cle(), [100.0]),
+                 "two_species": (load_model(models / "two_species_cle.txt"),
+                                 [100.0, 100.0]),
+                 "cutting": (cutting_cd(), [0.0])}[name]
+    data = simulate_cd(model, x0, 1, 0.01)
+    step = default_config(model)
+    trace = cd_run(model, data.measurements,
+                   StateEstimate(x0, np.eye(model.n), 0.0), step)
+    if name == "cutting":
+        assert trace.fallback_intervals > 0
+    ts = model.sample_times
+    for k in range(len(ts) - 1):
+        prior = cd_time_update(
+            StateEstimate(trace.xhat_post[k], trace.Sigma_post[k], ts[k]),
+            model, ts[k], ts[k + 1], step)
+        assert prior.xhat.tobytes() == trace.xhat_prior[k + 1].tobytes()
+        assert prior.Sigma.tobytes() == trace.Sigma_prior[k + 1].tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -323,7 +387,7 @@ def crossing_cases(draw, span=0.1):
 def test_cut_propagation_matches_split_reference(case):
     model, post = case
     out = cd_time_update(post, model, 0.0, 0.1, STEP)
-    prop = _Propagator(model, STEP)
+    prop = _Propagator(model, STEP, [0.0, 0.1])
     prop.propagate(np.concatenate((post.xhat, post.Sigma.ravel(), [1.0])),
                    0.0, 0.1)
     assert prop.cuts == len(floor_crossings(model, post.xhat, 0.1)) >= 1

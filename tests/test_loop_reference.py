@@ -501,7 +501,7 @@ def test_scalar_cd_route_matches_the_numpy_loop_bit_for_bit(
     init = StateEstimate([x0], [[P0]], times[0])
     got = cd_outcome(model, ms, init, step)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("cukf.continuous._scalar_linear", lambda model: False)
+        patch.setattr("cukf.discrete._scalar_linear", lambda model: False)
         want = cd_outcome(model, ms, init, step)
     assert got == want
 
@@ -512,7 +512,7 @@ def test_one_state_cd_models_take_the_scalar_rule(monkeypatch):
     def numpy_path(*args, **kwargs):
         raise AssertionError("numpy loop taken")
 
-    monkeypatch.setattr("cukf.continuous._run_loop", numpy_path)
+    monkeypatch.setattr("cukf.discrete._run_loop", numpy_path)
     models = Path(__file__).resolve().parents[1] / "bench" / "models"
     for model in (birth_death_cle(), load_model(models / "pure_death_cle.txt")):
         data = simulate_cd(model, [100.0], 0, 0.01)

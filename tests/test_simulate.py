@@ -306,6 +306,26 @@ def test_both_simulators_draw_one_noise_layout(distribution, R):
                 == euler.measurements.tobytes())
 
 
+def test_measurement_noise_factor_matches_lapack():
+    # The float recursion agrees with LAPACK's Cholesky factor to rounding,
+    # exactly for a diagonal Sigma_w; a semidefinite one (here 0) still
+    # takes eigh's factor.
+    rng = np.random.default_rng(5)
+    for m in (1, 2, 3, 4):
+        for _ in range(100):
+            B = rng.standard_normal((m, m))
+            Sigma_w = B @ B.T + 0.1 * np.eye(m)
+            want = np.linalg.cholesky(Sigma_w)
+            got = simulate._meas_noise_chol(Sigma_w)
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+            diagonal = np.diag(rng.uniform(0.01, 100.0, m))
+            assert (simulate._meas_noise_chol(diagonal).tobytes()
+                    == np.linalg.cholesky(diagonal).tobytes())
+        w, V = np.linalg.eigh(np.zeros((m, m)))
+        assert (simulate._meas_noise_chol(np.zeros((m, m))).tobytes()
+                == (V * np.sqrt(np.clip(w, 0.0, None))).tobytes())
+
+
 def test_em_step_cap_is_checked_before_the_noise_is_drawn(monkeypatch):
     def no_noise(*args, **kwargs):
         raise AssertionError("noise drawn")
