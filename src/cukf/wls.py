@@ -24,11 +24,22 @@ The quadratic time-step term is the second-order expansion of
 around (f(xhat_{k-1}), xhat_{k-1}).  The derivative of G^{-1} with respect to
 the previous state multiplies the predicted residual, which vanishes at the
 expansion point, so it contributes nothing to the gradient or Hessian there.
-The expansion reads f, Df and G from one `linearize` of [x | I] per step,
-for a linear and a nonlinear model alike; the costs themselves are built
-here in information form and share no code with the covariance-form filter.
+The block binding of the forward pass (below) and `build_time_cost` read
+f, Df and G from one `linearize` of [x | I] per step; the costs themselves
+are built here in information form and share no code with the
+covariance-form filter.
+
+The forward pass of `oracle_filter` has one loop body and two bindings, as
+the filter's scalar step rule has.  A linear model with n = m = 1 (the
+filter's `_scalar_linear`, fixed-beta baselines included) runs it on
+Python floats, through memoryviews of the block arrays, with float helpers
+that read the model's coefficients and repeat the block binding's IEEE
+operations in the same order: each one-term matmul is a product added to
++0.0.  So its outputs and errors are bit-identical to the block binding's,
+which every other model runs on (blocks, n, n) arrays.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -36,7 +47,7 @@ import numpy as np
 
 from .errors import IndefiniteHessianError, ModelError, NonFiniteStateError
 from .models import EPS_G
-from .discrete import StateEstimate, _write_steps, symmetrize
+from .discrete import StateEstimate, _scalar_linear, _write_steps, symmetrize
 
 # Longest horizon `oracle_filter` accepts; its memory grows as O(N^2 n).
 MAX_HORIZON = 500
@@ -140,7 +151,16 @@ def _inverse_cholesky(S) -> np.ndarray:
     """Inverse of the lower Cholesky factor of symmetrize(S); raises
     ValueError if S is not finite (np.linalg.cholesky would return NaN
     factors) and np.linalg.LinAlgError if it is not positive definite.  A
-    1 x 1 factor is 1 / sqrt(S), which rounds like inv(cholesky(S))."""
+    1 x 1 factor is 1 / sqrt(S), which rounds like inv(cholesky(S)); a
+    Python float S is a 1 x 1 block, factored by the same steps in floats,
+    with the same bits and the same exceptions."""
+    if isinstance(S, float):
+        S = 0.5 * (S + S)
+        if not math.isfinite(S):
+            raise ValueError("array must not contain infs or NaNs")
+        if not S > 0:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return 1.0 / math.sqrt(S)
     S = symmetrize(S)
     if not np.isfinite(S).all():
         raise ValueError("array must not contain infs or NaNs")
@@ -179,6 +199,7 @@ def initial_cost(init: StateEstimate) -> QuadraticCost:
     try:
         with np.errstate(over="ignore"):  # an overflow is inf, refused below
             Li = _inverse_cholesky(Sigma)
+            W = symmetrize(Li.T @ Li)
     except np.linalg.LinAlgError as exc:
         raise ModelError(
             "initial prior covariance must be symmetric positive definite "
@@ -186,7 +207,9 @@ def initial_cost(init: StateEstimate) -> QuadraticCost:
     except ValueError as exc:
         raise ModelError("initial prior covariance must not contain infs or "
                          "NaNs, nor overflow when symmetrized") from exc
-    W = symmetrize(Li.T @ Li)
+    if not np.isfinite(W).all():
+        raise ModelError("initial prior covariance is so small that its "
+                         "inverse, the oracle's prior weight, overflows")
     cost = QuadraticCost(n=n)
     cost.D.append(W.copy())
     cost.b.append(-W @ init.xhat)
@@ -207,6 +230,37 @@ def _time_blocks(model, sigma_v, XI, head):
     d = pred - A @ xprev
     AtQ = A.T @ Q
     return pred, A, Q, d, AtQ @ A, AtQ @ d, -Q @ A, -Q @ (pred if head else d)
+
+
+def _float_time_blocks(model, sigma_v):
+    """`_time_blocks` of a `_scalar_linear` model as a function of xprev and
+    head on Python floats: the block route's IEEE operations in the same
+    order, each one-term matmul a product added to +0.0, and g * g for g ** 2
+    (a float's ** raises OverflowError)."""
+    a0, a1, sv = model.A0.item(), model.A1.item(), sigma_v.item()
+    c0, c1 = model.gsq[0].tolist()
+
+    def time_blocks(x, head):
+        ax = a1 * x + 0.0
+        pred = ax + a0
+        g = math.sqrt(max(c1 * x + 0.0 + c0, EPS_G))  # NaN stays NaN
+        q = 1.0 / (max(g * g, EPS_G) * sv)
+        d = pred - ax
+        atq = a1 * q + 0.0
+        return (pred, a1, q, d, atq * a1 + 0.0, atq * d + 0.0, -q * a1 + 0.0,
+                -q * (pred if head else d) + 0.0)
+
+    return time_blocks
+
+
+def _float_product(a, b):
+    """A @ B of 1 x 1 blocks held as Python floats."""
+    return a * b + 0.0
+
+
+def _float_solve(li, b):
+    """`_factor_solve` of 1 x 1 blocks held as Python floats."""
+    return li * (li * b + 0.0) + 0.0
 
 
 def build_time_cost(prev: QuadraticCost, model, xhat_prev) -> QuadraticCost:
@@ -237,14 +291,19 @@ def build_time_cost(prev: QuadraticCost, model, xhat_prev) -> QuadraticCost:
 
 
 def _measurement_blocks(C, Sigma_w):
-    """(C, Wm = Sigma_w^{-1}, C'Wm, C'Wm C) of the measurement term."""
+    """(C, Wm = Sigma_w^{-1}, C'Wm, C'Wm C) of the measurement term; a
+    singular Sigma_w, or one whose inverse overflows, is a ModelError."""
     C = np.atleast_2d(np.asarray(C, dtype=float))
     try:
-        Wm = symmetrize(np.linalg.inv(
-            np.atleast_2d(np.asarray(Sigma_w, dtype=float))))
+        with np.errstate(over="ignore"):  # an overflow is inf, refused below
+            Wm = symmetrize(np.linalg.inv(
+                np.atleast_2d(np.asarray(Sigma_w, dtype=float))))
     except np.linalg.LinAlgError as exc:
         raise ModelError("Sigma_w is singular; the oracle weighs each "
                          "measurement by its inverse") from exc
+    if not np.isfinite(Wm).all():
+        raise ModelError("Sigma_w is so small that its inverse, the "
+                         "oracle's measurement weight, overflows")
     CtW = C.T @ Wm
     return C, Wm, CtW, CtW @ C
 
@@ -412,6 +471,57 @@ def _newton_checks(D, b, L, Dt, bt, factors, terminal, starts):
     return _newton_step(gradients, solve, z0, norms)
 
 
+def _forward_pass(model, sigma_v, pinned, CtWC, CtWy, D, b, L, Dt, bt,
+                  factors, terminal, xhats, starts):
+    """Fill `oracle_filter`'s block arrays step by step: D, b, L and
+    factors end as the whole cost's, Dt, bt and terminal as each step's
+    terminal block, xhats[k] is step k's estimate and starts[k + 1] is
+    f(xhats[k]).  A step's measurement and time terms change only its last
+    block, whose Schur complement (D - coupling) is factored as the
+    terminal block, then again, frozen, with the time term.
+
+    The loop body is written once (see the module docstring): on Python
+    floats through memoryviews of the arrays for a `_scalar_linear` model,
+    on the arrays with `@` for every other."""
+    if _scalar_linear(model):
+        D, b, L, Dt, bt, factors, terminal, xhats, starts, CtWy = (
+            memoryview(a.reshape(len(a))) for a in
+            (D, b, L, Dt, bt, factors, terminal, xhats, starts, CtWy))
+        CtWC = CtWC.item()
+        time_blocks = _float_time_blocks(model, sigma_v)
+        # float(a) is a: a 1 x 1 block is its own transpose.
+        solve, product, transpose = _float_solve, _float_product, float
+    else:
+        n = xhats.shape[1]
+        XI = np.eye(n, n + 1, 1)  # [xhat_k | I], linearized at each step
+
+        def time_blocks(x, head):
+            XI[:, 0] = x
+            return _time_blocks(model, sigma_v, XI, head)
+        solve, product, transpose = _factor_solve, np.matmul, np.transpose
+    coupled = coupling = 0.0  # what eliminating blocks < i adds to block i
+    N = len(xhats)
+    for k in range(N):
+        i = k - pinned
+        if i >= 0:
+            D[i] += CtWC
+            b[i] -= CtWy[i]
+            Dt[i], bt[i] = D[i], b[i]
+            terminal[i] = factors[i] = _schur_factor(D[i] - coupling, i)
+            xhats[k] = solve(terminal[i], -b[i] - coupled)
+        if k + 1 == N:
+            break
+        starts[k + 1], _, D[i + 1], _, AtQA, AtQd, Lq, b[i + 1] = (
+            time_blocks(xhats[k], i < 0))
+        if i >= 0:
+            D[i] += AtQA
+            b[i] += AtQd
+            L[i] = Lq
+            factors[i] = _schur_factor(D[i] - coupling, i)
+            coupled = product(Lq, solve(factors[i], -b[i] - coupled))
+            coupling = product(Lq, solve(factors[i], transpose(Lq)))
+
+
 def oracle_filter(model, measurements, init: StateEstimate) -> OracleSolution:
     """Recursive cost construction mirroring the filter: at each step the
     measurement term is added and the cost minimized; the time term appended
@@ -420,18 +530,20 @@ def oracle_filter(model, measurements, init: StateEstimate) -> OracleSolution:
     A term only changes the last diagonal block, so the forward pass factors
     each Schur complement twice: once as the terminal block of step k's cost
     (measurement in, next time term out), which gives xhat_k and Sigma_k,
-    and once with the time term, frozen for every later step: a step does
-    one linearization and these two factorizations, in arrays allocated
-    once.  The prefix costs differ only in their terminal block, and batched
-    block sweeps solve all of them at once.  All factors are made before any
+    and once with the time term, frozen for every later step: a step
+    expands one time term and makes these two factorizations, in arrays
+    allocated once (`_forward_pass`).  The prefix costs differ only in
+    their terminal block, and batched block sweeps solve all of them at
+    once.  All factors are made before any
     Newton check runs, so a Hessian that is not positive definite is
     reported before a failed check of an earlier step.  Step k's Newton
     check starts, as the per-step solve did, from the previous minimizer
     extended by f(xhat_{k-1}); it takes one Newton step and requires a
     second step to move by < 1e-10 relative; a norm that is not finite
     raises.  A Sigma_v diagonal entry whose largest weight 1/(EPS_G Sigma_v)
-    is not finite, or a singular Sigma_w, which the costs invert, is a
-    `ModelError`.
+    is not finite, a singular Sigma_w or one whose inverse overflows, which
+    the costs invert, is a `ModelError`, as is a prior covariance whose
+    inverse overflows (`initial_cost`).
     """
     ms = np.atleast_2d(np.asarray(measurements, dtype=float))
     N = ms.shape[0]
@@ -457,33 +569,13 @@ def oracle_filter(model, measurements, init: StateEstimate) -> OracleSolution:
     D, Dt, L, factors, terminal = np.zeros((5, nb, n, n))
     b, bt = np.zeros((2, nb, n))
     xhats, starts = np.empty((2, N, n))
-    Sigmas = np.zeros((N, n, n))
-    XI = np.eye(n, n + 1, 1)  # [xhat_k | I], linearized at each step
     xhats[0] = starts[0] = init.xhat
     if not pinned:
         D[0], b[0] = prior.D[0], prior.b[0]
-    coupled = coupling = 0.0  # what eliminating blocks < i adds to block i
-    for k in range(N):
-        i = k - pinned
-        if i >= 0:
-            D[i] += CtWC
-            b[i] -= CtWy[i]
-            Dt[i], bt[i] = D[i], b[i]
-            terminal[i] = factors[i] = _schur_factor(D[i] - coupling, i)
-            xhats[k] = _factor_solve(terminal[i], -b[i] - coupled)
-            Sigmas[k] = symmetrize(terminal[i].T @ terminal[i])
-        if k + 1 == N:
-            break
-        XI[:, 0] = xhats[k]
-        starts[k + 1], _, D[i + 1], _, AtQA, AtQd, Lq, b[i + 1] = (
-            _time_blocks(model, sigma_v, XI, i < 0))
-        if i >= 0:
-            D[i] += AtQA
-            b[i] += AtQd
-            L[i] = Lq
-            factors[i] = _schur_factor(D[i] - coupling, i)
-            coupled = Lq @ _factor_solve(factors[i], -b[i] - coupled)
-            coupling = Lq @ _factor_solve(factors[i], Lq.T)
+    _forward_pass(model, sigma_v, pinned, CtWC, CtWy, D, b, L, Dt, bt,
+                  factors, terminal, xhats, starts)
+    Sigmas = np.zeros((N, n, n))  # zero for a pinned head
+    Sigmas[pinned:] = symmetrize(terminal.swapaxes(-1, -2) @ terminal)
 
     z_star, before, after, step2 = _newton_checks(
         D, b, L[:-1], Dt, bt, factors, terminal, starts[pinned:])

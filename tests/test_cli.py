@@ -757,6 +757,17 @@ def test_oracle_prior_whose_symmetric_part_overflows_exits_1(
         "overflow when symmetrized\n")
 
 
+@pytest.mark.filterwarnings("error")
+def test_oracle_prior_whose_inverse_overflows_exits_1(tmp_path, monkeypatch,
+                                                      capsys):
+    code = run(["oracle-check", "--model", "example_sec3", "--init-sigma",
+                "1e-310"], tmp_path, monkeypatch)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: initial prior covariance is so small that its inverse, the "
+        "oracle's prior weight, overflows\n")
+
+
 @pytest.mark.parametrize("command", ["simulate", "filter"])
 def test_manifest_records_null_for_the_option_the_model_kind_does_not_read(
         command, tmp_path, monkeypatch):

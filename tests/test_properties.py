@@ -1,10 +1,13 @@
 """Property tests over random small models, some of which clamp g^2: a batch
 of replicates equals the same replicates run one at a time, the covariances
 keep their structure, the batched oracle equals its per-step Newton loop,
-model files round-trip, and a batch of simulated paths equals its one-path
-runs and an ordered-sum reference.  The closed-form scalar innovation factor
-and the oracle's closed-form 1 x 1 Schur factor equal their LAPACK form bit
-for bit."""
+the oracle's forward pass on Python floats equals its block binding bit
+for bit, model files round-trip, and a batch of simulated paths equals its
+one-path runs and an ordered-sum reference.  The closed-form scalar
+innovation factor and the oracle's closed-form 1 x 1 Schur factor equal
+their LAPACK form bit for bit."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from cukf.discrete import (StateEstimate, _inverse_factor, run_filter,
                            run_filter_batch)
 from cukf import modelio
-from cukf.errors import IndefiniteHessianError
+from cukf.errors import FilterError, IndefiniteHessianError
 from cukf.models import (ContinuousDiscreteModel, DiscreteLinearModel,
                          with_fixed_noise)
 from cukf.simulate import (innovation_whiteness, simulate_batch,
@@ -241,6 +244,67 @@ def test_oracle_matches_per_step_newton_loop(case):
         assert sol.grad_norm_after[k] <= 1e-9 * (1.0 + sol.grad_norm_before[k])
         assert sol.second_step_norm[k] <= 1e-10 * (
             1.0 + np.linalg.norm(sol.trajectory[k, :k + 1]))
+
+
+@st.composite
+def scalar_oracle_cases(draw):
+    """(model, measurements (N, 1), init) of a linear n = m = 1 model, N
+    from 1 to 60: about a third of A0, A1, the g^2 row, C, xhat_0 and the
+    measurements are +0.0 or -0.0 (a measurement may be +-5e-324), some
+    g^2 rows floor, a third of the models are fixed-beta baselines, the
+    prior is pinned or positive, and some Sigma_w are so small that a Schur
+    complement overflows."""
+    N = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def signed(value):
+        if rng.random() < 1 / 3:
+            return rng.choice([0.0, -0.0])
+        return value
+
+    tiny = rng.random() < 0.2
+    model = DiscreteLinearModel(
+        A0=[signed(rng.standard_normal())], A1=[[signed(rng.uniform(-1, 1))]],
+        C=[[signed(rng.uniform(1, 10) if tiny else rng.standard_normal())]],
+        gsq=[[signed(rng.uniform(-1.0, 5.0)), signed(rng.uniform(-2.0, 2.0))]],
+        Sigma_v=[[rng.uniform(0.1, 2.0)]],
+        Sigma_w=[[10 ** rng.uniform(-307.9, -306.0) if tiny
+                  else rng.uniform(0.1, 2.0)]])
+    if rng.random() < 1 / 3:
+        model = with_fixed_noise(model, rng.uniform(0.1, 2.0))
+    ys = simulate_discrete(model, rng.standard_normal(), N,
+                           int(rng.integers(1 << 31))).measurements
+    ys[rng.random(N) < 1 / 3] = rng.choice([0.0, -0.0, 5e-324, -5e-324])
+    Sigma0 = 0.0 if rng.random() < 0.5 else rng.uniform(0.1, 4.0)
+    return model, ys, StateEstimate([signed(rng.standard_normal())],
+                                    [[Sigma0]])
+
+
+def oracle_bytes(model, ys, init):
+    """The bytes of every field of the oracle's solution, or the class and
+    message of the error it raises."""
+    try:
+        sol = oracle_filter(model, ys, init)
+    except (FilterError, ValueError) as exc:
+        return type(exc), str(exc)
+    return [getattr(sol, f.name).tobytes() for f in fields(sol)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(scalar_oracle_cases())
+# x_1 = li (li b + 0.0) + 0.0 with li = 0.3 and b = -1e-323: li b rounds to
+# -5e-324 and li (li b) underflows to -0.0, which the matmul makes +0.0.
+@example((DiscreteLinearModel(A0=[0.0], A1=[[0.5]], C=[[1.0]],
+                              gsq=[[0.11, 0.0]], Sigma_v=[[1.0]],
+                              Sigma_w=[[0.5]]),
+          np.array([[0.0], [-5e-324]]), StateEstimate([0.0], [[0.0]])))
+def test_scalar_oracle_floats_equal_its_blocks_bit_for_bit(case):
+    # A linear n = m = 1 model runs the oracle's forward pass on Python
+    # floats; with the route predicate patched it runs on the block arrays.
+    got = oracle_bytes(*case)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("cukf.wls._scalar_linear", lambda model: False)
+        assert got == oracle_bytes(*case)
 
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)

@@ -258,22 +258,31 @@ def test_oracle_filter_matches_nonlinear_filter_logistic():
         assert rel_err(sol.Sigma[k], trace.Sigma_post[k]) < 1e-9
 
 
-def test_oracle_factors_each_schur_block_at_most_twice(monkeypatch):
+def test_oracle_factors_each_schur_block_at_most_twice():
+    # On both bindings of the forward pass: example_sec3 takes the float
+    # one, whose 1 x 1 factors are Python floats, and the block one when
+    # the route predicate is patched.  The prior is factored as an array.
     import cukf.wls as wls
 
-    calls = []
     inverse_cholesky = wls._inverse_cholesky
-
-    def counting_inverse_cholesky(S):
-        calls.append(1)
-        return inverse_cholesky(S)
-
-    monkeypatch.setattr(wls, "_inverse_cholesky", counting_inverse_cholesky)
     model = example_sec3()
     N = 60
     data = simulate_discrete(model, 1.0, N, 36)
-    oracle_filter(model, data.measurements, StateEstimate([0.0], [[1.0]], 1))
-    assert len(calls) <= 2 * N + 1
+    for floats in (True, False):
+        calls = []
+
+        def counting_inverse_cholesky(S):
+            calls.append(isinstance(S, float))
+            return inverse_cholesky(S)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(wls, "_inverse_cholesky", counting_inverse_cholesky)
+            if not floats:
+                patch.setattr(wls, "_scalar_linear", lambda model: False)
+            oracle_filter(model, data.measurements,
+                          StateEstimate([0.0], [[1.0]], 1))
+        assert len(calls) <= 2 * N + 1
+        assert calls.count(True) == (2 * N - 1 if floats else 0)
 
 
 def test_oracle_filter_makes_no_cost_copies(monkeypatch):
@@ -315,6 +324,7 @@ def test_scalar_factor_fails_like_the_matrix_path(bad):
     got = failure(np.array([[bad]]))
     assert got is not None
     assert got == failure(np.diag([bad, 1.0])) == failure(np.diag([1.0, bad]))
+    assert got == failure(float(bad))  # the oracle's float binding
 
 
 def test_horizon_cap_enforced():
@@ -363,6 +373,8 @@ def test_oracle_returns_one_record_of_per_step_arrays(N, sigma0):
     ("Sigma_w", np.array([[0.0]])),
     ("Sigma_v", np.array([[1e-320]])),
     ("Sigma_v", np.array([[1e-300]])),
+    ("Sigma_w", np.array([[1e-310]])),
+    ("Sigma_w", np.array([[1e-320]])),
 ])
 def test_oracle_refuses_a_noise_covariance_it_cannot_invert(key, value):
     from dataclasses import replace
