@@ -292,7 +292,8 @@ def build_time_cost(prev: QuadraticCost, model, xhat_prev) -> QuadraticCost:
 
 def _measurement_blocks(C, Sigma_w):
     """(C, Wm = Sigma_w^{-1}, C'Wm, C'Wm C) of the measurement term; a
-    singular Sigma_w, or one whose inverse overflows, is a ModelError."""
+    singular Sigma_w, or one whose inverse or C'Wm C overflows, is a
+    ModelError."""
     C = np.atleast_2d(np.asarray(C, dtype=float))
     try:
         with np.errstate(over="ignore"):  # an overflow is inf, refused below
@@ -304,8 +305,14 @@ def _measurement_blocks(C, Sigma_w):
     if not np.isfinite(Wm).all():
         raise ModelError("Sigma_w is so small that its inverse, the "
                          "oracle's measurement weight, overflows")
-    CtW = C.T @ Wm
-    return C, Wm, CtW, CtW @ C
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        CtW = C.T @ Wm
+        CtWC = CtW @ C
+    if not np.isfinite(CtWC).all():  # so wherever C'Wm is not finite
+        raise ModelError("Sigma_w is too small for C: the oracle's "
+                         "measurement information C' Sigma_w^{-1} C "
+                         "overflows")
+    return C, Wm, CtW, CtWC
 
 
 def build_measurement_cost(cost: QuadraticCost, y, C, Sigma_w) -> QuadraticCost:
@@ -542,8 +549,10 @@ def oracle_filter(model, measurements, init: StateEstimate) -> OracleSolution:
     second step to move by < 1e-10 relative; a norm that is not finite
     raises.  A Sigma_v diagonal entry whose largest weight 1/(EPS_G Sigma_v)
     is not finite, a singular Sigma_w or one whose inverse overflows, which
-    the costs invert, is a `ModelError`, as is a prior covariance whose
-    inverse overflows (`initial_cost`).
+    the costs invert, is a `ModelError`, as is a Sigma_w against which
+    C' Sigma_w^{-1} C or, on finite measurements, C' Sigma_w^{-1} y
+    overflows, and a prior covariance whose inverse overflows
+    (`initial_cost`).
     """
     ms = np.atleast_2d(np.asarray(measurements, dtype=float))
     N = ms.shape[0]
@@ -565,20 +574,28 @@ def oracle_filter(model, measurements, init: StateEstimate) -> OracleSolution:
     prior = initial_cost(init)
     n, pinned = prior.n, int(prior.pinned)
     nb = N - pinned  # variable blocks; step k ends at block k - pinned
-    CtWy = (CtW @ ms[pinned:, :, None])[..., 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        CtWy = (CtW @ ms[pinned:, :, None])[..., 0]
+    if np.isfinite(ms).all() and not np.isfinite(CtWy).all():
+        raise ModelError("Sigma_w is too small for the measurements: the "
+                         "oracle's weighted measurement C' Sigma_w^{-1} y "
+                         "overflows")
     D, Dt, L, factors, terminal = np.zeros((5, nb, n, n))
     b, bt = np.zeros((2, nb, n))
     xhats, starts = np.empty((2, N, n))
     xhats[0] = starts[0] = init.xhat
     if not pinned:
         D[0], b[0] = prior.D[0], prior.b[0]
-    _forward_pass(model, sigma_v, pinned, CtWC, CtWy, D, b, L, Dt, bt,
-                  factors, terminal, xhats, starts)
-    Sigmas = np.zeros((N, n, n))  # zero for a pinned head
-    Sigmas[pinned:] = symmetrize(terminal.swapaxes(-1, -2) @ terminal)
+    # As in the filter loop, a value that overflows is left to the checks:
+    # a factor refuses a non-finite block and a check a non-finite norm.
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        _forward_pass(model, sigma_v, pinned, CtWC, CtWy, D, b, L, Dt, bt,
+                      factors, terminal, xhats, starts)
+        Sigmas = np.zeros((N, n, n))  # zero for a pinned head
+        Sigmas[pinned:] = symmetrize(terminal.swapaxes(-1, -2) @ terminal)
 
-    z_star, before, after, step2 = _newton_checks(
-        D, b, L[:-1], Dt, bt, factors, terminal, starts[pinned:])
+        z_star, before, after, step2 = _newton_checks(
+            D, b, L[:-1], Dt, bt, factors, terminal, starts[pinned:])
     # Row k: step k's trajectory, pinned head first, zero past block k.
     trajectory = np.zeros((N, N, n))
     trajectory[:, :pinned] = init.xhat

@@ -6,12 +6,15 @@ filter, matrix-exponential (Van Loan) discretization for the
 continuous-discrete one, classical RK4 for the moment ODEs of a
 state-dependent noise gain, and an Euler-Maruyama path in Python floats
 whose affine maps are sums taken left to right.
+
+scipy is optional: the Van Loan discretization takes scipy's `expm`, and a
+test that reaches it is skipped where scipy is not installed.
 """
 
 import math
 
 import numpy as np
-from scipy.linalg import expm
+import pytest
 
 
 def textbook_kf(A0, A1, C, Q, R, measurements, x0, P0):
@@ -48,6 +51,7 @@ def vanloan_discretize(A0, A1, Q, h):
 
     Returns (Phi, offset, Qd).
     """
+    expm = pytest.importorskip("scipy.linalg").expm
     n = A1.shape[0]
     # Mean with constant offset via the augmented system [x; 1].
     M = np.zeros((n + 1, n + 1))

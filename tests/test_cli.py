@@ -200,7 +200,8 @@ def test_invalid_input_exits_1_without_traceback(argv, tmp_path, monkeypatch,
         monkeypatch.delenv("CUKF_OUTPUT_DIR", raising=False)
         assert parse_and_dispatch(argv) == 1
     else:
-        assert run(argv, tmp_path, monkeypatch) == 1
+        assert run(argv, tmp_path / "out", monkeypatch) == 1
+        assert not (tmp_path / "out").exists()
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert err.count("\n") == 1 and "NaN" not in err
@@ -592,6 +593,16 @@ def test_a_failed_run_leaves_no_output_directory(argv, tmp_path, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+TWO_STATE_DISCRETE_FILE = ("kind = discrete\nn = 2\nm = 1\nA0 = 1.0 0.5\n"
+                           "A1 = 0.9 0.05 0.0 0.8\nC = 1.0 1.0\n"
+                           "gsq = 10.0 0.5 0.0 4.0 0.0 0.2\n"
+                           "Sigma_v = 1.0 2.0\nSigma_w = 1.0\n")
+
+
+SIGMA_W_Y = ("Sigma_w is too small for the measurements: the oracle's "
+             "weighted measurement C' Sigma_w^{-1} y overflows")
+
+
 @pytest.mark.parametrize("old, new, init_sigma, message", [
     ("Sigma_v = 1.0", "Sigma_v = 0.0", "0",
      "Sigma_v has a zero diagonal entry; the oracle weighs each time step "
@@ -602,6 +613,22 @@ def test_a_failed_run_leaves_no_output_directory(argv, tmp_path, monkeypatch):
     ("Sigma_v = 1.0", "Sigma_v = 1e-320", "0",
      "Sigma_v has a diagonal entry so small that the oracle's largest time "
      "weight 1/(EPS_G Sigma_v) overflows"),
+    # Sigma_w^{-1} = 2e307 is finite; C' Sigma_w^{-1} y is not.  The rows
+    # with the whole file as `old` write another file.
+    pytest.param("Sigma_w = 1.0", "Sigma_w = 5e-308", "0", SIGMA_W_Y,
+                 id="Sigma_w = 5e-308"),
+    pytest.param(GOOD_MODEL_FILE,
+                 TWO_STATE_DISCRETE_FILE.replace("Sigma_w = 1.0",
+                                                 "Sigma_w = 5e-308"), "0",
+                 SIGMA_W_Y, id="two-state-Sigma_w = 5e-308"),
+    # Sigma_w^{-1} = 1e300 is finite, and so is every step of the filter;
+    # C' Sigma_w^{-1} C = 1e310 is not.
+    pytest.param(GOOD_MODEL_FILE,
+                 GOOD_MODEL_FILE.replace("C = 1.0", "C = 1e5").replace(
+                     "Sigma_w = 1.0", "Sigma_w = 1e-300"), "0",
+                 "Sigma_w is too small for C: the oracle's measurement "
+                 "information C' Sigma_w^{-1} C overflows",
+                 id="C = 1e5-Sigma_w = 1e-300"),
 ])
 def test_oracle_check_refuses_a_model_it_cannot_weigh(
         old, new, init_sigma, message, tmp_path, monkeypatch, capsys):
@@ -620,12 +647,6 @@ TWO_SPECIES_FILE = ("kind = continuous\nn = 2\nm = 2\nA0 = 20.0 5.0\n"
                     "A1 = -0.1 0.0 0.5 -0.05\nC = 1.0 0.0 0.0 1.0\n"
                     "gsq = 20.0 0.1 0.0 5.0 0.5 0.05\nSigma_v = 1.0 1.0\n"
                     "Sigma_w = 1.0 0.0 0.0 1.0\nsample_times = 0.0 0.1 0.2 0.3\n")
-
-
-TWO_STATE_DISCRETE_FILE = ("kind = discrete\nn = 2\nm = 1\nA0 = 1.0 0.5\n"
-                           "A1 = 0.9 0.05 0.0 0.8\nC = 1.0 1.0\n"
-                           "gsq = 10.0 0.5 0.0 4.0 0.0 0.2\n"
-                           "Sigma_v = 1.0 2.0\nSigma_w = 1.0\n")
 
 
 def _mutated(tmp_path, text, line):
@@ -652,6 +673,7 @@ def test_a_moment_generator_that_overflows_is_a_numerical_failure(
     assert err.startswith("numerical failure: matrix exponential argument "
                           "non-finite")
     assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("line, message", [
@@ -667,7 +689,7 @@ def test_limit_check_on_a_finite_but_huge_model_is_a_numerical_failure(
         assert run(["limit-check", "--model", path], tmp_path / "out",
                    monkeypatch) == 2
     assert capsys.readouterr().err == f"numerical failure: {message}\n"
-    assert not (tmp_path / "out" / "limit_check.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("x0", ["1e308", "-1e308"])
@@ -680,7 +702,7 @@ def test_limit_check_whose_exact_propagation_overflows_has_no_warning(
                    tmp_path / "out", monkeypatch) == 2
     assert capsys.readouterr().err == (
         "numerical failure: integration diverged on [0.0, 0.8]\n")
-    assert not (tmp_path / "out" / "limit_check.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv, text, line, where", [
@@ -717,6 +739,30 @@ def test_an_innovation_covariance_that_overflows_is_a_numerical_failure(
     assert not (tmp_path / "out").exists()
 
 
+EXACT_SCALAR_FILE = ("kind = discrete\nn = 1\nm = 1\nA0 = 0.0\nA1 = 0.9\n"
+                     "C = 1.0\ngsq = 1.0 0.0\nSigma_v = 1.0\nSigma_w = 0.0\n")
+
+
+@pytest.mark.parametrize("argv, where", [
+    (["filter"], "at step 1"),
+    (["compare", "--beta", "0.1", "--replicates", "1"], "at step 1"),
+    (["compare", "--beta", "0.1", "--replicates", "20"],
+     "replicate 0, at step 1"),
+], ids=["filter", "compare-1", "compare-20"])
+def test_exact_measurements_from_a_zero_prior_are_a_numerical_failure(
+        argv, where, tmp_path, monkeypatch, capsys):
+    # S = 0 at step 1: a ZeroDivisionError caught on the float route of one
+    # column, numpy's errstate on the array route of 20.
+    path = tmp_path / "model.txt"
+    path.write_text(EXACT_SCALAR_FILE)
+    assert run(argv + ["--model", str(path)], tmp_path / "out",
+               monkeypatch) == 2
+    assert capsys.readouterr().err == (
+        f"numerical failure: innovation covariance not positive definite "
+        f"({where})\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("line", ["Sigma_v = 1e-250", "Sigma_v = 1e-200"])
 def test_an_oracle_newton_check_that_overflows_is_a_numerical_failure(
         line, tmp_path, monkeypatch, capsys):
@@ -750,22 +796,24 @@ def test_oracle_linearizes_an_overflowing_gain_without_a_warning(
 def test_oracle_prior_whose_symmetric_part_overflows_exits_1(
         tmp_path, monkeypatch, capsys):
     code = run(["oracle-check", "--model", "example_sec3", "--init-sigma",
-                "1e308"], tmp_path, monkeypatch)
+                "1e308"], tmp_path / "out", monkeypatch)
     assert code == 1
     assert capsys.readouterr().err == (
         "error: initial prior covariance must not contain infs or NaNs, nor "
         "overflow when symmetrized\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.filterwarnings("error")
 def test_oracle_prior_whose_inverse_overflows_exits_1(tmp_path, monkeypatch,
                                                       capsys):
     code = run(["oracle-check", "--model", "example_sec3", "--init-sigma",
-                "1e-310"], tmp_path, monkeypatch)
+                "1e-310"], tmp_path / "out", monkeypatch)
     assert code == 1
     assert capsys.readouterr().err == (
         "error: initial prior covariance is so small that its inverse, the "
         "oracle's prior weight, overflows\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "filter"])

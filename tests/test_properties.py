@@ -252,8 +252,9 @@ def scalar_oracle_cases(draw):
     from 1 to 60: about a third of A0, A1, the g^2 row, C, xhat_0 and the
     measurements are +0.0 or -0.0 (a measurement may be +-5e-324), some
     g^2 rows floor, a third of the models are fixed-beta baselines, the
-    prior is pinned or positive, and some Sigma_w are so small that a Schur
-    complement overflows."""
+    prior is pinned or positive, and some Sigma_w are so small that the
+    oracle refuses them (C' Sigma_w^{-1} C or C' Sigma_w^{-1} y overflows)
+    or that a Newton check overflows."""
     N = draw(st.integers(1, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
 

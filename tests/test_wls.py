@@ -309,6 +309,11 @@ def test_non_finite_blocks_rejected(bad):
         initial_cost(StateEstimate([0.0], [[bad]]))
     with pytest.raises(ValueError, match="infs or NaNs"):
         BlockTridiagFactor([np.eye(2), np.diag([1.0, bad])], [np.eye(2)])
+    # A non-finite measurement is not a Sigma_w too small for it.
+    ys = np.ones((5, 1))
+    ys[2] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        oracle_filter(example_sec3(), ys, StateEstimate([0.0], [[1.0]]))
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, np.nan, np.inf, 1e308])
