@@ -12,6 +12,7 @@ overridden with the CUKF_OUTPUT_DIR environment variable.
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -234,10 +235,16 @@ def _cmd_limit_check(args):
         raise ValueError("limit-check needs a linear model")
     if args.levels < 0:
         raise ValueError("--levels must be at least 0")
+    if args.dt0 > 0 and not math.ldexp(args.dt0, -args.levels) > 0:
+        raise ValueError(f"--levels {args.levels} halves --dt0 {args.dt0} "
+                         "to 0")
     n = dyn.n
     post = StateEstimate(xhat=np.full(n, args.x0),
                          Sigma=np.eye(n), index=args.t0)
-    dts = [args.dt0 / 2 ** i for i in range(args.levels + 1)]
+    # euler_limit_check refuses a --dt0 that is not finite and positive by
+    # its first step alone, so no halving of it is built.
+    levels = args.levels if 0 < args.dt0 < np.inf else 0
+    dts = [math.ldexp(args.dt0, -i) for i in range(levels + 1)]
     rows = euler_limit_check(dyn, post, args.t0, args.t1, dts)
     outdir = _resolve_outdir(args)
     path = os.path.join(outdir, "limit_check.csv")

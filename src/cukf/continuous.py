@@ -285,8 +285,8 @@ def cd_run(model: ContinuousDiscreteModel, measurements, init: StateEstimate,
         raise LengthMismatchError(
             f"{ms.shape[0]} measurements for {times.size} sample times")
     prop = _Propagator(_inner(model), step, times.tolist())
-    trace = _run(prop.dyn, ms[None], init.xhat[None], init.Sigma[None],
-                 prop).replicate(0)
+    trace = next(_run([prop.dyn], ms[None], init.xhat[None],
+                      init.Sigma[None], prop)).replicate(0)
     return replace(trace, times=times.copy(), step_count=prop.cuts,
                    fallback_intervals=prop.cut_intervals)
 

@@ -423,23 +423,6 @@ def _column_steps(coefs, prior, post, W, S, Kt, tr, interval=None):
         return (c1 * post[:-1, :, 0, 0] + c0 < EPS_G).sum(axis=0)
 
 
-def _scalar_traces(models, measurements, xhat, Sigma, interval=None):
-    """Unchecked traces (see `_checked`) of the `_scalar_linear` models, each
-    over the same R replicates (see `_filtered`): the F models run as one
-    batch of F R columns through `_column_steps`, model i in columns i R to
-    (i + 1) R, `interval` passed on.  Sizes that do not fit a model raise
-    LengthMismatchError."""
-    for model in models:
-        _check_sizes(model, measurements, xhat, Sigma)
-    F, R = len(models), len(measurements)
-    coefs = _coefficients(models, R)
-    tr = _filtered(np.tile(np.asarray(measurements, dtype=float), (F, 1, 1)),
-                   np.tile(xhat, (F, 1)),
-                   np.tile(np.broadcast_to(Sigma, (R, 1, 1)), (F, 1, 1)), 1,
-                   lambda *bufs: _column_steps(coefs, *bufs, interval))
-    return [tr.replicate(slice(i * R, (i + 1) * R)) for i in range(F)]
-
-
 def _check_sizes(model, measurements, xhat, Sigma):
     """Raise LengthMismatchError unless the measurements (R, N, m), the
     prior means xhat (R, n) and covariances Sigma, (R, n, n) or one shared
@@ -454,26 +437,41 @@ def _check_sizes(model, measurements, xhat, Sigma):
             f"for a model of m = {model.m}, n = {n}")
 
 
-def _run(model, measurements, xhat, Sigma, prop=None) -> FilterTrace:
-    """The route of every filter run: a linear model with n = m = 1 takes
-    the scalar step rule `_column_steps` (Python floats for one replicate,
-    an array column each for more), bit-identical to the numpy loop
-    `_run_loop` of every other model.  A continuous-discrete run's
-    propagator `prop` gives the time update."""
-    if _scalar_linear(model):
-        return _checked(_scalar_traces([model], measurements, xhat, Sigma,
-                                       prop and prop.interval)[0])
-    _check_sizes(model, measurements, xhat, Sigma)
-    predict = prop.predict if prop else _predictor(model)
-    return _run_loop(measurements, xhat, Sigma, predict, model.C,
-                     model.Sigma_w)
+def _run(models, measurements, xhat, Sigma, prop=None):
+    """The route of every filter run: the checked trace of each of the
+    `models` over the same R replicates (see `_filtered`), yielded in turn
+    as it is reached, so that a caller meets their errors in order.  When
+    every model is linear with n = m = 1, they run as one batch of F R
+    columns through the scalar step rule `_column_steps` (Python floats
+    for one column), model i in columns i R to (i + 1) R; otherwise each
+    runs the numpy loop `_run_loop` when reached.  The two are
+    bit-identical.  A continuous-discrete run's propagator `prop` gives the
+    time update.  Sizes that do not fit a model raise LengthMismatchError."""
+    if not (models and all(map(_scalar_linear, models))):
+        for model in models:
+            _check_sizes(model, measurements, xhat, Sigma)
+            yield _run_loop(measurements, xhat, Sigma,
+                            prop.predict if prop else _predictor(model),
+                            model.C, model.Sigma_w)
+        return
+    for model in models:
+        _check_sizes(model, measurements, xhat, Sigma)
+    F, R = len(models), len(measurements)
+    coefs = _coefficients(models, R)
+    tr = _filtered(np.tile(np.asarray(measurements, dtype=float), (F, 1, 1)),
+                   np.tile(xhat, (F, 1)),
+                   np.tile(np.broadcast_to(Sigma, (R, 1, 1)), (F, 1, 1)), 1,
+                   lambda *bufs: _column_steps(coefs, *bufs,
+                                               prop and prop.interval))
+    for i in range(F):
+        yield _checked(tr.replicate(slice(i * R, (i + 1) * R)))
 
 
 def run_filter_batch(model, measurements, xhat, Sigma) -> FilterTrace:
     """Filter R replicates at once: measurements (R, N, m), initial priors
     xhat (R, n) and Sigma (R, n, n) or one shared (n, n); other sizes raise
     LengthMismatchError.  Returns a batch trace; `_run` picks the route."""
-    return _run(model, measurements, xhat, Sigma)
+    return next(_run([model], measurements, xhat, Sigma))
 
 
 def run_filter(model, measurements, init: StateEstimate) -> FilterTrace:

@@ -10,9 +10,8 @@ from typing import List, Mapping, Optional
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .discrete import (FilterTrace, _check_finite, _checked, _scalar_linear,
-                       _scalar_traces, _write_csv, _write_steps, run_filter,
-                       run_filter_batch)
+from .discrete import (FilterTrace, _check_finite, _run, _write_csv,
+                       _write_steps, run_filter)
 from .errors import FilterError, LengthMismatchError, NonFiniteStateError
 from .models import (EPS_G, ContinuousDiscreteModel, DiscreteLinearModel,
                      _first_failure, eval_G)
@@ -502,14 +501,13 @@ def monte_carlo_compare(model: DiscreteLinearModel,
     `replicate_seed(master_seed, r).spawn(2)`, whose words
     `_replicate_words` makes for every replicate at once.
 
-    When every filter is linear with n = m = 1, all F filters run over all
-    replicates as one batch of F R columns (`discrete._scalar_traces`);
-    otherwise each filter runs once over all replicates
-    (`run_filter_batch`).  Either way each filter in turn is then checked:
-    its trace (errors name the step and its replicate), its MSE, whose
-    first non-finite replicate raises NonFiniteStateError naming the
-    filter, and its whiteness.  A mean or standard error of the MSE that
-    is not finite raises NonFiniteStateError naming its filter.
+    The filters take the filter's own route over all replicates
+    (`discrete._run`: one batch of F R columns when every filter is linear
+    with n = m = 1), and each in turn is then checked: its trace (errors
+    name the step and its replicate), its MSE, whose first non-finite
+    replicate raises NonFiniteStateError naming the filter, and its
+    whiteness.  A mean or standard error of the MSE that is not finite
+    raises NonFiniteStateError naming its filter.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
@@ -519,17 +517,12 @@ def monte_carlo_compare(model: DiscreteLinearModel,
     data = simulate_batch(model, x0, N, [_generator(w) for w in data_words],
                           distribution=distribution)
     Sigma0 = init_sigma * np.eye(model.n)
-    F, models = len(filters), list(filters.values())
-    traces = [None] * F
-    if F and all(map(_scalar_linear, models)):
-        traces = _scalar_traces(models, data.measurements, xinit, Sigma0)
+    F = len(filters)
     mses = np.empty((replicates, F))
     passes = np.empty((replicates, F))
     rhos = np.empty((F, MAX_LAG + 1))
-    for i, (name, run_model, trace) in enumerate(zip(filters, models,
-                                                     traces)):
-        trace = (run_filter_batch(run_model, data.measurements, xinit, Sigma0)
-                 if trace is None else _checked(trace))
+    traces = _run(list(filters.values()), data.measurements, xinit, Sigma0)
+    for i, (name, trace) in enumerate(zip(filters, traces)):
         mses[:, i] = mse(trace, data)
         if not (ok := np.isfinite(mses[:, i])).all():
             raise NonFiniteStateError(

@@ -172,12 +172,16 @@ def _inverse_cholesky(S) -> np.ndarray:
 
 
 def _schur_factor(S, i) -> np.ndarray:
-    """_inverse_cholesky of the Schur complement S of Hessian block i."""
+    """_inverse_cholesky of the Schur complement S of Hessian block i.  Its
+    inputs are finite, so a non-finite S overflowed: NonFiniteStateError."""
     try:
         return _inverse_cholesky(S)
     except np.linalg.LinAlgError as exc:
         raise IndefiniteHessianError(
             f"Hessian Schur complement {i} not positive definite") from exc
+    except ValueError as exc:
+        raise NonFiniteStateError(
+            f"Hessian Schur complement {i} non-finite") from exc
 
 
 def _factor_solve(Li, B) -> np.ndarray:
@@ -363,6 +367,8 @@ class BlockTridiagFactor:
     """
 
     def __init__(self, D, L):
+        if not all(np.isfinite(B).all() for B in (*D, *L)):
+            raise ValueError("blocks must not contain infs or NaNs")
         self.L = L
         self.factors = []
         for i, Di in enumerate(D):
@@ -550,9 +556,10 @@ def oracle_filter(model, measurements, init: StateEstimate) -> OracleSolution:
     raises.  A Sigma_v diagonal entry whose largest weight 1/(EPS_G Sigma_v)
     is not finite, a singular Sigma_w or one whose inverse overflows, which
     the costs invert, is a `ModelError`, as is a Sigma_w against which
-    C' Sigma_w^{-1} C or, on finite measurements, C' Sigma_w^{-1} y
-    overflows, and a prior covariance whose inverse overflows
-    (`initial_cost`).
+    C' Sigma_w^{-1} C or C' Sigma_w^{-1} y overflows, and a prior
+    covariance whose inverse overflows (`initial_cost`).  A non-finite
+    measurement is a ValueError; a Schur complement that overflows is a
+    NonFiniteStateError.
     """
     ms = np.atleast_2d(np.asarray(measurements, dtype=float))
     N = ms.shape[0]
@@ -576,7 +583,9 @@ def oracle_filter(model, measurements, init: StateEstimate) -> OracleSolution:
     nb = N - pinned  # variable blocks; step k ends at block k - pinned
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         CtWy = (CtW @ ms[pinned:, :, None])[..., 0]
-    if np.isfinite(ms).all() and not np.isfinite(CtWy).all():
+    if not np.isfinite(ms).all():
+        raise ValueError("measurements must not contain infs or NaNs")
+    if not np.isfinite(CtWy).all():
         raise ModelError("Sigma_w is too small for the measurements: the "
                          "oracle's weighted measurement C' Sigma_w^{-1} y "
                          "overflows")
@@ -587,7 +596,7 @@ def oracle_filter(model, measurements, init: StateEstimate) -> OracleSolution:
     if not pinned:
         D[0], b[0] = prior.D[0], prior.b[0]
     # As in the filter loop, a value that overflows is left to the checks:
-    # a factor refuses a non-finite block and a check a non-finite norm.
+    # a Schur complement that is not finite and a non-finite norm raise.
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         _forward_pass(model, sigma_v, pinned, CtWC, CtWy, D, b, L, Dt, bt,
                       factors, terminal, xhats, starts)

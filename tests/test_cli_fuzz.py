@@ -2,21 +2,20 @@
 
 Each numeric entry of three model files (the two under bench/models and a
 two-state discrete model) is set in turn to each value of VALUES, and the
-mutated file is run through one subcommand, cycled from COMMANDS.  Every
-run must end in a documented exit code without a traceback: on success
-every CSV it wrote is finite; on failure it prints one stderr line and
-leaves no output directory, except oracle-check's tolerance failure, which
-writes its outputs before it reports.
+mutated file is run through one subcommand, cycled from COMMANDS, by
+`test_cli.run` (every warning an error).  Every run must end in a
+documented exit code without a traceback: on success every CSV it wrote
+is finite; on failure it prints one stderr line and leaves no output
+directory, except oracle-check's tolerance failure, which writes its
+outputs before it reports.
 """
 
 import csv
 import math
 import shutil
-import warnings
 from pathlib import Path
 
-from cukf.cli import parse_and_dispatch
-from test_cli import TWO_STATE_DISCRETE_FILE
+from test_cli import TWO_STATE_DISCRETE_FILE, run
 
 BENCH_MODELS = Path(__file__).resolve().parents[1] / "bench" / "models"
 
@@ -78,24 +77,20 @@ def nonfinite_cells(out):
 
 def test_mutated_model_files_end_in_a_documented_exit(tmp_path, monkeypatch,
                                                       capsys):
-    monkeypatch.delenv("CUKF_OUTPUT_DIR", raising=False)
     model, out = tmp_path / "model.txt", tmp_path / "out"
     failures, cases = [], 0
     for i, (label, text) in enumerate(mutations()):
         cases += 1
         command = COMMANDS[i % len(COMMANDS)]
         model.write_text(text + "\n")
-        argv = command + ["--model", str(model), "--out", str(out)]
         case = f"{label}: {' '.join(command)}"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                code = parse_and_dispatch(argv)
-            except Exception as exc:  # a traceback at the boundary
-                failures.append(f"{case}: raised {exc!r}")
-                capsys.readouterr()
-                shutil.rmtree(out, ignore_errors=True)
-                continue
+        try:
+            code = run(command + ["--model", str(model)], out, monkeypatch)
+        except Exception as exc:  # a traceback at the boundary
+            failures.append(f"{case}: raised {exc!r}")
+            capsys.readouterr()
+            shutil.rmtree(out, ignore_errors=True)
+            continue
         err = capsys.readouterr().err
         if code not in (0, 1, 2) or "Traceback" in err:
             failures.append(f"{case}: exit {code}, stderr {err!r}")

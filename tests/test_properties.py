@@ -252,9 +252,10 @@ def scalar_oracle_cases(draw):
     from 1 to 60: about a third of A0, A1, the g^2 row, C, xhat_0 and the
     measurements are +0.0 or -0.0 (a measurement may be +-5e-324), some
     g^2 rows floor, a third of the models are fixed-beta baselines, the
-    prior is pinned or positive, and some Sigma_w are so small that the
-    oracle refuses them (C' Sigma_w^{-1} C or C' Sigma_w^{-1} y overflows)
-    or that a Newton check overflows."""
+    prior is pinned or positive, some Sigma_w are so small that the oracle
+    refuses them (C' Sigma_w^{-1} C or C' Sigma_w^{-1} y overflows) or that
+    a Newton check overflows, and some Sigma_v so small that a Hessian
+    Schur complement overflows."""
     N = draw(st.integers(1, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
 
@@ -263,12 +264,13 @@ def scalar_oracle_cases(draw):
             return rng.choice([0.0, -0.0])
         return value
 
-    tiny = rng.random() < 0.2
+    tiny, tiny_v = rng.random(2) < 0.2
     model = DiscreteLinearModel(
         A0=[signed(rng.standard_normal())], A1=[[signed(rng.uniform(-1, 1))]],
         C=[[signed(rng.uniform(1, 10) if tiny else rng.standard_normal())]],
         gsq=[[signed(rng.uniform(-1.0, 5.0)), signed(rng.uniform(-2.0, 2.0))]],
-        Sigma_v=[[rng.uniform(0.1, 2.0)]],
+        Sigma_v=[[10 ** rng.uniform(-296.2, -290.0) if tiny_v
+                  else rng.uniform(0.1, 2.0)]],
         Sigma_w=[[10 ** rng.uniform(-307.9, -306.0) if tiny
                   else rng.uniform(0.1, 2.0)]])
     if rng.random() < 1 / 3:
