@@ -343,6 +343,8 @@ def parse_and_dispatch(argv=None) -> int:
         args = _parser().parse_args(argv)
         if not np.isfinite(getattr(args, "x0", 0.0)):
             raise ValueError("--x0 must be finite")
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError("--seed must be at least 0")
         return args.func(args)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0

@@ -12,8 +12,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .discrete import (FilterTrace, StateEstimate, _predictor, _run,
-                       _stepped, _symmetrize_in_place)
+from .discrete import (FilterTrace, StateEstimate, _check_sizes, _predictor,
+                       _run, _stepped, _symmetrize_in_place)
 from .errors import (LengthMismatchError, NonFiniteStateError,
                      StepTooLargeError)
 from .models import EPS_G, ContinuousDiscreteModel, DiscreteLinearModel, eval_G
@@ -259,10 +259,13 @@ def cd_time_update(post: StateEstimate, model, t0: float, t1: float,
     ODEs, evaluating the noise gain along the evolving estimate.  Each call
     builds its own matrix exponentials; `cd_run` reuses them across
     intervals.  A value that overflows raises NonFiniteStateError, never a
-    RuntimeWarning first."""
+    RuntimeWarning first; a prior of another size than the model's,
+    LengthMismatchError."""
+    dyn = _inner(model)
+    _check_sizes(dyn.m, dyn.n, xhat=post.xhat, Sigma=post.Sigma)
     if not -np.inf < t0 <= t1 < np.inf:
         raise ValueError("need finite t0 <= t1")
-    prop = _Propagator(_inner(model), step, [t0, t1])
+    prop = _Propagator(dyn, step, [t0, t1])
     return _stepped(post, prop.predict, 1, t1)
 
 
@@ -308,9 +311,11 @@ def euler_limit_check(model, post: StateEstimate, t0: float, t1: float,
     Sigma <- (I + dt*A1) Sigma (I + dt*A1)' + dt * G(xhat) Sigma_v G(xhat).
     Errors must shrink roughly linearly in dt; one that is not finite
     raises NonFiniteStateError.  The finest step sets the reference's
-    clamp-detection grid, so it may take 10^5 steps.
+    clamp-detection grid, so it may take 10^5 steps.  A prior of another
+    size than the model's raises LengthMismatchError.
     """
     dyn = _inner(model)
+    _check_sizes(dyn.m, dyn.n, xhat=post.xhat, Sigma=post.Sigma)
     if not -np.inf < t0 < t1 < np.inf:
         raise ValueError("need finite t0 < t1")
     span = t1 - t0

@@ -201,10 +201,13 @@ def _blue_step(Z, W, C, Sigma_w, S, Kt, out, step=None):
 
 
 def measurement_update(prior: StateEstimate, y, C, Sigma_w) -> StateEstimate:
-    """Incorporate measurement y via the best linear unbiased update."""
+    """Incorporate measurement y via the best linear unbiased update; y,
+    the prior and Sigma_w must fit C (m, n), or LengthMismatchError."""
     C, Sigma_w = (np.atleast_2d(np.asarray(a, float)) for a in (C, Sigma_w))
-    tr = _run_loop(np.reshape(y, (1, 1, -1)), prior.xhat[None],
-                   prior.Sigma[None], None, C, Sigma_w, prior.index)
+    ys = np.reshape(y, (1, 1, -1))
+    _check_sizes(*C.shape, ys, prior.xhat[None], prior.Sigma, Sigma_w=Sigma_w)
+    tr = _run_loop(ys, prior.xhat[None], prior.Sigma[None], None, C, Sigma_w,
+                   prior.index)
     return StateEstimate(tr.xhat_post[0, 0], tr.Sigma_post[0, 0], prior.index)
 
 
@@ -241,7 +244,9 @@ def _stepped(post: StateEstimate, predict, count, index) -> StateEstimate:
 def time_update(post: StateEstimate, model) -> StateEstimate:
     """Propagate one step, recomputing the process noise covariance
     G(xhat) Sigma_v G(xhat) at the posterior estimate (`_stepped`): a
-    non-finite f or G raises NonFiniteStateError, never a RuntimeWarning."""
+    non-finite f or G raises NonFiniteStateError, never a RuntimeWarning;
+    a prior of another size than the model's, LengthMismatchError."""
+    _check_sizes(model.m, model.n, xhat=post.xhat, Sigma=post.Sigma)
     return _stepped(post, _predictor(model), 1, post.index + 1)
 
 
@@ -423,18 +428,34 @@ def _column_steps(coefs, prior, post, W, S, Kt, tr, interval=None):
         return (c1 * post[:-1, :, 0, 0] + c0 < EPS_G).sum(axis=0)
 
 
-def _check_sizes(model, measurements, xhat, Sigma):
-    """Raise LengthMismatchError unless the measurements (R, N, m), the
-    prior means xhat (R, n) and covariances Sigma, (R, n, n) or one shared
-    (n, n), fit the model's m and n and share R."""
-    shape, n = np.shape(measurements), model.n
-    R, m = shape[0], shape[-1]
-    if (m != model.m or np.shape(xhat) != (R, n)
-            or np.shape(Sigma) not in ((n, n), (R, n, n))):
+def _check_sizes(m, n, measurements=None, xhat=None, Sigma=None, x0=None,
+                 Sigma_w=None, R=None):
+    """Raise LengthMismatchError unless every input given fits a model of
+    m outputs and n states and one number R of replicates, that of the
+    measurements (R, N, m) when they are given: prior means xhat (R, n),
+    or (n,) for no R; covariances Sigma, (R, n, n) or one shared (n, n);
+    initial states x0 (R, n), one shared (n,) or a scalar; and a
+    measurement noise covariance Sigma_w (m, m)."""
+    parts, ok = [], True
+    if measurements is not None:
+        shape = np.shape(measurements)
+        R, ok = shape[0], shape[-1] == m
+        parts.append(f"{R} series of measurements of {shape[-1]} components")
+    for name, a, fits in (("priors", xhat, [(n,) if R is None else (R, n)]),
+                          ("covariances", Sigma, [(n, n), (R, n, n)]),
+                          ("initial states", x0, [(), (n,), (R, n)]),
+                          ("measurement noise covariances", Sigma_w,
+                           [(m, m)])):
+        if a is not None:
+            ok &= np.shape(a) in fits
+            parts.append(f"{name} of shape {np.shape(a)}")
+    if not ok:
+        *head, last = parts
+        of = ("" if measurements is not None or R is None
+              else f"R = {R} replicates of ")
         raise LengthMismatchError(
-            f"{R} series of measurements of {m} components, priors of shape "
-            f"{np.shape(xhat)} and covariances of shape {np.shape(Sigma)} "
-            f"for a model of m = {model.m}, n = {n}")
+            f"{', '.join(head)}{' and ' if head else ''}{last} for {of}a "
+            f"model of m = {m}, n = {n}")
 
 
 def _run(models, measurements, xhat, Sigma, prop=None):
@@ -449,13 +470,13 @@ def _run(models, measurements, xhat, Sigma, prop=None):
     time update.  Sizes that do not fit a model raise LengthMismatchError."""
     if not (models and all(map(_scalar_linear, models))):
         for model in models:
-            _check_sizes(model, measurements, xhat, Sigma)
+            _check_sizes(model.m, model.n, measurements, xhat, Sigma)
             yield _run_loop(measurements, xhat, Sigma,
                             prop.predict if prop else _predictor(model),
                             model.C, model.Sigma_w)
         return
     for model in models:
-        _check_sizes(model, measurements, xhat, Sigma)
+        _check_sizes(model.m, model.n, measurements, xhat, Sigma)
     F, R = len(models), len(measurements)
     coefs = _coefficients(models, R)
     tr = _filtered(np.tile(np.asarray(measurements, dtype=float), (F, 1, 1)),

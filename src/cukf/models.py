@@ -14,6 +14,7 @@ Df(x) M], Df(x), g, g^2)` alone, on a stack of blocks Z = [x | M] (..., n,
 state, and Df (or central differences of f) only when Z carries M.
 """
 
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional
@@ -175,17 +176,19 @@ class NonlinearModel:
     def linearize(self, Z: np.ndarray):
         """As `DiscreteLinearModel.linearize`, in one pass over the states;
         Df is None if Z has only x, and g^2 is inf: a user-supplied gain is
-        never floored.  A non-finite f, Df or G, tested in that order over
-        all states, raises naming the first failing replicate."""
+        never floored.  An f, Df or G value of the wrong size for n
+        raises ModelError, and a non-finite one NonFiniteStateError naming
+        the first failing replicate, tested in that order over all states."""
         X = Z[..., 0]
         Df = None
         if Z.shape[-1] > 1:
             Df = self.Df or partial(finite_difference_jacobian, self.f)
         fs, Js, gs = zip(*[(self.f(x), Df and Df(x), self._gain_row(x))
                            for x in X.reshape(-1, self.n)])
-        f = _stacked(fs, X.shape + (1,), "drift")
-        J = Df and _stacked(Js, X.shape + (self.n,), "Jacobian")
-        g = _stacked(gs, X.shape + (1,), "gain")
+        n = self.n
+        f = _stacked(fs, X.shape + (1,), "drift", (n,))
+        J = Df and _stacked(Js, X.shape + (n,), "Jacobian", (n, n))
+        g = _stacked(gs, X.shape + (1,), "gain", (n,))
         FZ = f if J is None else np.concatenate((f, J @ Z[..., 1:]), axis=-1)
         return FZ, J, g, np.inf
 
@@ -198,10 +201,13 @@ class NonlinearModel:
         return np.diag(raw)
 
 
-def _stacked(rows, shape, what):
-    """The per-state values `rows` as one array of `shape`; a non-finite
-    value raises "<what> non-finite"."""
+def _stacked(rows, shape, what, row):
+    """The per-state values `rows`, each of the size of `row`, as one array
+    of `shape`: a value of another size raises ModelError naming `what` and
+    the shape returned, and a non-finite one "<what> non-finite"."""
     out = np.array(rows, dtype=float)
+    if out.size != len(rows) * math.prod(row):
+        raise ModelError(f"{what} must have shape {row}, got {out.shape[1:]}")
     if not np.isfinite(out).all():
         ok = np.isfinite(out.reshape(len(out), -1)).all(axis=-1)
         raise NonFiniteStateError(f"{what} non-finite",

@@ -10,8 +10,8 @@ from typing import List, Mapping, Optional
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .discrete import (FilterTrace, _check_finite, _run, _write_csv,
-                       _write_steps, run_filter)
+from .discrete import (FilterTrace, _check_finite, _check_sizes, _run,
+                       _write_csv, _write_steps, run_filter)
 from .errors import FilterError, LengthMismatchError, NonFiniteStateError
 from .models import (EPS_G, ContinuousDiscreteModel, DiscreteLinearModel,
                      _first_failure, eval_G)
@@ -253,8 +253,12 @@ def _paths(dyn, x0, seeds, nsteps, distribution, what, step,
     filter's trace of an n >= 2 model still does.  A
     non-finite state or measurement raises naming its row k of the samples
     (x_1 = x0 is row 1), and so does a nonlinear model's drift or gain that
-    turns non-finite making row k."""
+    turns non-finite making row k.  No seeds, or an x0 of another size
+    (`discrete._check_sizes`), is refused before any noise is drawn."""
     R, n, m = len(seeds), dyn.n, dyn.m
+    if R < 1:
+        raise ValueError("seeds must be nonempty")
+    _check_sizes(m, n, x0=x0, R=R)
     K, ends = len(nsteps) + 1, np.cumsum(nsteps)
     is_y = np.zeros(K * m + n * int(np.sum(nsteps)), dtype=bool)
     is_y[(m * np.arange(K) + n * np.append(0, ends))[:, None]
@@ -412,6 +416,8 @@ def innovation_whiteness(trace: FilterTrace,
     replicate with a constant component is degenerate: its rho and pass
     fraction are NaN.
     """
+    if max_lag < 1:
+        raise ValueError(f"max_lag must be at least 1, got {max_lag}")
     N = len(trace)
     if N <= max_lag:
         raise ValueError(f"need more than max_lag={max_lag} steps, got {N}")
@@ -511,6 +517,7 @@ def monte_carlo_compare(model: DiscreteLinearModel,
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
+    _check_sizes(model.m, model.n, x0=x0, R=replicates)
     data_words, init_words = _replicate_words(master_seed, replicates)
     xinit = np.array([_generator(w).standard_normal(model.n)
                       for w in init_words])

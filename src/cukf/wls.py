@@ -47,7 +47,8 @@ import numpy as np
 
 from .errors import IndefiniteHessianError, ModelError, NonFiniteStateError
 from .models import EPS_G
-from .discrete import StateEstimate, _scalar_linear, _write_steps, symmetrize
+from .discrete import (StateEstimate, _check_sizes, _scalar_linear,
+                       _write_steps, symmetrize)
 
 # Longest horizon `oracle_filter` accepts; its memory grows as O(N^2 n).
 MAX_HORIZON = 500
@@ -559,10 +560,17 @@ def oracle_filter(model, measurements, init: StateEstimate) -> OracleSolution:
     C' Sigma_w^{-1} C or C' Sigma_w^{-1} y overflows, and a prior
     covariance whose inverse overflows (`initial_cost`).  A non-finite
     measurement is a ValueError; a Schur complement that overflows is a
-    NonFiniteStateError.
+    NonFiniteStateError.  Before any of that, inputs of another size than
+    the model's raise LengthMismatchError (`discrete._check_sizes`), and no
+    measurements or a non-finite prior mean, ValueError.
     """
     ms = np.atleast_2d(np.asarray(measurements, dtype=float))
+    _check_sizes(model.m, model.n, ms[None], init.xhat[None], init.Sigma)
     N = ms.shape[0]
+    if N < 1:
+        raise ValueError("need at least one measurement")
+    if not np.isfinite(init.xhat).all():
+        raise ValueError("initial prior mean must not contain infs or NaNs")
     if N > MAX_HORIZON:
         raise ValueError(
             f"horizon {N} exceeds cap {MAX_HORIZON}; the cap bounds the "

@@ -360,7 +360,14 @@ REFUSALS = {
          "'covariance-update' is not finite", False)],
     "test_a_negative_compare_seed_exits_1_with_one_error_line": [
         (None, "compare --model example_sec3 --beta 0.1 --seed -1",
-         "error: expected non-negative integer", False)],
+         "error: --seed must be at least 0")],
+    "test_a_negative_seed_is_refused_by_its_flag_before_any_output": [
+        ("simulate", "simulate --model example_sec3 --seed -1",
+         "error: --seed must be at least 0"),
+        ("filter", "filter --model birth_death_cle --seed -1",
+         "error: --seed must be at least 0"),
+        ("oracle-check", "oracle-check --model example_sec3 --seed -1",
+         "error: --seed must be at least 0")],
     "test_infinite_init_sigma_exits_1_with_one_error_line": [
         ("filter", "filter --model example_sec3 --init-sigma inf",
          "error: --init-sigma must be finite and nonnegative"),

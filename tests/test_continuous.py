@@ -11,8 +11,6 @@ from cukf.continuous import (_PADE, _Propagator, _expm,
                              cd_run, cd_time_update, default_config,
                              euler_limit_check)
 from cukf.discrete import StateEstimate, time_update
-from cukf.errors import (LengthMismatchError, ModelError, NonFiniteStateError,
-                         StepTooLargeError)
 from cukf.modelio import load_model
 from cukf.models import ContinuousDiscreteModel, DiscreteLinearModel
 from cukf.simulate import simulate_cd
@@ -20,6 +18,9 @@ from cukf.simulate import simulate_cd
 from reference_impl import (EPS_G, _rk4, classical_cd_kf, floor_crossings,
                             random_constant_noise_model, rel_err, split_rk4,
                             vanloan_discretize)
+from test_failures import failure_tests
+
+globals().update(failure_tests("test_continuous"))
 
 STEP = 0.001
 
@@ -56,30 +57,6 @@ def test_affine_gain_frozen_reference():
     out = cd_time_update(post, scalar_model(), 0.0, 1.0, STEP)
     assert np.allclose(out.xhat, [54.75812932441148], rtol=1e-5)
     assert np.allclose(out.Sigma, [[14.64032322594648]], rtol=1e-5)
-
-
-def test_step_too_large():
-    post = StateEstimate([0.0], [[1.0]], 0.0)
-    with pytest.raises(StepTooLargeError):
-        cd_time_update(post, scalar_model(), 0.0, 0.5, 1.0)
-
-
-@pytest.mark.parametrize("t0, t1", [(0.0, np.nan), (0.0, np.inf),
-                                    (np.nan, 1.0), (1.0, 0.5)])
-def test_bad_interval_rejected(t0, t1):
-    post = StateEstimate([0.0], [[1.0]], 0.0)
-    with pytest.raises(ValueError, match="need finite t0 <= t1"):
-        cd_time_update(post, scalar_model(), t0, t1, STEP)
-
-
-def test_non_diagonal_sigma_v_rejected():
-    post = StateEstimate([1.0, 1.0], np.eye(2), 0.0)
-    with pytest.raises(ModelError):
-        model = DiscreteLinearModel(A0=[0, 0], A1=-np.eye(2), C=np.eye(2),
-                                    gsq=[[1.0, 0, 0], [1.0, 0, 0]],
-                                    Sigma_v=[[1.0, 0.5], [0.5, 1.0]],
-                                    Sigma_w=np.eye(2))
-        cd_time_update(post, model, 0.0, 0.1, STEP)
 
 
 def test_covariance_ode_preserves_symmetry():
@@ -188,22 +165,6 @@ def test_cd_run_constant_gain_matches_classical(subtests=None):
         assert rel_err(trace.Sigma_post, Ps) < 1e-8
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_diverging_propagation_names_its_interval_and_step(n):
-    # n = 1 fails in the propagator's float adaptor `interval`, n = 2 in
-    # its `predict` inside the numpy loop; both name the prior's step.
-    dyn = DiscreteLinearModel(
-        A0=np.ones(n), A1=800.0 * np.eye(n), C=np.eye(n),
-        gsq=np.column_stack([np.ones(n), np.zeros((n, n))]), Sigma_v=np.eye(n),
-        Sigma_w=np.eye(n))
-    model = ContinuousDiscreteModel(inner=dyn, sample_times=[0.0, 0.5, 1.0])
-    with pytest.raises(NonFiniteStateError) as exc:
-        cd_run(model, np.zeros((3, n)), StateEstimate(np.ones(n), np.eye(n),
-                                                      0.0))
-    assert exc.value.step == 2
-    assert str(exc.value) == "integration diverged on [0.0, 0.5] (at step 2)"
-
-
 def cutting_cd():
     """The CI's cutting file: g^2 = x - 2 crosses the floor as the mean
     relaxes toward 5, so intervals are cut."""
@@ -237,20 +198,6 @@ def test_cd_time_update_is_the_time_update_cd_run_makes(name):
             model, ts[k], ts[k + 1], step)
         assert prior.xhat.tobytes() == trace.xhat_prior[k + 1].tobytes()
         assert prior.Sigma.tobytes() == trace.Sigma_prior[k + 1].tobytes()
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_cd_run_refuses_a_prior_or_measurements_of_another_size(n):
-    # Either route would otherwise run: the scalar rule on the first
-    # component alone, the numpy loop into a numpy error or a wrong trace.
-    model = birth_death_cle() if n == 1 else load_model(
-        Path(__file__).resolve().parents[1] / "bench" / "models"
-        / "two_species_cle.txt")
-    K = model.sample_times.size
-    for ms, xhat in ((np.zeros((K, n)), np.zeros(n + 1)),
-                     (np.zeros((K, n + 1)), np.zeros(n))):
-        with pytest.raises(LengthMismatchError, match=f"m = {n}, n = {n}$"):
-            cd_run(model, ms, StateEstimate(xhat, np.eye(n), 0.0))
 
 
 def test_cd_trace_csv_has_time_column_and_sidecar(tmp_path, monkeypatch):

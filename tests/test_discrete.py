@@ -1,6 +1,5 @@
 import csv
 import os
-import warnings
 
 import numpy as np
 import pytest
@@ -9,12 +8,13 @@ from cukf.builtin import example_sec3
 from cukf.discrete import (FilterTrace, StateEstimate, _predictor, _run_loop,
                            _write_csv, measurement_update, run_filter,
                            run_filter_batch, time_update)
-from cukf.errors import (LengthMismatchError, NonFiniteStateError,
-                         SingularInnovationError)
 from cukf.models import DiscreteLinearModel, with_fixed_noise
-from cukf.simulate import monte_carlo_compare, simulate_discrete
+from cukf.simulate import simulate_discrete
 
 from reference_impl import random_constant_noise_model, rel_err, textbook_kf
+from test_failures import failure_tests
+
+globals().update(failure_tests("test_discrete"))
 
 
 def test_measurement_update_zero_prior_covariance():
@@ -40,12 +40,6 @@ def test_measurement_update_two_state_frozen_oracle():
     assert np.allclose(post.Sigma,
                        [[2.0 / 3.0, 1.0 / 3.0], [1.0 / 3.0, 8.0 / 3.0]],
                        rtol=1e-14)
-
-
-def test_measurement_update_singular_innovation():
-    prior = StateEstimate(xhat=[0.0], Sigma=[[0.0]])
-    with pytest.raises(SingularInnovationError):
-        measurement_update(prior, [1.0], [[1.0]], [[0.0]])
 
 
 def test_time_update_sec3_from_origin():
@@ -173,65 +167,6 @@ def test_trace_csv_schema(tmp_path):
     assert len(lines) == 6
 
 
-def test_run_filter_error_carries_step_index():
-    model = DiscreteLinearModel(A0=[0.0], A1=[[1.0]], C=[[1.0]],
-                                gsq=[[0.0, 0.0]], Sigma_v=[[1.0]],
-                                Sigma_w=[[0.0]])
-    init = StateEstimate([0.0], [[0.0]], index=1)
-    with pytest.raises(SingularInnovationError) as exc:
-        run_filter(model, [[1.0], [2.0]], init)
-    assert exc.value.step == 1
-
-
-def test_batch_errors_name_the_first_failing_replicate():
-    model = DiscreteLinearModel(A0=[0.0], A1=[[1.0]], C=[[1.0]],
-                                gsq=[[1.0, 0.0]], Sigma_v=[[1.0]],
-                                Sigma_w=[[0.0]])
-    ys = np.ones((4, 5, 1))
-    Sigma0 = np.ones((4, 1, 1))
-    Sigma0[2] = 0.0  # S = C Sigma C' + 0 is singular for replicate 2 only
-    with pytest.raises(SingularInnovationError) as exc:
-        run_filter_batch(model, ys, np.zeros((4, 1)), Sigma0)
-    assert (exc.value.replicate, exc.value.step) == (2, 1)
-    assert "(replicate 2, at step 1)" in str(exc.value)
-    ys[1, 3] = np.nan
-    ys[3, 2] = np.inf
-    with pytest.raises(NonFiniteStateError) as exc:
-        run_filter_batch(model, ys, np.zeros((4, 1)), np.eye(1))
-    assert (exc.value.replicate, exc.value.step) == (3, 3)
-    assert "(replicate 3, at step 3)" in str(exc.value)
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_run_filter_refuses_a_prior_or_measurements_of_another_size(n):
-    # n = 1 takes the scalar kernel, which would otherwise filter on the
-    # first column alone and leave the rest of its buffers unwritten; n = 2
-    # the numpy loop.
-    model = example_sec3() if n == 1 else DiscreteLinearModel(
-        A0=[0.0, 0.0], A1=0.5 * np.eye(2), C=[[1.0, 0.0]],
-        gsq=[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], Sigma_v=np.eye(2),
-        Sigma_w=[[1.0]])
-    R, N = 3, 5
-    ms, xhat, Sigma = np.ones((R, N, 1)), np.zeros((R, n)), np.eye(n)
-    assert len(run_filter_batch(model, ms, xhat, Sigma)) == N
-    for bad in ((np.ones((R, N, 2)), xhat, Sigma),
-                (ms, np.zeros((R, n + 1)), Sigma),
-                (ms, xhat, np.eye(n + 1)),
-                (ms, xhat, np.ones((R + 1, n, n))),
-                (ms, np.zeros((R - 1, n)), Sigma),
-                (ms[:1], xhat, np.ones((R, n, n)))):
-        with pytest.raises(LengthMismatchError, match=f"m = 1, n = {n}$"):
-            run_filter_batch(model, *bad)
-    for ys, x0, P0 in ((np.ones((N, 1)), np.zeros(n + 1), np.eye(n)),
-                       (np.ones((N, 1)), np.zeros(n), np.eye(n + 1)),
-                       (np.ones((N, 2)), np.zeros(n), np.eye(n))):
-        with pytest.raises(LengthMismatchError):
-            run_filter(model, ys, StateEstimate(x0, P0))
-    if n == 2:  # compare's one batch of scalar filters checks each
-        with pytest.raises(LengthMismatchError, match="m = 1, n = 1$"):
-            monte_carlo_compare(model, {"cu": example_sec3()}, R, 30, 0)
-
-
 def test_clamps_are_counted_from_the_posteriors_that_a_time_update_follows():
     # g^2 = x, floored where a posterior is below EPS_G.  Replicate 0 floors
     # only at its last posterior, which no time update follows, so it
@@ -251,28 +186,6 @@ def test_clamps_are_counted_from_the_posteriors_that_a_time_update_follows():
     for r in range(3):  # one replicate, in Python floats
         one = run_filter_batch(model, ms[r:r + 1], xhat[r:r + 1], Sigma)
         assert one.clamp_count.tolist() == [numpy_loop.clamp_count[r]]
-
-
-@pytest.mark.parametrize("m", [1, 2])
-@pytest.mark.parametrize("bad, Sigma_w, Sigma0, error", [
-    (np.inf, 1.0, 0.0, NonFiniteStateError),
-    (np.nan, 1.0, 0.0, NonFiniteStateError),
-    (None, 0.0, 0.0, SingularInnovationError),
-    (None, 0.0, -1.0, SingularInnovationError),
-])
-def test_failing_runs_emit_no_runtime_warning(m, bad, Sigma_w, Sigma0, error):
-    # m = 1 takes the closed-form factor, m = 2 the LAPACK one.
-    model = DiscreteLinearModel(
-        A0=np.zeros(m), A1=np.eye(m), C=np.eye(m),
-        gsq=np.column_stack([np.ones(m), np.zeros((m, m))]),
-        Sigma_v=np.eye(m), Sigma_w=Sigma_w * np.eye(m))
-    ys = np.ones((3, 6, m))
-    if bad is not None:
-        ys[1, 2] = bad
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(error):
-            run_filter_batch(model, ys, np.zeros((3, m)), Sigma0 * np.eye(m))
 
 
 SPECIAL_VALUES = np.array([-0.0, 5e-324, 1e300, 0.1, -2.5, 1 / 3, 1e-7, 42.0])

@@ -3,12 +3,14 @@ import pytest
 
 from cukf.builtin import example_sec3, logistic
 from cukf.discrete import StateEstimate, run_filter, time_update
-from cukf.errors import NonFiniteStateError
 from cukf.models import (DiscreteLinearModel, NonlinearModel,
                          gain_from_affine)
-from cukf.simulate import simulate_batch, simulate_discrete
+from cukf.simulate import simulate_discrete
 
 from reference_impl import rel_err
+from test_failures import failure_tests
+
+globals().update(failure_tests("test_nonlinear"))
 
 
 def linear_as_nonlinear(model: DiscreteLinearModel) -> NonlinearModel:
@@ -112,55 +114,6 @@ def test_nl_run_logistic_long_run_invariants():
         assert np.abs(S - S.T).max() <= 1e-10 * (1 + np.abs(S).max())
         diff = trace.Sigma_prior[k] - trace.Sigma_post[k]
         assert np.min(np.linalg.eigvalsh(diff)) >= -1e-10
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_nonfinite_drift_raises():
-    model = NonlinearModel(f=lambda x: x * np.inf, G=lambda x: np.eye(1),
-                           C=[[1.0]], Sigma_v=[[1.0]], Sigma_w=[[1.0]], n=1)
-    with pytest.raises(NonFiniteStateError):
-        time_update(StateEstimate([1.0], [[1.0]]), model)
-
-
-def test_nonfinite_posterior_fails_at_its_own_step():
-    # The NaN measurement makes the step-2 posterior NaN; the time update
-    # that follows would fail on it as "drift non-finite".
-    model = NonlinearModel(f=lambda x: 0.9 * x + 1.0, G=lambda x: np.ones(1),
-                           C=[[1.0]], Sigma_v=[[1.0]], Sigma_w=[[1.0]], n=1)
-    ys = [[1.0], [np.nan], [1.0], [1.0]]
-    with pytest.raises(NonFiniteStateError) as exc:
-        run_filter(model, ys, StateEstimate([0.0], [[1.0]], 1))
-    assert exc.value.step == 2
-    assert str(exc.value) == "estimate became non-finite (at step 2)"
-
-
-def test_time_update_failure_names_the_step_of_its_prior():
-    # The posterior of step 3 is 20, where the finite-difference Jacobian
-    # steps into f = inf: making the prior of step 4 fails.
-    model = NonlinearModel(f=lambda x: np.where(x > 20, np.inf, x + 10.0),
-                           G=lambda x: np.ones(1), C=[[1.0]], Sigma_v=[[1.0]],
-                           Sigma_w=[[1.0]], n=1)
-    ys = np.arange(0.0, 100.0, 10.0)[:, None]
-    with pytest.raises(NonFiniteStateError) as exc:
-        run_filter(model, ys, StateEstimate([0.0], [[1.0]], 1))
-    assert exc.value.step == 4
-    assert str(exc.value) == "Jacobian non-finite (at step 4)"
-
-
-def test_simulated_nonfinite_drift_names_its_step_and_replicate():
-    # Below 0 the logistic drift runs off to -inf; f(x) overflows making
-    # the state of row 45 of the samples (x_1 = x0 is row 1), whichever the
-    # noise (g^2 is floored there).
-    with pytest.raises(NonFiniteStateError) as exc:
-        simulate_discrete(logistic(), [-5.0], 50, 0)
-    assert (exc.value.replicate, exc.value.step) == (None, 45)
-    assert str(exc.value) == "drift non-finite (at step 45)"
-    x0 = np.full((3, 1), 50.0)
-    x0[1] = -5.0
-    with pytest.raises(NonFiniteStateError) as exc:
-        simulate_batch(logistic(), x0, 50, [0, 1, 2])
-    assert (exc.value.replicate, exc.value.step) == (1, 45)
-    assert str(exc.value) == "drift non-finite (replicate 1, at step 45)"
 
 
 @pytest.mark.parametrize("analytic", [True, False])

@@ -1,5 +1,4 @@
 import csv
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,7 +8,6 @@ import pytest
 from cukf import simulate
 from cukf.builtin import birth_death_cle, example_sec3
 from cukf.discrete import StateEstimate, run_filter, run_filter_batch
-from cukf.errors import LengthMismatchError, NonFiniteStateError
 from cukf.modelio import load_model
 from cukf.models import (ContinuousDiscreteModel, DiscreteLinearModel,
                          with_fixed_noise)
@@ -19,6 +17,9 @@ from cukf.simulate import (MAX_LAG, TrajectoryData, _replicate_words,
                            simulate_cd_batch, simulate_discrete)
 
 from reference_impl import euler_maruyama_ordered, ordered_affine
+from test_failures import failure_tests
+
+globals().update(failure_tests("test_simulate"))
 
 
 def noiseless_sec3():
@@ -193,40 +194,6 @@ def test_simulate_batch_matches_per_step_loop_bit_for_bit(distribution):
         assert batch.clamped.all() == clamps
 
 
-def test_simulate_batch_names_the_failing_replicate():
-    x0 = np.ones((4, 1))
-    x0[2] = np.inf
-    with pytest.raises(NonFiniteStateError) as exc, \
-            np.errstate(invalid="ignore"):
-        simulate_batch(example_sec3(), x0, 5, [0, 1, 2, 3])
-    # x_1 = x0 is row 1 of the samples; the first state made from it, row 2.
-    assert (exc.value.replicate, exc.value.step) == (2, 2)
-    assert "(replicate 2, at step 2)" in str(exc.value)
-
-
-@pytest.mark.parametrize("bad", [np.inf, np.nan])
-def test_nonfinite_simulations_emit_no_runtime_warning(bad):
-    x0 = np.ones((4, 1))
-    x0[1] = bad
-    model = birth_death_cle(t_end=0.5, n_samples=6)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NonFiniteStateError) as exc:
-            simulate_batch(example_sec3(), x0, 5, [0, 1, 2, 3])
-        assert (exc.value.replicate, exc.value.step) == (1, 2)
-        with pytest.raises(NonFiniteStateError) as exc:
-            simulate_discrete(example_sec3(), [bad], 5, 0)
-        assert (exc.value.replicate, exc.value.step) == (None, 2)
-        with pytest.raises(NonFiniteStateError) as exc:
-            simulate_cd(model, [bad], 0, em_step=0.01)
-        assert (exc.value.replicate, exc.value.step) == (None, 2)
-        with pytest.raises(NonFiniteStateError) as exc:
-            simulate_cd_batch(model, x0, [0, 1, 2, 3], em_step=0.01)
-        assert (exc.value.replicate, exc.value.step) == (1, 2)
-    assert str(exc.value) == ("simulated path became non-finite "
-                              "(replicate 1, at step 2)")
-
-
 def test_simulate_cd_batch_rows_match_one_path_runs():
     # Uneven gaps, and a pure-death model whose g^2 = 2x is floored once
     # the path crosses 0.  A batch runs the numpy loop and one path the
@@ -347,14 +314,6 @@ def test_mse_trivials():
     assert np.isclose(mse(trace, data), 0.25)
 
 
-def test_mse_length_mismatch():
-    model = example_sec3()
-    data = simulate_discrete(model, 1.0, 10, 56)
-    trace = run_filter(model, data.measurements[:5], StateEstimate([0.0], [[0.0]]))
-    with pytest.raises(LengthMismatchError):
-        mse(trace, data)
-
-
 def test_whiteness_lag0_is_one():
     model = example_sec3()
     data = simulate_discrete(model, 1.0, 100, 57)
@@ -434,14 +393,6 @@ def test_replicate_words_are_the_spawned_seed_sequences_words(seed):
                     == child.generate_state(4, np.uint64).tobytes())
 
 
-def test_replicate_words_refuse_what_a_seed_sequence_cannot_spawn():
-    with pytest.raises(ValueError, match="^expected non-negative integer$"):
-        _replicate_words(-1, 3)
-    with pytest.raises(ValueError, match=r"must be below 2\*\*32"):
-        monte_carlo_compare(example_sec3(), {}, replicates=2 ** 32, N=50,
-                            master_seed=0)
-
-
 def per_replicate_compare(model, filters, R, N, seed, distribution):
     """mse_samples, pass fractions and autocorr_mean of monte_carlo_compare,
     with each replicate's streams made one at a time by SeedSequence."""
@@ -478,23 +429,6 @@ def test_monte_carlo_compare_equals_the_per_replicate_streams(seed,
     assert report.autocorr_mean.tobytes() == rhos.tobytes()
 
 
-def test_a_diverged_compare_names_its_filter_and_first_replicate():
-    # Replicates 2 and 4 start at 1e200: their estimates stay finite, but
-    # the squared errors overflow; mse() itself still returns inf.
-    model = example_sec3()
-    x0 = np.array([[1.0], [1.0], [1e200], [1.0], [1e200]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NonFiniteStateError) as exc:
-            monte_carlo_compare(model, {"cu": model}, replicates=5, N=50,
-                                master_seed=0, x0=x0)
-    assert str(exc.value) == ("mean squared error of filter 'cu' became "
-                              "non-finite (replicate 2)")
-    data = simulate_discrete(model, 1e200, 50, 0)
-    trace = run_filter(model, data.measurements, StateEstimate([0.0], [[0.0]]))
-    assert mse(trace, data) == np.inf
-
-
 @pytest.mark.parametrize("m", [1, 2])
 def test_whitening_equals_the_solve_with_the_cholesky_factor(m):
     # Exponents of +-50 (S) and +-30 (E).  Whitening a trace whose
@@ -521,17 +455,6 @@ def test_whitening_equals_the_solve_with_the_cholesky_factor(m):
     assert whitened[0].rho.tobytes() == whitened[1].rho.tobytes()
     assert (whitened[0].pass_fraction.tobytes()
             == whitened[1].pass_fraction.tobytes())
-
-
-@pytest.mark.parametrize("bad", [0.0, -0.0, -1.0])
-def test_whitening_refuses_a_scalar_s_that_is_not_positive(bad):
-    trace = run_filter(example_sec3(), np.zeros((50, 1)),
-                       StateEstimate([0.0], [[0.0]]))
-    trace.S = trace.S.copy()
-    trace.S[17] = bad
-    with pytest.raises(np.linalg.LinAlgError,
-                       match="^Matrix is not positive definite$"):
-        innovation_whiteness(trace)
 
 
 def test_trajectory_csv(tmp_path):
