@@ -33,13 +33,14 @@ from .wls import MAX_HORIZON, dump_diagnostics, oracle_filter
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors mapped to exit status 1, and a negative
-    number in exponent notation (--x0 -1e3) read as a value, as -1000 is."""
+    number in exponent notation (--x0 -1e3) or a negative infinity (--x0
+    -inf) read as a value, as -1000 is."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
             self._negative_number_matcher.pattern
-            + r"|^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+            + r"|^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(?i:inf|infinity)$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -93,7 +94,7 @@ def _kind_options(model, args, least_N=1):
             raise ValueError(f"--N must be at least {least_N}")
         return None
     args.em_step = 0.01 if args.em_step is None else args.em_step
-    _em_steps(model.sample_times, args.em_step)
+    _em_steps(model.sample_times, args.em_step, "--em-step")
     if hasattr(args, "step"):
         return default_config(model) if args.step is None else args.step
 
@@ -235,17 +236,27 @@ def _cmd_limit_check(args):
         raise ValueError("limit-check needs a linear model")
     if args.levels < 0:
         raise ValueError("--levels must be at least 0")
-    if args.dt0 > 0 and not math.ldexp(args.dt0, -args.levels) > 0:
-        raise ValueError(f"--levels {args.levels} halves --dt0 {args.dt0} "
-                         "to 0")
+    t0, t1, dt0 = args.t0, args.t1, args.dt0
+    if not -np.inf < t0 < t1 < np.inf:
+        raise ValueError("--t0 and --t1 must be finite, with --t0 < --t1")
+    if not 0 < dt0 < np.inf:
+        raise ValueError("--dt0 must be finite and positive")
+    if not math.ldexp(dt0, -args.levels) > 0:
+        raise ValueError(f"--levels {args.levels} halves --dt0 {dt0} to 0")
+    dts = [math.ldexp(dt0, -i) for i in range(args.levels + 1)]
+    # euler_limit_check's checks of the steps, finest first, in flag terms.
+    span = t1 - t0
+    for i in reversed(range(len(dts))):
+        step = f"--dt0 {dt0}" + (f" / 2^{i} = {dts[i]}" if i else "")
+        ratio = span / dts[i]
+        if not round(ratio, 0) <= 10 ** 5:  # the reference's grid
+            raise ValueError(f"{step} puts {ratio:.3g} steps on [--t0, --t1] "
+                             f"= [{t0}, {t1}]; at most 100000 are allowed")
+        if abs(ratio - round(ratio)) > 1e-9 * ratio:
+            raise ValueError(f"{step} does not divide --t1 - --t0 = {span}")
     n = dyn.n
-    post = StateEstimate(xhat=np.full(n, args.x0),
-                         Sigma=np.eye(n), index=args.t0)
-    # euler_limit_check refuses a --dt0 that is not finite and positive by
-    # its first step alone, so no halving of it is built.
-    levels = args.levels if 0 < args.dt0 < np.inf else 0
-    dts = [math.ldexp(args.dt0, -i) for i in range(levels + 1)]
-    rows = euler_limit_check(dyn, post, args.t0, args.t1, dts)
+    post = StateEstimate(xhat=np.full(n, args.x0), Sigma=np.eye(n), index=t0)
+    rows = euler_limit_check(dyn, post, t0, t1, dts)
     outdir = _resolve_outdir(args)
     path = os.path.join(outdir, "limit_check.csv")
     _write_csv(path, ["dt", "mean_err", "cov_err"],

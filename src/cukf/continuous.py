@@ -7,6 +7,7 @@ Padé scaling-and-squaring method (Higham, "The scaling and squaring method
 for the matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26(4),
 2005, Algorithm 2.3)."""
 
+import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
@@ -95,6 +96,24 @@ def _expm(A: np.ndarray) -> np.ndarray:
         return E if e is None else np.ldexp(E, e[:, None] - e)
 
 
+# The bits after the leading one that a canonical interval length keeps.
+_SPAN_BITS = 44
+
+
+def _canonical(gap):
+    """The length over which an interval of length `gap` > 0 is propagated:
+    `gap` rounded to _SPAN_BITS bits after its leading one, a pure function
+    of `gap` within 2^-45 (about 2.8e-14) of it, relative.  Gaps that differ
+    by a few ulps, as linspace gives, mostly share it.  A gap that rounds
+    past the largest float, or is not finite, is its own length."""
+    m, e = math.frexp(gap)
+    try:
+        return math.ldexp(round(m * 2 ** (_SPAN_BITS + 1)),
+                          e - _SPAN_BITS - 1)
+    except OverflowError:
+        return gap
+
+
 def _inner(model) -> DiscreteLinearModel:
     return model.inner if isinstance(model, ContinuousDiscreteModel) else model
 
@@ -112,10 +131,12 @@ class _Propagator:
     Sigma, so the floored set is read off g2(x(t)) at nodes half a step
     apart.  An interval where that set changes is cut at each crossing of
     EPS_G, and each piece is propagated by its own exponential; such
-    intervals and their cuts are counted.  For as long as the object lives,
-    the grid checks, the node map and the whole-interval exponentials (one
-    per floored set) are built once per exact interval length, on its first
-    interval, and the generator M once per floored set.
+    intervals and their cuts are counted.  An interval is propagated over
+    its canonical length (`_canonical`: its length rounded to _SPAN_BITS
+    bits, within 2^-45 relative), not its exact one.  For as long as the
+    object lives, the grid checks, the node map and the whole-interval
+    exponentials (one per floored set) are built once per canonical length,
+    on its first interval, and the generator M once per floored set.
 
     Its numpy calls run under the np.errstate of the filter loop (or of
     `discrete._stepped`), entered once per run: a value that overflows is
@@ -133,16 +154,17 @@ class _Propagator:
         self.cut_intervals = 0
         self.cuts = 0
         self._unfloored = bytes(dyn.n)  # the key of the empty floored set
-        self._spans = {}       # span -> (w0, W1, {floored set: expm})
+        self._spans = {}       # length -> (w0, W1, {floored set: expm})
         self._generators = {}  # floored set -> M
 
     def _new_span(self, span, t0, t1):
-        """The entry of an interval of length `span`, built on its first
-        interval [t0, t1]: W = [w0 W1] maps [1; x(t0)] to g2 at the
-        2*nsteps + 1 nodes, stacked (K*n, n+1)."""
+        """The entry of the canonical length `span`, built on its first
+        interval [t0, t1], whose exact length a refusal names: W = [w0 W1]
+        maps [1; x(t0)] to g2 at the 2*nsteps + 1 nodes, stacked
+        (K*n, n+1)."""
         if self.step > span * (1 + 1e-12):
             raise StepTooLargeError(
-                f"step {self.step} exceeds interval {span}")
+                f"step {self.step} exceeds interval {t1 - t0}")
         # In Python floats, so that a ratio that overflows is inf, unwarned.
         nsteps = max(1.0, round(float(span) / float(self.step), 0))
         if nsteps > 10 ** 5:  # a grid of 2 * nsteps + 1 nodes
@@ -205,13 +227,14 @@ class _Propagator:
 
     def propagate(self, z, t0, t1):
         """z = [x; vec Sigma; 1] at t1 from the contiguous array z at t0 (z
-        itself if t1 == t0), and whether any g2 was floored.  An interval
-        where no node floors, the common case, takes the exponential of the
-        empty floored set at once; an x or Sigma at t1 that is not finite
-        raises NonFiniteStateError."""
-        span = t1 - t0
-        if span == 0:
+        itself if t1 == t0), propagated over the canonical length of t1 - t0,
+        and whether any g2 was floored.  An interval where no node floors,
+        the common case, takes the exponential of the empty floored set at
+        once; an x or Sigma at t1 that is not finite raises
+        NonFiniteStateError."""
+        if t1 == t0:
             return z, False
+        span = _canonical(t1 - t0)
         w0, W1, exps = (self._spans.get(span)
                         or self._new_span(span, t0, t1))
         n = self.dyn.n
@@ -256,11 +279,12 @@ class _Propagator:
 def cd_time_update(post: StateEstimate, model, t0: float, t1: float,
                    step: float) -> StateEstimate:
     """Propagate estimate and covariance from t0 to t1 through the coupled
-    ODEs, evaluating the noise gain along the evolving estimate.  Each call
-    builds its own matrix exponentials; `cd_run` reuses them across
-    intervals.  A value that overflows raises NonFiniteStateError, never a
-    RuntimeWarning first; a prior of another size than the model's,
-    LengthMismatchError."""
+    ODEs, evaluating the noise gain along the evolving estimate, over the
+    canonical length of t1 - t0 (`_canonical`), as `cd_run` propagates an
+    interval of that length, so with the same bits.  Each call builds its
+    own matrix exponentials; `cd_run` reuses them across intervals.  A
+    value that overflows raises NonFiniteStateError, never a RuntimeWarning
+    first; a prior of another size than the model's, LengthMismatchError."""
     dyn = _inner(model)
     _check_sizes(dyn.m, dyn.n, xhat=post.xhat, Sigma=post.Sigma)
     if not -np.inf < t0 <= t1 < np.inf:

@@ -333,21 +333,26 @@ def simulate_discrete(model, x0, N: int, seed,
     return simulate_batch(model, x0, N, [seed], distribution).replicate(0)
 
 
-def _em_steps(times, em_step: float) -> np.ndarray:
+def _em_steps(times, em_step: float, name: str = "em_step") -> np.ndarray:
     """The Euler-Maruyama steps in each gap of `times` for the step
     `em_step`, which must be finite and positive, put at most 10^5 steps in
-    a gap and divide every gap."""
+    a gap and divide every gap; a refusal names the step `name` and the
+    first gap that fails."""
     if not 0 < em_step < np.inf:
-        raise ValueError("em_step must be finite and positive")
+        raise ValueError(f"{name} must be finite and positive")
     gaps = np.diff(times)
     with np.errstate(over="ignore"):
         nsteps = np.rint(gaps / em_step)
-    for t0, t1, gap, ns in zip(times, times[1:], gaps, nsteps):
+        bad = ~(nsteps <= 10 ** 5) | (nsteps < 1) | (
+            np.abs(nsteps * em_step - gaps) > 1e-9 * np.maximum(gaps, 1.0))
+    if bad.any():
+        k = int(bad.argmax())
+        ns = nsteps[k]
         if not ns <= 10 ** 5:
-            raise ValueError(f"em_step {em_step} puts {ns:.3g} steps on "
-                             f"[{t0}, {t1}]; at most 100000 are allowed")
-        if ns < 1 or abs(ns * em_step - gap) > 1e-9 * max(gap, 1.0):
-            raise ValueError(f"em_step {em_step} does not divide the gap {gap}")
+            raise ValueError(f"{name} {em_step} puts {ns:.3g} steps on "
+                             f"[{times[k]}, {times[k + 1]}]; at most 100000 "
+                             "are allowed")
+        raise ValueError(f"{name} {em_step} does not divide the gap {gaps[k]}")
     return nsteps.astype(int)
 
 

@@ -237,3 +237,19 @@ def euler_maruyama_ordered(dyn, times, em_step, x0, draw):
             x = [xi + h * fi + sqh * (math.sqrt(max(gi, EPS_G)) * vi)
                  for xi, fi, gi, vi in zip(x, f, g2, v)]
     return np.array(xs), np.array(ys), clamped
+
+
+def em_steps_loop(times, em_step):
+    """The Euler-Maruyama steps per gap of `times`, gap by gap: a gap of
+    more than 10^5 steps, then one that em_step does not divide, raises
+    ValueError naming the first such gap."""
+    gaps = np.diff(times)
+    with np.errstate(over="ignore"):
+        nsteps = np.rint(gaps / em_step)
+    for t0, t1, gap, ns in zip(times, times[1:], gaps, nsteps):
+        if not ns <= 10 ** 5:
+            raise ValueError(f"em_step {em_step} puts {ns:.3g} steps on "
+                             f"[{t0}, {t1}]; at most 100000 are allowed")
+        if ns < 1 or abs(ns * em_step - gap) > 1e-9 * max(gap, 1.0):
+            raise ValueError(f"em_step {em_step} does not divide the gap {gap}")
+    return nsteps.astype(int)

@@ -147,7 +147,7 @@ def test_overflowing_mse_exits_0_without_a_warning(tmp_path, monkeypatch,
     assert manifest["mse"] == np.inf
 
 
-@pytest.mark.parametrize("value", ["-1e3", "-1E-3", "-.5e2", "-5"])
+@pytest.mark.parametrize("value", ["-1e3", "-1E-3", "-.5e2", "-5", "-inf"])
 @pytest.mark.parametrize("argv, dest", [
     (["filter", "--model", "example_sec3", "--x0"], "x0"),
     (["limit-check", "--model", "example_sec3", "--t0"], "t0"),
@@ -265,7 +265,7 @@ REFUSALS = {
         ("argv1", "filter --model birth_death_cle --step 0",
          "error: --step must be finite and positive"),
         ("argv2", "limit-check --model birth_death_cle --dt0 0.3",
-         "error: dt=0.0375 does not divide the interval 0.8", False),
+         "error: --dt0 0.3 / 2^3 = 0.0375 does not divide --t1 - --t0 = 0.8"),
         ("argv3", "simulate --model example_sec3 --N 0",
          "error: --N must be at least 1"),
         ("argv4", "compare --model example_sec3 --beta 0.1 --replicates 0",
@@ -283,11 +283,11 @@ REFUSALS = {
         ("argv10", "filter --model birth_death_cle --variant fixed-beta --beta 0.1",
          "error: --variant fixed-beta needs a discrete linear model"),
         ("argv11", "limit-check --model birth_death_cle --dt0 0",
-         "error: dt=0.0 must be finite and positive", False),
+         "error: --dt0 must be finite and positive"),
         ("argv12", "limit-check --model birth_death_cle --dt0 -0.08",
-         "error: dt=-0.08 must be finite and positive", False),
+         "error: --dt0 must be finite and positive"),
         ("argv13", "limit-check --model birth_death_cle --t1 nan",
-         "error: need finite t0 < t1", False),
+         "error: --t0 and --t1 must be finite, with --t0 < --t1"),
         ("argv14", "filter --model birth_death_cle --step nan",
          "error: --step must be finite and positive"),
         ("argv15", "simulate --model birth_death_cle --em-step nan",
@@ -303,15 +303,15 @@ REFUSALS = {
         ("argv20", "limit-check --model birth_death_cle --x0 nan",
          "error: --x0 must be finite"),
         ("argv21", "limit-check --model birth_death_cle --levels 40",
-         "error: step 7.275957614183426e-14 puts 1.1e+13 grid steps on [0.0, 0.8]; at most "
-         "100000 are allowed", False),
+         "error: --dt0 0.08 / 2^40 = 7.275957614183426e-14 puts 1.1e+13 steps on "
+         "[--t0, --t1] = [0.0, 0.8]; at most 100000 are allowed"),
         ("argv22", "filter --model birth_death_cle --step 1e-9",
          "error: step 1e-09 puts 1e+08 grid steps on [0.0, 0.1]; at most 100000 are allowed",
          False),
         ("argv23", "limit-check --model logistic",
          "error: limit-check needs a linear model"),
         ("argv24", "filter --model birth_death_cle --em-step 1e-9",
-         "error: em_step 1e-09 puts 1e+08 steps on [0.0, 0.1]; at most 100000 are allowed"),
+         "error: --em-step 1e-09 puts 1e+08 steps on [0.0, 0.1]; at most 100000 are allowed"),
         ("argv25", "compare --model example_sec3",
          "error: --beta is required for the fixed-beta baseline"),
         ("argv26", "compare --model birth_death_cle --beta 0.1",
@@ -322,7 +322,7 @@ REFUSALS = {
          "error: step 5e-324 puts inf grid steps on [0.0, 0.1]; at most 100000 are allowed",
          False),
         ("argv29", "simulate --model birth_death_cle --em-step 5e-324",
-         "error: em_step 5e-324 puts inf steps on [0.0, 0.1]; at most 100000 are allowed"),
+         "error: --em-step 5e-324 puts inf steps on [0.0, 0.1]; at most 100000 are allowed"),
         ("argv30", "oracle-check --model example_sec3 --horizon 501",
          "error: --horizon must be at most 500"),
         ("argv31", "simulate --model example_sec3 --out <file>",
@@ -330,17 +330,18 @@ REFUSALS = {
         ("argv32", "filter --model <dir>",
          "error: [Errno 21] Is a directory: '<dir>'"),
         ("levels-1023", "limit-check --model birth_death_cle --levels 1023",
-         "error: dt=8.9002954340288e-310 puts inf steps on [0.0, 0.8]; at most 100000 are "
-         "allowed", False),
+         "error: --dt0 0.08 / 2^1023 = 8.9002954340288e-310 puts inf steps on "
+         "[--t0, --t1] = [0.0, 0.8]; at most 100000 are allowed"),
         ("levels-1024", "limit-check --model birth_death_cle --levels 1024",
-         "error: dt=4.4501477170144e-310 puts inf steps on [0.0, 0.8]; at most 100000 are "
-         "allowed", False),
+         "error: --dt0 0.08 / 2^1024 = 4.4501477170144e-310 puts inf steps on "
+         "[--t0, --t1] = [0.0, 0.8]; at most 100000 are allowed"),
         ("levels-1074", "limit-check --model birth_death_cle --levels 1074",
          "error: --levels 1074 halves --dt0 0.08 to 0"),
         ("levels-1e9", "limit-check --model birth_death_cle --levels 1000000000",
          "error: --levels 1000000000 halves --dt0 0.08 to 0"),
         ("dt0-1e300-levels-2000", "limit-check --model birth_death_cle --dt0 1e300 --levels 2000",
-         "error: dt=2.781342323134002e-09 does not divide the interval 0.8", False)],
+         "error: --dt0 1e+300 / 2^2000 = 8.709809816217217e-303 puts 9.19e+301 steps "
+         "on [--t0, --t1] = [0.0, 0.8]; at most 100000 are allowed")],
     "test_nonfinite_nonlinear_simulation_names_its_step": [
         (None, "filter --model logistic --x0 -5",
          "numerical failure: drift non-finite (at step 45)", False)],
@@ -414,7 +415,14 @@ REFUSALS = {
         ("argv2---step must be finite and positive", "filter --model birth_death_cle --step nan",
          "error: --step must be finite and positive"),
         ("argv3---step must be finite and positive", "filter --model birth_death_cle --step -1",
-         "error: --step must be finite and positive")],
+         "error: --step must be finite and positive"),
+        ("em-step-3", "filter --model birth_death_cle --em-step 3",
+         "error: --em-step 3.0 does not divide the gap 0.1"),
+        ("t0--1", "limit-check --model birth_death_cle --t0 -1",
+         "error: --dt0 0.08 does not divide --t1 - --t0 = 1.8"),
+        ("t0--inf", "limit-check --model birth_death_cle --t0 -inf",
+         "error: --t0 and --t1 must be finite, with --t0 < --t1"),
+        ("x0--inf", "filter --model example_sec3 --x0 -inf", "error: --x0 must be finite")],
     "test_option_the_model_kind_does_not_read_is_refused": [
         ("argv0---em-step applies to continuous-discrete models only",
          "filter --model example_sec3 --step 0 --em-step -1",
@@ -448,11 +456,11 @@ REFUSALS = {
          "error: --step must be finite and positive"),
         ("argv4-em_step 0.003 does not divide the gap 0.1",
          "simulate --model birth_death_cle --em-step 0.003",
-         "error: em_step 0.003 does not divide the gap 0.1"),
+         "error: --em-step 0.003 does not divide the gap 0.1"),
         ("argv5-em_step 1e-09 puts 1e+08 steps on [0.0, 0.1]; at most 100000 are allowed"
          "argv5-em_step 1e-09 puts 1e+08 steps on [0.0, 0.1]; at most 100000 are allowed",
          "simulate --model birth_death_cle --em-step 1e-9",
-         "error: em_step 1e-09 puts 1e+08 steps on [0.0, 0.1]; at most 100000 are allowed")],
+         "error: --em-step 1e-09 puts 1e+08 steps on [0.0, 0.1]; at most 100000 are allowed")],
     "test_a_count_out_of_range_is_refused_by_its_flag_before_any_output": [
         ("argv0---N must be at least 1", "simulate --model example_sec3 --N 0",
          "error: --N must be at least 1"),
@@ -478,20 +486,22 @@ REFUSALS = {
          (GOOD_MODEL_FILE, "Sigma_v = 1e10"))],
     "test_a_limit_check_span_of_infinitely_many_steps_is_refused": [
         ("t1", "limit-check --model birth_death_cle --t1 1e308",
-         "error: dt=0.01 puts inf steps on [0.0, 1e+308]; at most 100000 are allowed", False),
+         "error: --dt0 0.08 / 2^3 = 0.01 puts inf steps on [--t0, --t1] = "
+         "[0.0, 1e+308]; at most 100000 are allowed"),
         ("t0-t1", "limit-check --model birth_death_cle --t0=-1e308 --t1 1e308",
-         "error: dt=0.01 puts inf steps on [-1e+308, 1e+308]; at most 100000 are allowed", False)],
+         "error: --dt0 0.08 / 2^3 = 0.01 puts inf steps on [--t0, --t1] = "
+         "[-1e+308, 1e+308]; at most 100000 are allowed")],
     "test_a_step_count_past_the_cap_is_printed_to_three_digits": [
         (None, "limit-check --model birth_death_cle --dt0 1e-300",
-         "error: step 1.25e-301 puts 6.4e+300 grid steps on [0.0, 0.8]; at most 100000 are "
-         "allowed", False)],
+         "error: --dt0 1e-300 / 2^3 = 1.25e-301 puts 6.4e+300 steps on "
+         "[--t0, --t1] = [0.0, 0.8]; at most 100000 are allowed")],
     "test_a_failed_run_leaves_no_output_directory": [
         ("argv0", "simulate --model logistic --x0 -5",
          "numerical failure: drift non-finite (at step 45)", False),
         ("argv1", "filter --model logistic --x0 -5",
          "numerical failure: drift non-finite (at step 45)", False),
         ("argv2", "limit-check --model birth_death_cle --t1 -1",
-         "error: need finite t0 < t1", False)],
+         "error: --t0 and --t1 must be finite, with --t0 < --t1", False)],
     "test_oracle_check_refuses_a_model_it_cannot_weigh": [
         ("Sigma_v = 1.0-Sigma_v = 0.0-0-Sigma_v has a zero diagonal entry; the oracle weighs "
          "each time step by its inverse", "oracle-check --model <model> --init-sigma 0",

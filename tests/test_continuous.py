@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cukf.builtin import birth_death_cle, example_sec3
-from cukf.continuous import (_PADE, _Propagator, _expm,
+from cukf.continuous import (_PADE, _Propagator, _canonical, _expm,
                              cd_run, cd_time_update, default_config,
                              euler_limit_check)
 from cukf.discrete import StateEstimate, time_update
@@ -360,8 +360,8 @@ def test_models_built_in_a_loop_each_get_their_own_exponential():
 
 
 def test_generator_is_built_once_per_floored_set(monkeypatch):
-    # linspace gives gaps that differ by ulps; each exact gap has its own
-    # exponential, but the generator M is built once per floored set.
+    # linspace gives gaps that differ by ulps; whatever lengths they are
+    # propagated over, the generator M is built once per floored set.
     kron, kron_calls = np.kron, []
 
     def counting_kron(*args):
@@ -376,6 +376,73 @@ def test_generator_is_built_once_per_floored_set(monkeypatch):
                    StateEstimate([100.0], [[1.0]], 0.0))
     assert trace.clamp_count == 0
     assert len(kron_calls) == 2  # the two products of the Kronecker sum
+
+
+def counted_spans(monkeypatch):
+    """The canonical lengths of the span entries that `_Propagator` builds
+    from now on, in build order."""
+    built, new_span = [], _Propagator._new_span
+
+    def counting_new_span(self, span, t0, t1):
+        built.append(span)
+        return new_span(self, span, t0, t1)
+
+    monkeypatch.setattr(_Propagator, "_new_span", counting_new_span)
+    return built
+
+
+@pytest.mark.parametrize("name", ["birth_death_cle", "two_species_cle.txt",
+                                  "pure_death_cle.txt"])
+def test_cd_run_builds_one_span_on_each_shipped_model(name, monkeypatch):
+    # Their gaps differ by ulps; rounded to _SPAN_BITS, they are one length.
+    model = (birth_death_cle() if name == "birth_death_cle" else load_model(
+        Path(__file__).resolve().parents[1] / "bench" / "models" / name))
+    assert np.unique(np.diff(model.sample_times)).size >= 5
+    x0 = np.full(model.n, 100.0)
+    data = simulate_cd(model, x0, 1, 0.01)
+    built = counted_spans(monkeypatch)
+    cd_run(model, data.measurements, StateEstimate(x0, np.eye(model.n), 0.0))
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("gap", [0.25 * (1 + 1e-9), 0.25 + 2.0 ** -46],
+                         ids=["1e-9", "outside-the-rounding"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_gaps_that_really_differ_get_their_own_spans(gap, n, monkeypatch):
+    # 0.25 + 2^-46 is the next canonical length after 0.25, 2^-44 relative
+    # away.  Each length is propagated as cd_time_update propagates it.
+    dyn = DiscreteLinearModel(
+        A0=np.full(n, 10.0), A1=-0.1 * np.eye(n), C=np.eye(n),
+        gsq=np.column_stack([np.full(n, 10.0), 0.1 * np.eye(n)]),
+        Sigma_v=np.eye(n), Sigma_w=np.eye(n))
+    model = ContinuousDiscreteModel(inner=dyn,
+                                    sample_times=[0.0, 0.25, 0.5, 0.5 + gap])
+    last = np.diff(model.sample_times)[-1]
+    assert _canonical(0.25) == 0.25 != _canonical(last)
+    built = counted_spans(monkeypatch)
+    trace = cd_run(model, np.full((4, n), 50.0),
+                   StateEstimate(np.full(n, 50.0), np.eye(n), 0.0))
+    assert len(built) == 2
+    ts = model.sample_times
+    for k in range(len(ts) - 1):
+        prior = cd_time_update(
+            StateEstimate(trace.xhat_post[k], trace.Sigma_post[k], ts[k]),
+            model, ts[k], ts[k + 1], default_config(model))
+        assert prior.xhat.tobytes() == trace.xhat_prior[k + 1].tobytes()
+        assert prior.Sigma.tobytes() == trace.Sigma_prior[k + 1].tobytes()
+
+
+@pytest.mark.parametrize("seed, counts", [(0, (2, 1, 1)), (1, (2, 2, 2)),
+                                          (2, (2, 2, 2)), (3, (1, 1, 1))])
+def test_the_cutting_model_keeps_its_cuts(seed, counts):
+    # Its gaps are all 0.5, its own canonical length: the clamped
+    # intervals, the cut ones and their cuts are those of exact lengths.
+    model = cutting_cd()
+    data = simulate_cd(model, [0.0], seed, 0.01)
+    trace = cd_run(model, data.measurements,
+                   StateEstimate([0.0], np.eye(1), 0.0))
+    assert (trace.clamp_count, trace.fallback_intervals,
+            trace.step_count) == counts
 
 
 def scipy_expm(A):

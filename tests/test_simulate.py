@@ -16,7 +16,8 @@ from cukf.simulate import (MAX_LAG, TrajectoryData, _replicate_words,
                            replicate_seed, simulate_batch, simulate_cd,
                            simulate_cd_batch, simulate_discrete)
 
-from reference_impl import euler_maruyama_ordered, ordered_affine
+from reference_impl import (em_steps_loop, euler_maruyama_ordered,
+                            ordered_affine)
 from test_failures import failure_tests
 
 globals().update(failure_tests("test_simulate"))
@@ -302,6 +303,25 @@ def test_em_step_cap_is_checked_before_the_noise_is_drawn(monkeypatch):
         simulate_cd(birth_death_cle(), [100.0], 0, em_step=1e-9)
     assert str(exc.value) == ("em_step 1e-09 puts 1e+08 steps on "
                               "[0.0, 0.1]; at most 100000 are allowed")
+
+
+@pytest.mark.parametrize("em_step", [0.01, 0.05, 0.1, 0.3, 0.003, 1e-6,
+                                     1e-9, 5e-324, 3.0])
+def test_em_steps_checks_every_gap_as_a_loop_over_the_gaps_does(em_step):
+    # Grids whose gaps fail in different ways at different places: the
+    # steps, or the message naming the first gap that fails, of the loop.
+    grids = [birth_death_cle().sample_times, [0.0, 0.1, 0.3, 0.35, 1.0],
+             [0.0, 0.5, 0.6, 2000.6, 2001.0], [5.0, 5.3, 5.6, 6.0]]
+    for times in map(np.array, grids):
+        try:
+            expected = em_steps_loop(times, em_step).tobytes()
+        except ValueError as exc:
+            expected = str(exc)
+        try:
+            got = simulate._em_steps(times, em_step).tobytes()
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected
 
 
 def test_mse_trivials():
