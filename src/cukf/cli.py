@@ -21,10 +21,12 @@ import numpy as np
 
 from . import __version__
 from .builtin import builtin_models, get_builtin
-from .continuous import cd_run, default_config, euler_limit_check
+from .continuous import (_canonical, _grid_steps, cd_run, default_config,
+                         euler_limit_check)
 from .discrete import StateEstimate, _atomic_open, _write_csv, run_filter
 from .errors import FilterError
-from .models import ContinuousDiscreteModel, DiscreteLinearModel, with_fixed_noise
+from .models import (ContinuousDiscreteModel, DiscreteLinearModel, _fixed_beta,
+                     with_fixed_noise)
 from .modelio import load_model
 from .simulate import (MAX_LAG, _em_steps, monte_carlo_compare, mse,
                        simulate_cd, simulate_discrete)
@@ -78,7 +80,9 @@ def _kind_options(model, args, least_N=1):
     is not finite and positive, then resolve --N (discrete) or --em-step
     (continuous-discrete) to its default and refuse an --N below least_N or
     an --em-step grid that the simulator would refuse.  For `filter` on a
-    continuous-discrete model, return the clamp-detection step."""
+    continuous-discrete model, refuse a --step that the propagator would
+    refuse on a gap (`continuous._grid_steps`), and return the
+    clamp-detection step."""
     cd = isinstance(model, ContinuousDiscreteModel)
     unread, kind = ((("N",), "discrete") if cd else
                     (("em_step", "step"), "continuous-discrete"))
@@ -96,7 +100,12 @@ def _kind_options(model, args, least_N=1):
     args.em_step = 0.01 if args.em_step is None else args.em_step
     _em_steps(model.sample_times, args.em_step, "--em-step")
     if hasattr(args, "step"):
-        return default_config(model) if args.step is None else args.step
+        if args.step is None:
+            return default_config(model)
+        ts = model.sample_times.tolist()
+        for t0, t1 in zip(ts, ts[1:]):
+            _grid_steps(args.step, _canonical(t1 - t0), t0, t1, "--step")
+        return args.step
 
 
 def _simulate_any(model, args):
@@ -137,12 +146,13 @@ def _init_estimate(model, args):
 
 def _fixed_beta_baseline(model, beta, what, beta_for):
     """The fixed-beta baseline of `model` (`with_fixed_noise`), refused for
-    a model that is not discrete linear, then without --beta."""
+    a model that is not discrete linear, then without --beta, then for a
+    --beta that `with_fixed_noise` would refuse whatever the model."""
     if not isinstance(model, DiscreteLinearModel):
         raise ValueError(f"{what} needs a discrete linear model")
     if beta is None:
         raise ValueError(f"--beta is required {beta_for}")
-    return with_fixed_noise(model, beta)
+    return with_fixed_noise(model, _fixed_beta(beta, "--beta"))
 
 
 def _cmd_filter(args):

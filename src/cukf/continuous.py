@@ -114,6 +114,21 @@ def _canonical(gap):
         return gap
 
 
+def _grid_steps(step, span, t0, t1, name="step"):
+    """The steps of the clamp-detection grid of an interval [t0, t1] that
+    is propagated over the canonical length `span`: round(span / step),
+    at least 1.  A step longer than the interval, or one that puts more
+    than 10^5 steps on it, is refused, naming the step by `name`."""
+    if step > span * (1 + 1e-12):
+        raise StepTooLargeError(f"{name} {step} exceeds interval {t1 - t0}")
+    # In Python floats, so that a ratio that overflows is inf, unwarned.
+    nsteps = max(1.0, round(float(span) / float(step), 0))
+    if nsteps > 10 ** 5:  # a grid of 2 * nsteps + 1 nodes
+        raise ValueError(f"{name} {step} puts {nsteps:.3g} grid steps on "
+                         f"[{t0}, {t1}]; at most 100000 are allowed")
+    return int(nsteps)
+
+
 def _inner(model) -> DiscreteLinearModel:
     return model.inner if isinstance(model, ContinuousDiscreteModel) else model
 
@@ -162,16 +177,7 @@ class _Propagator:
         interval [t0, t1], whose exact length a refusal names: W = [w0 W1]
         maps [1; x(t0)] to g2 at the 2*nsteps + 1 nodes, stacked
         (K*n, n+1)."""
-        if self.step > span * (1 + 1e-12):
-            raise StepTooLargeError(
-                f"step {self.step} exceeds interval {t1 - t0}")
-        # In Python floats, so that a ratio that overflows is inf, unwarned.
-        nsteps = max(1.0, round(float(span) / float(self.step), 0))
-        if nsteps > 10 ** 5:  # a grid of 2 * nsteps + 1 nodes
-            raise ValueError(f"step {self.step} puts {nsteps:.3g} grid "
-                             f"steps on [{t0}, {t1}]; at most 100000 are "
-                             "allowed")
-        nsteps = int(nsteps)
+        nsteps = _grid_steps(self.step, span, t0, t1)
         dyn = self.dyn
         n = dyn.n
         Mx = np.zeros((n + 1, n + 1))  # mean generator acting on [1; x]
@@ -256,13 +262,15 @@ class _Propagator:
             raise NonFiniteStateError(f"integration diverged on [{t0}, {t1}]")
         return z, key != self._unfloored
 
-    def interval(self, k, x, P):
-        """(x, P, floored) at times[k + 1] from the floats x, P (n = 1)."""
+    def interval(self, k, *xP):
+        """The n + n^2 floats xP = [x; vec Sigma] at times[k + 1] from those
+        at times[k], and whether a g2 was floored, as one list."""
         z = self._z
-        z[0], z[1] = x, P
+        z[:-1] = xP
         z, floored = self.propagate(z, self._ts[k], self._ts[k + 1])
-        x, P, _ = z.tolist()
-        return x, P, floored
+        xP = z.tolist()
+        xP[-1] = floored
+        return xP
 
     def predict(self, k, Z, out):
         """`_run_loop`'s time update of one joint block Z into `out` (maybe

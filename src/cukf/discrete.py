@@ -6,6 +6,7 @@ all answer `linearize` (see `cukf.models`), on joint arrays [xhat | Sigma]."""
 
 import contextlib
 import csv
+import functools
 import itertools
 import math
 import os
@@ -353,79 +354,228 @@ def _run_loop(measurements, xhat, Sigma, predict, C, Sigma_w, start_index=1):
                     start_index)
 
 
-def _scalar_linear(model):
-    """Whether `model` is linear with n = m = 1, so that the scalar step
-    rule (`_column_steps`) filters with it."""
-    return isinstance(model, DiscreteLinearModel) and model.n == model.m == 1
+# The largest n whose linear models run the generated kernel.
+_KERNEL_SIZE = 3
 
 
-def _coefficients(models, R=1):
-    """The (7, F R) columns (c, Sigma_w, a1, a0, Sigma_v, c0, c1) of the F
-    `_scalar_linear` models, model i in columns i R to (i + 1) R, for the
-    scalar step rule.  A matmul of one product adds it to +0.0; so A0 and
-    Sigma_v have -0.0 made +0.0."""
-    return np.repeat(np.array(
-        [(m.C.item(), m.Sigma_w.item(), m.A1.item(), m.A0.item() + 0.0,
-          m.Sigma_v.item() + 0.0, *m.gsq[0].tolist()) for m in models]).T,
-        R, axis=1)
+def _small_linear(model):
+    """Whether `model` is linear with m <= n <= _KERNEL_SIZE, so that the
+    generated kernel (`_kernel`) may filter with it.  With more outputs
+    than states, S = Sigma_w + C Sigma C' is only as definite as Sigma_w:
+    with a singular Sigma_w, rounding alone decides whether a pivot of S
+    is > 0, and a kernel run that does not fail is not run again by the
+    numpy loop (see `_run`)."""
+    return (isinstance(model, DiscreteLinearModel)
+            and model.m <= model.n <= _KERNEL_SIZE)
 
 
-def _column_steps(coefs, prior, post, W, S, Kt, tr, interval=None):
-    """`_run_loop`'s steps for `_scalar_linear` models, one column per
-    replicate, with coefs their `_coefficients`: the same IEEE operations
-    in the same order, so bit-identical to `_run_loop`.  A matmul of one
-    product adds it to +0.0 (-0.0 becomes +0.0); so does this code where
-    the sign can reach the trace.  The body is written once: one column
-    runs it on Python floats (memoryviews of the buffers, math.sqrt and
-    max), more on 1-D arrays, a row of each buffer per step (np.sqrt and
-    np.maximum).  S not > 0 gives numpy's non-finite 1 / sqrt(S), or NaN
-    where a float raises; nothing is tested per step.
+def _products(pairs):
+    """Python text of the sum of the products of `pairs`, which Python
+    adds left to right."""
+    return " + ".join(f"{a} * {b}" for a, b in pairs)
 
-    The time update is the discrete model's, and the time updates that
-    floored g^2 are counted from the posteriors after the loop, unless
-    `interval` is given: interval(k, x, P) -> (x, P, floored) then makes
-    the prior at index k + 1 from the posterior at index k (a propagator's
-    float adaptor, `continuous._Propagator.interval`), and an error it
-    raises is handled as `_run_loop` handles predict's."""
-    rows = [a[:, :, 0, j] for a, j in zip((prior, prior, post, post, W, S, Kt),
-                                          (0, 1, 0, 1, 0, 0, 0))]
-    if coefs.shape[1] == 1:
-        rows = [memoryview(a[:, 0]) for a in rows]
-        coefs, sqrt, maximum = coefs[:, 0].tolist(), math.sqrt, max
+
+def _dpotf2(m):
+    """Python lines that factor the symmetric matrix held in s{a}_{b}
+    (a >= b) by LAPACK's textbook dpotf2 recursion, for the kernel and for
+    the simulator's factor of Sigma_w (`simulate._cholesky`): pivot j is
+    d{j}, u{j} is 1 / sqrt(d{j}) (NaN where a float raises), and below the
+    diagonal l{i}_{j} = (s{i}_{j} - ordered sum of l{i}_{q} l{j}_{q},
+    q < j) u{j}."""
+    lines = []
+    for j in range(m):
+        for i in range(j, m):
+            t = f"s{i}_{j}"
+            if j:
+                t += " - (" + _products((f"l{i}_{q}", f"l{j}_{q}")
+                                        for q in range(j)) + ")"
+            if i == j:
+                lines += [f"d{j} = {t}", "try:",
+                          f"    u{j} = 1.0 / sqrt(d{j})",
+                          "except (ValueError, ZeroDivisionError):",
+                          f"    u{j} = nan"]
+            else:
+                lines.append(f"l{i}_{j} = ({t}) * u{j}")
+    return lines
+
+
+def _compiled(src, name, floats):
+    """The function `name` that the Python lines `src` define, with EPS_G,
+    nan, np, maximum, _scan_failed_run and sqrt (math's on floats, else
+    numpy's) in its scope."""
+    scope = {"EPS_G": EPS_G, "nan": math.nan, "np": np, "maximum": np.maximum,
+             "sqrt": math.sqrt if floats else np.sqrt,
+             "_scan_failed_run": _scan_failed_run}
+    exec(compile("\n".join(src), f"<{name}>", "exec"), scope)
+    return scope[name]
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel(n, m, floats, cd):
+    """`_run_loop`'s steps for linear models of n states and m outputs, one
+    column per replicate, as Python text written out by component and
+    compiled once per (n, m, floats, cd):
+    steps(coefs, prior, post, W, S, Kt, tr, interval) fills `_filtered`'s
+    buffers and returns the clamp counts.  coefs holds, per column, C,
+    Sigma_w and A1 by rows, A0 + 0.0, diag(Sigma_v) + 0.0, c0 and c1 by
+    rows (`_linear_steps`).
+
+    A step is the BLUE update, every sum ordered left to right: the
+    innovation y - C x; S = Sigma_w + C Sigma C', each off-diagonal pair
+    averaged as `_run_loop` symmetrizes it; S's Cholesky factor
+    (`_dpotf2`); the gain -K' = -S^-1 C Sigma by two triangular solves;
+    and the posterior [x + K E | Sigma - K C Sigma], its upper triangle
+    mirrored.  Then the discrete time update x <- A0 + A1 x, Sigma <- A1
+    Sigma A1' + diag(g Sigma_v g), g^2 = c0 + c1 x floored at EPS_G, whose
+    floored steps are counted after the loop from the posteriors by the
+    same sums; or, for `cd`, the propagator's interval(k, x, vec Sigma) ->
+    (x, vec Sigma, floored) (`continuous._Propagator.interval`), its Sigma
+    symmetrized, and an error it raises handled as `_run_loop` handles
+    predict's.  At n = m = 1 these are `_run_loop`'s IEEE operations in its
+    order, so the trace is bit-identical to it, signed zeros included: a
+    matmul of one product adds it to +0.0, and so does this code where the
+    sign can reach the trace.  At larger n or m it agrees with `_run_loop`
+    to rounding, and its bits do not depend on the CPU's BLAS kernel.
+
+    `floats` binds the text to one column of Python floats, through
+    memoryviews of the buffers, with math.sqrt and a compare-and-assign
+    floor; otherwise each buffer's column block is an (N, columns) array,
+    a row per step, with np.sqrt and np.maximum.  Both keep NaN through the
+    floor and round alike, so they are bit-identical; `_run` takes the
+    array binding at n = m = 1 only.  A pivot not > 0 gives numpy's
+    non-finite 1 / sqrt, or NaN where a float raises, and so a non-finite
+    posterior; nothing is tested per step, and `_run` runs a failed run
+    again by the numpy loop.  A cd kernel runs on floats only."""
+    def P(i, j):  # Sigma_ij: one name for both triangles
+        return f"p{min(i, j)}_{max(i, j)}"
+
+    dot = _products
+
+    def store(buf, i, j, k, value):  # both triangles of a symmetric buffer
+        also = f"{buf}{j}_{i}[{k}] = " if i != j else ""
+        return f"{buf}{i}_{j}[{k}] = {also}{value}"
+
+    ns, ms = range(n), range(m)
+    upper = [(i, j) for i in ns for j in ns if i <= j]
+    lower = [(a, b) for a in ms for b in ms if a >= b]
+    coefs = ([f"c{a}_{j}" for a in ms for j in ns]
+             + [f"r{a}_{b}" for a in ms for b in ms]
+             + [f"a{i}_{j}" for i in ns for j in ns]
+             + [f"a{i}" for i in ns] + [f"q{i}" for i in ns]
+             + [f"h{i}" for i in ns] + [f"h{i}_{j}" for i in ns for j in ns])
+    cols = ":, 0" if floats else ":, :"
+    view = "memoryview({})" if floats else "{}"
+    bufs = ([(f"xp{i}", "prior", i, 0) for i in ns]
+            + [(f"xq{i}", "post", i, 0) for i in ns]
+            + [(f"{b}{i}_{j}", Z, i, 1 + j) for i in ns for j in ns
+               for b, Z in (("Pp", "prior"), ("Pq", "post"))]
+            + [(f"Ey{a}", "W", a, 0) for a in ms]
+            + [(f"Sb{a}_{b}", "S", a, b) for a in ms for b in ms]
+            + [(f"Kb{a}_{j}", "Kt", a, j) for a in ms for j in ns])
+    src = ["def steps(coefs, prior, post, W, S, Kt, tr, interval):",
+           f"    {', '.join(coefs)}, = coefs"]
+    src += [f"    {name} = " + view.format(f"{Z}[{cols}, {i}, {j}]")
+            for name, Z, i, j in bufs]
+    src += [f"    x{i} = xp{i}[0]" for i in ns]
+    src += [f"    p{i}_{j} = Pp{i}_{j}[0]" for i, j in upper]
+    src += ["    N, clamps = len(Ey0), 0", "    for k in range(N):"]
+    body = [f"mc{a}_{j} = 0.0 - ({dot((f'c{a}_{i}', P(i, j)) for i in ns)})"
+            for a in ms for j in ns]  # -C Sigma
+    S = {(a, b): f"r{a}_{b} - ({dot((f'mc{a}_{j}', f'c{b}_{j}') for j in ns)})"
+         for a in ms for b in ms}
+    body += [store("Sb", a, b, "k", f"s{a}_{b} = " + (
+        S[a, b] if a == b else f"0.5 * ({S[a, b]} + ({S[b, a]}))"))
+             for a, b in lower]
+    body += _dpotf2(m)
+    body += [f"Ey{a}[k] = e{a} = Ey{a}[k] - ("
+             + dot((f"c{a}_{i}", f"x{i}") for i in ns) + " + 0.0)" for a in ms]
+    for j in ns:  # column j of -K' = L'^-1 (L^-1 (-C Sigma))
+        for a in ms:
+            t = f"mc{a}_{j}"
+            if a:
+                t = (f"({t} - ("
+                     + dot((f"l{a}_{b}", f"f{b}") for b in range(a)) + "))")
+            body.append(f"f{a} = u{a} * {t}")
+        for a in reversed(ms):
+            t = f"f{a}"
+            if a + 1 < m:
+                t = (f"({t} - (" + dot((f"l{b}_{a}", f"kt{b}_{j}")
+                                       for b in range(a + 1, m)) + "))")
+            body.append(f"Kb{a}_{j}[k] = kt{a}_{j} = u{a} * {t} + 0.0")
+    body += [f"xq{i}[k] = x{i} = x{i} - ("
+             + dot((f"kt{a}_{i}", f"e{a}") for a in ms) + " + 0.0)"
+             for i in ns]
+    body += [store("Pq", i, j, "k", f"p{i}_{j} = p{i}_{j} - ("
+                   + dot((f"kt{a}_{i}", f"mc{a}_{j}") for a in ms) + ")")
+             for i, j in upper]
+    body += ["if k + 1 == N:", "    break"]
+    if cd:
+        vec = [(i, j) for j in ns for i in ns]  # vec Sigma, by columns
+        outs = [f"x{i}" for i in ns] + [f"p{i}_{j}" if i <= j else f"t{i}_{j}"
+                                       for i, j in vec]
+        ins = [f"x{i}" for i in ns] + [P(i, j) for i, j in vec]
+        body += ["try:",
+                 f"    {', '.join(outs)}, floored = interval("
+                 f"k, {', '.join(ins)})",
+                 "except Exception as exc:",
+                 "    _scan_failed_run(exc, tr, k + 1, 1)",
+                 "    raise",
+                 "clamps += floored"]
+        body += [f"p{i}_{j} = 0.5 * (p{i}_{j} + t{j}_{i})"
+                 for i, j in upper if i < j]
     else:
-        sqrt, maximum = np.sqrt, np.maximum
-    xp, Pp, xq, Pq, E, Ss, Ks = rows
-    c, sw, a1, a0, sv, c0, c1 = coefs
-    x, P, N, clamps = xp[0], Pp[0], len(Ss), 0
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        for k in range(N):
-            mcp = 0.0 - c * P  # -C Sigma
-            Ss[k] = s = sw - mcp * c
-            try:
-                li = 1.0 / sqrt(s)
-            except (ValueError, ZeroDivisionError):  # a float S not > 0
-                li = math.nan
-            E[k] = e = E[k] - (c * x + 0.0)
-            Ks[k] = kt = li * (li * mcp) + 0.0
-            xq[k] = x = x - (kt * e + 0.0)
-            Pq[k] = P = P - kt * mcp
-            if k + 1 == N:
-                break
-            if interval is None:
-                g = sqrt(maximum(c1 * x + c0, EPS_G))  # NaN stays NaN
-                xp[k + 1] = x = a1 * x + a0
-                Pp[k + 1] = P = a1 * P * a1 + g * sv * g
-                continue
-            try:
-                x, P, floored = interval(k, x, P)
-            except Exception as exc:
-                _scan_failed_run(exc, tr, k + 1, 1)
-                raise
-            xp[k + 1], Pp[k + 1], clamps = x, P, clamps + floored
-        if interval is not None:
-            return np.array([clamps])
-        # The loop's g^2 of each posterior but the last, the same bits.
-        return (c1 * post[:-1, :, 0, 0] + c0 < EPS_G).sum(axis=0)
+        for i in ns:
+            body.append(f"y{i} = "
+                        + dot((f"h{i}_{j}", f"x{j}") for j in ns) + f" + h{i}")
+            body += ([f"if y{i} < EPS_G:", f"    y{i} = EPS_G"] if floats
+                     else [f"y{i} = maximum(y{i}, EPS_G)"])  # NaN stays NaN
+            body.append(f"g{i} = sqrt(y{i})")
+        body += [f"ap{i}_{j} = {dot((f'a{i}_{l}', P(l, j)) for l in ns)}"
+                 for i in ns for j in ns]  # A1 Sigma
+        body += [f"p{i}_{j} = {dot((f'ap{i}_{l}', f'a{j}_{l}') for l in ns)}"
+                 + (f" + g{i} * q{i} * g{i}" if i == j else "")
+                 for i, j in upper]
+        body.append(", ".join(f"x{i}" for i in ns) + " = " + ", ".join(
+            f"{dot((f'a{i}_{j}', f'x{j}') for j in ns)} + a{i}" for i in ns))
+    body += [f"xp{i}[k + 1] = x{i}" for i in ns]
+    body += [store("Pp", i, j, "k + 1", f"p{i}_{j}") for i, j in upper]
+    src += ["        " + line for line in body]
+    if cd:
+        src.append("    return np.array([clamps])")
+    else:  # the loop's g^2 of each posterior but the last, the same bits
+        src += [f"    X{j} = post[:-1, :, {j}, 0]" for j in ns]
+        src.append("    return (" + " | ".join(
+            f"({dot((f'h{i}_{j}', f'X{j}') for j in ns)} + h{i} < EPS_G)"
+            for i in ns) + ").sum(axis=0)")
+    return _compiled(src, "steps", floats)
+
+
+def _linear_steps(models, R, interval=None):
+    """`_filtered`'s steps for the `_small_linear` models, which share n and
+    m, over R replicates each: one batch of F R columns through `_kernel`,
+    model i in columns i R to (i + 1) R, with Python floats for one column.
+    `interval`, if given, is the time update of a continuous-discrete run
+    (see `_kernel`)."""
+    n, m = models[0].n, models[0].m
+    coefs = np.repeat(np.array([np.concatenate((
+        model.C.ravel(), model.Sigma_w.ravel(), model.A1.ravel(),
+        model.A0 + 0.0, np.diag(model.Sigma_v) + 0.0, model.gsq[:, 0],
+        model.gsq[:, 1:].ravel())) for model in models]).T, R, axis=1)
+    floats = coefs.shape[1] == 1
+    kernel = _kernel(n, m, floats, interval is not None)
+
+    def steps(*bufs):
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            return kernel(coefs[:, 0].tolist() if floats else coefs, *bufs,
+                          interval)
+
+    return steps
+
+
+# The kernels of one-state discrete filters, which most runs take, are made
+# at import, so that a run's first call does not compile them.
+_kernel(1, 1, True, False)
+_kernel(1, 1, False, False)
 
 
 def _check_sizes(m, n, measurements=None, xhat=None, Sigma=None, x0=None,
@@ -462,30 +612,49 @@ def _run(models, measurements, xhat, Sigma, prop=None):
     """The route of every filter run: the checked trace of each of the
     `models` over the same R replicates (see `_filtered`), yielded in turn
     as it is reached, so that a caller meets their errors in order.  When
-    every model is linear with n = m = 1, they run as one batch of F R
-    columns through the scalar step rule `_column_steps` (Python floats
-    for one column), model i in columns i R to (i + 1) R; otherwise each
-    runs the numpy loop `_run_loop` when reached.  The two are
-    bit-identical.  A continuous-discrete run's propagator `prop` gives the
-    time update.  Sizes that do not fit a model raise LengthMismatchError."""
-    if not (models and all(map(_scalar_linear, models))):
+    every model is `_small_linear`, they run as one batch of F R columns
+    through the generated kernel (`_linear_steps`), model i in columns
+    i R to (i + 1) R: in Python floats for one column, else on arrays,
+    which only n = m = 1 models take (for n >= 2 the array binding makes
+    more numpy calls per step than the numpy loop's stacked matmuls).
+    Otherwise each model runs the numpy loop `_run_loop` when reached.  At
+    n = m = 1 the two are bit-identical.  A model whose kernel run fails
+    is run again by the numpy loop, whose LAPACK factor decides the error
+    as it always has: where S is singular in exact arithmetic, rounding
+    decides which step fails, and the kernel rounds otherwise.  A
+    continuous-discrete run's propagator `prop` gives the time update.
+    Sizes that do not fit a model raise LengthMismatchError."""
+    def loop(model):
+        if prop:  # the kernel's cuts are not the trace's
+            prop.cuts = prop.cut_intervals = 0
+        return _run_loop(measurements, xhat, Sigma,
+                         prop.predict if prop else _predictor(model),
+                         model.C, model.Sigma_w)
+
+    F, R = len(models), len(measurements)
+    if not (models and all(map(_small_linear, models))
+            and (F * R == 1 or all(model.n == 1 for model in models))):
         for model in models:
             _check_sizes(model.m, model.n, measurements, xhat, Sigma)
-            yield _run_loop(measurements, xhat, Sigma,
-                            prop.predict if prop else _predictor(model),
-                            model.C, model.Sigma_w)
+            yield loop(model)
         return
     for model in models:
         _check_sizes(model.m, model.n, measurements, xhat, Sigma)
-    F, R = len(models), len(measurements)
-    coefs = _coefficients(models, R)
-    tr = _filtered(np.tile(np.asarray(measurements, dtype=float), (F, 1, 1)),
-                   np.tile(xhat, (F, 1)),
-                   np.tile(np.broadcast_to(Sigma, (R, 1, 1)), (F, 1, 1)), 1,
-                   lambda *bufs: _column_steps(coefs, *bufs,
-                                               prop and prop.interval))
-    for i in range(F):
-        yield _checked(tr.replicate(slice(i * R, (i + 1) * R)))
+    n = models[0].n
+    try:
+        tr = _filtered(
+            np.tile(np.asarray(measurements, dtype=float), (F, 1, 1)),
+            np.tile(xhat, (F, 1)),
+            np.tile(np.broadcast_to(Sigma, (R, n, n)), (F, 1, 1)), 1,
+            _linear_steps(models, R, prop and prop.interval))
+    except FilterError:  # an interval raised: the kernel stopped there
+        tr = None
+    for i, model in enumerate(models):
+        trace = None
+        if tr is not None:
+            with contextlib.suppress(FilterError):
+                trace = _checked(tr.replicate(slice(i * R, (i + 1) * R)))
+        yield loop(model) if trace is None else trace
 
 
 def run_filter_batch(model, measurements, xhat, Sigma) -> FilterTrace:

@@ -128,14 +128,21 @@ class DiscreteLinearModel:
         return AZ[..., :self.n, :], self.A1, np.sqrt(np.maximum(g2, EPS_G)), g2
 
 
+def _fixed_beta(beta, name="beta"):
+    """beta as a float, refused, naming it `name`, unless it is finite and
+    nonnegative with a finite square."""
+    beta = float(beta)
+    if not 0 <= beta < np.inf or beta * beta == np.inf:
+        raise ModelError(f"{name} must be finite and nonnegative, with a "
+                         "finite square")
+    return beta
+
+
 def with_fixed_noise(model: DiscreteLinearModel, beta: float) -> DiscreteLinearModel:
     """Baseline companion of `model` with the gain frozen at `beta`: every
     g^2 is the constant 1 and Sigma_v becomes beta^2 Sigma_v, so the process
     noise is exactly beta^2 Sigma_v (zero for beta = 0) and never floored."""
-    beta = float(beta)
-    if not 0 <= beta < np.inf or beta * beta == np.inf:
-        raise ModelError("beta must be finite and nonnegative, with a finite "
-                         "square")
+    beta = _fixed_beta(beta)
     with np.errstate(over="ignore"):
         Sigma_v = beta ** 2 * model.Sigma_v
     if not np.isfinite(Sigma_v).all():

@@ -10,8 +10,8 @@ from typing import List, Mapping, Optional
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .discrete import (FilterTrace, _check_finite, _check_sizes, _run,
-                       _write_csv, _write_steps, run_filter)
+from .discrete import (FilterTrace, _check_finite, _check_sizes, _compiled,
+                       _dpotf2, _run, _write_csv, _write_steps, run_filter)
 from .errors import FilterError, LengthMismatchError, NonFiniteStateError
 from .models import (EPS_G, ContinuousDiscreteModel, DiscreteLinearModel,
                      _first_failure, eval_G)
@@ -161,30 +161,37 @@ class TrajectoryData:
                      [self.states, self.measurements])
 
 
+@functools.lru_cache(maxsize=None)
+def _cholesky(m):
+    """chol(s0_0, s1_0, s1_1, ...) -> the lower Cholesky factor, as rows of
+    Python floats, of the symmetric m x m matrix whose lower triangle is
+    given by rows, or None unless its every pivot d{j} is > 0.  It is the
+    filter kernel's factor (`discrete._dpotf2`), with sqrt(d{j}) on the
+    diagonal."""
+    lower = [f"s{i}_{j}" for i in range(m) for j in range(i + 1)]
+    rows = [", ".join(f"sqrt(d{i})" if j == i else f"l{i}_{j}" if j < i
+                      else "0.0" for j in range(m)) for i in range(m)]
+    src = [f"def chol({', '.join(lower)}):"]
+    src += ["    " + line for line in _dpotf2(m)]
+    src += ["    if not (" + " and ".join(f"d{j} > 0" for j in range(m))
+            + "):", "        return None",
+            "    return [" + ", ".join(f"[{row}]" for row in rows) + "]"]
+    return _compiled(src, "chol", floats=True)
+
+
 def _meas_noise_chol(Sigma_w):
     """A square-root factor L of Sigma_w, L L' = Sigma_w.  A positive
     definite Sigma_w gets its lower Cholesky factor by the textbook
-    (unblocked) recursion in Python floats: each dot product summed left to
-    right, math.sqrt, and each column scaled by the reciprocal of its
-    pivot.  So unlike LAPACK's, its bits do not depend on the CPU's BLAS
-    kernel.  Any other (a semidefinite one, such as 0) gets V sqrt(w) from
-    eigh."""
+    (unblocked) recursion in Python floats (`_cholesky`): each dot product
+    summed left to right, math.sqrt, and each column scaled by the
+    reciprocal of its pivot.  So unlike LAPACK's, its bits do not depend on
+    the CPU's BLAS kernel.  Any other (a semidefinite one, such as 0) gets
+    V sqrt(w) from eigh."""
     S, m = Sigma_w.tolist(), len(Sigma_w)
-    L = [[0.0] * m for _ in range(m)]
-    for j in range(m):
-        for i in range(j, m):
-            dot = 0.0
-            for k in range(j):
-                dot += L[i][k] * L[j][k]
-            s = S[i][j] - dot
-            if i > j:
-                L[i][j] = s * inv
-            elif s > 0:
-                L[j][j] = math.sqrt(s)
-                inv = 1.0 / L[j][j]
-            else:
-                w, V = np.linalg.eigh(Sigma_w)
-                return V * np.sqrt(np.clip(w, 0.0, None))
+    L = _cholesky(m)(*(S[i][j] for i in range(m) for j in range(i + 1)))
+    if L is None:
+        w, V = np.linalg.eigh(Sigma_w)
+        return V * np.sqrt(np.clip(w, 0.0, None))
     return np.array(L)
 
 
@@ -229,9 +236,7 @@ def _float_steps(n):
     src += [f"        p{i}[k] = x{i} = step(k, x{i}, y{i}, sqrt(y{n + i}),"
             f" v{i})" for i in range(n)]
     src.append("    return clamped")
-    scope = {"EPS_G": EPS_G, "sqrt": math.sqrt}
-    exec("\n".join(src), scope)
-    return scope["steps"]
+    return _compiled(src, "steps", floats=True)
 
 
 def _paths(dyn, x0, seeds, nsteps, distribution, what, step,
@@ -249,11 +254,12 @@ def _paths(dyn, x0, seeds, nsteps, distribution, what, step,
     measurements C x + L w as `_affine`'s ordered sums, not as BLAS
     products.  So a batch row equals its one-path run bit for bit for every
     n, and the path does not depend on the CPU's BLAS kernel, nor does L
-    (`_meas_noise_chol`) unless Sigma_w is singular and not zero.  A
-    filter's trace of an n >= 2 model still does.  A
-    non-finite state or measurement raises naming its row k of the samples
-    (x_1 = x0 is row 1), and so does a nonlinear model's drift or gain that
-    turns non-finite making row k.  No seeds, or an x0 of another size
+    (`_meas_noise_chol`) unless Sigma_w is singular and not zero.  Nor
+    does a filter's one-column trace of a linear model with m <= n <= 3
+    (the generated kernel, `discrete._kernel`).  A non-finite state or
+    measurement raises naming its row k of the samples (x_1 = x0 is row
+    1), and so does a nonlinear model's drift or gain that turns non-finite
+    making row k.  No seeds, or an x0 of another size
     (`discrete._check_sizes`), is refused before any noise is drawn."""
     R, n, m = len(seeds), dyn.n, dyn.m
     if R < 1:

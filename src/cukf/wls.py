@@ -30,8 +30,8 @@ are built here in information form and share no code with the
 covariance-form filter.
 
 The forward pass of `oracle_filter` has one loop body and two bindings, as
-the filter's scalar step rule has.  A linear model with n = m = 1 (the
-filter's `_scalar_linear`, fixed-beta baselines included) runs it on
+the filter's generated kernel has.  A linear model with n = m = 1
+(`_scalar_linear`, fixed-beta baselines included) runs it on
 Python floats, through memoryviews of the block arrays, with float helpers
 that read the model's coefficients and repeat the block binding's IEEE
 operations in the same order: each one-term matmul is a product added to
@@ -46,12 +46,17 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import IndefiniteHessianError, ModelError, NonFiniteStateError
-from .models import EPS_G
-from .discrete import (StateEstimate, _check_sizes, _scalar_linear,
-                       _write_steps, symmetrize)
+from .models import EPS_G, DiscreteLinearModel
+from .discrete import StateEstimate, _check_sizes, _write_steps, symmetrize
 
 # Longest horizon `oracle_filter` accepts; its memory grows as O(N^2 n).
 MAX_HORIZON = 500
+
+
+def _scalar_linear(model):
+    """Whether `model` is linear with n = m = 1, so that the forward pass
+    runs on Python floats."""
+    return isinstance(model, DiscreteLinearModel) and model.n == model.m == 1
 
 
 @dataclass

@@ -261,7 +261,7 @@ REFUSALS = {
          "error: --beta is required with --variant fixed-beta")],
     "test_invalid_input_exits_1_without_traceback": [
         ("argv0", "filter --model birth_death_cle --step 100",
-         "error: step 100.0 exceeds interval 0.1", False),
+         "error: --step 100.0 exceeds interval 0.1"),
         ("argv1", "filter --model birth_death_cle --step 0",
          "error: --step must be finite and positive"),
         ("argv2", "limit-check --model birth_death_cle --dt0 0.3",
@@ -306,8 +306,8 @@ REFUSALS = {
          "error: --dt0 0.08 / 2^40 = 7.275957614183426e-14 puts 1.1e+13 steps on "
          "[--t0, --t1] = [0.0, 0.8]; at most 100000 are allowed"),
         ("argv22", "filter --model birth_death_cle --step 1e-9",
-         "error: step 1e-09 puts 1e+08 grid steps on [0.0, 0.1]; at most 100000 are allowed",
-         False),
+         "error: --step 1e-09 puts 1e+08 grid steps on [0.0, 0.1]; at most 100000 are "
+         "allowed"),
         ("argv23", "limit-check --model logistic",
          "error: limit-check needs a linear model"),
         ("argv24", "filter --model birth_death_cle --em-step 1e-9",
@@ -319,8 +319,8 @@ REFUSALS = {
         ("argv27", "oracle-check --model birth_death_cle",
          "error: oracle-check supports discrete models only"),
         ("argv28", "filter --model birth_death_cle --step 5e-324",
-         "error: step 5e-324 puts inf grid steps on [0.0, 0.1]; at most 100000 are allowed",
-         False),
+         "error: --step 5e-324 puts inf grid steps on [0.0, 0.1]; at most 100000 are "
+         "allowed"),
         ("argv29", "simulate --model birth_death_cle --em-step 5e-324",
          "error: --em-step 5e-324 puts inf steps on [0.0, 0.1]; at most 100000 are allowed"),
         ("argv30", "oracle-check --model example_sec3 --horizon 501",
@@ -477,9 +477,11 @@ REFUSALS = {
          "error: --levels must be at least 0")],
     "test_a_beta_whose_square_overflows_is_refused_before_any_output": [
         ("filter", "filter --model example_sec3 --variant fixed-beta --beta 1e308",
-         "error: beta must be finite and nonnegative, with a finite square"),
+         "error: --beta must be finite and nonnegative, with a finite square"),
         ("compare", "compare --model example_sec3 --beta 1e308",
-         "error: beta must be finite and nonnegative, with a finite square")],
+         "error: --beta must be finite and nonnegative, with a finite square"),
+        ("filter-inf", "filter --model example_sec3 --variant fixed-beta --beta -inf",
+         "error: --beta must be finite and nonnegative, with a finite square")],
     "test_a_beta_whose_noise_covariance_overflows_is_refused": [
         (None, "filter --model <model> --variant fixed-beta --beta 1e150",
          "error: beta^2 Sigma_v has non-finite entries", True,
@@ -572,7 +574,8 @@ REFUSALS = {
     "test_an_innovation_covariance_that_overflows_is_a_numerical_failure": [
         (None, "filter --model <model>",
          "numerical failure: innovation covariance became non-finite (at step 1)", False,
-         (TWO_SPECIES_FILE, "Sigma_w = 1.0 0.0 0.0 1e308"))],
+         (TWO_SPECIES_FILE, "C = 1.0 0.0 0.0 1e146",
+          "Sigma_w = 1.0 0.0 0.0 1.7976931348623157e308"))],
     "test_exact_measurements_from_a_zero_prior_are_a_numerical_failure": [
         ("filter", "filter --model <model>",
          "numerical failure: innovation covariance not positive definite (at step 1)", False,

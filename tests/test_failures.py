@@ -299,12 +299,12 @@ FAILURES = {
             linear(Sigma_w=[[0.0]]), put(put(np.ones((4, 5, 1)), (1, 3), NAN), (3, 2), INF),
             np.zeros((4, 1)), np.eye(1)),
          NonFiniteStateError, "estimate became non-finite (replicate 3, at step 3)")],
-    # n = 1 takes the scalar kernel, which would otherwise filter on the first column
-    # alone and leave the rest of its buffers unwritten; n = 2 the numpy loop.
+    # n = 1 and n = 2 take the generated kernel, which would otherwise filter on the first
+    # column alone and leave the rest of its buffers unwritten.
     "test_discrete::test_run_filter_refuses_a_prior_or_measurements_of_another_size":
         size_rows(1) + size_rows(2),
     # Replicate 1 fails at step 3 on a non-finite measurement, or replicate 0 at step 1
-    # on a singular S: m = 1 takes the closed-form factor, m = 2 the LAPACK one.
+    # on a singular S, at m = 1 and m = 2.
     "test_discrete::test_failing_runs_emit_no_runtime_warning": [
         (f"{bad}-{Sw}-{P0}-{error.__name__}-{m}", lambda a=(
             linear(m, Sigma_w=Sw * np.eye(m)), np.ones((3, 6, m)) if bad is None
@@ -315,6 +315,27 @@ FAILURES = {
             (NAN, 1.0, 0.0, NonFiniteStateError, NON_FINITE),
             (None, 0.0, 0.0, SingularInnovationError, SINGULAR_S),
             (None, 0.0, -1.0, SingularInnovationError, SINGULAR_S)] for m in (1, 2)],
+    # Each S = Sigma_0 + I has S_00 > 0 and a later Cholesky pivot < 0, which the kernel
+    # takes as NaN; its failed run is run again by the numpy loop, whose LAPACK factor
+    # names the failure.  In the batch, which the numpy loop runs, replicate 2 also meets a
+    # NaN measurement at step 1: the singular S of replicate 1 is the failure.
+    "test_discrete::test_an_indefinite_S_whose_first_pivot_is_positive_is_singular": [
+        ("m2", lambda: run_filter(linear(2), np.ones((3, 2)),
+                                  StateEstimate(np.zeros(2), [[1.0, 3.0], [3.0, 1.0]], 1)),
+         SingularInnovationError, "innovation covariance not positive definite (at step 1)"),
+        ("m3", lambda: run_filter(linear(3), np.ones((3, 3)), StateEstimate(
+            np.zeros(3), [[0.0, 0.0, 0.8], [0.0, 0.0, 0.8], [0.8, 0.8, 0.0]], 1)),
+         SingularInnovationError, "innovation covariance not positive definite (at step 1)"),
+        ("batch", lambda: run_filter_batch(
+            linear(2), put(np.ones((3, 3, 2)), (2, 0, 1), NAN), np.zeros((3, 2)),
+            np.array([np.eye(2), [[1.0, 3.0], [3.0, 1.0]], np.eye(2)])),
+         SingularInnovationError,
+         "innovation covariance not positive definite (replicate 1, at step 1)")],
+    # S_00 is finite and S_01 overflows, so the factor's second pivot is inf - inf.
+    "test_discrete::test_an_S_that_overflows_off_its_diagonal_is_non_finite": [(
+        None, lambda: run_filter(linear(2, C=[[1.0, 0.0], [1e160, 1e160]]), np.ones((3, 2)),
+                                 StateEstimate(np.zeros(2), np.diag([1e200, 1.0]), 1)),
+        NonFiniteStateError, "estimate became non-finite (at step 1)")],
     "test_nonlinear::test_nonfinite_drift_raises": [(
         None, lambda: time_update(StateEstimate([1.0], [[1.0]]),
                                   nonlinear(lambda x: x * np.inf, lambda x: np.eye(1))),

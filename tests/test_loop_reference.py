@@ -6,15 +6,18 @@ relative up to n = 3 and m = 2, with the same clamp counts, and fail with
 the same error class, step and replicate on a non-positive innovation
 covariance or a non-finite measurement.
 
-A linear model with n = m = 1 runs through one scalar kernel instead,
-`_column_steps`: in Python floats for one replicate, on one array column
-per replicate for more.  Both must match the numpy loop `_run_loop` bit for
-bit, signed zeros included, or fail the same way; and
-`monte_carlo_compare`, which fills all such filters in one batch, must give
-the report or the error of running each filter through `_run_loop`.  So
-must `cd_run` on a one-state continuous-discrete model, which runs the
-kernel with the exact propagation of each interval as its time update,
-against its numpy-loop route.
+A linear model with m <= n <= 3 runs through one generated kernel instead
+(`_kernel`, through `_linear_steps`): in Python floats for one replicate,
+on one array column per replicate for more, which only n = m = 1 takes.
+It must match the numpy loop `_run_loop` within 1e-12 relative with the
+same clamp counts, and at n = m = 1 bit for bit, signed zeros included; a
+kernel run that fails is run again by the numpy loop, so it fails as the
+numpy loop does.  `monte_carlo_compare`, which fills all n = 1 filters in
+one batch, must give the report or the error of running each filter
+through `_run_loop`.  So must `cd_run` on a one-state continuous-discrete
+model, which runs the kernel with the exact propagation of each interval
+as its time update, against its numpy-loop route; and the two-species
+`cd_run` must take the kernel.
 
 The oracle's forward pass, which keeps its blocks and factors in arrays,
 must match a copy of its earlier form, which copied the running cost
@@ -32,7 +35,7 @@ from hypothesis import given, settings, strategies as st
 
 from cukf.builtin import birth_death_cle, example_sec3, logistic
 from cukf.continuous import cd_run
-from cukf.discrete import (StateEstimate, _column_steps, _predictor,
+from cukf.discrete import (StateEstimate, _linear_steps, _predictor,
                            _run_loop, run_filter, run_filter_batch, symmetrize)
 from cukf.errors import (FilterError, IndefiniteHessianError,
                          NonFiniteStateError, SingularInnovationError)
@@ -240,20 +243,26 @@ def assert_kernel_matches_numpy_loop(model, ms, xinit, Sigma0):
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
-@given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 6),
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 6),
        st.booleans(), st.integers(0, 2 ** 32 - 1))
 def test_failures_match_the_earlier_loop(n, m, R, exact, seed):
     # Priors that are zero or indefinite for some replicates, so that S <= 0
     # with exact (zero-noise) measurements or later on, and NaN or inf
     # measurements for others.  Every third example is one scalar replicate,
-    # which the scalar kernel runs.
+    # which the kernel runs on Python floats.  A kernel run that fails is run
+    # again by the numpy loop, so the failures are the numpy loop's.  At
+    # n = 3, exact measurements come with process noise of full rank
+    # (beta = 1): with none, S is singular in exact arithmetic and rounding
+    # decides which step fails, and there the numpy loop `_run_loop` and the
+    # earlier loop disagree (beta = 0 at n = 3, m = 1, R = 4, seed 1: steps 6
+    # and 4).
     if seed % 3 == 0:
         n = m = R = 1
     rng = np.random.default_rng(seed)
     model = random_linear(rng, n, m, rng.random() < 0.5, rng.random() < 0.5)
     if exact:
-        model = replace(with_fixed_noise(model, rng.choice([0.0, 1.0])),
-                        Sigma_w=np.zeros((m, m)))
+        beta = 1.0 if n == 3 else rng.choice([0.0, 1.0])
+        model = replace(with_fixed_noise(model, beta), Sigma_w=np.zeros((m, m)))
     ms, xinit, Sigma0 = data_for(rng, model, R)
     Sigma0 = np.broadcast_to(Sigma0, (R, n, n)).copy()
     for r in range(R):
@@ -270,8 +279,87 @@ def test_failures_match_the_earlier_loop(n, m, R, exact, seed):
     assert got == want
     if want is not None:
         assert want[0] in (SingularInnovationError, NonFiniteStateError)
-    if n == m == 1:  # a scalar kernel ran
+    if n == m == 1:  # the kernel ran, bit for bit
         assert_kernel_matches_numpy_loop(model, ms, xinit, Sigma0)
+
+
+def batch_outcome(outcomes):
+    """The outcome of one batch from the outcomes of its replicates run
+    alone (`outcome`, as (class, step, None), or None): the first failed
+    step; at it, the first replicate whose S is not positive definite,
+    else the first that failed (see `discrete._check_finite`)."""
+    failed = [(o[1], r, o[0]) for r, o in enumerate(outcomes) if o]
+    if not failed:
+        return None
+    step = min(failed)[0]
+    at = [(cls is not SingularInnovationError, r, cls)
+          for k, r, cls in failed if k == step]
+    _, r, cls = min(at, key=lambda a: a[:2])
+    return cls, step, r if len(outcomes) > 1 else None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(2, 8),
+       st.booleans(), st.booleans(), st.booleans(), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_float_kernel_matches_the_numpy_loop(
+        n, m, R, clamp, fixed_beta, signed_zeros, hazards, seed):
+    # The generated kernel on Python floats (each replicate alone) against
+    # the batch route (arrays at n = 1, else the numpy loop) and the numpy
+    # loop itself: bit for bit at n = 1, else within 1e-12 relative, with
+    # the same clamp counts; or the same error class, step and replicate.
+    # The model may clamp g^2, be a fixed-beta baseline or hold -0.0
+    # coefficients; with `hazards`, a replicate may start from a zero or
+    # indefinite prior, or meet a NaN or inf measurement; with
+    # `signed_zeros`, -0.0 states and measurements.  Exact measurements are
+    # left to the test above: at m = n they make the posterior Sigma 0 in
+    # exact arithmetic, so its entries are the rounding residue of a prior
+    # of any size, which no relative bound holds.
+    rng = np.random.default_rng(seed)
+    model = random_linear(rng, n, m, clamp, fixed_beta)
+    if signed_zeros:
+        model = replace(model, A0=np.where(rng.random(n) < 0.5, -0.0,
+                                           model.A0),
+                        Sigma_v=np.diag(np.where(rng.random(n) < 0.3, -0.0,
+                                                 np.diag(model.Sigma_v))))
+    ms, xinit, Sigma0 = data_for(rng, model, R)
+    Sigma0 = np.broadcast_to(Sigma0, (R, n, n)).copy()
+    for r in range(R):
+        pick = rng.integers(5) if hazards else 0
+        if pick == 1:
+            Sigma0[r] = 0.0
+        elif pick == 2:
+            Sigma0[r] = -4.0 * np.eye(n)
+        elif pick == 3:
+            ms[r, rng.integers(N), rng.integers(m)] = rng.choice(
+                [np.nan, np.inf, -np.inf])
+        if signed_zeros and rng.random() < 0.5:
+            xinit[r] = -0.0
+            ms[r, :3] = -0.0
+    alone = [outcome(lambda: run_filter_batch(model, ms[r:r + 1],
+                                              xinit[r:r + 1], Sigma0[r:r + 1]))
+             for r in range(R)]
+    got = outcome(lambda: run_filter_batch(model, ms, xinit, Sigma0))
+    assert got == batch_outcome(alone)
+    assert got == outcome(lambda: _run_loop(ms, xinit, Sigma0,
+                                            _predictor(model), model.C,
+                                            model.Sigma_w))
+    if got is not None:
+        return
+    batch = run_filter_batch(model, ms, xinit, Sigma0)
+    ref = _run_loop(ms, xinit, Sigma0, _predictor(model), model.C,
+                    model.Sigma_w)
+    for r in range(R):
+        one = run_filter_batch(model, ms[r:r + 1], xinit[r:r + 1],
+                               Sigma0[r:r + 1])
+        for name in FIELDS:
+            got = np.ascontiguousarray(getattr(one, name)[0])
+            for want in (getattr(batch, name)[r], getattr(ref, name)[r]):
+                if n == 1:
+                    assert got.tobytes() == want.tobytes(), name
+                else:
+                    assert rel_err(got, want) <= 1e-12, name
+        assert one.clamp_count[0] == batch.clamp_count[r] == ref.clamp_count[r]
 
 
 def test_scalar_kernels_keep_the_signed_zeros_of_the_numpy_loops():
@@ -302,8 +390,9 @@ def test_scalar_kernels_keep_the_signed_zeros_of_the_numpy_loops():
 def test_array_route_matches_the_numpy_loop_bit_for_bit(R, clamp, exact,
                                                         signed_zeros, hazards,
                                                         seed):
-    # run_filter_batch takes `_column_steps` for R replicates of a linear
-    # n = m = 1 model: on Python floats for R = 1, on arrays for more.  Per
+    # run_filter_batch takes the generated kernel for R replicates of a
+    # linear n = m = 1 model: on Python floats for R = 1, on arrays for
+    # more.  Per
     # replicate: a prior that is zero, -0.0 or denormal, so that S <= 0
     # with exact (zero-noise) measurements or a gain underflows to -0.0, or
     # a -0.0 state and measurements; with `hazards`, also a negative prior
@@ -346,7 +435,7 @@ def reference_compare(*args, **kwargs):
     """monte_carlo_compare with every filter run by the numpy loop alone,
     one filter at a time: the report, or the class and text of the error."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("cukf.discrete._scalar_linear", lambda model: False)
+        patch.setattr("cukf.discrete._small_linear", lambda model: False)
         return compare_outcome(*args, **kwargs)
 
 
@@ -394,24 +483,33 @@ def test_fused_compare_matches_per_filter_numpy_loops(F, R, N_steps,
     assert compare_outcome(*args, **kwargs) == want
 
 
+def counting_kernel(monkeypatch, batches):
+    """Make the numpy loop raise, and append to `batches` the column count
+    of each run of the generated kernel."""
+    def numpy_path(*args, **kwargs):
+        raise AssertionError("numpy loop taken")
+
+    def linear_steps(models, R, interval=None):
+        steps = _linear_steps(models, R, interval)
+
+        def counted(prior, *bufs):
+            batches.append(prior.shape[1])
+            return steps(prior, *bufs)
+        return counted
+
+    monkeypatch.setattr("cukf.discrete._run_loop", numpy_path)
+    monkeypatch.setattr("cukf.discrete._linear_steps", linear_steps)
+    return numpy_path
+
+
 def test_one_scalar_replicate_takes_the_kernels(monkeypatch):
     # Without this, a silent fall-back to the numpy loop would pass every
     # bit-identity test.  Every linear n = m = 1 filter takes the one
     # kernel, with one column per replicate: one (Python floats) for
     # run_filter, R for a batch, and 2 R when compare fills both filters in
     # one batch.
-    def numpy_path(*args, **kwargs):
-        raise AssertionError("numpy path taken")
-
     batches = []
-
-    def column_steps(coefs, *bufs):
-        batches.append(coefs.shape[1])
-        assert bufs[0].shape[1] == coefs.shape[1]
-        return _column_steps(coefs, *bufs)
-
-    monkeypatch.setattr("cukf.discrete._run_loop", numpy_path)
-    monkeypatch.setattr("cukf.discrete._column_steps", column_steps)
+    numpy_path = counting_kernel(monkeypatch, batches)
     init = StateEstimate(xhat=[0.5], Sigma=[[1.0]], index=1)
     models = {"cu": example_sec3(), "fixed": with_fixed_noise(example_sec3(),
                                                               0.1)}
@@ -500,29 +598,62 @@ def test_scalar_cd_route_matches_the_numpy_loop_bit_for_bit(
     init = StateEstimate([x0], [[P0]], times[0])
     got = cd_outcome(model, ms, init, step)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("cukf.discrete._scalar_linear", lambda model: False)
+        patch.setattr("cukf.discrete._small_linear", lambda model: False)
         want = cd_outcome(model, ms, init, step)
     assert got == want
 
 
+MODELS = Path(__file__).resolve().parents[1] / "bench" / "models"
+
+
 def test_one_state_cd_models_take_the_scalar_rule(monkeypatch):
     # Without this, a silent fall-back to the numpy loop would pass the
-    # bit-identity test above.  Two-species (n = 2) keeps the numpy loop.
-    def numpy_path(*args, **kwargs):
-        raise AssertionError("numpy loop taken")
-
-    monkeypatch.setattr("cukf.discrete._run_loop", numpy_path)
-    models = Path(__file__).resolve().parents[1] / "bench" / "models"
-    for model in (birth_death_cle(), load_model(models / "pure_death_cle.txt")):
+    # bit-identity test above.
+    batches = []
+    counting_kernel(monkeypatch, batches)
+    for model in (birth_death_cle(), load_model(MODELS / "pure_death_cle.txt")):
         data = simulate_cd(model, [100.0], 0, 0.01)
         trace = cd_run(model, data.measurements,
                        StateEstimate([100.0], [[1.0]], 0.0))
         assert len(trace) == model.sample_times.size
-    model = load_model(models / "two_species_cle.txt")
+    assert batches == [1, 1]
+
+
+def test_two_state_filters_take_the_kernel(monkeypatch, tmp_path):
+    # The two-species cd_run and the run_filter of an n = 2 linear model file
+    # run the kernel on one column of Python floats.  A batch of n = 2, such
+    # as compare's, keeps the numpy loop, and so do a model with n = 4 and
+    # one with more outputs than states.
+    batches = []
+    counting_kernel(monkeypatch, batches)
+    model = load_model(MODELS / "two_species_cle.txt")
     data = simulate_cd(model, [100.0, 100.0], 0, 0.01)
-    with pytest.raises(AssertionError, match="numpy loop taken"):
-        cd_run(model, data.measurements,
-               StateEstimate([100.0, 100.0], np.eye(2), 0.0))
+    trace = cd_run(model, data.measurements,
+                   StateEstimate([100.0, 100.0], np.eye(2), 0.0))
+    assert len(trace) == model.sample_times.size
+    path = tmp_path / "two-state.txt"
+    path.write_text("kind = discrete\nn = 2\nm = 1\nA0 = 1.0 0.5\n"
+                    "A1 = 0.9 0.05 0.0 0.8\nC = 1.0 1.0\n"
+                    "gsq = 10.0 0.5 0.0 4.0 0.0 0.2\n"
+                    "Sigma_v = 1.0 2.0\nSigma_w = 1.0\n")
+    two = load_model(path)
+    run_filter(two, np.ones((30, 1)), StateEstimate(np.zeros(2), np.eye(2)))
+    assert batches == [1, 1]
+    for run in (
+            lambda: monte_carlo_compare(
+                two, {"cu": two, "fixed": with_fixed_noise(two, 0.5)}, 7, 30,
+                0),
+            lambda: run_filter_batch(
+                replace(two, A0=np.ones(4), A1=0.5 * np.eye(4),
+                        C=np.ones((1, 4)), gsq=np.ones((4, 5)),
+                        Sigma_v=np.eye(4)),
+                np.ones((1, 5, 1)), np.zeros((1, 4)), np.eye(4)),
+            lambda: run_filter(replace(two, C=np.eye(3, 2), Sigma_w=np.eye(3)),
+                               np.ones((5, 3)),
+                               StateEstimate(np.zeros(2), np.eye(2)))):
+        with pytest.raises(AssertionError, match="numpy loop taken"):
+            run()
+    assert batches == [1, 1]
 
 
 def factor_solve(Li, B):
