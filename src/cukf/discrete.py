@@ -88,9 +88,11 @@ def symmetrize(S: np.ndarray) -> np.ndarray:
 
 
 def _symmetrize_in_place(S: np.ndarray):
-    """Symmetrize each matrix of the stack S in place (1 x 1 ones are)."""
-    if S.shape[-1] > 1:
-        S[...] = symmetrize(S)
+    """Symmetrize each matrix of the stack S in place: each off-diagonal
+    pair becomes its mean 0.5 (a + b), as in `symmetrize`; the diagonal
+    stays, where `symmetrize` doubles it first, so it cannot overflow."""
+    for i, j in itertools.combinations(range(S.shape[-1]), 2):
+        S[..., i, j] = S[..., j, i] = 0.5 * (S[..., i, j] + S[..., j, i])
 
 
 @dataclass
@@ -245,10 +247,13 @@ def _stepped(post: StateEstimate, predict, count, index) -> StateEstimate:
 def time_update(post: StateEstimate, model) -> StateEstimate:
     """Propagate one step, recomputing the process noise covariance
     G(xhat) Sigma_v G(xhat) at the posterior estimate (`_stepped`): a
-    non-finite f or G raises NonFiniteStateError, never a RuntimeWarning;
-    a prior of another size than the model's, LengthMismatchError."""
+    non-finite f, G or prior (naming its step) raises NonFiniteStateError,
+    never a RuntimeWarning; a prior of another size, LengthMismatchError."""
     _check_sizes(model.m, model.n, xhat=post.xhat, Sigma=post.Sigma)
-    return _stepped(post, _predictor(model), 1, post.index + 1)
+    prior = _stepped(post, _predictor(model), 1, post.index + 1)
+    _check_finite(prior.index, ("estimate", prior.xhat[None, None]),
+                  ("estimate", prior.Sigma[None, None]))
+    return prior
 
 
 def _check_finite(first_step, *stacks, S=None):
@@ -401,11 +406,10 @@ def _dpotf2(m):
 
 def _compiled(src, name, floats):
     """The function `name` that the Python lines `src` define, with EPS_G,
-    nan, np, maximum, _scan_failed_run and sqrt (math's on floats, else
-    numpy's) in its scope."""
+    nan, np, maximum and sqrt (math's on floats, else numpy's) in its
+    scope."""
     scope = {"EPS_G": EPS_G, "nan": math.nan, "np": np, "maximum": np.maximum,
-             "sqrt": math.sqrt if floats else np.sqrt,
-             "_scan_failed_run": _scan_failed_run}
+             "sqrt": math.sqrt if floats else np.sqrt}
     exec(compile("\n".join(src), f"<{name}>", "exec"), scope)
     return scope[name]
 
@@ -415,7 +419,7 @@ def _kernel(n, m, floats, cd):
     """`_run_loop`'s steps for linear models of n states and m outputs, one
     column per replicate, as Python text written out by component and
     compiled once per (n, m, floats, cd):
-    steps(coefs, prior, post, W, S, Kt, tr, interval) fills `_filtered`'s
+    steps(coefs, prior, post, W, S, Kt, interval) fills `_filtered`'s
     buffers and returns the clamp counts.  coefs holds, per column, C,
     Sigma_w and A1 by rows, A0 + 0.0, diag(Sigma_v) + 0.0, c0 and c1 by
     rows (`_linear_steps`).
@@ -430,12 +434,12 @@ def _kernel(n, m, floats, cd):
     floored steps are counted after the loop from the posteriors by the
     same sums; or, for `cd`, the propagator's interval(k, x, vec Sigma) ->
     (x, vec Sigma, floored) (`continuous._Propagator.interval`), its Sigma
-    symmetrized, and an error it raises handled as `_run_loop` handles
-    predict's.  At n = m = 1 these are `_run_loop`'s IEEE operations in its
-    order, so the trace is bit-identical to it, signed zeros included: a
-    matmul of one product adds it to +0.0, and so does this code where the
-    sign can reach the trace.  At larger n or m it agrees with `_run_loop`
-    to rounding, and its bits do not depend on the CPU's BLAS kernel.
+    symmetrized; an error it raises ends the run (see `_run`).  At n = m = 1
+    these are `_run_loop`'s IEEE operations in its order, so the trace is
+    bit-identical to it, signed zeros included: a matmul of one product
+    adds it to +0.0, and so does this code where the sign can reach the
+    trace.  At larger n or m it agrees with `_run_loop` to rounding, and
+    its bits do not depend on the CPU's BLAS kernel.
 
     `floats` binds the text to one column of Python floats, through
     memoryviews of the buffers, with math.sqrt and a compare-and-assign
@@ -472,7 +476,7 @@ def _kernel(n, m, floats, cd):
             + [(f"Ey{a}", "W", a, 0) for a in ms]
             + [(f"Sb{a}_{b}", "S", a, b) for a in ms for b in ms]
             + [(f"Kb{a}_{j}", "Kt", a, j) for a in ms for j in ns])
-    src = ["def steps(coefs, prior, post, W, S, Kt, tr, interval):",
+    src = ["def steps(coefs, prior, post, W, S, Kt, interval):",
            f"    {', '.join(coefs)}, = coefs"]
     src += [f"    {name} = " + view.format(f"{Z}[{cols}, {i}, {j}]")
             for name, Z, i, j in bufs]
@@ -514,13 +518,8 @@ def _kernel(n, m, floats, cd):
         outs = [f"x{i}" for i in ns] + [f"p{i}_{j}" if i <= j else f"t{i}_{j}"
                                        for i, j in vec]
         ins = [f"x{i}" for i in ns] + [P(i, j) for i, j in vec]
-        body += ["try:",
-                 f"    {', '.join(outs)}, floored = interval("
-                 f"k, {', '.join(ins)})",
-                 "except Exception as exc:",
-                 "    _scan_failed_run(exc, tr, k + 1, 1)",
-                 "    raise",
-                 "clamps += floored"]
+        body += [f"{', '.join(outs)}, floored = interval("
+                 f"k, {', '.join(ins)})", "clamps += floored"]
         body += [f"p{i}_{j} = 0.5 * (p{i}_{j} + t{j}_{i})"
                  for i, j in upper if i < j]
     else:
@@ -564,10 +563,10 @@ def _linear_steps(models, R, interval=None):
     floats = coefs.shape[1] == 1
     kernel = _kernel(n, m, floats, interval is not None)
 
-    def steps(*bufs):
+    def steps(prior, post, W, S, Kt, tr):
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            return kernel(coefs[:, 0].tolist() if floats else coefs, *bufs,
-                          interval)
+            return kernel(coefs[:, 0].tolist() if floats else coefs, prior,
+                          post, W, S, Kt, interval)
 
     return steps
 
@@ -619,9 +618,10 @@ def _run(models, measurements, xhat, Sigma, prop=None):
     more numpy calls per step than the numpy loop's stacked matmuls).
     Otherwise each model runs the numpy loop `_run_loop` when reached.  At
     n = m = 1 the two are bit-identical.  A model whose kernel run fails
-    is run again by the numpy loop, whose LAPACK factor decides the error
-    as it always has: where S is singular in exact arithmetic, rounding
-    decides which step fails, and the kernel rounds otherwise.  A
+    or raises (an interval may) is run again by the numpy loop, whose
+    LAPACK factor decides the error as it always has: where S is singular
+    in exact arithmetic, rounding decides which step fails, and the kernel
+    rounds otherwise.  A
     continuous-discrete run's propagator `prop` gives the time update.
     Sizes that do not fit a model raise LengthMismatchError."""
     def loop(model):
@@ -647,7 +647,7 @@ def _run(models, measurements, xhat, Sigma, prop=None):
             np.tile(xhat, (F, 1)),
             np.tile(np.broadcast_to(Sigma, (R, n, n)), (F, 1, 1)), 1,
             _linear_steps(models, R, prop and prop.interval))
-    except FilterError:  # an interval raised: the kernel stopped there
+    except (FilterError, ValueError):  # the numpy loop decides the error
         tr = None
     for i, model in enumerate(models):
         trace = None

@@ -571,8 +571,9 @@ REFUSALS = {
         ("oracle-check", "oracle-check --model <model>",
          "numerical failure: simulated measurement became non-finite (at step 3)", False,
          (GOOD_MODEL_FILE, "C = -1e308"))],
+    # S_11 = Sigma_w,11 + 1e292 Sigma_11 rounds past the largest float.
     "test_an_innovation_covariance_that_overflows_is_a_numerical_failure": [
-        (None, "filter --model <model>",
+        (None, "filter --model <model> --init-sigma 1",
          "numerical failure: innovation covariance became non-finite (at step 1)", False,
          (TWO_SPECIES_FILE, "C = 1.0 0.0 0.0 1e146",
           "Sigma_w = 1.0 0.0 0.0 1.7976931348623157e308"))],

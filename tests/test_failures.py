@@ -282,6 +282,10 @@ FAILURES = {
             StateEstimate(np.zeros(n + 1 - r), np.eye(n), 0.0))),
          LengthMismatchError, sizes(n, n, (1, K, n + r), (1, n + 1 - r), (1, n, n)))
         for n, model, K in [(1, birth_death_cle, 51), (2, two_species, 101)] for r in (0, 1)],
+    # An overflowing prior is refused, as in measurement_update and cd_time_update.
+    "test_discrete::test_a_time_update_that_overflows_is_non_finite": [(
+        None, lambda: time_update(StateEstimate([1e10], [[1e10]]), linear(A1=1e300)),
+        NonFiniteStateError, "estimate became non-finite (at step 1)")],
     "test_discrete::test_measurement_update_singular_innovation": [(
         None, lambda: measurement_update(prior(sigma=0.0), [1.0], [[1.0]], [[0.0]]),
         SingularInnovationError, "innovation covariance not positive definite (at step 0)")],
@@ -406,6 +410,43 @@ FAILURES = {
         ("gain", lambda: run_filter(nonlinear(lambda x: x, lambda x: np.ones(2)),
                                     np.ones((3, 1)), prior()),
          ModelError, "gain must have shape (1,), got (2,)")],
+    # The CLI checks these inputs by flag before it calls the library, so no CLI row reaches
+    # the library's own refusal.
+    "test_failures::test_the_library_refuses_what_the_cli_checks_first": [
+        ("t0-t1", lambda: euler_limit_check(BD, prior(), 1.0, 0.5, [0.1]), ValueError,
+         "need finite t0 < t1"),
+        ("no-steps", lambda: euler_limit_check(BD, prior(), 0.0, 0.8, []), ValueError,
+         "need at least one step"),
+        ("dt-0", lambda: euler_limit_check(BD, prior(), 0.0, 0.8, [0.0]), ValueError,
+         "dt=0.0 must be finite and positive"),
+        ("dt-inf-steps", lambda: euler_limit_check(BD, prior(), 0.0, 1e308, [1e-300]),
+         ValueError, "dt=1e-300 puts inf steps on [0.0, 1e+308]; at most 100000 are allowed"),
+        ("dt-not-dividing", lambda: euler_limit_check(BD, prior(), 0.0, 0.8, [0.3]),
+         ValueError, "dt=0.3 does not divide the interval 0.8"),
+        ("cd_run-measurements", lambda: cd_run(BD, np.zeros((3, 1)), prior(index=0.0)),
+         LengthMismatchError, "3 measurements for 51 sample times"),
+        ("cd_time_update-step", lambda: cd_time_update(prior(index=0.0), BD, 0.0, 0.1, 0.0),
+         ValueError, "step must be finite and positive"),
+        ("simulate_batch-N", lambda: simulate_batch(SEC3, 1.0, 0, [0]), ValueError,
+         "N must be >= 1"),
+        ("simulate_cd-em_step", lambda: simulate_cd(BD, [1.0], 0, em_step=0.0), ValueError,
+         "em_step must be finite and positive"),
+        ("distribution", lambda: simulate_batch(SEC3, 1.0, 5, [0], distribution="cauchy"),
+         ValueError, "unknown noise distribution 'cauchy'"),
+        ("whiteness-steps", lambda: innovation_whiteness(
+            run_filter(SEC3, np.ones((10, 1)), prior())),
+         ValueError, "need more than max_lag=20 steps, got 10"),
+        ("replicates", lambda: monte_carlo_compare(SEC3, {"cu": SEC3}, 0, 30, 0), ValueError,
+         "replicates must be >= 1"),
+        ("run_filter_batch-N", lambda: run_filter_batch(SEC3, np.ones((1, 0, 1)),
+                                                        np.zeros((1, 1)), np.eye(1)),
+         ValueError, "need at least one measurement"),
+        ("A0", lambda: replace(SEC3, A0=[0.0, 0.0]), ModelError,
+         "A0 must have shape (1,), got (2,)"),
+        ("sample_times", lambda: ContinuousDiscreteModel(inner=SEC3, sample_times=[]),
+         ModelError, "sample_times must be nonempty"),
+        ("time-cost", lambda: build_time_cost(QuadraticCost(n=1), SEC3, [0.0]), ValueError,
+         "cost has no blocks to extend from")],
     "test_failures::test_a_degenerate_input_is_refused_by_name": [
         ("no-measurements", lambda: oracle_filter(SEC3, np.zeros((0, 1)), prior()),
          ValueError, "need at least one measurement"),

@@ -1,29 +1,18 @@
-"""The filter loop against a copy of its earlier per-step form, which held
+"""Route checks of the filter and the oracle (see `routes`).  The filter loop
+must match a copy of its earlier per-step form (`earlier_loop`), which held
 xhat and Sigma as separate arrays, tested S > 0 at every step and copied
-each step into the trace.  The joint [xhat | Sigma] loop must match it bit
-for bit at n = 1 (linear, fixed-beta and nonlinear models), within 1e-12
-relative up to n = 3 and m = 2, with the same clamp counts, and fail with
-the same error class, step and replicate on a non-positive innovation
-covariance or a non-finite measurement.
-
-A linear model with m <= n <= 3 runs through one generated kernel instead
-(`_kernel`, through `_linear_steps`): in Python floats for one replicate,
-on one array column per replicate for more, which only n = m = 1 takes.
-It must match the numpy loop `_run_loop` within 1e-12 relative with the
-same clamp counts, and at n = m = 1 bit for bit, signed zeros included; a
-kernel run that fails is run again by the numpy loop, so it fails as the
-numpy loop does.  `monte_carlo_compare`, which fills all n = 1 filters in
-one batch, must give the report or the error of running each filter
-through `_run_loop`.  So must `cd_run` on a one-state continuous-discrete
-model, which runs the kernel with the exact propagation of each interval
-as its time update, against its numpy-loop route; and the two-species
-`cd_run` must take the kernel.
-
-The oracle's forward pass, which keeps its blocks and factors in arrays,
-must match a copy of its earlier form, which copied the running cost
-through the builders at every step and grew its block elimination one
-block at a time, bit for bit in every output, or fail with the same error
-and message."""
+each step into the trace: bit for bit at n = 1 (linear, fixed-beta and
+nonlinear models), within 1e-12 relative up to n = 3 and m = 2, with the
+same clamp counts, or fail with the same error class, step and replicate.  A
+linear model with m <= n <= 3 runs the generated kernel, which must match
+the numpy loop `_run_loop`, within 1e-12 relative and at n = m = 1 bit for
+bit, signed zeros included, or fail with the same error and message; so must
+`monte_carlo_compare`, which fills all n = 1 filters in one batch, and
+`cd_run`, whose kernel takes the exact propagation of each interval as its
+time update.  The oracle's forward pass must match a copy of its earlier
+form (`earlier_oracle`), which copied the running cost through the builders
+at every step and grew its block elimination one block at a time, bit for
+bit in every output, or fail with the same error and message."""
 
 import itertools
 from dataclasses import replace
@@ -35,11 +24,11 @@ from hypothesis import given, settings, strategies as st
 
 from cukf.builtin import birth_death_cle, example_sec3, logistic
 from cukf.continuous import cd_run
-from cukf.discrete import (StateEstimate, _linear_steps, _predictor,
-                           _run_loop, run_filter, run_filter_batch, symmetrize)
+from cukf.discrete import (FilterTrace, StateEstimate, run_filter,
+                           run_filter_batch, symmetrize)
 from cukf.errors import (FilterError, IndefiniteHessianError,
                          NonFiniteStateError, SingularInnovationError)
-from cukf.modelio import load_model
+from cukf.modelio import load_model, loads
 from cukf.models import (EPS_G, ContinuousDiscreteModel, DiscreteLinearModel,
                          NonlinearModel, with_fixed_noise)
 from cukf.simulate import (monte_carlo_compare, simulate_batch, simulate_cd,
@@ -47,11 +36,8 @@ from cukf.simulate import (monte_carlo_compare, simulate_batch, simulate_cd,
 from cukf.wls import (_schur_factor, build_measurement_cost, build_time_cost,
                       initial_cost, oracle_filter)
 
-from reference_impl import rel_err
-
-N = 25
-FIELDS = ("xhat_prior", "Sigma_prior", "xhat_post", "Sigma_post",
-          "innovation", "S", "gain")
+from routes import (FIELDS, N, Failure, outcome, random_linear, route, same,
+                    stacked)
 
 
 def matvec(A, X):
@@ -149,19 +135,11 @@ def earlier_loop(model, ms, xhat, Sigma):
     return trace, floored.any(axis=-1).sum(axis=0)
 
 
-def random_linear(rng, n, m, clamp, fixed_beta):
-    A1 = rng.standard_normal((n, n))
-    A1 *= 0.95 / max(np.abs(np.linalg.eigvals(A1)).max(), 1e-6)
-    gsq = np.column_stack([rng.uniform(0.5, 5.0, n),
-                           rng.uniform(-0.5, 0.5, (n, n))])
-    if clamp:
-        gsq[0, 0] = -1.0
-    B = rng.standard_normal((m, m))
-    model = DiscreteLinearModel(
-        A0=rng.standard_normal(n), A1=A1, C=rng.standard_normal((m, n)),
-        gsq=gsq, Sigma_v=np.diag(rng.uniform(0.1, 2.0, n)),
-        Sigma_w=B @ B.T + 0.1 * np.eye(m))
-    return with_fixed_noise(model, rng.uniform(0, 2)) if fixed_beta else model
+def earlier_trace(model, ms, xhat, Sigma):
+    """earlier_loop's run as the trace run_filter_batch returns."""
+    trace, clamps = earlier_loop(model, ms, xhat, Sigma)
+    return FilterTrace(np.arange(1, 1 + np.shape(ms)[1]),
+                       *map(trace.get, FIELDS), clamp_count=clamps)
 
 
 def random_nonlinear(rng):
@@ -181,20 +159,6 @@ def data_for(rng, model, R):
     return ms, rng.standard_normal((R, n)), C0 @ C0.T
 
 
-def assert_same_run(model, ms, xinit, Sigma0, bitwise):
-    trace = run_filter_batch(model, ms, xinit, Sigma0)
-    ref, clamps = earlier_loop(model, ms, xinit, Sigma0)
-    for name in FIELDS:
-        got = np.ascontiguousarray(getattr(trace, name))
-        if bitwise:
-            assert got.tobytes() == ref[name].tobytes(), name
-        else:
-            assert rel_err(got, ref[name]) <= 1e-12, name
-    assert np.array_equal(trace.clamp_count, clamps)
-    for P in (trace.Sigma_prior, trace.Sigma_post):
-        assert np.array_equal(P, P.swapaxes(-1, -2))
-
-
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.sampled_from(["linear", "clamping", "fixed-beta", "nonlinear"]),
        st.sampled_from([1, 50]), st.integers(0, 2 ** 32 - 1))
@@ -205,7 +169,9 @@ def test_scalar_loop_matches_the_earlier_loop_bit_for_bit(kind, R, seed):
     else:
         model = random_linear(rng, 1, 1, kind == "clamping",
                               kind == "fixed-beta")
-    assert_same_run(model, *data_for(rng, model, R), bitwise=True)
+    case = model, *data_for(rng, model, R)
+    same(outcome(lambda: run_filter_batch(*case)),
+         outcome(lambda: earlier_trace(*case)))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -214,32 +180,11 @@ def test_scalar_loop_matches_the_earlier_loop_bit_for_bit(kind, R, seed):
 def test_loop_matches_the_earlier_loop(n, m, R, clamp, fixed_beta, seed):
     rng = np.random.default_rng(seed)
     model = random_linear(rng, n, m, clamp, fixed_beta)
-    assert_same_run(model, *data_for(rng, model, R), bitwise=False)
-
-
-def outcome(fn):
-    try:
-        fn()
-    except FilterError as exc:
-        return type(exc), exc.step, exc.replicate
-    return None
-
-
-def assert_kernel_matches_numpy_loop(model, ms, xinit, Sigma0):
-    """run_filter_batch, which takes the scalar kernel here, against the
-    numpy loop: the same trace bytes and clamp counts, or the same error."""
-    results = []
-    for run in (lambda: run_filter_batch(model, ms, xinit, Sigma0),
-                lambda: _run_loop(ms, xinit, Sigma0, _predictor(model),
-                                  model.C, model.Sigma_w)):
-        try:
-            trace = run()
-        except FilterError as exc:
-            results.append((type(exc), exc.step, exc.replicate))
-        else:
-            results.append([np.ascontiguousarray(getattr(trace, name)).tobytes()
-                            for name in FIELDS] + [trace.clamp_count.tolist()])
-    assert results[0] == results[1]
+    case = model, *data_for(rng, model, R)
+    trace = run_filter_batch(*case)
+    same(outcome(lambda: trace), outcome(lambda: earlier_trace(*case)), 1e-12)
+    for P in (trace.Sigma_prior, trace.Sigma_post):
+        assert np.array_equal(P, P.swapaxes(-1, -2))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -274,28 +219,36 @@ def test_failures_match_the_earlier_loop(n, m, R, exact, seed):
         elif pick == 3:
             ms[r, rng.integers(N), rng.integers(m)] = rng.choice([np.nan,
                                                                   np.inf])
-    got = outcome(lambda: run_filter_batch(model, ms, xinit, Sigma0))
-    want = outcome(lambda: earlier_loop(model, ms, xinit, Sigma0))
+    case = model, ms, xinit, Sigma0
+    got, want = (  # their failures; the earlier loop words errors otherwise
+        o if isinstance(o, Failure) else None for o in (
+            outcome(lambda: run_filter_batch(*case), text=False),
+            outcome(lambda: earlier_trace(*case), text=False)))
     assert got == want
-    if want is not None:
-        assert want[0] in (SingularInnovationError, NonFiniteStateError)
+    assert want is None or want.cls in (SingularInnovationError,
+                                        NonFiniteStateError)
     if n == m == 1:  # the kernel ran, bit for bit
-        assert_kernel_matches_numpy_loop(model, ms, xinit, Sigma0)
+        same(outcome(lambda: run_filter_batch(*case)),
+             outcome(lambda: run_filter_batch(*case), "kernel"))
 
 
 def batch_outcome(outcomes):
     """The outcome of one batch from the outcomes of its replicates run
-    alone (`outcome`, as (class, step, None), or None): the first failed
-    step; at it, the first replicate whose S is not positive definite,
-    else the first that failed (see `discrete._check_finite`)."""
-    failed = [(o[1], r, o[0]) for r, o in enumerate(outcomes) if o]
+    alone: their fields stacked, or the first failed step's Failure, at it
+    the first replicate whose S is not positive definite, else the first
+    that failed (see `discrete._check_finite`), named in a batch of more
+    than one."""
+    failed = [(o.step, r, o) for r, o in enumerate(outcomes)
+              if isinstance(o, Failure)]
     if not failed:
-        return None
+        return {**outcomes[0], **{
+            name: np.concatenate([o[name] for o in outcomes])
+            for name in FIELDS + ("clamp_count",)}}
     step = min(failed)[0]
-    at = [(cls is not SingularInnovationError, r, cls)
-          for k, r, cls in failed if k == step]
-    _, r, cls = min(at, key=lambda a: a[:2])
-    return cls, step, r if len(outcomes) > 1 else None
+    _, r, o = min((o.cls is not SingularInnovationError, r, o)
+                  for k, r, o in failed if k == step)  # r breaks every tie
+    return o if len(outcomes) == 1 else o._replace(text=o.text.replace(
+        " (at step", f" (replicate {r}, at step"), replicate=r)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -306,11 +259,9 @@ def test_float_kernel_matches_the_numpy_loop(
         n, m, R, clamp, fixed_beta, signed_zeros, hazards, seed):
     # The generated kernel on Python floats (each replicate alone) against
     # the batch route (arrays at n = 1, else the numpy loop) and the numpy
-    # loop itself: bit for bit at n = 1, else within 1e-12 relative, with
-    # the same clamp counts; or the same error class, step and replicate.
-    # The model may clamp g^2, be a fixed-beta baseline or hold -0.0
-    # coefficients; with `hazards`, a replicate may start from a zero or
-    # indefinite prior, or meet a NaN or inf measurement; with
+    # loop itself.  The model may clamp g^2, be a fixed-beta baseline or
+    # hold -0.0 coefficients; with `hazards`, a replicate may start from a
+    # zero or indefinite prior, or meet a NaN or inf measurement; with
     # `signed_zeros`, -0.0 states and measurements.  Exact measurements are
     # left to the test above: at m = n they make the posterior Sigma 0 in
     # exact arithmetic, so its entries are the rounding residue of a prior
@@ -336,30 +287,30 @@ def test_float_kernel_matches_the_numpy_loop(
         if signed_zeros and rng.random() < 0.5:
             xinit[r] = -0.0
             ms[r, :3] = -0.0
-    alone = [outcome(lambda: run_filter_batch(model, ms[r:r + 1],
-                                              xinit[r:r + 1], Sigma0[r:r + 1]))
-             for r in range(R)]
-    got = outcome(lambda: run_filter_batch(model, ms, xinit, Sigma0))
-    assert got == batch_outcome(alone)
-    assert got == outcome(lambda: _run_loop(ms, xinit, Sigma0,
-                                            _predictor(model), model.C,
-                                            model.Sigma_w))
-    if got is not None:
-        return
-    batch = run_filter_batch(model, ms, xinit, Sigma0)
-    ref = _run_loop(ms, xinit, Sigma0, _predictor(model), model.C,
-                    model.Sigma_w)
-    for r in range(R):
-        one = run_filter_batch(model, ms[r:r + 1], xinit[r:r + 1],
-                               Sigma0[r:r + 1])
-        for name in FIELDS:
-            got = np.ascontiguousarray(getattr(one, name)[0])
-            for want in (getattr(batch, name)[r], getattr(ref, name)[r]):
-                if n == 1:
-                    assert got.tobytes() == want.tobytes(), name
-                else:
-                    assert rel_err(got, want) <= 1e-12, name
-        assert one.clamp_count[0] == batch.clamp_count[r] == ref.clamp_count[r]
+    alone = batch_outcome([outcome(lambda: run_filter_batch(
+        model, ms[r:r + 1], xinit[r:r + 1], Sigma0[r:r + 1]))
+        for r in range(R)])
+    tol = None if n == 1 else 1e-12
+    for off in (None, "kernel"):
+        same(alone, outcome(lambda: run_filter_batch(model, ms, xinit, Sigma0),
+                            off), tol)
+
+
+def test_the_numpy_loop_keeps_a_finite_diagonal_near_the_largest_float():
+    # Sigma_w = diag(1, 1e308): each S is finite, and the numpy loop (a
+    # batch of n = 2) averages its off-diagonal pairs without doubling the
+    # diagonal, as the kernel (each replicate alone) does.
+    model = DiscreteLinearModel(
+        A0=[1.0, 0.5], A1=[[0.9, 0.05], [0.0, 0.8]], C=np.eye(2),
+        gsq=[[10.0, 0.0, 0.0], [4.0, 0.0, 0.0]], Sigma_v=np.eye(2),
+        Sigma_w=np.diag([1.0, 1e308]))
+    ms, xhat, Sigma = np.ones((2, 5, 2)), np.zeros((2, 2)), np.eye(2)
+    with route() as taken:
+        batch = outcome(lambda: run_filter_batch(model, ms, xhat, Sigma))
+    assert taken == [("numpy loop", 2)]
+    same(batch_outcome([outcome(lambda: run_filter_batch(
+        model, ms[r:r + 1], xhat[r:r + 1], Sigma)) for r in range(2)]), batch,
+         1e-12)
 
 
 def test_scalar_kernels_keep_the_signed_zeros_of_the_numpy_loops():
@@ -371,17 +322,17 @@ def test_scalar_kernels_keep_the_signed_zeros_of_the_numpy_loops():
         model = DiscreteLinearModel(A0=[A0], A1=[[0.5]], C=[[c]],
                                     gsq=[[1.0, 0.5]], Sigma_v=[[Sigma_v]],
                                     Sigma_w=[[Sigma_w]])
-        assert_kernel_matches_numpy_loop(model, [[[y0], [1.0], [-0.0]]],
-                                         [[x0]], [[P0]])
+        case = model, [[[y0], [1.0], [-0.0]]], [[x0]], [[P0]]
+        same(outcome(lambda: run_filter_batch(*case)),
+             outcome(lambda: run_filter_batch(*case), "kernel"))
         batch = simulate_batch(model, [x0], 3, [0, 1, 2])  # the numpy loop
-        for r in range(3):
-            one = simulate_discrete(model, [x0], 3, r)
-            assert one.states.tobytes() == batch.states[r].tobytes()
         cd = ContinuousDiscreteModel(inner=model, sample_times=[0.0, 0.02])
-        batch = simulate_cd_batch(cd, [x0], [0, 1, 2], em_step=0.01)
+        cd_batch = simulate_cd_batch(cd, [x0], [0, 1, 2], em_step=0.01)
         for r in range(3):
-            one = simulate_cd(cd, [x0], r, em_step=0.01)
-            assert one.states.tobytes() == batch.states[r].tobytes()
+            same(outcome(lambda: simulate_discrete(model, [x0], 3, r)),
+                 outcome(lambda: batch.replicate(r)))
+            same(outcome(lambda: simulate_cd(cd, [x0], r, em_step=0.01)),
+                 outcome(lambda: cd_batch.replicate(r)))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -392,12 +343,11 @@ def test_array_route_matches_the_numpy_loop_bit_for_bit(R, clamp, exact,
                                                         seed):
     # run_filter_batch takes the generated kernel for R replicates of a
     # linear n = m = 1 model: on Python floats for R = 1, on arrays for
-    # more.  Per
-    # replicate: a prior that is zero, -0.0 or denormal, so that S <= 0
-    # with exact (zero-noise) measurements or a gain underflows to -0.0, or
-    # a -0.0 state and measurements; with `hazards`, also a negative prior
-    # or a NaN, inf or signed-zero measurement.  The model may clamp g^2,
-    # hold -0.0 coefficients or measure exactly.
+    # more.  Per replicate: a prior that is zero, -0.0 or denormal, so that
+    # S <= 0 with exact (zero-noise) measurements or a gain underflows to
+    # -0.0, or a -0.0 state and measurements; with `hazards`, also a
+    # negative prior or a NaN, inf or signed-zero measurement.  The model
+    # may clamp g^2, hold -0.0 coefficients or measure exactly.
     rng = np.random.default_rng(seed)
     gsq = [rng.uniform(-5.0, 5.0) if clamp else rng.uniform(0.5, 5.0),
            rng.uniform(-2.0, 2.0)]
@@ -428,24 +378,9 @@ def test_array_route_matches_the_numpy_loop_bit_for_bit(R, clamp, exact,
         elif pick == 4:
             xinit[r] = zero
             ms[r, :3] = zero
-    assert_kernel_matches_numpy_loop(model, ms, xinit, Sigma0)
-
-
-def reference_compare(*args, **kwargs):
-    """monte_carlo_compare with every filter run by the numpy loop alone,
-    one filter at a time: the report, or the class and text of the error."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("cukf.discrete._small_linear", lambda model: False)
-        return compare_outcome(*args, **kwargs)
-
-
-def compare_outcome(*args, **kwargs):
-    try:
-        report = monte_carlo_compare(*args, **kwargs)
-    except (FilterError, np.linalg.LinAlgError) as exc:
-        return type(exc), str(exc)
-    return {name: (np.asarray(v).tobytes() if isinstance(v, np.ndarray) else v)
-            for name, v in vars(report).items()}
+    case = model, ms, xinit, Sigma0
+    same(outcome(lambda: run_filter_batch(*case)),
+         outcome(lambda: run_filter_batch(*case), "kernel"))
 
 
 def random_filter(rng, truth):
@@ -479,68 +414,33 @@ def test_fused_compare_matches_per_filter_numpy_loops(F, R, N_steps,
     filters = {f"f{i}": random_filter(rng, truth) for i in range(F)}
     args = (truth, filters, R, N_steps, int(rng.integers(1 << 31)))
     kwargs = dict(x0=rng.standard_normal(), init_sigma=init_sigma)
-    want = reference_compare(*args, **kwargs)
-    assert compare_outcome(*args, **kwargs) == want
+    same(outcome(lambda: monte_carlo_compare(*args, **kwargs)),
+         outcome(lambda: monte_carlo_compare(*args, **kwargs), "kernel"))
 
 
-def counting_kernel(monkeypatch, batches):
-    """Make the numpy loop raise, and append to `batches` the column count
-    of each run of the generated kernel."""
-    def numpy_path(*args, **kwargs):
-        raise AssertionError("numpy loop taken")
-
-    def linear_steps(models, R, interval=None):
-        steps = _linear_steps(models, R, interval)
-
-        def counted(prior, *bufs):
-            batches.append(prior.shape[1])
-            return steps(prior, *bufs)
-        return counted
-
-    monkeypatch.setattr("cukf.discrete._run_loop", numpy_path)
-    monkeypatch.setattr("cukf.discrete._linear_steps", linear_steps)
-    return numpy_path
-
-
-def test_one_scalar_replicate_takes_the_kernels(monkeypatch):
+def test_one_scalar_replicate_takes_the_kernels():
     # Without this, a silent fall-back to the numpy loop would pass every
     # bit-identity test.  Every linear n = m = 1 filter takes the one
     # kernel, with one column per replicate: one (Python floats) for
     # run_filter, R for a batch, and 2 R when compare fills both filters in
-    # one batch.
-    batches = []
-    numpy_path = counting_kernel(monkeypatch, batches)
+    # one batch; and one simulated path takes the simulator's float loop.
     init = StateEstimate(xhat=[0.5], Sigma=[[1.0]], index=1)
     models = {"cu": example_sec3(), "fixed": with_fixed_noise(example_sec3(),
                                                               0.1)}
     for model in models.values():
-        with monkeypatch.context() as patch:  # the one-path simulator too
-            patch.setattr(DiscreteLinearModel, "linearize", numpy_path)
+        with route() as taken:
             data = simulate_discrete(model, [1.0], 30, 0)
             assert len(run_filter(model, data.measurements, init)) == 30
-        assert batches == [1]
-        batches.clear()
-        for R in (2, 5):
-            trace = run_filter_batch(model, np.ones((R, 5, 1)),
-                                     np.zeros((R, 1)), np.eye(1))
-            assert trace.xhat_post.shape == (R, 5, 1)
-            assert batches.pop() == R
+            for R in (2, 5):
+                trace = run_filter_batch(model, np.ones((R, 5, 1)),
+                                         np.zeros((R, 1)), np.eye(1))
+                assert trace.xhat_post.shape == (R, 5, 1)
+        assert taken == [("floats", 1), ("kernel", 1), ("kernel", 2),
+                         ("kernel", 5)]
     for R in (1, 3):  # the simulator's numpy loop runs R > 1 paths
-        monte_carlo_compare(example_sec3(), models, R, 30, 0)
-        assert batches == [2 * R]
-        batches.clear()
-
-
-def cd_outcome(model, ms, init, step):
-    """cd_run's trace, every field as bytes, with its three counts, or the
-    class, text and step of its error."""
-    try:
-        tr = cd_run(model, ms, init, step)
-    except (FilterError, ValueError) as exc:
-        return type(exc), str(exc), getattr(exc, "step", None)
-    return ([np.ascontiguousarray(getattr(tr, name)).tobytes()
-             for name in FIELDS + ("indices", "times")]
-            + [tr.clamp_count, tr.step_count, tr.fallback_intervals])
+        with route() as taken:
+            monte_carlo_compare(example_sec3(), models, R, 30, 0)
+        assert taken == [("floats", 1)] * (R == 1) + [("kernel", 2 * R)]
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)
@@ -596,64 +496,54 @@ def test_scalar_cd_route_matches_the_numpy_loop_bit_for_bit(
         ms[:2] = zero
     model = ContinuousDiscreteModel(inner=dyn, sample_times=times)
     init = StateEstimate([x0], [[P0]], times[0])
-    got = cd_outcome(model, ms, init, step)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("cukf.discrete._small_linear", lambda model: False)
-        want = cd_outcome(model, ms, init, step)
-    assert got == want
+    same(outcome(lambda: cd_run(model, ms, init, step)),
+         outcome(lambda: cd_run(model, ms, init, step), "kernel"))
 
 
 MODELS = Path(__file__).resolve().parents[1] / "bench" / "models"
 
 
-def test_one_state_cd_models_take_the_scalar_rule(monkeypatch):
+def test_one_state_cd_models_take_the_scalar_rule():
     # Without this, a silent fall-back to the numpy loop would pass the
     # bit-identity test above.
-    batches = []
-    counting_kernel(monkeypatch, batches)
     for model in (birth_death_cle(), load_model(MODELS / "pure_death_cle.txt")):
-        data = simulate_cd(model, [100.0], 0, 0.01)
-        trace = cd_run(model, data.measurements,
-                       StateEstimate([100.0], [[1.0]], 0.0))
+        with route() as taken:
+            data = simulate_cd(model, [100.0], 0, 0.01)
+            trace = cd_run(model, data.measurements,
+                           StateEstimate([100.0], [[1.0]], 0.0))
         assert len(trace) == model.sample_times.size
-    assert batches == [1, 1]
+        assert taken == [("floats", 1), ("kernel", 1)]
 
 
-def test_two_state_filters_take_the_kernel(monkeypatch, tmp_path):
+def test_two_state_filters_take_the_kernel():
     # The two-species cd_run and the run_filter of an n = 2 linear model file
     # run the kernel on one column of Python floats.  A batch of n = 2, such
     # as compare's, keeps the numpy loop, and so do a model with n = 4 and
     # one with more outputs than states.
-    batches = []
-    counting_kernel(monkeypatch, batches)
     model = load_model(MODELS / "two_species_cle.txt")
+    two = loads("kind = discrete\nn = 2\nm = 1\nA0 = 1.0 0.5\n"
+                "A1 = 0.9 0.05 0.0 0.8\nC = 1.0 1.0\n"
+                "gsq = 10.0 0.5 0.0 4.0 0.0 0.2\nSigma_v = 1.0 2.0\n"
+                "Sigma_w = 1.0\n")
     data = simulate_cd(model, [100.0, 100.0], 0, 0.01)
-    trace = cd_run(model, data.measurements,
-                   StateEstimate([100.0, 100.0], np.eye(2), 0.0))
+    with route() as taken:
+        trace = cd_run(model, data.measurements,
+                       StateEstimate([100.0, 100.0], np.eye(2), 0.0))
+        run_filter(two, np.ones((30, 1)),
+                   StateEstimate(np.zeros(2), np.eye(2)))
     assert len(trace) == model.sample_times.size
-    path = tmp_path / "two-state.txt"
-    path.write_text("kind = discrete\nn = 2\nm = 1\nA0 = 1.0 0.5\n"
-                    "A1 = 0.9 0.05 0.0 0.8\nC = 1.0 1.0\n"
-                    "gsq = 10.0 0.5 0.0 4.0 0.0 0.2\n"
-                    "Sigma_v = 1.0 2.0\nSigma_w = 1.0\n")
-    two = load_model(path)
-    run_filter(two, np.ones((30, 1)), StateEstimate(np.zeros(2), np.eye(2)))
-    assert batches == [1, 1]
-    for run in (
-            lambda: monte_carlo_compare(
-                two, {"cu": two, "fixed": with_fixed_noise(two, 0.5)}, 7, 30,
-                0),
-            lambda: run_filter_batch(
-                replace(two, A0=np.ones(4), A1=0.5 * np.eye(4),
-                        C=np.ones((1, 4)), gsq=np.ones((4, 5)),
-                        Sigma_v=np.eye(4)),
-                np.ones((1, 5, 1)), np.zeros((1, 4)), np.eye(4)),
-            lambda: run_filter(replace(two, C=np.eye(3, 2), Sigma_w=np.eye(3)),
-                               np.ones((5, 3)),
-                               StateEstimate(np.zeros(2), np.eye(2)))):
-        with pytest.raises(AssertionError, match="numpy loop taken"):
-            run()
-    assert batches == [1, 1]
+    assert taken == [("kernel", 1), ("kernel", 1)]
+    with route() as taken:
+        monte_carlo_compare(two, {"cu": two,
+                                  "fixed": with_fixed_noise(two, 0.5)}, 7, 30,
+                            0)
+        run_filter_batch(replace(two, A0=np.ones(4), A1=0.5 * np.eye(4),
+                                 C=np.ones((1, 4)), gsq=np.ones((4, 5)),
+                                 Sigma_v=np.eye(4)),
+                         np.ones((1, 5, 1)), np.zeros((1, 4)), np.eye(4))
+        run_filter(replace(two, C=np.eye(3, 2), Sigma_w=np.eye(3)),
+                   np.ones((5, 3)), StateEstimate(np.zeros(2), np.eye(2)))
+    assert taken == [("numpy loop", 7)] * 2 + [("numpy loop", 1)] * 2
 
 
 def factor_solve(Li, B):
@@ -778,27 +668,19 @@ def earlier_oracle(model, ms, init):
     return out
 
 
-def solution_rows(sol):
-    return [(k, sol.trajectory[k, :k + 1].tobytes(), sol.xhat[k].tobytes(),
-             sol.Sigma[k].tobytes(), sol.grad_norm_before[k],
-             sol.grad_norm_after[k], sol.second_step_norm[k])
-            for k in range(len(sol.xhat))]
+def earlier_solution(model, ms, init):
+    """earlier_oracle's rows as the solution oracle_filter returns."""
+    n = init.xhat.size
+    return stacked([(np.frombuffer(z).reshape(k + 1, n), np.frombuffer(x),
+                     np.frombuffer(S).reshape(n, n), *norms)
+                    for k, z, x, S, *norms in earlier_oracle(model, ms, init)])
 
 
-def oracle_outcome(run):
-    """The rows run() returns, with the norms as bit patterns so that -0.0
-    differs from 0.0, or the class and message of the error it raises."""
-    try:
-        rows = run()
-    except (FilterError, ValueError) as exc:
-        return type(exc), str(exc)
-    return [row[:4] + tuple(float(v).hex() for v in row[4:]) for row in rows]
-
-
-def assert_oracle_matches_earlier(model, ms, init):
-    got = oracle_outcome(lambda: solution_rows(oracle_filter(model, ms, init)))
-    assert got == oracle_outcome(lambda: earlier_oracle(model, ms, init))
-    return got
+def padded(sol):
+    """The solution `sol` with each trajectory row +0.0 past its step's
+    block, where the oracle leaves a zero of either sign."""
+    sol.trajectory[np.triu_indices(len(sol.xhat), 1)] = 0.0
+    return sol
 
 
 @pytest.mark.parametrize("sigma0", [0.0, 1.0])
@@ -807,7 +689,9 @@ def test_oracle_matches_its_earlier_forward_pass_on_builtins(sigma0):
                              (logistic(), 50.0, 48.0)):
         ms = simulate_discrete(model, x0, 40, 39).measurements
         init = StateEstimate([xinit], [[sigma0]], 1)
-        assert len(assert_oracle_matches_earlier(model, ms, init)) == 40
+        got = same(outcome(lambda: padded(oracle_filter(model, ms, init))),
+                   outcome(lambda: earlier_solution(model, ms, init)))
+        assert len(got["xhat"]) == 40
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -823,8 +707,9 @@ def test_oracle_matches_its_earlier_forward_pass(n, m, zero_prior,
                         rng.integers(1 << 31, size=1)).measurements[0]
     C0 = rng.standard_normal((n, n))
     Sigma0 = np.zeros((n, n)) if zero_prior else C0 @ C0.T + 0.1 * np.eye(n)
-    assert_oracle_matches_earlier(model, ms,
-                                  StateEstimate(rng.standard_normal(n), Sigma0))
+    init = StateEstimate(rng.standard_normal(n), Sigma0)
+    same(outcome(lambda: padded(oracle_filter(model, ms, init))),
+         outcome(lambda: earlier_solution(model, ms, init)))
 
 
 def test_oracle_fails_like_its_earlier_forward_pass_when_g2_is_floored():
@@ -843,7 +728,8 @@ def test_oracle_fails_like_its_earlier_forward_pass_when_g2_is_floored():
             Sigma_v=np.eye(2), Sigma_w=np.eye(2))
         ms = simulate_discrete(model, np.ones(2), 60,
                                int(rng.integers(1 << 31))).measurements
-        got = assert_oracle_matches_earlier(
-            model, ms, StateEstimate(rng.standard_normal(2), np.eye(2)))
-        failed += got[0] is IndefiniteHessianError
+        init = StateEstimate(rng.standard_normal(2), np.eye(2))
+        got = same(outcome(lambda: padded(oracle_filter(model, ms, init))),
+                   outcome(lambda: earlier_solution(model, ms, init)))
+        failed += getattr(got, "cls", None) is IndefiniteHessianError
     assert 0 < failed < 12

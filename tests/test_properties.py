@@ -7,46 +7,29 @@ one-path runs and an ordered-sum reference.  The closed-form scalar
 innovation factor and the oracle's closed-form 1 x 1 Schur factor equal
 their LAPACK form bit for bit."""
 
-from dataclasses import fields
+from dataclasses import astuple
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cukf.discrete import (StateEstimate, _inverse_factor, run_filter,
                            run_filter_batch)
 from cukf import modelio
-from cukf.errors import FilterError, IndefiniteHessianError
+from cukf.errors import IndefiniteHessianError
 from cukf.models import (ContinuousDiscreteModel, DiscreteLinearModel,
                          with_fixed_noise)
-from cukf.simulate import (innovation_whiteness, simulate_batch,
-                           simulate_cd, simulate_cd_batch, simulate_discrete)
+from cukf.simulate import (TrajectoryData, innovation_whiteness,
+                           simulate_batch, simulate_cd, simulate_cd_batch,
+                           simulate_discrete)
 from cukf.wls import (_inverse_cholesky, build_measurement_cost,
                       build_time_cost, initial_cost, newton_solve,
                       oracle_filter)
 
 from reference_impl import euler_maruyama_ordered, rel_err
+from routes import N, Failure, outcome, random_linear, same, stacked
 
-N = 25
 ORACLE_N = 12
 MAX_LAG = 5
-TRACE_FIELDS = ("xhat_prior", "Sigma_prior", "xhat_post", "Sigma_post",
-                "innovation", "S", "gain")
-
-
-def random_model(rng, n, m, clamp=False, slope=0.5):
-    """A stable linear model whose g^2 has entries of C1 up to `slope`."""
-    A1 = rng.standard_normal((n, n))
-    A1 *= 0.95 / max(np.abs(np.linalg.eigvals(A1)).max(), 1e-6)
-    gsq = np.column_stack([rng.uniform(0.5, 5.0, n),
-                           rng.uniform(-slope, slope, (n, n))])
-    if clamp:
-        gsq[0, 0] = -1.0  # g^2_1 < 0 near the origin: the floor is hit
-    B = rng.standard_normal((m, m))
-    return DiscreteLinearModel(
-        A0=rng.standard_normal(n), A1=A1, C=rng.standard_normal((m, n)),
-        gsq=gsq, Sigma_v=np.diag(rng.uniform(0.1, 2.0, n)),
-        Sigma_w=B @ B.T + 0.1 * np.eye(m))
 
 
 @st.composite
@@ -59,7 +42,7 @@ def batches(draw):
     clamp = draw(st.booleans())
     fixed_beta = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    model = random_model(rng, n, m, clamp)
+    model = random_linear(rng, n, m, clamp)
     seeds = rng.integers(1 << 31, size=R)
     data = simulate_batch(model, rng.standard_normal((R, n)), N, seeds)
     xinit = rng.standard_normal((R, n))
@@ -115,22 +98,14 @@ def test_batch_paths_equal_one_path_runs_and_the_ordered_sums(case):
     discrete = simulate_batch(model, x0, len(times), seeds)
     euler = simulate_cd_batch(cd, x0, seeds, em_step=0.01)
     for r in seeds:
-        paths = (simulate_discrete(model, x0[r], len(times), r),
-                 simulate_cd(cd, x0[r], r, em_step=0.01))
-        for batch, path in zip((discrete, euler), paths):
-            row = batch.replicate(r)
-            assert row.states.tobytes() == path.states.tobytes()
-            assert row.measurements.tobytes() == path.measurements.tobytes()
-            assert row.clamped == path.clamped
-    xs, ys, clamped = euler_maruyama_ordered(
-        model, times, 0.01, x0[0], np.random.default_rng(0).standard_normal)
-    assert euler.states[0].tobytes() == xs.tobytes()
-    assert euler.measurements[0].tobytes() == ys.tobytes()
-    assert euler.clamped[0] == clamped
-
-
-def run_batch(case):
-    return run_filter_batch(*case)
+        same(outcome(lambda: discrete.replicate(r)),
+             outcome(lambda: simulate_discrete(model, x0[r], len(times), r)))
+        same(outcome(lambda: euler.replicate(r)),
+             outcome(lambda: simulate_cd(cd, x0[r], r, em_step=0.01)))
+    draw = np.random.default_rng(0).standard_normal
+    same(outcome(lambda: euler.replicate(0)), outcome(lambda: TrajectoryData(
+        *euler_maruyama_ordered(model, times, 0.01, x0[0], draw),
+        times=cd.sample_times)))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -148,14 +123,12 @@ def test_scalar_inverse_factor_is_bitwise_inv_cholesky(values):
 @given(batches())
 def test_batch_equals_replicates_run_one_at_a_time(case):
     model, ys, xinit, Sigma0 = case
-    batch = run_batch(case)
+    batch = run_filter_batch(*case)
     wh_batch = innovation_whiteness(batch, max_lag=MAX_LAG)
     for r in range(len(ys)):
         single = run_filter(model, ys[r], StateEstimate(xinit[r], Sigma0))
-        one = batch.replicate(r)
-        for name in TRACE_FIELDS:
-            assert rel_err(getattr(one, name), getattr(single, name)) <= 1e-12
-        assert one.clamp_count == single.clamp_count
+        same(outcome(lambda: batch.replicate(r)), outcome(lambda: single),
+             1e-12)
         wh = innovation_whiteness(single, max_lag=MAX_LAG)
         assert wh.degenerate == wh_batch.degenerate[r]
         if not wh.degenerate:
@@ -166,7 +139,7 @@ def test_batch_equals_replicates_run_one_at_a_time(case):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(batches())
 def test_covariances_symmetric_psd_and_posterior_below_prior(case):
-    trace = run_batch(case)
+    trace = run_filter_batch(*case)
     for Sig in (trace.Sigma_prior, trace.Sigma_post):
         scale = np.abs(Sig).max(axis=(-2, -1))
         asym = np.abs(Sig - np.swapaxes(Sig, -1, -2)).max(axis=(-2, -1))
@@ -207,7 +180,7 @@ def oracle_cases(draw):
     zero_prior = draw(st.booleans())
     fixed_beta = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    model = random_model(rng, n, m, slope=0.05)
+    model = random_linear(rng, n, m, slope=0.05)
     data = simulate_batch(model, rng.standard_normal((1, n)), ORACLE_N,
                           rng.integers(1 << 31, size=1))
     C0 = rng.standard_normal((n, n))
@@ -218,32 +191,22 @@ def oracle_cases(draw):
                                                       Sigma0)
 
 
-def close(a, ref, tol=1e-10):
-    a, ref = np.asarray(a), np.asarray(ref)
-    return np.all(np.abs(a - ref) <= tol * np.maximum(1.0, np.abs(ref)))
-
-
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(oracle_cases())
 def test_oracle_matches_per_step_newton_loop(case):
-    model, ys, init = case
-    try:
-        ref = reference_oracle(model, ys, init)
-    except IndefiniteHessianError:
+    # Within 1e-10 relative; a failure is the same, but for the residual
+    # its message quotes.
+    want = outcome(lambda: stacked(
+        [astuple(sol) for sol in reference_oracle(*case)]), text=False)
+    sol = same(outcome(lambda: oracle_filter(*case), text=False), want, 1e-10)
+    if isinstance(want, Failure):
         # Ill-conditioned (g^2 at its floor): the oracle must reject it too.
-        with pytest.raises(IndefiniteHessianError):
-            oracle_filter(model, ys, init)
+        assert want.cls is IndefiniteHessianError
         return
-    sol = oracle_filter(model, ys, init)
-    assert len(sol.xhat) == len(ref)
-    for k, want in enumerate(ref):
-        assert close(sol.xhat[k], want.xhat)
-        assert close(sol.Sigma[k], want.Sigma)
-        assert close(sol.grad_norm_before[k], want.grad_norm_before)
-        assert sol.trajectory[k, :k + 1].shape == want.trajectory.shape
-        assert sol.grad_norm_after[k] <= 1e-9 * (1.0 + sol.grad_norm_before[k])
-        assert sol.second_step_norm[k] <= 1e-10 * (
-            1.0 + np.linalg.norm(sol.trajectory[k, :k + 1]))
+    assert (sol["grad_norm_after"]
+            <= 1e-9 * (1.0 + sol["grad_norm_before"])).all()
+    assert (sol["second_step_norm"] <= 1e-10 * (
+        1.0 + np.linalg.norm(sol["trajectory"], axis=(1, 2)))).all()
 
 
 @st.composite
@@ -283,16 +246,6 @@ def scalar_oracle_cases(draw):
                                     [[Sigma0]])
 
 
-def oracle_bytes(model, ys, init):
-    """The bytes of every field of the oracle's solution, or the class and
-    message of the error it raises."""
-    try:
-        sol = oracle_filter(model, ys, init)
-    except (FilterError, ValueError) as exc:
-        return type(exc), str(exc)
-    return [getattr(sol, f.name).tobytes() for f in fields(sol)]
-
-
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(scalar_oracle_cases())
 # x_1 = li (li b + 0.0) + 0.0 with li = 0.3 and b = -1e-323: li b rounds to
@@ -304,10 +257,8 @@ def oracle_bytes(model, ys, init):
 def test_scalar_oracle_floats_equal_its_blocks_bit_for_bit(case):
     # A linear n = m = 1 model runs the oracle's forward pass on Python
     # floats; with the route predicate patched it runs on the block arrays.
-    got = oracle_bytes(*case)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("cukf.wls._scalar_linear", lambda model: False)
-        assert got == oracle_bytes(*case)
+    same(outcome(lambda: oracle_filter(*case)),
+         outcome(lambda: oracle_filter(*case), "oracle floats"))
 
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)

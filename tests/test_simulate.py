@@ -18,6 +18,7 @@ from cukf.simulate import (MAX_LAG, TrajectoryData, _replicate_words,
 
 from reference_impl import (em_steps_loop, euler_maruyama_ordered,
                             ordered_affine)
+from routes import outcome, route, same
 from test_failures import failure_tests
 
 globals().update(failure_tests("test_simulate"))
@@ -128,12 +129,10 @@ def test_simulate_cd_matches_per_step_loop_bit_for_bit(distribution):
             x0 = np.full(model.n, 2.0)
             data = simulate_cd(model, x0, seed, em_step=0.01,
                                distribution=distribution)
-            xs, ys, clamped = euler_maruyama_ordered(
-                model.inner, model.sample_times, 0.01, x0,
-                unit_draws(seed, distribution))
-            assert np.array_equal(data.states, xs)
-            assert data.clamped == clamped
-            assert np.array_equal(data.measurements, ys)
+            same(outcome(lambda: data), outcome(lambda: TrajectoryData(
+                *euler_maruyama_ordered(model.inner, model.sample_times, 0.01,
+                                        x0, unit_draws(seed, distribution)),
+                times=model.sample_times)))
 
 
 def simulate_discrete_per_step(model, x0, N, seed, distribution):
@@ -182,16 +181,11 @@ def test_simulate_batch_matches_per_step_loop_bit_for_bit(distribution):
         x0 = np.full(model.n, 2.0)
         batch = simulate_batch(model, x0, N, seeds, distribution=distribution)
         for r, seed in enumerate(seeds):
-            xs, ys, clamped = simulate_discrete_per_step(model, x0, N, seed,
-                                                         distribution)
-            assert np.array_equal(batch.states[r], xs)
-            assert np.array_equal(batch.measurements[r], ys)
-            assert batch.clamped[r] == clamped
-            single = simulate_discrete(model, x0, N, seed,
-                                       distribution=distribution)
-            assert np.array_equal(single.states, xs)
-            assert np.array_equal(single.measurements, ys)
-            assert single.clamped == clamped
+            want = outcome(lambda: TrajectoryData(*simulate_discrete_per_step(
+                model, x0, N, seed, distribution)))
+            same(outcome(lambda: batch.replicate(r)), want)
+            same(outcome(lambda: simulate_discrete(
+                model, x0, N, seed, distribution=distribution)), want)
         assert batch.clamped.all() == clamps
 
 
@@ -211,22 +205,15 @@ def test_simulate_cd_batch_rows_match_one_path_runs():
                       (pure_death, -0.0)):
         batch = simulate_cd_batch(model, [x0], seeds, em_step=0.01)
         for r, seed in enumerate(seeds):
-            one = simulate_cd(model, [x0], seed, em_step=0.01)
-            assert batch.states[r].tobytes() == one.states.tobytes()
-            assert (batch.measurements[r].tobytes()
-                    == one.measurements.tobytes())
-            assert batch.clamped[r] == one.clamped
-            assert np.array_equal(batch.times, one.times)
+            same(outcome(lambda: batch.replicate(r)),
+                 outcome(lambda: simulate_cd(model, [x0], seed, em_step=0.01)))
         assert batch.clamped.any() == (model is pure_death)
 
 
-def test_one_path_of_a_linear_model_takes_the_float_route(monkeypatch):
+def test_one_path_of_a_linear_model_takes_the_float_route():
     # Without this, a silent fall-back to the numpy loop would pass every
     # bit-identity test: one path of any linear model, n = 2 included, runs
     # the Python-float loop, and a batch the numpy loop.
-    def float_route(n):
-        raise AssertionError("float route taken")
-
     models = Path(__file__).resolve().parents[1] / "bench" / "models"
     pure_death = load_model(models / "pure_death_cle.txt")
     two_species = load_model(models / "two_species_cle.txt")
@@ -234,17 +221,18 @@ def test_one_path_of_a_linear_model_takes_the_float_route(monkeypatch):
         A0=[1.0, 0.5], A1=[[0.9, 0.05], [0.1, 0.8]], C=[[1.0, 0.5]],
         gsq=[[4.0, 0.1, 0.0], [2.0, 0.0, 0.2]], Sigma_v=np.eye(2),
         Sigma_w=[[0.5]])
-    monkeypatch.setattr(simulate, "_float_steps", float_route)
     for model in (birth_death_cle(), pure_death, two_species):
         x0 = np.full(model.n, 100.0)
-        with pytest.raises(AssertionError, match="float route taken"):
+        with route() as taken:
             simulate_cd(model, x0, 0, em_step=0.01)
-        batch = simulate_cd_batch(model, x0, [0, 1], em_step=0.01)
+            batch = simulate_cd_batch(model, x0, [0, 1], em_step=0.01)
+        assert taken == [("floats", model.n)]
         assert batch.clamped.tolist() == [model is pure_death] * 2
-    with pytest.raises(AssertionError, match="float route taken"):
+    with route() as taken:
         simulate_discrete(two_state, [1.0, 1.0], 10, 0)
-    assert simulate_batch(two_state, [1.0, 1.0], 10, [0, 1]).states.shape == (
-        2, 10, 2)
+        batch = simulate_batch(two_state, [1.0, 1.0], 10, [0, 1])
+    assert taken == [("floats", 2)]
+    assert batch.states.shape == (2, 10, 2)
 
 
 @pytest.mark.parametrize("distribution", ["gaussian", "uniform"])

@@ -10,6 +10,7 @@ from cukf.wls import (QuadraticCost, _inverse_cholesky,
                       newton_solve, oracle_filter)
 
 from reference_impl import random_constant_noise_model, rel_err, textbook_kf
+from routes import route
 from test_failures import failure_tests
 
 globals().update(failure_tests("test_wls"))
@@ -227,28 +228,26 @@ def test_oracle_filter_matches_nonlinear_filter_logistic():
 def test_oracle_factors_each_schur_block_at_most_twice():
     # On both bindings of the forward pass: example_sec3 takes the float
     # one, whose 1 x 1 factors are Python floats, and the block one when
-    # the route predicate is patched.  The prior is factored as an array.
+    # `route` turns the float one off.  The prior is factored as an array.
     import cukf.wls as wls
 
     inverse_cholesky = wls._inverse_cholesky
     model = example_sec3()
     N = 60
     data = simulate_discrete(model, 1.0, N, 36)
-    for floats in (True, False):
+    for off in (None, "oracle floats"):
         calls = []
 
         def counting_inverse_cholesky(S):
             calls.append(isinstance(S, float))
             return inverse_cholesky(S)
 
-        with pytest.MonkeyPatch.context() as patch:
+        with route(off), pytest.MonkeyPatch.context() as patch:
             patch.setattr(wls, "_inverse_cholesky", counting_inverse_cholesky)
-            if not floats:
-                patch.setattr(wls, "_scalar_linear", lambda model: False)
             oracle_filter(model, data.measurements,
                           StateEstimate([0.0], [[1.0]], 1))
         assert len(calls) <= 2 * N + 1
-        assert calls.count(True) == (2 * N - 1 if floats else 0)
+        assert calls.count(True) == (0 if off else 2 * N - 1)
 
 
 def test_oracle_filter_makes_no_cost_copies(monkeypatch):
