@@ -35,14 +35,14 @@ from .wls import MAX_HORIZON, dump_diagnostics, oracle_filter
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors mapped to exit status 1, and a negative
-    number in exponent notation (--x0 -1e3) or a negative infinity (--x0
-    -inf) read as a value, as -1000 is."""
+    number in exponent notation (--x0 -1e3), a negative infinity (--x0
+    -inf) or a negative nan (--x0 -nan) read as a value, as -1000 is."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
             self._negative_number_matcher.pattern
-            + r"|^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(?i:inf|infinity)$")
+            + r"|^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(?i:inf|infinity|nan)$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

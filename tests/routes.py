@@ -6,6 +6,7 @@ route off and records the routes taken.  A new route is one more `same`."""
 
 import collections
 import contextlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from cukf.wls import OracleSolution
 
 from reference_impl import rel_err
 
+MODELS = Path(__file__).resolve().parents[1] / "bench" / "models"  # shipped model files
 N = 25  # the steps of a random case
 FIELDS = ("xhat_prior", "Sigma_prior", "xhat_post", "Sigma_post",
           "innovation", "S", "gain")

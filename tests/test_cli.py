@@ -423,6 +423,33 @@ REFUSALS = {
         ("t0--inf", "limit-check --model birth_death_cle --t0 -inf",
          "error: --t0 and --t1 must be finite, with --t0 < --t1"),
         ("x0--inf", "filter --model example_sec3 --x0 -inf", "error: --x0 must be finite")],
+    # -nan is read as a value, as -inf is, so its option's own rule refuses
+    # it, where argparse took it for an option ("expected one argument"):
+    # one row per refusal line.
+    "test_a_negative_nan_is_refused_by_its_option": [
+        ("x0", "filter --model example_sec3 --x0 -nan", "error: --x0 must be finite"),
+        ("seed", "simulate --model example_sec3 --seed -nan",
+         "usage: …\ncukf simulate: error: argument --seed: invalid int value: '-nan'"),
+        ("N", "filter --model example_sec3 --N -nan",
+         "usage: …\ncukf filter: error: argument --N: invalid int value: '-nan'"),
+        ("em-step", "simulate --model birth_death_cle --em-step -nan",
+         "error: --em-step must be finite and positive"),
+        ("init-sigma", "oracle-check --model example_sec3 --init-sigma -nan",
+         "error: --init-sigma must be finite and nonnegative"),
+        ("beta", "compare --model example_sec3 --beta -nan",
+         "error: --beta must be finite and nonnegative, with a finite square"),
+        ("step", "filter --model birth_death_cle --step -nan",
+         "error: --step must be finite and positive"),
+        ("replicates", "compare --model example_sec3 --beta 0.5 --replicates -nan",
+         "usage: …\ncukf compare: error: argument --replicates: invalid int value: '-nan'"),
+        ("horizon", "oracle-check --model example_sec3 --horizon -nan",
+         "usage: …\ncukf oracle-check: error: argument --horizon: invalid int value: '-nan'"),
+        ("t0", "limit-check --model birth_death_cle --t0 -nan",
+         "error: --t0 and --t1 must be finite, with --t0 < --t1"),
+        ("dt0", "limit-check --model birth_death_cle --dt0 -nan",
+         "error: --dt0 must be finite and positive"),
+        ("levels", "limit-check --model birth_death_cle --levels -nan",
+         "usage: …\ncukf limit-check: error: argument --levels: invalid int value: '-nan'")],
     "test_option_the_model_kind_does_not_read_is_refused": [
         ("argv0---em-step applies to continuous-discrete models only",
          "filter --model example_sec3 --step 0 --em-step -1",

@@ -17,11 +17,9 @@ no value larger than 3, so that no case allocates in proportion to it.
 import csv
 import math
 import shutil
-from pathlib import Path
 
+from routes import MODELS
 from test_cli import TWO_STATE_DISCRETE_FILE, run
-
-BENCH_MODELS = Path(__file__).resolve().parents[1] / "bench" / "models"
 
 VALUES = ["0", "-1", "1e308", "-1e308", "1e-320", "nan", "inf", "2", "0.5",
           "-0.0", "1e20", "-1e20", "1e-300"]
@@ -44,7 +42,7 @@ def mutations():
     """(label, model text) for every entry and value: each numeric entry
     but kind, n and m, and only the first, second and last sample time."""
     texts = [(p.name, p.read_text())
-             for p in sorted(BENCH_MODELS.glob("*.txt"))]
+             for p in sorted(MODELS.glob("*.txt"))]
     texts.append(("two_state_discrete", TWO_STATE_DISCRETE_FILE))
     for name, text in texts:
         lines = text.splitlines()
@@ -119,8 +117,8 @@ def test_mutated_model_files_end_in_a_documented_exit(tmp_path, monkeypatch,
     assert not failures, "\n".join(failures)
 
 
-FLAG_VALUES = ["-1", "0", "-0", "2.5", "3", "1e308", "-1e308", "nan", "inf",
-               "-inf", "1e-320"]
+FLAG_VALUES = ["-1", "0", "-0", "2.5", "3", "1e308", "-1e308", "nan", "-nan",
+               "inf", "-inf", "1e-320"]
 
 # (base argv, the numeric options of its subcommand and model kind).
 FLAGS = [
@@ -153,5 +151,5 @@ def test_out_of_range_options_end_in_a_documented_exit(tmp_path, monkeypatch,
                                            monkeypatch, capsys)
                 if failure:
                     failures.append(f"{' '.join(argv)}: {failure}")
-    assert cases == 374
+    assert cases == 408
     assert not failures, "\n".join(failures)

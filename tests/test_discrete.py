@@ -1,4 +1,3 @@
-import csv
 import os
 
 import numpy as np
@@ -14,6 +13,7 @@ from cukf.simulate import simulate_discrete
 from reference_impl import random_constant_noise_model, rel_err, textbook_kf
 from routes import outcome, route, same
 from test_failures import failure_tests
+from test_writer import csv_writer_text, two_state_layout
 
 globals().update(failure_tests("test_discrete"))
 
@@ -193,34 +193,6 @@ def test_clamps_are_counted_from_the_posteriors_that_a_time_update_follows():
 SPECIAL_VALUES = np.array([-0.0, 5e-324, 1e300, 0.1, -2.5, 1 / 3, 1e-7, 42.0])
 
 
-def per_value_repr_trace_csv(trace, path):
-    # The writer as it was before rows came from .tolist().
-    n = trace.xhat_post.shape[1]
-    m = trace.innovation.shape[1]
-    iu = np.triu_indices(n)
-    header = ["k"]
-    if trace.times is not None:
-        header.append("t")
-    header += [f"xhat_prior_{i}" for i in range(n)]
-    header += [f"xhat_post_{i}" for i in range(n)]
-    header += [f"innovation_{i}" for i in range(m)]
-    header += [f"S_diag_{i}" for i in range(m)]
-    header += [f"Sigma_post_{i}{j}" for i, j in zip(*iu)]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for k in range(len(trace)):
-            row = [trace.indices[k]]
-            if trace.times is not None:
-                row.append(repr(float(trace.times[k])))
-            row += [repr(float(v)) for v in trace.xhat_prior[k]]
-            row += [repr(float(v)) for v in trace.xhat_post[k]]
-            row += [repr(float(v)) for v in trace.innovation[k]]
-            row += [repr(float(v)) for v in np.diag(trace.S[k])]
-            row += [repr(float(v)) for v in trace.Sigma_post[k][iu]]
-            w.writerow(row)
-
-
 @pytest.mark.parametrize("timed", [False, True])
 def test_trace_csv_bytes_match_per_value_repr_writer(tmp_path, timed):
     rng = np.random.default_rng(7)
@@ -234,12 +206,13 @@ def test_trace_csv_bytes_match_per_value_repr_writer(tmp_path, timed):
         Sigma_prior=draw(N, n, n), xhat_post=draw(N, n),
         Sigma_post=draw(N, n, n), innovation=draw(N, m), S=draw(N, m, m),
         gain=draw(N, n, m), times=draw(N) if timed else None)
-    trace.to_csv(tmp_path / "new.csv")
-    per_value_repr_trace_csv(trace, tmp_path / "old.csv")
-    new = (tmp_path / "new.csv").read_bytes()
-    assert new == (tmp_path / "old.csv").read_bytes()
-    for text in (b"-0.0", b"5e-324", b"1e+300"):
-        assert text in new
+    # csv writes a float by its repr, as the per-value writer did.
+    trace.to_csv(tmp_path / "trace.csv")
+    text = (tmp_path / "trace.csv").read_bytes()
+    assert text == csv_writer_text(trace.indices, trace.times,
+                                   *two_state_layout(trace))
+    for value in (b"-0.0", b"5e-324", b"1e+300"):
+        assert value in text
 
 
 def test_a_failed_write_leaves_no_file_and_keeps_the_old_one(tmp_path):

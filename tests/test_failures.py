@@ -7,7 +7,6 @@ share a case id are one case, and case id None makes a plain test.  A boundary f
 import collections
 import warnings
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +23,8 @@ from cukf.builtin import birth_death_cle, example_sec3, logistic
 from cukf.simulate import _replicate_words
 from cukf.wls import MAX_HORIZON, BlockTridiagFactor, initial_cost
 
+from routes import MODELS
+
 INF, NAN = np.inf, np.nan
 SEC3, BD = example_sec3(), birth_death_cle()
 TWO_STATE = DiscreteLinearModel(A0=[0.0, 0.0], A1=0.5 * np.eye(2), C=[[1.0, 0.0]],
@@ -34,8 +35,7 @@ TRACE50 = run_filter(SEC3, np.zeros((50, 1)), StateEstimate([0.0], [[0.0]]))
 
 
 def two_species():
-    return modelio.load_model(Path(__file__).resolve().parents[1] / "bench" / "models"
-                              / "two_species_cle.txt")
+    return modelio.load_model(MODELS / "two_species_cle.txt")
 
 
 def prior(n=1, sigma=1.0, index=0):
@@ -263,6 +263,14 @@ FAILURES = {
                                                          0.001),
          ValueError, "need finite t0 <= t1")
         for t0, t1 in [(0.0, NAN), (0.0, INF), (NAN, 1.0), (1.0, 0.5)]],
+    # An interval whose length rounds past the largest float, or is inf, is propagated
+    # over its own length (`_canonical`), which puts too many grid steps on it.
+    "test_continuous::test_an_interval_too_long_to_round_is_its_own_length": [
+        (f"{t0}-{t1}", lambda t=(t0, t1): cd_time_update(prior(index=0.0), SEC3, *t, 1e300),
+         ValueError, f"step 1e+300 puts {steps} grid steps on [{t0!r}, {t1!r}]; at most "
+         "100000 are allowed")
+        for t0, t1, steps in [(0.0, 1.7976931348623157e308, "1.8e+08"),
+                              (-8.98846567431158e307, 8.98846567431158e307, "inf")]],
     "test_continuous::test_non_diagonal_sigma_v_rejected": [(
         None, lambda: cd_time_update(prior(2, index=0.0), linear(
             2, -1.0, Sigma_v=OFF_DIAGONAL), 0.0, 0.1, 0.001),

@@ -16,7 +16,6 @@ bit in every output, or fail with the same error and message."""
 
 import itertools
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,8 +35,8 @@ from cukf.simulate import (monte_carlo_compare, simulate_batch, simulate_cd,
 from cukf.wls import (_schur_factor, build_measurement_cost, build_time_cost,
                       initial_cost, oracle_filter)
 
-from routes import (FIELDS, N, Failure, outcome, random_linear, route, same,
-                    stacked)
+from routes import (FIELDS, MODELS, N, Failure, outcome, random_linear, route,
+                    same, stacked)
 
 
 def matvec(A, X):
@@ -159,7 +158,7 @@ def data_for(rng, model, R):
     return ms, rng.standard_normal((R, n)), C0 @ C0.T
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=30)
 @given(st.sampled_from(["linear", "clamping", "fixed-beta", "nonlinear"]),
        st.sampled_from([1, 50]), st.integers(0, 2 ** 32 - 1))
 def test_scalar_loop_matches_the_earlier_loop_bit_for_bit(kind, R, seed):
@@ -174,7 +173,7 @@ def test_scalar_loop_matches_the_earlier_loop_bit_for_bit(kind, R, seed):
          outcome(lambda: earlier_trace(*case)))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(st.integers(1, 3), st.integers(1, 2), st.integers(1, 8),
        st.booleans(), st.booleans(), st.integers(0, 2 ** 32 - 1))
 def test_loop_matches_the_earlier_loop(n, m, R, clamp, fixed_beta, seed):
@@ -187,7 +186,7 @@ def test_loop_matches_the_earlier_loop(n, m, R, clamp, fixed_beta, seed):
         assert np.array_equal(P, P.swapaxes(-1, -2))
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
+@settings(max_examples=120)
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 6),
        st.booleans(), st.integers(0, 2 ** 32 - 1))
 def test_failures_match_the_earlier_loop(n, m, R, exact, seed):
@@ -251,7 +250,7 @@ def batch_outcome(outcomes):
         " (at step", f" (replicate {r}, at step"), replicate=r)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(2, 8),
        st.booleans(), st.booleans(), st.booleans(), st.booleans(),
        st.integers(0, 2 ** 32 - 1))
@@ -335,7 +334,7 @@ def test_scalar_kernels_keep_the_signed_zeros_of_the_numpy_loops():
                  outcome(lambda: cd_batch.replicate(r)))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(st.integers(1, 40), st.booleans(), st.booleans(), st.booleans(),
        st.booleans(), st.integers(0, 2 ** 32 - 1))
 def test_array_route_matches_the_numpy_loop_bit_for_bit(R, clamp, exact,
@@ -401,7 +400,7 @@ def random_filter(rng, truth):
     return model
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(st.integers(1, 3), st.integers(1, 12), st.integers(21, 40),
        st.sampled_from([0.0, 1.0]), st.integers(0, 2 ** 32 - 1))
 def test_fused_compare_matches_per_filter_numpy_loops(F, R, N_steps,
@@ -443,7 +442,7 @@ def test_one_scalar_replicate_takes_the_kernels():
         assert taken == [("floats", 1)] * (R == 1) + [("kernel", 2 * R)]
 
 
-@settings(max_examples=250, deadline=None, derandomize=True)
+@settings(max_examples=250)
 @given(st.booleans(), st.booleans(), st.booleans(), st.booleans(),
        st.integers(0, 2 ** 32 - 1))
 def test_scalar_cd_route_matches_the_numpy_loop_bit_for_bit(
@@ -498,9 +497,6 @@ def test_scalar_cd_route_matches_the_numpy_loop_bit_for_bit(
     init = StateEstimate([x0], [[P0]], times[0])
     same(outcome(lambda: cd_run(model, ms, init, step)),
          outcome(lambda: cd_run(model, ms, init, step), "kernel"))
-
-
-MODELS = Path(__file__).resolve().parents[1] / "bench" / "models"
 
 
 def test_one_state_cd_models_take_the_scalar_rule():
@@ -694,7 +690,7 @@ def test_oracle_matches_its_earlier_forward_pass_on_builtins(sigma0):
         assert len(got["xhat"]) == 40
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=30)
 @given(st.integers(1, 3), st.integers(1, 2), st.booleans(), st.booleans(),
        st.integers(0, 2 ** 32 - 1))
 def test_oracle_matches_its_earlier_forward_pass(n, m, zero_prior,

@@ -5,12 +5,14 @@ the oracle's forward pass on Python floats equals its block binding bit
 for bit, model files round-trip, and a batch of simulated paths equals its
 one-path runs and an ordered-sum reference.  The closed-form scalar
 innovation factor and the oracle's closed-form 1 x 1 Schur factor equal
-their LAPACK form bit for bit."""
+their LAPACK form bit for bit.  Every property of the suite runs under the
+profile and with the seed of conftest.py."""
 
 from dataclasses import astuple
 
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import (example, given, is_hypothesis_test, settings,
+                        strategies as st)
 
 from cukf.discrete import (StateEstimate, _inverse_factor, run_filter,
                            run_filter_batch)
@@ -25,6 +27,7 @@ from cukf.wls import (_inverse_cholesky, build_measurement_cost,
                       build_time_cost, initial_cost, newton_solve,
                       oracle_filter)
 
+from conftest import PROFILE, name_seed
 from reference_impl import euler_maruyama_ordered, rel_err
 from routes import N, Failure, outcome, random_linear, same, stacked
 
@@ -79,7 +82,7 @@ def path_cases(draw):
     return model, generic(R, n), times
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(path_cases())
 # A -0.0 offset counts as +0.0: from x0 = -0.0 with no noise, the state
 # after seed 0's first (negative) draw is +0.0, not -0.0.
@@ -108,7 +111,7 @@ def test_batch_paths_equal_one_path_runs_and_the_ordered_sums(case):
         times=cd.sample_times)))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(st.lists(st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
                 min_size=1, max_size=50))
 def test_scalar_inverse_factor_is_bitwise_inv_cholesky(values):
@@ -119,7 +122,7 @@ def test_scalar_inverse_factor_is_bitwise_inv_cholesky(values):
         assert _inverse_cholesky(Sk).tobytes() == want.tobytes()
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(batches())
 def test_batch_equals_replicates_run_one_at_a_time(case):
     model, ys, xinit, Sigma0 = case
@@ -136,7 +139,7 @@ def test_batch_equals_replicates_run_one_at_a_time(case):
             assert wh_batch.pass_fraction[r] == wh.pass_fraction
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(batches())
 def test_covariances_symmetric_psd_and_posterior_below_prior(case):
     trace = run_filter_batch(*case)
@@ -191,7 +194,7 @@ def oracle_cases(draw):
                                                       Sigma0)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(oracle_cases())
 def test_oracle_matches_per_step_newton_loop(case):
     # Within 1e-10 relative; a failure is the same, but for the residual
@@ -246,7 +249,7 @@ def scalar_oracle_cases(draw):
                                     [[Sigma0]])
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(scalar_oracle_cases())
 # x_1 = li (li b + 0.0) + 0.0 with li = 0.3 and b = -1e-323: li b rounds to
 # -5e-324 and li (li b) underflows to -0.0, which the matmul makes +0.0.
@@ -300,7 +303,21 @@ def same_model(a, b):
         for f in ("A0", "A1", "C", "gsq", "Sigma_v", "Sigma_w"))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(file_models())
 def test_modelio_round_trip(model):
     assert same_model(modelio.loads(modelio.dumps(model)), model)
+
+
+def test_every_property_runs_under_the_profile_with_its_names_seed(request):
+    # The rule of conftest.py for each collected property: every setting
+    # the profile's but max_examples, and the seed of its name.
+    profile = settings.get_profile(PROFILE)
+    assert settings.get_current_profile_name() == PROFILE
+    tests = [item.obj for item in request.session.items
+             if is_hypothesis_test(getattr(item, "obj", None))]
+    for test in tests:
+        used = test._hypothesis_internal_use_settings
+        assert repr(used) == repr(settings(
+            profile, max_examples=used.max_examples)), test.__qualname__
+        assert test._hypothesis_internal_use_seed == name_seed(test)

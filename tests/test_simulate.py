@@ -1,6 +1,4 @@
-import csv
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +16,9 @@ from cukf.simulate import (MAX_LAG, TrajectoryData, _replicate_words,
 
 from reference_impl import (em_steps_loop, euler_maruyama_ordered,
                             ordered_affine)
-from routes import outcome, route, same
+from routes import MODELS, outcome, route, same
 from test_failures import failure_tests
+from test_writer import csv_writer_text
 
 globals().update(failure_tests("test_simulate"))
 
@@ -214,9 +213,8 @@ def test_one_path_of_a_linear_model_takes_the_float_route():
     # Without this, a silent fall-back to the numpy loop would pass every
     # bit-identity test: one path of any linear model, n = 2 included, runs
     # the Python-float loop, and a batch the numpy loop.
-    models = Path(__file__).resolve().parents[1] / "bench" / "models"
-    pure_death = load_model(models / "pure_death_cle.txt")
-    two_species = load_model(models / "two_species_cle.txt")
+    pure_death = load_model(MODELS / "pure_death_cle.txt")
+    two_species = load_model(MODELS / "two_species_cle.txt")
     two_state = DiscreteLinearModel(
         A0=[1.0, 0.5], A1=[[0.9, 0.05], [0.1, 0.8]], C=[[1.0, 0.5]],
         gsq=[[4.0, 0.1, 0.0], [2.0, 0.0, 0.2]], Sigma_v=np.eye(2),
@@ -474,26 +472,6 @@ def test_trajectory_csv(tmp_path):
     assert len(lines) == 5
 
 
-def per_value_repr_trajectory_csv(data, path):
-    # The writer as it was before rows came from .tolist().
-    n = data.states.shape[1]
-    m = data.measurements.shape[1]
-    header = ["k"]
-    if data.times is not None:
-        header.append("t")
-    header += [f"x_true_{i}" for i in range(n)] + [f"y_{i}" for i in range(m)]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for k in range(len(data)):
-            row = [k + 1]
-            if data.times is not None:
-                row.append(repr(float(data.times[k])))
-            row += [repr(float(v)) for v in data.states[k]]
-            row += [repr(float(v)) for v in data.measurements[k]]
-            w.writerow(row)
-
-
 @pytest.mark.parametrize("timed", [False, True])
 def test_trajectory_csv_bytes_match_per_value_repr_writer(tmp_path, timed):
     values = np.array([-0.0, 5e-324, 1e300, 0.1, -2.5, 1 / 3, 1e-7, 42.0])
@@ -503,9 +481,11 @@ def test_trajectory_csv_bytes_match_per_value_repr_writer(tmp_path, timed):
         states=rng.choice(values, size=(N, 2)),
         measurements=rng.choice(values, size=(N, 1)),
         times=rng.choice(values, size=N) if timed else None)
-    data.to_csv(tmp_path / "new.csv")
-    per_value_repr_trajectory_csv(data, tmp_path / "old.csv")
-    new = (tmp_path / "new.csv").read_bytes()
-    assert new == (tmp_path / "old.csv").read_bytes()
-    for text in (b"-0.0", b"5e-324", b"1e+300"):
-        assert text in new
+    # csv writes a float by its repr, as the per-value writer did.
+    data.to_csv(tmp_path / "trajectory.csv")
+    text = (tmp_path / "trajectory.csv").read_bytes()
+    assert text == csv_writer_text(range(1, N + 1), data.times,
+                                   ["x_true_0", "x_true_1", "y_0"],
+                                   [data.states, data.measurements])
+    for value in (b"-0.0", b"5e-324", b"1e+300"):
+        assert value in text

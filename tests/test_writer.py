@@ -26,6 +26,18 @@ def csv_writer_text(ks, times, names, cols):
     return buf.getvalue().encode()
 
 
+def two_state_layout(trace):
+    """The column names and columns of an n = m = 2 trace.csv, t aside."""
+    iu = np.triu_indices(2)
+    names = ["xhat_prior_0", "xhat_prior_1", "xhat_post_0", "xhat_post_1",
+             "innovation_0", "innovation_1", "S_diag_0", "S_diag_1",
+             "Sigma_post_00", "Sigma_post_01", "Sigma_post_11"]
+    cols = [trace.xhat_prior, trace.xhat_post, trace.innovation,
+            np.diagonal(trace.S, axis1=1, axis2=2),
+            trace.Sigma_post[:, iu[0], iu[1]]]
+    return names, cols
+
+
 @pytest.mark.parametrize("timed", [False, True], ids=["untimed", "timed"])
 @pytest.mark.parametrize("N", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1,
                                3 * _CHUNK + 7])
@@ -59,15 +71,8 @@ def test_a_two_state_trace_is_byte_identical_to_csv_writer(tmp_path):
         Sigma_post=draw(N, n, n), innovation=draw(N, m), S=draw(N, m, m),
         gain=draw(N, n, m))
     trace.to_csv(tmp_path / "trace.csv")
-    iu = np.triu_indices(n)
-    names = ["xhat_prior_0", "xhat_prior_1", "xhat_post_0", "xhat_post_1",
-             "innovation_0", "innovation_1", "S_diag_0", "S_diag_1",
-             "Sigma_post_00", "Sigma_post_01", "Sigma_post_11"]
-    cols = [trace.xhat_prior, trace.xhat_post, trace.innovation,
-            np.diagonal(trace.S, axis1=1, axis2=2),
-            trace.Sigma_post[:, iu[0], iu[1]]]
     assert (tmp_path / "trace.csv").read_bytes() == csv_writer_text(
-        range(1, 1 + N), None, names, cols)
+        range(1, 1 + N), None, *two_state_layout(trace))
 
 
 def test_write_steps_never_holds_the_whole_file(tmp_path):
