@@ -32,6 +32,12 @@ from .simulate import (MAX_LAG, _em_steps, monte_carlo_compare, mse,
                        simulate_cd, simulate_discrete)
 from .wls import MAX_HORIZON, dump_diagnostics, oracle_filter
 
+# The most steps that one run holds in memory: --N of simulate and filter,
+# --replicates times --N of compare.  There a one-state model peaks at
+# about 0.15 GB (filter) and 0.23 GB (compare), a three-state one at about
+# 0.6 GB (filter); see the README.
+MAX_STEPS = 10 ** 6
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors mapped to exit status 1, and a negative
@@ -96,6 +102,8 @@ def _kind_options(model, args, least_N=1):
         args.N = 100 if args.N is None else args.N
         if args.N < least_N:
             raise ValueError(f"--N must be at least {least_N}")
+        if args.N > MAX_STEPS:
+            raise ValueError(f"--N must be at most {MAX_STEPS}")
         return None
     args.em_step = 0.01 if args.em_step is None else args.em_step
     _em_steps(model.sample_times, args.em_step, "--em-step")
@@ -191,6 +199,9 @@ def _cmd_compare(args):
     _kind_options(model, args, least_N=MAX_LAG + 1)  # the whiteness lags
     if args.replicates < 1:
         raise ValueError("--replicates must be at least 1")
+    if args.replicates * args.N > MAX_STEPS:
+        raise ValueError(f"--replicates {args.replicates} times --N {args.N} "
+                         f"must be at most {MAX_STEPS} steps")
     filters = {"covariance-update": model, f"fixed-beta={args.beta}": baseline}
     report = monte_carlo_compare(model, filters, replicates=args.replicates,
                                  N=args.N, master_seed=args.seed, x0=args.x0,
@@ -371,6 +382,10 @@ def parse_and_dispatch(argv=None) -> int:
         return exc.code if exc.code is not None else 0
     except (FilterError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # before --out exists, as for any failure
+        print(f"numerical failure: out of memory{': ' * bool(str(exc))}{exc}",
+              file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         # ModelError, StepTooLargeError, other bad inputs and unusable paths.

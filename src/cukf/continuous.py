@@ -13,8 +13,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .discrete import (FilterTrace, StateEstimate, _check_sizes, _predictor,
-                       _run, _stepped, _symmetrize_in_place)
+from .discrete import (FilterTrace, StateEstimate, _check_sizes, _interval,
+                       _predictor, _run, _stepped)
 from .errors import (LengthMismatchError, NonFiniteStateError,
                      StepTooLargeError)
 from .models import EPS_G, ContinuousDiscreteModel, DiscreteLinearModel, eval_G
@@ -133,10 +133,20 @@ def _inner(model) -> DiscreteLinearModel:
     return model.inner if isinstance(model, ContinuousDiscreteModel) else model
 
 
+# The margin of the node bounds (see `_Propagator._new_span`), relative to
+# the size of the node map's terms, |w0| + sum_l |W1_l| |x_l|.  Rounding
+# moves a g2 that `propagate` computes, or its bound, by a few 2^-53 of
+# that size at n <= 3: 2^-40 is far above it, so that an interval whose
+# bounds decide its floored set is one that `propagate` floors alike.
+_MARGIN = 2.0 ** -40
+
+
 class _Propagator:
     """Moment propagation for one model over one run at the sample times
-    `times`: the time update from times[k] to times[k + 1] in two adaptors
-    of one z buffer, `interval` (floats) and `predict` (a joint block).
+    `times`: the time update from times[k] to times[k + 1] as generated
+    float code (`discrete._interval_lines`), which the filter kernel runs
+    inline and `predict` runs on a joint block, with `propagate` as its
+    slow path (`interval`).
 
     Between samples x' = A0 + A1 x and
     Sigma' = A1 Sigma + Sigma A1' + diag(sv * max(g2(x), EPS_G)).  While the
@@ -153,6 +163,21 @@ class _Propagator:
     exponentials (one per floored set) are built once per canonical length,
     on its first interval, and the generator M once per floored set.
 
+    While the floored set is fixed, an interval is one affine map, whose
+    coefficients the exponential E of that set holds: x' = psi + Phi x
+    and Sigma' = Phi Sigma Phi' + Q(x), Q(x) = Q0 + sum_l x_l Q_l, with
+    Phi = E[:n, :n], psi = E[:n, -1], and Q0 and Q_l the columns 1 and x_l
+    of E's vec Sigma rows (each pair of triangles averaged).  `coeffs[k]`
+    is the record of interval k's canonical length, resolved when the
+    object is built and shared by the intervals of that length: the node
+    bounds of `_new_span`, then the coefficients of each floored set, both
+    built on first use (`bounds`, `affine`), where `propagate` would build
+    the span entry and the exponential, so with the same errors.  Where
+    the bounds do not decide the floored set, or a result is not finite,
+    the generated code calls `propagate`.  The coefficients, like E, come
+    from `_expm`'s matmuls, so CD traces still depend on the BLAS kernel;
+    the per-interval sums do not.
+
     Its numpy calls run under the np.errstate of the filter loop (or of
     `discrete._stepped`), entered once per run: a value that overflows is
     tested where `propagate` tests z.
@@ -163,20 +188,39 @@ class _Propagator:
             raise ValueError("step must be finite and positive")
         self.dyn = dyn
         self.step = step
-        self._ts = list(times)
-        self._z = np.r_[np.zeros(dyn.n * (dyn.n + 1)), 1.0]
+        self._ts = ts = list(times)
+        n = dyn.n
+        self._z = np.r_[np.zeros(n * (n + 1)), 1.0]
         self.sv = np.diag(dyn.Sigma_v)
         self.cut_intervals = 0
         self.cuts = 0
-        self._unfloored = bytes(dyn.n)  # the key of the empty floored set
+        self._unfloored = bytes(n)  # the key of the empty floored set
         self._spans = {}       # length -> (w0, W1, {floored set: expm})
         self._generators = {}  # floored set -> M
+        self._records = {}     # length -> its record (see coeffs)
+        # gap -> record; a zero gap's bounds are NaN, which decide nothing.
+        gaps = {0.0: [(math.nan,) * (2 * n * (n + 1))] + [None] * 2 ** n}
+        self.coeffs = [gaps.get(gap) or gaps.setdefault(
+            gap, self._record(_canonical(gap)))
+            for gap in (t1 - t0 for t0, t1 in zip(ts, ts[1:]))]
+
+    def _record(self, span):
+        """The record of the canonical length `span`: [node bounds, the
+        affine coefficients of floored set 0, 1, ..], None until built."""
+        record = self._records.get(span)
+        if record is None:
+            record = self._records[span] = [None] * (1 + 2 ** self.dyn.n)
+        return record
 
     def _new_span(self, span, t0, t1):
         """The entry of the canonical length `span`, built on its first
         interval [t0, t1], whose exact length a refusal names: W = [w0 W1]
         maps [1; x(t0)] to g2 at the 2*nsteps + 1 nodes, stacked
-        (K*n, n+1)."""
+        (K*n, n+1).  It also sets the node bounds of the span's record:
+        per g2_i, by columns of [w0 W1], the midpoint of the smallest and
+        largest value over the nodes, then the half-range widened by
+        _MARGIN times the largest magnitude, as one tuple (see
+        `discrete._interval_lines`)."""
         nsteps = _grid_steps(self.step, span, t0, t1)
         dyn = self.dyn
         n = dyn.n
@@ -190,6 +234,12 @@ class _Propagator:
             P = np.concatenate((P, power @ P))
             power = power @ power
         W = (dyn.gsq @ P[:2 * nsteps + 1]).reshape(-1, n + 1)
+        nodes = W.reshape(-1, n, n + 1)
+        lo, hi = nodes.min(axis=0), nodes.max(axis=0)
+        self._record(span)[0] = tuple(np.concatenate(
+            (0.5 * lo + 0.5 * hi,
+             0.5 * hi - 0.5 * lo + _MARGIN * np.maximum(-lo, hi)),
+            axis=1).ravel().tolist())
         entry = self._spans[span] = (W[:, 0], W[:, 1:], {})
         return entry
 
@@ -214,6 +264,14 @@ class _Propagator:
         M[diag, -1] = self.sv * np.where(floored, EPS_G, dyn.gsq[:, 0])
         self._generators[key] = M
         return M
+
+    def _exponential(self, exps, key, span):
+        """The exponential of the floored set `key` over `span`, from the
+        span's cache `exps`, built on first use."""
+        E = exps.get(key)
+        if E is None:
+            E = exps[key] = _expm(self._generator(key) * span)
+        return E
 
     def _cut(self, z, g2, floored, span):
         """z propagated piece by piece, cut where a g2_i crosses EPS_G between
@@ -254,17 +312,42 @@ class _Propagator:
         if key is None:
             z = self._cut(z, g2, floored, span)
         else:
-            E = exps.get(key)
-            if E is None:
-                E = exps[key] = _expm(self._generator(key) * span)
-            z = E @ z
+            z = self._exponential(exps, key, span) @ z
         if not np.isfinite(z[:-1]).all():
             raise NonFiniteStateError(f"integration diverged on [{t0}, {t1}]")
         return z, key != self._unfloored
 
+    def bounds(self, k):
+        """The node bounds of interval k, once `_new_span` has built its
+        span entry."""
+        t0, t1 = self._ts[k], self._ts[k + 1]
+        self._new_span(_canonical(t1 - t0), t0, t1)
+        return self.coeffs[k][0]
+
+    def affine(self, k, key):
+        """The affine coefficients of interval k while the g2_i of the bits
+        of `key` are floored, once its span entry is built: psi, Phi by
+        rows, then Q0_ij and Q_l,ij (l < n) for each i <= j, as one tuple,
+        stored in its record; all NaN if the exponential is not finite, so
+        that the interval falls back to `propagate`."""
+        t0, t1 = self._ts[k], self._ts[k + 1]
+        span = _canonical(t1 - t0)
+        n = self.dyn.n
+        mask = bytes((key >> i) & 1 for i in range(n))
+        E = self._exponential(self._spans[span][2], mask, span)
+        i, j = np.triu_indices(n)
+        Q = 0.5 * (E[n + j * n + i] + E[n + i * n + j])  # rows of (i, j)
+        coefs = np.concatenate((E[:n, -1], E[:n, :n].ravel(),
+                                Q[:, np.r_[-1, :n]].ravel()))
+        if not np.isfinite(E).all():
+            coefs[:] = np.nan
+        self.coeffs[k][1 + key] = coefs = tuple(coefs.tolist())
+        return coefs
+
     def interval(self, k, *xP):
-        """The n + n^2 floats xP = [x; vec Sigma] at times[k + 1] from those
-        at times[k], and whether a g2 was floored, as one list."""
+        """The slow path of the generated time update: the n + n^2 floats
+        xP = [x; vec Sigma] at times[k + 1] from those at times[k], by
+        `propagate`, and whether a g2 was floored, as one list."""
         z = self._z
         z[:-1] = xP
         z, floored = self.propagate(z, self._ts[k], self._ts[k + 1])
@@ -274,13 +357,16 @@ class _Propagator:
 
     def predict(self, k, Z, out):
         """`_run_loop`'s time update of one joint block Z into `out` (maybe
-        Z), read and written by columns: Sigma is symmetric on the way in,
-        as `_blue_step` leaves it, and symmetrized on the way out."""
-        n, z = self.dyn.n, self._z
-        z[:-1] = Z[0].T.ravel()
-        z, floored = self.propagate(z, self._ts[k], self._ts[k + 1])
-        out[0] = z[:-1].reshape(1 + n, n).T
-        _symmetrize_in_place(out[0, :, 1:])
+        Z): the generated code that the filter kernel runs inline
+        (`discrete._interval`), on x and the upper triangle of Sigma, which
+        is symmetric on the way in, as `_blue_step` leaves it; Sigma leaves
+        symmetric."""
+        n = self.dyn.n
+        iu = np.triu_indices(n)
+        *xP, floored = _interval(n)(self, k, *Z[0, :, 0].tolist(),
+                                    *Z[0, :, 1:][iu].tolist())
+        out[0, :, 0] = xP[:n]
+        out[0, :, 1:][iu] = out[0, :, 1:].T[iu] = xP[n:]
         return floored
 
 

@@ -404,6 +404,92 @@ def _dpotf2(m):
     return lines
 
 
+# The kernel's and `_interval`'s names for the continuous-discrete
+# propagator `prop` (`continuous._Propagator`), bound once per run.
+_PROPAGATOR = ("zc, zb, za, interval = prop.coeffs, prop.bounds, prop.affine, "
+               "prop.interval")
+
+
+def _interval_lines(n):
+    """Python lines of the continuous-discrete time update of interval k,
+    the kernel's and `_interval`'s alike: x{i} and the upper triangle
+    p{i}_{j} of Sigma at times[k] become those at times[k + 1], and
+    `floored` says whether a g2 was floored (see `_PROPAGATOR` for zc, zb,
+    za and interval).
+
+    zc[k] is the record of the interval's span.  Its node bounds, zc[k][0]
+    (zb(k) builds them on first use), hold per g2_i a centre m_i0 + sum_l
+    m_il x_l and a half-width e_i0 + sum_l e_il |x_l|, whose interval holds
+    g2_i at every node, widened by a margin relative to |w0| + sum_l |W1_l|
+    |x_l|.  When the bounds put every g2_i above EPS_G or below it over the
+    whole interval, the floored set is fixed and the interval is the affine
+    map of that set, zc[k][1 + key] (za(k, key) builds it on first use),
+    key having bit i set for a floored g2_i: x' = psi + Phi x and
+    Sigma' = Phi Sigma Phi' + Q(x), Q(x) = Q0 + sum_l x_l Q_l, its upper
+    triangle, each sum ordered left to right.  Otherwise, and where x' or
+    Sigma' is not finite, `interval(k, x, vec Sigma)` (`propagate`)
+    propagates it, and the two triangles of its Sigma are averaged."""
+    ns = range(n)
+    upper = [(i, j) for i in ns for j in ns if i <= j]
+    dot = _products
+
+    def P(i, j):  # Sigma_ij: one name for both triangles
+        return f"p{min(i, j)}_{max(i, j)}"
+
+    bounds = [f"z{b}{i}{s}" for i in ns for b in "me"
+              for s in [""] + [f"_{l}" for l in ns]]
+    coefs = ([f"zv{i}" for i in ns] + [f"zf{i}_{j}" for i in ns for j in ns]
+             + [f"zq{i}_{j}{s}" for i, j in upper
+                for s in [""] + [f"_{l}" for l in ns]])
+    lines = ["zr = zc[k]", f"{', '.join(bounds)}, = zr[0] or zb(k)"]
+    lines += [f"zx{l} = x{l} if x{l} >= 0.0 else -x{l}" for l in ns]
+    lines.append("zk, zok = 0, True")
+    for i in ns:  # a NaN decides nothing
+        lines += [f"zg = zm{i} + " + dot((f"zm{i}_{l}", f"x{l}") for l in ns),
+                  f"ze = ze{i} + " + dot((f"ze{i}_{l}", f"zx{l}") for l in ns),
+                  "if zg + ze < EPS_G:", f"    zk += {1 << i}",
+                  "elif not zg - ze > EPS_G:", "    zok = False"]
+    fast = [f"{', '.join(coefs)}, = zr[1 + zk] or za(k, zk)"]
+    fast += [f"zp{i}_{j} = " + dot((f"zf{i}_{l}", P(l, j)) for l in ns)
+             for i in ns for j in ns]  # Phi Sigma
+    fast += [f"zs{i}_{j} = " + dot((f"zp{i}_{l}", f"zf{j}_{l}") for l in ns)
+             + f" + zq{i}_{j} + "
+             + dot((f"zq{i}_{j}_{l}", f"x{l}") for l in ns) for i, j in upper]
+    fast += [f"zy{i} = zv{i} + " + dot((f"zf{i}_{j}", f"x{j}") for j in ns)
+             for i in ns]
+    outs = [f"zy{i}" for i in ns] + [f"zs{i}_{j}" for i, j in upper]
+    fast += [f"zt = {' + '.join(outs)}", "if zt - zt == 0.0:",  # finite
+             "    " + ", ".join([f"x{i}" for i in ns]
+                                + [f"p{i}_{j}" for i, j in upper])
+             + f", floored = {', '.join(outs)}, zk > 0",
+             "else:", "    zok = False"]
+    lines += ["if zok:"] + ["    " + line for line in fast]
+    vec = [(i, j) for j in ns for i in ns]  # vec Sigma, by columns
+    slow = [", ".join([f"x{i}" for i in ns]
+                      + [f"p{i}_{j}" if i <= j else f"t{i}_{j}"
+                         for i, j in vec]) + ", floored = interval("
+            + ", ".join(["k"] + [f"x{i}" for i in ns]
+                        + [P(i, j) for i, j in vec]) + ")"]
+    slow += [f"p{i}_{j} = 0.5 * (p{i}_{j} + t{j}_{i})"
+             for i, j in upper if i < j]
+    return lines + ["if not zok:"] + ["    " + line for line in slow]
+
+
+@functools.lru_cache(maxsize=None)
+def _interval(n):
+    """`_interval_lines` as a function compiled once per n, for the numpy
+    loop's time update of a continuous-discrete run
+    (`continuous._Propagator.predict`): step(prop, k, x0, .., p0_0, ..)
+    takes x and the upper triangle of Sigma by rows, and returns them at
+    times[k + 1], then `floored`, as one list."""
+    names = [f"x{i}" for i in range(n)] + [
+        f"p{i}_{j}" for i in range(n) for j in range(i, n)]
+    src = [f"def step(prop, k, {', '.join(names)}):", "    " + _PROPAGATOR]
+    src += ["    " + line for line in _interval_lines(n)]
+    src.append(f"    return [{', '.join(names)}, floored]")
+    return _compiled(src, "step", True)
+
+
 def _compiled(src, name, floats):
     """The function `name` that the Python lines `src` define, with EPS_G,
     nan, np, maximum and sqrt (math's on floats, else numpy's) in its
@@ -419,7 +505,7 @@ def _kernel(n, m, floats, cd):
     """`_run_loop`'s steps for linear models of n states and m outputs, one
     column per replicate, as Python text written out by component and
     compiled once per (n, m, floats, cd):
-    steps(coefs, prior, post, W, S, Kt, interval) fills `_filtered`'s
+    steps(coefs, prior, post, W, S, Kt, prop) fills `_filtered`'s
     buffers and returns the clamp counts.  coefs holds, per column, C,
     Sigma_w and A1 by rows, A0 + 0.0, diag(Sigma_v) + 0.0, c0 and c1 by
     rows (`_linear_steps`).
@@ -432,9 +518,13 @@ def _kernel(n, m, floats, cd):
     mirrored.  Then the discrete time update x <- A0 + A1 x, Sigma <- A1
     Sigma A1' + diag(g Sigma_v g), g^2 = c0 + c1 x floored at EPS_G, whose
     floored steps are counted after the loop from the posteriors by the
-    same sums; or, for `cd`, the propagator's interval(k, x, vec Sigma) ->
-    (x, vec Sigma, floored) (`continuous._Propagator.interval`), its Sigma
-    symmetrized; an error it raises ends the run (see `_run`).  At n = m = 1
+    same sums; or, for `cd`, the continuous-discrete time update of the
+    propagator `prop` (`_interval_lines`): inline, the affine map of
+    interval k's span and floored set, read from prop.coeffs[k], wherever
+    its node bounds decide the floored set, else a call of prop.interval
+    (`continuous._Propagator`).  `predict` runs the same text, so from the
+    same posterior both routes make the same prior, bit for bit, at every
+    n.  An error it raises ends the run (see `_run`).  At n = m = 1
     these are `_run_loop`'s IEEE operations in its order, so the trace is
     bit-identical to it, signed zeros included: a matmul of one product
     adds it to +0.0, and so does this code where the sign can reach the
@@ -476,8 +566,8 @@ def _kernel(n, m, floats, cd):
             + [(f"Ey{a}", "W", a, 0) for a in ms]
             + [(f"Sb{a}_{b}", "S", a, b) for a in ms for b in ms]
             + [(f"Kb{a}_{j}", "Kt", a, j) for a in ms for j in ns])
-    src = ["def steps(coefs, prior, post, W, S, Kt, interval):",
-           f"    {', '.join(coefs)}, = coefs"]
+    src = ["def steps(coefs, prior, post, W, S, Kt, prop):",
+           f"    {', '.join(coefs)}, = coefs"] + ["    " + _PROPAGATOR] * cd
     src += [f"    {name} = " + view.format(f"{Z}[{cols}, {i}, {j}]")
             for name, Z, i, j in bufs]
     src += [f"    x{i} = xp{i}[0]" for i in ns]
@@ -514,14 +604,7 @@ def _kernel(n, m, floats, cd):
              for i, j in upper]
     body += ["if k + 1 == N:", "    break"]
     if cd:
-        vec = [(i, j) for j in ns for i in ns]  # vec Sigma, by columns
-        outs = [f"x{i}" for i in ns] + [f"p{i}_{j}" if i <= j else f"t{i}_{j}"
-                                       for i, j in vec]
-        ins = [f"x{i}" for i in ns] + [P(i, j) for i, j in vec]
-        body += [f"{', '.join(outs)}, floored = interval("
-                 f"k, {', '.join(ins)})", "clamps += floored"]
-        body += [f"p{i}_{j} = 0.5 * (p{i}_{j} + t{j}_{i})"
-                 for i, j in upper if i < j]
+        body += _interval_lines(n) + ["clamps += floored"]
     else:
         for i in ns:
             body.append(f"y{i} = "
@@ -549,24 +632,24 @@ def _kernel(n, m, floats, cd):
     return _compiled(src, "steps", floats)
 
 
-def _linear_steps(models, R, interval=None):
+def _linear_steps(models, R, prop=None):
     """`_filtered`'s steps for the `_small_linear` models, which share n and
     m, over R replicates each: one batch of F R columns through `_kernel`,
     model i in columns i R to (i + 1) R, with Python floats for one column.
-    `interval`, if given, is the time update of a continuous-discrete run
-    (see `_kernel`)."""
+    The propagator `prop`, if given, makes the time update of a
+    continuous-discrete run (see `_kernel`)."""
     n, m = models[0].n, models[0].m
     coefs = np.repeat(np.array([np.concatenate((
         model.C.ravel(), model.Sigma_w.ravel(), model.A1.ravel(),
         model.A0 + 0.0, np.diag(model.Sigma_v) + 0.0, model.gsq[:, 0],
         model.gsq[:, 1:].ravel())) for model in models]).T, R, axis=1)
     floats = coefs.shape[1] == 1
-    kernel = _kernel(n, m, floats, interval is not None)
+    kernel = _kernel(n, m, floats, prop is not None)
 
     def steps(prior, post, W, S, Kt, tr):
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             return kernel(coefs[:, 0].tolist() if floats else coefs, prior,
-                          post, W, S, Kt, interval)
+                          post, W, S, Kt, prop)
 
     return steps
 
@@ -646,7 +729,7 @@ def _run(models, measurements, xhat, Sigma, prop=None):
             np.tile(np.asarray(measurements, dtype=float), (F, 1, 1)),
             np.tile(xhat, (F, 1)),
             np.tile(np.broadcast_to(Sigma, (R, n, n)), (F, 1, 1)), 1,
-            _linear_steps(models, R, prop and prop.interval))
+            _linear_steps(models, R, prop))
     except (FilterError, ValueError):  # the numpy loop decides the error
         tr = None
     for i, model in enumerate(models):

@@ -501,7 +501,12 @@ REFUSALS = {
          "compare --model example_sec3 --beta 0.1 --replicates 0",
          "error: --replicates must be at least 1"),
         ("argv5---levels must be at least 0", "limit-check --model birth_death_cle --levels -1",
-         "error: --levels must be at least 0")],
+         "error: --levels must be at least 0"),
+        ("filter --N past the budget", "filter --model example_sec3 --N 1000001",
+         "error: --N must be at most 1000000"),
+        ("compare --replicates past the budget",
+         "compare --model example_sec3 --beta 0.1 --replicates 10001",
+         "error: --replicates 10001 times --N 100 must be at most 1000000 steps")],
     "test_a_beta_whose_square_overflows_is_refused_before_any_output": [
         ("filter", "filter --model example_sec3 --variant fixed-beta --beta 1e308",
          "error: --beta must be finite and nonnegative, with a finite square"),
@@ -786,6 +791,57 @@ code = parse_and_dispatch(sys.argv[1:])
 assert "scipy" not in sys.modules
 sys.exit(code)
 """
+
+
+LIMITED = """
+import resource, sys
+from cukf.cli import parse_and_dispatch
+
+with open("/proc/self/status") as fh:
+    vm = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))
+limit = vm * 1024 + (64 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(parse_and_dispatch(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the address space size from /proc")
+@pytest.mark.parametrize("argv, code, stderr", [
+    ("filter --model example_sec3 --N 1000000000000", 1,
+     "error: --N must be at most 1000000"),
+    ("simulate --model example_sec3 --N 1000000000000", 1,
+     "error: --N must be at most 1000000"),
+    ("compare --model example_sec3 --beta 1 --replicates 1000000000", 1,
+     "error: --replicates 1000000000 times --N 100 must be at most 1000000 "
+     "steps"),
+    ("compare --model example_sec3 --beta 1 --replicates 3000000 --N 100", 1,
+     "error: --replicates 3000000 times --N 100 must be at most 1000000 "
+     "steps"),
+    ("filter --model example_sec3 --N 1000000", 2,
+     "numerical failure: out of memory"),
+], ids=["filter", "simulate", "compare-replicates", "compare-replicates-N",
+        "out-of-memory"])
+def test_counts_past_the_memory_budget_end_in_one_line(argv, code, stderr,
+                                                       tmp_path):
+    # In a process whose address space is what its imports took and 64 MiB
+    # more: a count past the budget is refused by its flag before any
+    # work, and a run within it that still runs out of memory (filter's
+    # 10^6 steps take about 115 MB) is one numerical failure line.  Either
+    # way there is no traceback and no --out.
+    import cukf
+    env = dict(os.environ)
+    src = str(Path(cukf.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("CUKF_OUTPUT_DIR", None)
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-c", LIMITED] + argv.split() + ["--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith(stderr)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cukf.builtin import birth_death_cle, example_sec3
+from cukf.cli import parse_and_dispatch
 from cukf.continuous import (_PADE, _Propagator, _canonical, _expm,
                              cd_run, cd_time_update, default_config,
                              euler_limit_check)
-from cukf.discrete import StateEstimate, time_update
+from cukf.discrete import StateEstimate, _interval, time_update
+from cukf.errors import NonFiniteStateError
 from cukf.modelio import load_model
 from cukf.models import ContinuousDiscreteModel, DiscreteLinearModel
 from cukf.simulate import simulate_cd
@@ -339,6 +341,164 @@ def test_cut_propagation_matches_split_reference(case):
     x, S = split_rk4(model, post.xhat, post.Sigma, 0.1)
     assert rel_err(out.xhat, x) <= 1e-9
     assert rel_err(out.Sigma, S) <= 1e-9
+
+
+@st.composite
+def interval_cases(draw):
+    """(model, x, Sigma, gap, kinds, hazard) for one interval: n <= 3, and
+    each g2_i far above the floor, far below it, crossing it near the
+    middle of the gap, or at EPS_G at x, within rounding of its terms
+    ("edge": on a frozen path, where every node is x, propagate's rounding
+    decides whether it floors); terms up to ~1e6, whose rounding is a
+    sizable part of EPS_G or more.  `hazard` puts a NaN or inf in x or
+    Sigma, or scales Sigma to 1e290."""
+    n = draw(st.integers(1, 3))
+    kinds = draw(st.lists(st.sampled_from(["above", "below", "cross", "edge",
+                                           "edge"]), min_size=n, max_size=n))
+    hazard = draw(st.sampled_from([None] * 6 + ["nan x", "inf x", "nan Sigma",
+                                                "inf Sigma", "huge Sigma"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    gap = rng.uniform(0.05, 0.5)
+    A1 = rng.standard_normal((n, n))
+    A1 *= rng.uniform(0.1, 2.0) / max(np.abs(np.linalg.eigvals(A1)).max(), 1e-6)
+    A0 = 5.0 * rng.standard_normal(n)
+    if draw(st.booleans()):  # a frozen path: every node is x
+        A0, A1 = np.zeros(n), np.zeros((n, n))
+    x = rng.choice([1.0, 1e3, 1e6]) * rng.standard_normal(n)
+    C1 = rng.standard_normal((n, n))
+    mid = x + 0.5 * gap * (A0 + A1 @ x)  # about the path's midpoint
+    size = 1.0 + np.abs(C1) @ (np.abs(x) + np.abs(mid))
+    c0 = np.empty(n)
+    for i, kind in enumerate(kinds):
+        if kind in ("above", "below"):
+            c0[i] = (1e3 if kind == "above" else -1e3) * size[i]
+        elif kind == "cross":
+            c0[i] = EPS_G - C1[i] @ mid
+        else:
+            c0[i] = EPS_G - C1[i] @ x
+    B = rng.standard_normal((n, n))
+    Sigma = B @ B.T
+    model = DiscreteLinearModel(
+        A0=A0, A1=A1, C=np.eye(n), gsq=np.column_stack([c0, C1]),
+        Sigma_v=np.diag(rng.uniform(0.5, 2.0, n)), Sigma_w=np.eye(n))
+    i, j = rng.integers(n, size=2)
+    if hazard in ("nan x", "inf x"):
+        x[i] = np.nan if hazard == "nan x" else rng.choice([np.inf, -np.inf])
+    elif hazard in ("nan Sigma", "inf Sigma"):
+        Sigma[i, j] = Sigma[j, i] = np.nan if hazard == "nan Sigma" else np.inf
+    elif hazard == "huge Sigma":
+        Sigma *= 1e290
+    return model, x, Sigma, gap, kinds, hazard
+
+
+def interval_outcome(model, x, Sigma, gap, generated):
+    """One interval [0, gap] from x and Sigma, by the generated time update
+    (`discrete._interval`) if `generated`, else by `propagate`: x', the
+    upper triangle of Sigma' (propagate's two triangles averaged) and the
+    floored flag, or the error (class and message); and the calls of
+    `propagate`."""
+    n = model.n
+    iu = np.triu_indices(n)
+    prop = _Propagator(model, gap / 100, [0.0, gap])
+    calls = []
+
+    def propagate(*args):
+        calls.append(args)
+        return _Propagator.propagate(prop, *args)
+
+    prop.propagate = propagate
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
+            if generated:
+                *xP, floored = _interval(n)(prop, 0, *x, *Sigma[iu])
+                return (xP[:n], xP[n:], floored), calls
+            z, floored = prop.propagate(np.r_[x, Sigma.T.ravel(), 1.0], 0.0,
+                                        gap)
+    except NonFiniteStateError as exc:
+        return (type(exc), str(exc)), calls
+    S = z[n:-1].reshape(n, n).T
+    return (z[:n].tolist(), (0.5 * (S + S.T))[iu].tolist(), floored), calls
+
+
+@settings(max_examples=200)
+@given(interval_cases())
+def test_the_generated_interval_is_propagate_where_its_bounds_decide(case):
+    # Where the node bounds decide every g2_i, the generated time update
+    # takes the affine map of that floored set: within 1e-12 of propagate,
+    # with its floored flag.  Elsewhere, and for a NaN or inf input, it
+    # calls propagate, so it is propagate.  A bound test without its margin
+    # would misjudge an "edge" g2_i that propagate's rounding floors.
+    model, x, Sigma, gap, kinds, hazard = case
+    got, calls = interval_outcome(model, x, Sigma, gap, True)
+    want, _ = interval_outcome(model, x, Sigma, gap, False)
+    if hazard in ("nan x", "inf x", "nan Sigma", "inf Sigma"):
+        assert calls
+    if hazard in (None, "huge Sigma") and set(kinds) <= {"above", "below"}:
+        assert not calls
+    if calls or isinstance(want[0], type):
+        assert got == want
+        return
+    assert got[2] == want[2]
+    for g, w in zip(got[:2], want[:2]):
+        g, w = np.array(g), np.array(w)
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", ["birth_death_cle", "two_species_cle.txt",
+                                  "pure_death_cle.txt"])
+def test_cd_filter_intervals_take_the_affine_map(name, seed, tmp_path,
+                                                 monkeypatch):
+    # The cd-filter runs of bench/, which cut no interval: every interval
+    # takes the generated affine map, pure-death's clamped ones too, and
+    # none calls propagate.  Without this, a silent fall-back to propagate
+    # would pass every bit-identity test.
+    calls, propagate = [], _Propagator.propagate
+    monkeypatch.setattr(_Propagator, "propagate", lambda self, *args: (
+        calls.append(args) or propagate(self, *args)))
+    model = name if name == "birth_death_cle" else str(MODELS / name)
+    assert parse_and_dispatch(["filter", "--model", model, "--x0", "100",
+                               "--seed", str(seed), "--out",
+                               str(tmp_path)]) == 0
+    summary = (tmp_path / "trace_summary.csv").read_text().split()
+    assert summary[-2:] == ["step_count,0", "fallback_intervals,0"]
+    if name == "pure_death_cle.txt":
+        assert summary[1] != "clamp_count,0"
+    assert calls == []
+
+
+def test_a_partly_floored_two_state_run_makes_the_priors_of_cd_time_update(
+        monkeypatch):
+    # The CI's partial-floor file: g2_0 = x_0 - 2 floors for part of the
+    # run.  The kernel's inline time update meets a decided interval with
+    # a mixed floored set, intervals its bounds leave to propagate and a
+    # cut; from each posterior, cd_time_update (the same text, compiled
+    # apart) makes the same prior, bit for bit.
+    dyn = DiscreteLinearModel(
+        A0=[5.0, 2.0], A1=[[-1.0, 0.0], [0.2, -0.5]], C=np.eye(2),
+        gsq=[[-2.0, 1.0, 0.0], [3.0, 0.1, 0.2]], Sigma_v=np.eye(2),
+        Sigma_w=0.25 * np.eye(2))
+    model = ContinuousDiscreteModel(inner=dyn,
+                                    sample_times=0.5 * np.arange(9))
+    data = simulate_cd(model, [0.0, 0.0], 0, 0.01)
+    keys, affine = [], _Propagator.affine
+    calls, propagate = [], _Propagator.propagate
+    monkeypatch.setattr(_Propagator, "affine", lambda self, k, key: (
+        keys.append(key) or affine(self, k, key)))
+    monkeypatch.setattr(_Propagator, "propagate", lambda self, *args: (
+        calls.append(args) or propagate(self, *args)))
+    init = StateEstimate([0.0, 0.0], np.zeros((2, 2)), 0.0)
+    trace = cd_run(model, data.measurements, init)
+    assert keys == [1, 0] and len(calls) == 4
+    assert (trace.clamp_count, trace.fallback_intervals,
+            trace.step_count) == (2, 1, 1)
+    ts = model.sample_times
+    for k in range(len(ts) - 1):
+        prior = cd_time_update(
+            StateEstimate(trace.xhat_post[k], trace.Sigma_post[k], ts[k]),
+            model, ts[k], ts[k + 1], default_config(model))
+        assert prior.xhat.tobytes() == trace.xhat_prior[k + 1].tobytes()
+        assert prior.Sigma.tobytes() == trace.Sigma_prior[k + 1].tobytes()
 
 
 def test_models_built_in_a_loop_each_get_their_own_exponential():
