@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .builtin import builtin_models, get_builtin
-from .continuous import (_canonical, _grid_steps, cd_run, default_config,
-                         euler_limit_check)
+from .continuous import (_canonical, _grid_steps, _inner, cd_run,
+                         default_config, euler_limit_check)
 from .discrete import StateEstimate, _atomic_open, _write_csv, run_filter
 from .errors import FilterError
 from .models import (ContinuousDiscreteModel, DiscreteLinearModel, _fixed_beta,
@@ -252,7 +252,7 @@ def _cmd_oracle_check(args):
 
 def _cmd_limit_check(args):
     model = _load(args.model)
-    dyn = model.inner if isinstance(model, ContinuousDiscreteModel) else model
+    dyn = _inner(model)
     if not isinstance(dyn, DiscreteLinearModel):
         raise ValueError("limit-check needs a linear model")
     if args.levels < 0:

@@ -7,14 +7,15 @@ Padé scaling-and-squaring method (Higham, "The scaling and squaring method
 for the matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26(4),
 2005, Algorithm 2.3)."""
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .discrete import (FilterTrace, StateEstimate, _check_sizes, _interval,
-                       _predictor, _run, _stepped)
+from .discrete import (FilterTrace, StateEstimate, _check_sizes, _compiled,
+                       _predictor, _products, _run, _stepped)
 from .errors import (LengthMismatchError, NonFiniteStateError,
                      StepTooLargeError)
 from .models import EPS_G, ContinuousDiscreteModel, DiscreteLinearModel, eval_G
@@ -140,13 +141,94 @@ def _inner(model) -> DiscreteLinearModel:
 # bounds decide its floored set is one that `propagate` floors alike.
 _MARGIN = 2.0 ** -40
 
+# The names that the generated time update (`_interval_lines`) binds from
+# the propagator `prop`, once per run of the filter kernel
+# (`discrete._kernel`) or per call of `_interval`.
+_PROPAGATOR = ("zc, zb, za, interval = prop.coeffs, prop.bounds, prop.affine, "
+               "prop.interval")
+
+
+def _interval_lines(n):
+    """Python lines of the continuous-discrete time update of interval k,
+    the filter kernel's and `_interval`'s alike: x{i} and the upper
+    triangle p{i}_{j} of Sigma at times[k] become those at times[k + 1],
+    and `floored` says whether a g2 was floored.
+
+    zc[k] is the record of the interval's span (see `_Propagator`).  Its
+    node bounds (zb(k) builds them on first use) hold per g2_i a centre
+    m_i0 + sum_l m_il x_l and a half-width e_i0 + sum_l e_il |x_l|, whose
+    interval holds g2_i at every node.  When they put every g2_i above
+    EPS_G or below it over the whole interval, the floored set `key` is
+    fixed and the interval is its affine map (za(k, key) builds it on
+    first use): x' = psi + Phi x and Sigma' = Phi Sigma Phi' + Q(x), its
+    upper triangle, each sum ordered left to right.  Otherwise, and where
+    x' or Sigma' is not finite, `interval(k, x, vec Sigma)` (`propagate`)
+    propagates it, and the two triangles of its Sigma are averaged."""
+    ns = range(n)
+    upper = [(i, j) for i in ns for j in ns if i <= j]
+    dot = _products
+
+    def P(i, j):  # Sigma_ij: one name for both triangles
+        return f"p{min(i, j)}_{max(i, j)}"
+
+    bounds = [f"z{b}{i}{s}" for i in ns for b in "me"
+              for s in [""] + [f"_{l}" for l in ns]]
+    coefs = ([f"zv{i}" for i in ns] + [f"zf{i}_{j}" for i in ns for j in ns]
+             + [f"zq{i}_{j}{s}" for i, j in upper
+                for s in [""] + [f"_{l}" for l in ns]])
+    lines = ["zr = zc[k]", f"{', '.join(bounds)}, = zr[0] or zb(k)"]
+    lines += [f"zx{l} = x{l} if x{l} >= 0.0 else -x{l}" for l in ns]
+    lines.append("zk, zok = 0, True")
+    for i in ns:  # a NaN decides nothing
+        lines += [f"zg = zm{i} + " + dot((f"zm{i}_{l}", f"x{l}") for l in ns),
+                  f"ze = ze{i} + " + dot((f"ze{i}_{l}", f"zx{l}") for l in ns),
+                  "if zg + ze < EPS_G:", f"    zk += {1 << i}",
+                  "elif not zg - ze > EPS_G:", "    zok = False"]
+    fast = [f"{', '.join(coefs)}, = zr[1 + zk] or za(k, zk)"]
+    fast += [f"zp{i}_{j} = " + dot((f"zf{i}_{l}", P(l, j)) for l in ns)
+             for i in ns for j in ns]  # Phi Sigma
+    fast += [f"zs{i}_{j} = " + dot((f"zp{i}_{l}", f"zf{j}_{l}") for l in ns)
+             + f" + zq{i}_{j} + "
+             + dot((f"zq{i}_{j}_{l}", f"x{l}") for l in ns) for i, j in upper]
+    fast += [f"zy{i} = zv{i} + " + dot((f"zf{i}_{j}", f"x{j}") for j in ns)
+             for i in ns]
+    outs = [f"zy{i}" for i in ns] + [f"zs{i}_{j}" for i, j in upper]
+    fast += [f"zt = {' + '.join(outs)}", "if zt - zt == 0.0:",  # finite
+             "    " + ", ".join([f"x{i}" for i in ns]
+                                + [f"p{i}_{j}" for i, j in upper])
+             + f", floored = {', '.join(outs)}, zk > 0",
+             "else:", "    zok = False"]
+    lines += ["if zok:"] + ["    " + line for line in fast]
+    vec = [(i, j) for j in ns for i in ns]  # vec Sigma, by columns
+    slow = [", ".join([f"x{i}" for i in ns]
+                      + [f"p{i}_{j}" if i <= j else f"t{i}_{j}"
+                         for i, j in vec]) + ", floored = interval("
+            + ", ".join(["k"] + [f"x{i}" for i in ns]
+                        + [P(i, j) for i, j in vec]) + ")"]
+    slow += [f"p{i}_{j} = 0.5 * (p{i}_{j} + t{j}_{i})"
+             for i, j in upper if i < j]
+    return lines + ["if not zok:"] + ["    " + line for line in slow]
+
+
+@functools.lru_cache(maxsize=None)
+def _interval(n):
+    """`_interval_lines` compiled once per n, for `_Propagator.predict`:
+    step(prop, k, x0, .., p0_0, ..) takes x and the upper triangle of Sigma
+    by rows, and returns them at times[k + 1], then `floored`, as one list."""
+    names = [f"x{i}" for i in range(n)] + [
+        f"p{i}_{j}" for i in range(n) for j in range(i, n)]
+    src = [f"def step(prop, k, {', '.join(names)}):", "    " + _PROPAGATOR]
+    src += ["    " + line for line in _interval_lines(n)]
+    src.append(f"    return [{', '.join(names)}, floored]")
+    return _compiled(src, "step", True)
+
 
 class _Propagator:
     """Moment propagation for one model over one run at the sample times
     `times`: the time update from times[k] to times[k + 1] as generated
-    float code (`discrete._interval_lines`), which the filter kernel runs
-    inline and `predict` runs on a joint block, with `propagate` as its
-    slow path (`interval`).
+    float code (`_interval_lines`), which the filter kernel runs inline and
+    `predict` runs on a joint block, with `propagate` as its slow path
+    (`interval`).
 
     Between samples x' = A0 + A1 x and
     Sigma' = A1 Sigma + Sigma A1' + diag(sv * max(g2(x), EPS_G)).  While the
@@ -161,22 +243,27 @@ class _Propagator:
     bits, within 2^-45 relative), not its exact one.  For as long as the
     object lives, the grid checks, the node map and the whole-interval
     exponentials (one per floored set) are built once per canonical length,
-    on its first interval, and the generator M once per floored set.
+    on its first interval, and the generator M once per floored set.  A
+    floored set is keyed by the int whose bit i is set for a floored g2_i.
 
     While the floored set is fixed, an interval is one affine map, whose
     coefficients the exponential E of that set holds: x' = psi + Phi x
     and Sigma' = Phi Sigma Phi' + Q(x), Q(x) = Q0 + sum_l x_l Q_l, with
     Phi = E[:n, :n], psi = E[:n, -1], and Q0 and Q_l the columns 1 and x_l
-    of E's vec Sigma rows (each pair of triangles averaged).  `coeffs[k]`
-    is the record of interval k's canonical length, resolved when the
-    object is built and shared by the intervals of that length: the node
-    bounds of `_new_span`, then the coefficients of each floored set, both
-    built on first use (`bounds`, `affine`), where `propagate` would build
-    the span entry and the exponential, so with the same errors.  Where
-    the bounds do not decide the floored set, or a result is not finite,
-    the generated code calls `propagate`.  The coefficients, like E, come
-    from `_expm`'s matmuls, so CD traces still depend on the BLAS kernel;
-    the per-interval sums do not.
+    of E's vec Sigma rows (each pair of triangles averaged).
+
+    Each canonical length has one record, a list shared by its intervals
+    (`coeffs[k]` is interval k's), whose entries are built on first use:
+    - [0], the node bounds: per g2_i, the centres of its n + 1 columns of
+      [w0 W1], then their half-widths, as one tuple (`_new_span`);
+    - [1 + key], the affine coefficients of the floored set `key`: psi,
+      Phi by rows, then Q0_ij and Q_l,ij (l < n) for each i <= j, as one
+      tuple, all NaN if E is not finite (`affine`);
+    - [-2], the node map (w0, W1) (`_new_span`); [-1], {key: E}.
+    They are built where `propagate` would build them, so with the same
+    errors.  A zero gap's record is NaN bounds, which decide nothing.  The
+    coefficients, like E, come from `_expm`'s matmuls, so CD traces still
+    depend on the BLAS kernel; the per-interval sums do not.
 
     Its numpy calls run under the np.errstate of the filter loop (or of
     `discrete._stepped`), entered once per run: a value that overflows is
@@ -194,33 +281,30 @@ class _Propagator:
         self.sv = np.diag(dyn.Sigma_v)
         self.cut_intervals = 0
         self.cuts = 0
-        self._unfloored = bytes(n)  # the key of the empty floored set
-        self._spans = {}       # length -> (w0, W1, {floored set: expm})
+        self._bits = 1 << np.arange(n)  # bit i of a floored set's key
         self._generators = {}  # floored set -> M
-        self._records = {}     # length -> its record (see coeffs)
-        # gap -> record; a zero gap's bounds are NaN, which decide nothing.
-        gaps = {0.0: [(math.nan,) * (2 * n * (n + 1))] + [None] * 2 ** n}
+        self._records = {}     # canonical length -> its record
+        gaps = {0.0: [(math.nan,) * (2 * n * (n + 1))]}  # gap -> record
         self.coeffs = [gaps.get(gap) or gaps.setdefault(
             gap, self._record(_canonical(gap)))
             for gap in (t1 - t0 for t0, t1 in zip(ts, ts[1:]))]
 
     def _record(self, span):
-        """The record of the canonical length `span`: [node bounds, the
-        affine coefficients of floored set 0, 1, ..], None until built."""
+        """The record of the canonical length `span`, nothing built."""
         record = self._records.get(span)
         if record is None:
-            record = self._records[span] = [None] * (1 + 2 ** self.dyn.n)
+            n = self.dyn.n
+            record = self._records[span] = [None] * (2 ** n + 2) + [{}]
         return record
 
     def _new_span(self, span, t0, t1):
-        """The entry of the canonical length `span`, built on its first
-        interval [t0, t1], whose exact length a refusal names: W = [w0 W1]
-        maps [1; x(t0)] to g2 at the 2*nsteps + 1 nodes, stacked
-        (K*n, n+1).  It also sets the node bounds of the span's record:
-        per g2_i, by columns of [w0 W1], the midpoint of the smallest and
-        largest value over the nodes, then the half-range widened by
-        _MARGIN times the largest magnitude, as one tuple (see
-        `discrete._interval_lines`)."""
+        """The node map (w0, W1) of the canonical length `span`, built on its
+        first interval [t0, t1], whose exact length a refusal names, with
+        its node bounds: W = [w0 W1] maps [1; x(t0)] to g2 at the
+        2*nsteps + 1 nodes, stacked (K*n, n+1).  Per g2_i and column of W,
+        the bounds are the midpoint of its smallest and largest value over
+        the nodes, then the half-range widened by _MARGIN times the largest
+        magnitude."""
         nsteps = _grid_steps(self.step, span, t0, t1)
         dyn = self.dyn
         n = dyn.n
@@ -236,20 +320,21 @@ class _Propagator:
         W = (dyn.gsq @ P[:2 * nsteps + 1]).reshape(-1, n + 1)
         nodes = W.reshape(-1, n, n + 1)
         lo, hi = nodes.min(axis=0), nodes.max(axis=0)
-        self._record(span)[0] = tuple(np.concatenate(
+        record = self._record(span)
+        record[0] = tuple(np.concatenate(
             (0.5 * lo + 0.5 * hi,
              0.5 * hi - 0.5 * lo + _MARGIN * np.maximum(-lo, hi)),
             axis=1).ravel().tolist())
-        entry = self._spans[span] = (W[:, 0], W[:, 1:], {})
-        return entry
+        record[-2] = W[:, 0], W[:, 1:]
+        return record[-2]
 
     def _generator(self, key):
-        """M of z' = M z, with the g2 components of the floored set `key`
-        (the bytes of a boolean mask) at EPS_G."""
+        """M of z' = M z, with the g2 components of the floored set `key` at
+        EPS_G."""
         M = self._generators.get(key)
         if M is not None:
             return M
-        floored = np.frombuffer(key, dtype=bool)
+        floored = (self._bits & key) > 0
         dyn = self.dyn
         n = dyn.n
         M = np.zeros((n + n * n + 1, n + n * n + 1))
@@ -267,7 +352,7 @@ class _Propagator:
 
     def _exponential(self, exps, key, span):
         """The exponential of the floored set `key` over `span`, from the
-        span's cache `exps`, built on first use."""
+        record's exponentials `exps`, built on first use."""
         E = exps.get(key)
         if E is None:
             E = exps[key] = _expm(self._generator(key) * span)
@@ -280,13 +365,14 @@ class _Propagator:
         cuts = (j + (EPS_G - g2[j, i]) / (g2[j + 1, i] - g2[j, i])) * (
             span / (len(g2) - 1))
         order = np.argsort(cuts)
-        flags = floored[0].copy()
-        for length, toggle in zip(np.diff(cuts[order], prepend=0.0), i[order]):
-            z = _expm(self._generator(flags.tobytes()) * length) @ z
-            flags[toggle] ^= True
+        key = int(self._bits @ floored[0])
+        for length, toggle in zip(np.diff(cuts[order], prepend=0.0),
+                                  i[order].tolist()):
+            z = _expm(self._generator(key) * length) @ z
+            key ^= 1 << toggle
         self.cut_intervals += 1
         self.cuts += len(cuts)
-        M = self._generator(flags.tobytes())
+        M = self._generator(key)
         return _expm(M * (span - cuts.max())) @ z
 
     def propagate(self, z, t0, t1):
@@ -299,49 +385,44 @@ class _Propagator:
         if t1 == t0:
             return z, False
         span = _canonical(t1 - t0)
-        w0, W1, exps = (self._spans.get(span)
-                        or self._new_span(span, t0, t1))
+        record = self._record(span)
+        w0, W1 = record[-2] or self._new_span(span, t0, t1)
         n = self.dyn.n
         g2 = w0 + W1 @ z[:n]
         floored = g2 < EPS_G
-        key = self._unfloored
+        key = 0
         if floored.any():
             g2, floored = g2.reshape(-1, n), floored.reshape(-1, n)
             same = (floored == floored[0]).all()  # at every node
-            key = floored[0].tobytes() if same else None
+            key = int(self._bits @ floored[0]) if same else None
         if key is None:
             z = self._cut(z, g2, floored, span)
         else:
-            z = self._exponential(exps, key, span) @ z
+            z = self._exponential(record[-1], key, span) @ z
         if not np.isfinite(z[:-1]).all():
             raise NonFiniteStateError(f"integration diverged on [{t0}, {t1}]")
-        return z, key != self._unfloored
+        return z, key != 0
 
     def bounds(self, k):
-        """The node bounds of interval k, once `_new_span` has built its
-        span entry."""
+        """The node bounds of interval k, built with its node map."""
         t0, t1 = self._ts[k], self._ts[k + 1]
         self._new_span(_canonical(t1 - t0), t0, t1)
         return self.coeffs[k][0]
 
     def affine(self, k, key):
-        """The affine coefficients of interval k while the g2_i of the bits
-        of `key` are floored, once its span entry is built: psi, Phi by
-        rows, then Q0_ij and Q_l,ij (l < n) for each i <= j, as one tuple,
-        stored in its record; all NaN if the exponential is not finite, so
-        that the interval falls back to `propagate`."""
+        """The affine coefficients of interval k while the floored set is
+        `key`, once its node map is built, stored in its record."""
         t0, t1 = self._ts[k], self._ts[k + 1]
-        span = _canonical(t1 - t0)
+        record = self.coeffs[k]
         n = self.dyn.n
-        mask = bytes((key >> i) & 1 for i in range(n))
-        E = self._exponential(self._spans[span][2], mask, span)
+        E = self._exponential(record[-1], key, _canonical(t1 - t0))
         i, j = np.triu_indices(n)
         Q = 0.5 * (E[n + j * n + i] + E[n + i * n + j])  # rows of (i, j)
         coefs = np.concatenate((E[:n, -1], E[:n, :n].ravel(),
                                 Q[:, np.r_[-1, :n]].ravel()))
         if not np.isfinite(E).all():
             coefs[:] = np.nan
-        self.coeffs[k][1 + key] = coefs = tuple(coefs.tolist())
+        record[1 + key] = coefs = tuple(coefs.tolist())
         return coefs
 
     def interval(self, k, *xP):
@@ -358,8 +439,8 @@ class _Propagator:
     def predict(self, k, Z, out):
         """`_run_loop`'s time update of one joint block Z into `out` (maybe
         Z): the generated code that the filter kernel runs inline
-        (`discrete._interval`), on x and the upper triangle of Sigma, which
-        is symmetric on the way in, as `_blue_step` leaves it; Sigma leaves
+        (`_interval`), on x and the upper triangle of Sigma, which is
+        symmetric on the way in, as `_blue_step` leaves it; Sigma leaves
         symmetric."""
         n = self.dyn.n
         iu = np.triu_indices(n)

@@ -404,92 +404,6 @@ def _dpotf2(m):
     return lines
 
 
-# The kernel's and `_interval`'s names for the continuous-discrete
-# propagator `prop` (`continuous._Propagator`), bound once per run.
-_PROPAGATOR = ("zc, zb, za, interval = prop.coeffs, prop.bounds, prop.affine, "
-               "prop.interval")
-
-
-def _interval_lines(n):
-    """Python lines of the continuous-discrete time update of interval k,
-    the kernel's and `_interval`'s alike: x{i} and the upper triangle
-    p{i}_{j} of Sigma at times[k] become those at times[k + 1], and
-    `floored` says whether a g2 was floored (see `_PROPAGATOR` for zc, zb,
-    za and interval).
-
-    zc[k] is the record of the interval's span.  Its node bounds, zc[k][0]
-    (zb(k) builds them on first use), hold per g2_i a centre m_i0 + sum_l
-    m_il x_l and a half-width e_i0 + sum_l e_il |x_l|, whose interval holds
-    g2_i at every node, widened by a margin relative to |w0| + sum_l |W1_l|
-    |x_l|.  When the bounds put every g2_i above EPS_G or below it over the
-    whole interval, the floored set is fixed and the interval is the affine
-    map of that set, zc[k][1 + key] (za(k, key) builds it on first use),
-    key having bit i set for a floored g2_i: x' = psi + Phi x and
-    Sigma' = Phi Sigma Phi' + Q(x), Q(x) = Q0 + sum_l x_l Q_l, its upper
-    triangle, each sum ordered left to right.  Otherwise, and where x' or
-    Sigma' is not finite, `interval(k, x, vec Sigma)` (`propagate`)
-    propagates it, and the two triangles of its Sigma are averaged."""
-    ns = range(n)
-    upper = [(i, j) for i in ns for j in ns if i <= j]
-    dot = _products
-
-    def P(i, j):  # Sigma_ij: one name for both triangles
-        return f"p{min(i, j)}_{max(i, j)}"
-
-    bounds = [f"z{b}{i}{s}" for i in ns for b in "me"
-              for s in [""] + [f"_{l}" for l in ns]]
-    coefs = ([f"zv{i}" for i in ns] + [f"zf{i}_{j}" for i in ns for j in ns]
-             + [f"zq{i}_{j}{s}" for i, j in upper
-                for s in [""] + [f"_{l}" for l in ns]])
-    lines = ["zr = zc[k]", f"{', '.join(bounds)}, = zr[0] or zb(k)"]
-    lines += [f"zx{l} = x{l} if x{l} >= 0.0 else -x{l}" for l in ns]
-    lines.append("zk, zok = 0, True")
-    for i in ns:  # a NaN decides nothing
-        lines += [f"zg = zm{i} + " + dot((f"zm{i}_{l}", f"x{l}") for l in ns),
-                  f"ze = ze{i} + " + dot((f"ze{i}_{l}", f"zx{l}") for l in ns),
-                  "if zg + ze < EPS_G:", f"    zk += {1 << i}",
-                  "elif not zg - ze > EPS_G:", "    zok = False"]
-    fast = [f"{', '.join(coefs)}, = zr[1 + zk] or za(k, zk)"]
-    fast += [f"zp{i}_{j} = " + dot((f"zf{i}_{l}", P(l, j)) for l in ns)
-             for i in ns for j in ns]  # Phi Sigma
-    fast += [f"zs{i}_{j} = " + dot((f"zp{i}_{l}", f"zf{j}_{l}") for l in ns)
-             + f" + zq{i}_{j} + "
-             + dot((f"zq{i}_{j}_{l}", f"x{l}") for l in ns) for i, j in upper]
-    fast += [f"zy{i} = zv{i} + " + dot((f"zf{i}_{j}", f"x{j}") for j in ns)
-             for i in ns]
-    outs = [f"zy{i}" for i in ns] + [f"zs{i}_{j}" for i, j in upper]
-    fast += [f"zt = {' + '.join(outs)}", "if zt - zt == 0.0:",  # finite
-             "    " + ", ".join([f"x{i}" for i in ns]
-                                + [f"p{i}_{j}" for i, j in upper])
-             + f", floored = {', '.join(outs)}, zk > 0",
-             "else:", "    zok = False"]
-    lines += ["if zok:"] + ["    " + line for line in fast]
-    vec = [(i, j) for j in ns for i in ns]  # vec Sigma, by columns
-    slow = [", ".join([f"x{i}" for i in ns]
-                      + [f"p{i}_{j}" if i <= j else f"t{i}_{j}"
-                         for i, j in vec]) + ", floored = interval("
-            + ", ".join(["k"] + [f"x{i}" for i in ns]
-                        + [P(i, j) for i, j in vec]) + ")"]
-    slow += [f"p{i}_{j} = 0.5 * (p{i}_{j} + t{j}_{i})"
-             for i, j in upper if i < j]
-    return lines + ["if not zok:"] + ["    " + line for line in slow]
-
-
-@functools.lru_cache(maxsize=None)
-def _interval(n):
-    """`_interval_lines` as a function compiled once per n, for the numpy
-    loop's time update of a continuous-discrete run
-    (`continuous._Propagator.predict`): step(prop, k, x0, .., p0_0, ..)
-    takes x and the upper triangle of Sigma by rows, and returns them at
-    times[k + 1], then `floored`, as one list."""
-    names = [f"x{i}" for i in range(n)] + [
-        f"p{i}_{j}" for i in range(n) for j in range(i, n)]
-    src = [f"def step(prop, k, {', '.join(names)}):", "    " + _PROPAGATOR]
-    src += ["    " + line for line in _interval_lines(n)]
-    src.append(f"    return [{', '.join(names)}, floored]")
-    return _compiled(src, "step", True)
-
-
 def _compiled(src, name, floats):
     """The function `name` that the Python lines `src` define, with EPS_G,
     nan, np, maximum and sqrt (math's on floats, else numpy's) in its
@@ -519,17 +433,16 @@ def _kernel(n, m, floats, cd):
     Sigma A1' + diag(g Sigma_v g), g^2 = c0 + c1 x floored at EPS_G, whose
     floored steps are counted after the loop from the posteriors by the
     same sums; or, for `cd`, the continuous-discrete time update of the
-    propagator `prop` (`_interval_lines`): inline, the affine map of
-    interval k's span and floored set, read from prop.coeffs[k], wherever
-    its node bounds decide the floored set, else a call of prop.interval
-    (`continuous._Propagator`).  `predict` runs the same text, so from the
-    same posterior both routes make the same prior, bit for bit, at every
-    n.  An error it raises ends the run (see `_run`).  At n = m = 1
-    these are `_run_loop`'s IEEE operations in its order, so the trace is
-    bit-identical to it, signed zeros included: a matmul of one product
-    adds it to +0.0, and so does this code where the sign can reach the
-    trace.  At larger n or m it agrees with `_run_loop` to rounding, and
-    its bits do not depend on the CPU's BLAS kernel.
+    propagator `prop`, inline, as text that `cukf.continuous` writes and
+    whose records it owns (`continuous._Propagator`).  `prop.predict`
+    runs the same text, so from the same posterior both routes make the
+    same prior, bit for bit, at every n.  An error it raises ends the run
+    (see `_run`).  At n = m = 1 these are `_run_loop`'s IEEE operations in
+    its order, so the trace is bit-identical to it, signed zeros included:
+    a matmul of one product adds it to +0.0, and so does this code where
+    the sign can reach the trace.  At larger n or m it agrees with
+    `_run_loop` to rounding, and its bits do not depend on the CPU's BLAS
+    kernel.
 
     `floats` binds the text to one column of Python floats, through
     memoryviews of the buffers, with math.sqrt and a compare-and-assign
@@ -567,7 +480,10 @@ def _kernel(n, m, floats, cd):
             + [(f"Sb{a}_{b}", "S", a, b) for a in ms for b in ms]
             + [(f"Kb{a}_{j}", "Kt", a, j) for a in ms for j in ns])
     src = ["def steps(coefs, prior, post, W, S, Kt, prop):",
-           f"    {', '.join(coefs)}, = coefs"] + ["    " + _PROPAGATOR] * cd
+           f"    {', '.join(coefs)}, = coefs"]
+    if cd:  # cukf.continuous writes the time update and the names it binds
+        from .continuous import _PROPAGATOR, _interval_lines
+        src.append("    " + _PROPAGATOR)
     src += [f"    {name} = " + view.format(f"{Z}[{cols}, {i}, {j}]")
             for name, Z, i, j in bufs]
     src += [f"    x{i} = xp{i}[0]" for i in ns]
@@ -701,11 +617,11 @@ def _run(models, measurements, xhat, Sigma, prop=None):
     more numpy calls per step than the numpy loop's stacked matmuls).
     Otherwise each model runs the numpy loop `_run_loop` when reached.  At
     n = m = 1 the two are bit-identical.  A model whose kernel run fails
-    or raises (an interval may) is run again by the numpy loop, whose
-    LAPACK factor decides the error as it always has: where S is singular
-    in exact arithmetic, rounding decides which step fails, and the kernel
-    rounds otherwise.  A
-    continuous-discrete run's propagator `prop` gives the time update.
+    or raises (a continuous-discrete time update may) is run again by the
+    numpy loop, whose LAPACK factor decides the error as it always has:
+    where S is singular in exact arithmetic, rounding decides which step
+    fails, and the kernel rounds otherwise.  A continuous-discrete run's
+    propagator `prop` gives the time update.
     Sizes that do not fit a model raise LengthMismatchError."""
     def loop(model):
         if prop:  # the kernel's cuts are not the trace's

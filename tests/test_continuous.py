@@ -7,22 +7,22 @@ from hypothesis import given, settings, strategies as st
 
 from cukf.builtin import birth_death_cle, example_sec3
 from cukf.cli import parse_and_dispatch
-from cukf.continuous import (_PADE, _Propagator, _canonical, _expm,
-                             cd_run, cd_time_update, default_config,
-                             euler_limit_check)
-from cukf.discrete import StateEstimate, _interval, time_update
+from cukf.continuous import (_PADE, _Propagator, _expm, _interval, cd_run,
+                             cd_time_update, default_config, euler_limit_check)
+from cukf.discrete import StateEstimate, time_update
 from cukf.errors import NonFiniteStateError
-from cukf.modelio import load_model
 from cukf.models import ContinuousDiscreteModel, DiscreteLinearModel
 from cukf.simulate import simulate_cd
 
 from reference_impl import (EPS_G, _rk4, classical_cd_kf, floor_crossings,
                             random_constant_noise_model, rel_err, split_rk4,
                             vanloan_discretize)
-from routes import MODELS
+from routes import (CD_ROUTES, MODELS, SHIPPED, cd_model, check_cd_routes,
+                    linear_cd, route, simulated, table_tests)
 from test_failures import failure_tests
 
 globals().update(failure_tests("test_continuous"))
+globals().update(table_tests(CD_ROUTES, "test_continuous", check_cd_routes))
 
 STEP = 0.001
 
@@ -97,8 +97,7 @@ def test_euler_single_step_equals_discrete_update():
 def test_euler_rows_equal_a_loop_of_time_updates(name):
     # Bit for bit: the Euler model stepped by repeated time_update calls,
     # against the exact propagation at the finest step.
-    model = birth_death_cle() if name == "birth_death_cle" else load_model(
-        MODELS / "two_species_cle.txt")
+    model = cd_model({"two_species": "two_species_cle.txt"}.get(name, name))
     dyn = model.inner
     post = StateEstimate(np.full(dyn.n, 100.0), np.eye(dyn.n), 0.0)
     dts = [0.08 / 2 ** i for i in range(4)]
@@ -143,17 +142,15 @@ def test_cd_run_birth_death_runs_clean():
         assert np.min(np.linalg.eigvalsh(S)) >= -1e-10
 
 
-def test_cd_run_constant_gain_matches_classical(subtests=None):
+def test_cd_run_constant_gain_matches_classical():
     rng = np.random.default_rng(4)
     for _ in range(10):
         p = random_constant_noise_model(rng, n=int(rng.integers(1, 3)))
         n = p["n"]
-        dyn = DiscreteLinearModel(
-            A0=p["A0"], A1=p["A1"], C=p["C"],
-            gsq=np.column_stack([p["g2"], np.zeros((n, n))]),
-            Sigma_v=np.diag(p["sv"]), Sigma_w=p["Sigma_w"])
         times = np.arange(30) * 0.1
-        model = ContinuousDiscreteModel(inner=dyn, sample_times=times)
+        model = linear_cd(times, A0=p["A0"], A1=p["A1"], C=p["C"],
+                          gsq=np.column_stack([p["g2"], np.zeros((n, n))]),
+                          Sigma_v=np.diag(p["sv"]), Sigma_w=p["Sigma_w"])
         data = simulate_cd(model, rng.standard_normal(n), rng.integers(1 << 31),
                            em_step=0.01)
         x0 = rng.standard_normal(n)
@@ -166,64 +163,30 @@ def test_cd_run_constant_gain_matches_classical(subtests=None):
         assert rel_err(trace.Sigma_post, Ps) < 1e-8
 
 
-def cutting_cd():
-    """The CI's cutting file: g^2 = x - 2 crosses the floor as the mean
-    relaxes toward 5, so intervals are cut."""
-    dyn = DiscreteLinearModel(A0=[5.0], A1=[[-1.0]], C=[[1.0]],
-                              gsq=[[-2.0, 1.0]], Sigma_v=[[1.0]],
-                              Sigma_w=[[0.25]])
-    return ContinuousDiscreteModel(inner=dyn, sample_times=0.5 * np.arange(7))
-
-
-@pytest.mark.parametrize("name", ["birth_death_cle", "two_species",
-                                  "cutting"])
-def test_cd_time_update_is_the_time_update_cd_run_makes(name):
-    # From cd_run's posterior at step k, cd_time_update over the next gap
-    # gives cd_run's prior at step k + 1, bit for bit.  cd_run filters
-    # these linear models, n = 2 included, in the float kernel, which steps
-    # the propagator's float adaptor `interval`; cd_time_update steps its
-    # joint-block adaptor `predict`.  So this compares the two adaptors.
-    model, x0 = {"birth_death_cle": (birth_death_cle(), [100.0]),
-                 "two_species": (load_model(MODELS / "two_species_cle.txt"),
-                                 [100.0, 100.0]),
-                 "cutting": (cutting_cd(), [0.0])}[name]
-    data = simulate_cd(model, x0, 1, 0.01)
-    step = default_config(model)
-    trace = cd_run(model, data.measurements,
-                   StateEstimate(x0, np.eye(model.n), 0.0), step)
-    if name == "cutting":
-        assert trace.fallback_intervals > 0
-    ts = model.sample_times
-    for k in range(len(ts) - 1):
-        prior = cd_time_update(
-            StateEstimate(trace.xhat_post[k], trace.Sigma_post[k], ts[k]),
-            model, ts[k], ts[k + 1], step)
-        assert prior.xhat.tobytes() == trace.xhat_prior[k + 1].tobytes()
-        assert prior.Sigma.tobytes() == trace.Sigma_prior[k + 1].tobytes()
-
-
 def test_cd_trace_csv_has_time_column_and_sidecar(tmp_path, monkeypatch):
-    # The CLI writes the continuous-discrete run's counts beside its trace.
-    import cukf.cli
-    traces = []
-
-    def recording_cd_run(*args):
-        traces.append(cd_run(*args))
-        return traces[-1]
-
-    monkeypatch.setattr(cukf.cli, "cd_run", recording_cd_run)
+    # The CLI writes the continuous-discrete run's counts beside its trace,
+    # and its run is cd_run on CD_ROUTES' inputs of that argv.
     monkeypatch.delenv("CUKF_OUTPUT_DIR", raising=False)
-    assert cukf.cli.parse_and_dispatch([
+    assert parse_and_dispatch([
         "filter", "--model", str(MODELS / "pure_death_cle.txt"), "--x0", "100",
         "--out", str(tmp_path)]) == 0
     header = (tmp_path / "trace.csv").read_text().splitlines()[0]
     assert header.split(",")[1] == "t"
-    trace, = traces
+    trace = cd_run(*simulated("pure_death_cle.txt", 100.0, 0, None))
+    trace.to_csv(tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == (
+        tmp_path / "trace.csv").read_bytes()
     assert trace.clamp_count > 0
     assert (tmp_path / "trace_summary.csv").read_bytes() == (
         f"key,value\r\nclamp_count,{trace.clamp_count}\r\n"
         f"step_count,{trace.step_count}\r\n"
         f"fallback_intervals,{trace.fallback_intervals}\r\n").encode()
+
+
+def test_the_gaps_of_the_shipped_models_differ_by_ulps():
+    # So that the one span each builds (CD_ROUTES) is _canonical's doing.
+    for name in SHIPPED:
+        assert np.unique(np.diff(cd_model(name).sample_times)).size >= 5
 
 
 def test_default_config_uses_hundredth_of_gap():
@@ -257,13 +220,10 @@ def test_exact_matches_rk4_on_random_affine_models():
 def pure_death_run(x0, gap=0.1, A0=0.0, c0=0.0):
     """cd_run over one interval of dx = (A0 - 2x)dt, g^2 = c0 + 2x, from the
     prior x0 and a first measurement equal to it (so the posterior is x0)."""
-    dyn = DiscreteLinearModel(A0=[A0], A1=[[-2.0]], C=[[1.0]],
-                              gsq=[[c0, 2.0]], Sigma_v=[[1.0]],
-                              Sigma_w=[[1.0]])
-    model = ContinuousDiscreteModel(inner=dyn, sample_times=[0.0, gap])
+    model = linear_cd([0.0, gap], A0=[A0], A1=[[-2.0]], C=[[1.0]],
+                      gsq=[[c0, 2.0]], Sigma_v=[[1.0]], Sigma_w=[[1.0]])
     post = StateEstimate([x0], [[0.5]], 0.0)
-    trace = cd_run(model, [[x0], [0.0]], post)
-    return dyn, trace
+    return model.inner, cd_run(model, [[x0], [0.0]], post)
 
 
 @pytest.mark.parametrize("c0", [0.0, 1.0])
@@ -393,31 +353,26 @@ def interval_cases(draw):
 
 def interval_outcome(model, x, Sigma, gap, generated):
     """One interval [0, gap] from x and Sigma, by the generated time update
-    (`discrete._interval`) if `generated`, else by `propagate`: x', the
+    (`continuous._interval`) if `generated`, else by `propagate`: x', the
     upper triangle of Sigma' (propagate's two triangles averaged) and the
-    floored flag, or the error (class and message); and the calls of
-    `propagate`."""
+    floored flag, or the error (class and message); and whether it called
+    `propagate` (`routes.route`)."""
     n = model.n
     iu = np.triu_indices(n)
     prop = _Propagator(model, gap / 100, [0.0, gap])
-    calls = []
-
-    def propagate(*args):
-        calls.append(args)
-        return _Propagator.propagate(prop, *args)
-
-    prop.propagate = propagate
-    try:
-        with np.errstate(invalid="ignore", over="ignore"):
+    with route() as taken, np.errstate(invalid="ignore", over="ignore"):
+        try:
             if generated:
                 *xP, floored = _interval(n)(prop, 0, *x, *Sigma[iu])
-                return (xP[:n], xP[n:], floored), calls
-            z, floored = prop.propagate(np.r_[x, Sigma.T.ravel(), 1.0], 0.0,
-                                        gap)
-    except NonFiniteStateError as exc:
-        return (type(exc), str(exc)), calls
-    S = z[n:-1].reshape(n, n).T
-    return (z[:n].tolist(), (0.5 * (S + S.T))[iu].tolist(), floored), calls
+                out = xP[:n], xP[n:], floored
+            else:
+                z, floored = prop.propagate(np.r_[x, Sigma.T.ravel(), 1.0],
+                                            0.0, gap)
+                S = z[n:-1].reshape(n, n).T
+                out = z[:n].tolist(), (0.5 * (S + S.T))[iu].tolist(), floored
+        except NonFiniteStateError as exc:
+            out = type(exc), str(exc)
+    return out, ("propagate", 0.0) in taken
 
 
 @settings(max_examples=200)
@@ -444,164 +399,19 @@ def test_the_generated_interval_is_propagate_where_its_bounds_decide(case):
         assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
-@pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("name", ["birth_death_cle", "two_species_cle.txt",
-                                  "pure_death_cle.txt"])
-def test_cd_filter_intervals_take_the_affine_map(name, seed, tmp_path,
-                                                 monkeypatch):
-    # The cd-filter runs of bench/, which cut no interval: every interval
-    # takes the generated affine map, pure-death's clamped ones too, and
-    # none calls propagate.  Without this, a silent fall-back to propagate
-    # would pass every bit-identity test.
-    calls, propagate = [], _Propagator.propagate
-    monkeypatch.setattr(_Propagator, "propagate", lambda self, *args: (
-        calls.append(args) or propagate(self, *args)))
-    model = name if name == "birth_death_cle" else str(MODELS / name)
-    assert parse_and_dispatch(["filter", "--model", model, "--x0", "100",
-                               "--seed", str(seed), "--out",
-                               str(tmp_path)]) == 0
-    summary = (tmp_path / "trace_summary.csv").read_text().split()
-    assert summary[-2:] == ["step_count,0", "fallback_intervals,0"]
-    if name == "pure_death_cle.txt":
-        assert summary[1] != "clamp_count,0"
-    assert calls == []
-
-
-def test_a_partly_floored_two_state_run_makes_the_priors_of_cd_time_update(
-        monkeypatch):
-    # The CI's partial-floor file: g2_0 = x_0 - 2 floors for part of the
-    # run.  The kernel's inline time update meets a decided interval with
-    # a mixed floored set, intervals its bounds leave to propagate and a
-    # cut; from each posterior, cd_time_update (the same text, compiled
-    # apart) makes the same prior, bit for bit.
-    dyn = DiscreteLinearModel(
-        A0=[5.0, 2.0], A1=[[-1.0, 0.0], [0.2, -0.5]], C=np.eye(2),
-        gsq=[[-2.0, 1.0, 0.0], [3.0, 0.1, 0.2]], Sigma_v=np.eye(2),
-        Sigma_w=0.25 * np.eye(2))
-    model = ContinuousDiscreteModel(inner=dyn,
-                                    sample_times=0.5 * np.arange(9))
-    data = simulate_cd(model, [0.0, 0.0], 0, 0.01)
-    keys, affine = [], _Propagator.affine
-    calls, propagate = [], _Propagator.propagate
-    monkeypatch.setattr(_Propagator, "affine", lambda self, k, key: (
-        keys.append(key) or affine(self, k, key)))
-    monkeypatch.setattr(_Propagator, "propagate", lambda self, *args: (
-        calls.append(args) or propagate(self, *args)))
-    init = StateEstimate([0.0, 0.0], np.zeros((2, 2)), 0.0)
-    trace = cd_run(model, data.measurements, init)
-    assert keys == [1, 0] and len(calls) == 4
-    assert (trace.clamp_count, trace.fallback_intervals,
-            trace.step_count) == (2, 1, 1)
-    ts = model.sample_times
-    for k in range(len(ts) - 1):
-        prior = cd_time_update(
-            StateEstimate(trace.xhat_post[k], trace.Sigma_post[k], ts[k]),
-            model, ts[k], ts[k + 1], default_config(model))
-        assert prior.xhat.tobytes() == trace.xhat_prior[k + 1].tobytes()
-        assert prior.Sigma.tobytes() == trace.Sigma_prior[k + 1].tobytes()
-
-
 def test_models_built_in_a_loop_each_get_their_own_exponential():
     # Back-to-back models may reuse a freed object's id(); each run must
     # still propagate with its own model's values.
     times = np.arange(6) * 0.1
     ys = np.linspace(1.0, 2.0, times.size)[:, None]
     for a1 in (-0.5, -1.0, -2.0):
-        dyn = DiscreteLinearModel(A0=[1.0], A1=[[a1]], C=[[1.0]],
-                                  gsq=[[2.0, 0.0]], Sigma_v=[[1.0]],
-                                  Sigma_w=[[1.0]])
-        model = ContinuousDiscreteModel(inner=dyn, sample_times=times)
+        model = linear_cd(times, A0=[1.0], A1=[[a1]], C=[[1.0]],
+                          gsq=[[2.0, 0.0]], Sigma_v=[[1.0]], Sigma_w=[[1.0]])
         trace = cd_run(model, ys, StateEstimate([0.0], [[1.0]], 0.0))
         xs, Ps = classical_cd_kf([1.0], [[a1]], [[2.0]], [[1.0]], [[1.0]],
                                  times, ys, [0.0], [[1.0]])
         assert rel_err(trace.xhat_post, xs) < 1e-12
         assert rel_err(trace.Sigma_post, Ps) < 1e-12
-
-
-def test_generator_is_built_once_per_floored_set(monkeypatch):
-    # linspace gives gaps that differ by ulps; whatever lengths they are
-    # propagated over, the generator M is built once per floored set.
-    kron, kron_calls = np.kron, []
-
-    def counting_kron(*args):
-        kron_calls.append(args)
-        return kron(*args)
-
-    model = birth_death_cle()
-    assert np.unique(np.diff(model.sample_times)).size >= 5
-    data = simulate_cd(model, [100.0], 0, 0.01)
-    monkeypatch.setattr(np, "kron", counting_kron)
-    trace = cd_run(model, data.measurements,
-                   StateEstimate([100.0], [[1.0]], 0.0))
-    assert trace.clamp_count == 0
-    assert len(kron_calls) == 2  # the two products of the Kronecker sum
-
-
-def counted_spans(monkeypatch):
-    """The canonical lengths of the span entries that `_Propagator` builds
-    from now on, in build order."""
-    built, new_span = [], _Propagator._new_span
-
-    def counting_new_span(self, span, t0, t1):
-        built.append(span)
-        return new_span(self, span, t0, t1)
-
-    monkeypatch.setattr(_Propagator, "_new_span", counting_new_span)
-    return built
-
-
-@pytest.mark.parametrize("name", ["birth_death_cle", "two_species_cle.txt",
-                                  "pure_death_cle.txt"])
-def test_cd_run_builds_one_span_on_each_shipped_model(name, monkeypatch):
-    # Their gaps differ by ulps; rounded to _SPAN_BITS, they are one length.
-    model = (birth_death_cle() if name == "birth_death_cle"
-             else load_model(MODELS / name))
-    assert np.unique(np.diff(model.sample_times)).size >= 5
-    x0 = np.full(model.n, 100.0)
-    data = simulate_cd(model, x0, 1, 0.01)
-    built = counted_spans(monkeypatch)
-    cd_run(model, data.measurements, StateEstimate(x0, np.eye(model.n), 0.0))
-    assert len(built) == 1
-
-
-@pytest.mark.parametrize("gap", [0.25 * (1 + 1e-9), 0.25 + 2.0 ** -46],
-                         ids=["1e-9", "outside-the-rounding"])
-@pytest.mark.parametrize("n", [1, 2])
-def test_gaps_that_really_differ_get_their_own_spans(gap, n, monkeypatch):
-    # 0.25 + 2^-46 is the next canonical length after 0.25, 2^-44 relative
-    # away.  Each length is propagated as cd_time_update propagates it.
-    dyn = DiscreteLinearModel(
-        A0=np.full(n, 10.0), A1=-0.1 * np.eye(n), C=np.eye(n),
-        gsq=np.column_stack([np.full(n, 10.0), 0.1 * np.eye(n)]),
-        Sigma_v=np.eye(n), Sigma_w=np.eye(n))
-    model = ContinuousDiscreteModel(inner=dyn,
-                                    sample_times=[0.0, 0.25, 0.5, 0.5 + gap])
-    last = np.diff(model.sample_times)[-1]
-    assert _canonical(0.25) == 0.25 != _canonical(last)
-    built = counted_spans(monkeypatch)
-    trace = cd_run(model, np.full((4, n), 50.0),
-                   StateEstimate(np.full(n, 50.0), np.eye(n), 0.0))
-    assert len(built) == 2
-    ts = model.sample_times
-    for k in range(len(ts) - 1):
-        prior = cd_time_update(
-            StateEstimate(trace.xhat_post[k], trace.Sigma_post[k], ts[k]),
-            model, ts[k], ts[k + 1], default_config(model))
-        assert prior.xhat.tobytes() == trace.xhat_prior[k + 1].tobytes()
-        assert prior.Sigma.tobytes() == trace.Sigma_prior[k + 1].tobytes()
-
-
-@pytest.mark.parametrize("seed, counts", [(0, (2, 1, 1)), (1, (2, 2, 2)),
-                                          (2, (2, 2, 2)), (3, (1, 1, 1))])
-def test_the_cutting_model_keeps_its_cuts(seed, counts):
-    # Its gaps are all 0.5, its own canonical length: the clamped
-    # intervals, the cut ones and their cuts are those of exact lengths.
-    model = cutting_cd()
-    data = simulate_cd(model, [0.0], seed, 0.01)
-    trace = cd_run(model, data.measurements,
-                   StateEstimate([0.0], np.eye(1), 0.0))
-    assert (trace.clamp_count, trace.fallback_intervals,
-            trace.step_count) == counts
 
 
 def scipy_expm(A):
@@ -646,12 +456,8 @@ def test_expm_matches_scipy_on_cle_moment_generators(monkeypatch):
         return _expm(A)
 
     monkeypatch.setattr(continuous, "_expm", recording_expm)
-    for model in (birth_death_cle(),
-                  load_model(MODELS / "two_species_cle.txt"),
-                  load_model(MODELS / "pure_death_cle.txt")):
-        data = simulate_cd(model, np.full(model.n, 100.0), 0, 0.01)
-        cd_run(model, data.measurements,
-               StateEstimate(np.full(model.n, 100.0), np.eye(model.n)))
+    for name in SHIPPED:
+        cd_run(*simulated(name, 100.0, 0))
     assert len(args) >= 6
     for A in args:
         assert expm_rel_err(A) <= 1e-12
@@ -696,10 +502,8 @@ def test_a_huge_constant_noise_intensity_reaches_the_prior():
     # One state, A1 = 0 and g^2 = 1e307: Sigma grows by 1e307 per unit of
     # time.  Unbalanced, the constant column forced ~1020 squarings and the
     # prior's Sigma came out 0.
-    dyn = DiscreteLinearModel(A0=[0.0], A1=[[0.0]], C=[[1.0]],
-                              gsq=[[1e307, 0.0]], Sigma_v=[[1.0]],
-                              Sigma_w=[[1.0]])
-    model = ContinuousDiscreteModel(inner=dyn, sample_times=[0.0, 1.0])
+    model = linear_cd([0.0, 1.0], A0=[0.0], A1=[[0.0]], C=[[1.0]],
+                      gsq=[[1e307, 0.0]], Sigma_v=[[1.0]], Sigma_w=[[1.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         trace = cd_run(model, [[0.0], [0.0]],

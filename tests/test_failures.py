@@ -4,7 +4,6 @@ FilterError's names its step and replicate), with every warning an error.  Rows 
 under "module::test name", the module that registers the test (`failure_tests`); rows that
 share a case id are one case, and case id None makes a plain test.  A boundary fix is a row."""
 
-import collections
 import warnings
 from dataclasses import replace
 
@@ -23,7 +22,7 @@ from cukf.builtin import birth_death_cle, example_sec3, logistic
 from cukf.simulate import _replicate_words
 from cukf.wls import MAX_HORIZON, BlockTridiagFactor, initial_cost
 
-from routes import MODELS
+from routes import MODELS, table_tests
 
 INF, NAN = np.inf, np.nan
 SEC3, BD = example_sec3(), birth_death_cle()
@@ -482,24 +481,8 @@ def check_failures(rows):
 
 
 def failure_tests(module):
-    """The tests of FAILURES' groups "module::name", by name: a case per case id (or none)."""
-    tests = {}
-    for key, rows in FAILURES.items():
-        where, _, name = key.partition("::")
-        if where != module:
-            continue
-        cases = collections.defaultdict(list)
-        for case, *row in rows:
-            cases[case].append(row)
-        if None in cases:
-            def test(rows=cases[None]):  # an argument with a default is not a fixture
-                check_failures(rows)
-        else:
-            @pytest.mark.parametrize("rows", cases.values(), ids=cases.keys())
-            def test(rows):
-                check_failures(rows)
-        tests[name] = test
-    return tests
+    """The tests of FAILURES' groups for `module` (`routes.table_tests`)."""
+    return table_tests(FAILURES, module, check_failures)
 
 
 globals().update(failure_tests("test_failures"))

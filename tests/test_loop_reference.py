@@ -21,13 +21,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cukf.builtin import birth_death_cle, example_sec3, logistic
+from cukf.builtin import example_sec3, logistic
 from cukf.continuous import cd_run
 from cukf.discrete import (FilterTrace, StateEstimate, run_filter,
                            run_filter_batch, symmetrize)
 from cukf.errors import (FilterError, IndefiniteHessianError,
                          NonFiniteStateError, SingularInnovationError)
-from cukf.modelio import load_model, loads
+from cukf.modelio import loads
 from cukf.models import (EPS_G, ContinuousDiscreteModel, DiscreteLinearModel,
                          NonlinearModel, with_fixed_noise)
 from cukf.simulate import (monte_carlo_compare, simulate_batch, simulate_cd,
@@ -35,8 +35,11 @@ from cukf.simulate import (monte_carlo_compare, simulate_batch, simulate_cd,
 from cukf.wls import (_schur_factor, build_measurement_cost, build_time_cost,
                       initial_cost, oracle_filter)
 
-from routes import (FIELDS, MODELS, N, Failure, outcome, random_linear, route,
-                    same, stacked)
+from routes import (CD_ROUTES, FIELDS, N, Failure, check_cd_routes, outcome,
+                    random_linear, route, same, stacked, table_tests)
+
+globals().update(table_tests(CD_ROUTES, "test_loop_reference",
+                             check_cd_routes))
 
 
 def matvec(A, X):
@@ -499,37 +502,18 @@ def test_scalar_cd_route_matches_the_numpy_loop_bit_for_bit(
          outcome(lambda: cd_run(model, ms, init, step), "kernel"))
 
 
-def test_one_state_cd_models_take_the_scalar_rule():
-    # Without this, a silent fall-back to the numpy loop would pass the
-    # bit-identity test above.
-    for model in (birth_death_cle(), load_model(MODELS / "pure_death_cle.txt")):
-        with route() as taken:
-            data = simulate_cd(model, [100.0], 0, 0.01)
-            trace = cd_run(model, data.measurements,
-                           StateEstimate([100.0], [[1.0]], 0.0))
-        assert len(trace) == model.sample_times.size
-        assert taken == [("floats", 1), ("kernel", 1)]
-
-
 def test_two_state_filters_take_the_kernel():
-    # The two-species cd_run and the run_filter of an n = 2 linear model file
-    # run the kernel on one column of Python floats.  A batch of n = 2, such
-    # as compare's, keeps the numpy loop, and so do a model with n = 4 and
-    # one with more outputs than states.
-    model = load_model(MODELS / "two_species_cle.txt")
+    # The run_filter of an n = 2 linear model file runs the kernel on one
+    # column of Python floats (a cd_run's route is a row of CD_ROUTES).  A
+    # batch of n = 2, such as compare's, keeps the numpy loop, and so do a
+    # model with n = 4 and one with more outputs than states.
     two = loads("kind = discrete\nn = 2\nm = 1\nA0 = 1.0 0.5\n"
                 "A1 = 0.9 0.05 0.0 0.8\nC = 1.0 1.0\n"
                 "gsq = 10.0 0.5 0.0 4.0 0.0 0.2\nSigma_v = 1.0 2.0\n"
                 "Sigma_w = 1.0\n")
-    data = simulate_cd(model, [100.0, 100.0], 0, 0.01)
     with route() as taken:
-        trace = cd_run(model, data.measurements,
-                       StateEstimate([100.0, 100.0], np.eye(2), 0.0))
         run_filter(two, np.ones((30, 1)),
                    StateEstimate(np.zeros(2), np.eye(2)))
-    assert len(trace) == model.sample_times.size
-    assert taken == [("kernel", 1), ("kernel", 1)]
-    with route() as taken:
         monte_carlo_compare(two, {"cu": two,
                                   "fixed": with_fixed_noise(two, 0.5)}, 7, 30,
                             0)
@@ -539,7 +523,8 @@ def test_two_state_filters_take_the_kernel():
                          np.ones((1, 5, 1)), np.zeros((1, 4)), np.eye(4))
         run_filter(replace(two, C=np.eye(3, 2), Sigma_w=np.eye(3)),
                    np.ones((5, 3)), StateEstimate(np.zeros(2), np.eye(2)))
-    assert taken == [("numpy loop", 7)] * 2 + [("numpy loop", 1)] * 2
+    assert taken == [("kernel", 1)] + [("numpy loop", 7)] * 2 + [
+        ("numpy loop", 1)] * 2
 
 
 def factor_solve(Li, B):

@@ -16,7 +16,7 @@ from cukf.simulate import (MAX_LAG, TrajectoryData, _replicate_words,
 
 from reference_impl import (em_steps_loop, euler_maruyama_ordered,
                             ordered_affine)
-from routes import MODELS, outcome, route, same
+from routes import MODELS, linear_cd, outcome, route, same
 from test_failures import failure_tests
 from test_writer import csv_writer_text
 
@@ -70,10 +70,8 @@ def test_uniform_noise_matches_second_moments():
 
 
 def test_simulate_cd_noiseless_solves_ode():
-    dyn = DiscreteLinearModel(A0=[10.0], A1=[[-0.1]], C=[[1.0]],
-                              gsq=[[0.0, 0.0]], Sigma_v=[[1.0]],
-                              Sigma_w=[[0.0]])
-    model = ContinuousDiscreteModel(inner=dyn, sample_times=np.linspace(0, 2, 5))
+    model = linear_cd(np.linspace(0, 2, 5), A0=[10.0], A1=[[-0.1]], C=[[1.0]],
+                      gsq=[[0.0, 0.0]], Sigma_v=[[1.0]], Sigma_w=[[0.0]])
     data = simulate_cd(model, [50.0], 0, em_step=1e-4)
     exact = 100.0 + (50.0 - 100.0) * np.exp(-0.1 * model.sample_times)
     assert np.allclose(data.states[:, 0], exact, rtol=1e-3)
@@ -112,17 +110,13 @@ def unit_draws(seed, distribution):
 
 @pytest.mark.parametrize("distribution", ["gaussian", "uniform"])
 def test_simulate_cd_matches_per_step_loop_bit_for_bit(distribution):
-    two_species = DiscreteLinearModel(
-        A0=[20.0, 5.0], A1=[[-0.1, 0.0], [0.5, -0.05]], C=np.eye(2),
-        gsq=[[20.0, 0.1, 0.0], [5.0, 0.5, 0.05]], Sigma_v=np.eye(2),
-        Sigma_w=np.eye(2))
-    pure_death = DiscreteLinearModel(A0=[0.0], A1=[[-2.0]], C=[[1.0]],
-                                     gsq=[[0.0, 2.0]], Sigma_v=[[1.0]],
-                                     Sigma_w=[[1.0]])
     times = np.linspace(0.0, 3.0, 31)
     models = [birth_death_cle(t_end=3.0, n_samples=31),
-              ContinuousDiscreteModel(inner=two_species, sample_times=times),
-              ContinuousDiscreteModel(inner=pure_death, sample_times=times)]
+              linear_cd(times, A0=[20.0, 5.0], A1=[[-0.1, 0.0], [0.5, -0.05]],
+                        C=np.eye(2), gsq=[[20.0, 0.1, 0.0], [5.0, 0.5, 0.05]],
+                        Sigma_v=np.eye(2), Sigma_w=np.eye(2)),
+              linear_cd(times, A0=[0.0], A1=[[-2.0]], C=[[1.0]],
+                        gsq=[[0.0, 2.0]], Sigma_v=[[1.0]], Sigma_w=[[1.0]])]
     for model in models:
         for seed in range(3):
             x0 = np.full(model.n, 2.0)
@@ -193,11 +187,9 @@ def test_simulate_cd_batch_rows_match_one_path_runs():
     # the path crosses 0.  A batch runs the numpy loop and one path the
     # Python-float kernel, so the rows must match byte for byte, signed
     # zeros included.
-    death = DiscreteLinearModel(A0=[0.0], A1=[[-2.0]], C=[[1.0]],
-                                gsq=[[0.0, 2.0]], Sigma_v=[[1.0]],
-                                Sigma_w=[[1.0]])
-    times = np.array([0.0, 0.05, 0.25, 0.3, 1.0])
-    pure_death = ContinuousDiscreteModel(inner=death, sample_times=times)
+    pure_death = linear_cd([0.0, 0.05, 0.25, 0.3, 1.0], A0=[0.0],
+                           A1=[[-2.0]], C=[[1.0]], gsq=[[0.0, 2.0]],
+                           Sigma_v=[[1.0]], Sigma_w=[[1.0]])
     seeds = [replicate_seed(5, r) for r in range(6)]
     for model, x0 in ((birth_death_cle(t_end=1.0, n_samples=5), 1.0),
                       (pure_death, 1.0), (pure_death, 0.0),
