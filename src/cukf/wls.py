@@ -12,12 +12,14 @@ for the step that ends at it and once more, frozen, with the next time
 term.  The forward pass adds the terms' blocks in place, in arrays allocated
 once, with the measurement blocks made once per run and no copies of the
 cost.  The Newton checks of all N prefix costs then run together in batched
-block sweeps over those factors (O(N) Python iterations, O(N^2 n) memory),
-through the one `_newton_step` that `newton_solve` takes on one system; its
-`BlockTridiagFactor` eliminates a whole cost in one loop.  Each Schur
-complement S is stored as the inverse of its lower Cholesky factor, Li =
-L^{-1} (1 / sqrt(S) if 1 x 1), so a solve S^{-1} B is the two products
-Li' (Li B), as in the filter's BLUE step.
+block sweeps over those factors (O(N^2 n) memory), through the one
+`_newton_step` that `newton_solve` takes on one system; its
+`BlockTridiagFactor` eliminates a whole cost in one loop.  A sweep makes N
+forward and N backward steps, each writing its result in place, and the
+end-block solves of all prefixes are one stacked product between them.
+Each Schur complement S is stored as the inverse of its lower Cholesky
+factor, Li = L^{-1} (1 / sqrt(S) if 1 x 1), so a solve S^{-1} B is the two
+products Li' (Li B), as in the filter's BLUE step.
 
 The quadratic time-step term is the second-order expansion of
 0.5 * r' Sigma_v^{-1} r with r(x_k, x_{k-1}) = G^{-1}(x_{k-1})(x_k - f(x_{k-1}))
@@ -341,26 +343,32 @@ def build_measurement_cost(cost: QuadraticCost, y, C, Sigma_w) -> QuadraticCost:
 
 def _sweep(L, factors, last, R, ends) -> np.ndarray:
     """Solve, for each column c of R (blocks, n, K), the leading system with
-    couplings L that ends at block ends[c] (ascending).  A block is factored
-    by `last[i]` where a system ends and by `factors[i]` elsewhere.  Entries
-    below a column's end are ignored and returned as zeros."""
+    couplings L (blocks - 1, n, n) that ends at block ends[c] (ascending).
+    A block is factored by `last[i]` where a system ends and by `factors[i]`
+    elsewhere, both (blocks, n, n).  Entries below a column's end are
+    ignored and returned as zeros.  The end-block solves read only the
+    forward pass: one stacked product, a matrix-vector product per column."""
     nb, _, K = R.shape
     # first[i]: the first column whose system reaches block i.
-    first = np.searchsorted(ends, np.arange(nb + 1))
+    first = np.searchsorted(ends, np.arange(nb + 1)).tolist()
+    F, Ft, Lb, Lt = (list(a) for a in (factors, factors.swapaxes(1, 2),
+                                       L, L.swapaxes(1, 2)))
     Y = np.zeros_like(R)
     Y[:1] = R[:1]  # a slice: a pinned head alone leaves no block
     for i in range(1, nb):
         c = first[i]
-        Y[i, :, c:] = R[i, :, c:] - L[i - 1] @ _factor_solve(
-            factors[i - 1], Y[i - 1, :, c:])
+        coupled = Lb[i - 1] @ (Ft[i - 1] @ (F[i - 1] @ Y[i - 1, :, c:]))
+        np.subtract(R[i, :, c:], coupled, out=Y[i, :, c:])
     X = np.zeros_like(R)
-    for i in range(nb - 1, -1, -1):
-        a, c = first[i], first[i + 1]
-        if a < c:
-            X[i, :, a:c] = _factor_solve(last[i], Y[i, :, a:c])
+    cols = np.arange(K)
+    E = last[ends]
+    end = E.swapaxes(1, 2) @ (E @ Y[ends, :, cols, None])
+    X[ends, :, cols] = end[..., 0]
+    for i in range(nb - 2, -1, -1):
+        c = first[i + 1]
         if c < K:
-            X[i, :, c:] = _factor_solve(
-                factors[i], Y[i, :, c:] - L[i].T @ X[i + 1, :, c:])
+            np.matmul(Ft[i], F[i] @ (Y[i, :, c:] - Lt[i] @ X[i + 1, :, c:]),
+                      out=X[i, :, c:])
     return X
 
 
@@ -375,12 +383,14 @@ class BlockTridiagFactor:
     def __init__(self, D, L):
         if not all(np.isfinite(B).all() for B in (*D, *L)):
             raise ValueError("blocks must not contain infs or NaNs")
-        self.L = L
-        self.factors = []
+        factors = []
         for i, Di in enumerate(D):
             if i:
-                Di = Di - L[i - 1] @ _factor_solve(self.factors[-1], L[i - 1].T)
-            self.factors.append(_schur_factor(Di, i))
+                Di = Di - L[i - 1] @ _factor_solve(factors[-1], L[i - 1].T)
+            factors.append(_schur_factor(Di, i))
+        # Stacked (blocks, n, n), as `_sweep` takes them.
+        self.factors = np.array(factors)
+        self.L = np.reshape(L, (-1, *self.factors.shape[1:]))
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """Solve the whole system for one right-hand side."""
@@ -629,8 +639,8 @@ def oracle_filter(model, measurements, init: StateEstimate) -> OracleSolution:
 
 def dump_diagnostics(sol: OracleSolution, path, deltas: np.ndarray):
     """Per-step gradient norms of `sol` and the (N, 2) estimate/covariance
-    deltas against a filter trace, as CSV."""
-    _write_steps(path, range(len(deltas)), None,
+    deltas against a filter trace, as CSV, steps numbered 1..N as there."""
+    _write_steps(path, range(1, len(deltas) + 1), None,
                  ["grad_norm_before", "grad_norm_after", "second_step_norm",
                   "xhat_delta", "Sigma_delta"],
                  [np.column_stack((sol.grad_norm_before, sol.grad_norm_after,

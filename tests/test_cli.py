@@ -113,6 +113,21 @@ def test_oracle_check_rerun_is_byte_identical(tmp_path, monkeypatch):
     assert outputs[0] == outputs[1]
 
 
+def test_oracle_deltas_number_the_steps_as_the_trace_does(tmp_path,
+                                                         monkeypatch):
+    # Under a zero prior, step 1 is the pinned head: its norms are zero.
+    for argv in (["oracle-check", "--horizon", "5"], ["filter", "--N", "5"]):
+        assert run(argv + ["--model", "example_sec3", "--init-sigma", "0"],
+                   tmp_path / argv[0], monkeypatch) == 0
+    rows = {name: [line.split(",") for line in
+                   (tmp_path / cmd / name).read_text().splitlines()]
+            for cmd, name in (("oracle-check", "oracle_deltas.csv"),
+                              ("filter", "trace.csv"))}
+    ks = [["k", "1", "2", "3", "4", "5"]] * 2
+    assert [[row[0] for row in table] for table in rows.values()] == ks
+    assert rows["oracle_deltas.csv"][1][1:4] == ["0.0"] * 3
+
+
 def test_output_dir_env_override(tmp_path, monkeypatch):
     target = tmp_path / "env_out"
     monkeypatch.setenv("CUKF_OUTPUT_DIR", str(target))

@@ -32,8 +32,9 @@ from cukf.models import (EPS_G, ContinuousDiscreteModel, DiscreteLinearModel,
                          NonlinearModel, with_fixed_noise)
 from cukf.simulate import (monte_carlo_compare, simulate_batch, simulate_cd,
                            simulate_cd_batch, simulate_discrete)
-from cukf.wls import (_schur_factor, build_measurement_cost, build_time_cost,
-                      initial_cost, oracle_filter)
+from cukf.wls import (_inverse_cholesky, _schur_factor, _sweep,
+                      build_measurement_cost, build_time_cost, initial_cost,
+                      oracle_filter)
 
 from routes import (CD_ROUTES, FIELDS, N, Failure, check_cd_routes, outcome,
                     random_linear, route, same, stacked, table_tests)
@@ -551,6 +552,37 @@ def earlier_sweep(L, factors, last, R, ends):
             X[i, :, c:] = factor_solve(
                 factors[i], Y[i, :, c:] - L[i].T @ X[i + 1, :, c:])
     return X
+
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 3), st.integers(1, 12),
+       st.sampled_from(["ascending", "every block", "last block"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_sweep_matches_its_earlier_form(n, nb, ends_kind, seed):
+    # "every block" is the Newton checks' call, "last block" the
+    # BlockTridiagFactor solve's.  Where columns share an end block, the
+    # earlier form solved them in one matrix-matrix product, which a BLAS
+    # kernel with FMA may round otherwise than a product per column.
+    rng = np.random.default_rng(seed)
+
+    def factors():
+        A = rng.standard_normal((nb, n, n))
+        return np.array([_inverse_cholesky(S) for S in
+                         A @ A.swapaxes(1, 2) + 0.1 * np.eye(n)])
+
+    F, T = factors(), factors()
+    L = rng.standard_normal((nb - 1, n, n))
+    ends = {"ascending": np.sort(rng.integers(0, nb,
+                                              rng.integers(1, 2 * nb))),
+            "every block": np.arange(nb),
+            "last block": np.array([nb - 1])}[ends_kind]
+    R = rng.standard_normal((nb, n, len(ends)))
+    got, want = _sweep(L, F, T, R, ends), earlier_sweep(L, F, T, R, ends)
+    if np.unique(ends).size == ends.size:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def earlier_newton_checks(cost, factors, terminal, Dt, bt, starts):
