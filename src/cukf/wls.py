@@ -39,6 +39,17 @@ that read the model's coefficients and repeat the block binding's IEEE
 operations in the same order: each one-term matmul is a product added to
 +0.0.  So its outputs and errors are bit-identical to the block binding's,
 which every other model runs on (blocks, n, n) arrays.
+
+The Newton checks' sweeps and gradients have two bindings too, chosen by
+the block size alone (`_one_state`, which `_scalar_linear` reads as well):
+every n = 1 model, nonlinear or with m = 2 included, runs them on float
+blocks (0-d views, `_scalars`) with `np.multiply`, every other on the
+block arrays with `np.matmul`.  A float product keeps a -0.0 that a
+one-term matmul, its product added to +0.0, makes +0.0.  A zero's sign
+never changes a nonzero sum or product and the sweeps divide nothing, so
+the bindings differ only in the signs of zeros, and one + 0.0 at the end
+of each float sweep gives the block binding's bits; the gradients' zeros
+reach only the sweeps and the norms.
 """
 
 import math
@@ -55,10 +66,17 @@ from .discrete import StateEstimate, _check_sizes, _write_steps, symmetrize
 MAX_HORIZON = 500
 
 
+def _one_state(n):
+    """Whether blocks of n states take the float bindings: n = 1, where a
+    block product is one multiplication."""
+    return n == 1
+
+
 def _scalar_linear(model):
     """Whether `model` is linear with n = m = 1, so that the forward pass
     runs on Python floats."""
-    return isinstance(model, DiscreteLinearModel) and model.n == model.m == 1
+    return (isinstance(model, DiscreteLinearModel) and model.m == 1
+            and _one_state(model.n))
 
 
 @dataclass
@@ -341,34 +359,52 @@ def build_measurement_cost(cost: QuadraticCost, y, C, Sigma_w) -> QuadraticCost:
     return out
 
 
+def _scalars(blocks):
+    """The entries of (blocks, 1, 1) as 0-d float views, in order: a ufunc
+    converts a Python float operand on every call, but not a 0-d array."""
+    return list(np.nditer(blocks[:, 0, 0], ["zerosize_ok"], order="C"))
+
+
 def _sweep(L, factors, last, R, ends) -> np.ndarray:
     """Solve, for each column c of R (blocks, n, K), the leading system with
     couplings L (blocks - 1, n, n) that ends at block ends[c] (ascending).
     A block is factored by `last[i]` where a system ends and by `factors[i]`
     elsewhere, both (blocks, n, n).  Entries below a column's end are
     ignored and returned as zeros.  The end-block solves read only the
-    forward pass: one stacked product, a matrix-vector product per column."""
-    nb, _, K = R.shape
+    forward pass: one stacked product, a matrix-vector product per column.
+    One-state blocks are 0-d float views, multiplied elementwise (see the
+    module docstring)."""
+    nb, n, K = R.shape
     # first[i]: the first column whose system reaches block i.
     first = np.searchsorted(ends, np.arange(nb + 1)).tolist()
-    F, Ft, Lb, Lt = (list(a) for a in (factors, factors.swapaxes(1, 2),
-                                       L, L.swapaxes(1, 2)))
+    one = _one_state(n)
+    if one:  # a 1 x 1 block is its own transpose
+        F = Ft = _scalars(factors)
+        Lb = Lt = _scalars(L)
+        product = np.multiply
+    else:
+        F, Ft, Lb, Lt = (list(a) for a in (factors, factors.swapaxes(1, 2),
+                                           L, L.swapaxes(1, 2)))
+        product = np.matmul
     Y = np.zeros_like(R)
     Y[:1] = R[:1]  # a slice: a pinned head alone leaves no block
     for i in range(1, nb):
         c = first[i]
-        coupled = Lb[i - 1] @ (Ft[i - 1] @ (F[i - 1] @ Y[i - 1, :, c:]))
+        coupled = product(Lb[i - 1], product(Ft[i - 1], product(
+            F[i - 1], Y[i - 1, :, c:])))
         np.subtract(R[i, :, c:], coupled, out=Y[i, :, c:])
     X = np.zeros_like(R)
     cols = np.arange(K)
     E = last[ends]
-    end = E.swapaxes(1, 2) @ (E @ Y[ends, :, cols, None])
+    end = product(E.swapaxes(1, 2), product(E, Y[ends, :, cols, None]))
     X[ends, :, cols] = end[..., 0]
     for i in range(nb - 2, -1, -1):
         c = first[i + 1]
         if c < K:
-            np.matmul(Ft[i], F[i] @ (Y[i, :, c:] - Lt[i] @ X[i + 1, :, c:]),
-                      out=X[i, :, c:])
+            product(Ft[i], product(F[i], Y[i, :, c:] - product(
+                Lt[i], X[i + 1, :, c:])), out=X[i, :, c:])
+    if one:  # a one-term matmul's zero is +0.0
+        np.add(X, 0.0, out=X)
     return X
 
 
@@ -478,13 +514,17 @@ def _newton_checks(D, b, L, Dt, bt, factors, terminal, starts):
     nb, n = b.shape
     j = np.arange(nb)
     upper = np.triu(np.ones((nb, nb)))[:, None, :]
+    product = np.multiply if _one_state(n) else np.matmul
+    Lt = L.swapaxes(-1, -2)
 
     def gradients(Z):
-        # Column j of Z holds blocks 0..j of a point of prefix j.
-        G = D @ Z + b[..., None]
-        G[j, :, j] = (Dt @ Z[j, :, j, None])[..., 0] + bt
-        G[1:] += L @ Z[:-1]
-        G[:-1] += L.swapaxes(-1, -2) @ Z[1:]
+        # Column j of Z holds blocks 0..j of a point of prefix j.  At n = 1
+        # the signs of G's zeros reach only the sweeps, which return +0.0,
+        # and the norms.
+        G = product(D, Z) + b[..., None]
+        G[j, :, j] = product(Dt, Z[j, :, j, None])[..., 0] + bt
+        G[1:] += product(L, Z[:-1])
+        G[:-1] += product(Lt, Z[1:])
         return G * upper
 
     def norms(Z):

@@ -104,12 +104,14 @@ def stacked(steps):
 @contextlib.contextmanager
 def route(off=None):
     """Turn off the route `off` inside the block, "kernel" (every filter runs
-    the numpy loop) or "oracle floats" (the oracle's block binding runs),
-    and yield the routes taken in order: ("kernel", columns) per run of the
-    filter kernel, ("numpy loop", replicates) per `discrete._run_loop`,
-    ("floats", n) per path of the simulator's float loop; and a propagator's
-    builds, ("span", t0) on [t0, t1], ("affine", key) and ("generator",
-    key) per floored set, and ("propagate", t0) per slow interval."""
+    the numpy loop) or "oracle floats" (every float binding of the oracle at
+    once, through `wls._one_state`: its forward pass, sweeps and gradients
+    run on the block arrays), and yield the routes taken in order:
+    ("kernel", columns) per run of the filter kernel, ("numpy loop",
+    replicates) per `discrete._run_loop`, ("floats", n) per path of the
+    simulator's float loop; and a propagator's builds, ("span", t0) on
+    [t0, t1], ("affine", key) and ("generator", key) per floored set, and
+    ("propagate", t0) per slow interval."""
     taken = []
     with pytest.MonkeyPatch.context() as patch:
         for owner, attr, name, value in (
@@ -130,8 +132,8 @@ def route(off=None):
             patch.setattr(owner, attr, call)
         if off:
             patch.setattr({"kernel": "cukf.discrete._small_linear",
-                           "oracle floats": "cukf.wls._scalar_linear"}[off],
-                          lambda model: False)
+                           "oracle floats": "cukf.wls._one_state"}[off],
+                          lambda _: False)
         yield taken
 
 

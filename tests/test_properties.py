@@ -1,12 +1,12 @@
 """Property tests over random small models, some of which clamp g^2: a batch
 of replicates equals the same replicates run one at a time, the covariances
 keep their structure, the batched oracle equals its per-step Newton loop,
-the oracle's forward pass on Python floats equals its block binding bit
-for bit, model files round-trip, and a batch of simulated paths equals its
-one-path runs and an ordered-sum reference.  The closed-form scalar
-innovation factor and the oracle's closed-form 1 x 1 Schur factor equal
-their LAPACK form bit for bit.  Every property of the suite runs under the
-profile and with the seed of conftest.py."""
+the oracle's float bindings (forward pass, sweeps and gradients) equal its
+block binding bit for bit, model files round-trip, and a batch of
+simulated paths equals its one-path runs and an ordered-sum reference.
+The closed-form scalar innovation factor and the oracle's closed-form
+1 x 1 Schur factor equal their LAPACK form bit for bit.  Every property of
+the suite runs under the profile and with the seed of conftest.py."""
 
 from dataclasses import astuple
 
@@ -19,7 +19,7 @@ from cukf.discrete import (StateEstimate, _inverse_factor, run_filter,
 from cukf import modelio
 from cukf.errors import IndefiniteHessianError
 from cukf.models import (ContinuousDiscreteModel, DiscreteLinearModel,
-                         with_fixed_noise)
+                         NonlinearModel, gain_from_affine, with_fixed_noise)
 from cukf.simulate import (TrajectoryData, innovation_whiteness,
                            simulate_batch, simulate_cd, simulate_cd_batch,
                            simulate_discrete)
@@ -214,15 +214,19 @@ def test_oracle_matches_per_step_newton_loop(case):
 
 @st.composite
 def scalar_oracle_cases(draw):
-    """(model, measurements (N, 1), init) of a linear n = m = 1 model, N
-    from 1 to 60: about a third of A0, A1, the g^2 row, C, xhat_0 and the
-    measurements are +0.0 or -0.0 (a measurement may be +-5e-324), some
-    g^2 rows floor, a third of the models are fixed-beta baselines, the
-    prior is pinned or positive, some Sigma_w are so small that the oracle
-    refuses them (C' Sigma_w^{-1} C or C' Sigma_w^{-1} y overflows) or that
-    a Newton check overflows, and some Sigma_v so small that a Hessian
-    Schur complement overflows."""
+    """(model, measurements (N, m), init) of a one-state model, N from 1 to
+    60: a linear model with m = 1, whose forward pass runs on floats, or
+    one that the forward pass leaves to blocks while the Newton checks run
+    on floats, linear with m = 2 or logistic-like (f(x) = x + r x (1 -
+    x / K), g^2 affine).  About a third of the drift and g^2 coefficients,
+    C, xhat_0 and the measurements are +0.0 or -0.0 (a measurement may be
+    +-5e-324), some g^2 rows floor, a third of the linear models are
+    fixed-beta baselines, the prior is pinned or positive, some Sigma_w are
+    so small that the oracle refuses them (C' Sigma_w^{-1} C or
+    C' Sigma_w^{-1} y overflows) or that a Newton check overflows, and some
+    Sigma_v so small that a Hessian Schur complement overflows."""
     N = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["linear", "two outputs", "logistic"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
 
     def signed(value):
@@ -231,17 +235,30 @@ def scalar_oracle_cases(draw):
         return value
 
     tiny, tiny_v = rng.random(2) < 0.2
-    model = DiscreteLinearModel(
-        A0=[signed(rng.standard_normal())], A1=[[signed(rng.uniform(-1, 1))]],
-        C=[[signed(rng.uniform(1, 10) if tiny else rng.standard_normal())]],
-        gsq=[[signed(rng.uniform(-1.0, 5.0)), signed(rng.uniform(-2.0, 2.0))]],
+    m = 2 if kind == "two outputs" else 1
+    common = dict(  # the fields of both model kinds
+        C=[[signed(rng.uniform(1, 10) if tiny else rng.standard_normal())]
+           for _ in range(m)],
         Sigma_v=[[10 ** rng.uniform(-296.2, -290.0) if tiny_v
                   else rng.uniform(0.1, 2.0)]],
-        Sigma_w=[[10 ** rng.uniform(-307.9, -306.0) if tiny
-                  else rng.uniform(0.1, 2.0)]])
-    if rng.random() < 1 / 3:
-        model = with_fixed_noise(model, rng.uniform(0.1, 2.0))
-    ys = simulate_discrete(model, rng.standard_normal(), N,
+        Sigma_w=np.diag(10 ** rng.uniform(-307.9, -306.0, m) if tiny
+                        else rng.uniform(0.1, 2.0, m)))
+    gsq = [[signed(rng.uniform(-1.0, 5.0)), signed(rng.uniform(-2.0, 2.0))]]
+    if kind == "logistic":
+        r, K = signed(rng.uniform(0.0, 0.5)), rng.uniform(20.0, 200.0)
+        model = NonlinearModel(
+            f=lambda x: x + r * x * (1.0 - x / K),
+            Df=lambda x: np.array([[1.0 + r - 2.0 * r * x[0] / K]]),
+            G=gain_from_affine(gsq), n=1, **common)
+        x0 = rng.uniform(0.25 * K, K)
+    else:
+        model = DiscreteLinearModel(
+            A0=[signed(rng.standard_normal())],
+            A1=[[signed(rng.uniform(-1, 1))]], gsq=gsq, **common)
+        if rng.random() < 1 / 3:
+            model = with_fixed_noise(model, rng.uniform(0.1, 2.0))
+        x0 = rng.standard_normal()
+    ys = simulate_discrete(model, x0, N,
                            int(rng.integers(1 << 31))).measurements
     ys[rng.random(N) < 1 / 3] = rng.choice([0.0, -0.0, 5e-324, -5e-324])
     Sigma0 = 0.0 if rng.random() < 0.5 else rng.uniform(0.1, 4.0)
@@ -257,9 +274,17 @@ def scalar_oracle_cases(draw):
                               gsq=[[0.11, 0.0]], Sigma_v=[[1.0]],
                               Sigma_w=[[0.5]]),
           np.array([[0.0], [-5e-324]]), StateEstimate([0.0], [[0.0]])))
+# m = 2: the first gradient entry, -2e-323, solves to a product that
+# underflows, -0.0 on floats and +0.0 from the one-term matmul; without the
+# sweep's closing + 0.0, step 2's first block would be +0.0, not -0.0.
+@example((DiscreteLinearModel(A0=[0.0], A1=[[0.5]], C=[[2.0], [0.0]],
+                              gsq=[[1.0, 0.0]], Sigma_v=[[1.0]],
+                              Sigma_w=0.5 * np.eye(2)),
+          np.full((2, 2), 5e-324), StateEstimate([0.0], [[1.0]])))
 def test_scalar_oracle_floats_equal_its_blocks_bit_for_bit(case):
     # A linear n = m = 1 model runs the oracle's forward pass on Python
-    # floats; with the route predicate patched it runs on the block arrays.
+    # floats, and every n = 1 model its Newton-check sweeps and gradients;
+    # with the route predicate patched, all of them run on the block arrays.
     same(outcome(lambda: oracle_filter(*case)),
          outcome(lambda: oracle_filter(*case), "oracle floats"))
 
