@@ -10,12 +10,12 @@ for the matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26(4),
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .discrete import (FilterTrace, StateEstimate, _check_sizes, _compiled,
-                       _predictor, _products, _run, _stepped)
+                       _predictor, _products, _run, _stepped, _upper)
 from .errors import (LengthMismatchError, NonFiniteStateError,
                      StepTooLargeError)
 from .models import EPS_G, ContinuousDiscreteModel, DiscreteLinearModel, eval_G
@@ -47,6 +47,14 @@ _PADE = (
                          33522128640., 1323241920., 40840800., 960960.,
                          16380., 182., 1.)),
 )
+
+
+@functools.lru_cache(maxsize=None)
+def _identity(size):
+    """np.eye(size), made once per size and read-only."""
+    eye = np.eye(size)
+    eye.flags.writeable = False
+    return eye
 
 
 def _expm(A: np.ndarray) -> np.ndarray:
@@ -85,11 +93,14 @@ def _expm(A: np.ndarray) -> np.ndarray:
         A = A / 2.0 ** s
     # r_m(A) = (V - U)^{-1} (V + U), U = odd part and V = even part of the
     # numerator, both sums over the even powers I, A^2, ..., A^(m-1).
-    powers = [np.eye(len(A)), A @ A]
+    powers = [_identity(len(A)), A @ A]
     while len(powers) < len(b) // 2:
         powers.append(powers[-1] @ powers[1])
-    U = A @ sum(c * P for c, P in zip(b[1::2], powers))
-    V = sum(c * P for c, P in zip(b[::2], powers))
+    U = V = 0  # each sum 0 + term_0 + term_1 + ..., in this order
+    for c_even, c_odd, P in zip(b[::2], b[1::2], powers):
+        V = V + c_even * P
+        U = U + c_odd * P
+    U = A @ U
     E = np.linalg.solve(V - U, V + U)
     with np.errstate(over="ignore", invalid="ignore"):  # the caller tests E z
         for _ in range(s):
@@ -223,6 +234,40 @@ def _interval(n):
     return _compiled(src, "step", True)
 
 
+class _Layout(NamedTuple):
+    """The index tables of an n-state `_Propagator` (`_layout`)."""
+
+    bits: np.ndarray    # bit i of a floored set's key, per g2_i
+    diag: np.ndarray    # the rows of Sigma_ii in vec Sigma
+    direct: np.ndarray  # E's flat indices of psi, then Phi by rows
+    q_ij: np.ndarray    # of Q0 and Q_l (l < n) in Sigma_ij's row, per i <= j
+    q_ji: np.ndarray    # the same columns of Sigma_ji's row
+    z: np.ndarray       # [0; vec 0; 1], a template for z
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(n):
+    """`_Layout` of n states, made once per n, its arrays read-only.  E,
+    the exponential of the generator of z = [x; vec Sigma; 1], is N x N,
+    N = n + n^2 + 1, and `affine` reads its coefficients off E's flat
+    indices: psi = E[:n, -1], Phi = E[:n, :n] and, per i <= j, the columns
+    1 and x_l of Sigma_ij's and Sigma_ji's rows."""
+    N = n + n * n + 1
+    i, j = _upper(n)  # the upper triangle of Sigma, by rows
+    cols = np.array([N - 1, *range(n)])  # the columns 1 and x_l of E
+    rows = np.arange(n)
+    z = np.zeros(N)
+    z[-1] = 1.0
+    layout = _Layout(
+        1 << rows, n + rows * (n + 1),
+        np.concatenate((rows * N + N - 1, (rows[:, None] * N + rows).ravel())),
+        ((n + j * n + i)[:, None] * N + cols).ravel(),
+        ((n + i * n + j)[:, None] * N + cols).ravel(), z)
+    for a in layout:
+        a.flags.writeable = False
+    return layout
+
+
 class _Propagator:
     """Moment propagation for one model over one run at the sample times
     `times`: the time update from times[k] to times[k + 1] as generated
@@ -265,6 +310,14 @@ class _Propagator:
     coefficients, like E, come from `_expm`'s matmuls, so CD traces still
     depend on the BLAS kernel; the per-interval sums do not.
 
+    The set-up does no more than these entries need, with the bits of its
+    first form (`tests/reference_impl.py`): the index tables come from
+    `_layout`, once per n; M's Kronecker sum A1 (x) I + I (x) A1 is formed
+    by broadcasting, as np.kron's products summed; the node map's powers
+    of the half-step propagator double into one preallocated stack.
+    Nothing is shared across runs of one model: a cache on the model would
+    hold every grid it met, up to 2 * 10^5 + 1 nodes per span.
+
     Its numpy calls run under the np.errstate of the filter loop (or of
     `discrete._stepped`), entered once per run: a value that overflows is
     tested where `propagate` tests z.
@@ -277,17 +330,18 @@ class _Propagator:
         self.step = step
         self._ts = ts = list(times)
         n = dyn.n
-        self._z = np.r_[np.zeros(n * (n + 1)), 1.0]
+        self._layout = layout = _layout(n)
+        self._z = layout.z.copy()
         self.sv = np.diag(dyn.Sigma_v)
         self.cut_intervals = 0
         self.cuts = 0
-        self._bits = 1 << np.arange(n)  # bit i of a floored set's key
+        self._bits = layout.bits
         self._generators = {}  # floored set -> M
         self._records = {}     # canonical length -> its record
-        gaps = {0.0: [(math.nan,) * (2 * n * (n + 1))]}  # gap -> record
-        self.coeffs = [gaps.get(gap) or gaps.setdefault(
-            gap, self._record(_canonical(gap)))
-            for gap in (t1 - t0 for t0, t1 in zip(ts, ts[1:]))]
+        gaps = [t1 - t0 for t0, t1 in zip(ts, ts[1:])]
+        records = {gap: self._record(_canonical(gap)) if gap else
+                   [(math.nan,) * (2 * n * (n + 1))] for gap in set(gaps)}
+        self.coeffs = list(map(records.__getitem__, gaps))
 
     def _record(self, span):
         """The record of the canonical length `span`, nothing built."""
@@ -311,20 +365,30 @@ class _Propagator:
         Mx = np.zeros((n + 1, n + 1))  # mean generator acting on [1; x]
         Mx[1:, 0] = dyn.A0
         Mx[1:, 1:] = dyn.A1
-        # Powers 0..2*nsteps of the half-step propagator, by doubling.
-        P = np.eye(n + 1)[None]
+        # Powers 0..2*nsteps of the half-step propagator, by doubling: powers
+        # m..m+k-1 are power^m times powers 0..k-1.
+        P = np.empty((2 * nsteps + 1, n + 1, n + 1))
+        P[0] = _identity(n + 1)
         power = _expm(Mx * (span / (2 * nsteps)))
-        while P.shape[0] <= 2 * nsteps:
-            P = np.concatenate((P, power @ P))
+        m = 1
+        while True:
+            k = min(m, len(P) - m)
+            np.matmul(power, P[:k], out=P[m:m + k])
+            m += k
+            if m == len(P):
+                break
             power = power @ power
-        W = (dyn.gsq @ P[:2 * nsteps + 1]).reshape(-1, n + 1)
+        W = (dyn.gsq @ P).reshape(-1, n + 1)
         nodes = W.reshape(-1, n, n + 1)
-        lo, hi = nodes.min(axis=0), nodes.max(axis=0)
+        bounds = []
+        for los, his in zip(nodes.min(axis=0).tolist(),
+                            nodes.max(axis=0).tolist()):  # per g2_i
+            bounds += [0.5 * lo + 0.5 * hi for lo, hi in zip(los, his)]
+            # A NaN lo or hi makes a NaN width, whichever max() returns.
+            bounds += [0.5 * hi - 0.5 * lo + _MARGIN * max(-lo, hi)
+                       for lo, hi in zip(los, his)]
         record = self._record(span)
-        record[0] = tuple(np.concatenate(
-            (0.5 * lo + 0.5 * hi,
-             0.5 * hi - 0.5 * lo + _MARGIN * np.maximum(-lo, hi)),
-            axis=1).ravel().tolist())
+        record[0] = tuple(bounds)
         record[-2] = W[:, 0], W[:, 1:]
         return record[-2]
 
@@ -337,13 +401,18 @@ class _Propagator:
         floored = (self._bits & key) > 0
         dyn = self.dyn
         n = dyn.n
+        A, eye = dyn.A1, _identity(n)
         M = np.zeros((n + n * n + 1, n + n * n + 1))
-        M[:n, :n] = dyn.A1
+        M[:n, :n] = A
         M[:n, -1] = dyn.A0
-        eye = np.eye(n)
-        diag = n + np.arange(n) * (n + 1)   # rows of Sigma_ii in vec Sigma
-        # An entry that overflows is inf; _expm then raises.
-        M[n:-1, n:-1] = np.kron(dyn.A1, eye) + np.kron(eye, dyn.A1)
+        diag = self._layout.diag
+        # The Kronecker sum A1 (x) I + I (x) A1 by broadcasting, entry
+        # [(i, k), (j, l)] the sum A1_ij I_kl + I_ij A1_kl of np.kron's two
+        # products, so a -0.0 product keeps its sign.  An entry that
+        # overflows is inf; _expm then raises.
+        M[n:-1, n:-1] = (A[:, None, :, None] * eye[None, :, None, :]
+                         + eye[:, None, :, None] * A[None, :, None, :]
+                         ).reshape(n * n, n * n)
         M[diag, :n] = np.where(floored[:, None], 0.0,
                                self.sv[:, None] * dyn.gsq[:, 1:])
         M[diag, -1] = self.sv * np.where(floored, EPS_G, dyn.gsq[:, 0])
@@ -414,12 +483,10 @@ class _Propagator:
         `key`, once its node map is built, stored in its record."""
         t0, t1 = self._ts[k], self._ts[k + 1]
         record = self.coeffs[k]
-        n = self.dyn.n
         E = self._exponential(record[-1], key, _canonical(t1 - t0))
-        i, j = np.triu_indices(n)
-        Q = 0.5 * (E[n + j * n + i] + E[n + i * n + j])  # rows of (i, j)
-        coefs = np.concatenate((E[:n, -1], E[:n, :n].ravel(),
-                                Q[:, np.r_[-1, :n]].ravel()))
+        layout, flat = self._layout, E.ravel()
+        coefs = np.concatenate((flat[layout.direct], 0.5 * (
+            flat[layout.q_ij] + flat[layout.q_ji])))
         if not np.isfinite(E).all():
             coefs[:] = np.nan
         record[1 + key] = coefs = tuple(coefs.tolist())
@@ -443,7 +510,7 @@ class _Propagator:
         symmetric on the way in, as `_blue_step` leaves it; Sigma leaves
         symmetric."""
         n = self.dyn.n
-        iu = np.triu_indices(n)
+        iu = _upper(n)
         *xP, floored = _interval(n)(self, k, *Z[0, :, 0].tolist(),
                                     *Z[0, :, 1:][iu].tolist())
         out[0, :, 0] = xP[:n]
@@ -489,8 +556,9 @@ def cd_run(model: ContinuousDiscreteModel, measurements, init: StateEstimate,
     prop = _Propagator(_inner(model), step, times.tolist())
     trace = next(_run([prop.dyn], ms[None], init.xhat[None],
                       init.Sigma[None], prop)).replicate(0)
-    return replace(trace, times=times.copy(), step_count=prop.cuts,
-                   fallback_intervals=prop.cut_intervals)
+    trace.times, trace.step_count, trace.fallback_intervals = (
+        times.copy(), prop.cuts, prop.cut_intervals)
+    return trace
 
 
 @dataclass(frozen=True)

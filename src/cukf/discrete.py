@@ -10,7 +10,7 @@ import functools
 import itertools
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -82,6 +82,16 @@ def _write_steps(path, ks, times, names, cols):
             fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
 
 
+@functools.lru_cache(maxsize=None)
+def _upper(n):
+    """np.triu_indices(n), the upper triangle of an n x n matrix by rows,
+    made once per n, its arrays read-only."""
+    iu = np.triu_indices(n)
+    for a in iu:
+        a.flags.writeable = False
+    return iu
+
+
 def symmetrize(S: np.ndarray) -> np.ndarray:
     """Symmetric part of a matrix, or of each matrix in a stack."""
     return 0.5 * (S + S.swapaxes(-1, -2))
@@ -144,18 +154,19 @@ class FilterTrace:
         """Replicate r of a batch trace, as a single-run trace; for a slice
         r, the batch trace of those replicates."""
         clamps = self.clamp_count[r]
-        return replace(
-            self, xhat_prior=self.xhat_prior[r], Sigma_prior=self.Sigma_prior[r],
-            xhat_post=self.xhat_post[r], Sigma_post=self.Sigma_post[r],
-            innovation=self.innovation[r], S=self.S[r], gain=self.gain[r],
-            clamp_count=clamps if isinstance(r, slice) else int(clamps))
+        return FilterTrace(
+            self.indices, self.xhat_prior[r], self.Sigma_prior[r],
+            self.xhat_post[r], self.Sigma_post[r], self.innovation[r],
+            self.S[r], self.gain[r], self.times,
+            clamps if isinstance(r, slice) else int(clamps), self.step_count,
+            self.fallback_intervals)
 
     def to_csv(self, path):
         """One row per step: k, [t,] xhat_prior, xhat_post, innovation,
         S diagonal, upper triangle of Sigma_post."""
         n = self.xhat_post.shape[1]
         m = self.innovation.shape[1]
-        iu = np.triu_indices(n)
+        iu = _upper(n)
         _write_steps(
             path, map(int, self.indices), self.times,
             [f"xhat_prior_{i}" for i in range(n)]
@@ -261,6 +272,8 @@ def _check_finite(first_step, *stacks, S=None):
     of the named `stacks`, pairs (name, (R, K, ...) array), is non-finite,
     naming its first failing replicate and, for that replicate, the first
     such stack; SingularInnovationError if S[:, k, 0, 0] is not > 0."""
+    if all(np.isfinite(a).all() for _, a in stacks):
+        return
     oks = [np.isfinite(a).all(axis=tuple(range(2, a.ndim)))
            for _, a in stacks]
     ok = np.logical_and.reduce(oks)
@@ -551,21 +564,23 @@ def _kernel(n, m, floats, cd):
 def _linear_steps(models, R, prop=None):
     """`_filtered`'s steps for the `_small_linear` models, which share n and
     m, over R replicates each: one batch of F R columns through `_kernel`,
-    model i in columns i R to (i + 1) R, with Python floats for one column.
+    model i in columns i R to (i + 1) R.  One column binds its model's
+    coefficients as a list of Python floats, with no array of columns.
     The propagator `prop`, if given, makes the time update of a
     continuous-discrete run (see `_kernel`)."""
     n, m = models[0].n, models[0].m
-    coefs = np.repeat(np.array([np.concatenate((
+    coefs = [np.concatenate((
         model.C.ravel(), model.Sigma_w.ravel(), model.A1.ravel(),
         model.A0 + 0.0, np.diag(model.Sigma_v) + 0.0, model.gsq[:, 0],
-        model.gsq[:, 1:].ravel())) for model in models]).T, R, axis=1)
-    floats = coefs.shape[1] == 1
+        model.gsq[:, 1:].ravel())) for model in models]
+    floats = len(models) * R == 1
+    coefs = (coefs[0].tolist() if floats
+             else np.repeat(np.array(coefs).T, R, axis=1))
     kernel = _kernel(n, m, floats, prop is not None)
 
     def steps(prior, post, W, S, Kt, tr):
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            return kernel(coefs[:, 0].tolist() if floats else coefs, prior,
-                          post, W, S, Kt, prop)
+            return kernel(coefs, prior, post, W, S, Kt, prop)
 
     return steps
 
@@ -621,7 +636,9 @@ def _run(models, measurements, xhat, Sigma, prop=None):
     numpy loop, whose LAPACK factor decides the error as it always has:
     where S is singular in exact arithmetic, rounding decides which step
     fails, and the kernel rounds otherwise.  A continuous-discrete run's
-    propagator `prop` gives the time update.
+    propagator `prop` gives the time update.  `_filtered` copies the
+    inputs into its own buffers, so a one-model batch takes them as they
+    are, and its trace as `_filtered` returns it; F > 1 models tile them.
     Sizes that do not fit a model raise LengthMismatchError."""
     def loop(model):
         if prop:  # the kernel's cuts are not the trace's
@@ -639,20 +656,22 @@ def _run(models, measurements, xhat, Sigma, prop=None):
         return
     for model in models:
         _check_sizes(model.m, model.n, measurements, xhat, Sigma)
-    n = models[0].n
+    batch = measurements, xhat, Sigma
+    if F > 1:  # tiled to F R columns
+        n = models[0].n
+        batch = (np.tile(np.asarray(measurements, dtype=float), (F, 1, 1)),
+                 np.tile(xhat, (F, 1)),
+                 np.tile(np.broadcast_to(Sigma, (R, n, n)), (F, 1, 1)))
     try:
-        tr = _filtered(
-            np.tile(np.asarray(measurements, dtype=float), (F, 1, 1)),
-            np.tile(xhat, (F, 1)),
-            np.tile(np.broadcast_to(Sigma, (R, n, n)), (F, 1, 1)), 1,
-            _linear_steps(models, R, prop))
+        tr = _filtered(*batch, 1, _linear_steps(models, R, prop))
     except (FilterError, ValueError):  # the numpy loop decides the error
         tr = None
     for i, model in enumerate(models):
         trace = None
         if tr is not None:
             with contextlib.suppress(FilterError):
-                trace = _checked(tr.replicate(slice(i * R, (i + 1) * R)))
+                trace = _checked(tr if F == 1 else
+                                 tr.replicate(slice(i * R, (i + 1) * R)))
         yield loop(model) if trace is None else trace
 
 

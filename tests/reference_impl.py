@@ -187,6 +187,68 @@ def split_rk4(dyn, x, S, span, step=1e-4):
     return x, S
 
 
+# The continuous-discrete propagator's set-up as it was first written, kept
+# as the pin of the faster one in cukf.continuous, bit for bit.  A floored
+# set `key` has bit i set for a g2_i held at EPS_G; `expm` is the matrix
+# exponential that both share (the set-up around it is what is pinned).
+
+def kron_generator(dyn, key):
+    """M of z' = M z, z = [x; vec Sigma; 1], with the g2_i of the floored
+    set `key` at EPS_G: its Kronecker sum A1 (x) I + I (x) A1 as the sum of
+    two np.kron products."""
+    n = dyn.n
+    floored = ((1 << np.arange(n)) & key) > 0
+    sv = np.diag(dyn.Sigma_v)
+    M = np.zeros((n + n * n + 1, n + n * n + 1))
+    M[:n, :n] = dyn.A1
+    M[:n, -1] = dyn.A0
+    eye = np.eye(n)
+    diag = n + np.arange(n) * (n + 1)  # rows of Sigma_ii in vec Sigma
+    M[n:-1, n:-1] = np.kron(dyn.A1, eye) + np.kron(eye, dyn.A1)
+    M[diag, :n] = np.where(floored[:, None], 0.0, sv[:, None] * dyn.gsq[:, 1:])
+    M[diag, -1] = sv * np.where(floored, EPS_G, dyn.gsq[:, 0])
+    return M
+
+
+def concatenated_node_map(dyn, span, nsteps, expm, margin):
+    """(w0, W1, bounds) of an interval of length `span` on a grid of nsteps
+    steps: W = [w0 W1] maps [1; x] to g2 at the 2 nsteps + 1 nodes half a
+    step apart, the powers of the half-step propagator made by doubling a
+    stack with np.concatenate; per g2_i and column of W, the midpoint of
+    its extremes over the nodes, then the half-range widened by `margin`
+    times the largest magnitude, as one tuple."""
+    n = dyn.n
+    Mx = np.zeros((n + 1, n + 1))
+    Mx[1:, 0] = dyn.A0
+    Mx[1:, 1:] = dyn.A1
+    P = np.eye(n + 1)[None]
+    power = expm(Mx * (span / (2 * nsteps)))
+    while P.shape[0] <= 2 * nsteps:
+        P = np.concatenate((P, power @ P))
+        power = power @ power
+    W = (dyn.gsq @ P[:2 * nsteps + 1]).reshape(-1, n + 1)
+    nodes = W.reshape(-1, n, n + 1)
+    lo, hi = nodes.min(axis=0), nodes.max(axis=0)
+    bounds = np.concatenate(
+        (0.5 * lo + 0.5 * hi,
+         0.5 * hi - 0.5 * lo + margin * np.maximum(-lo, hi)), axis=1)
+    return W[:, 0], W[:, 1:], tuple(bounds.ravel().tolist())
+
+
+def triu_affine(E, n):
+    """The affine coefficients that the exponential E of z's generator
+    holds: psi = E[:n, -1], Phi = E[:n, :n] by rows, then per i <= j (by
+    np.triu_indices) Q0_ij and Q_l,ij, the columns 1 and x_l (np.r_) of
+    Sigma_ij's and Sigma_ji's rows averaged; all NaN if E is not finite."""
+    i, j = np.triu_indices(n)
+    Q = 0.5 * (E[n + j * n + i] + E[n + i * n + j])
+    coefs = np.concatenate((E[:n, -1], E[:n, :n].ravel(),
+                            Q[:, np.r_[-1, :n]].ravel()))
+    if not np.isfinite(E).all():
+        coefs[:] = np.nan
+    return tuple(coefs.tolist())
+
+
 def ordered_affine(A, x, b=None):
     """A x + b as Python floats: output i is the sum (A[i][0] x[0] + ... +
     A[i][n-1] x[n-1]) + b[i], taken left to right with one rounding per

@@ -7,15 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 from cukf.builtin import birth_death_cle, example_sec3
 from cukf.cli import parse_and_dispatch
-from cukf.continuous import (_PADE, _Propagator, _expm, _interval, cd_run,
-                             cd_time_update, default_config, euler_limit_check)
+from cukf.continuous import (_MARGIN, _PADE, _Propagator, _canonical, _expm,
+                             _interval, cd_run, cd_time_update, default_config,
+                             euler_limit_check)
 from cukf.discrete import StateEstimate, time_update
 from cukf.errors import NonFiniteStateError
 from cukf.models import ContinuousDiscreteModel, DiscreteLinearModel
 from cukf.simulate import simulate_cd
 
-from reference_impl import (EPS_G, _rk4, classical_cd_kf, floor_crossings,
-                            random_constant_noise_model, rel_err, split_rk4,
+from reference_impl import (EPS_G, _rk4, classical_cd_kf,
+                            concatenated_node_map, floor_crossings,
+                            kron_generator, random_constant_noise_model,
+                            rel_err, split_rk4, triu_affine,
                             vanloan_discretize)
 from routes import (CD_ROUTES, MODELS, SHIPPED, cd_model, check_cd_routes,
                     linear_cd, route, simulated, table_tests)
@@ -397,6 +400,66 @@ def test_the_generated_interval_is_propagate_where_its_bounds_decide(case):
     for g, w in zip(got[:2], want[:2]):
         g, w = np.array(g), np.array(w)
         assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+
+@st.composite
+def set_up_cases(draw):
+    """(model, gap, nsteps) for one interval [0, gap] of n <= 3 states on a
+    grid of nsteps steps: A1 with a negative entry off the diagonal (n > 1)
+    and entries of +0.0 and -0.0, whose Kronecker sum has -0.0 entries; A0
+    and the g2 rows with zeros too; g2_0 floored at the origin; a gap of 0
+    or up to 2; nsteps whose 2 nsteps + 1 nodes are 2^k + 1 (1, 8) or not
+    (7, 100)."""
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A1 = rng.standard_normal((n, n))
+    A1 *= rng.uniform(0.1, 2.0) / max(np.abs(np.linalg.eigvals(A1)).max(), 1e-6)
+    if n > 1:
+        A1[0, 1] = -abs(A1[0, 1])
+    zeros = rng.random((n, n))
+    A1[zeros < 0.2], A1[zeros > 0.8] = 0.0, -0.0
+    A0 = 5.0 * rng.standard_normal(n) * (rng.random(n) < 0.7)
+    gsq = np.column_stack([rng.choice([1.0, 1e3], n) * rng.standard_normal(n),
+                           rng.standard_normal((n, n))])
+    gsq[:, 1:][rng.random((n, n)) < 0.3] = -0.0
+    gsq[0, 0] = -1.0
+    model = DiscreteLinearModel(
+        A0=A0, A1=A1, C=np.eye(n), gsq=gsq,
+        Sigma_v=np.diag(rng.uniform(0.5, 2.0, n)), Sigma_w=np.eye(n))
+    gap = draw(st.sampled_from([0.0, 0.0, 0.05, 0.1, 0.5, 1.0, 2.0]))
+    return model, gap, draw(st.sampled_from([1, 7, 8, 100]))
+
+
+@settings(max_examples=100)
+@given(set_up_cases())
+def test_the_propagator_set_up_is_its_first_form_bit_for_bit(case):
+    # The set-up of a span (node map and bounds) and of every floored set
+    # (generator and affine coefficients) equals, byte for byte, the form
+    # kept in reference_impl: Kronecker products, a concatenated doubling,
+    # triu_indices.  A Kronecker sum accumulated into zeros turns a -0.0
+    # entry of M into +0.0, and fails here.
+    model, gap, nsteps = case
+    n = model.n
+    span = _canonical(gap) if gap else 1.0
+    prop = _Propagator(model, span / nsteps, [0.0, gap])
+
+    def same_bytes(got, want):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    if not gap:  # NaN bounds, which decide nothing, and nothing else
+        assert len(prop.coeffs[0]) == 1
+        same_bytes(prop.coeffs[0][0], np.full(2 * n * (n + 1), np.nan))
+        return
+    w0, W1, bounds = concatenated_node_map(model, span, nsteps, _expm,
+                                           _MARGIN)
+    for got, want in zip(prop._new_span(span, 0.0, gap), (w0, W1)):
+        same_bytes(got, want)
+    assert len(w0) == n * (2 * nsteps + 1)
+    same_bytes(prop.coeffs[0][0], bounds)
+    for key in range(2 ** n):
+        M = kron_generator(model, key)
+        same_bytes(prop._generator(key), M)
+        same_bytes(prop.affine(0, key), triu_affine(_expm(M * span), n))
 
 
 def test_models_built_in_a_loop_each_get_their_own_exponential():

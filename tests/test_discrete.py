@@ -3,7 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from cukf.builtin import example_sec3
+from cukf.builtin import example_sec3, logistic
+from cukf.continuous import cd_run
 from cukf.discrete import (FilterTrace, StateEstimate, _write_csv,
                            measurement_update, run_filter, run_filter_batch,
                            time_update)
@@ -11,7 +12,8 @@ from cukf.models import DiscreteLinearModel, with_fixed_noise
 from cukf.simulate import simulate_discrete
 
 from reference_impl import random_constant_noise_model, rel_err, textbook_kf
-from routes import outcome, route, same
+from routes import (PARTIAL_FLOOR, outcome, random_linear, route, same,
+                    simulated)
 from test_failures import failure_tests
 from test_writer import csv_writer_text, two_state_layout
 
@@ -188,6 +190,70 @@ def test_clamps_are_counted_from_the_posteriors_that_a_time_update_follows():
         same(outcome(lambda: run_filter_batch(model, ms[r:r + 1],
                                               xhat[r:r + 1], Sigma)),
              outcome(lambda: numpy_loop.replicate(slice(r, r + 1))))
+
+
+def read_only(a):
+    """A read-only float copy of `a`."""
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+def batch_runs(model):
+    """(id, run, inputs) per run of `model` over read-only inputs: one
+    replicate through run_filter, and R = 1 and R = 4 replicates through
+    run_filter_batch with a shared and a stacked Sigma."""
+    rng = np.random.default_rng(3)
+    n, m = model.n, model.m
+    runs = []
+    for R in (1, 4):
+        ms, xhat = read_only(rng.uniform(1, 2, (R, 9, m))), read_only(
+            rng.uniform(1, 2, (R, n)))
+        for how, Sigma in (("shared", read_only(np.eye(n))),
+                           ("stacked", read_only(np.tile(np.eye(n), (R, 1, 1))))):
+            runs.append((f"batch-R{R}-{how}",
+                         lambda ms=ms, xhat=xhat, Sigma=Sigma:
+                         run_filter_batch(model, ms, xhat, Sigma),
+                         (ms, xhat, Sigma)))
+    init = StateEstimate(read_only(np.ones(n)), read_only(np.eye(n)))
+    ms = read_only(rng.uniform(1, 2, (9, m)))
+    runs.append(("one", lambda: run_filter(model, ms, init),
+                 (ms, init.xhat, init.Sigma)))
+    return runs
+
+
+def cd_runs(name):
+    """(id, run, inputs) of one cd_run of the continuous-discrete model
+    `name` (see `routes.simulated`) over read-only inputs, its sample times
+    included (a model keeps them read-only)."""
+    model, ms, prior = simulated(name, 3.0, 0)
+    ms = read_only(ms)
+    init = StateEstimate(read_only(prior.xhat), read_only(prior.Sigma), 0.0)
+    return [("cd", lambda: cd_run(model, ms, init),
+             (ms, init.xhat, init.Sigma, model.sample_times))]
+
+
+@pytest.mark.parametrize("run, inputs", [
+    pytest.param(run, inputs, id=f"{name}-{case}") for name, runs in [
+        ("sec3", batch_runs(example_sec3())),
+        ("two-state", batch_runs(random_linear(np.random.default_rng(4), 2, 2))),
+        ("logistic", batch_runs(logistic())),
+        ("birth-death", cd_runs("birth_death_cle")),
+        ("two-species", cd_runs("two_species_cle.txt")),
+        ("partial-floor", cd_runs(PARTIAL_FLOOR))]
+    for case, run, inputs in runs])
+def test_a_run_neither_writes_into_its_inputs_nor_returns_views_of_them(
+        run, inputs):
+    # The kernel, the numpy loop and the continuous-discrete runs copy
+    # every input into their own buffers: a write into a read-only input
+    # would raise, and no trace field may share memory with an input.
+    copies = [a.copy() for a in inputs]
+    trace = run()
+    for name, field in vars(trace).items():
+        if isinstance(field, np.ndarray):
+            assert not any(np.shares_memory(field, a) for a in inputs), name
+    for a, copy in zip(inputs, copies):
+        assert a.tobytes() == copy.tobytes()
 
 
 SPECIAL_VALUES = np.array([-0.0, 5e-324, 1e300, 0.1, -2.5, 1 / 3, 1e-7, 42.0])
