@@ -9,6 +9,7 @@ import csv
 import functools
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -92,6 +93,15 @@ def _upper(n):
     return iu
 
 
+def _one_run(what, a):
+    """Raise ValueError if the per-step array `a` of the `what` to be
+    written holds a batch, (R, N, ...): a CSV holds one run."""
+    if a.ndim == 3:
+        raise ValueError(
+            f"a batch {what} of R = {len(a)} replicates has no CSV form; "
+            f"write one replicate, .replicate(r)")
+
+
 def symmetrize(S: np.ndarray) -> np.ndarray:
     """Symmetric part of a matrix, or of each matrix in a stack."""
     return 0.5 * (S + S.swapaxes(-1, -2))
@@ -131,7 +141,8 @@ class FilterTrace:
 
     A batch trace (`run_filter_batch`) holds R replicates: every per-step
     array gains a leading axis R, and `clamp_count` is an (R,) array;
-    `indices` and `times` are shared.  `replicate(r)` gives one of them.
+    `indices` and `times` are shared.  `replicate(r)`, for an int r, gives
+    one of them; only that one-run trace has a CSV form (`to_csv`).
     """
 
     indices: np.ndarray
@@ -150,20 +161,20 @@ class FilterTrace:
     def __len__(self):
         return self.xhat_post.shape[-2]
 
-    def replicate(self, r) -> "FilterTrace":
-        """Replicate r of a batch trace, as a single-run trace; for a slice
-        r, the batch trace of those replicates."""
-        clamps = self.clamp_count[r]
+    def replicate(self, r: int) -> "FilterTrace":
+        """Replicate r of a batch trace, as a single-run trace."""
+        r = operator.index(r)
         return FilterTrace(
             self.indices, self.xhat_prior[r], self.Sigma_prior[r],
             self.xhat_post[r], self.Sigma_post[r], self.innovation[r],
-            self.S[r], self.gain[r], self.times,
-            clamps if isinstance(r, slice) else int(clamps), self.step_count,
-            self.fallback_intervals)
+            self.S[r], self.gain[r], self.times, int(self.clamp_count[r]),
+            self.step_count, self.fallback_intervals)
 
     def to_csv(self, path):
         """One row per step: k, [t,] xhat_prior, xhat_post, innovation,
-        S diagonal, upper triangle of Sigma_post."""
+        S diagonal, upper triangle of Sigma_post.  A batch trace raises
+        ValueError (`_one_run`)."""
+        _one_run("trace", self.xhat_post)
         n = self.xhat_post.shape[1]
         m = self.innovation.shape[1]
         iu = _upper(n)
@@ -290,28 +301,40 @@ def _check_finite(first_step, *stacks, S=None):
                                   replicate=_first_failure(ok[:, k]))
 
 
-def _filtered(measurements, xhat, Sigma, start_index, steps):
-    """A filter run over measurements (R, N, m) of R replicates from priors
-    xhat (R, n) and Sigma (R, n, n): steps(prior, post, W, S, Kt, tr) fills
-    the time-major buffers (N, R, ...) of [xhat | Sigma], W = [y | 0] ->
-    [E | -C Sigma], S and -K', returning the clamp counts.  tr's fields
-    view the buffers; it is returned unchecked, for `_checked`."""
+def _filtered(measurements, xhat, Sigma, start_index, steps, F):
+    """The traces of F models run over measurements (R, N, m) of R
+    replicates from priors xhat (R, n) and Sigma (R, n, n) or (n, n), which
+    every model shares: time-major buffers (N, F, R, ...) of [xhat | Sigma],
+    W = [y | 0] -> [E | -C Sigma], S and -K' give model i the block [:, i],
+    into which the measurements and priors are broadcast.  steps(prior,
+    post, W, S, Kt, trace) fills them through (N, F R, ...) views, model i
+    in columns i R to (i + 1) R, and returns the F R clamp counts; trace(i)
+    views model i's block as a trace.  Each model's trace is made once,
+    after steps, and returned unchecked, for `_checked`."""
     ms = np.asarray(measurements, dtype=float)
     R, N, m = ms.shape
     if N < 1:
         raise ValueError("need at least one measurement")
     n = np.shape(xhat)[-1]
-    prior, post = np.empty((2, N, R, n, 1 + n))
-    prior[0, ..., 0], prior[0, ..., 1:] = xhat, Sigma
-    W = np.zeros((N, R, m, 1 + n))
-    W[..., 0] = ms.swapaxes(0, 1)
-    S, Kt = np.empty((N, R, m, m)), np.empty((N, R, m, n))
-    tr = FilterTrace(np.arange(start_index, start_index + N), *(
-        a.swapaxes(0, 1) for a in (prior[..., 0], prior[..., 1:], post[..., 0],
-                                   post[..., 1:], W[..., 0], S,
-                                   Kt.swapaxes(-1, -2))))
-    tr.clamp_count = steps(prior, post, W, S, Kt, tr)
-    return tr
+    Z = np.empty((2, N, F, R, n, 1 + n))  # priors, posteriors
+    Z[0, 0, ..., 0], Z[0, 0, ..., 1:] = xhat, Sigma
+    W = np.zeros((N, F, R, m, 1 + n))
+    W[..., 0] = ms.swapaxes(0, 1)[:, None]
+    S, Kt = np.empty((N, F, R, m, m)), np.empty((N, F, R, m, n))
+
+    def trace(i, clamps=0):  # model i's block, replicate-major
+        prior, post = Z[:, :, i].swapaxes(1, 2)
+        return FilterTrace(np.arange(start_index, start_index + N),
+                           prior[..., 0], prior[..., 1:], post[..., 0],
+                           post[..., 1:], W[:, i, ..., 0].swapaxes(0, 1),
+                           S[:, i].swapaxes(0, 1),
+                           Kt[:, i].swapaxes(0, 1).swapaxes(-1, -2),
+                           clamp_count=clamps)
+
+    counts = steps(*Z.reshape(2, N, F * R, n, 1 + n),
+                   W.reshape(N, F * R, m, 1 + n), S.reshape(N, F * R, m, m),
+                   Kt.reshape(N, F * R, m, n), trace)
+    return [trace(i, counts[i * R:(i + 1) * R]) for i in range(F)]
 
 
 def _checked(tr, start_index=1):
@@ -351,7 +374,7 @@ def _run_loop(measurements, xhat, Sigma, predict, C, Sigma_w, start_index=1):
     per step; the scan also runs before an error inside it propagates.
     """
 
-    def steps(prior, post, W, S, Kt, tr):
+    def steps(prior, post, W, S, Kt, trace):
         N, R, n = prior.shape[:3]
         floored = np.zeros((N, R, n, 1), dtype=bool)
         written = 0
@@ -364,12 +387,12 @@ def _run_loop(measurements, xhat, Sigma, predict, C, Sigma_w, start_index=1):
                     if written < N:
                         floored[k] = predict(k, post[k], prior[k + 1])
         except Exception as exc:
-            _scan_failed_run(exc, tr, written, start_index)
+            _scan_failed_run(exc, trace(0), written, start_index)
             raise
         return floored.any(axis=(2, 3)).sum(axis=0)
 
-    return _checked(_filtered(measurements, xhat, Sigma, start_index, steps),
-                    start_index)
+    return _checked(_filtered(measurements, xhat, Sigma, start_index, steps,
+                              1)[0], start_index)
 
 
 # The largest n whose linear models run the generated kernel.
@@ -578,7 +601,7 @@ def _linear_steps(models, R, prop=None):
              else np.repeat(np.array(coefs).T, R, axis=1))
     kernel = _kernel(n, m, floats, prop is not None)
 
-    def steps(prior, post, W, S, Kt, tr):
+    def steps(prior, post, W, S, Kt, trace):
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             return kernel(coefs, prior, post, W, S, Kt, prop)
 
@@ -636,10 +659,10 @@ def _run(models, measurements, xhat, Sigma, prop=None):
     numpy loop, whose LAPACK factor decides the error as it always has:
     where S is singular in exact arithmetic, rounding decides which step
     fails, and the kernel rounds otherwise.  A continuous-discrete run's
-    propagator `prop` gives the time update.  `_filtered` copies the
-    inputs into its own buffers, so a one-model batch takes them as they
-    are, and its trace as `_filtered` returns it; F > 1 models tile them.
-    Sizes that do not fit a model raise LengthMismatchError."""
+    propagator `prop` gives the time update.  `_filtered` broadcasts the
+    shared inputs into each model's block of its buffers and makes each
+    model's trace once, for every F.  Sizes that do not fit a model raise
+    LengthMismatchError."""
     def loop(model):
         if prop:  # the kernel's cuts are not the trace's
             prop.cuts = prop.cut_intervals = 0
@@ -656,22 +679,16 @@ def _run(models, measurements, xhat, Sigma, prop=None):
         return
     for model in models:
         _check_sizes(model.m, model.n, measurements, xhat, Sigma)
-    batch = measurements, xhat, Sigma
-    if F > 1:  # tiled to F R columns
-        n = models[0].n
-        batch = (np.tile(np.asarray(measurements, dtype=float), (F, 1, 1)),
-                 np.tile(xhat, (F, 1)),
-                 np.tile(np.broadcast_to(Sigma, (R, n, n)), (F, 1, 1)))
     try:
-        tr = _filtered(*batch, 1, _linear_steps(models, R, prop))
+        traces = _filtered(measurements, xhat, Sigma, 1,
+                           _linear_steps(models, R, prop), F)
     except (FilterError, ValueError):  # the numpy loop decides the error
-        tr = None
-    for i, model in enumerate(models):
+        traces = [None] * F
+    for model, tr in zip(models, traces):
         trace = None
         if tr is not None:
             with contextlib.suppress(FilterError):
-                trace = _checked(tr if F == 1 else
-                                 tr.replicate(slice(i * R, (i + 1) * R)))
+                trace = _checked(tr)
         yield loop(model) if trace is None else trace
 
 

@@ -11,7 +11,8 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .discrete import (FilterTrace, _check_finite, _check_sizes, _compiled,
-                       _dpotf2, _run, _write_csv, _write_steps, run_filter)
+                       _dpotf2, _one_run, _run, _write_csv, _write_steps,
+                       run_filter)
 from .errors import FilterError, LengthMismatchError, NonFiniteStateError
 from .models import (EPS_G, ContinuousDiscreteModel, DiscreteLinearModel,
                      _first_failure, eval_G)
@@ -155,6 +156,9 @@ class TrajectoryData:
                        clamped=bool(self.clamped[r]))
 
     def to_csv(self, path):
+        """One row per step: k, [t,] x_true, y.  A batch raises ValueError
+        (`discrete._one_run`)."""
+        _one_run("trajectory", self.states)
         _write_steps(path, range(1, len(self) + 1), self.times,
                      [f"x_true_{i}" for i in range(self.states.shape[1])]
                      + [f"y_{i}" for i in range(self.measurements.shape[1])],
@@ -391,10 +395,15 @@ def simulate_cd(model: ContinuousDiscreteModel, x0, seed, em_step: float,
 
 def mse(trace: FilterTrace, truth: TrajectoryData):
     """Mean of ||xhat_post - x_true||^2 over the steps; an (R,) array for a
-    batch trace and batch truth."""
+    batch trace and batch truth.  A trace and truth of other step counts,
+    or of other shapes, raise LengthMismatchError."""
     if len(trace) != len(truth):
         raise LengthMismatchError(
             f"trace has {len(trace)} steps, truth has {len(truth)}")
+    if trace.xhat_post.shape != truth.states.shape:
+        raise LengthMismatchError(
+            f"trace estimates of shape {trace.xhat_post.shape}, truth states "
+            f"of shape {truth.states.shape}")
     err = trace.xhat_post - truth.states
     with np.errstate(over="ignore"):  # a diverged run's mse is inf
         out = np.mean(np.sum(err ** 2, axis=-1), axis=-1)

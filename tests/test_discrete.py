@@ -5,7 +5,7 @@ import pytest
 
 from cukf.builtin import example_sec3, logistic
 from cukf.continuous import cd_run
-from cukf.discrete import (FilterTrace, StateEstimate, _write_csv,
+from cukf.discrete import (FilterTrace, StateEstimate, _run, _write_csv,
                            measurement_update, run_filter, run_filter_batch,
                            time_update)
 from cukf.models import DiscreteLinearModel, with_fixed_noise
@@ -187,9 +187,9 @@ def test_clamps_are_counted_from_the_posteriors_that_a_time_update_follows():
     assert trace.xhat_post[0, -1, 0] < 0 and trace.xhat_post[1, 0, 0] < 0
     assert trace.clamp_count.tolist() == [0, 1, 0]
     for r in range(3):  # one replicate, in Python floats
-        same(outcome(lambda: run_filter_batch(model, ms[r:r + 1],
-                                              xhat[r:r + 1], Sigma)),
-             outcome(lambda: numpy_loop.replicate(slice(r, r + 1))))
+        same(outcome(lambda: run_filter_batch(
+            model, ms[r:r + 1], xhat[r:r + 1], Sigma).replicate(0)),
+             outcome(lambda: numpy_loop.replicate(r)))
 
 
 def read_only(a):
@@ -202,7 +202,9 @@ def read_only(a):
 def batch_runs(model):
     """(id, run, inputs) per run of `model` over read-only inputs: one
     replicate through run_filter, and R = 1 and R = 4 replicates through
-    run_filter_batch with a shared and a stacked Sigma."""
+    run_filter_batch with a shared and a stacked Sigma; for a linear model,
+    also F = 2 and F = 3 models of its `with_fixed_noise` grid over R = 4
+    replicates through `discrete._run`, its traces as a list."""
     rng = np.random.default_rng(3)
     n, m = model.n, model.m
     runs = []
@@ -215,6 +217,14 @@ def batch_runs(model):
                          lambda ms=ms, xhat=xhat, Sigma=Sigma:
                          run_filter_batch(model, ms, xhat, Sigma),
                          (ms, xhat, Sigma)))
+            if isinstance(model, DiscreteLinearModel) and R > 1:
+                for F in (2, 3):
+                    grid = [model] + [with_fixed_noise(model, beta)
+                                      for beta in (0.1, 0.5)[:F - 1]]
+                    runs.append((f"grid-F{F}-{how}", lambda ms=ms, xhat=xhat,
+                                 Sigma=Sigma, grid=grid:
+                                 list(_run(grid, ms, xhat, Sigma)),
+                                 (ms, xhat, Sigma)))
     init = StateEstimate(read_only(np.ones(n)), read_only(np.eye(n)))
     ms = read_only(rng.uniform(1, 2, (9, m)))
     runs.append(("one", lambda: run_filter(model, ms, init),
@@ -246,12 +256,18 @@ def test_a_run_neither_writes_into_its_inputs_nor_returns_views_of_them(
         run, inputs):
     # The kernel, the numpy loop and the continuous-discrete runs copy
     # every input into their own buffers: a write into a read-only input
-    # would raise, and no trace field may share memory with an input.
+    # would raise, and no trace field may share memory with an input, nor
+    # with another model's trace.
     copies = [a.copy() for a in inputs]
-    trace = run()
-    for name, field in vars(trace).items():
-        if isinstance(field, np.ndarray):
-            assert not any(np.shares_memory(field, a) for a in inputs), name
+    traces = run()
+    traces = traces if isinstance(traces, list) else [traces]
+    for i, trace in enumerate(traces):
+        others = [a for other in traces[:i] for a in vars(other).values()
+                  if isinstance(a, np.ndarray)]
+        for name, field in vars(trace).items():
+            if isinstance(field, np.ndarray):
+                assert not any(np.shares_memory(field, a)
+                               for a in [*inputs, *others]), name
     for a, copy in zip(inputs, copies):
         assert a.tobytes() == copy.tobytes()
 

@@ -68,6 +68,15 @@ def boundary_cost(pinned):
     return build_measurement_cost(cost, [1.5], SEC3.C, SEC3.Sigma_w)
 
 
+def sec3_batch(R):
+    """example_sec3's batch trace and batch truth of R replicates of 10 steps."""
+    truth = simulate_batch(SEC3, 1.0, 10, range(R))
+    return run_filter_batch(SEC3, truth.measurements, np.zeros((R, 1)), np.eye(1)), truth
+
+
+# A batch's to_csv refuses before it opens a file: this directory need not exist.
+UNWRITTEN = "no-such-directory/out.csv"
+NO_CSV = "a batch {} of R = 3 replicates has no CSV form; write one replicate, .replicate(r)"
 GOOD_START = np.full((2, 1), 2.0)
 OFF_HEAD = GOOD_START + [[1.0], [0.0]]
 BAD_STARTS = [(z, f"trajectory must be a (K, 1) array, not of shape {z.shape}") for z in (
@@ -238,6 +247,20 @@ FAILURES = {
     "test_simulate::test_mse_length_mismatch": [(
         None, lambda: mse(run_filter(SEC3, DATA10.measurements[:5], prior(sigma=0.0)),
                           DATA10), LengthMismatchError, "trace has 5 steps, truth has 10")],
+    "test_simulate::test_mse_refuses_a_trace_and_truth_of_other_shapes": [
+        (case, call, LengthMismatchError,
+         f"trace estimates of shape {got}, truth states of shape {want}")
+        for case, call, got, want in [
+            ("batch-trace", lambda: mse(sec3_batch(3)[0], DATA10), (3, 10, 1), (10, 1)),
+            ("batch-truth", lambda: mse(run_filter(SEC3, DATA10.measurements, prior()),
+                                        sec3_batch(3)[1]), (10, 1), (3, 10, 1)),
+            ("two-state-trace", lambda: mse(run_filter(TWO_STATE, DATA10.measurements,
+                                                       prior(2)), DATA10), (10, 2), (10, 1)),
+            ("other-R", lambda: mse(sec3_batch(3)[0], sec3_batch(2)[1]), (3, 10, 1),
+             (2, 10, 1))]],
+    "test_simulate::test_a_batch_trajectory_has_no_csv_form": [(
+        None, lambda: sec3_batch(3)[1].to_csv(UNWRITTEN), ValueError,
+        NO_CSV.format("trajectory"))],
     "test_simulate::test_replicate_words_refuse_what_a_seed_sequence_cannot_spawn": [
         (None, lambda: _replicate_words(-1, 3), ValueError, "expected non-negative integer"),
         (None, lambda: monte_carlo_compare(SEC3, {}, replicates=2 ** 32, N=50, master_seed=0),
@@ -293,6 +316,8 @@ FAILURES = {
     "test_discrete::test_a_time_update_that_overflows_is_non_finite": [(
         None, lambda: time_update(StateEstimate([1e10], [[1e10]]), linear(A1=1e300)),
         NonFiniteStateError, "estimate became non-finite (at step 1)")],
+    "test_discrete::test_a_batch_trace_has_no_csv_form": [(
+        None, lambda: sec3_batch(3)[0].to_csv(UNWRITTEN), ValueError, NO_CSV.format("trace"))],
     "test_discrete::test_measurement_update_singular_innovation": [(
         None, lambda: measurement_update(prior(sigma=0.0), [1.0], [[1.0]], [[0.0]]),
         SingularInnovationError, "innovation covariance not positive definite (at step 0)")],

@@ -405,7 +405,7 @@ def random_filter(rng, truth):
 
 
 @settings(max_examples=60)
-@given(st.integers(1, 3), st.integers(1, 12), st.integers(21, 40),
+@given(st.integers(1, 4), st.integers(1, 12), st.integers(21, 40),
        st.sampled_from([0.0, 1.0]), st.integers(0, 2 ** 32 - 1))
 def test_fused_compare_matches_per_filter_numpy_loops(F, R, N_steps,
                                                       init_sigma, seed):
