@@ -14,8 +14,9 @@ from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .discrete import (FilterTrace, StateEstimate, _check_sizes, _compiled,
-                       _predictor, _products, _run, _stepped, _upper)
+from .discrete import (FilterTrace, StateEstimate, _check_finite,
+                       _check_sizes, _compiled, _predictor, _products, _run,
+                       _stepped, _upper)
 from .errors import (LengthMismatchError, NonFiniteStateError,
                      StepTooLargeError)
 from .models import EPS_G, ContinuousDiscreteModel, DiscreteLinearModel, eval_G
@@ -282,14 +283,16 @@ class _Propagator:
     (Van Loan, IEEE TAC 23(3), 1978).  The mean path does not depend on
     Sigma, so the floored set is read off g2(x(t)) at nodes half a step
     apart.  An interval where that set changes is cut at each crossing of
-    EPS_G, and each piece is propagated by its own exponential; such
-    intervals and their cuts are counted.  An interval is propagated over
-    its canonical length (`_canonical`: its length rounded to _SPAN_BITS
-    bits, within 2^-45 relative), not its exact one.  For as long as the
-    object lives, the grid checks, the node map and the whole-interval
-    exponentials (one per floored set) are built once per canonical length,
-    on its first interval, and the generator M once per floored set.  A
-    floored set is keyed by the int whose bit i is set for a floored g2_i.
+    EPS_G, and each piece is propagated by its own exponential; `cuts`
+    records each such interval's cuts under its start, so a rerun (see
+    `discrete._run`) overwrites them and never adds.  An interval is
+    propagated over its canonical length (`_canonical`: its length rounded
+    to _SPAN_BITS bits, within 2^-45 relative), not its exact one.  For as
+    long as the object lives, the grid checks, the node map and the
+    whole-interval exponentials (one per floored set) are built once per
+    canonical length, on its first interval, and the generator M once per
+    floored set.  A floored set is keyed by the int whose bit i is set for
+    a floored g2_i.
 
     While the floored set is fixed, an interval is one affine map, whose
     coefficients the exponential E of that set holds: x' = psi + Phi x
@@ -333,8 +336,7 @@ class _Propagator:
         self._layout = layout = _layout(n)
         self._z = layout.z.copy()
         self.sv = np.diag(dyn.Sigma_v)
-        self.cut_intervals = 0
-        self.cuts = 0
+        self.cuts = {}  # the start of each cut interval -> its cuts
         self._bits = layout.bits
         self._generators = {}  # floored set -> M
         self._records = {}     # canonical length -> its record
@@ -427,7 +429,7 @@ class _Propagator:
             E = exps[key] = _expm(self._generator(key) * span)
         return E
 
-    def _cut(self, z, g2, floored, span):
+    def _cut(self, z, g2, floored, span, t0):
         """z propagated piece by piece, cut where a g2_i crosses EPS_G between
         two nodes; the crossing is placed by linear interpolation."""
         j, i = np.nonzero(floored[1:] != floored[:-1])
@@ -439,8 +441,7 @@ class _Propagator:
                                   i[order].tolist()):
             z = _expm(self._generator(key) * length) @ z
             key ^= 1 << toggle
-        self.cut_intervals += 1
-        self.cuts += len(cuts)
+        self.cuts[t0] = len(cuts)
         M = self._generator(key)
         return _expm(M * (span - cuts.max())) @ z
 
@@ -465,7 +466,7 @@ class _Propagator:
             same = (floored == floored[0]).all()  # at every node
             key = int(self._bits @ floored[0]) if same else None
         if key is None:
-            z = self._cut(z, g2, floored, span)
+            z = self._cut(z, g2, floored, span, t0)
         else:
             z = self._exponential(record[-1], key, span) @ z
         if not np.isfinite(z[:-1]).all():
@@ -525,14 +526,18 @@ def cd_time_update(post: StateEstimate, model, t0: float, t1: float,
     canonical length of t1 - t0 (`_canonical`), as `cd_run` propagates an
     interval of that length, so with the same bits.  Each call builds its
     own matrix exponentials; `cd_run` reuses them across intervals.  A
-    value that overflows raises NonFiniteStateError, never a RuntimeWarning
-    first; a prior of another size than the model's, LengthMismatchError."""
+    value that overflows, in the propagation or in the prior it returns
+    (indexed t1), raises NonFiniteStateError, never a RuntimeWarning first;
+    a prior of another size than the model's, LengthMismatchError."""
     dyn = _inner(model)
     _check_sizes(dyn.m, dyn.n, xhat=post.xhat, Sigma=post.Sigma)
     if not -np.inf < t0 <= t1 < np.inf:
         raise ValueError("need finite t0 <= t1")
     prop = _Propagator(dyn, step, [t0, t1])
-    return _stepped(post, prop.predict, 1, t1)
+    prior = _stepped(post, prop.predict, 1, t1)
+    _check_finite(t1, ("estimate", prior.xhat[None, None]),
+                  ("estimate", prior.Sigma[None, None]))
+    return prior
 
 
 def cd_run(model: ContinuousDiscreteModel, measurements, init: StateEstimate,
@@ -542,7 +547,7 @@ def cd_run(model: ContinuousDiscreteModel, measurements, init: StateEstimate,
 
     The trace counts intervals in which any g2 was floored (`clamp_count`),
     intervals cut where the floored set changes (`fallback_intervals`) and
-    the cuts made in them (`step_count`).
+    the cuts made in them (`step_count`), the totals of `_Propagator.cuts`.
 
     It is `discrete._run` with a `_Propagator` as the time update, so it
     takes a discrete model's route, with the same bits and errors."""
@@ -557,7 +562,7 @@ def cd_run(model: ContinuousDiscreteModel, measurements, init: StateEstimate,
     trace = next(_run([prop.dyn], ms[None], init.xhat[None],
                       init.Sigma[None], prop)).replicate(0)
     trace.times, trace.step_count, trace.fallback_intervals = (
-        times.copy(), prop.cuts, prop.cut_intervals)
+        times.copy(), sum(prop.cuts.values()), len(prop.cuts))
     return trace
 
 

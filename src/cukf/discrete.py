@@ -190,10 +190,12 @@ class FilterTrace:
              self.Sigma_post[:, iu[0], iu[1]]])
 
 
-def _inverse_factor(S, step=None):
+def _inverse_factor(S):
     """Inverse lower Cholesky factor of each innovation covariance in the
     stack S (R, m, m).  For a scalar output it is 1 / sqrt(S), which rounds
-    exactly like inv(cholesky(S)) and is not tested (see `_check_finite`)."""
+    exactly like inv(cholesky(S)) and is not tested (see `_check_finite`).
+    A factor LAPACK refuses raises SingularInnovationError; the filter
+    loop names its step."""
     if S.shape[-1] == 1:
         return 1.0 / np.sqrt(S)
     try:
@@ -206,11 +208,11 @@ def _inverse_factor(S, step=None):
             except np.linalg.LinAlgError:
                 ok[r] = False
         raise SingularInnovationError(
-            "innovation covariance not positive definite", step=step,
+            "innovation covariance not positive definite",
             replicate=_first_failure(ok)) from exc
 
 
-def _blue_step(Z, W, C, Sigma_w, S, Kt, out, step=None):
+def _blue_step(Z, W, C, Sigma_w, S, Kt, out):
     """BLUE measurement update of R joint estimates Z = [xhat | Sigma]: W
     holds [y | 0] and becomes [E | -C Sigma]; S receives the innovation
     covariance, Kt the gain as -K' = -S^-1 C Sigma, and `out` the posterior
@@ -219,7 +221,7 @@ def _blue_step(Z, W, C, Sigma_w, S, Kt, out, step=None):
     CS = W[..., 1:]
     np.subtract(Sigma_w, CS @ C.T, out=S)
     _symmetrize_in_place(S)
-    Li = _inverse_factor(S, step)
+    Li = _inverse_factor(S)
     np.matmul(Li.swapaxes(-1, -2), Li @ CS, out=Kt)
     np.subtract(Z, Kt.swapaxes(-1, -2) @ W, out=out)
     _symmetrize_in_place(out[..., 1:])
@@ -227,12 +229,17 @@ def _blue_step(Z, W, C, Sigma_w, S, Kt, out, step=None):
 
 def measurement_update(prior: StateEstimate, y, C, Sigma_w) -> StateEstimate:
     """Incorporate measurement y via the best linear unbiased update; y,
-    the prior and Sigma_w must fit C (m, n), or LengthMismatchError."""
+    the prior and Sigma_w must fit C (m, n), or LengthMismatchError.  A
+    FilterError names the prior's index as its step."""
     C, Sigma_w = (np.atleast_2d(np.asarray(a, float)) for a in (C, Sigma_w))
     ys = np.reshape(y, (1, 1, -1))
     _check_sizes(*C.shape, ys, prior.xhat[None], prior.Sigma, Sigma_w=Sigma_w)
-    tr = _run_loop(ys, prior.xhat[None], prior.Sigma[None], None, C, Sigma_w,
-                   prior.index)
+    try:
+        tr = _run_loop(ys, prior.xhat[None], prior.Sigma[None], None, C,
+                       Sigma_w)
+    except FilterError as exc:  # the loop's one step is the prior's
+        exc.step = prior.index
+        raise
     return StateEstimate(tr.xhat_post[0, 0], tr.Sigma_post[0, 0], prior.index)
 
 
@@ -301,7 +308,7 @@ def _check_finite(first_step, *stacks, S=None):
                                   replicate=_first_failure(ok[:, k]))
 
 
-def _filtered(measurements, xhat, Sigma, start_index, steps, F):
+def _filtered(measurements, xhat, Sigma, steps, F):
     """The traces of F models run over measurements (R, N, m) of R
     replicates from priors xhat (R, n) and Sigma (R, n, n) or (n, n), which
     every model shares: time-major buffers (N, F, R, ...) of [xhat | Sigma],
@@ -309,8 +316,8 @@ def _filtered(measurements, xhat, Sigma, start_index, steps, F):
     into which the measurements and priors are broadcast.  steps(prior,
     post, W, S, Kt, trace) fills them through (N, F R, ...) views, model i
     in columns i R to (i + 1) R, and returns the F R clamp counts; trace(i)
-    views model i's block as a trace.  Each model's trace is made once,
-    after steps, and returned unchecked, for `_checked`."""
+    views model i's block as a trace of the steps 1..N.  Each model's trace
+    is made once, after steps, and returned unchecked, for `_checked`."""
     ms = np.asarray(measurements, dtype=float)
     R, N, m = ms.shape
     if N < 1:
@@ -324,7 +331,7 @@ def _filtered(measurements, xhat, Sigma, start_index, steps, F):
 
     def trace(i, clamps=0):  # model i's block, replicate-major
         prior, post = Z[:, :, i].swapaxes(1, 2)
-        return FilterTrace(np.arange(start_index, start_index + N),
+        return FilterTrace(np.arange(1, N + 1),
                            prior[..., 0], prior[..., 1:], post[..., 0],
                            post[..., 1:], W[:, i, ..., 0].swapaxes(0, 1),
                            S[:, i].swapaxes(0, 1),
@@ -337,41 +344,31 @@ def _filtered(measurements, xhat, Sigma, start_index, steps, F):
     return [trace(i, counts[i * R:(i + 1) * R]) for i in range(F)]
 
 
-def _checked(tr, start_index=1):
-    """The trace `tr` of `_filtered`, once one scan of its posteriors and S
-    finds no failed step (`_check_finite`), with its -K' made the gains K."""
-    _check_finite(start_index, ("estimate", tr.xhat_post),
-                  ("estimate", tr.Sigma_post),
-                  ("innovation covariance", tr.S), S=tr.S)
+def _checked(tr, written=None):
+    """The trace `tr` of `_filtered`, once one scan of its posteriors and S,
+    or of the first `written` of a failed run, finds no failed step
+    (`_check_finite`), with its -K' made the gains K."""
+    _check_finite(1, ("estimate", tr.xhat_post[:, :written]),
+                  ("estimate", tr.Sigma_post[:, :written]),
+                  ("innovation covariance", tr.S[:, :written]), S=tr.S)
     np.negative(tr.gain, out=tr.gain)
     return tr
 
 
-def _scan_failed_run(exc, tr, written, start_index):
-    """What a filter loop does with the exception `exc` raised after it
-    wrote `written` posteriors into `tr`, before raising it again: whatever
-    it was (a user's f may raise anything), a failed step before it is the
-    first failure (`_check_finite`); and a FilterError without a step names
-    the step of the prior being made."""
-    _check_finite(start_index, ("estimate", tr.xhat_post[:, :written]),
-                  ("estimate", tr.Sigma_post[:, :written]),
-                  ("innovation covariance", tr.S[:, :written]), S=tr.S)
-    if isinstance(exc, FilterError) and exc.step is None:
-        exc.step = start_index + written
-
-
-def _run_loop(measurements, xhat, Sigma, predict, C, Sigma_w, start_index=1):
+def _run_loop(measurements, xhat, Sigma, predict, C, Sigma_w):
     """The measurement-first filter loop shared by every filter, in numpy
     over the batch (see `_filtered`).
 
     predict(k, Z, out) -> floored writes the priors of step k + 1 (0-based),
     made from the posteriors Z of step k, into `out`, with a mask
     broadcastable to (R, n, 1) of the g^2 it floored.  Errors name the step
-    and, when R > 1, the first failing replicate; a FilterError that predict
-    raises without a step is raised again naming the step of its prior.
+    and, when R > 1, the first failing replicate.
 
     The loop runs with numpy's floating-point warnings off and tests nothing
-    per step; the scan also runs before an error inside it propagates.
+    per step.  An error inside it (a user's f may raise anything) is raised
+    after the scan of the steps written (`_checked`), which raises a failed
+    step before it instead; a FilterError without a step names the step of
+    the prior being made.
     """
 
     def steps(prior, post, W, S, Kt, trace):
@@ -382,17 +379,18 @@ def _run_loop(measurements, xhat, Sigma, predict, C, Sigma_w, start_index=1):
             with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
                 for k in range(N):
                     _blue_step(prior[k], W[k], C, Sigma_w, S[k], Kt[k],
-                               post[k], step=start_index + k)
+                               post[k])
                     written = k + 1
                     if written < N:
                         floored[k] = predict(k, post[k], prior[k + 1])
         except Exception as exc:
-            _scan_failed_run(exc, trace(0), written, start_index)
+            _checked(trace(0), written)
+            if isinstance(exc, FilterError) and exc.step is None:
+                exc.step = written + 1
             raise
         return floored.any(axis=(2, 3)).sum(axis=0)
 
-    return _checked(_filtered(measurements, xhat, Sigma, start_index, steps,
-                              1)[0], start_index)
+    return _checked(_filtered(measurements, xhat, Sigma, steps, 1)[0])
 
 
 # The largest n whose linear models run the generated kernel.
@@ -647,49 +645,41 @@ def _check_sizes(m, n, measurements=None, xhat=None, Sigma=None, x0=None,
 def _run(models, measurements, xhat, Sigma, prop=None):
     """The route of every filter run: the checked trace of each of the
     `models` over the same R replicates (see `_filtered`), yielded in turn
-    as it is reached, so that a caller meets their errors in order.  When
-    every model is `_small_linear`, they run as one batch of F R columns
-    through the generated kernel (`_linear_steps`), model i in columns
-    i R to (i + 1) R: in Python floats for one column, else on arrays,
-    which only n = m = 1 models take (for n >= 2 the array binding makes
-    more numpy calls per step than the numpy loop's stacked matmuls).
-    Otherwise each model runs the numpy loop `_run_loop` when reached.  At
-    n = m = 1 the two are bit-identical.  A model whose kernel run fails
-    or raises (a continuous-discrete time update may) is run again by the
-    numpy loop, whose LAPACK factor decides the error as it always has:
-    where S is singular in exact arithmetic, rounding decides which step
-    fails, and the kernel rounds otherwise.  A continuous-discrete run's
-    propagator `prop` gives the time update.  `_filtered` broadcasts the
-    shared inputs into each model's block of its buffers and makes each
-    model's trace once, for every F.  Sizes that do not fit a model raise
-    LengthMismatchError."""
-    def loop(model):
-        if prop:  # the kernel's cuts are not the trace's
-            prop.cuts = prop.cut_intervals = 0
-        return _run_loop(measurements, xhat, Sigma,
-                         prop.predict if prop else _predictor(model),
-                         model.C, model.Sigma_w)
-
-    F, R = len(models), len(measurements)
-    if not (models and all(map(_small_linear, models))
-            and (F * R == 1 or all(model.n == 1 for model in models))):
-        for model in models:
-            _check_sizes(model.m, model.n, measurements, xhat, Sigma)
-            yield loop(model)
-        return
+    as it is reached, so that a caller meets their errors in order; every
+    model's sizes are checked first (LengthMismatchError).  When every
+    model is `_small_linear`, they run as one batch of F R columns through
+    the generated kernel (`_linear_steps`), model i in columns i R to
+    (i + 1) R: in Python floats for one column, else on arrays, which only
+    n = m = 1 models take (for n >= 2 the array binding makes more numpy
+    calls per step than the numpy loop's stacked matmuls).  Then each model
+    yields its checked kernel trace or, when reached, its run of the numpy
+    loop `_run_loop`; at n = m = 1 the two are bit-identical.  A model
+    whose kernel run fails or raises (a continuous-discrete time update
+    may) is run again by the numpy loop, whose LAPACK factor decides the
+    error as it always has: where S is singular in exact arithmetic,
+    rounding decides which step fails, and the kernel rounds otherwise.  A
+    continuous-discrete run's propagator `prop` gives the time update and
+    owns its counts (`continuous._Propagator`).  `_filtered` broadcasts
+    the shared inputs into each model's block of its buffers and makes
+    each model's trace once, for every F."""
     for model in models:
         _check_sizes(model.m, model.n, measurements, xhat, Sigma)
-    try:
-        traces = _filtered(measurements, xhat, Sigma, 1,
-                           _linear_steps(models, R, prop), F)
-    except (FilterError, ValueError):  # the numpy loop decides the error
-        traces = [None] * F
+    F, R = len(models), len(measurements)
+    traces = [None] * F
+    if (models and all(map(_small_linear, models))
+            and (F * R == 1 or all(model.n == 1 for model in models))):
+        with contextlib.suppress(FilterError, ValueError):
+            traces = _filtered(measurements, xhat, Sigma,
+                               _linear_steps(models, R, prop), F)
     for model, tr in zip(models, traces):
         trace = None
         if tr is not None:
             with contextlib.suppress(FilterError):
                 trace = _checked(tr)
-        yield loop(model) if trace is None else trace
+        yield trace if trace is not None else _run_loop(
+            measurements, xhat, Sigma,
+            prop.predict if prop else _predictor(model),
+            model.C, model.Sigma_w)
 
 
 def run_filter_batch(model, measurements, xhat, Sigma) -> FilterTrace:

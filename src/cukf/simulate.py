@@ -150,7 +150,9 @@ class TrajectoryData:
         return self.states.shape[-2]
 
     def replicate(self, r: int) -> "TrajectoryData":
-        """Replicate r of a batch, as a single trajectory."""
+        """Replicate r of a batch, as a single trajectory; r is an int
+        (`operator.index`), so a slice raises TypeError."""
+        r = operator.index(r)
         return replace(self, states=self.states[r],
                        measurements=self.measurements[r],
                        clamped=bool(self.clamped[r]))

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cukf import discrete
 from cukf.builtin import birth_death_cle, example_sec3
 from cukf.cli import parse_and_dispatch
 from cukf.continuous import (_MARGIN, _PADE, _Propagator, _canonical, _expm,
                              _interval, cd_run, cd_time_update, default_config,
                              euler_limit_check)
 from cukf.discrete import StateEstimate, time_update
-from cukf.errors import NonFiniteStateError
+from cukf.errors import FilterError, NonFiniteStateError
 from cukf.models import ContinuousDiscreteModel, DiscreteLinearModel
 from cukf.simulate import simulate_cd
 
@@ -20,8 +21,9 @@ from reference_impl import (EPS_G, _rk4, classical_cd_kf,
                             kron_generator, random_constant_noise_model,
                             rel_err, split_rk4, triu_affine,
                             vanloan_discretize)
-from routes import (CD_ROUTES, MODELS, SHIPPED, cd_model, check_cd_routes,
-                    linear_cd, route, simulated, table_tests)
+from routes import (CD_ROUTES, CUTTING, MODELS, SHIPPED, cd_model,
+                    check_cd_routes, linear_cd, outcome, route, same,
+                    simulated, table_tests)
 from test_failures import failure_tests
 
 globals().update(failure_tests("test_continuous"))
@@ -256,6 +258,29 @@ def test_clamp_set_change_takes_counted_fallback():
     assert rel_err(trace.Sigma_prior[1], S) <= 1e-12
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_a_failed_kernel_run_leaves_the_counts_to_the_numpy_loop(
+        seed, monkeypatch):
+    # The kernel runs the cutting model, cuts its intervals and then raises:
+    # the numpy loop's rerun gives the trace and counts, as it does alone.
+    model, ms, prior = simulated(CUTTING, 0.0, seed)
+    want = outcome(lambda: cd_run(model, ms, prior), "kernel")
+    kernel, cut = discrete._linear_steps, []
+
+    def failing(models, R, prop=None):
+        steps = kernel(models, R, prop)
+
+        def run(*buffers):
+            steps(*buffers)
+            cut.append(bool(prop.cuts))
+            raise FilterError("the kernel run fails")
+        return run
+
+    monkeypatch.setattr(discrete, "_linear_steps", failing)
+    same(outcome(lambda: cd_run(model, ms, prior)), want)
+    assert cut == [True] and want["fallback_intervals"] >= 1
+
+
 @st.composite
 def crossing_cases(draw, span=0.1):
     """(model, posterior) whose mean path over `span` takes at least one
@@ -300,7 +325,8 @@ def test_cut_propagation_matches_split_reference(case):
     prop = _Propagator(model, STEP, [0.0, 0.1])
     prop.propagate(np.concatenate((post.xhat, post.Sigma.ravel(), [1.0])),
                    0.0, 0.1)
-    assert prop.cuts == len(floor_crossings(model, post.xhat, 0.1)) >= 1
+    assert prop.cuts == {0.0: len(floor_crossings(model, post.xhat, 0.1))}
+    assert prop.cuts[0.0] >= 1
     x, S = split_rk4(model, post.xhat, post.Sigma, 0.1)
     assert rel_err(out.xhat, x) <= 1e-9
     assert rel_err(out.Sigma, S) <= 1e-9

@@ -261,6 +261,11 @@ FAILURES = {
     "test_simulate::test_a_batch_trajectory_has_no_csv_form": [(
         None, lambda: sec3_batch(3)[1].to_csv(UNWRITTEN), ValueError,
         NO_CSV.format("trajectory"))],
+    # replicate(r) takes an int: a slice is a TypeError, not a batch of one.
+    "test_simulate::test_a_trajectory_replicate_is_an_int": [
+        (f"slice-0-{stop}", lambda stop=stop: simulate_batch(
+            SEC3, 1.0, 5, [0, 1, 2]).replicate(slice(0, stop)), TypeError,
+         "'slice' object cannot be interpreted as an integer") for stop in (1, 2)],
     "test_simulate::test_replicate_words_refuse_what_a_seed_sequence_cannot_spawn": [
         (None, lambda: _replicate_words(-1, 3), ValueError, "expected non-negative integer"),
         (None, lambda: monte_carlo_compare(SEC3, {}, replicates=2 ** 32, N=50, master_seed=0),
@@ -305,6 +310,13 @@ FAILURES = {
             np.zeros((3, n)), StateEstimate(np.ones(n), np.eye(n), 0.0)),
          NonFiniteStateError, "integration diverged on [0.0, 0.5] (at step 2)")
         for n in (1, 2)],
+    # A positive definite Sigma near the largest float: averaging the two triangles of the
+    # propagated Sigma overflows, over a zero interval too.
+    "test_continuous::test_cd_time_update_refuses_a_prior_that_overflows": [
+        (f"{t0}-{t1}", lambda t=(t0, t1): cd_time_update(
+            StateEstimate([100.0, 100.0], [[1e308, 9e307], [9e307, 1e308]], t0), two_species(),
+            *t, 0.01), NonFiniteStateError, f"estimate became non-finite (at step {t1})")
+        for t0, t1 in [(0.5, 0.5), (0.5, 0.6)]],
     # n + r components, n + 1 - r states: the scalar rule would run on the first component
     # alone, the numpy loop into a numpy error or a wrong trace.
     "test_continuous::test_cd_run_refuses_a_prior_or_measurements_of_another_size": [
@@ -321,6 +333,11 @@ FAILURES = {
     "test_discrete::test_measurement_update_singular_innovation": [(
         None, lambda: measurement_update(prior(sigma=0.0), [1.0], [[1.0]], [[0.0]]),
         SingularInnovationError, "innovation covariance not positive definite (at step 0)")],
+    # At m = 2 LAPACK's factor refuses S = diag(1, 0); the error names the prior's index.
+    "test_discrete::test_measurement_update_names_its_prior_index_when_lapack_refuses_S": [(
+        None, lambda: measurement_update(prior(2, sigma=0.0, index=7), [1.0, 1.0], np.eye(2),
+                                         np.diag([1.0, 0.0])),
+        SingularInnovationError, "innovation covariance not positive definite (at step 7)")],
     "test_discrete::test_run_filter_error_carries_step_index": [(
         None, lambda: run_filter(linear(g2=0.0, Sigma_w=[[0.0]]), [[1.0], [2.0]],
                                  prior(sigma=0.0, index=1)),
